@@ -62,6 +62,8 @@ class NormEstimate:
     witness: WitnessFamily | None = None
 
     def __post_init__(self) -> None:
+        if math.isnan(self.lower) or math.isnan(self.upper):
+            raise ValueError(f"estimate bounds must not be NaN: [{self.lower}, {self.upper}]")
         if self.lower > self.upper + 1e-9:
             raise ValueError(
                 f"inconsistent estimate: lower {self.lower} exceeds upper {self.upper}"

@@ -145,6 +145,8 @@ class GeneratorBinding:
         m = self.matrix
         if m.ndim != 2 or m.shape[1] != self.space.dim:
             raise ValueError("binding vectors must live in the binding space")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("binding vectors must have finite entries")
         object.__setattr__(
             self, "vectors", tuple(tuple(float(v) for v in row) for row in m)
         )

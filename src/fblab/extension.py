@@ -21,12 +21,21 @@ F (functionals on F are restrictions of E* functionals; the weak-p
 constraint runs over B_F) with the norm of the same expression over E.
 F never needs its own weighted-ell_r model: all F-side computations are
 constrained optimizations in basis coordinates.
+
+For ambient r in {1, inf}, B_F is a polytope.  Its vertices are
+enumerated once per subspace, on first use, and every F-side quantity
+(linear forms, dual norms, weak-p norms of families, operator norms over
+B_F) is exact by vertex enumeration: a matrix product and a maximum.
+Above a fixed cap on the size of the enumeration, linear forms fall back
+to one linear program each, and the convex maxima to multistart ascent.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +47,7 @@ from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
     norm,
+    norms_rows,
     space_from_json,
     space_to_json,
 )
@@ -72,6 +82,8 @@ class SubspaceSpec:
         B = self.basis_matrix
         C = self.complement_matrix
         n = self.ambient.dim
+        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
+            raise ValueError("basis and complement entries must be finite")
         if B.shape[1] != n or (C.size and C.shape[1] != n):
             raise ValueError("basis vectors must live in the ambient space")
         if B.shape[0] + C.shape[0] != n:
@@ -133,6 +145,13 @@ class SubspaceSpec:
     def ambient_norm(self, coords: np.ndarray) -> float:
         return norm(self.ambient, self.embed(coords))
 
+    @cached_property
+    def _vertices(self) -> np.ndarray | None:
+        """Read-only vertices of B_F (rows, basis coordinates, ambient norm
+        1) for ambient r in {1, inf}; None for other exponents or above
+        the candidate cap.  Computed on first use, then kept."""
+        return _section_vertices(self.ambient, self.basis_matrix)
+
 
 def subspace_to_json(sub: SubspaceSpec) -> dict:
     return {
@@ -156,6 +175,60 @@ def subspace_from_json(obj: dict) -> SubspaceSpec:
 # --------------------------------------------------------------------------
 # the inherited geometry of F: linear forms over B_F = B_E intersect F
 # --------------------------------------------------------------------------
+
+# Vertex enumeration of B_F gives up when the candidate points (k-subsets
+# of constraints times sign patterns for r = inf, (k-1)-subsets of
+# zonotope generators for r = 1) times n * k exceed this; that product
+# bounds every array it builds (2M floats, 16 MB).  Every linear form is
+# then one LP.
+_VERTEX_CANDIDATE_CAP = 1 << 21
+
+
+def _section_vertices(E: SpaceSpec, B: np.ndarray) -> np.ndarray | None:
+    """Vertices of B_F = {c : ||c @ B||_E <= 1}, scaled to ambient norm 1,
+    for ambient r in {1, inf}; None otherwise or above the candidate cap.
+
+    r = inf: B_F = {c : |z_i . c| <= 1} over the columns z_i of B; a vertex
+    solves k linearly independent tight rows z_i . c = s_i and satisfies
+    the others.  r = 1: B_F is the polar of the zonotope sum_i [-z_i, z_i]
+    with z_i = w_i b_i; its vertices are +-a / sum_i |z_i . a| over the
+    normals a of the hyperplanes spanned by k - 1 generators.  Zero
+    columns constrain nothing and are dropped first.
+    """
+    if not (E.is_sup or E.r == 1):
+        return None
+    k, n = B.shape
+    Z = B.T if E.is_sup else (B * E.weight_array).T
+    Z = Z[np.any(Z != 0.0, axis=1)]
+    m = Z.shape[0]
+    count = math.comb(m, k) << (k - 1) if E.is_sup else math.comb(m, k - 1)
+    if count * n * k > _VERTEX_CANDIDATE_CAP:
+        return None
+    if E.is_sup:
+        A = Z[np.array(list(itertools.combinations(range(m), k)))]
+        sv = np.linalg.svd(A, compute_uv=False)
+        A = A[sv[:, -1] > 1e-10 * sv[:, 0]]
+        # sign patterns with s_0 = +1; the patterns with s_0 = -1 give -c
+        bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
+        signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+        X = np.linalg.solve(A, signs.T[None]).transpose(0, 2, 1).reshape(-1, k)
+        # a slightly infeasible candidate is harmless: scaling below puts
+        # it inside B_F
+        X = X[np.max(np.abs(X @ Z.T), axis=1) <= 1.0 + 1e-6]
+    elif k == 1:
+        X = np.ones((1, 1))
+    else:
+        A = Z[np.array(list(itertools.combinations(range(m), k - 1)))]
+        _, sv, vh = np.linalg.svd(A)
+        X = vh[sv[:, -1] > 1e-10 * sv[:, 0], -1, :]
+    if len(X) == 0:  # every candidate ill-conditioned: leave it to the LP
+        return None
+    X = np.vstack([X, -X])
+    X = X / norms_rows(E, X @ B)[:, None]
+    _, first = np.unique(np.round(X / np.max(np.abs(X)), 12), axis=0, return_index=True)
+    V = X[np.sort(first)]
+    V.flags.writeable = False
+    return V
 
 
 def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | None:
@@ -182,13 +255,20 @@ def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | Non
 
 
 def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize the plain form v . c over B_F.  Exact (LP / closed form)
-    for ambient exponent in {1, 2, inf}; multistart ratio ascent otherwise
-    (still a true value, attained at the returned feasible point)."""
+    """Maximize the plain form v . c over B_F, with a maximizer of ambient
+    norm 1.  Exact by vertex enumeration for ambient r in {1, inf} (an LP
+    above the vertex cap) and in closed form for r = 2; multistart ratio
+    ascent otherwise (still a true value, attained at the returned
+    feasible point)."""
     E = sub.ambient
+    v = np.asarray(v, dtype=float)
+    V = sub._vertices
+    if V is not None:
+        vals = V @ v
+        j = int(np.argmax(vals))
+        return float(vals[j]), V[j]
     B = sub.basis_matrix
     k, n = B.shape
-    v = np.asarray(v, dtype=float)
     if np.all(v == 0.0):
         c = np.zeros(k)
         c[0] = 1.0
@@ -198,11 +278,14 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
     if E.is_sup or E.r == 1:
         from scipy.optimize import linprog
 
+        # HiGHS reads a cost vector of tiny length as zero and returns an
+        # arbitrary feasible point, so the LP sees v at unit length
+        u = v / np.linalg.norm(v)
         Bt = B.T  # constraint rows act on c through (c @ B)_i = (Bt @ c)_i
         if E.is_sup:
             A_ub = np.vstack([Bt, -Bt])
             b_ub = np.ones(2 * n)
-            res = linprog(-v, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k, method="highs")
+            res = linprog(-u, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k, method="highs")
             if not res.success:
                 raise RuntimeError(f"linear program failed: {res.message}")
             c = res.x
@@ -213,7 +296,7 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
             A3 = np.hstack([np.zeros((1, k)), w[None, :]])
             A_ub = np.vstack([A1, A2, A3])
             b_ub = np.concatenate([np.zeros(2 * n), [1.0]])
-            cost = np.concatenate([-v, np.zeros(n)])
+            cost = np.concatenate([-u, np.zeros(n)])
             bounds = [(None, None)] * k + [(0, None)] * n
             res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
             if not res.success:
@@ -253,9 +336,10 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
 def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     """Certified upper bound for the norm of the form c -> g . c on F.
 
-    Exact for ambient exponent in {1, 2, inf}; otherwise the norm of the
-    minimal-Euclidean lift of g to an E* functional, which dominates the
-    restriction's norm.
+    Exact for ambient exponent in {1, 2, inf}: by vertex enumeration for
+    r in {1, inf} (an LP above the vertex cap), in closed form for r = 2.
+    Otherwise the norm of the minimal-Euclidean lift of g to an E*
+    functional, which dominates the restriction's norm.
     """
     E = sub.ambient
     if E.is_sup or E.r in (1.0, 2.0):
@@ -271,7 +355,14 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
 
 
 def _weak_F(sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig) -> NormEstimate:
-    """Weak-p norm of a family of forms on F, over B_F = B_E intersect F."""
+    """Weak-p norm of a family of forms on F, over B_F = B_E intersect F.
+
+    Exact on an axis-aligned subspace (the weak-p norm over its model
+    space) and, by vertex enumeration, for ambient r in {1, inf}: the
+    convex map c -> lp-combination of |G c| peaks at a vertex of B_F.
+    Above the vertex cap and for other r: member-norm upper bound and a
+    conditional-gradient lower bound.
+    """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     model = _axis_aligned_model(sub)
     if model is not None:
@@ -279,6 +370,12 @@ def _weak_F(sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig) ->
 
         space_F, scales = model
         return weak_p_norm(G / scales, space_F, p, cfg)
+    V = sub._vertices
+    if V is not None:
+        Y = np.abs(V @ G.T)
+        vals = Y.max(axis=1) if math.isinf(p) else (Y ** p).sum(axis=1) ** (1.0 / p)
+        val = float(np.max(vals))
+        return NormEstimate(val, val, True, True, method=("B_F vertex enumeration",))
 
     member_norms = np.array([_fstar_norm_upper(sub, g) for g in G])
     if math.isinf(p):
@@ -337,22 +434,18 @@ def _operator_norm_over_F(
 ) -> tuple[float, np.ndarray]:
     """sup of the codomain norm of M c over B_F, with a maximizer.
 
-    Exact when B_F is an axis-aligned weighted-ell_r ball within the
-    polytopal enumeration reach; multistart conditional-gradient ascent
-    otherwise (a certified lower bound attained at the returned point).
+    Exact by vertex enumeration for ambient r in {1, inf}: the norm is
+    convex, so it peaks at a vertex of B_F.  Above the vertex cap and for
+    other r, multistart conditional-gradient ascent (a certified lower
+    bound attained at the returned point).
     """
     from .operators import _norm_gradient
-    from .spaces import extreme_points_matrix, is_polytopal, norms_rows
 
-    model = _axis_aligned_model(sub)
-    if model is not None:
-        space_F, scales = model
-        Ms = M / scales  # model coordinates c' = s * c
-        if is_polytopal(space_F, cfg.extreme_enum_cap):
-            pts = extreme_points_matrix(space_F, cfg.extreme_enum_cap)
-            vals = norms_rows(codomain, pts @ Ms.T)
-            j = int(np.argmax(vals))
-            return float(vals[j]), pts[j] / scales
+    V = sub._vertices
+    if V is not None:
+        vals = norms_rows(codomain, V @ M.T)
+        j = int(np.argmax(vals))
+        return float(vals[j]), V[j]
 
     def ascend(c: np.ndarray) -> tuple[float, np.ndarray]:
         val = norm(codomain, M @ c)

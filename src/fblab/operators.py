@@ -52,6 +52,8 @@ class LinearMap:
                 f"matrix shape {a.shape} does not match map "
                 f"{self.domain.dim} -> {self.codomain.dim}"
             )
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
 
     @staticmethod
     def from_array(a: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec) -> "LinearMap":

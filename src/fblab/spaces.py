@@ -73,8 +73,8 @@ class SpaceSpec:
             raise ValueError(
                 f"got {len(w)} weights for dimension {self.dim}"
             )
-        if any(not (wi > 0) for wi in w):
-            raise ValueError("all weights must be strictly positive")
+        if any(not (0 < wi < math.inf) for wi in w):
+            raise ValueError("all weights must be finite and strictly positive")
         object.__setattr__(self, "weights", tuple(float(wi) for wi in w))
         object.__setattr__(self, "r", float(self.r))
 

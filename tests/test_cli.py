@@ -94,6 +94,23 @@ def test_summing_closed_form(tmp_path, capsys):
     assert header == "lower,upper,lower_certified,upper_certified,method"
 
 
+def test_non_finite_inputs_exit_1(tmp_path, capsys):
+    """A NaN map entry or an infinite weight is an input error, never a
+    certified number."""
+    T = LinearMap.from_array(
+        np.array([[1.0, 0.5], [0.0, 1.0]]), SpaceSpec(2.0, 2), SpaceSpec(2.0, 2)
+    )
+    obj = map_to_json(T)
+    obj["matrix"][0][1] = math.nan
+    mpath = tmp_path / "map.json"
+    mpath.write_text(json.dumps(obj))  # writes the JSON literal NaN
+    assert main(["summing", "--map", str(mpath), "--p", "2"]) == 1
+    spath = tmp_path / "space.json"
+    spath.write_text(json.dumps({"r": 1, "dim": 2, "weights": [1.0, math.inf]}))
+    assert main(["norm", "--space", str(spath), "--expr", "abs(d0)+abs(d1)", "--p", "1"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_extend_sup_codomain(tmp_path, capsys):
     E = SpaceSpec(1.0, 3)
     eye = np.eye(3)

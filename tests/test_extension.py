@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from fblab import (
     Abs,
@@ -15,11 +16,16 @@ from fblab import (
     SpaceSpec,
     SubspaceSpec,
     embedding_gap,
+    eval_pairings,
+    extension,
     extension_constant,
     pairing,
+    run_experiment,
     subspace_from_json,
     subspace_to_json,
 )
+from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
+from fblab.extension import _max_linear_over_BF
 
 CFG = OptimizerConfig(restarts=8)
 
@@ -37,6 +43,11 @@ def test_subspace_validation():
         SubspaceSpec.from_arrays(E, [[1.0, 0, 0], [1.0, 0, 0]], [np.eye(3)[2]])
     with pytest.raises(ValueError):
         SubspaceSpec.from_arrays(E, [[1.0, 0.0]], [[0.0, 1.0]])  # wrong width
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SubspaceSpec.from_arrays(E, [[1.0, bad, 0.0]], np.eye(3)[1:])
+        with pytest.raises(ValueError):
+            SubspaceSpec.from_arrays(E, np.eye(3)[:2], [[0.0, 0.0, bad]])
     sub = _coordinate_sub(E, 2)
     assert sub.dim == 2
     full = SubspaceSpec.from_arrays(E, np.eye(3), np.zeros((0, 3)))
@@ -170,3 +181,165 @@ def test_embedding_gap_validation():
     off_subspace = GeneratorBinding.from_matrix(E, np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError):
         embedding_gap(sub, Abs(Gen(0)), off_subspace, 1.0, CFG)
+
+
+# --------------------------------------------------------------------------
+# B_F by vertex enumeration (ambient r in {1, inf})
+# --------------------------------------------------------------------------
+
+
+def _rademacher_sub(m):
+    """The span of the first m Rademacher functions in dyadic L_1, as the
+    poe-constants experiment builds it."""
+    L1 = dyadic_L1(1 << m)
+    R = rademacher_matrix(m)
+    return SubspaceSpec.from_arrays(L1, R, _l1_complement(R, L1.dim))
+
+
+def _linprog_max(sub, v):
+    """max of v . c over B_F by one direct linear program."""
+    from scipy.optimize import linprog
+
+    B = sub.basis_matrix
+    k, n = B.shape
+    if sub.ambient.is_sup:
+        res = linprog(-v, A_ub=np.vstack([B.T, -B.T]), b_ub=np.ones(2 * n),
+                      bounds=[(None, None)] * k, method="highs")
+    else:
+        w = sub.ambient.weight_array
+        A = np.vstack([
+            np.hstack([B.T, -np.eye(n)]),
+            np.hstack([-B.T, -np.eye(n)]),
+            np.hstack([np.zeros((1, k)), w[None, :]]),
+        ])
+        b = np.concatenate([np.zeros(2 * n), [1.0]])
+        res = linprog(np.concatenate([-v, np.zeros(n)]), A_ub=A, b_ub=b,
+                      bounds=[(None, None)] * k + [(0, None)] * n, method="highs")
+    assert res.success
+    return -res.fun
+
+
+def test_vertex_max_matches_linear_program():
+    rng = np.random.default_rng(10)
+    for n in range(2, 9):
+        weights = tuple(rng.uniform(0.2, 2.0, n))
+        for E in (SpaceSpec(math.inf, n), SpaceSpec(1.0, n, weights)):
+            for k in range(1, n):
+                full = rng.standard_normal((n, n))
+                sub = SubspaceSpec.from_arrays(E, full[:k], full[k:])
+                V = sub._vertices
+                assert V is not None and not V.flags.writeable
+                assert np.allclose([sub.ambient_norm(c) for c in V], 1.0, rtol=1e-12)
+                for _ in range(4):
+                    v = rng.standard_normal(k)
+                    val, c = _max_linear_over_BF(sub, v)
+                    assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
+                    assert float(v @ c) == pytest.approx(val, rel=1e-12)
+
+
+def test_vertices_of_coordinate_and_rademacher_sections():
+    # a scaled coordinate section of a cube is a box: 2^3 vertices
+    sub = SubspaceSpec.from_arrays(
+        SpaceSpec(math.inf, 5), np.eye(5)[:3] * 2.0, np.eye(5)[3:]
+    )
+    assert np.array_equal(np.abs(sub._vertices), np.full((8, 3), 0.5))
+    # the Rademacher span of L_1^4 meets the unit ball in a square
+    assert _rademacher_sub(2)._vertices.shape == (4, 2)
+    assert SubspaceSpec.from_arrays(SpaceSpec(2.0, 2), np.eye(2), np.zeros((0, 2)))._vertices is None
+
+
+def test_linear_program_above_the_vertex_cap(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    rng = np.random.default_rng(12)
+    big = []
+    for E, k in ((SpaceSpec(math.inf, 24), 12), (SpaceSpec(1.0, 40), 6)):
+        full = rng.standard_normal((E.dim, E.dim))
+        big.append(SubspaceSpec.from_arrays(E, full[:k], full[k:]))
+    cached = [_rademacher_sub(2), _rademacher_sub(3)]
+    for sub in cached:
+        assert sub._vertices is not None
+    # the same sections built again, with the cap below their candidate counts
+    monkeypatch.setattr(extension, "_VERTEX_CANDIDATE_CAP", 0)
+    fresh = [_rademacher_sub(2), _rademacher_sub(3)]
+    for sub in big + fresh:
+        assert sub._vertices is None
+        for _ in range(3):
+            v = rng.standard_normal(sub.dim)
+            before = len(calls)
+            val, c = _max_linear_over_BF(sub, v)
+            assert len(calls) == before + 1
+            assert sub.ambient_norm(c) == pytest.approx(1.0, rel=1e-12)
+            assert float(v @ c) == pytest.approx(val, rel=1e-12)
+            assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
+    # a form of tiny length is solved at unit length: HiGHS would read it
+    # as zero and return an arbitrary feasible point
+    for old, new in zip(cached, fresh):
+        for _ in range(20):
+            v = rng.standard_normal(old.dim)
+            exact, _ = _max_linear_over_BF(old, v)
+            tiny, _ = _max_linear_over_BF(new, 1e-9 * v)
+            assert tiny == pytest.approx(1e-9 * exact, rel=1e-9)
+
+
+def _zonotope_polar_vertices(sub):
+    """Vertices of B_F over an L_1 ambient from the facets of the zonotope
+    sum_i [-w_i b_i, w_i b_i] (qhull), apart from fblab's enumeration:
+    a facet a . x <= h gives the vertex a / h."""
+    Z = (sub.basis_matrix * sub.ambient.weight_array).T
+    n = Z.shape[0]
+    signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    eq = ConvexHull(signs @ Z).equations
+    return eq[:, :-1] / -eq[:, -1:]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_embedding_gap_subspace_witness_replays(m):
+    """The F-side witness of the Rademacher embedding gap is feasible over
+    B_F and certifies the reported value (as poe-constants runs it)."""
+    sub = _rademacher_sub(m)
+    b = GeneratorBinding.from_matrix(sub.ambient, rademacher_matrix(m))
+    e = Gen(0)
+    for k in range(1, m):
+        e = Join(e, Gen(k))
+    gap = embedding_gap(sub, e, b, 1.0, OptimizerConfig(restarts=24))
+    G = gap.subspace_witness.matrix
+    weak = float(np.max(np.abs(_zonotope_polar_vertices(sub) @ G.T).sum(axis=1)))
+    assert weak <= 1.0 + 1e-9
+    objective = float(np.sum(np.abs(eval_pairings(e, G @ sub.coordinates(b.matrix).T))))
+    assert objective >= gap.subspace_lower - 1e-9
+    assert gap.ratio >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("n,k,seed", [(4, 2, 1), (6, 3, 5)])
+def test_embedding_gap_generic_sup_subspace_at_least_one(n, k, seed):
+    """Off the axis-aligned case the F-side families are normalized by the
+    exact weak-1 norm over B_F, so the gap keeps its structural bound
+    (normalized by the sum of member norms, these instances read 0.93 and
+    0.88)."""
+    rng = np.random.default_rng(seed)
+    E = SpaceSpec(math.inf, n)
+    full = rng.standard_normal((n, n))
+    sub = SubspaceSpec.from_arrays(E, full[:k], full[k:])
+    b = GeneratorBinding.from_matrix(E, rng.standard_normal((2, k)) @ full[:k])
+    e = Abs(Gen(0)) + Join(Gen(0), Gen(1))
+    gap = embedding_gap(sub, e, b, 1.0, CFG)
+    assert gap.ratio >= 1.0 - 1e-6
+
+
+def test_poe_constants_needs_no_linear_program(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear program called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    assert run_experiment("poe-constants", seed=0).passed

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fblab import (
+    GeneratorBinding,
+    NormEstimate,
     OptimizerConfig,
     LinearMap,
     SpaceSpec,
@@ -186,3 +188,18 @@ def test_space_json_roundtrip():
     assert space_from_json({"r": "inf", "dim": 2}).is_sup
     with pytest.raises(ValueError):
         space_from_json({"dim": 2})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError):
+        SpaceSpec(1.0, 2, (1.0, bad))
+    E = SpaceSpec(2.0, 2)
+    with pytest.raises(ValueError):
+        GeneratorBinding.from_matrix(E, [[1.0, bad]])
+    with pytest.raises(ValueError):
+        LinearMap.from_array([[1.0, bad]], E, SpaceSpec(1.0, 1))
+    if math.isnan(bad):
+        for lower, upper in ((bad, 1.0), (0.0, bad), (bad, bad)):
+            with pytest.raises(ValueError):
+                NormEstimate(lower, upper, True, True)
