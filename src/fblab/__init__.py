@@ -70,10 +70,8 @@ from .operators import (
 )
 from .optimize import OptimizerConfig
 from .spaces import (
-    Point,
     SpaceSpec,
     dual_space,
-    extreme_points_ball,
     functional_norm,
     norm,
     norming_functional,
@@ -106,7 +104,6 @@ __all__ = [
     "Neg",
     "NormEstimate",
     "OptimizerConfig",
-    "Point",
     "PosPart",
     "PowerSum",
     "Record",
@@ -124,7 +121,6 @@ __all__ = [
     "experiment_names",
     "expr_to_text",
     "extension_constant",
-    "extreme_points_ball",
     "fbl_infty_norm",
     "fbl_norm",
     "functional_norm",

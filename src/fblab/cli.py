@@ -132,13 +132,15 @@ def _cmd_summing(args) -> int:
 
     if args.q1:
         est = pi_q1_lower(T, p, cfg)
-    elif p == 1 and T.domain.is_sup and T.codomain.r == 1 and all(
-        w == 1.0 for w in T.codomain.weights
-    ):
-        val = pi_1_exact_Linfty_domain(T)
-        est = NormEstimate(val, val, True, True, method=("1-summing closed form",))
-    else:
+    elif p != 1:
         est = pi_p_lower(T, p, cfg)
+    else:
+        try:
+            val = pi_1_exact_Linfty_domain(T)
+        except ValueError:  # no sup-norm domain or no plain ell_1 codomain
+            est = pi_p_lower(T, p, cfg)
+        else:
+            est = NormEstimate(val, val, True, True, method=("1-summing closed form",))
     _emit(_estimate_text(est, args.format), args.output)
     return 0
 

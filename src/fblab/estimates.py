@@ -64,10 +64,14 @@ class NormEstimate:
     def __post_init__(self) -> None:
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise ValueError(f"estimate bounds must not be NaN: [{self.lower}, {self.upper}]")
-        if self.lower > self.upper + 1e-9:
-            raise ValueError(
-                f"inconsistent estimate: lower {self.lower} exceeds upper {self.upper}"
-            )
+        if self.lower > self.upper:
+            # rounding may put a lower bound a few ulp above its upper
+            # bound; anything more means one of them is wrong
+            if self.lower > self.upper + 1e-9:
+                raise ValueError(
+                    f"inconsistent estimate: lower {self.lower} exceeds upper {self.upper}"
+                )
+            object.__setattr__(self, "lower", self.upper)
 
     @property
     def exact(self) -> bool:
@@ -76,12 +80,6 @@ class NormEstimate:
             and self.upper_certified
             and self.upper - self.lower <= 1e-9 * max(1.0, abs(self.upper))
         )
-
-    @property
-    def midpoint(self) -> float:
-        if math.isinf(self.upper):
-            return self.lower
-        return 0.5 * (self.lower + self.upper)
 
     def to_json(self) -> dict:
         return {

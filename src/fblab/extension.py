@@ -19,8 +19,11 @@ into ell_inf^n is the largest row norm.
 The embedding gap compares the free-lattice norm of an expression over
 F (functionals on F are restrictions of E* functionals; the weak-p
 constraint runs over B_F) with the norm of the same expression over E.
-F never needs its own weighted-ell_r model: all F-side computations are
-constrained optimizations in basis coordinates.
+Both sides run ``summing.witness_search``, the same engine over two
+kinds of constraint ball: B_E on the ambient side, B_F (through
+``_weak_F``) on the F side, where the restricted ambient witness is one
+of the seeds.  F never needs its own weighted-ell_r model: all F-side
+computations are constrained optimizations in basis coordinates.
 
 For ambient r in {1, inf}, B_F is a polytope.  Its vertices are
 enumerated once per subspace, on first use, and every F-side quantity
@@ -42,7 +45,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
 from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
-from .operators import LinearMap, operator_norm
+from .operators import LinearMap, _multistart_ascent, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
@@ -51,13 +54,7 @@ from .spaces import (
     space_from_json,
     space_to_json,
 )
-from .summing import (
-    _weak_crude_upper,
-    _weak_exact_available,
-    hadamard,
-    lp_combine,
-    weak_p_norm,
-)
+from .summing import _weak_E, hadamard, lp_combine, witness_search
 
 __all__ = [
     "SubspaceSpec",
@@ -354,74 +351,34 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     return norm(dual_space(E), phi)
 
 
-def _weak_F(sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig) -> NormEstimate:
-    """Weak-p norm of a family of forms on F, over B_F = B_E intersect F.
+def _weak_F(
+    sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig
+) -> tuple[float, bool, bool]:
+    """Weak-p norm of a family of forms on F over B_F = B_E intersect F,
+    for the witness search: (certified upper bound, exact?, cheap enough
+    to polish?).
 
     Exact on an axis-aligned subspace (the weak-p norm over its model
     space) and, by vertex enumeration, for ambient r in {1, inf}: the
     convex map c -> lp-combination of |G c| peaks at a vertex of B_F.
-    Above the vertex cap and for other r: member-norm upper bound and a
-    conditional-gradient lower bound.
+    Above the vertex cap and for other r: the lp-combination of upper
+    bounds on the members' norms, exact at p = inf when those are (r in
+    {1, 2, inf}); one linear program per member above the cap is too
+    dear for a polish loop.
     """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
     model = _axis_aligned_model(sub)
     if model is not None:
-        from .summing import weak_p_norm
-
         space_F, scales = model
-        return weak_p_norm(G / scales, space_F, p, cfg)
+        return _weak_E(space_F, G / scales, p, cfg)
     V = sub._vertices
     if V is not None:
         Y = np.abs(V @ G.T)
         vals = Y.max(axis=1) if math.isinf(p) else (Y ** p).sum(axis=1) ** (1.0 / p)
-        val = float(np.max(vals))
-        return NormEstimate(val, val, True, True, method=("B_F vertex enumeration",))
-
-    member_norms = np.array([_fstar_norm_upper(sub, g) for g in G])
-    if math.isinf(p):
-        upper = float(np.max(member_norms))
-    else:
-        upper = lp_combine(member_norms, p)
-    exact_members = sub.ambient.is_sup or sub.ambient.r in (1.0, 2.0)
-    if math.isinf(p) and exact_members:
-        return NormEstimate(upper, upper, True, True, method=("member-norm closed form",))
-
-    # lower bound: conditional-gradient ascent of the convex map
-    # c -> lp-combination of |G c| over B_F
-    def value(c: np.ndarray) -> float:
-        return lp_combine(G @ c, p)
-
-    def ascend(c: np.ndarray) -> float:
-        val = value(c)
-        for _ in range(cfg.max_iter):
-            y = G @ c
-            if math.isinf(p):
-                j = int(np.argmax(np.abs(y)))
-                u = np.zeros(len(y))
-                u[j] = math.copysign(1.0, y[j]) if y[j] != 0 else 1.0
-            elif p == 1:
-                u = np.sign(y) + (y == 0.0)
-            else:
-                nv = max(val, 1e-300)
-                u = np.sign(y) * np.abs(y) ** (p - 1.0) / nv ** (p - 1.0)
-            _, c_new = _max_linear_over_BF(sub, G.T @ u)
-            new_val = value(c_new)
-            if new_val <= val + cfg.tol * max(1.0, val):
-                break
-            val, c = new_val, c_new
-        return val
-
-    k = sub.dim
-    lower = 0.0
-    for t in range(min(cfg.restarts, 16)):
-        rng = restart_rng(cfg, t, salt=71)
-        c0 = rng.standard_normal(k)
-        nv = sub.ambient_norm(c0)
-        if nv <= 1e-14:
-            continue
-        lower = max(lower, ascend(c0 / nv))
-    lower = min(lower, upper)
-    return NormEstimate(lower, upper, True, True, method=("B_F ascent", "member-norm upper"))
+        return float(np.max(vals)), True, True
+    E = sub.ambient
+    upper = lp_combine(np.array([_fstar_norm_upper(sub, g) for g in G]), p)
+    exact_members = E.is_sup or E.r in (1.0, 2.0)
+    return upper, math.isinf(p) and exact_members, not (E.is_sup or E.r == 1)
 
 
 # --------------------------------------------------------------------------
@@ -439,36 +396,15 @@ def _operator_norm_over_F(
     other r, multistart conditional-gradient ascent (a certified lower
     bound attained at the returned point).
     """
-    from .operators import _norm_gradient
-
     V = sub._vertices
     if V is not None:
         vals = norms_rows(codomain, V @ M.T)
         j = int(np.argmax(vals))
         return float(vals[j]), V[j]
-
-    def ascend(c: np.ndarray) -> tuple[float, np.ndarray]:
-        val = norm(codomain, M @ c)
-        for _ in range(cfg.max_iter):
-            u = _norm_gradient(codomain, M @ c)
-            _, c_new = _max_linear_over_BF(sub, M.T @ u)
-            new_val = norm(codomain, M @ c_new)
-            if new_val <= val + cfg.tol * max(1.0, val):
-                break
-            val, c = new_val, c_new
-        return val, c
-
-    best_val, best_c = 0.0, np.zeros(sub.dim)
-    for t in range(min(cfg.restarts, 24)):
-        rng = restart_rng(cfg, t, salt=83)
-        c0 = rng.standard_normal(sub.dim)
-        nv = sub.ambient_norm(c0)
-        if nv <= 1e-14:
-            continue
-        val, c = ascend(c0 / nv)
-        if val > best_val:
-            best_val, best_c = val, c
-    return best_val, best_c
+    return _multistart_ascent(
+        M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1],
+        cfg, min(cfg.restarts, 24), salt=83,
+    )
 
 
 def extension_constant(
@@ -508,8 +444,6 @@ def extension_constant(
     denom, c_star = _operator_norm_over_F(sub, M, cod, cfg)
     if denom <= 1e-14:
         raise ValueError("operator vanishes on the subspace")
-    x_star = sub.embed(c_star)
-
     B = sub.basis_matrix
     C = sub.complement_matrix
     n = sub.ambient.dim
@@ -521,14 +455,14 @@ def extension_constant(
         full = np.hstack([M, W.reshape(cod.dim, n - k)]) if n > k else M
         return LinearMap.from_array(full @ St_inv, sub.ambient, cod)
 
-    def inner_upper(W: np.ndarray) -> tuple[float, float]:
-        Te = assembled(W)
-        est = operator_norm(Te, cfg)
-        lo = max(est.lower, norm(cod, Te.array @ x_star))
-        return lo, est.upper
+    def objective(flat: np.ndarray) -> float:
+        return operator_norm(assembled(flat), cfg).upper
 
     if n == k:
-        lo, up = inner_upper(np.zeros(0))
+        Te = assembled(np.zeros(0))
+        est = operator_norm(Te, cfg)
+        lo = max(est.lower, norm(cod, Te.array @ sub.embed(c_star)))
+        up = est.upper
         upper = max(up / denom, 1.0)
         return NormEstimate(
             1.0, upper, True, True,
@@ -538,10 +472,6 @@ def extension_constant(
     nvars = cod.dim * (n - k)
     best_upper = math.inf
     best_W = np.zeros(nvars)
-
-    def objective(flat: np.ndarray) -> float:
-        lo, up = inner_upper(flat)
-        return up
 
     inits = [np.zeros(nvars)]
     for t in range(min(cfg.restarts, 31)):
@@ -604,69 +534,6 @@ class EmbeddingGap:
         }
 
 
-def _subspace_fbl_lower(
-    sub: SubspaceSpec,
-    e: LatticeExpr,
-    coords: np.ndarray,
-    seeds: list[np.ndarray],
-    p: float,
-    cfg: OptimizerConfig,
-) -> tuple[float, WitnessFamily | None]:
-    """Certified lower bound for the free-lattice norm of ``e`` over F,
-    with generators given in basis coordinates and functionals on F
-    normalized by certified weak-p upper bounds over B_F."""
-    k = sub.dim
-
-    def objective(G: np.ndarray) -> float:
-        P = np.atleast_2d(G) @ coords.T
-        return lp_combine(eval_pairings(e, P), p)
-
-    best_val, best_G = 0.0, None
-
-    def consider(G: np.ndarray) -> None:
-        nonlocal best_val, best_G
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        if G.size == 0 or not np.all(np.isfinite(G)):
-            return
-        w = _weak_F(sub, G, p, cfg)
-        if w.upper <= 1e-14 or math.isinf(w.upper):
-            return
-        val = objective(G) / w.upper
-        if val > best_val:
-            best_val, best_G = val, G / w.upper
-
-    for G in seeds:
-        consider(G)
-    sizes = [m for m in (4, 8, 16, cfg.family_size) if m <= cfg.family_size] or [cfg.family_size]
-    for t in range(cfg.restarts):
-        rng = restart_rng(cfg, t, salt=97)
-        consider(rng.standard_normal((sizes[t % len(sizes)], k)))
-
-    if cfg.polish and best_G is not None and best_G.size <= 256:
-        from scipy.optimize import minimize
-
-        N = best_G.shape[0]
-
-        def neg_ratio(flat: np.ndarray) -> float:
-            G = flat.reshape(N, k)
-            w = _weak_F(sub, G, p, cfg)
-            if not (w.upper > 1e-14) or math.isinf(w.upper):
-                return 0.0
-            return -objective(G) / w.upper
-
-        res = minimize(
-            neg_ratio, best_G.ravel(), method="Powell",
-            options={"maxfev": 80 * best_G.size, "xtol": 1e-9, "ftol": 1e-11},
-        )
-        if np.all(np.isfinite(res.x)):
-            consider(res.x.reshape(N, k))
-
-    witness = None
-    if best_G is not None:
-        witness = WitnessFamily.from_matrix(best_G, p, 1.0, best_val)
-    return best_val, witness
-
-
 def embedding_gap(
     sub: SubspaceSpec,
     e: LatticeExpr,
@@ -687,10 +554,8 @@ def embedding_gap(
 
     ambient_est = fbl_norm(e, b, p, cfg)
 
-    seeds: list[np.ndarray] = []
-    for Y in _fbl_seeds(e, b, cfg):
-        seeds.append(sub.restrict(Y))
-    if ambient_est.witness is not None and not math.isinf(p):
+    seeds = [sub.restrict(Y) for Y in _fbl_seeds(e, b, cfg)]
+    if ambient_est.witness is not None:
         seeds.append(sub.restrict(ambient_est.witness.matrix))
     k = sub.dim
     seeds.append(np.eye(k))
@@ -698,41 +563,27 @@ def embedding_gap(
         if m <= k:
             seeds.append(np.hstack([hadamard(m), np.zeros((m, k - m))]))
 
-    if math.isinf(p):
-        # sup of |eval| over the dual sphere of F
-        best_val, best_g = 0.0, np.zeros(k)
-        cands = [row for G in seeds for row in np.atleast_2d(G)]
-        for t in range(cfg.restarts):
-            rng = restart_rng(cfg, t, salt=103)
-            cands.append(rng.standard_normal(k))
-        for g in cands:
-            ng = _fstar_norm_upper(sub, g)
-            if ng <= 1e-14:
-                continue
-            val = abs(float(eval_pairings(e, (g / ng)[None, :] @ coords.T)[0]))
-            if val > best_val:
-                best_val, best_g = val, g / ng
-        witness = WitnessFamily.from_matrix(best_g[None, :], p, 1.0, best_val)
-        f_lower = best_val
-    else:
-        f_lower, witness = _subspace_fbl_lower(sub, e, coords, seeds, p, cfg)
+    def objective(G: np.ndarray) -> float:
+        return lp_combine(eval_pairings(e, G @ coords.T), p)
 
-    if witness is not None and not math.isinf(p):
+    f_lower, witness, _ = witness_search(sub, p, objective, seeds, cfg, salt=97)
+
+    if witness is not None:
         # any F-side witness extends to an ambient family with the same
         # evaluations (pairings with generators only see F), giving one
         # more certified lower-bound candidate for the ambient norm
         lift = np.linalg.pinv((sub.basis_matrix * sub.ambient.weight_array).T)
         Y = witness.matrix @ lift
-        if _weak_exact_available(sub.ambient, p, Y.shape[0], cfg):
-            w_up = weak_p_norm(Y, sub.ambient, p, cfg).upper
-        else:
-            w_up = _weak_crude_upper(Y, sub.ambient, p)
+        w_up, _, _ = _weak_E(sub.ambient, Y, p, cfg)
         if w_up > 1e-14 and math.isfinite(w_up):
             amb_val = _fbl_objective(e, b, p)(Y) / w_up
             if amb_val > ambient_est.lower:
+                upper = ambient_est.upper
+                if not ambient_est.upper_certified:
+                    upper = max(upper, amb_val)
                 ambient_est = NormEstimate(
-                    lower=min(amb_val, ambient_est.upper),
-                    upper=ambient_est.upper,
+                    lower=amb_val,
+                    upper=upper,
                     lower_certified=ambient_est.lower_certified,
                     upper_certified=ambient_est.upper_certified,
                     method=ambient_est.method + ("lifted subspace witness",),

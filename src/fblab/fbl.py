@@ -210,11 +210,10 @@ def fbl_norm(
     val, witness, tight = witness_search(
         b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg, salt=31
     )
-    lower = min(val, upper)
     method = ["witness search"]
     method.append("exact weak constraint" if tight else "crude-upper weak normalization")
     return NormEstimate(
-        lower=lower,
+        lower=val,
         upper=upper,
         lower_certified=True,
         upper_certified=True,
@@ -240,21 +239,19 @@ def _dual_sphere_polish(
             return 0.0
         return abs(float(eval_rows(e, b, y[None, :])[0])) / n
 
-    try:
-        from scipy.optimize import minimize
+    from scipy.optimize import minimize
 
-        res = minimize(
-            lambda y: -ratio(y),
-            y0,
-            method="Nelder-Mead",
-            options={"maxfev": 200 * b.space.dim, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        y = res.x if np.all(np.isfinite(res.x)) else y0
-    except ImportError:  # pragma: no cover
-        y = y0
+    res = minimize(
+        lambda y: -ratio(y),
+        y0,
+        method="Nelder-Mead",
+        options={"maxfev": 200 * b.space.dim, "xatol": 1e-10, "fatol": 1e-12},
+    )
+    y = res.x if np.all(np.isfinite(res.x)) else y0
     v = ratio(y)
     v0 = ratio(y0)
-    return (v, y) if v >= v0 else (v0, y0)
+    # the witness goes back on the dual sphere, as its constraint 1 says
+    return (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
 
 
 def fbl_infty_norm(
@@ -402,9 +399,8 @@ def moduli_norm(
 
     upper = lp_combine(np.array([ai * norm(E, xi) for ai, xi in zip(a, X)]), p)
     est = pi_p_lower(T, p, cfg)
-    lower = min(est.lower, upper)
     return NormEstimate(
-        lower=lower,
+        lower=est.lower,
         upper=upper,
         lower_certified=est.lower_certified,
         upper_certified=True,

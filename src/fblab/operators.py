@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .estimates import NormEstimate
-from .optimize import OptimizerConfig, best_of, restart_rng
+from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
     dual_space,
@@ -109,23 +110,53 @@ def _norm_gradient(space: SpaceSpec, y: np.ndarray) -> np.ndarray:
     return w * np.sign(y) * np.abs(y) ** (space.r - 1.0) / n ** (space.r - 1.0)
 
 
-def _ascend(T: LinearMap, x: np.ndarray, max_iter: int, tol: float) -> tuple[float, np.ndarray]:
-    """Conditional-gradient ascent for the convex objective ||Tx|| on the
-    unit ball: linearize at x, move to the ball point norming the
-    linearization.  Monotone; each step is a closed form."""
-    a = T.array
-    val = norm(T.codomain, a @ x)
+def _ascend(
+    a: np.ndarray,
+    codomain: SpaceSpec,
+    x: np.ndarray,
+    linear_max: Callable[[np.ndarray], np.ndarray],
+    max_iter: int,
+    tol: float,
+) -> tuple[float, np.ndarray]:
+    """Conditional-gradient ascent for the convex objective ||a x|| on a
+    convex body: linearize at x, move to the body point ``linear_max(g)``
+    maximizing the linearization g . x.  Monotone."""
+    val = norm(codomain, a @ x)
     for _ in range(max_iter):
-        u = _norm_gradient(T.codomain, a @ x)
-        g = a.T @ u
-        x_new = norming_vector(T.domain, g)
-        new_val = norm(T.codomain, a @ x_new)
+        x_new = linear_max(a.T @ _norm_gradient(codomain, a @ x))
+        new_val = norm(codomain, a @ x_new)
         if new_val <= val + tol * max(1.0, val):
             if new_val > val:
                 val, x = new_val, x_new
             break
         val, x = new_val, x_new
     return val, x
+
+
+def _multistart_ascent(
+    a: np.ndarray,
+    codomain: SpaceSpec,
+    body_norm: Callable[[np.ndarray], float],
+    linear_max: Callable[[np.ndarray], np.ndarray],
+    cfg: OptimizerConfig,
+    restarts: int,
+    salt: int,
+) -> tuple[float, np.ndarray]:
+    """Best ``_ascend`` value over seeded random starts scaled to the
+    boundary of the body, with its point; the first strict improvement
+    wins, so ties go to the lowest restart."""
+    dim = a.shape[1]
+    best_val, best_x = 0.0, np.zeros(dim)
+    for k in range(restarts):
+        rng = restart_rng(cfg, k, salt=salt)
+        x0 = rng.standard_normal(dim)
+        n0 = body_norm(x0)
+        if n0 <= 1e-14:
+            continue
+        val, x = _ascend(a, codomain, x0 / n0, linear_max, cfg.max_iter, cfg.tol)
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
 
 
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
@@ -160,17 +191,10 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     else:
         upper = float(np.sum(cod.weight_array * row_norms ** cod.r) ** (1.0 / cod.r))
 
-    def candidates():
-        for k in range(cfg.restarts):
-            rng = restart_rng(cfg, k, salt=101)
-            x0 = rng.standard_normal(T.domain.dim)
-            n0 = norm(T.domain, x0)
-            if n0 <= 1e-14:
-                continue
-            yield _ascend(T, x0 / n0, cfg.max_iter, cfg.tol)
-
-    lower, _ = best_of(candidates())
-    lower = min(float(lower), upper)
+    lower, _ = _multistart_ascent(
+        a, cod, lambda x: norm(T.domain, x), lambda g: norming_vector(T.domain, g),
+        cfg, cfg.restarts, salt=101,
+    )
     return NormEstimate(
         lower=lower,
         upper=upper,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "restart_rng", "best_of"]
+__all__ = ["OptimizerConfig", "restart_rng"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,3 @@ def restart_rng(cfg: OptimizerConfig, restart: int, salt: int = 0) -> np.random.
     """The generator owned by one restart; fixed by (seed, salt, restart)."""
     return np.random.default_rng((int(cfg.seed), int(salt), int(restart)))
 
-
-def best_of(candidates):
-    """Deterministic max-reduction: first strict improvement wins, which
-    breaks ties by the lowest candidate index.
-
-    ``candidates`` yields (value, payload) pairs.
-    """
-    best_val = -np.inf
-    best_payload = None
-    for val, payload in candidates:
-        if val > best_val:
-            best_val = val
-            best_payload = payload
-    return best_val, best_payload

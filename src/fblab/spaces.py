@@ -22,29 +22,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
+from .optimize import OptimizerConfig
+
 __all__ = [
     "SpaceSpec",
-    "Point",
     "norm",
     "dual_space",
     "pairing",
-    "extreme_points_ball",
     "sample_sphere",
     "norming_functional",
     "norming_vector",
     "functional_norm",
     "space_to_json",
     "space_from_json",
-    "EXTREME_ENUM_CAP",
 ]
-
-# Hard cap on sign-pattern enumeration for sup-norm balls: 2**22 points
-# is the laptop-minute budget.
-EXTREME_ENUM_CAP = 22
 
 
 def _conjugate_exponent(r: float) -> float:
@@ -95,34 +89,9 @@ class SpaceSpec:
         return x
 
 
-@dataclass(frozen=True)
-class Point:
-    """A vector tagged with the space it lives in."""
-
-    coords: tuple[float, ...]
-    space: SpaceSpec
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.space.dim:
-            raise ValueError("coordinate length does not match space dimension")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-
-def _as_array(x, space: SpaceSpec) -> np.ndarray:
-    if isinstance(x, Point):
-        if x.space != space:
-            raise ValueError("point is tagged with a different space")
-        return x.array
-    return space.check_point(x)
-
-
 def norm(space: SpaceSpec, x) -> float:
     """Weighted ell_r norm of ``x`` in ``space``."""
-    v = _as_array(x, space)
+    v = space.check_point(x)
     if space.is_sup:
         return float(np.max(np.abs(v)))
     w = space.weight_array
@@ -152,14 +121,9 @@ def pairing(space: SpaceSpec, f, x) -> float:
 
     ``f`` lives in ``dual_space(space)``, ``x`` in ``space``.
     """
-    fv = _as_array(f, dual_space(space))
-    xv = _as_array(x, space)
+    fv = dual_space(space).check_point(f)
+    xv = space.check_point(x)
     return float(np.sum(space.weight_array * fv * xv))
-
-
-def pairing_rows(space: SpaceSpec, fs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pair each row of ``fs`` (functionals) against the single vector ``x``."""
-    return np.asarray(fs, dtype=float) @ (space.weight_array * np.asarray(x, dtype=float))
 
 
 class BallNotPolytopal(Exception):
@@ -170,45 +134,21 @@ class EnumerationTooLarge(Exception):
     """A requested exact enumeration exceeds the configured cap."""
 
 
-def is_polytopal(space: SpaceSpec, cap: int = EXTREME_ENUM_CAP) -> bool:
-    """Whether ``extreme_points_ball`` can enumerate the ball exactly."""
+def is_polytopal(space: SpaceSpec, cap: int = OptimizerConfig.extreme_enum_cap) -> bool:
+    """Whether ``extreme_points_matrix`` can enumerate the ball exactly."""
     if space.r == 1:
         return True
     return space.is_sup and space.dim <= cap
 
 
-def extreme_points_ball(space: SpaceSpec, cap: int = EXTREME_ENUM_CAP) -> Iterator[np.ndarray]:
-    """Extreme points of the unit ball, for polytopal balls only.
+def extreme_points_matrix(space: SpaceSpec, cap: int = OptimizerConfig.extreme_enum_cap) -> np.ndarray:
+    """Extreme points of the unit ball as rows, for polytopal balls only.
 
     r = 1: the 2*dim points +-e_i / w_i.  r = infinity: the 2^dim sign
     patterns (the sup norm does not involve the weights).  Any other
     exponent raises :class:`BallNotPolytopal`; a sup-norm ball above the
     enumeration cap raises :class:`EnumerationTooLarge`.
     """
-    if space.r == 1:
-        w = space.weight_array
-        for i in range(space.dim):
-            e = np.zeros(space.dim)
-            e[i] = 1.0 / w[i]
-            yield e
-            yield -e
-    elif space.is_sup:
-        if space.dim > cap:
-            raise EnumerationTooLarge(
-                f"2^{space.dim} sign patterns exceed the 2^{cap} enumeration cap"
-            )
-        for bits in range(1 << space.dim):
-            signs = np.ones(space.dim)
-            for i in range(space.dim):
-                if bits & (1 << i):
-                    signs[i] = -1.0
-            yield signs
-    else:
-        raise BallNotPolytopal(f"unit ball of ell_{space.r} is not a polytope")
-
-
-def extreme_points_matrix(space: SpaceSpec, cap: int = EXTREME_ENUM_CAP) -> np.ndarray:
-    """All extreme points stacked as rows (vectorization helper)."""
     if space.r == 1:
         w = space.weight_array
         eye = np.diag(1.0 / w)
@@ -245,7 +185,7 @@ def norming_functional(space: SpaceSpec, x) -> np.ndarray:
     Closed form for every weighted ell_r space.  For x = 0 returns an
     arbitrary unit functional.
     """
-    v = _as_array(x, space)
+    v = space.check_point(x)
     n = norm(space, v)
     if n <= 0.0:
         f = np.zeros(space.dim)

@@ -12,12 +12,20 @@ weak-p norm is available (p = 1 by sign enumeration, p = infinity by a
 closed form, or a polytopal constraint ball by extreme-point
 enumeration) the normalization is tight and the estimate is flagged
 accordingly in its method tags.
+
+``witness_search`` is the one search engine of the package (seeds,
+random restarts, Powell polish).  It runs over two kinds of constraint
+ball: the unit ball of a weighted ell_r space (``_weak_E``, the weak-p
+dispatch of this module) and the section B_F of a subspace
+(``extension._weak_F``).  Each kind answers one question per candidate
+family: a certified upper bound on its weak-p norm, whether that bound
+is exact, and whether it is cheap enough for the polish loop.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -27,10 +35,12 @@ from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
     dual_space,
-    is_polytopal,
     norm,
     norms_rows,
 )
+
+if TYPE_CHECKING:
+    from .extension import SubspaceSpec
 
 __all__ = [
     "weak_p_norm",
@@ -121,7 +131,7 @@ def _weak_crosspoly(Y: np.ndarray, p: float) -> float:
     return float(np.max(np.sum(np.abs(Y) ** p, axis=0)) ** (1.0 / p))
 
 
-def _weak_cube(Y: np.ndarray, space: SpaceSpec, p: float, cap: int) -> float:
+def _weak_cube(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     """Exact weak-p over a sup-norm ball by sign-pattern enumeration of the
     2^dim extreme points (chunked)."""
     W = (Y * space.weight_array).T  # pair each extreme point against members
@@ -136,6 +146,40 @@ def _weak_cube(Y: np.ndarray, space: SpaceSpec, p: float, cap: int) -> float:
             vals = np.sum(np.abs(P) ** p, axis=1) ** (1.0 / p)
         best = max(best, float(np.max(vals)))
     return best
+
+
+def _weak_exact(
+    Y: np.ndarray, space: SpaceSpec, p: float, cfg: OptimizerConfig
+) -> tuple[float, str, bool] | None:
+    """The exact weak-p norm of the family Y over the ball of ``space``,
+    with its path tag and whether one evaluation is cheap enough for a
+    polish loop; None when no exact path applies."""
+    N = Y.shape[0]
+    if math.isinf(p):
+        return float(np.max(norms_rows(dual_space(space), Y))), "weak-inf closed form", True
+    if space.r == 1:
+        return _weak_crosspoly(Y, p), "cross-polytope enumeration", True
+    if p == 1 and N <= cfg.family_size:
+        cheap = (1 << (N - 1)) * min(space.dim, N) <= (1 << 17)
+        return _weak_sign_enum(Y, space), "sign enumeration", cheap
+    if space.is_sup and space.dim <= cfg.extreme_enum_cap:
+        cheap = (1 << space.dim) * N <= (1 << 21)
+        return _weak_cube(Y, space, p), "cube-vertex enumeration", cheap
+    return None
+
+
+def _weak_E(
+    space: SpaceSpec, Y: np.ndarray, p: float, cfg: OptimizerConfig
+) -> tuple[float, bool, bool]:
+    """Weak-p norm of a family over the ball of ``space`` for the witness
+    search: (certified upper bound, exact?, cheap enough to polish?).  Off
+    the exact paths the triangle-inequality bound stands in; a
+    multistart lower bound would dominate the cost and normalization only
+    needs the upper one."""
+    hit = _weak_exact(Y, space, p, cfg)
+    if hit is None:
+        return _weak_crude_upper(Y, space, p), False, False
+    return hit[0], True, hit[2]
 
 
 def weak_p_norm(
@@ -161,27 +205,17 @@ def weak_p_norm(
     Y = np.atleast_2d(np.asarray(family, dtype=float))
     if Y.shape[1] != space.dim:
         raise ValueError("family members must live in the dual of the given space")
-    N = Y.shape[0]
-
-    def exact(val: float, how: str) -> NormEstimate:
+    hit = _weak_exact(Y, space, p, cfg)
+    if hit is not None:
+        val, how, _ = hit
         return NormEstimate(val, val, True, True, method=(how,))
 
-    if math.isinf(p):
-        return exact(float(np.max(norms_rows(dual_space(space), Y))), "weak-inf closed form")
-    if space.r == 1:
-        return exact(_weak_crosspoly(Y, p), "cross-polytope enumeration")
-    if p == 1 and N <= cfg.family_size:
-        return exact(_weak_sign_enum(Y, space), "sign enumeration")
-    if space.is_sup and space.dim <= cfg.extreme_enum_cap:
-        return exact(_weak_cube(Y, space, p, cfg.extreme_enum_cap), "cube-vertex enumeration")
-
     # heuristic regime: certified bounds from both sides, but not tight
-    S = LinearMap.from_array(Y * space.weight_array, space, SpaceSpec(p, N))
+    S = LinearMap.from_array(Y * space.weight_array, space, SpaceSpec(p, Y.shape[0]))
     est = operator_norm(S, cfg)
-    upper = min(est.upper, _weak_crude_upper(Y, space, p))
     return NormEstimate(
-        min(est.lower, upper),
-        upper,
+        est.lower,
+        min(est.upper, _weak_crude_upper(Y, space, p)),
         True,
         True,
         method=("multistart lower", "triangle upper"),
@@ -193,65 +227,44 @@ def weak_p_norm(
 # --------------------------------------------------------------------------
 
 
-def _weak_exact_available(space: SpaceSpec, p: float, N: int, cfg: OptimizerConfig) -> bool:
-    """Whether weak_p_norm takes one of its exact (closed-form or
-    enumerative) paths for this configuration."""
-    if math.isinf(p) or space.r == 1:
-        return True
-    if p == 1 and N <= cfg.family_size:
-        return True
-    return space.is_sup and space.dim <= cfg.extreme_enum_cap
-
-
-def _weak_eval_is_cheap(space: SpaceSpec, p: float, N: int, cfg: OptimizerConfig) -> bool:
-    """Whether one weak-p evaluation is cheap enough for a polish loop."""
-    if math.isinf(p) or space.r == 1:
-        return True
-    if p == 1 and N <= cfg.family_size:
-        cost = min(space.dim, N)
-        return (1 << (N - 1)) * cost <= (1 << 17)
-    if space.is_sup and space.dim <= cfg.extreme_enum_cap:
-        return (1 << space.dim) * N <= (1 << 21)
-    return False
-
-
 def witness_search(
-    space: SpaceSpec,
+    ball: SpaceSpec | SubspaceSpec,
     p: float,
     objective: Callable[[np.ndarray], float],
     seeds: Iterable[np.ndarray],
     cfg: OptimizerConfig,
     salt: int = 0,
-    random_dim: int | None = None,
 ) -> tuple[float, WitnessFamily | None, bool]:
     """Maximize objective(Y) over families with weak-p norm at most 1.
 
-    ``objective`` must be positively homogeneous of degree 1 in the family
-    matrix.  Candidates (seeds first, then random restarts, then a polish
-    pass on the incumbent) are normalized by a certified upper bound on
-    their weak-p norm, so the best value is always a true lower bound for
+    The constraint ball is the unit ball of a ``SpaceSpec`` (family rows
+    live in its dual) or the section B_F of a ``SubspaceSpec`` (rows are
+    forms on F in basis coordinates).  ``objective`` must be positively
+    homogeneous of degree 1 in the family matrix.  Candidates (seeds
+    first, then random restarts, then a polish pass on the incumbent) are
+    normalized by a certified upper bound on their weak-p norm, so the
+    best value is always a true lower bound for
     sup { objective : weak-p <= 1 }.
 
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
     """
-    dim = random_dim if random_dim is not None else space.dim
+    if isinstance(ball, SpaceSpec):
+        weak = _weak_E
+    else:
+        from .extension import _weak_F as weak
+
     best_val = 0.0
     best_fam: np.ndarray | None = None
     best_tight = True
+    best_cheap = False
 
     def consider(Y: np.ndarray) -> None:
-        nonlocal best_val, best_fam, best_tight
+        nonlocal best_val, best_fam, best_tight, best_cheap
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.size == 0 or not np.all(np.isfinite(Y)):
             return
-        if _weak_exact_available(space, p, Y.shape[0], cfg):
-            w = weak_p_norm(Y, space, p, cfg)
-            upper, tight = w.upper, w.upper - w.lower <= 1e-12 * max(1.0, w.upper)
-        else:
-            # the heuristic lower bound would dominate the cost and the
-            # normalization only needs a certified upper bound
-            upper, tight = _weak_crude_upper(Y, space, p), False
+        upper, tight, cheap = weak(ball, Y, p, cfg)
         if upper <= 1e-14 or math.isinf(upper):
             return
         val = objective(Y) / upper
@@ -259,20 +272,19 @@ def witness_search(
             best_val = val
             best_fam = Y / upper
             best_tight = tight
+            best_cheap = cheap
 
     for Y in seeds:
         consider(Y)
 
     sizes = [n for n in (4, 8, 16, cfg.family_size) if n <= cfg.family_size]
-    if not sizes:
-        sizes = [cfg.family_size]
     for k in range(cfg.restarts):
         rng = restart_rng(cfg, k, salt=salt)
         N = sizes[k % len(sizes)]
-        consider(rng.standard_normal((N, dim)))
+        consider(rng.standard_normal((N, ball.dim)))
 
-    if cfg.polish and best_fam is not None:
-        polished = _polish_family(space, p, objective, best_fam, cfg)
+    if cfg.polish and best_cheap and best_fam.size <= 128:
+        polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam, cfg)
         if polished is not None:
             consider(polished)
 
@@ -283,29 +295,22 @@ def witness_search(
 
 
 def _polish_family(
-    space: SpaceSpec,
-    p: float,
+    weak_upper: Callable[[np.ndarray], float],
     objective: Callable[[np.ndarray], float],
     Y0: np.ndarray,
     cfg: OptimizerConfig,
 ) -> np.ndarray | None:
     """Derivative-free local improvement of objective/weak ratio."""
+    from scipy.optimize import minimize
+
     N, dim = Y0.shape
-    if not _weak_eval_is_cheap(space, p, N, cfg):
-        return None
-    if N * dim > 128:
-        return None
-    try:
-        from scipy.optimize import minimize
-    except ImportError:  # pragma: no cover
-        return None
 
     def neg_ratio(flat: np.ndarray) -> float:
         Y = flat.reshape(N, dim)
-        w = weak_p_norm(Y, space, p, cfg)
-        if not (w.upper > 1e-14) or math.isinf(w.upper):
+        upper = weak_upper(Y)
+        if not (upper > 1e-14) or math.isinf(upper):
             return 0.0
-        return -objective(Y) / w.upper
+        return -objective(Y) / upper
 
     res = minimize(
         neg_ratio,

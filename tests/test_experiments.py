@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,3 +122,22 @@ def test_seed_changes_random_instances_not_validity():
     r2 = run_experiment("haar-branch", {"depth": 3}, seed=2, cfg=CFG)
     assert r1.passed and r2.passed
     assert r1.records[0].lower != r2.records[0].lower  # coefficients differ
+
+
+_GOLDEN = Path(__file__).parent / "golden" / "catalog_seed0.json"
+
+
+@pytest.mark.parametrize("name", experiment_names())
+def test_catalog_matches_golden_snapshot(name):
+    """The seed-0 report of every experiment is byte-identical to the
+    committed snapshot.  Regenerate the snapshot (and explain the diff in
+    CHANGES.md) from the repository root with
+
+        PYTHONPATH=src python -c "import json; from fblab import *; \\
+        print(json.dumps({n: json.loads(report_to_json(run_experiment(n, seed=0))) \\
+        for n in experiment_names()}, indent=2, sort_keys=True))" \\
+        > tests/golden/catalog_seed0.json
+    """
+    golden = json.loads(_GOLDEN.read_text())
+    expected = json.dumps(golden[name], indent=2, sort_keys=True)
+    assert report_to_json(run_experiment(name, seed=0)) == expected

@@ -25,7 +25,6 @@ from fblab import (
 )
 from fblab.spaces import (
     BallNotPolytopal,
-    extreme_points_ball,
     extreme_points_matrix,
     is_polytopal,
     norms_rows,
@@ -97,7 +96,7 @@ def test_norms_rows_matches_scalar():
 
 def test_extreme_points_l1_and_sup():
     E1 = SpaceSpec(1.0, 3, (0.5, 1.0, 2.0))
-    pts = list(extreme_points_ball(E1))
+    pts = extreme_points_matrix(E1)
     assert len(pts) == 6
     for p in pts:
         assert abs(norm(E1, p) - 1.0) <= 1e-12
@@ -108,7 +107,7 @@ def test_extreme_points_l1_and_sup():
     assert np.all(np.abs(pts) == 1.0)
 
     with pytest.raises(BallNotPolytopal):
-        list(extreme_points_ball(SpaceSpec(2.0, 3)))
+        extreme_points_matrix(SpaceSpec(2.0, 3))
     assert not is_polytopal(SpaceSpec(math.inf, 30))
 
 
@@ -203,3 +202,12 @@ def test_non_finite_inputs_rejected(bad):
         for lower, upper in ((bad, 1.0), (0.0, bad), (bad, bad)):
             with pytest.raises(ValueError):
                 NormEstimate(lower, upper, True, True)
+
+
+def test_norm_estimate_meets_rounding_and_refuses_inverted_bounds():
+    """A lower bound a rounding error above its upper bound is set to the
+    upper bound; one further above is a bug and raises."""
+    assert NormEstimate(1.0 + 2e-16, 1.0).lower == 1.0
+    assert NormEstimate(0.5, 1.0).lower == 0.5
+    with pytest.raises(ValueError):
+        NormEstimate(1.0 + 1e-6, 1.0)
