@@ -49,6 +49,7 @@ from .operators import LinearMap, _multistart_ascent, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
+    _signs,
     norm,
     norms_rows,
     space_from_json,
@@ -205,10 +206,9 @@ def _section_vertices(E: SpaceSpec, B: np.ndarray) -> np.ndarray | None:
         A = Z[np.array(list(itertools.combinations(range(m), k)))]
         sv = np.linalg.svd(A, compute_uv=False)
         A = A[sv[:, -1] > 1e-10 * sv[:, 0]]
-        # sign patterns with s_0 = +1; the patterns with s_0 = -1 give -c
-        bits = (np.arange(1 << (k - 1))[:, None] >> np.arange(k - 1)) & 1
-        signs = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
-        X = np.linalg.solve(A, signs.T[None]).transpose(0, 2, 1).reshape(-1, k)
+        # sign patterns with s_0 = +1 (the even rows); those with s_0 = -1
+        # give -c
+        X = np.linalg.solve(A, _signs(k)[::2].T[None]).transpose(0, 2, 1).reshape(-1, k)
         # a slightly infeasible candidate is harmless: scaling below puts
         # it inside B_F
         X = X[np.max(np.abs(X @ Z.T), axis=1) <= 1.0 + 1e-6]

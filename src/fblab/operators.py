@@ -19,6 +19,7 @@ from .estimates import NormEstimate
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
+    _max_signed_sum,
     dual_space,
     extreme_points_matrix,
     functional_norm,
@@ -171,10 +172,10 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     cfg = cfg or OptimizerConfig()
     a = T.array
     if is_polytopal(T.domain, cfg.extreme_enum_cap):
-        pts = extreme_points_matrix(T.domain, cfg.extreme_enum_cap)
-        vals = norms_rows(T.codomain, pts @ a.T)
-        k = int(np.argmax(vals))
-        val = float(vals[k])
+        if T.domain.is_sup:  # the vertex s maps to s @ a.T; s_0 = +1 by symmetry
+            val = _max_signed_sum(a.T, T.codomain)
+        else:
+            val = float(np.max(norms_rows(T.codomain, extreme_points_matrix(T.domain) @ a.T)))
         return NormEstimate(
             lower=val,
             upper=val,

@@ -20,9 +20,9 @@ __all__ = ["OptimizerConfig", "restart_rng"]
 class OptimizerConfig:
     """Knobs shared by every multistart search.
 
-    family_size is the hard cap on witness families whenever a sign
-    enumeration (2^(N-1) patterns) certifies the weak-norm constraint.
-    extreme_enum_cap bounds exact extreme-point enumeration at 2^cap.
+    family_size caps witness families and the member side (2^(N-1) sign
+    patterns) of the exact weak-1 norm, not its cube side over a sup-norm
+    ball.  extreme_enum_cap bounds exact extreme-point enumeration at 2^cap.
     """
 
     seed: int = 0

@@ -20,6 +20,7 @@ r = infinity is represented by ``math.inf``, never by a large float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -158,11 +159,62 @@ def extreme_points_matrix(space: SpaceSpec, cap: int = OptimizerConfig.extreme_e
             raise EnumerationTooLarge(
                 f"2^{space.dim} sign patterns exceed the 2^{cap} enumeration cap"
             )
-        n = space.dim
-        bits = np.arange(1 << n, dtype=np.uint32)
-        cols = [1.0 - 2.0 * ((bits >> i) & 1) for i in range(n)]
-        return np.column_stack(cols).astype(float)
+        return _sign_table(space.dim)
     raise BallNotPolytopal(f"unit ball of ell_{space.r} is not a polytope")
+
+
+def _sign_table(k: int) -> np.ndarray:
+    """The 2^k patterns in {+-1}^k as rows; bit i of the row sets sign i."""
+    return 1.0 - 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1)
+
+
+@functools.cache
+def _signs(k: int) -> np.ndarray:
+    """``_sign_table(k)``, read-only and cached: for the small k of half tables."""
+    s = _sign_table(k)
+    s.flags.writeable = False
+    return s
+
+
+# entries in one block of candidates (or broadcast sums) of _max_signed_sum
+_SIGNED_SUM_BLOCK = 1 << 18
+
+
+def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> float:
+    """max over s in {+-1}^n with s_0 = +1 (the norm is even) of
+    norm(space, s @ M), for the n rows of M.
+
+    Every pattern is one L_i + H_j of the half tables of signed sums
+    L = M[0] + _signs(b) @ M[1:1+b] and H = _signs(h) @ M[1+b:].  A Euclidean
+    norm takes ||L_i||^2 + ||H_j||^2 + 2 L_i . H_j from one matrix product,
+    any other norm broadcast adds; both run over blocks of rows of L, so
+    memory stays bounded.  The winning signed sum's norm is recomputed.
+    """
+    n, d = M.shape
+    b = n // 2
+    sb, sh = _signs(b), _signs(n - 1 - b)
+    L = M[0] + sb @ M[1 : 1 + b]
+    H = sh @ M[1 + b :]
+    w = space.weight_array
+    euclid, HH = space.r == 2, (H * H) @ w
+    rows = max(1, _SIGNED_SUM_BLOCK // (len(H) * (1 if euclid else d)))
+    best, i, j = -math.inf, 0, 0
+    for start in range(0, len(L), rows):
+        Lb = L[start : start + rows]
+        if euclid:
+            vals = 2.0 * (Lb * w) @ H.T + ((Lb * Lb) @ w)[:, None] + HH
+        else:
+            block = np.abs(Lb[:, None, :] + H)
+            if space.is_sup:
+                vals = np.max(block, axis=2)
+            else:
+                vals = (block if space.r == 1 else block ** space.r) @ w
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best:
+            best = vals.flat[k]
+            i, j = divmod(k + start * len(H), len(H))
+    s = np.concatenate(([1.0], sb[i], sh[j]))
+    return float(norms_rows(space, (s @ M)[None, :])[0])
 
 
 def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:

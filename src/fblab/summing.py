@@ -8,10 +8,10 @@ Every reported lower bound is produced by an explicit feasible family:
 a candidate family is divided by a *certified upper bound* on its weak-p
 norm, so the normalized family is genuinely feasible and the value it
 attains is a true lower bound.  Whenever an exact evaluation of the
-weak-p norm is available (p = 1 by sign enumeration, p = infinity by a
-closed form, or a polytopal constraint ball by extreme-point
-enumeration) the normalization is tight and the estimate is flagged
-accordingly in its method tags.
+weak-p norm is available (p = 1 by sign enumeration of the members or
+cube vertices, p = infinity by a closed form, or a polytopal constraint
+ball by extreme-point enumeration) the normalization is tight and the
+estimate is flagged accordingly in its method tags.
 
 ``witness_search`` is the one search engine of the package (seeds,
 random restarts, Powell polish).  It runs over two kinds of constraint
@@ -34,8 +34,8 @@ from .operators import LinearMap, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
+    _max_signed_sum,
     dual_space,
-    norm,
     norms_rows,
 )
 
@@ -51,8 +51,6 @@ __all__ = [
     "hadamard",
     "lp_combine",
 ]
-
-_SIGN_CHUNK_BITS = 14
 
 
 def hadamard(m: int) -> np.ndarray:
@@ -75,50 +73,9 @@ def lp_combine(values: np.ndarray, p: float) -> float:
     return float(np.sum(values ** p) ** (1.0 / p))
 
 
-def _sign_blocks(n_free: int, chunk_bits: int = _SIGN_CHUNK_BITS):
-    """Yield blocks of +-1 patterns of length n_free (all 2^n_free of them)."""
-    total = 1 << n_free
-    step = min(total, 1 << chunk_bits)
-    shifts = np.arange(n_free, dtype=np.uint64)
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
-        yield 1.0 - 2.0 * ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
-
-
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     """Triangle-inequality bound: combine the dual norms of the members."""
     return lp_combine(norms_rows(dual_space(space), Y), p)
-
-
-def _weak_sign_enum(Y: np.ndarray, space: SpaceSpec) -> float:
-    """Exact weak-1 norm by enumerating sign patterns (first sign fixed)."""
-    N = Y.shape[0]
-    if N == 1:
-        return float(norm(dual_space(space), Y[0]))
-    dualE = dual_space(space)
-    best = 0.0
-    if space.r == 2:
-        # dual norm is a weighted Euclidean norm: transform to plain
-        # Euclidean coordinates and take row norms of the signed sums
-        V = Y * np.sqrt(space.weight_array)
-        if space.dim <= N:
-            for block in _sign_blocks(N - 1):
-                S = np.hstack([np.ones((block.shape[0], 1)), block])
-                R = S @ V
-                best = max(best, float(np.max(np.sum(R * R, axis=1))))
-        else:
-            # high ambient dimension: the Gram matrix is the cheaper route
-            G = V @ V.T
-            for block in _sign_blocks(N - 1):
-                S = np.hstack([np.ones((block.shape[0], 1)), block])
-                q = np.sum((S @ G) * S, axis=1)
-                best = max(best, float(np.max(q)))
-        return math.sqrt(max(best, 0.0))
-    for block in _sign_blocks(N - 1):
-        S = np.hstack([np.ones((block.shape[0], 1)), block])
-        vals = norms_rows(dualE, S @ Y)
-        best = max(best, float(np.max(vals)))
-    return best
 
 
 def _weak_crosspoly(Y: np.ndarray, p: float) -> float:
@@ -131,41 +88,30 @@ def _weak_crosspoly(Y: np.ndarray, p: float) -> float:
     return float(np.max(np.sum(np.abs(Y) ** p, axis=0)) ** (1.0 / p))
 
 
-def _weak_cube(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
-    """Exact weak-p over a sup-norm ball by sign-pattern enumeration of the
-    2^dim extreme points (chunked)."""
-    W = (Y * space.weight_array).T  # pair each extreme point against members
-    best = 0.0
-    for block in _sign_blocks(space.dim):
-        P = block @ W  # (patterns, N)
-        if math.isinf(p):
-            vals = np.max(np.abs(P), axis=1)
-        elif p == 1:
-            vals = np.sum(np.abs(P), axis=1)
-        else:
-            vals = np.sum(np.abs(P) ** p, axis=1) ** (1.0 / p)
-        best = max(best, float(np.max(vals)))
-    return best
-
-
 def _weak_exact(
     Y: np.ndarray, space: SpaceSpec, p: float, cfg: OptimizerConfig
 ) -> tuple[float, str, bool] | None:
     """The exact weak-p norm of the family Y over the ball of ``space``,
     with its path tag and whether one evaluation is cheap enough for a
-    polish loop; None when no exact path applies."""
-    N = Y.shape[0]
+    polish loop; None when no exact path applies.  At p = 1 over a cube
+    the member signs or the vertices are enumerated, whichever is less work."""
+    N, dim = Y.shape
     if math.isinf(p):
         return float(np.max(norms_rows(dual_space(space), Y))), "weak-inf closed form", True
     if space.r == 1:
         return _weak_crosspoly(Y, p), "cross-polytope enumeration", True
     if p == 1 and N <= cfg.family_size:
-        cheap = (1 << (N - 1)) * min(space.dim, N) <= (1 << 17)
-        return _weak_sign_enum(Y, space), "sign enumeration", cheap
-    if space.is_sup and space.dim <= cfg.extreme_enum_cap:
-        cheap = (1 << space.dim) * N <= (1 << 21)
-        return _weak_cube(Y, space, p), "cube-vertex enumeration", cheap
-    return None
+        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
+        if not (space.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim):
+            return _max_signed_sum(Y, dual_space(space)), "sign enumeration", cheap
+        tag = "sign enumeration"
+    elif space.is_sup and dim <= cfg.extreme_enum_cap:
+        cheap = (1 << dim) * N <= (1 << 21)
+        tag = "cube-vertex enumeration"
+    else:
+        return None
+    # the cube vertex s pairs with the members to s @ (Y * w).T
+    return _max_signed_sum((Y * space.weight_array).T, SpaceSpec(p, N)), tag, cheap
 
 
 def _weak_E(
@@ -194,9 +140,10 @@ def weak_p_norm(
 
     * p = infinity: max of the members' dual norms;
     * r = 1 ball (any p): columnwise closed form over the cross-polytope;
-    * p = 1 (any space): sign enumeration over 2^(N-1) patterns,
-      available while N stays within the family-size cap;
-    * sup-norm ball within the enumeration cap (any p).
+    * p = 1 (any space): sign enumeration on the cheaper exact side, the
+      2^(N-1) member patterns (while N stays within the family-size cap)
+      or, over a sup-norm ball, the 2^(dim-1) cube vertices;
+    * sup-norm ball within the enumeration cap (any p): cube vertices.
 
     Otherwise: multistart lower bound plus the triangle-inequality upper
     bound (both certified; the gap is reported, not hidden).

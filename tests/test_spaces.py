@@ -1,6 +1,7 @@
 """Weighted ell_r spaces: norms, duality, and exact enumerations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ def test_operator_norm_exact_vs_multistart():
         sigma = float(np.linalg.svd(A, compute_uv=False)[0])
         assert est.lower == pytest.approx(sigma, rel=1e-6)
         assert est.upper >= sigma - 1e-9
+
+
+def test_operator_norm_sup_domain_memory_stays_bounded():
+    """ell_inf^22 -> ell_inf^3 at the enumeration cap: the closed form
+    max_i sum_j |a_ij|, with no 2^22-row vertex array built (that array
+    alone is 740 MB)."""
+    rng = np.random.default_rng(22)
+    A = rng.standard_normal((3, 22))
+    T = LinearMap.from_array(A, SpaceSpec(math.inf, 22), SpaceSpec(math.inf, 3))
+    tracemalloc.start()
+    try:
+        est = operator_norm(T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.exact
+    assert est.lower == pytest.approx(float(np.max(np.sum(np.abs(A), axis=1))), rel=1e-13)
+    assert peak < 64 * 2**20
 
 
 def test_space_json_roundtrip():

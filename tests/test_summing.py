@@ -13,6 +13,7 @@ from fblab import (
     dual_space,
     functional_norm,
     norm,
+    operator_norm,
     pi_1_exact_Linfty_domain,
     pi_p_lower,
     pi_q1_lower,
@@ -20,7 +21,7 @@ from fblab import (
     weak_p_norm,
     witness_search,
 )
-from fblab.spaces import norms_rows
+from fblab.spaces import _max_signed_sum, norms_rows
 from fblab.summing import hadamard, lp_combine
 
 
@@ -205,3 +206,84 @@ def test_witness_search_reports_true_lower_bound():
     assert tight
     assert obj(witness.matrix) == pytest.approx(val, rel=1e-9)
     assert weak_p_norm(witness.matrix, E, 1.0).upper <= 1.0 + 1e-9
+
+
+def _sign_families(rng, dim):
+    """Families for the exact sign enumerations: one member, a random
+    family, and one with a member equal to -3 times another and a zero
+    member."""
+    Y = rng.standard_normal((7, dim))
+    Y[4] = -3.0 * Y[1]
+    Y[5] = 0.0
+    return [rng.standard_normal((1, dim)), rng.standard_normal((9, dim)), Y]
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, math.inf])
+def test_weak_1_member_side_vs_brute_force(r, dim):
+    """Member side: the max over all 2^N sign patterns of the members of
+    the dual norm of the signed sum, weighted spaces."""
+    rng = np.random.default_rng(40 + dim)
+    E = SpaceSpec(r, dim, tuple(rng.uniform(0.25, 2.0, dim)))
+    for Y in _sign_families(rng, dim):
+        brute = max(
+            functional_norm(E, np.array(s) @ (Y * E.weight_array))
+            for s in itertools.product((-1.0, 1.0), repeat=len(Y))
+        )
+        assert _max_signed_sum(Y, dual_space(E)) == pytest.approx(brute, rel=1e-13)
+        est = weak_p_norm(Y, E, 1.0)
+        assert est.exact and est.method == ("sign enumeration",)
+        assert est.lower == pytest.approx(brute, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_weak_p_cube_side_vs_brute_force(p, dim):
+    """Cube side: the max over all 2^dim vertices of a weighted sup-norm
+    ball of the ell_p combination of the pairings."""
+    rng = np.random.default_rng(50 + dim)
+    E = SpaceSpec(math.inf, dim, tuple(rng.uniform(0.25, 2.0, dim)))
+    for Y in _sign_families(rng, dim):
+        W = Y * E.weight_array
+        brute = max(
+            lp_combine(W @ np.array(v), p)
+            for v in itertools.product((-1.0, 1.0), repeat=dim)
+        )
+        assert _max_signed_sum(W.T, SpaceSpec(p, len(Y))) == pytest.approx(brute, rel=1e-13)
+        assert weak_p_norm(Y, E, p).lower == pytest.approx(brute, rel=1e-13)
+
+
+def test_weak_1_both_sides_agree_over_small_cube():
+    """p = 1 over ell_inf^4 with 20 members: both sides are exact, the
+    dispatch takes the cheaper cube side, and all three agree."""
+    rng = np.random.default_rng(60)
+    E = SpaceSpec(math.inf, 4, (0.5, 1.0, 1.5, 2.0))
+    Y = rng.standard_normal((20, 4))
+    Y[7] = -3.0 * Y[2]
+    Y[11] = 0.0
+    members = _max_signed_sum(Y, dual_space(E))
+    cube = _max_signed_sum((Y * E.weight_array).T, SpaceSpec(1.0, 20))
+    assert cube == pytest.approx(members, rel=1e-12)
+    est = weak_p_norm(Y, E, 1.0)
+    assert est.exact and est.method == ("sign enumeration",)
+    assert est.lower == pytest.approx(members, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "codomain",
+    [SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), SpaceSpec(2.0, 3, (0.5, 1.0, 2.0)), SpaceSpec(math.inf, 3)],
+)
+def test_operator_norm_sup_domain_vs_brute_force(codomain):
+    rng = np.random.default_rng(70)
+    for n in (1, 2, 7):
+        A = rng.standard_normal((3, n))
+        if n > 2:
+            A[:, 2] = -3.0 * A[:, 0]
+            A[:, 1] = 0.0
+        est = operator_norm(LinearMap.from_array(A, SpaceSpec(math.inf, n), codomain))
+        brute = max(
+            norm(codomain, A @ np.array(v))
+            for v in itertools.product((-1.0, 1.0), repeat=n)
+        )
+        assert est.exact
+        assert est.lower == pytest.approx(brute, rel=1e-13)
