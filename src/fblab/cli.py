@@ -271,10 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     try:
         return args.func(args)
-    except InputError as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return 1
-    except (ValueError, KeyError) as ex:
+    except (InputError, ValueError, KeyError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 1
     except Exception as ex:  # pragma: no cover - defensive

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,15 +61,7 @@ class Record:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "lower": self.lower,
-            "upper": self.upper,
-            "certified": self.certified,
-            "claim": self.claim,
-            "rule": self.rule,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

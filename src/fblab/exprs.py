@@ -8,19 +8,25 @@ exactly the set of such expressions.
 
 There are no constant nodes, so homogeneity holds by construction.
 
+Every walk over an expression is a loop over its program: the distinct
+nodes in post-order with the slots of their children, built once without
+recursion and kept on the root, so expressions of any depth work.
+
 A text DSL is provided: generators ``d0, d1, ...``; operators ``+ - *``
 (scalar multiplication), ``abs(e)``, ``max(e,f)``, ``min(e,f)``,
-``pos(e)``.
+``pos(e)``.  Parentheses and calls nest at most ``_MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .operators import LinearMap, adjoint
+from .operators import LinearMap
 from .spaces import SpaceSpec, dual_space, norm, sample_sphere, space_from_json, space_to_json
 
 __all__ = [
@@ -70,6 +76,34 @@ class LatticeExpr:
         return Scale(float(c), self)
 
     __rmul__ = __mul__
+
+    @cached_property
+    def _program(self) -> tuple[tuple["LatticeExpr", tuple[int, ...], tuple[int, ...]], ...]:
+        """The distinct nodes of this expression in post-order, root last,
+        as steps (node, slots of its children, slots read for the last
+        time here).  Built once without recursion; nodes are told apart by
+        identity, since the dataclass hash and equality recurse."""
+        slot: dict[int, int] = {}
+        steps: list[tuple[LatticeExpr, tuple[int, ...]]] = []
+        stack = [(self, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in slot:
+                continue
+            try:
+                kids = _CHILDREN[type(node)](node)
+            except KeyError:
+                raise TypeError(f"not a lattice expression node: {type(node).__name__}") from None
+            if ready or not kids:
+                slot[id(node)] = len(steps)
+                steps.append((node, tuple(slot[id(k)] for k in kids)))
+            else:
+                stack += [(node, True)] + [(k, False) for k in reversed(kids)]
+        last = {k: i for i, (_, kids) in enumerate(steps) for k in kids}
+        return tuple(
+            (node, kids, tuple({k for k in kids if last[k] == i}))
+            for i, (node, kids) in enumerate(steps)
+        )
 
 
 @dataclass(frozen=True)
@@ -134,35 +168,34 @@ class PowerSum(LatticeExpr):
             raise ValueError("power-sum needs at least one part")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBinding:
-    """The vectors x_0, ..., x_{n-1} in a common space E."""
+    """The vectors x_0, ..., x_{n-1} in a common space E, copied once into
+    the rows of a read-only float array.  Bindings compare by identity."""
 
     space: SpaceSpec
-    vectors: tuple[tuple[float, ...], ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.matrix
+        m = np.array(np.atleast_2d(self.vectors), dtype=float)
         if m.ndim != 2 or m.shape[1] != self.space.dim:
             raise ValueError("binding vectors must live in the binding space")
         if not np.all(np.isfinite(m)):
             raise ValueError("binding vectors must have finite entries")
-        object.__setattr__(
-            self, "vectors", tuple(tuple(float(v) for v in row) for row in m)
-        )
+        m.flags.writeable = False
+        object.__setattr__(self, "vectors", m)
 
     @staticmethod
     def from_matrix(space: SpaceSpec, vectors: np.ndarray) -> "GeneratorBinding":
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        return GeneratorBinding(space, tuple(tuple(float(x) for x in row) for row in v))
+        return GeneratorBinding(space, vectors)
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        return self.vectors
 
     @property
     def count(self) -> int:
-        return self.matrix.shape[0]
+        return self.vectors.shape[0]
 
     def pairings(self, functionals: np.ndarray) -> np.ndarray:
         """<f_row, x_i> for each functional row and each bound vector:
@@ -171,58 +204,74 @@ class GeneratorBinding:
         return f @ (self.matrix * self.space.weight_array).T
 
     def to_json(self) -> dict:
-        return {"space": space_to_json(self.space), "vectors": [list(r) for r in self.vectors]}
+        return {"space": space_to_json(self.space), "vectors": self.vectors.tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "GeneratorBinding":
         if "space" not in obj or "vectors" not in obj:
             raise ValueError("binding JSON requires fields 'space' and 'vectors'")
-        return GeneratorBinding.from_matrix(
-            space_from_json(obj["space"]), np.asarray(obj["vectors"], dtype=float)
-        )
+        return GeneratorBinding(space_from_json(obj["space"]), obj["vectors"])
+
+
+# each node kind's children, in order: the one place that knows them
+_CHILDREN = {
+    Gen: lambda n: (),
+    **dict.fromkeys((Scale, Neg, Abs, PosPart), lambda n: (n.e,)),
+    **dict.fromkeys((Add, Join, Meet), lambda n: (n.left, n.right)),
+    PowerSum: lambda n: n.parts,
+}
+
+
+def _fold(e: LatticeExpr, rules: dict, ctx: object) -> object:
+    """Run the program of e: rules[type(node)](node, v, k, ctx) gives each
+    node's value, v[j] being the value of its child slot j for j in k; a
+    value is dropped after its last reader."""
+    program = e._program
+    vals: list = [None] * len(program)
+    for i, (node, kids, dead) in enumerate(program):
+        vals[i] = rules[type(node)](node, vals, kids, ctx)
+        for k in dead:
+            vals[k] = None
+    return vals[-1]
 
 
 def max_generator_index(e: LatticeExpr) -> int:
-    if isinstance(e, Gen):
-        return e.index
-    if isinstance(e, (Scale, Neg, Abs, PosPart)):
-        return max_generator_index(e.e)
-    if isinstance(e, (Add, Join, Meet)):
-        return max(max_generator_index(e.left), max_generator_index(e.right))
-    if isinstance(e, PowerSum):
-        return max(max_generator_index(p) for p in e.parts)
-    raise TypeError(f"not a lattice expression node: {e!r}")
+    return max(node.index for node, _, _ in e._program if isinstance(node, Gen))
+
+
+def _column(n: Gen, v: list, k: tuple, P: np.ndarray) -> np.ndarray:
+    try:
+        return P[:, n.index]
+    except IndexError:
+        raise IndexError(
+            f"generator d{n.index} is not bound ({P.shape[1]} vectors available)"
+        ) from None
+
+
+def _power_sum(n: PowerSum, v: list, k: tuple, P: np.ndarray) -> np.ndarray:
+    acc = np.zeros(P.shape[0])
+    for j in k:
+        acc = acc + np.abs(v[j]) ** n.q
+    return acc ** (1.0 / n.q)
+
+
+# the values of each node kind on the pairings P
+_VALUES = {
+    Gen: _column,
+    Scale: lambda n, v, k, P: n.c * v[k[0]],
+    Add: lambda n, v, k, P: v[k[0]] + v[k[1]],
+    Neg: lambda n, v, k, P: -v[k[0]],
+    Abs: lambda n, v, k, P: np.abs(v[k[0]]),
+    Join: lambda n, v, k, P: np.maximum(v[k[0]], v[k[1]]),
+    Meet: lambda n, v, k, P: np.minimum(v[k[0]], v[k[1]]),
+    PosPart: lambda n, v, k, P: np.maximum(v[k[0]], 0.0),
+    PowerSum: _power_sum,
+}
 
 
 def eval_pairings(e: LatticeExpr, P: np.ndarray) -> np.ndarray:
     """Evaluate on precomputed pairings P[row, i] = <f_row, x_i>."""
-    if isinstance(e, Gen):
-        try:
-            return P[:, e.index]
-        except IndexError:
-            raise IndexError(
-                f"generator d{e.index} is not bound ({P.shape[1]} vectors available)"
-            ) from None
-    if isinstance(e, Scale):
-        return e.c * eval_pairings(e.e, P)
-    if isinstance(e, Add):
-        return eval_pairings(e.left, P) + eval_pairings(e.right, P)
-    if isinstance(e, Neg):
-        return -eval_pairings(e.e, P)
-    if isinstance(e, Abs):
-        return np.abs(eval_pairings(e.e, P))
-    if isinstance(e, Join):
-        return np.maximum(eval_pairings(e.left, P), eval_pairings(e.right, P))
-    if isinstance(e, Meet):
-        return np.minimum(eval_pairings(e.left, P), eval_pairings(e.right, P))
-    if isinstance(e, PosPart):
-        return np.maximum(eval_pairings(e.e, P), 0.0)
-    if isinstance(e, PowerSum):
-        acc = np.zeros(P.shape[0])
-        for part in e.parts:
-            acc = acc + np.abs(eval_pairings(part, P)) ** e.q
-        return acc ** (1.0 / e.q)
-    raise TypeError(f"not a lattice expression node: {e!r}")
+    return _fold(e, _VALUES, P)
 
 
 def eval_rows(e: LatticeExpr, b: GeneratorBinding, functionals: np.ndarray) -> np.ndarray:
@@ -257,12 +306,10 @@ def hom_image(e: LatticeExpr, b: GeneratorBinding, T: LinearMap) -> np.ndarray:
     Requires an unweighted ell_p codomain, where the coordinate
     functionals make 'coordinatewise' and 'evaluate at T* e_j' agree.
     """
-    if T.domain != b.space:
-        raise ValueError("map domain does not match the binding space")
     if any(w != 1.0 for w in T.codomain.weights):
         raise ValueError("hom_image requires an unweighted ell_p codomain")
-    images = b.matrix @ T.array.T          # row i = T x_i
-    return eval_pairings(e, images.T)       # P[j, i] = (T x_i)_j
+    _, images = pushforward(e, b, T)        # row i = T x_i
+    return eval_pairings(e, images.matrix.T)  # P[j, i] = (T x_i)_j
 
 
 def homogeneity_check(
@@ -318,21 +365,22 @@ def disjointness_check(
     )
 
 
+# the mass bound of each node kind over a binding b: generator norms,
+# scaled by |c|, every other node summing its children
+_MASS = {
+    **dict.fromkeys(
+        (Add, Neg, Abs, Join, Meet, PosPart, PowerSum), lambda n, v, k, b: sum(v[j] for j in k)
+    ),
+    Gen: lambda n, v, k, b: norm(b.space, b.matrix[n.index]),
+    Scale: lambda n, v, k, b: abs(n.c) * v[k[0]],
+}
+# the Lipschitz bound differs in taking the larger side of a join or meet
+_LIPSCHITZ = {**_MASS, **dict.fromkeys((Join, Meet), lambda n, v, k, b: max(v[k[0]], v[k[1]]))}
+
+
 def lipschitz_bound(e: LatticeExpr, b: GeneratorBinding) -> float:
     """A constant L with |eval(e,f) - eval(e,g)| <= L * dual-norm(f - g)."""
-    if isinstance(e, Gen):
-        return norm(b.space, b.matrix[e.index])
-    if isinstance(e, Scale):
-        return abs(e.c) * lipschitz_bound(e.e, b)
-    if isinstance(e, Add):
-        return lipschitz_bound(e.left, b) + lipschitz_bound(e.right, b)
-    if isinstance(e, (Neg, Abs, PosPart)):
-        return lipschitz_bound(e.e, b)
-    if isinstance(e, (Join, Meet)):
-        return max(lipschitz_bound(e.left, b), lipschitz_bound(e.right, b))
-    if isinstance(e, PowerSum):
-        return sum(lipschitz_bound(p, b) for p in e.parts)
-    raise TypeError(f"not a lattice expression node: {e!r}")
+    return _fold(e, _LIPSCHITZ, b)
 
 
 def mass_bound(e: LatticeExpr, b: GeneratorBinding) -> float:
@@ -343,54 +391,48 @@ def mass_bound(e: LatticeExpr, b: GeneratorBinding) -> float:
     delta_x has norm ||x||.  Joins and meets are bounded by the sum of
     the two sides, since |a v b| and |a ^ b| are at most |a| + |b|.
     """
-    if isinstance(e, Gen):
-        return norm(b.space, b.matrix[e.index])
-    if isinstance(e, Scale):
-        return abs(e.c) * mass_bound(e.e, b)
-    if isinstance(e, Add):
-        return mass_bound(e.left, b) + mass_bound(e.right, b)
-    if isinstance(e, (Neg, Abs, PosPart)):
-        return mass_bound(e.e, b)
-    if isinstance(e, (Join, Meet)):
-        return mass_bound(e.left, b) + mass_bound(e.right, b)
-    if isinstance(e, PowerSum):
-        return sum(mass_bound(p, b) for p in e.parts)
-    raise TypeError(f"not a lattice expression node: {e!r}")
+    return _fold(e, _MASS, b)
 
 
 def recognize_moduli_combination(e: LatticeExpr) -> dict[int, float] | None:
     """Match e against sum_k a_k * |d_k| with a_k >= 0 and distinct k.
 
     Returns {generator index: coefficient} on success, None otherwise.
-    Purely syntactic: Add/Scale over Abs(Gen(...)) terms only.
+    Purely syntactic: Add/Scale over Abs(Gen(...)) terms only.  The
+    program is read root first, each node handing its scale to its
+    children.
     """
-
-    def term(t: LatticeExpr, scale: float) -> dict[int, float] | None:
-        if isinstance(t, Add):
-            left = term(t.left, scale)
-            right = term(t.right, scale)
-            if left is None or right is None:
+    program = e._program
+    scale = {len(program) - 1: 1.0}
+    terms: list[tuple[int, float]] = []
+    for i in range(len(program) - 1, -1, -1):
+        if i not in scale:
+            continue  # the generator of a term
+        node, kids, _ = program[i]
+        if isinstance(node, Abs) and isinstance(node.e, Gen):
+            if scale[i] < 0:
                 return None
-            if set(left) & set(right):
-                return None
-            left.update(right)
-            return left
-        if isinstance(t, Scale):
-            return term(t.e, scale * t.c)
-        if isinstance(t, Abs) and isinstance(t.e, Gen):
-            if scale < 0:
-                return None
-            return {t.e.index: scale}
-        return None
-
-    return term(e, 1.0)
+            terms.append((node.e.index, scale[i]))
+        elif isinstance(node, (Add, Scale)):
+            for k in kids:
+                if k in scale:
+                    return None  # a node reached twice repeats its generators
+                scale[k] = scale[i] * node.c if isinstance(node, Scale) else scale[i]
+        else:
+            return None
+    coeffs = dict(reversed(terms))
+    return coeffs if len(coeffs) == len(terms) else None
 
 
 # --------------------------------------------------------------------------
 # text DSL
 # --------------------------------------------------------------------------
 
-_FUNCS = {"abs": 1, "pos": 1, "max": 2, "min": 2}
+# DSL function name -> (node kind, argument count)
+_FUNCS = {"abs": (Abs, 1), "pos": (PosPart, 1), "max": (Join, 2), "min": (Meet, 2)}
+
+# the parser recurses once per level of parentheses (a call opens one too)
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[str]:
@@ -471,24 +513,19 @@ class _Parser:
 
     def term(self) -> LatticeExpr:
         # collect '*'-separated factors; fold numeric ones into a scale
-        factors: list[tuple[bool, object]] = [self.factor()]
+        factors = [self.factor()]
         while self.peek() == "*":
             self.take()
             factors.append(self.factor())
-        scale = 1.0
-        node: LatticeExpr | None = None
-        for is_num, val in factors:
-            if is_num:
-                scale *= float(val)  # type: ignore[arg-type]
-            elif node is None:
-                node = val  # type: ignore[assignment]
-            else:
-                raise ValueError("products of two expressions are not lattice-linear")
-        if node is None:
+        nodes = [f for f in factors if isinstance(f, LatticeExpr)]
+        if len(nodes) > 1:
+            raise ValueError("products of two expressions are not lattice-linear")
+        if not nodes:
             raise ValueError("a bare number is not an expression (no constant nodes)")
-        return node if scale == 1.0 else Scale(scale, node)
+        scale = math.prod(f for f in factors if isinstance(f, float))
+        return nodes[0] if scale == 1.0 else Scale(scale, nodes[0])
 
-    def factor(self) -> tuple[bool, object]:
+    def factor(self) -> float | LatticeExpr:
         tok = self.peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
@@ -496,10 +533,10 @@ class _Parser:
             self.take()
             node = self.expr()
             self.take(")")
-            return (False, node)
+            return node
         if self._is_number(tok):
             self.take()
-            return (True, float(tok))
+            return float(tok)
         if tok in _FUNCS:
             name = self.take()
             self.take("(")
@@ -508,44 +545,38 @@ class _Parser:
                 self.take()
                 args.append(self.expr())
             self.take(")")
-            if len(args) != _FUNCS[name]:
-                raise ValueError(f"{name} takes {_FUNCS[name]} argument(s)")
-            if name == "abs":
-                return (False, Abs(args[0]))
-            if name == "pos":
-                return (False, PosPart(args[0]))
-            if name == "max":
-                return (False, Join(args[0], args[1]))
-            return (False, Meet(args[0], args[1]))
+            kind, arity = _FUNCS[name]
+            if len(args) != arity:
+                raise ValueError(f"{name} takes {arity} argument(s)")
+            return kind(*args)
         if tok.startswith("d") and tok[1:].isdigit():
             self.take()
-            return (False, Gen(int(tok[1:])))
+            return Gen(int(tok[1:]))
         raise ValueError(f"unrecognized token {tok!r}")
 
 
 def parse_expr(text: str) -> LatticeExpr:
     """Parse the text DSL into an expression tree."""
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    depth = itertools.accumulate((t == "(") - (t == ")") for t in tokens)
+    if max(depth, default=0) > _MAX_NESTING:
+        raise ValueError(f"expression nests deeper than {_MAX_NESTING} levels")
+    return _Parser(tokens).parse()
+
+
+# the text of each node kind; powersum[q](...) is not parsed back
+_TEXT = {
+    Gen: lambda n, v, k, _: f"d{n.index}",
+    Scale: lambda n, v, k, _: f"{n.c:g}*({v[k[0]]})",
+    Add: lambda n, v, k, _: f"({v[k[0]]}) + ({v[k[1]]})",
+    Neg: lambda n, v, k, _: f"-({v[k[0]]})",
+    Abs: lambda n, v, k, _: f"abs({v[k[0]]})",
+    Join: lambda n, v, k, _: f"max({v[k[0]]}, {v[k[1]]})",
+    Meet: lambda n, v, k, _: f"min({v[k[0]]}, {v[k[1]]})",
+    PosPart: lambda n, v, k, _: f"pos({v[k[0]]})",
+    PowerSum: lambda n, v, k, _: f"powersum[{n.q:g}]({', '.join(v[j] for j in k)})",
+}
 
 
 def expr_to_text(e: LatticeExpr) -> str:
-    if isinstance(e, Gen):
-        return f"d{e.index}"
-    if isinstance(e, Scale):
-        return f"{e.c:g}*({expr_to_text(e.e)})"
-    if isinstance(e, Add):
-        return f"({expr_to_text(e.left)}) + ({expr_to_text(e.right)})"
-    if isinstance(e, Neg):
-        return f"-({expr_to_text(e.e)})"
-    if isinstance(e, Abs):
-        return f"abs({expr_to_text(e.e)})"
-    if isinstance(e, Join):
-        return f"max({expr_to_text(e.left)}, {expr_to_text(e.right)})"
-    if isinstance(e, Meet):
-        return f"min({expr_to_text(e.left)}, {expr_to_text(e.right)})"
-    if isinstance(e, PosPart):
-        return f"pos({expr_to_text(e.e)})"
-    if isinstance(e, PowerSum):
-        inner = ", ".join(expr_to_text(p) for p in e.parts)
-        return f"powersum[{e.q:g}]({inner})"
-    raise TypeError(f"not a lattice expression node: {e!r}")
+    return _fold(e, _TEXT, None)

@@ -20,6 +20,7 @@ exactly (the p = 1 norm dominates every other p), and the exact
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import (
     Abs,
+    Add,
     Gen,
     GeneratorBinding,
     LatticeExpr,
@@ -431,19 +433,11 @@ def sublattice_generators(
     exprs: list[LatticeExpr] = []
     errors: list[float] = []
     for k in range(1, k_count + 1):
-        penalty: LatticeExpr | None = None
-
-        def acc(term: LatticeExpr) -> None:
-            nonlocal penalty
-            penalty = term if penalty is None else penalty + term
-
-        for i in range(1, k):
-            acc(Abs(Gen(i - 1)))
-        for i in range(k + 1, trunc_dim + 1):
-            acc(Scale(2.0 ** (-i), Abs(Gen(i - 1))))
+        terms = [Abs(Gen(i - 1)) for i in range(1, k)]
+        terms += [Scale(2.0 ** (-i), Abs(Gen(i - 1))) for i in range(k + 1, trunc_dim + 1)]
         body = Abs(Gen(k - 1))
-        if penalty is not None:
-            body = body + Neg(Scale(2.0 ** (2 * k), penalty))
+        if terms:  # the penalty is the left-nested sum of the terms
+            body = body + Neg(Scale(2.0 ** (2 * k), functools.reduce(Add, terms)))
         exprs.append(PosPart(body))
         errors.append(2.0 ** (2 * k) * 2.0 ** (-trunc_dim))
     return exprs, binding, errors

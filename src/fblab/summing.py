@@ -325,27 +325,24 @@ def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
     return seeds
 
 
+def _pi_lower(
+    T: LinearMap, p: float, q: float, cfg: OptimizerConfig, salt: int, method: tuple[str, ...]
+) -> NormEstimate:
+    """Strong q-sums over weakly-p bounded families, by witness search."""
+    val, witness, tight = witness_search(
+        _constraint_space(T), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg, salt=salt
+    )
+    method += ("exact weak constraint" if tight else "crude-upper weak normalization",)
+    return NormEstimate(val, math.inf, True, False, method=method, witness=witness)
+
+
 def pi_p_lower(T: LinearMap, p: float, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """Certified lower bound on the p-summing norm of ``T``.
 
     ``T`` must be defined on a dual space: families live in T.domain and
     the weak-p constraint ranges over the ball of its predual.
     """
-    cfg = cfg or OptimizerConfig()
-    E = _constraint_space(T)
-    val, witness, tight = witness_search(
-        E, p, _pi_objective(T, p), _pi_seeds(T, cfg), cfg, salt=17
-    )
-    method = ["witness search"]
-    method.append("exact weak constraint" if tight else "crude-upper weak normalization")
-    return NormEstimate(
-        lower=val,
-        upper=math.inf,
-        lower_certified=True,
-        upper_certified=False,
-        method=tuple(method),
-        witness=witness,
-    )
+    return _pi_lower(T, p, p, cfg or OptimizerConfig(), 17, ("witness search",))
 
 
 def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
@@ -368,20 +365,7 @@ def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
 def pi_q1_lower(T: LinearMap, q: float, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """Certified lower bound on the (q,1)-summing norm: strong q-sums over
     weakly-1 bounded families."""
-    cfg = cfg or OptimizerConfig()
     if not (q >= 1):
         raise ValueError("q must be >= 1 or infinity")
-    E = _constraint_space(T)
-    val, witness, tight = witness_search(
-        E, 1.0, _pi_objective(T, q), _pi_seeds(T, cfg), cfg, salt=23
-    )
-    method = ["witness search", "weak-1 constraint"]
-    method.append("exact weak constraint" if tight else "crude-upper weak normalization")
-    return NormEstimate(
-        lower=val,
-        upper=math.inf,
-        lower_certified=True,
-        upper_certified=False,
-        method=tuple(method),
-        witness=witness,
-    )
+    method = ("witness search", "weak-1 constraint")
+    return _pi_lower(T, 1.0, q, cfg or OptimizerConfig(), 23, method)

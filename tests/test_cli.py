@@ -64,6 +64,10 @@ def test_norm_input_errors(space_file, capsys, tmp_path):
     assert main(["norm", "--space", space_file, "--expr", "abs(", "--p", "1"]) == 1
     # unbound generator
     assert main(["norm", "--space", space_file, "--expr", "abs(d7)", "--p", "1"]) == 1
+    # nesting beyond the parser's fixed limit
+    deep = "abs(" * 400 + "d0" + ")" * 400
+    assert main(["norm", "--space", space_file, "--expr", deep, "--p", "1"]) == 1
+    assert "field expr: expression nests deeper" in capsys.readouterr().err
     # bad p
     assert main(["norm", "--space", space_file, "--expr", "abs(d0)", "--p", "0.3"]) == 1
     # missing file
@@ -72,6 +76,26 @@ def test_norm_input_errors(space_file, capsys, tmp_path):
     # bad flags (argparse) map to exit 1
     assert main(["norm", "--expr", "abs(d0)"]) == 1
     capsys.readouterr()
+
+
+def test_norm_long_moduli_sum(tmp_path, capsys):
+    """A 1500-term sum of moduli over L_1 goes through the CLI; its p = 1
+    norm is the sum of the vector norms."""
+    space = SpaceSpec(1.0, 3, (1.0, 0.5, 2.0))
+    X = np.random.default_rng(3).standard_normal((1500, 3))
+    spath, bpath = tmp_path / "space.json", tmp_path / "binding.json"
+    spath.write_text(json.dumps(space_to_json(space)))
+    bpath.write_text(json.dumps(GeneratorBinding.from_matrix(space, X).to_json()))
+    expr = "+".join(f"abs(d{k})" for k in range(1500))
+    code, out = _run(
+        capsys,
+        ["norm", "--space", str(spath), "--binding", str(bpath), "--expr", expr, "--p", "1"],
+    )
+    assert code == 0
+    target = float(np.sum(np.abs(X) * np.array(space.weights)))
+    payload = json.loads(out)
+    assert payload["lower"] == pytest.approx(target, rel=1e-12)
+    assert payload["upper"] == pytest.approx(target, rel=1e-12)
 
 
 def test_summing_closed_form(tmp_path, capsys):

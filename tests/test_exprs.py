@@ -1,11 +1,14 @@
 """Lattice expressions: evaluation identities, pushforward, DSL."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fblab import (
     Abs,
+    Add,
     Gen,
     GeneratorBinding,
     Join,
@@ -20,8 +23,10 @@ from fblab import (
     disjointness_check,
     dual_space,
     eval_expr,
+    eval_pairings,
     eval_rows,
     expr_to_text,
+    fbl_norm,
     hom_image,
     homogeneity_check,
     lipschitz_bound,
@@ -217,3 +222,172 @@ def test_positive_homogeneity_property(coeffs, lam):
     assert eval_expr(e, b, lam * f) == pytest.approx(
         lam * eval_expr(e, b, f), rel=1e-9, abs=1e-9
     )
+
+
+# --------------------------------------------------------------------------
+# deep and shared expressions: every walk is a loop over one program
+# --------------------------------------------------------------------------
+
+DEEP = 10**4
+
+
+def test_deep_moduli_sum():
+    """A left-deep sum of 10^4 scaled moduli over a weighted L_1 evaluates,
+    bounds, prints and is recognized; its p = 1 norm is sum a_k ||x_k||."""
+    rng = np.random.default_rng(15)
+    space = SpaceSpec(1.0, 5, tuple(rng.uniform(0.5, 1.5, 5)))
+    X = rng.standard_normal((DEEP, 5))
+    a = rng.uniform(0.5, 1.5, DEEP)
+    b = GeneratorBinding.from_matrix(space, X)
+    e = Abs(Gen(0)) * a[0]
+    for k in range(1, DEEP):
+        e = e + Abs(Gen(k)) * a[k]
+    w = np.asarray(space.weights)
+    target = float(a @ (np.abs(X) * w).sum(axis=1))
+
+    F = rng.standard_normal((20, 5))
+    reference = np.abs(F @ (X * w).T) @ a
+    assert np.allclose(eval_rows(e, b, F), reference, rtol=1e-12, atol=0)
+    assert mass_bound(e, b) == pytest.approx(target, rel=1e-12)
+    assert lipschitz_bound(e, b) == mass_bound(e, b)  # no join or meet
+    assert max_generator_index(e) == DEEP - 1
+    assert recognize_moduli_combination(e) == {k: a[k] for k in range(DEEP)}
+    text = expr_to_text(e)
+    assert text.count("abs(d") == DEEP and text.endswith(f"*(abs(d{DEEP - 1})))")
+
+    est = fbl_norm(e, b, 1.0)
+    assert est.lower == pytest.approx(target, rel=1e-12)
+    assert est.upper == pytest.approx(target, rel=1e-12)
+
+
+def test_deep_nested_chain():
+    """10^4 nested negations of d0 are d0 again."""
+    b = _binding(seed=16)
+    e = Gen(0)
+    for _ in range(DEEP):
+        e = Neg(e)
+    fs = np.array(sample_sphere(dual_space(b.space), 10, seed=5))
+    assert np.array_equal(eval_rows(e, b, fs), eval_rows(Gen(0), b, fs))
+    assert mass_bound(e, b) == lipschitz_bound(e, b) == norm(b.space, b.matrix[0])
+    assert max_generator_index(e) == 0
+    assert recognize_moduli_combination(e) is None
+    assert expr_to_text(e) == "-(" * DEEP + "d0" + ")" * DEEP
+
+
+def _subtree():
+    return Join(Abs(Gen(0)) * 2.0, Gen(1) - Gen(2))
+
+
+def test_shared_subtree_evaluates_as_a_copy():
+    b = _binding(seed=17)
+    fs = np.array(sample_sphere(dual_space(b.space), 40, seed=6))
+    s = _subtree()
+    shared = Add(s, Meet(PowerSum(2.0, (s, Gen(1), s)), Neg(s)))
+    unshared = Add(
+        _subtree(), Meet(PowerSum(2.0, (_subtree(), Gen(1), _subtree())), Neg(_subtree()))
+    )
+    assert np.array_equal(eval_rows(shared, b, fs), eval_rows(unshared, b, fs))
+    assert mass_bound(shared, b) == mass_bound(unshared, b)
+    assert lipschitz_bound(shared, b) == lipschitz_bound(unshared, b)
+    assert expr_to_text(shared) == expr_to_text(unshared)
+    # a shared modulus repeats its generator
+    t = Abs(Gen(1))
+    assert recognize_moduli_combination(t + t) is None
+    assert recognize_moduli_combination(t * 2.0 + Abs(Gen(0))) == {1: 2.0, 0: 1.0}
+
+
+def test_doubling_chain_is_linear_in_distinct_nodes():
+    """x -> x + x sixty times: 2^60 leaves but 61 distinct nodes."""
+    b = _binding(seed=18)
+    e = Gen(0)
+    for _ in range(60):
+        e = e + e
+    fs = np.array(sample_sphere(dual_space(b.space), 5, seed=7))
+    assert np.array_equal(eval_rows(e, b, fs), 2.0**60 * eval_rows(Gen(0), b, fs))
+    assert mass_bound(e, b) == 2.0**60 * norm(b.space, b.matrix[0])
+    assert recognize_moduli_combination(e) is None
+
+
+def test_dsl_nesting_limit():
+    deepest = parse_expr("abs(" * 100 + "d0" + ")" * 100)
+    assert np.array_equal(eval_rows(deepest, _binding(), np.eye(3)), np.abs(_binding().matrix[0]))
+    with pytest.raises(ValueError, match="nests deeper"):
+        parse_expr("abs(" * 101 + "d0" + ")" * 101)
+    with pytest.raises(ValueError, match="nests deeper"):
+        parse_expr("(" * 400 + "d0" + ")" * 400)
+
+
+# --------------------------------------------------------------------------
+# the binding holds its vectors once, read-only
+# --------------------------------------------------------------------------
+
+
+def test_binding_matrix_is_read_only_and_copied():
+    X = np.arange(6.0).reshape(2, 3)
+    b = GeneratorBinding.from_matrix(SpaceSpec(2.0, 3), X)
+    with pytest.raises(ValueError):
+        b.matrix[0, 0] = 1.0
+    X[0, 0] = 99.0
+    assert b.matrix[0, 0] == 0.0 and b.matrix is b.vectors
+    tuples = GeneratorBinding(SpaceSpec(2.0, 3), ((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)))
+    assert np.array_equal(tuples.matrix, b.matrix) and not tuples.matrix.flags.writeable
+
+
+def test_binding_json_round_trip():
+    rng = np.random.default_rng(19)
+    X = rng.standard_normal((4, 3))
+    b = GeneratorBinding.from_matrix(SpaceSpec(3.0, 3, (1.0, 0.5, 2.0)), X)
+    text = json.dumps(b.to_json())
+    assert json.loads(text)["vectors"] == [[float(v) for v in row] for row in X]
+    again = GeneratorBinding.from_json(json.loads(text))
+    assert again.space == b.space and np.array_equal(again.matrix, X)
+    assert json.dumps(again.to_json()) == text
+
+
+def _reference_eval(e, P):
+    """The direct recursive evaluation: the same numpy operations in the
+    same order as the program, so the two agree bit for bit."""
+    if isinstance(e, Gen):
+        return P[:, e.index]
+    if isinstance(e, Scale):
+        return e.c * _reference_eval(e.e, P)
+    if isinstance(e, Add):
+        return _reference_eval(e.left, P) + _reference_eval(e.right, P)
+    if isinstance(e, Neg):
+        return -_reference_eval(e.e, P)
+    if isinstance(e, Abs):
+        return np.abs(_reference_eval(e.e, P))
+    if isinstance(e, Join):
+        return np.maximum(_reference_eval(e.left, P), _reference_eval(e.right, P))
+    if isinstance(e, Meet):
+        return np.minimum(_reference_eval(e.left, P), _reference_eval(e.right, P))
+    if isinstance(e, PosPart):
+        return np.maximum(_reference_eval(e.e, P), 0.0)
+    acc = np.zeros(P.shape[0])
+    for part in e.parts:
+        acc = acc + np.abs(_reference_eval(part, P)) ** e.q
+    return acc ** (1.0 / e.q)
+
+
+def _random_expr(rng, depth):
+    kind = int(rng.integers(9)) if depth else 0
+    if kind == 0:
+        return Gen(int(rng.integers(3)))
+    if kind == 1:
+        return Scale(float(rng.normal()), _random_expr(rng, depth - 1))
+    if kind <= 4:
+        return (Neg, Abs, PosPart)[kind - 2](_random_expr(rng, depth - 1))
+    if kind <= 7:
+        left = _random_expr(rng, depth - 1)
+        return (Add, Join, Meet)[kind - 5](left, _random_expr(rng, depth - 1))
+    parts = tuple(_random_expr(rng, depth - 1) for _ in range(3))
+    return PowerSum(float(rng.choice([1.0, 1.5, 3.0])), parts)
+
+
+def test_program_matches_recursive_reference():
+    rng = np.random.default_rng(20)
+    b = _binding(seed=21)
+    P = b.pairings(np.array(sample_sphere(dual_space(b.space), 15, seed=8)))
+    for _ in range(300):
+        e = _random_expr(rng, 5)
+        assert np.array_equal(eval_pairings(e, P), _reference_eval(e, P))
