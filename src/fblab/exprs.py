@@ -197,11 +197,16 @@ class GeneratorBinding:
     def count(self) -> int:
         return self.vectors.shape[0]
 
+    @cached_property
+    def _weighted_t(self) -> np.ndarray:
+        # a transposed view, not a contiguous copy: pairings keeps its BLAS call
+        return (self.matrix * self.space.weight_array).T
+
     def pairings(self, functionals: np.ndarray) -> np.ndarray:
         """<f_row, x_i> for each functional row and each bound vector:
         shape (rows, count)."""
         f = np.atleast_2d(np.asarray(functionals, dtype=float))
-        return f @ (self.matrix * self.space.weight_array).T
+        return f @ self._weighted_t
 
     def to_json(self) -> dict:
         return {"space": space_to_json(self.space), "vectors": self.vectors.tolist()}
@@ -564,19 +569,27 @@ def parse_expr(text: str) -> LatticeExpr:
     return _Parser(tokens).parse()
 
 
-# the text of each node kind; powersum[q](...) is not parsed back
+# each node kind's text as a rope, a string or a tuple of ropes; powersum is not parsed back
 _TEXT = {
     Gen: lambda n, v, k, _: f"d{n.index}",
-    Scale: lambda n, v, k, _: f"{n.c:g}*({v[k[0]]})",
-    Add: lambda n, v, k, _: f"({v[k[0]]}) + ({v[k[1]]})",
-    Neg: lambda n, v, k, _: f"-({v[k[0]]})",
-    Abs: lambda n, v, k, _: f"abs({v[k[0]]})",
-    Join: lambda n, v, k, _: f"max({v[k[0]]}, {v[k[1]]})",
-    Meet: lambda n, v, k, _: f"min({v[k[0]]}, {v[k[1]]})",
-    PosPart: lambda n, v, k, _: f"pos({v[k[0]]})",
-    PowerSum: lambda n, v, k, _: f"powersum[{n.q:g}]({', '.join(v[j] for j in k)})",
+    Scale: lambda n, v, k, _: (f"{n.c:g}*(", v[k[0]], ")"),
+    Add: lambda n, v, k, _: ("(", v[k[0]], ") + (", v[k[1]], ")"),
+    Neg: lambda n, v, k, _: ("-(", v[k[0]], ")"),
+    Abs: lambda n, v, k, _: ("abs(", v[k[0]], ")"),
+    Join: lambda n, v, k, _: ("max(", v[k[0]], ", ", v[k[1]], ")"),
+    Meet: lambda n, v, k, _: ("min(", v[k[0]], ", ", v[k[1]], ")"),
+    PosPart: lambda n, v, k, _: ("pos(", v[k[0]], ")"),
+    PowerSum: lambda n, v, k, _: (f"powersum[{n.q:g}](", v[k[0]], *((", ", v[j]) for j in k[1:]), ")"),
 }
 
 
 def expr_to_text(e: LatticeExpr) -> str:
-    return _fold(e, _TEXT, None)
+    """The DSL text of e, in time linear in its length."""
+    pieces, todo = [], [_fold(e, _TEXT, None)]
+    while todo:
+        rope = todo.pop()
+        if isinstance(rope, str):
+            pieces.append(rope)
+        else:
+            todo += reversed(rope)
+    return "".join(pieces)

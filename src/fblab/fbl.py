@@ -41,7 +41,7 @@ from .exprs import (
     recognize_moduli_combination,
 )
 from .operators import tuple_map
-from .optimize import OptimizerConfig, restart_rng
+from .optimize import OptimizerConfig, nelder_mead_rows, restart_rng
 from .spaces import (
     SpaceSpec,
     dual_space,
@@ -229,39 +229,14 @@ def fbl_norm(
 # --------------------------------------------------------------------------
 
 
-def _dual_sphere_polish(
-    e: LatticeExpr, b: GeneratorBinding, y0: np.ndarray, cfg: OptimizerConfig
-) -> tuple[float, np.ndarray]:
-    """Local maximization of |eval| / dual-norm starting from y0."""
-    Ed = dual_space(b.space)
-
-    def ratio(y: np.ndarray) -> float:
-        n = norm(Ed, y)
-        if n <= 1e-14:
-            return 0.0
-        return abs(float(eval_rows(e, b, y[None, :])[0])) / n
-
-    from scipy.optimize import minimize
-
-    res = minimize(
-        lambda y: -ratio(y),
-        y0,
-        method="Nelder-Mead",
-        options={"maxfev": 200 * b.space.dim, "xatol": 1e-10, "fatol": 1e-12},
-    )
-    y = res.x if np.all(np.isfinite(res.x)) else y0
-    v = ratio(y)
-    v0 = ratio(y0)
-    # the witness goes back on the dual sphere, as its constraint 1 says
-    return (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
-
-
 def fbl_infty_norm(
     e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig | None = None
 ) -> NormEstimate:
     """sup of |eval(e, .)| over the dual unit sphere.
 
-    The lower bound is certified (attained at explicit functionals).  A
+    The lower bound is certified (attained at explicit functionals): the
+    best candidate, or a better point of |eval| / dual norm found from the
+    six best by one lockstep Nelder-Mead (``nelder_mead_rows``).  A
     certified upper bound is produced only for dual dimension <= 3, by a
     Lipschitz-padded grid over the dual sphere; extreme points are
     deliberately *not* used as an upper bound, since the sup of a
@@ -273,28 +248,30 @@ def fbl_infty_norm(
     Ed = dual_space(E)
     dim = E.dim
 
-    candidates: list[np.ndarray] = []
-    eye = np.eye(dim)
-    for i in range(dim):
-        candidates.append(eye[i] / norm(Ed, eye[i]))
-    for x in b.matrix:
-        candidates.append(norming_functional(E, x))
+    candidates = [y / norm(Ed, y) for y in np.eye(dim)]
+    candidates += [norming_functional(E, x) for x in b.matrix]
     for k in range(cfg.restarts):
-        rng = restart_rng(cfg, k, salt=47)
-        y = rng.standard_normal(dim)
+        y = restart_rng(cfg, k, salt=47).standard_normal(dim)
         n = norm(Ed, y)
         if n > 1e-14:
             candidates.append(y / n)
 
     vals = np.abs(eval_rows(e, b, np.array(candidates)))
     order = np.argsort(-vals)
-    best_val = float(vals[order[0]])
-    best_y = candidates[int(order[0])]
+    best_val, best_y = float(vals[order[0]]), candidates[int(order[0])]
     if cfg.polish:
-        for i in order[: min(6, len(candidates))]:
-            v, y = _dual_sphere_polish(e, b, candidates[int(i)], cfg)
+        def ratio(Y: np.ndarray) -> np.ndarray:
+            n = norms_rows(Ed, Y)
+            return np.divide(np.abs(eval_rows(e, b, Y)), n, out=np.zeros_like(n), where=n > 1e-14)
+
+        Y0 = np.array([candidates[int(i)] for i in order[:6]])
+        Y, _, _ = nelder_mead_rows(lambda Y: -ratio(Y), Y0, 200 * dim, 1e-10, 1e-12)
+        Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
+        for v, v0, y, y0 in zip(*np.split(ratio(np.vstack([Y, Y0])), 2), Y, Y0):
+            # a polished witness goes back on the dual sphere (constraint 1)
+            v, y = (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
             if v > best_val:
-                best_val, best_y = v, y
+                best_val, best_y = float(v), y
 
     method = ["dual-sphere multistart"]
     if dim <= 3:

@@ -73,9 +73,11 @@ class SpaceSpec:
         object.__setattr__(self, "weights", tuple(float(wi) for wi in w))
         object.__setattr__(self, "r", float(self.r))
 
-    @property
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+    @functools.cached_property
+    def weight_array(self) -> np.ndarray:  # read-only, built once per spec
+        w = np.array(self.weights, dtype=float)
+        w.flags.writeable = False
+        return w
 
     @property
     def is_sup(self) -> bool:

@@ -1,5 +1,6 @@
 """Lattice expressions: evaluation identities, pushforward, DSL."""
 
+import functools
 import json
 
 import numpy as np
@@ -36,7 +37,7 @@ from fblab import (
     pushforward,
     sample_sphere,
 )
-from fblab.exprs import max_generator_index, recognize_moduli_combination
+from fblab.exprs import _fold, max_generator_index, recognize_moduli_combination
 
 
 def _binding(dim=3, count=3, seed=0, r=2.0):
@@ -333,6 +334,17 @@ def test_binding_matrix_is_read_only_and_copied():
     assert np.array_equal(tuples.matrix, b.matrix) and not tuples.matrix.flags.writeable
 
 
+def test_binding_pairings_reuse_one_weighted_view():
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((4, 3))
+    b = GeneratorBinding.from_matrix(SpaceSpec(3.0, 3, (1.0, 0.5, 2.0)), X)
+    F = rng.standard_normal((7, 3))
+    weighted = (X * b.space.weight_array).T
+    assert b._weighted_t is b._weighted_t
+    assert b._weighted_t.strides == weighted.strides
+    assert np.array_equal(b.pairings(F), F @ weighted)
+
+
 def test_binding_json_round_trip():
     rng = np.random.default_rng(19)
     X = rng.standard_normal((4, 3))
@@ -391,3 +403,27 @@ def test_program_matches_recursive_reference():
     for _ in range(300):
         e = _random_expr(rng, 5)
         assert np.array_equal(eval_pairings(e, P), _reference_eval(e, P))
+
+
+# the reference text: each node's string built from its children's strings
+# (quadratic in the length of a left-deep sum, but plainly right)
+_REFERENCE_TEXT = {
+    Gen: lambda n, v, k, _: f"d{n.index}",
+    Scale: lambda n, v, k, _: f"{n.c:g}*({v[k[0]]})",
+    Add: lambda n, v, k, _: f"({v[k[0]]}) + ({v[k[1]]})",
+    Neg: lambda n, v, k, _: f"-({v[k[0]]})",
+    Abs: lambda n, v, k, _: f"abs({v[k[0]]})",
+    Join: lambda n, v, k, _: f"max({v[k[0]]}, {v[k[1]]})",
+    Meet: lambda n, v, k, _: f"min({v[k[0]]}, {v[k[1]]})",
+    PosPart: lambda n, v, k, _: f"pos({v[k[0]]})",
+    PowerSum: lambda n, v, k, _: f"powersum[{n.q:g}]({', '.join(v[j] for j in k)})",
+}
+
+
+def test_text_matches_per_node_strings():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        e = _random_expr(rng, 5)
+        assert expr_to_text(e) == _fold(e, _REFERENCE_TEXT, None)
+    long_sum = functools.reduce(Add, [Abs(Gen(k)) for k in range(30_000)])
+    assert expr_to_text(long_sum) == _fold(long_sum, _REFERENCE_TEXT, None)

@@ -95,6 +95,17 @@ def test_norms_rows_matches_scalar():
             assert abs(batch[i] - norm(space, rows[i])) <= 1e-12
 
 
+def test_weight_array_is_built_once_and_read_only():
+    E = SpaceSpec(2.0, 3, (0.5, 1.0, 2.0))
+    w = E.weight_array
+    assert w is E.weight_array and not w.flags.writeable
+    assert w.tolist() == list(E.weights)
+    with pytest.raises(ValueError):
+        w[0] = 3.0
+    assert E == SpaceSpec(2.0, 3, (0.5, 1.0, 2.0))
+    assert hash(E) == hash(SpaceSpec(2.0, 3, (0.5, 1.0, 2.0)))
+
+
 def test_extreme_points_l1_and_sup():
     E1 = SpaceSpec(1.0, 3, (0.5, 1.0, 2.0))
     pts = extreme_points_matrix(E1)

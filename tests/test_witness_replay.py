@@ -9,6 +9,7 @@ The embedding-gap witnesses are replayed in ``test_extension.py``.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,16 +96,26 @@ def test_fbl_norm_witness_replays_over_weighted_euclidean_space():
     assert _lp(_expr_values(Y @ (X * w).T), 1.0) >= est.lower - 1e-9
 
 
-@pytest.mark.parametrize("r", [2.0, math.inf])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, math.inf])
 def test_fbl_infty_norm_witness_is_on_the_dual_sphere(r):
     E = SpaceSpec(r, 4, (0.5, 1.0, 1.5, 2.0))
     b, X = _fbl_case(E, 2)
     est = fbl_infty_norm(EXPR, b, CFG)
     y = est.witness.matrix[0]
     w = E.weight_array
-    dual = np.sum(w * np.abs(y)) if math.isinf(r) else math.sqrt(np.sum(w * y * y))
+    if r == 1:
+        dual = np.max(np.abs(y))
+    elif math.isinf(r):
+        dual = np.sum(w * np.abs(y))
+    else:
+        q = r / (r - 1.0)
+        dual = np.sum(w * np.abs(y) ** q) ** (1.0 / q)
     assert dual <= 1.0 + 1e-9
     assert abs(_expr_values((y * w @ X.T)[None, :])[0]) >= est.lower - 1e-9
+    # the polish starts from the best candidates and keeps a start it
+    # cannot improve
+    unpolished = fbl_infty_norm(EXPR, b, replace(CFG, polish=False))
+    assert est.lower >= unpolished.lower
 
 
 def _summing_case():
