@@ -7,38 +7,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spaces import _readonly
+
 __all__ = ["NormEstimate", "WitnessFamily"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessFamily:
-    """A finite tuple of dual functionals feasible for a weak-p constraint.
+    """A finite tuple of dual functionals feasible for a weak-p constraint,
+    copied once into the rows of a read-only float array.
 
     ``constraint`` is the weak-p norm of the (already normalized) family;
-    ``objective`` is the value the family certifies.
+    ``objective`` is the value the family certifies.  Families compare by
+    identity.
     """
 
-    functionals: tuple[tuple[float, ...], ...]
+    functionals: np.ndarray
     p: float
     constraint: float
     objective: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "functionals", _readonly(np.atleast_2d(self.functionals)))
+        for name in ("p", "constraint", "objective"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     @property
     def matrix(self) -> np.ndarray:
-        return np.asarray(self.functionals, dtype=float)
-
-    @staticmethod
-    def from_matrix(fam: np.ndarray, p: float, constraint: float, objective: float) -> "WitnessFamily":
-        return WitnessFamily(
-            functionals=tuple(tuple(float(v) for v in row) for row in np.atleast_2d(fam)),
-            p=float(p),
-            constraint=float(constraint),
-            objective=float(objective),
-        )
+        return self.functionals
 
     def to_json(self) -> dict:
         return {
-            "functionals": [list(row) for row in self.functionals],
+            "functionals": self.functionals.tolist(),
             "p": "inf" if math.isinf(self.p) else self.p,
             "constraint": self.constraint,
             "objective": self.objective,

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import LinearMap
-from .spaces import SpaceSpec, dual_space, norm, sample_sphere, space_from_json, space_to_json
+from .spaces import SpaceSpec, _readonly, dual_space, norm, sample_sphere, space_from_json, space_to_json
 
 __all__ = [
     "LatticeExpr",
@@ -177,12 +177,11 @@ class GeneratorBinding:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(np.atleast_2d(self.vectors), dtype=float)
+        m = _readonly(np.atleast_2d(self.vectors))
         if m.ndim != 2 or m.shape[1] != self.space.dim:
             raise ValueError("binding vectors must live in the binding space")
         if not np.all(np.isfinite(m)):
             raise ValueError("binding vectors must have finite entries")
-        m.flags.writeable = False
         object.__setattr__(self, "vectors", m)
 
     @staticmethod
@@ -300,7 +299,7 @@ def pushforward(
     """
     if T.domain != b.space:
         raise ValueError("map domain does not match the binding space")
-    new_vectors = b.matrix @ T.array.T
+    new_vectors = b.matrix @ T.matrix.T
     return e, GeneratorBinding.from_matrix(T.codomain, new_vectors)
 
 

@@ -49,7 +49,9 @@ from .operators import LinearMap, _multistart_ascent, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
+    _readonly,
     _signs,
+    dual_space,
     norm,
     norms_rows,
     space_from_json,
@@ -99,19 +101,17 @@ class SubspaceSpec:
         B = np.atleast_2d(np.asarray(basis, dtype=float))
         C = np.asarray(complement_basis, dtype=float)
         C = C.reshape(0, ambient.dim) if C.size == 0 else np.atleast_2d(C)
-        return SubspaceSpec(
-            ambient,
-            tuple(tuple(float(v) for v in row) for row in B),
-            tuple(tuple(float(v) for v in row) for row in C),
-        )
+        if B.ndim != 2 or C.ndim != 2:
+            raise ValueError("basis and complement basis must be 2-d arrays of vectors")
+        return SubspaceSpec(ambient, tuple(map(tuple, B.tolist())), tuple(map(tuple, C.tolist())))
 
-    @property
-    def basis_matrix(self) -> np.ndarray:
-        return np.asarray(self.basis, dtype=float)
+    @cached_property
+    def basis_matrix(self) -> np.ndarray:  # read-only, built once per subspace
+        return _readonly(self.basis)
 
-    @property
-    def complement_matrix(self) -> np.ndarray:
-        a = np.asarray(self.complement_basis, dtype=float)
+    @cached_property
+    def complement_matrix(self) -> np.ndarray:  # read-only, (0, n) for F = E
+        a = _readonly(self.complement_basis)
         return a.reshape(0, self.ambient.dim) if a.size == 0 else a
 
     @property
@@ -164,9 +164,7 @@ def subspace_from_json(obj: dict) -> SubspaceSpec:
         if key not in obj:
             raise ValueError(f"subspace JSON requires field '{key}'")
     return SubspaceSpec.from_arrays(
-        space_from_json(obj["ambient"]),
-        np.asarray(obj["basis"], dtype=float),
-        np.asarray(obj["complement_basis"], dtype=float),
+        space_from_json(obj["ambient"]), obj["basis"], obj["complement_basis"]
     )
 
 
@@ -223,9 +221,7 @@ def _section_vertices(E: SpaceSpec, B: np.ndarray) -> np.ndarray | None:
     X = np.vstack([X, -X])
     X = X / norms_rows(E, X @ B)[:, None]
     _, first = np.unique(np.round(X / np.max(np.abs(X)), 12), axis=0, return_index=True)
-    V = X[np.sort(first)]
-    V.flags.writeable = False
-    return V
+    return _readonly(X[np.sort(first)])
 
 
 def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | None:
@@ -346,8 +342,6 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     w = E.weight_array
     # lift: phi in E* with restriction g, i.e. (B * w) @ phi = g
     phi, *_ = np.linalg.lstsq(B * w, np.asarray(g, dtype=float), rcond=None)
-    from .spaces import dual_space
-
     return norm(dual_space(E), phi)
 
 
@@ -439,7 +433,7 @@ def extension_constant(
     if not (abs(T.codomain.r - p) <= 1e-12):
         raise ValueError("codomain exponent must equal p")
 
-    M = T.array
+    M = T.matrix
     cod = T.codomain
     denom, c_star = _operator_norm_over_F(sub, M, cod, cfg)
     if denom <= 1e-14:
@@ -461,7 +455,7 @@ def extension_constant(
     if n == k:
         Te = assembled(np.zeros(0))
         est = operator_norm(Te, cfg)
-        lo = max(est.lower, norm(cod, Te.array @ sub.embed(c_star)))
+        lo = max(est.lower, norm(cod, Te.matrix @ sub.embed(c_star)))
         up = est.upper
         upper = max(up / denom, 1.0)
         return NormEstimate(
@@ -503,9 +497,7 @@ def extension_constant(
         True,
         method=("outer minimization over complement values",
                 "upper bound on the infimum"),
-        witness=WitnessFamily.from_matrix(
-            assembled(best_W).array, p, denom, ratio_upper
-        ),
+        witness=WitnessFamily(assembled(best_W).matrix, p, denom, ratio_upper),
     )
 
 
@@ -587,7 +579,7 @@ def embedding_gap(
                     lower_certified=ambient_est.lower_certified,
                     upper_certified=ambient_est.upper_certified,
                     method=ambient_est.method + ("lifted subspace witness",),
-                    witness=WitnessFamily.from_matrix(Y / w_up, p, 1.0, amb_val),
+                    witness=WitnessFamily(Y / w_up, p, 1.0, amb_val),
                 )
 
     denom = max(ambient_est.lower, 1e-300)

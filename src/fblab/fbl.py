@@ -197,9 +197,7 @@ def fbl_norm(
             method_upper = ["exact p=1 moduli value"]
 
     if exact_value is not None:
-        witness = WitnessFamily.from_matrix(
-            np.eye(b.space.dim), p, 1.0, exact_value
-        )
+        witness = WitnessFamily(np.eye(b.space.dim), p, 1.0, exact_value)
         return NormEstimate(
             exact_value,
             exact_value,
@@ -284,7 +282,7 @@ def fbl_infty_norm(
         method.append("upper not certified (dual dim > 3)")
         upper_certified = False
 
-    witness = WitnessFamily.from_matrix(best_y[None, :], math.inf, 1.0, best_val)
+    witness = WitnessFamily(best_y[None, :], math.inf, 1.0, best_val)
     return NormEstimate(
         lower=best_val,
         upper=upper,
@@ -365,10 +363,7 @@ def moduli_norm(
         raise ValueError("one coefficient per vector required")
     scaled = a[:, None] * X
     n = X.shape[0]
-    if math.isinf(p):
-        T = tuple_map(scaled, E, SpaceSpec(math.inf, n))
-    else:
-        T = tuple_map(scaled, E, SpaceSpec(p, n))
+    T = tuple_map(scaled, E, SpaceSpec(p, n))
 
     if p == 1 and E.r == 1:
         val = pi_1_exact_Linfty_domain(T)

@@ -20,6 +20,7 @@ from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
     _max_signed_sum,
+    _readonly,
     dual_space,
     extreme_points_matrix,
     functional_norm,
@@ -41,14 +42,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearMap:
-    matrix: tuple[tuple[float, ...], ...]
+    """The map x -> matrix @ x, its matrix copied once into a read-only
+    float array.  Maps compare by identity."""
+
+    matrix: np.ndarray
     domain: SpaceSpec
     codomain: SpaceSpec
 
     def __post_init__(self) -> None:
-        a = self.array
+        a = _readonly(np.atleast_2d(self.matrix))
         if a.shape != (self.codomain.dim, self.domain.dim):
             raise ValueError(
                 f"matrix shape {a.shape} does not match map "
@@ -56,18 +60,14 @@ class LinearMap:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
+        object.__setattr__(self, "matrix", a)
 
     @staticmethod
     def from_array(a: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec) -> "LinearMap":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        return LinearMap(tuple(tuple(float(v) for v in row) for row in a), domain, codomain)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.matrix, dtype=float)
+        return LinearMap(a, domain, codomain)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.array @ self.domain.check_point(x)
+        return self.matrix @ self.domain.check_point(x)
 
 
 def tuple_map(vectors: np.ndarray, space: SpaceSpec, codomain: SpaceSpec) -> LinearMap:
@@ -90,7 +90,7 @@ def adjoint(T: LinearMap) -> LinearMap:
     pairing(T* f, x) over the domain equals pairing(f, T x) over the codomain."""
     wd = T.domain.weight_array
     wc = T.codomain.weight_array
-    a = (T.array * wc[:, None]).T / wd[:, None]
+    a = (T.matrix * wc[:, None]).T / wd[:, None]
     return LinearMap.from_array(a, dual_space(T.codomain), dual_space(T.domain))
 
 
@@ -111,22 +111,23 @@ def _norm_gradient(space: SpaceSpec, y: np.ndarray) -> np.ndarray:
     return w * np.sign(y) * np.abs(y) ** (space.r - 1.0) / n ** (space.r - 1.0)
 
 
+_ASCENT_MAX_ITER, _ASCENT_TOL = 200, 1e-10  # steps and relative stopping tolerance of one ascent
+
+
 def _ascend(
     a: np.ndarray,
     codomain: SpaceSpec,
     x: np.ndarray,
     linear_max: Callable[[np.ndarray], np.ndarray],
-    max_iter: int,
-    tol: float,
 ) -> tuple[float, np.ndarray]:
     """Conditional-gradient ascent for the convex objective ||a x|| on a
     convex body: linearize at x, move to the body point ``linear_max(g)``
     maximizing the linearization g . x.  Monotone."""
     val = norm(codomain, a @ x)
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_MAX_ITER):
         x_new = linear_max(a.T @ _norm_gradient(codomain, a @ x))
         new_val = norm(codomain, a @ x_new)
-        if new_val <= val + tol * max(1.0, val):
+        if new_val <= val + _ASCENT_TOL * max(1.0, val):
             if new_val > val:
                 val, x = new_val, x_new
             break
@@ -154,7 +155,7 @@ def _multistart_ascent(
         n0 = body_norm(x0)
         if n0 <= 1e-14:
             continue
-        val, x = _ascend(a, codomain, x0 / n0, linear_max, cfg.max_iter, cfg.tol)
+        val, x = _ascend(a, codomain, x0 / n0, linear_max)
         if val > best_val:
             best_val, best_x = val, x
     return best_val, best_x
@@ -170,8 +171,8 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     is the crude row-norm bound.
     """
     cfg = cfg or OptimizerConfig()
-    a = T.array
-    if is_polytopal(T.domain, cfg.extreme_enum_cap):
+    a = T.matrix
+    if is_polytopal(T.domain):
         if T.domain.is_sup:  # the vertex s maps to s @ a.T; s_0 = +1 by symmetry
             val = _max_signed_sum(a.T, T.codomain)
         else:
@@ -207,7 +208,7 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
 
 def map_to_json(T: LinearMap) -> dict:
     return {
-        "matrix": [list(row) for row in T.matrix],
+        "matrix": T.matrix.tolist(),
         "domain": space_to_json(T.domain),
         "codomain": space_to_json(T.codomain),
     }
@@ -217,8 +218,8 @@ def map_from_json(obj: dict) -> LinearMap:
     for key in ("matrix", "domain", "codomain"):
         if key not in obj:
             raise ValueError(f"linear map JSON requires field '{key}'")
-    return LinearMap.from_array(
-        np.asarray(obj["matrix"], dtype=float),
+    return LinearMap(
+        obj["matrix"],
         space_from_json(obj["domain"]),
         space_from_json(obj["codomain"]),
     )

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optimize import OptimizerConfig
-
 __all__ = [
     "SpaceSpec",
     "norm",
@@ -40,6 +38,13 @@ __all__ = [
     "space_to_json",
     "space_from_json",
 ]
+
+
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of an array-like."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def _conjugate_exponent(r: float) -> float:
@@ -75,9 +80,7 @@ class SpaceSpec:
 
     @functools.cached_property
     def weight_array(self) -> np.ndarray:  # read-only, built once per spec
-        w = np.array(self.weights, dtype=float)
-        w.flags.writeable = False
-        return w
+        return _readonly(self.weights)
 
     @property
     def is_sup(self) -> bool:
@@ -134,17 +137,20 @@ class BallNotPolytopal(Exception):
 
 
 class EnumerationTooLarge(Exception):
-    """A requested exact enumeration exceeds the configured cap."""
+    """A requested exact enumeration exceeds the enumeration cap."""
 
 
-def is_polytopal(space: SpaceSpec, cap: int = OptimizerConfig.extreme_enum_cap) -> bool:
+_EXTREME_ENUM_CAP = 22  # sup-norm balls are enumerated exactly up to 2^22 vertices
+
+
+def is_polytopal(space: SpaceSpec) -> bool:
     """Whether ``extreme_points_matrix`` can enumerate the ball exactly."""
     if space.r == 1:
         return True
-    return space.is_sup and space.dim <= cap
+    return space.is_sup and space.dim <= _EXTREME_ENUM_CAP
 
 
-def extreme_points_matrix(space: SpaceSpec, cap: int = OptimizerConfig.extreme_enum_cap) -> np.ndarray:
+def extreme_points_matrix(space: SpaceSpec) -> np.ndarray:
     """Extreme points of the unit ball as rows, for polytopal balls only.
 
     r = 1: the 2*dim points +-e_i / w_i.  r = infinity: the 2^dim sign
@@ -157,9 +163,9 @@ def extreme_points_matrix(space: SpaceSpec, cap: int = OptimizerConfig.extreme_e
         eye = np.diag(1.0 / w)
         return np.vstack([eye, -eye])
     if space.is_sup:
-        if space.dim > cap:
+        if space.dim > _EXTREME_ENUM_CAP:
             raise EnumerationTooLarge(
-                f"2^{space.dim} sign patterns exceed the 2^{cap} enumeration cap"
+                f"2^{space.dim} sign patterns exceed the 2^{_EXTREME_ENUM_CAP} enumeration cap"
             )
         return _sign_table(space.dim)
     raise BallNotPolytopal(f"unit ball of ell_{space.r} is not a polytope")
@@ -173,9 +179,7 @@ def _sign_table(k: int) -> np.ndarray:
 @functools.cache
 def _signs(k: int) -> np.ndarray:
     """``_sign_table(k)``, read-only and cached: for the small k of half tables."""
-    s = _sign_table(k)
-    s.flags.writeable = False
-    return s
+    return _readonly(_sign_table(k))
 
 
 # entries in one block of candidates (or broadcast sums) of _max_signed_sum
@@ -300,11 +304,10 @@ def space_to_json(space: SpaceSpec) -> dict:
 def space_from_json(obj: dict) -> SpaceSpec:
     if "r" not in obj or "dim" not in obj:
         raise ValueError("space JSON requires fields 'r' and 'dim'")
-    r = obj["r"]
-    if isinstance(r, str):
-        if r.lower() in ("inf", "infinity", "+inf"):
-            r = math.inf
-        else:
-            r = float(r)
-    weights = tuple(obj.get("weights", ()))
-    return SpaceSpec(float(r), int(obj["dim"]), weights)
+    r, dim, weights = obj["r"], obj["dim"], obj.get("weights", [])
+    if isinstance(r, str) and r.lower() in ("inf", "infinity", "+inf"):
+        r = math.inf
+    numbers = isinstance(weights, list) and all(isinstance(w, (int, float)) for w in weights)
+    if not (isinstance(r, (int, float, str)) and type(dim) is int and numbers):
+        raise ValueError("space JSON needs a number r, an integer dim and a list of numbers as weights")
+    return SpaceSpec(float(r), dim, tuple(weights))

@@ -36,6 +36,7 @@ from .spaces import (
     SpaceSpec,
     _max_signed_sum,
     dual_space,
+    is_polytopal,
     norms_rows,
 )
 
@@ -105,7 +106,7 @@ def _weak_exact(
         if not (space.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim):
             return _max_signed_sum(Y, dual_space(space)), "sign enumeration", cheap
         tag = "sign enumeration"
-    elif space.is_sup and dim <= cfg.extreme_enum_cap:
+    elif space.is_sup and is_polytopal(space):
         cheap = (1 << dim) * N <= (1 << 21)
         tag = "cube-vertex enumeration"
     else:
@@ -231,21 +232,23 @@ def witness_search(
         consider(rng.standard_normal((N, ball.dim)))
 
     if cfg.polish and best_cheap and best_fam.size <= 128:
-        polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam, cfg)
+        polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam)
         if polished is not None:
             consider(polished)
 
     witness = None
     if best_fam is not None:
-        witness = WitnessFamily.from_matrix(best_fam, p, 1.0, best_val)
+        witness = WitnessFamily(best_fam, p, 1.0, best_val)
     return best_val, witness, best_tight
+
+
+_POLISH_ITER = 400  # Powell evaluations per 8 family entries (at most 3000 in all)
 
 
 def _polish_family(
     weak_upper: Callable[[np.ndarray], float],
     objective: Callable[[np.ndarray], float],
     Y0: np.ndarray,
-    cfg: OptimizerConfig,
 ) -> np.ndarray | None:
     """Derivative-free local improvement of objective/weak ratio."""
     from scipy.optimize import minimize
@@ -264,7 +267,7 @@ def _polish_family(
         Y0.ravel(),
         method="Powell",
         options={
-            "maxfev": min(cfg.polish_iter * max(1, N * dim // 8), 3000),
+            "maxfev": min(_POLISH_ITER * max(1, N * dim // 8), 3000),
             "xtol": 1e-10,
             "ftol": 1e-12,
         },
@@ -285,7 +288,7 @@ def _constraint_space(T: LinearMap) -> SpaceSpec:
 
 
 def _pi_objective(T: LinearMap, p: float) -> Callable[[np.ndarray], float]:
-    A = T.array
+    A = T.matrix
 
     def obj(Y: np.ndarray) -> float:
         return lp_combine(norms_rows(T.codomain, Y @ A.T), p)
@@ -297,7 +300,7 @@ def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
     """Structured candidate families for summing-norm lower bounds:
     domain atoms, the raw rows of the map, and Hadamard sign mixes of
     both (the mixes are what realize sqrt(n)-type values)."""
-    A = T.array
+    A = T.matrix
     dim = T.domain.dim
     seeds: list[np.ndarray] = []
     eye = np.eye(dim)
@@ -359,7 +362,7 @@ def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
         w != 1.0 for w in T.codomain.weights
     ):
         raise ValueError("closed form requires an unweighted ell_1 codomain")
-    return float(np.sum(np.abs(T.array)))
+    return float(np.sum(np.abs(T.matrix)))
 
 
 def pi_q1_lower(T: LinearMap, q: float, cfg: OptimizerConfig | None = None) -> NormEstimate:

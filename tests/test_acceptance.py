@@ -378,7 +378,7 @@ def test_criterion_10_pushforward_composition():
         S = LinearMap.from_array(rng.standard_normal((2, 3)), F, G)
         e = Join(Gen(0), Abs(Gen(1)))
         _, b_seq = pushforward(*pushforward(e, b, T), S)
-        _, b_comp = pushforward(e, b, LinearMap.from_array(S.array @ T.array, E, G))
+        _, b_comp = pushforward(e, b, LinearMap.from_array(S.matrix @ T.matrix, E, G))
         assert np.max(np.abs(b_seq.matrix - b_comp.matrix)) <= 1e-12
         # adjoint contract on one random functional
         y = rng.standard_normal(3)

@@ -135,6 +135,42 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+_SPACE_JSON = {"r": 2, "dim": 2, "weights": [1.0, 0.5]}
+_MAP_JSON = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "domain": {"r": "inf", "dim": 2},
+             "codomain": {"r": "inf", "dim": 2}}
+_SUBSPACE_JSON = {"ambient": {"r": 1, "dim": 3}, "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                  "complement_basis": [[0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("space", "r", [2]),
+        ("space", "r", None),
+        ("space", "weights", [[1.0], [2.0]]),
+        ("space", "weights", "ab"),
+        ("space", "dim", 2.5),
+        ("map", "matrix", [[[1.0, 0.0]], [[0.0, 1.0]]]),
+        ("subspace", "basis", [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]),
+    ],
+)
+def test_malformed_json_exits_1(tmp_path, capsys, kind, field, value):
+    """A field of the wrong type or shape is an input error (exit 1): not an
+    internal failure (exit 2), and not a value read some other way (exit 0)."""
+    files = {"space": dict(_SPACE_JSON), "map": dict(_MAP_JSON), "subspace": dict(_SUBSPACE_JSON)}
+    files[kind][field] = value
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    argv = {
+        "space": ["norm", "--space", path["space"], "--expr", "abs(d0)", "--p", "1"],
+        "map": ["summing", "--map", path["map"], "--p", "2"],
+        "subspace": ["extend", "--subspace", path["subspace"], "--map", path["map"], "--p", "inf"],
+    }[kind]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_extend_sup_codomain(tmp_path, capsys):
     E = SpaceSpec(1.0, 3)
     eye = np.eye(3)

@@ -105,7 +105,7 @@ def test_pushforward_composition():
     S = LinearMap.from_array(rng.standard_normal((2, 4)), F, G)
     e = Join(Gen(0), Meet(Gen(1), Abs(Gen(2))))
     _, b_one = pushforward(*pushforward(e, b, T), S)
-    ST = LinearMap.from_array(S.array @ T.array, E, G)
+    ST = LinearMap.from_array(S.matrix @ T.matrix, E, G)
     _, b_two = pushforward(e, b, ST)
     assert np.max(np.abs(b_one.matrix - b_two.matrix)) <= 1e-12
 

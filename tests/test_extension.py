@@ -1,5 +1,6 @@
 """Subspaces, minimal-extension constants, and embedding gaps."""
 
+import json
 import math
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_subspace_validation():
     assert full.complement_matrix.shape == (0, 3)
 
 
+def test_subspace_matrices_are_cached_and_read_only():
+    E = SpaceSpec(1.0, 3)
+    sub = _coordinate_sub(E, 2)
+    full = SubspaceSpec.from_arrays(E, np.eye(3), np.zeros((0, 3)))
+    for s in (sub, full):
+        for name in ("basis_matrix", "complement_matrix"):
+            m = getattr(s, name)
+            assert m is getattr(s, name) and m.dtype == float and not m.flags.writeable
+    assert sub.basis_matrix.tolist() == [list(row) for row in sub.basis]
+    assert full.complement_matrix.shape == (0, 3)
+    assert (not full.complement_basis) is True and (not sub.complement_basis) is False
+    assert sub == _coordinate_sub(E, 2) and hash(sub) == hash(_coordinate_sub(E, 2))
+
+
 def test_embed_coordinates_roundtrip():
     rng = np.random.default_rng(0)
     E = SpaceSpec(2.0, 4)
@@ -88,6 +103,9 @@ def test_subspace_json_roundtrip():
     sub = _coordinate_sub(E, 2)
     again = subspace_from_json(subspace_to_json(sub))
     assert again == sub
+    odd = SubspaceSpec.from_arrays(E, [[1.0, -0.0, 1 / 3]], [[0, 1, 0], [0, 0, 1]])
+    text = json.dumps(subspace_to_json(odd))
+    assert json.dumps(subspace_to_json(subspace_from_json(json.loads(text)))) == text
     with pytest.raises(ValueError):
         subspace_from_json({"ambient": {"r": 2, "dim": 2}})
 

@@ -1,7 +1,9 @@
 """Weak-p norms and summing-norm estimators against brute force."""
 
 import itertools
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from fblab import (
     LinearMap,
     OptimizerConfig,
     SpaceSpec,
+    WitnessFamily,
     dual_space,
     functional_norm,
+    map_from_json,
+    map_to_json,
     norm,
     operator_norm,
     pi_1_exact_Linfty_domain,
@@ -179,6 +184,43 @@ def test_pi_p_lower_is_lower_bound_and_witness_is_feasible():
     assert feas.upper <= 1.0 + 1e-9
     achieved = lp_combine(norms_rows(T.codomain, Y @ A.T), 2.0)
     assert achieved == pytest.approx(est.lower, rel=1e-9)
+
+
+def test_map_and_witness_hold_one_read_only_copy():
+    """A map's matrix and a witness's functionals are read-only float copies
+    made once: every read is the same object, the caller's array stays the
+    caller's, and ``replace`` with tuples of tuples builds an array again."""
+    A = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -0.0]])
+    T = LinearMap(A, SpaceSpec(math.inf, 3), SpaceSpec(1.0, 2))
+    W = WitnessFamily(A, 1, 1, 2)
+    for held in (T.matrix, W.functionals):
+        assert held.dtype == float and not held.flags.writeable
+        assert not np.shares_memory(held, A) and np.array_equal(held, A)
+        with pytest.raises(ValueError):
+            held[0, 0] = 7.0
+    assert T.matrix is T.matrix and W.functionals is W.functionals is W.matrix
+    A[0, 0] = 9.0
+    assert T.matrix[0, 0] == W.functionals[0, 0] == 1.0
+    assert all(type(v) is float for v in (W.p, W.constraint, W.objective))
+    W2 = replace(W, functionals=((1, 2), (3, 4)))
+    assert isinstance(W2.functionals, np.ndarray) and not W2.functionals.flags.writeable
+    assert W2.functionals.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_map_and_witness_json_bytes():
+    """Maps and witnesses write each row as a list of Python floats, and a
+    map or witness read back from its JSON writes the same bytes."""
+    A = np.random.default_rng(5).standard_normal((3, 4))
+    A[0, 1], A[1, 2], A[2, 3] = -0.0, 1e-300, 1.0 / 3.0
+    rows = json.dumps([[float(v) for v in row] for row in A])
+    T = LinearMap(A, SpaceSpec(2.0, 4, (0.5, 1.0, 2.0, 1.0)), SpaceSpec(math.inf, 3))
+    text = json.dumps(map_to_json(T))
+    assert json.dumps(map_to_json(T)["matrix"]) == rows
+    assert json.dumps(map_to_json(map_from_json(json.loads(text)))) == text
+    obj = WitnessFamily(A, math.inf, 1.0, 2.0).to_json()
+    assert json.dumps(obj["functionals"]) == rows
+    again = WitnessFamily(obj["functionals"], math.inf, obj["constraint"], obj["objective"])
+    assert json.dumps(again.to_json()) == json.dumps(obj)
 
 
 def test_pi_q1_identity_sqrt_n():
