@@ -27,7 +27,16 @@ from functools import cached_property
 import numpy as np
 
 from .operators import LinearMap
-from .spaces import SpaceSpec, _readonly, dual_space, norm, sample_sphere, space_from_json, space_to_json
+from .spaces import (
+    SpaceSpec,
+    _json_fields,
+    _readonly,
+    dual_space,
+    norm,
+    sample_sphere,
+    space_from_json,
+    space_to_json,
+)
 
 __all__ = [
     "LatticeExpr",
@@ -212,8 +221,7 @@ class GeneratorBinding:
 
     @staticmethod
     def from_json(obj: dict) -> "GeneratorBinding":
-        if "space" not in obj or "vectors" not in obj:
-            raise ValueError("binding JSON requires fields 'space' and 'vectors'")
+        _json_fields(obj, "binding", "space", "vectors")
         return GeneratorBinding(space_from_json(obj["space"]), obj["vectors"])
 
 

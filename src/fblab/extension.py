@@ -49,6 +49,7 @@ from .operators import LinearMap, _multistart_ascent, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
+    _json_fields,
     _readonly,
     _signs,
     dual_space,
@@ -98,8 +99,8 @@ class SubspaceSpec:
 
     @staticmethod
     def from_arrays(ambient: SpaceSpec, basis, complement_basis) -> "SubspaceSpec":
-        B = np.atleast_2d(np.asarray(basis, dtype=float))
-        C = np.asarray(complement_basis, dtype=float)
+        B = np.atleast_2d(_readonly(basis))
+        C = _readonly(complement_basis)
         C = C.reshape(0, ambient.dim) if C.size == 0 else np.atleast_2d(C)
         if B.ndim != 2 or C.ndim != 2:
             raise ValueError("basis and complement basis must be 2-d arrays of vectors")
@@ -160,9 +161,7 @@ def subspace_to_json(sub: SubspaceSpec) -> dict:
 
 
 def subspace_from_json(obj: dict) -> SubspaceSpec:
-    for key in ("ambient", "basis", "complement_basis"):
-        if key not in obj:
-            raise ValueError(f"subspace JSON requires field '{key}'")
+    _json_fields(obj, "subspace", "ambient", "basis", "complement_basis")
     return SubspaceSpec.from_arrays(
         space_from_json(obj["ambient"]), obj["basis"], obj["complement_basis"]
     )

@@ -19,6 +19,7 @@ from .estimates import NormEstimate
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
+    _json_fields,
     _max_signed_sum,
     _readonly,
     dual_space,
@@ -215,9 +216,7 @@ def map_to_json(T: LinearMap) -> dict:
 
 
 def map_from_json(obj: dict) -> LinearMap:
-    for key in ("matrix", "domain", "codomain"):
-        if key not in obj:
-            raise ValueError(f"linear map JSON requires field '{key}'")
+    _json_fields(obj, "linear map", "matrix", "domain", "codomain")
     return LinearMap(
         obj["matrix"],
         space_from_json(obj["domain"]),

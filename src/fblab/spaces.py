@@ -41,10 +41,23 @@ __all__ = [
 
 
 def _readonly(a) -> np.ndarray:
-    """A read-only float copy of an array-like."""
-    a = np.array(a, dtype=float)
+    """A read-only float copy of an array-like; one holding anything but
+    numbers (a dict, say) is a ValueError."""
+    try:
+        a = np.array(a, dtype=float)
+    except TypeError as ex:
+        raise ValueError(f"expected an array of numbers: {ex}") from None
     a.flags.writeable = False
     return a
+
+
+def _json_fields(obj, what: str, *keys: str) -> None:
+    """Check that ``obj`` is a JSON object holding every key, else ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} JSON requires field '{key}'")
 
 
 def _conjugate_exponent(r: float) -> float:
@@ -82,6 +95,10 @@ class SpaceSpec:
     def weight_array(self) -> np.ndarray:  # read-only, built once per spec
         return _readonly(self.weights)
 
+    @functools.cached_property
+    def dual(self) -> SpaceSpec:  # built once per spec; see dual_space
+        return SpaceSpec(_conjugate_exponent(self.r), self.dim, self.weights)
+
     @property
     def is_sup(self) -> bool:
         return math.isinf(self.r)
@@ -118,8 +135,9 @@ def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:
-    """The dual space: conjugate exponent, same weights, weighted pairing."""
-    return SpaceSpec(_conjugate_exponent(space.r), space.dim, space.weights)
+    """The dual space: conjugate exponent, same weights, weighted pairing.
+    Built once per spec and cached on it."""
+    return space.dual
 
 
 def pairing(space: SpaceSpec, f, x) -> float:
@@ -279,8 +297,14 @@ def norming_vector(space: SpaceSpec, g) -> np.ndarray:
         x[i] = math.copysign(1.0, g[i]) / w[i]
         return x
     rp = 1.0 / (space.r - 1.0)
-    x = np.sign(g) * (np.abs(g) / w) ** rp
-    return x / norm(space, x)
+    a = np.abs(g) / w
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        x = np.sign(g) * a ** rp
+        n = norm(space, x)
+    if not 0.0 < n < math.inf:  # the powers under- or overflowed; x is scale-free
+        x = np.sign(g) * (a / np.max(a)) ** rp
+        n = norm(space, x)
+    return x / n
 
 
 def functional_norm(space: SpaceSpec, row) -> float:
@@ -302,8 +326,7 @@ def space_to_json(space: SpaceSpec) -> dict:
 
 
 def space_from_json(obj: dict) -> SpaceSpec:
-    if "r" not in obj or "dim" not in obj:
-        raise ValueError("space JSON requires fields 'r' and 'dim'")
+    _json_fields(obj, "space", "r", "dim")
     r, dim, weights = obj["r"], obj["dim"], obj.get("weights", [])
     if isinstance(r, str) and r.lower() in ("inf", "infinity", "+inf"):
         r = math.inf

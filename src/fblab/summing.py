@@ -20,23 +20,38 @@ dispatch of this module) and the section B_F of a subspace
 (``extension._weak_F``).  Each kind answers one question per candidate
 family: a certified upper bound on its weak-p norm, whether that bound
 is exact, and whether it is cheap enough for the polish loop.
+
+Exact weak-p at p = 1 enumerates 2^(N-1) sign patterns (the cut norm,
+NP-hard in general), and most random restarts lose.  So a weighted ell_r
+ball also supplies a cheap certified *lower* bound (``_weak_lower``, a
+boolean power method at explicit points of the ball) wherever its exact
+path enumerates at least ``_SCREEN_WORK`` signed-sum entries.  A
+candidate whose objective divided by that lower bound stays below the
+incumbent by a relative 1e-9 cannot win, since dividing by the exact
+norm gives no more, and it skips the exact evaluation.  The value, the
+witness and the tight flag come out bit for bit as without the screen.
+B_F (``extension._weak_F``) supplies no lower bound, so its candidates
+are never screened.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, operator_norm
+from .operators import LinearMap, _ascend, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
     _max_signed_sum,
     dual_space,
     is_polytopal,
+    norm,
+    norming_vector,
     norms_rows,
 )
 
@@ -76,7 +91,7 @@ def lp_combine(values: np.ndarray, p: float) -> float:
 
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     """Triangle-inequality bound: combine the dual norms of the members."""
-    return lp_combine(norms_rows(dual_space(space), Y), p)
+    return lp_combine(norms_rows(space.dual, Y), p)
 
 
 def _weak_crosspoly(Y: np.ndarray, p: float) -> float:
@@ -89,30 +104,58 @@ def _weak_crosspoly(Y: np.ndarray, p: float) -> float:
     return float(np.max(np.sum(np.abs(Y) ** p, axis=0)) ** (1.0 / p))
 
 
+@functools.cache
+def _unit_space(p: float, n: int) -> SpaceSpec:
+    """Unweighted ell_p^n, built once per (p, n): where the cube side of
+    ``_weak_exact`` measures the members' values at a vertex."""
+    return SpaceSpec(p, n)
+
+
+def _exact_path(
+    N: int, space: SpaceSpec, p: float, cfg: OptimizerConfig
+) -> tuple[str, bool, int, bool] | None:
+    """How ``_weak_exact`` evaluates a family of N members over the ball of
+    ``space``: (path tag, over the cube vertices?, signed-sum entries it
+    enumerates, cheap enough for a polish loop?); None when no exact path
+    applies.  The closed forms enumerate nothing.  At p = 1 over a cube the
+    member signs or the vertices are enumerated, whichever is less work."""
+    dim = space.dim
+    if math.isinf(p):
+        return "weak-inf closed form", False, 0, True
+    if space.r == 1:
+        return "cross-polytope enumeration", False, 0, True
+    cube = (1 << (dim - 1)) * N
+    if p == 1 and N <= cfg.family_size:
+        members = (1 << (N - 1)) * dim
+        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
+        if space.is_sup and cube < members:
+            return "sign enumeration", True, cube, cheap
+        return "sign enumeration", False, members, cheap
+    if space.is_sup and is_polytopal(space):
+        return "cube-vertex enumeration", True, cube, (1 << dim) * N <= (1 << 21)
+    return None
+
+
 def _weak_exact(
     Y: np.ndarray, space: SpaceSpec, p: float, cfg: OptimizerConfig
 ) -> tuple[float, str, bool] | None:
     """The exact weak-p norm of the family Y over the ball of ``space``,
     with its path tag and whether one evaluation is cheap enough for a
-    polish loop; None when no exact path applies.  At p = 1 over a cube
-    the member signs or the vertices are enumerated, whichever is less work."""
-    N, dim = Y.shape
-    if math.isinf(p):
-        return float(np.max(norms_rows(dual_space(space), Y))), "weak-inf closed form", True
-    if space.r == 1:
-        return _weak_crosspoly(Y, p), "cross-polytope enumeration", True
-    if p == 1 and N <= cfg.family_size:
-        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
-        if not (space.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim):
-            return _max_signed_sum(Y, dual_space(space)), "sign enumeration", cheap
-        tag = "sign enumeration"
-    elif space.is_sup and is_polytopal(space):
-        cheap = (1 << dim) * N <= (1 << 21)
-        tag = "cube-vertex enumeration"
-    else:
+    polish loop; None when no exact path applies (see ``_exact_path``)."""
+    path = _exact_path(len(Y), space, p, cfg)
+    if path is None:
         return None
-    # the cube vertex s pairs with the members to s @ (Y * w).T
-    return _max_signed_sum((Y * space.weight_array).T, SpaceSpec(p, N)), tag, cheap
+    tag, on_cube, _, cheap = path
+    if math.isinf(p):
+        val = float(np.max(norms_rows(space.dual, Y)))
+    elif space.r == 1:
+        val = _weak_crosspoly(Y, p)
+    elif on_cube:
+        # the cube vertex s pairs with the members to s @ (Y * w).T
+        val = _max_signed_sum((Y * space.weight_array).T, _unit_space(p, len(Y)))
+    else:
+        val = _max_signed_sum(Y, space.dual)
+    return val, tag, cheap
 
 
 def _weak_E(
@@ -127,6 +170,43 @@ def _weak_E(
     if hit is None:
         return _weak_crude_upper(Y, space, p), False, False
     return hit[0], True, hit[2]
+
+
+# an exact path enumerating fewer signed-sum entries is cheaper than its screen
+_SCREEN_WORK = 1 << 16
+
+
+def _weak_lower(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
+    """A certified lower bound on the weak-p norm of the family Y over the
+    ball of ``space``: (sum_k |<y_k, x>|^p)^(1/p) / ||x|| at explicit
+    points x.  The weak-p norm is the norm of x -> (<y_k, x>)_k from
+    ``space`` to ell_p^N, so a boolean power method (the conditional-
+    gradient ascent ``_ascend``) climbs it from the norming points of the
+    two heaviest members.  Valid for every weighted ell_r."""
+    W = Y * space.weight_array  # <y_k, x> = W[k] @ x
+    top = float(np.max(np.abs(W)))
+    if not top > 0.0:
+        return 0.0
+    W = W / top  # weak-p is homogeneous; unit entries keep the powers in range
+    ell_p, linear_max = _unit_space(p, len(Y)), lambda g: norming_vector(space, g)
+    best = 0.0
+    for k in np.argsort(-norms_rows(space.dual, Y))[:2]:
+        val, x = _ascend(W, ell_p, norming_vector(space, W[k]), linear_max)
+        best = max(best, val / norm(space, x))
+    best *= top
+    return best if math.isfinite(best) else 0.0  # an overflow bounds nothing
+
+
+def _weak_E_lower(
+    space: SpaceSpec, Y: np.ndarray, p: float, cfg: OptimizerConfig
+) -> float:
+    """``_weak_lower`` where the exact path of ``_weak_E`` enumerates at
+    least ``_SCREEN_WORK`` signed-sum entries, else 0 (no bound)."""
+    path = _exact_path(len(Y), space, p, cfg)
+    if path is None:
+        return 0.0
+    _, _, work, _ = path
+    return _weak_lower(Y, space, p) if work >= _SCREEN_WORK else 0.0
 
 
 def weak_p_norm(
@@ -153,17 +233,23 @@ def weak_p_norm(
     Y = np.atleast_2d(np.asarray(family, dtype=float))
     if Y.shape[1] != space.dim:
         raise ValueError("family members must live in the dual of the given space")
+    # weak-p is homogeneous: scaling by a power of two, which is exact, keeps
+    # the powers of tiny or huge members from underflowing or overflowing
+    top = float(np.max(np.abs(Y)))
+    e = math.frexp(top)[1] if 0.0 < top < math.inf else 0
+    Y = np.ldexp(Y, -e)
     hit = _weak_exact(Y, space, p, cfg)
     if hit is not None:
         val, how, _ = hit
+        val = math.ldexp(val, e)
         return NormEstimate(val, val, True, True, method=(how,))
 
     # heuristic regime: certified bounds from both sides, but not tight
-    S = LinearMap.from_array(Y * space.weight_array, space, SpaceSpec(p, Y.shape[0]))
+    S = LinearMap.from_array(Y * space.weight_array, space, _unit_space(p, Y.shape[0]))
     est = operator_norm(S, cfg)
     return NormEstimate(
-        est.lower,
-        min(est.upper, _weak_crude_upper(Y, space, p)),
+        math.ldexp(est.lower, e),
+        math.ldexp(min(est.upper, _weak_crude_upper(Y, space, p)), e),
         True,
         True,
         method=("multistart lower", "triangle upper"),
@@ -194,13 +280,22 @@ def witness_search(
     best value is always a true lower bound for
     sup { objective : weak-p <= 1 }.
 
+    Over a ``SpaceSpec`` ball a candidate whose exact weak-p evaluation
+    is dear is screened first: when its objective over a certified lower
+    bound on its weak-p norm (``_weak_E_lower``) stays below the incumbent
+    by a relative 1e-9, its exact value could not do better, and the
+    candidate is dropped unevaluated.  So the screen changes no result.
+    B_F (``_weak_F``) supplies no lower bound and is never screened.
+
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
     """
     if isinstance(ball, SpaceSpec):
-        weak = _weak_E
+        weak, lower = _weak_E, _weak_E_lower
     else:
         from .extension import _weak_F as weak
+
+        lower = None  # B_F supplies no lower bound
 
     best_val = 0.0
     best_fam: np.ndarray | None = None
@@ -212,10 +307,16 @@ def witness_search(
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.size == 0 or not np.all(np.isfinite(Y)):
             return
+        value = objective(Y)
+        if lower is not None and best_val > 0.0:
+            # the weak-p norm is at least lb, so Y would score at most value / lb
+            lb = lower(ball, Y, p, cfg)
+            if lb > 0.0 and value / lb < best_val * (1.0 - 1e-9):
+                return
         upper, tight, cheap = weak(ball, Y, p, cfg)
         if upper <= 1e-14 or math.isinf(upper):
             return
-        val = objective(Y) / upper
+        val = value / upper
         if val > best_val:
             best_val = val
             best_fam = Y / upper

@@ -140,6 +140,7 @@ _MAP_JSON = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "domain": {"r": "inf", "dim": 2
              "codomain": {"r": "inf", "dim": 2}}
 _SUBSPACE_JSON = {"ambient": {"r": 1, "dim": 3}, "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                   "complement_basis": [[0.0, 0.0, 1.0]]}
+_BINDING_JSON = {"space": _SPACE_JSON, "vectors": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 @pytest.mark.parametrize(
@@ -152,18 +153,28 @@ _SUBSPACE_JSON = {"ambient": {"r": 1, "dim": 3}, "basis": [[1.0, 0.0, 0.0], [0.0
         ("space", "dim", 2.5),
         ("map", "matrix", [[[1.0, 0.0]], [[0.0, 1.0]]]),
         ("subspace", "basis", [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]),
+        ("map", "matrix", {"a": 1}),
+        ("binding", "vectors", {"a": 1}),
+        ("subspace", "basis", {"a": 1}),
+        ("space", None, 5),  # the whole file
     ],
 )
 def test_malformed_json_exits_1(tmp_path, capsys, kind, field, value):
     """A field of the wrong type or shape is an input error (exit 1): not an
     internal failure (exit 2), and not a value read some other way (exit 0)."""
-    files = {"space": dict(_SPACE_JSON), "map": dict(_MAP_JSON), "subspace": dict(_SUBSPACE_JSON)}
-    files[kind][field] = value
+    files = {"space": dict(_SPACE_JSON), "map": dict(_MAP_JSON), "subspace": dict(_SUBSPACE_JSON),
+             "binding": dict(_BINDING_JSON)}
+    if field is None:
+        files[kind] = value
+    else:
+        files[kind][field] = value
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     path = {name: str(tmp_path / f"{name}.json") for name in files}
     argv = {
         "space": ["norm", "--space", path["space"], "--expr", "abs(d0)", "--p", "1"],
+        "binding": ["norm", "--space", path["space"], "--binding", path["binding"], "--expr", "abs(d0)",
+                    "--p", "1"],
         "map": ["summing", "--map", path["map"], "--p", "2"],
         "subspace": ["extend", "--subspace", path["subspace"], "--map", path["map"], "--p", "inf"],
     }[kind]

@@ -86,6 +86,18 @@ def test_norming_vector_maximizes_plain_form(space):
         assert abs(attained - functional_norm(space, g)) <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-250, 1e250])
+@pytest.mark.parametrize("r", [1.25, 1.5, 3.0])
+def test_norming_vector_of_tiny_and_huge_forms(r, scale):
+    """The maximizer does not depend on the scale of the form, also where
+    the powers of its entries under- or overflow."""
+    E = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
+    g = np.array([0.3, -1.0, 0.7])
+    x = norming_vector(E, scale * g)
+    assert np.all(np.isfinite(x))
+    assert x == pytest.approx(norming_vector(E, g), rel=1e-12)
+
+
 def test_norms_rows_matches_scalar():
     rng = np.random.default_rng(0)
     for space in SPACES:
@@ -104,6 +116,18 @@ def test_weight_array_is_built_once_and_read_only():
         w[0] = 3.0
     assert E == SpaceSpec(2.0, 3, (0.5, 1.0, 2.0))
     assert hash(E) == hash(SpaceSpec(2.0, 3, (0.5, 1.0, 2.0)))
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+def test_dual_space_is_built_once(r):
+    E = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
+    D = dual_space(E)
+    assert D is dual_space(E)
+    assert dual_space(D) == E
+    assert not D.weight_array.flags.writeable
+    with pytest.raises(ValueError):
+        D.weight_array[0] = 3.0
+    assert D.weights == E.weights
 
 
 def test_extreme_points_l1_and_sup():

@@ -7,13 +7,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fblab import (
+    Abs,
+    Gen,
+    GeneratorBinding,
+    Join,
     LinearMap,
+    Meet,
+    Neg,
     OptimizerConfig,
     SpaceSpec,
     WitnessFamily,
+    PosPart,
     dual_space,
+    fbl_norm,
     functional_norm,
     map_from_json,
     map_to_json,
@@ -26,8 +35,10 @@ from fblab import (
     weak_p_norm,
     witness_search,
 )
+from fblab import summing
+from fblab.experiments import summing_basis_matrix
 from fblab.spaces import _max_signed_sum, norms_rows
-from fblab.summing import hadamard, lp_combine
+from fblab.summing import _weak_lower, hadamard, lp_combine
 
 
 def _brute_weak(Y, space, p, samples=4000, seed=0):
@@ -141,6 +152,19 @@ def test_weak_p_monotone_in_p():
     vals = [weak_p_norm(Y, E, p).lower for p in (1.0, 1.5, 2.0, 4.0, math.inf)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-272, 1e200])
+@pytest.mark.parametrize("r, p", [(1.5, 1.0), (3.0, 2.0), (math.inf, 2.0)])
+def test_weak_p_norm_of_tiny_and_huge_families(r, p, scale):
+    """Weak-p is homogeneous: the powers of tiny or huge members must not
+    underflow to a certified 0 or overflow to inf."""
+    E = SpaceSpec(r, 2, (0.5, 2.0))
+    Y = np.array([[1.0, 0.5], [-0.25, 1.0]])
+    unit, est = weak_p_norm(Y, E, p), weak_p_norm(scale * Y, E, p)
+    assert est.method == unit.method
+    assert est.lower == pytest.approx(scale * unit.lower, rel=1e-12)
+    assert est.upper == pytest.approx(scale * unit.upper, rel=1e-12)
 
 
 def test_weak_p_rejects_wrong_width():
@@ -329,3 +353,124 @@ def test_operator_norm_sup_domain_vs_brute_force(codomain):
         )
         assert est.exact
         assert est.lower == pytest.approx(brute, rel=1e-13)
+
+
+# --------------------------------------------------------------------------
+# the screen of witness_search: a certified lower bound on weak-p
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.sampled_from([1.5, 2.0, 3.0, math.inf]),
+    p=st.sampled_from([1.0, 2.0]),
+    dim=st.integers(1, 5),
+    data=st.data(),
+)
+def test_weak_lower_is_below_the_weak_norm(r, p, dim, data):
+    """The screen's bound never exceeds a certified upper bound on weak-p,
+    on weighted spaces and families with zero and parallel members."""
+    N = data.draw(st.integers(1, 20), label="N")
+    weights = data.draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim), label="w")
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=N, max_size=N))
+    Y = np.array(rows)
+    for k in range(1, N):
+        kind = data.draw(st.sampled_from(["free", "zero", "parallel"]), label=f"row {k}")
+        if kind == "zero":
+            Y[k] = 0.0
+        elif kind == "parallel":
+            Y[k] = data.draw(st.floats(-4.0, 4.0), label=f"factor {k}") * Y[k - 1]
+    E = SpaceSpec(r, dim, tuple(weights))
+    lb = _weak_lower(Y, E, p)
+    assert 0.0 <= lb <= weak_p_norm(Y, E, p).upper * (1.0 + 1e-12)
+
+
+def _mixed(c):
+    """c0|d0| + c1 (d1 v d2) - c2|d3| + c3 (d0 - d1)^+"""
+    return (
+        Abs(Gen(0)) * c[0]
+        + Join(Gen(1), Gen(2)) * c[1]
+        - Abs(Gen(3)) * c[2]
+        + PosPart(Gen(0) - Gen(1)) * c[3]
+    )
+
+
+def _alternating(c):
+    """sum_k (-1)^k c_k |d_k| plus c (d0 ^ -d_last)"""
+    e = Abs(Gen(0)) * c[0]
+    for k in range(1, len(c) - 1):
+        term = Abs(Gen(k)) * c[k]
+        e = e + (Neg(term) if k % 2 else term)
+    return e + Meet(Gen(0), Neg(Gen(len(c) - 2))) * c[-1]
+
+
+def _screen_case(kind, r, dim):
+    rng = np.random.default_rng(61)
+    if kind == "summing basis":
+        e = Abs(Gen(0))
+        for k in range(1, dim):
+            e = e + (Neg(Abs(Gen(k))) if k % 2 else Abs(Gen(k)))
+        return e, GeneratorBinding.from_matrix(SpaceSpec(r, dim), summing_basis_matrix(dim))
+    if kind == "mixed":
+        e, count = _mixed(rng.uniform(0.5, 1.5, 4)), 4
+    else:
+        e, count = _alternating(rng.uniform(0.5, 1.5, 7)), 6
+    return e, GeneratorBinding.from_matrix(SpaceSpec(r, dim), rng.standard_normal((count, dim)))
+
+
+@pytest.mark.parametrize(
+    "kind, r, dim, engaged",
+    [
+        ("alternating", math.inf, 10, False),  # the cube side is cheaper than a screen
+        ("mixed", 2.0, 8, True),
+        ("alternating", 2.0, 8, True),
+        ("summing basis", math.inf, 64, True),
+    ],
+)
+def test_screen_changes_no_result(monkeypatch, kind, r, dim, engaged):
+    """Skipping candidates whose lower bound already rules them out leaves
+    the value, the witness bytes and the tight flag as they were, and it
+    does skip exact evaluations where the sign enumeration is dear."""
+    e, b = _screen_case(kind, r, dim)
+    cfg = OptimizerConfig(restarts=24)
+    calls = []
+    exact = summing._weak_exact
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(summing, "_weak_exact", counted)
+    screened = fbl_norm(e, b, 1.0, cfg)
+    with_screen = len(calls)
+    monkeypatch.setattr(summing, "_weak_lower", lambda Y, space, p: 0.0)
+    calls.clear()
+    plain = fbl_norm(e, b, 1.0, cfg)
+    assert screened.lower == plain.lower and screened.upper == plain.upper
+    assert screened.method == plain.method  # names the tight or crude normalization
+    assert screened.witness.matrix.tobytes() == plain.witness.matrix.tobytes()
+    assert (with_screen < len(calls)) if engaged else (with_screen == len(calls))
+
+
+def test_screen_keeps_each_narrow_improvement():
+    """Five screened candidates (20 parallel members over weighted ell_2^6,
+    where the screen's bound is exact) whose ratios climb by 1e-6 each:
+    every one beats the incumbent, so every one must pass the screen and
+    the last one wins."""
+    E = SpaceSpec(2.0, 6, (0.5, 1.0, 2.0, 1.0, 1.5, 0.7))
+    rng = np.random.default_rng(8)
+    a, v = rng.standard_normal(20), rng.standard_normal(6)
+    seeds = []
+    for j in range(5):
+        a[0] = j * a[1]
+        seeds.append(np.outer(a, v))
+
+    def obj(Y):  # weak-1 norm times a scale-free 1 + j * 1e-6
+        return weak_p_norm(Y, E, 1.0).upper * (1.0 + 1e-6 * Y[0, 0] / Y[1, 0])
+
+    assert _weak_lower(seeds[0], E, 1.0) == pytest.approx(weak_p_norm(seeds[0], E, 1.0).upper, rel=1e-12)
+    cfg = OptimizerConfig(restarts=1, polish=False)
+    val, witness, tight = witness_search(E, 1.0, obj, seeds, cfg)
+    assert tight and val == pytest.approx(1.000004, rel=1e-12)
+    assert witness.matrix[0, 0] == pytest.approx(4.0 * witness.matrix[1, 0], rel=1e-12)
