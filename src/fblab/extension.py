@@ -22,15 +22,19 @@ constraint runs over B_F) with the norm of the same expression over E.
 Both sides run ``summing.witness_search``, the same engine over two
 kinds of constraint ball: B_E on the ambient side, B_F (through
 ``_weak_F``) on the F side, where the restricted ambient witness is one
-of the seeds.  F never needs its own weighted-ell_r model: all F-side
-computations are constrained optimizations in basis coordinates.
+of the seeds.  Only an axis-aligned F has its own weighted-ell_r model
+(``_axis_aligned_model``); other F-side computations are constrained
+optimizations in basis coordinates.
 
 For ambient r in {1, inf}, B_F is a polytope.  Its vertices are
 enumerated once per subspace, on first use, and every F-side quantity
 (linear forms, dual norms, weak-p norms of families, operator norms over
-B_F) is exact by vertex enumeration: a matrix product and a maximum.
-Above a fixed cap on the size of the enumeration, linear forms fall back
-to one linear program each, and the convex maxima to multistart ascent.
+B_F) is exact by vertex enumeration: a matrix product and a maximum,
+one for the operator norms and the weak-p norms alike (that of a family
+G is the norm of c -> G c into ell_p^N).  Above a fixed cap on the size
+of the enumeration, linear forms fall back to one linear program each,
+operator norms over a coordinate section to its model space and the
+oracle ``operators._exact_norm``, other convex maxima to multistart ascent.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
 from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
-from .operators import LinearMap, _multistart_ascent, operator_norm
+from .operators import LinearMap, _exact_norm, _multistart_ascent, _unit_space, operator_norm
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
@@ -224,11 +228,12 @@ def _section_vertices(E: SpaceSpec, B: np.ndarray) -> np.ndarray | None:
 
 
 def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | None:
-    """If every basis vector is a (scaled) coordinate vector on distinct
-    coordinates, B_F is itself the ball of a weighted ell_r space on the
-    basis coordinates.  Returns that space together with the per-basis
-    scales s (so the model norm of c is the ambient norm of sum c_j s_j e_ij),
-    or None."""
+    """If every basis vector is a (scaled) coordinate vector s_j e_ij on
+    distinct coordinates, B_F is itself the ball of a weighted ell_r space.
+    Returns that space and divisors d taking a plain form g on basis
+    coordinates to its model functional g / d (pairing coordinates), or
+    None.  For ambient r = inf the model point of c is c |s| and d = |s|;
+    otherwise it is c itself, with weights d = w_ij |s_j|^r."""
     B = sub.basis_matrix
     supports = [np.flatnonzero(np.abs(row) > 0) for row in B]
     if any(len(s) != 1 for s in supports):
@@ -239,11 +244,9 @@ def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | Non
     scales = np.array([B[j, idx[j]] for j in range(len(idx))])
     E = sub.ambient
     if E.is_sup:
-        model = SpaceSpec(math.inf, len(idx))
-    else:
-        w = E.weight_array[idx] * np.abs(scales) ** E.r
-        model = SpaceSpec(E.r, len(idx), tuple(w))
-    return model, np.abs(scales)
+        return SpaceSpec(math.inf, len(idx)), np.abs(scales)
+    w = E.weight_array[idx] * np.abs(scales) ** E.r
+    return SpaceSpec(E.r, len(idx), tuple(w)), w
 
 
 def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -353,21 +356,19 @@ def _weak_F(
 
     Exact on an axis-aligned subspace (the weak-p norm over its model
     space) and, by vertex enumeration, for ambient r in {1, inf}: the
-    convex map c -> lp-combination of |G c| peaks at a vertex of B_F.
-    Above the vertex cap and for other r: the lp-combination of upper
-    bounds on the members' norms, exact at p = inf when those are (r in
-    {1, 2, inf}); one linear program per member above the cap is too
-    dear for a polish loop.
+    weak-p norm is the norm of c -> G c from B_F into ell_p^N, which
+    ``_operator_norm_over_F`` takes at a vertex of B_F.  Above the vertex
+    cap and for other r: the lp-combination of upper bounds on the
+    members' norms, exact at p = inf when those are (r in {1, 2, inf});
+    one linear program per member above the cap is too dear for a polish
+    loop.
     """
     model = _axis_aligned_model(sub)
     if model is not None:
-        space_F, scales = model
-        return _weak_E(space_F, G / scales, p, cfg)
-    V = sub._vertices
-    if V is not None:
-        Y = np.abs(V @ G.T)
-        vals = Y.max(axis=1) if math.isinf(p) else (Y ** p).sum(axis=1) ** (1.0 / p)
-        return float(np.max(vals)), True, True
+        space_F, d = model
+        return _weak_E(space_F, G / d, p, cfg)
+    if sub._vertices is not None:
+        return _operator_norm_over_F(sub, G, _unit_space(p, len(G)), cfg)[0], True, True
     E = sub.ambient
     upper = lp_combine(np.array([_fstar_norm_upper(sub, g) for g in G]), p)
     exact_members = E.is_sup or E.r in (1.0, 2.0)
@@ -381,19 +382,29 @@ def _weak_F(
 
 def _operator_norm_over_F(
     sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec, cfg: OptimizerConfig
-) -> tuple[float, np.ndarray]:
-    """sup of the codomain norm of M c over B_F, with a maximizer.
+) -> tuple[float, np.ndarray | None]:
+    """sup of the codomain norm of M c over B_F, with a maximizer (None
+    when the value comes from the model space).
 
     Exact by vertex enumeration for ambient r in {1, inf}: the norm is
-    convex, so it peaks at a vertex of B_F.  Above the vertex cap and for
-    other r, multistart conditional-gradient ascent (a certified lower
-    bound attained at the returned point).
+    convex, so it peaks at a vertex of B_F.  Otherwise, on an axis-aligned
+    subspace, B_F is the ball of its model space, and the shared oracle
+    ``operators._exact_norm`` is exact on its paths there (up to 2^22
+    vertices for a coordinate section of a cube).  Elsewhere, multistart
+    conditional-gradient ascent (a certified lower bound attained at the
+    returned point; above the vertex cap one linear program per step).
     """
     V = sub._vertices
     if V is not None:
         vals = norms_rows(codomain, V @ M.T)
         j = int(np.argmax(vals))
         return float(vals[j]), V[j]
+    model = _axis_aligned_model(sub)
+    if model is not None:
+        space_F, d = model
+        hit = _exact_norm(M / d, space_F, codomain, cfg.family_size)
+        if hit is not None:
+            return hit[0], None
     return _multistart_ascent(
         M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1],
         cfg, min(cfg.restarts, 24), salt=83,
@@ -454,7 +465,9 @@ def extension_constant(
     if n == k:
         Te = assembled(np.zeros(0))
         est = operator_norm(Te, cfg)
-        lo = max(est.lower, norm(cod, Te.matrix @ sub.embed(c_star)))
+        lo = est.lower  # c_star is None where denom is exact
+        if c_star is not None:
+            lo = max(lo, norm(cod, Te.matrix @ sub.embed(c_star)))
         up = est.upper
         upper = max(up / denom, 1.0)
         return NormEstimate(

@@ -9,6 +9,7 @@ action stays a plain product everywhere downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,14 +19,12 @@ import numpy as np
 from .estimates import NormEstimate
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
+    _EXTREME_ENUM_CAP,
     SpaceSpec,
     _json_fields,
     _max_signed_sum,
     _readonly,
     dual_space,
-    extreme_points_matrix,
-    functional_norm,
-    is_polytopal,
     norm,
     norming_vector,
     norms_rows,
@@ -162,40 +161,90 @@ def _multistart_ascent(
     return best_val, best_x
 
 
+@functools.cache
+def _unit_space(p: float, n: int) -> SpaceSpec:
+    """Unweighted ell_p^n, built once per (p, n): the codomain in which
+    ``_exact_norm`` measures a family's values for its weak-p norm."""
+    return SpaceSpec(p, n)
+
+
+def _exact_path(
+    E: SpaceSpec, C: SpaceSpec, family_size: int
+) -> tuple[str, bool, int, bool] | None:
+    """How ``_exact_norm`` evaluates a map from the ball of ``E`` into ``C``
+    (C.dim rows): (path tag, over the cube vertices?, signed-sum entries it
+    enumerates, cheap enough for a polish loop?); None when no exact path
+    applies.  The tags name the weak-p paths (C = ell_p^N).  In order: a
+    sup-norm codomain by the rows' dual norms and an ell_1 domain by the
+    best column (closed forms, nothing enumerated); an ell_1 codomain of at
+    most ``family_size`` rows by its 2^(N-1) row signs or, over a sup-norm
+    ball, the 2^(dim-1) cube vertices, whichever is less work; a sup-norm
+    domain within the enumeration cap by its cube vertices."""
+    N, dim = C.dim, E.dim
+    if C.is_sup:
+        return "weak-inf closed form", False, 0, True
+    if E.r == 1:
+        return "cross-polytope enumeration", False, 0, True
+    cube = (1 << (dim - 1)) * N
+    if C.r == 1 and N <= family_size:
+        rows = (1 << (N - 1)) * dim
+        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
+        if E.is_sup and cube < rows:
+            return "sign enumeration", True, cube, cheap
+        return "sign enumeration", False, rows, cheap
+    if E.is_sup and dim <= _EXTREME_ENUM_CAP:
+        return "cube-vertex enumeration", True, cube, (1 << dim) * N <= (1 << 21)
+    return None
+
+
+def _exact_norm(
+    Y: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int
+) -> tuple[float, str, bool] | None:
+    """The exact norm of x -> (<y_c, x>)_c from the ball of ``E`` into
+    ``C`` for the rows y_c of Y (pairing coordinates in the dual of E): the
+    weak-p norm of a family into unweighted ell_p^N, an operator norm for
+    the map's rows.  Returns (value, path tag, cheap enough for a polish
+    loop?), or None off the paths of ``_exact_path``."""
+    path = _exact_path(E, C, family_size)
+    if path is None:
+        return None
+    tag, on_cube, _, cheap = path
+    if C.is_sup:
+        return float(np.max(norms_rows(E.dual, Y))), tag, cheap
+    if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
+        V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r  # a power of 1 is a slow copy
+        if not C.unweighted:
+            V = V * C.weight_array[:, None]
+        return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r), tag, cheap
+    if on_cube:  # the cube vertex s maps to s @ (Y * w).T
+        val = _max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)
+    else:  # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
+        val = _max_signed_sum(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)
+    return val, tag, cheap
+
+
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 
-    Exact (certified on both sides) when the domain ball is a polytope
-    within the enumeration cap: convexity puts the maximum at an extreme
-    point.  Otherwise the lower bound is the best multistart ascent value
-    (certified, it is attained at a feasible point) and the upper bound
-    is the crude row-norm bound.
+    Exact (certified on both sides) on every path of ``_exact_norm``, the
+    oracle the weak-p norms share: a sup-norm codomain, an ell_1 domain, an
+    ell_1 codomain of at most ``cfg.family_size`` rows, and a sup-norm
+    domain within the enumeration cap.  Otherwise the lower bound is the
+    best multistart ascent value (certified, it is attained at a feasible
+    point) and the upper bound is the crude row-norm bound.
     """
     cfg = cfg or OptimizerConfig()
-    a = T.matrix
-    if is_polytopal(T.domain):
-        if T.domain.is_sup:  # the vertex s maps to s @ a.T; s_0 = +1 by symmetry
-            val = _max_signed_sum(a.T, T.codomain)
-        else:
-            val = float(np.max(norms_rows(T.codomain, extreme_points_matrix(T.domain) @ a.T)))
-        return NormEstimate(
-            lower=val,
-            upper=val,
-            lower_certified=True,
-            upper_certified=True,
-            method=("extreme-point enumeration",),
-        )
+    a, E, cod = T.matrix, T.domain, T.codomain
+    Y = a if E.unweighted else a / E.weight_array  # <Y[c], x> = (a @ x)[c]
+    hit = _exact_norm(Y, E, cod, cfg.family_size)
+    if hit is not None:
+        val = hit[0]
+        return NormEstimate(val, val, True, True, method=("extreme-point enumeration",))
 
     # crude but valid upper bound: replace each row functional by its norm
-    row_norms = np.array([functional_norm(T.domain, row) for row in a])
-    cod = T.codomain
-    if cod.is_sup:
-        upper = float(np.max(row_norms))
-    else:
-        upper = float(np.sum(cod.weight_array * row_norms ** cod.r) ** (1.0 / cod.r))
-
+    upper = norm(cod, norms_rows(E.dual, Y))
     lower, _ = _multistart_ascent(
-        a, cod, lambda x: norm(T.domain, x), lambda g: norming_vector(T.domain, g),
+        a, cod, lambda x: norm(E, x), lambda g: norming_vector(E, g),
         cfg, cfg.restarts, salt=101,
     )
     return NormEstimate(

@@ -24,10 +24,10 @@ class OptimizerConfig:
     """Knobs shared by every multistart search.
 
     seed fixes every random start; restarts is the number of random starts
-    per search.  family_size caps witness families and the member side
-    (2^(N-1) sign patterns) of the exact weak-1 norm, not its cube side over
-    a sup-norm ball.  polish turns the local refinement of the best
-    candidates on or off.
+    per search.  family_size caps witness families and the row-sign side
+    (2^(N-1) sign patterns) of exact norms into ell_1^N, the weak-1 norm
+    among them, not their cube side over a sup-norm ball.  polish turns the
+    local refinement of the best candidates on or off.
     """
 
     seed: int = 0

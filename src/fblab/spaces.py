@@ -99,8 +99,12 @@ class SpaceSpec:
     def dual(self) -> SpaceSpec:  # built once per spec; see dual_space
         return SpaceSpec(_conjugate_exponent(self.r), self.dim, self.weights)
 
-    @property
-    def is_sup(self) -> bool:
+    @functools.cached_property
+    def unweighted(self) -> bool:  # every weight 1; decided once per spec
+        return all(w == 1.0 for w in self.weights)
+
+    @functools.cached_property
+    def is_sup(self) -> bool:  # decided once per spec: read on every oracle call
         return math.isinf(self.r)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
@@ -159,13 +163,6 @@ class EnumerationTooLarge(Exception):
 
 
 _EXTREME_ENUM_CAP = 22  # sup-norm balls are enumerated exactly up to 2^22 vertices
-
-
-def is_polytopal(space: SpaceSpec) -> bool:
-    """Whether ``extreme_points_matrix`` can enumerate the ball exactly."""
-    if space.r == 1:
-        return True
-    return space.is_sup and space.dim <= _EXTREME_ENUM_CAP
 
 
 def extreme_points_matrix(space: SpaceSpec) -> np.ndarray:

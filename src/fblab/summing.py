@@ -7,11 +7,13 @@ feasible when  sup_{x in B_E} (sum_k |<y_k, x>|^p)^(1/p) <= 1.
 Every reported lower bound is produced by an explicit feasible family:
 a candidate family is divided by a *certified upper bound* on its weak-p
 norm, so the normalized family is genuinely feasible and the value it
-attains is a true lower bound.  Whenever an exact evaluation of the
-weak-p norm is available (p = 1 by sign enumeration of the members or
-cube vertices, p = infinity by a closed form, or a polytopal constraint
-ball by extreme-point enumeration) the normalization is tight and the
-estimate is flagged accordingly in its method tags.
+attains is a true lower bound.  The weak-p norm of a family is the norm
+of the map x -> (<y_k, x>)_k from E into ell_p^N, so the exact paths are
+those of the operator-norm oracle ``operators._exact_norm``: p = infinity
+and an ell_1 ball by closed forms, p = 1 by sign enumeration of the
+members or of the cube vertices, and a sup-norm ball within the
+enumeration cap by its vertices.  On them the normalization is tight and
+the estimate is flagged accordingly in its method tags.
 
 ``witness_search`` is the one search engine of the package (seeds,
 random restarts, Powell polish).  It runs over two kinds of constraint
@@ -36,24 +38,15 @@ are never screened.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, _ascend, operator_norm
+from .operators import LinearMap, _ascend, _exact_norm, _exact_path, _unit_space, operator_norm
 from .optimize import OptimizerConfig, restart_rng
-from .spaces import (
-    SpaceSpec,
-    _max_signed_sum,
-    dual_space,
-    is_polytopal,
-    norm,
-    norming_vector,
-    norms_rows,
-)
+from .spaces import SpaceSpec, dual_space, norm, norming_vector, norms_rows
 
 if TYPE_CHECKING:
     from .extension import SubspaceSpec
@@ -94,68 +87,13 @@ def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     return lp_combine(norms_rows(space.dual, Y), p)
 
 
-def _weak_crosspoly(Y: np.ndarray, p: float) -> float:
-    """Exact weak-p over the ball of an L_1(mu) space: the extreme points
-    +-e_i/w_i pair to +-Y[:, i], so the answer is the best column."""
-    if math.isinf(p):
-        return float(np.max(np.abs(Y)))
-    if p == 1:
-        return float(np.max(np.sum(np.abs(Y), axis=0)))
-    return float(np.max(np.sum(np.abs(Y) ** p, axis=0)) ** (1.0 / p))
-
-
-@functools.cache
-def _unit_space(p: float, n: int) -> SpaceSpec:
-    """Unweighted ell_p^n, built once per (p, n): where the cube side of
-    ``_weak_exact`` measures the members' values at a vertex."""
-    return SpaceSpec(p, n)
-
-
-def _exact_path(
-    N: int, space: SpaceSpec, p: float, cfg: OptimizerConfig
-) -> tuple[str, bool, int, bool] | None:
-    """How ``_weak_exact`` evaluates a family of N members over the ball of
-    ``space``: (path tag, over the cube vertices?, signed-sum entries it
-    enumerates, cheap enough for a polish loop?); None when no exact path
-    applies.  The closed forms enumerate nothing.  At p = 1 over a cube the
-    member signs or the vertices are enumerated, whichever is less work."""
-    dim = space.dim
-    if math.isinf(p):
-        return "weak-inf closed form", False, 0, True
-    if space.r == 1:
-        return "cross-polytope enumeration", False, 0, True
-    cube = (1 << (dim - 1)) * N
-    if p == 1 and N <= cfg.family_size:
-        members = (1 << (N - 1)) * dim
-        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
-        if space.is_sup and cube < members:
-            return "sign enumeration", True, cube, cheap
-        return "sign enumeration", False, members, cheap
-    if space.is_sup and is_polytopal(space):
-        return "cube-vertex enumeration", True, cube, (1 << dim) * N <= (1 << 21)
-    return None
-
-
 def _weak_exact(
     Y: np.ndarray, space: SpaceSpec, p: float, cfg: OptimizerConfig
 ) -> tuple[float, str, bool] | None:
-    """The exact weak-p norm of the family Y over the ball of ``space``,
-    with its path tag and whether one evaluation is cheap enough for a
-    polish loop; None when no exact path applies (see ``_exact_path``)."""
-    path = _exact_path(len(Y), space, p, cfg)
-    if path is None:
-        return None
-    tag, on_cube, _, cheap = path
-    if math.isinf(p):
-        val = float(np.max(norms_rows(space.dual, Y)))
-    elif space.r == 1:
-        val = _weak_crosspoly(Y, p)
-    elif on_cube:
-        # the cube vertex s pairs with the members to s @ (Y * w).T
-        val = _max_signed_sum((Y * space.weight_array).T, _unit_space(p, len(Y)))
-    else:
-        val = _max_signed_sum(Y, space.dual)
-    return val, tag, cheap
+    """The exact weak-p norm of the family Y over the ball of ``space``, by
+    the shared oracle ``operators._exact_norm`` into ell_p^N: (value, path
+    tag, cheap enough for a polish loop?), or None off its paths."""
+    return _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
 
 
 def _weak_E(
@@ -202,7 +140,7 @@ def _weak_E_lower(
 ) -> float:
     """``_weak_lower`` where the exact path of ``_weak_E`` enumerates at
     least ``_SCREEN_WORK`` signed-sum entries, else 0 (no bound)."""
-    path = _exact_path(len(Y), space, p, cfg)
+    path = _exact_path(space, _unit_space(p, len(Y)), cfg.family_size)
     if path is None:
         return 0.0
     _, _, work, _ = path
@@ -217,7 +155,9 @@ def weak_p_norm(
 ) -> NormEstimate:
     """sup over the unit ball of ``space`` of (sum_k |<y_k, x>|^p)^(1/p).
 
-    The family rows live in the dual of ``space``.  Exact paths:
+    The family rows live in the dual of ``space``.  This is the norm of the
+    map x -> (<y_k, x>)_k from ``space`` into ell_p^N, and its exact paths
+    are those of ``operators._exact_norm`` with that codomain:
 
     * p = infinity: max of the members' dual norms;
     * r = 1 ball (any p): columnwise closed form over the cross-polytope;
@@ -226,8 +166,9 @@ def weak_p_norm(
       or, over a sup-norm ball, the 2^(dim-1) cube vertices;
     * sup-norm ball within the enumeration cap (any p): cube vertices.
 
-    Otherwise: multistart lower bound plus the triangle-inequality upper
-    bound (both certified; the gap is reported, not hidden).
+    Otherwise ``operator_norm`` of that map: multistart lower bound plus
+    its row-norm upper bound, which is the triangle inequality (both
+    certified; the gap is reported, not hidden).
     """
     cfg = cfg or OptimizerConfig()
     Y = np.atleast_2d(np.asarray(family, dtype=float))
@@ -249,7 +190,7 @@ def weak_p_norm(
     est = operator_norm(S, cfg)
     return NormEstimate(
         math.ldexp(est.lower, e),
-        math.ldexp(min(est.upper, _weak_crude_upper(Y, space, p)), e),
+        math.ldexp(est.upper, e),
         True,
         True,
         method=("multistart lower", "triangle upper"),
@@ -314,7 +255,9 @@ def witness_search(
             if lb > 0.0 and value / lb < best_val * (1.0 - 1e-9):
                 return
         upper, tight, cheap = weak(ball, Y, p, cfg)
-        if upper <= 1e-14 or math.isinf(upper):
+        # weak-p is homogeneous, so a family is degenerate when its bound
+        # is tiny next to its own entries, whatever their scale
+        if upper <= 1e-14 * np.max(np.abs(Y)) or math.isinf(upper):
             return
         val = value / upper
         if val > best_val:
@@ -459,9 +402,7 @@ def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
     """
     if not T.domain.is_sup:
         raise ValueError("closed form requires a sup-norm (L_inf(mu)-type) domain")
-    if math.isinf(T.codomain.r) or T.codomain.r != 1 or any(
-        w != 1.0 for w in T.codomain.weights
-    ):
+    if T.codomain.r != 1 or not T.codomain.unweighted:
         raise ValueError("closed form requires an unweighted ell_1 codomain")
     return float(np.sum(np.abs(T.matrix)))
 

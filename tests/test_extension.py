@@ -1,5 +1,6 @@
 """Subspaces, minimal-extension constants, and embedding gaps."""
 
+import itertools
 import json
 import math
 
@@ -20,6 +21,8 @@ from fblab import (
     embedding_gap,
     extension,
     extension_constant,
+    norm,
+    operator_norm,
     pairing,
     run_experiment,
     subspace_from_json,
@@ -393,3 +396,52 @@ def test_poe_constants_needs_no_linear_program(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
     assert run_experiment("poe-constants", seed=0).passed
+
+
+@pytest.mark.parametrize("k", [15, 16])
+def test_coordinate_section_above_the_vertex_cap_is_exact(monkeypatch, k):
+    """A coordinate section of ell_inf^(k+1) has too many vertices to
+    enumerate, but B_F is the cube of its model space: the norm over it of
+    c -> M c into ell_1^2 is the operator norm over ell_inf^k, exact and
+    without a linear program; scaled basis vectors divide the columns."""
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear program called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    rng = np.random.default_rng(k)
+    M = rng.standard_normal((2, k))
+    cod = SpaceSpec(1.0, 2)
+    s = rng.uniform(0.5, 2.0, k)
+    for basis, cube_map in ((np.eye(k + 1)[:k], M), (np.eye(k + 1)[:k] * s[:, None], M / s)):
+        sub = SubspaceSpec.from_arrays(SpaceSpec(math.inf, k + 1), basis, np.eye(k + 1)[k:])
+        assert sub._vertices is None
+        val, _ = extension._operator_norm_over_F(sub, M, cod, CFG)
+        est = operator_norm(LinearMap.from_array(cube_map, SpaceSpec(math.inf, k), cod), CFG)
+        assert est.exact and val == est.upper
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0, math.inf])
+def test_axis_aligned_section_norms_match_closed_forms(r):
+    """Over a scaled, weighted coordinate section, B_F = {c : ||(w^(1/r)
+    s_j c_j)_j||_r <= 1}, so a form g on F has norm ||g / (w^(1/r) |s|)||_r'.
+    The weak-1 and weak-inf norms of a family over B_F and the norm of a
+    map into a sup-norm codomain follow by sign enumeration and maximum."""
+    rng = np.random.default_rng(30)
+    w = (0.5, 2.0, 0.7, 1.5, 0.8)
+    E = SpaceSpec(r, 5, w)
+    coords, s = [0, 2, 3], np.array([2.0, -0.5, 3.0])
+    sub = SubspaceSpec.from_arrays(E, np.eye(5)[coords] * s[:, None], np.eye(5)[[1, 4]])
+    scale = np.abs(s) * (1.0 if math.isinf(r) else np.array(w)[coords] ** (1.0 / r))
+    ell_dual = SpaceSpec(1.0 if math.isinf(r) else (math.inf if r == 1 else r / (r - 1)), 3)
+
+    def form_norm(g):
+        return norm(ell_dual, g / scale)
+
+    G = rng.standard_normal((3, 3))
+    weak_1 = max(form_norm(np.array(t) @ G) for t in itertools.product((-1.0, 1.0), repeat=3))
+    assert extension._weak_F(sub, G, 1.0, CFG)[0] == pytest.approx(weak_1, rel=1e-12)
+    assert extension._weak_F(sub, G, math.inf, CFG)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
+    val, _ = extension._operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3), CFG)
+    assert val == pytest.approx(max(map(form_norm, G)), rel=1e-12)

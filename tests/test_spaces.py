@@ -26,8 +26,8 @@ from fblab import (
 )
 from fblab.spaces import (
     BallNotPolytopal,
+    EnumerationTooLarge,
     extreme_points_matrix,
-    is_polytopal,
     norms_rows,
 )
 
@@ -144,7 +144,8 @@ def test_extreme_points_l1_and_sup():
 
     with pytest.raises(BallNotPolytopal):
         extreme_points_matrix(SpaceSpec(2.0, 3))
-    assert not is_polytopal(SpaceSpec(math.inf, 30))
+    with pytest.raises(EnumerationTooLarge):
+        extreme_points_matrix(SpaceSpec(math.inf, 30))
 
 
 def test_sup_norm_ignores_weights():
@@ -181,16 +182,17 @@ def test_norm_scaling_property(r, dim, data):
 
 
 def test_operator_norm_diagonal_oracle():
-    """diag(d): ell_r^n -> ell_r^n has norm max |d_i| for unweighted r."""
-    for r in (1.0, 2.0, math.inf):
-        E = SpaceSpec(r, 4)
-        d = np.array([0.5, -3.0, 2.0, 1.0])
-        T = LinearMap.from_array(np.diag(d), E, E)
+    """diag(d): ell_r^n -> ell_r^n has norm max |d_i| for unweighted r, and
+    so has diag(d) from any ell_r^n into the sup norm.  Every case but the
+    Euclidean one into itself is on an exact path: an ell_1 domain, a
+    sup-norm domain, or the closed form into a sup-norm codomain."""
+    d = np.array([0.5, -3.0, 2.0, 1.0])
+    for r, s in ((1.0, 1.0), (2.0, 2.0), (math.inf, math.inf), (2.0, math.inf), (3.0, math.inf)):
+        T = LinearMap.from_array(np.diag(d), SpaceSpec(r, 4), SpaceSpec(s, 4))
         est = operator_norm(T)
         assert est.lower <= 3.0 + 1e-9
         assert est.lower >= 3.0 - 1e-6
-        if is_polytopal(E):
-            assert est.exact
+        assert est.exact == ((r, s) != (2.0, 2.0))
 
 
 def test_operator_norm_exact_vs_multistart():
@@ -233,6 +235,23 @@ def test_operator_norm_sup_domain_memory_stays_bounded():
     assert est.exact
     assert est.lower == pytest.approx(float(np.max(np.sum(np.abs(A), axis=1))), rel=1e-13)
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_operator_norm_into_sup_codomain_is_the_largest_row(r):
+    """Into a sup-norm codomain the norm is the largest dual norm of a row,
+    exact over any weighted ell_r domain; sampled points of the sphere
+    stay below it and the norming point of the largest row attains it."""
+    rng = np.random.default_rng(23)
+    E = SpaceSpec(r, 5, (0.5, 1.0, 2.0, 1.5, 0.25))
+    A = rng.standard_normal((3, 5))
+    est = operator_norm(LinearMap.from_array(A, E, SpaceSpec(math.inf, 3)))
+    rows = [functional_norm(E, row) for row in A]
+    assert est.exact and est.method == ("extreme-point enumeration",)
+    assert est.lower == pytest.approx(max(rows), rel=1e-13)
+    x = norming_vector(E, A[int(np.argmax(rows))])
+    assert np.max(np.abs(A @ x)) == pytest.approx(est.lower, rel=1e-12)
+    assert max(np.max(np.abs(A @ x)) for x in sample_sphere(E, 2000, seed=24)) <= est.lower * (1 + 1e-12)
 
 
 def test_space_json_roundtrip():

@@ -32,6 +32,7 @@ from fblab import (
     pi_p_lower,
     pi_q1_lower,
     sample_sphere,
+    tuple_map,
     weak_p_norm,
     witness_search,
 )
@@ -353,6 +354,47 @@ def test_operator_norm_sup_domain_vs_brute_force(codomain):
         )
         assert est.exact
         assert est.lower == pytest.approx(brute, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize(
+    "E",
+    [SpaceSpec(1.0, 4, (0.5, 1.0, 2.0, 0.25)), SpaceSpec(2.0, 4, (0.5, 1.0, 1.5, 2.0)), SpaceSpec(math.inf, 4)],
+    ids=["weighted-l1", "weighted-l2", "sup"],
+)
+def test_weak_p_norm_is_the_norm_of_the_tuple_map(E, p):
+    """The weak-p norm of a family (y_k) is the norm of x -> (<y_k, x>)_k
+    from E into ell_p^N: both read the same interval on every path, and
+    both are exact on every exact path (all but a Euclidean ball at
+    p = 2)."""
+    rng = np.random.default_rng(90)
+    for Y in (rng.uniform(-1.0, 1.0, (1, 4)), rng.uniform(-1.0, 1.0, (5, 4))):
+        weak = weak_p_norm(Y, E, p)
+        S = tuple_map(Y, dual_space(E), SpaceSpec(p, len(Y)))
+        assert S.domain == E
+        op = operator_norm(S)
+        assert weak.exact == op.exact
+        assert weak.exact or (E.r, p) == (2.0, 2.0)
+        assert weak.lower == pytest.approx(op.lower, rel=1e-13)
+        assert weak.upper == pytest.approx(op.upper, rel=1e-13)
+        assert _brute_weak(Y, E, p, samples=500, seed=91) <= weak.upper * (1 + 1e-12)
+
+
+def test_witness_search_keeps_small_scale_seeds():
+    """The objective ratio does not depend on the scale of a family, so
+    neither may the search: the identity over ell_inf^3 wins at scale 1
+    and at scales 1e-15 and 1e-200, whose weak-1 norms lie far below
+    1e-14; a lost seed would leave the random restart's 0.216."""
+    E = SpaceSpec(math.inf, 3)
+    cfg = OptimizerConfig(restarts=1, polish=False)
+
+    def diagonal(Y):
+        return float(np.sum(np.abs(np.diag(Y))))
+
+    for scale in (1.0, 1e-15, 1e-200):
+        val, witness, tight = witness_search(E, 1.0, diagonal, [scale * np.eye(3)], cfg)
+        assert tight and val == pytest.approx(1.0, rel=1e-12)
+        assert witness.matrix == pytest.approx(np.eye(3) / 3.0, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
