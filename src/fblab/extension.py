@@ -252,9 +252,10 @@ def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | Non
 def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize the plain form v . c over B_F, with a maximizer of ambient
     norm 1.  Exact by vertex enumeration for ambient r in {1, inf} (an LP
-    above the vertex cap) and in closed form for r = 2; multistart ratio
-    ascent otherwise (still a true value, attained at the returned
-    feasible point)."""
+    above the vertex cap) and in closed form for r = 2; otherwise the
+    better of two feasible points, the r = 2 maximizer and v itself, each
+    rescaled to ambient norm 1 (still a true value, attained at the
+    returned point)."""
     E = sub.ambient
     v = np.asarray(v, dtype=float)
     V = sub._vertices
@@ -302,16 +303,17 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
             c = c / nv
         return float(v @ c), c
 
+    # at r = 2 the squared norm of c @ B is c . G c with G = (B * w) @ B.T,
+    # so v . c peaks along G^-1 v
+    sol = np.linalg.solve((B * w) @ B.T, v)
     if E.r == 2:
-        M = B @ np.diag(w) @ B.T
-        sol = np.linalg.solve(M, v)
         val = math.sqrt(float(v @ sol))
         return val, sol / val
 
-    # generic r: ratio ascent from the pseudo-inverse direction
+    # generic r: the better of the Euclidean maximizer and v itself, rescaled
     best_val, best_c = 0.0, None
-    for c0 in [np.linalg.lstsq(B.T, v, rcond=None)[0], v[:k] if len(v) >= k else None]:
-        if c0 is None or not np.all(np.isfinite(c0)):
+    for c0 in (sol, v):
+        if not np.all(np.isfinite(c0)):
             continue
         nv = sub.ambient_norm(c0)
         if nv <= 1e-14:
@@ -570,7 +572,7 @@ def embedding_gap(
     def objective(G: np.ndarray) -> float:
         return lp_combine(eval_pairings(e, G @ coords.T), p)
 
-    f_lower, witness, _ = witness_search(sub, p, objective, seeds, cfg, salt=97)
+    f_lower, witness, _ = witness_search(sub, p, objective, seeds, cfg)
 
     if witness is not None:
         # any F-side witness extends to an ambient family with the same

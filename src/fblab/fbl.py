@@ -208,7 +208,7 @@ def fbl_norm(
         )
 
     val, witness, tight = witness_search(
-        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg, salt=31
+        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg
     )
     method = ["witness search"]
     method.append("exact weak constraint" if tight else "crude-upper weak normalization")

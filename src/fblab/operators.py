@@ -168,35 +168,6 @@ def _unit_space(p: float, n: int) -> SpaceSpec:
     return SpaceSpec(p, n)
 
 
-def _exact_path(
-    E: SpaceSpec, C: SpaceSpec, family_size: int
-) -> tuple[str, bool, int, bool] | None:
-    """How ``_exact_norm`` evaluates a map from the ball of ``E`` into ``C``
-    (C.dim rows): (path tag, over the cube vertices?, signed-sum entries it
-    enumerates, cheap enough for a polish loop?); None when no exact path
-    applies.  The tags name the weak-p paths (C = ell_p^N).  In order: a
-    sup-norm codomain by the rows' dual norms and an ell_1 domain by the
-    best column (closed forms, nothing enumerated); an ell_1 codomain of at
-    most ``family_size`` rows by its 2^(N-1) row signs or, over a sup-norm
-    ball, the 2^(dim-1) cube vertices, whichever is less work; a sup-norm
-    domain within the enumeration cap by its cube vertices."""
-    N, dim = C.dim, E.dim
-    if C.is_sup:
-        return "weak-inf closed form", False, 0, True
-    if E.r == 1:
-        return "cross-polytope enumeration", False, 0, True
-    cube = (1 << (dim - 1)) * N
-    if C.r == 1 and N <= family_size:
-        rows = (1 << (N - 1)) * dim
-        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
-        if E.is_sup and cube < rows:
-            return "sign enumeration", True, cube, cheap
-        return "sign enumeration", False, rows, cheap
-    if E.is_sup and dim <= _EXTREME_ENUM_CAP:
-        return "cube-vertex enumeration", True, cube, (1 << dim) * N <= (1 << 21)
-    return None
-
-
 def _exact_norm(
     Y: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int
 ) -> tuple[float, str, bool] | None:
@@ -204,18 +175,32 @@ def _exact_norm(
     ``C`` for the rows y_c of Y (pairing coordinates in the dual of E): the
     weak-p norm of a family into unweighted ell_p^N, an operator norm for
     the map's rows.  Returns (value, path tag, cheap enough for a polish
-    loop?), or None off the paths of ``_exact_path``."""
-    path = _exact_path(E, C, family_size)
-    if path is None:
-        return None
-    tag, on_cube, _, cheap = path
+    loop?), or None when no exact path applies.  The tags name the weak-p
+    paths (C = ell_p^N).  In order: a sup-norm codomain by the rows' dual
+    norms and an ell_1 domain by the best column (closed forms); an ell_1
+    codomain of at most ``family_size`` rows by its 2^(N-1) row signs or,
+    over a sup-norm ball, the 2^(dim-1) cube vertices, whichever
+    enumerates fewer signed-sum entries; a sup-norm domain within the
+    enumeration cap by its cube vertices."""
+    N, dim = C.dim, E.dim
     if C.is_sup:
-        return float(np.max(norms_rows(E.dual, Y))), tag, cheap
+        return float(np.max(norms_rows(E.dual, Y))), "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
         V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r  # a power of 1 is a slow copy
         if not C.unweighted:
             V = V * C.weight_array[:, None]
-        return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r), tag, cheap
+        val = float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
+        return val, "cross-polytope enumeration", True
+    if C.r == 1 and N <= family_size:
+        tag = "sign enumeration"
+        cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
+        on_cube = E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim
+    elif E.is_sup and dim <= _EXTREME_ENUM_CAP:
+        tag = "cube-vertex enumeration"
+        cheap = (1 << dim) * N <= (1 << 21)
+        on_cube = True
+    else:
+        return None
     if on_cube:  # the cube vertex s maps to s @ (Y * w).T
         val = _max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)
     else:  # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>

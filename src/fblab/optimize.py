@@ -24,10 +24,15 @@ class OptimizerConfig:
     """Knobs shared by every multistart search.
 
     seed fixes every random start; restarts is the number of random starts
-    per search.  family_size caps witness families and the row-sign side
+    per search that draws them: the candidate functionals of the p =
+    infinity norm, the perturbed coefficients of the p-concavification
+    witness, the outer starts of the extension constant and the multistart
+    ascents of operator norms off their exact paths.  The witness search
+    (finite-p norms, summing norms, embedding gaps) draws none and reads
+    neither.  family_size caps witness families and the row-sign side
     (2^(N-1) sign patterns) of exact norms into ell_1^N, the weak-1 norm
-    among them, not their cube side over a sup-norm ball.  polish turns the
-    local refinement of the best candidates on or off.
+    among them, not their cube side over a sup-norm ball.  polish turns
+    the local refinement of the best candidates on or off.
     """
 
     seed: int = 0

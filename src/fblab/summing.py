@@ -15,25 +15,15 @@ members or of the cube vertices, and a sup-norm ball within the
 enumeration cap by its vertices.  On them the normalization is tight and
 the estimate is flagged accordingly in its method tags.
 
-``witness_search`` is the one search engine of the package (seeds,
-random restarts, Powell polish).  It runs over two kinds of constraint
-ball: the unit ball of a weighted ell_r space (``_weak_E``, the weak-p
-dispatch of this module) and the section B_F of a subspace
-(``extension._weak_F``).  Each kind answers one question per candidate
-family: a certified upper bound on its weak-p norm, whether that bound
-is exact, and whether it is cheap enough for the polish loop.
-
-Exact weak-p at p = 1 enumerates 2^(N-1) sign patterns (the cut norm,
-NP-hard in general), and most random restarts lose.  So a weighted ell_r
-ball also supplies a cheap certified *lower* bound (``_weak_lower``, a
-boolean power method at explicit points of the ball) wherever its exact
-path enumerates at least ``_SCREEN_WORK`` signed-sum entries.  A
-candidate whose objective divided by that lower bound stays below the
-incumbent by a relative 1e-9 cannot win, since dividing by the exact
-norm gives no more, and it skips the exact evaluation.  The value, the
-witness and the tight flag come out bit for bit as without the screen.
-B_F (``extension._weak_F``) supplies no lower bound, so its candidates
-are never screened.
+``witness_search`` is the one search engine of the package: it takes
+the best of the structured seeds its caller supplies and polishes that
+family by Powell.  It runs over two kinds of constraint ball: the unit
+ball of a weighted ell_r space (``_weak_E``, the weak-p dispatch of this
+module) and the section B_F of a subspace (``extension._weak_F``).  Each
+kind answers one question per candidate family: a certified upper bound
+on its weak-p norm, whether that bound is exact, and whether it is cheap
+enough for the polish loop.  The search draws nothing at random, so its
+result depends only on its inputs, ``family_size`` and ``polish``.
 """
 
 from __future__ import annotations
@@ -44,9 +34,9 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, _ascend, _exact_norm, _exact_path, _unit_space, operator_norm
-from .optimize import OptimizerConfig, restart_rng
-from .spaces import SpaceSpec, dual_space, norm, norming_vector, norms_rows
+from .operators import LinearMap, _exact_norm, _unit_space, operator_norm
+from .optimize import OptimizerConfig
+from .spaces import SpaceSpec, dual_space, norms_rows
 
 if TYPE_CHECKING:
     from .extension import SubspaceSpec
@@ -110,43 +100,6 @@ def _weak_E(
     return hit[0], True, hit[2]
 
 
-# an exact path enumerating fewer signed-sum entries is cheaper than its screen
-_SCREEN_WORK = 1 << 16
-
-
-def _weak_lower(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
-    """A certified lower bound on the weak-p norm of the family Y over the
-    ball of ``space``: (sum_k |<y_k, x>|^p)^(1/p) / ||x|| at explicit
-    points x.  The weak-p norm is the norm of x -> (<y_k, x>)_k from
-    ``space`` to ell_p^N, so a boolean power method (the conditional-
-    gradient ascent ``_ascend``) climbs it from the norming points of the
-    two heaviest members.  Valid for every weighted ell_r."""
-    W = Y * space.weight_array  # <y_k, x> = W[k] @ x
-    top = float(np.max(np.abs(W)))
-    if not top > 0.0:
-        return 0.0
-    W = W / top  # weak-p is homogeneous; unit entries keep the powers in range
-    ell_p, linear_max = _unit_space(p, len(Y)), lambda g: norming_vector(space, g)
-    best = 0.0
-    for k in np.argsort(-norms_rows(space.dual, Y))[:2]:
-        val, x = _ascend(W, ell_p, norming_vector(space, W[k]), linear_max)
-        best = max(best, val / norm(space, x))
-    best *= top
-    return best if math.isfinite(best) else 0.0  # an overflow bounds nothing
-
-
-def _weak_E_lower(
-    space: SpaceSpec, Y: np.ndarray, p: float, cfg: OptimizerConfig
-) -> float:
-    """``_weak_lower`` where the exact path of ``_weak_E`` enumerates at
-    least ``_SCREEN_WORK`` signed-sum entries, else 0 (no bound)."""
-    path = _exact_path(space, _unit_space(p, len(Y)), cfg.family_size)
-    if path is None:
-        return 0.0
-    _, _, work, _ = path
-    return _weak_lower(Y, space, p) if work >= _SCREEN_WORK else 0.0
-
-
 def weak_p_norm(
     family,
     space: SpaceSpec,
@@ -208,35 +161,25 @@ def witness_search(
     objective: Callable[[np.ndarray], float],
     seeds: Iterable[np.ndarray],
     cfg: OptimizerConfig,
-    salt: int = 0,
 ) -> tuple[float, WitnessFamily | None, bool]:
     """Maximize objective(Y) over families with weak-p norm at most 1.
 
     The constraint ball is the unit ball of a ``SpaceSpec`` (family rows
     live in its dual) or the section B_F of a ``SubspaceSpec`` (rows are
     forms on F in basis coordinates).  ``objective`` must be positively
-    homogeneous of degree 1 in the family matrix.  Candidates (seeds
-    first, then random restarts, then a polish pass on the incumbent) are
-    normalized by a certified upper bound on their weak-p norm, so the
-    best value is always a true lower bound for
-    sup { objective : weak-p <= 1 }.
-
-    Over a ``SpaceSpec`` ball a candidate whose exact weak-p evaluation
-    is dear is screened first: when its objective over a certified lower
-    bound on its weak-p norm (``_weak_E_lower``) stays below the incumbent
-    by a relative 1e-9, its exact value could not do better, and the
-    candidate is dropped unevaluated.  So the screen changes no result.
-    B_F (``_weak_F``) supplies no lower bound and is never screened.
+    homogeneous of degree 1 in the family matrix.  Every seed is
+    normalized by a certified upper bound on its weak-p norm, and the best
+    of them is polished by Powell when that bound is cheap (``cfg.polish``
+    turns the polish off); so the best value is always a true lower bound
+    for sup { objective : weak-p <= 1 }.
 
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
     """
     if isinstance(ball, SpaceSpec):
-        weak, lower = _weak_E, _weak_E_lower
+        weak = _weak_E
     else:
         from .extension import _weak_F as weak
-
-        lower = None  # B_F supplies no lower bound
 
     best_val = 0.0
     best_fam: np.ndarray | None = None
@@ -248,18 +191,12 @@ def witness_search(
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.size == 0 or not np.all(np.isfinite(Y)):
             return
-        value = objective(Y)
-        if lower is not None and best_val > 0.0:
-            # the weak-p norm is at least lb, so Y would score at most value / lb
-            lb = lower(ball, Y, p, cfg)
-            if lb > 0.0 and value / lb < best_val * (1.0 - 1e-9):
-                return
         upper, tight, cheap = weak(ball, Y, p, cfg)
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale
         if upper <= 1e-14 * np.max(np.abs(Y)) or math.isinf(upper):
             return
-        val = value / upper
+        val = objective(Y) / upper
         if val > best_val:
             best_val = val
             best_fam = Y / upper
@@ -268,12 +205,6 @@ def witness_search(
 
     for Y in seeds:
         consider(Y)
-
-    sizes = [n for n in (4, 8, 16, cfg.family_size) if n <= cfg.family_size]
-    for k in range(cfg.restarts):
-        rng = restart_rng(cfg, k, salt=salt)
-        N = sizes[k % len(sizes)]
-        consider(rng.standard_normal((N, ball.dim)))
 
     if cfg.polish and best_cheap and best_fam.size <= 128:
         polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam)
@@ -373,11 +304,11 @@ def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
 
 
 def _pi_lower(
-    T: LinearMap, p: float, q: float, cfg: OptimizerConfig, salt: int, method: tuple[str, ...]
+    T: LinearMap, p: float, q: float, cfg: OptimizerConfig, method: tuple[str, ...]
 ) -> NormEstimate:
     """Strong q-sums over weakly-p bounded families, by witness search."""
     val, witness, tight = witness_search(
-        _constraint_space(T), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg, salt=salt
+        _constraint_space(T), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg
     )
     method += ("exact weak constraint" if tight else "crude-upper weak normalization",)
     return NormEstimate(val, math.inf, True, False, method=method, witness=witness)
@@ -389,7 +320,7 @@ def pi_p_lower(T: LinearMap, p: float, cfg: OptimizerConfig | None = None) -> No
     ``T`` must be defined on a dual space: families live in T.domain and
     the weak-p constraint ranges over the ball of its predual.
     """
-    return _pi_lower(T, p, p, cfg or OptimizerConfig(), 17, ("witness search",))
+    return _pi_lower(T, p, p, cfg or OptimizerConfig(), ("witness search",))
 
 
 def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
@@ -413,4 +344,4 @@ def pi_q1_lower(T: LinearMap, q: float, cfg: OptimizerConfig | None = None) -> N
     if not (q >= 1):
         raise ValueError("q must be >= 1 or infinity")
     method = ("witness search", "weak-1 constraint")
-    return _pi_lower(T, 1.0, q, cfg or OptimizerConfig(), 23, method)
+    return _pi_lower(T, 1.0, q, cfg or OptimizerConfig(), method)

@@ -169,6 +169,33 @@ def test_extension_constant_general_interval():
     assert est.witness is not None
 
 
+def test_extension_constant_generic_exponent():
+    """Over a subspace of ell_3 that is neither axis-aligned nor a
+    polytope section, forms on F are maximized at explicit points of B_F.
+    On F = span (1, 1, 0) the form c -> 2c peaks at c = 2^(-1/3), and a
+    map into a line extends with constant 1 (Hahn-Banach)."""
+    E = SpaceSpec(3.0, 3)
+    sub = SubspaceSpec.from_arrays(E, [[1.0, 1.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    val, c = _max_linear_over_BF(sub, np.array([2.0]))
+    assert sub.ambient_norm(c) == pytest.approx(1.0, rel=1e-12)
+    assert val == pytest.approx(2.0 * c[0], rel=1e-12)
+    assert val == pytest.approx(2.0 ** (2.0 / 3.0), rel=1e-12)
+    T = LinearMap.from_array(np.eye(1), SpaceSpec(2.0, 1), SpaceSpec(2.0, 1))
+    est = extension_constant(sub, T, 2.0, CFG)
+    assert est.lower == 1.0
+    assert est.upper == pytest.approx(1.0, abs=1e-6)
+
+    sub2 = SubspaceSpec.from_arrays(
+        SpaceSpec(3.0, 4, (0.5, 1.0, 2.0, 1.5)),
+        [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]],
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    )
+    for v in (np.array([1.0, -2.0]), np.array([0.3, 0.0])):
+        val, c = _max_linear_over_BF(sub2, v)
+        assert sub2.ambient_norm(c) == pytest.approx(1.0, rel=1e-12)
+        assert val == pytest.approx(float(v @ c), rel=1e-12) and val > 0.0
+
+
 def test_embedding_gap_trivial_subspace():
     """F = E: the inherited and ambient norms coincide."""
     E = SpaceSpec(math.inf, 3)

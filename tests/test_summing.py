@@ -7,20 +7,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fblab import (
     Abs,
     Gen,
     GeneratorBinding,
-    Join,
     LinearMap,
     Meet,
     Neg,
     OptimizerConfig,
     SpaceSpec,
     WitnessFamily,
-    PosPart,
     dual_space,
     fbl_norm,
     functional_norm,
@@ -36,10 +33,8 @@ from fblab import (
     weak_p_norm,
     witness_search,
 )
-from fblab import summing
-from fblab.experiments import summing_basis_matrix
 from fblab.spaces import _max_signed_sum, norms_rows
-from fblab.summing import _weak_lower, hadamard, lp_combine
+from fblab.summing import hadamard, lp_combine
 
 
 def _brute_weak(Y, space, p, samples=4000, seed=0):
@@ -268,7 +263,7 @@ def test_witness_search_reports_true_lower_bound():
         return float(np.sum(np.abs(Y)))
 
     cfg = OptimizerConfig(restarts=8)
-    val, witness, tight = witness_search(E, 1.0, obj, [np.eye(3)], cfg, salt=5)
+    val, witness, tight = witness_search(E, 1.0, obj, [np.eye(3)], cfg)
     assert witness is not None
     assert tight
     assert obj(witness.matrix) == pytest.approx(val, rel=1e-9)
@@ -384,7 +379,7 @@ def test_witness_search_keeps_small_scale_seeds():
     """The objective ratio does not depend on the scale of a family, so
     neither may the search: the identity over ell_inf^3 wins at scale 1
     and at scales 1e-15 and 1e-200, whose weak-1 norms lie far below
-    1e-14; a lost seed would leave the random restart's 0.216."""
+    1e-14; a lost seed would leave no witness at all."""
     E = SpaceSpec(math.inf, 3)
     cfg = OptimizerConfig(restarts=1, polish=False)
 
@@ -398,44 +393,8 @@ def test_witness_search_keeps_small_scale_seeds():
 
 
 # --------------------------------------------------------------------------
-# the screen of witness_search: a certified lower bound on weak-p
+# the witness search draws nothing at random
 # --------------------------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    r=st.sampled_from([1.5, 2.0, 3.0, math.inf]),
-    p=st.sampled_from([1.0, 2.0]),
-    dim=st.integers(1, 5),
-    data=st.data(),
-)
-def test_weak_lower_is_below_the_weak_norm(r, p, dim, data):
-    """The screen's bound never exceeds a certified upper bound on weak-p,
-    on weighted spaces and families with zero and parallel members."""
-    N = data.draw(st.integers(1, 20), label="N")
-    weights = data.draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim), label="w")
-    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-    rows = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=N, max_size=N))
-    Y = np.array(rows)
-    for k in range(1, N):
-        kind = data.draw(st.sampled_from(["free", "zero", "parallel"]), label=f"row {k}")
-        if kind == "zero":
-            Y[k] = 0.0
-        elif kind == "parallel":
-            Y[k] = data.draw(st.floats(-4.0, 4.0), label=f"factor {k}") * Y[k - 1]
-    E = SpaceSpec(r, dim, tuple(weights))
-    lb = _weak_lower(Y, E, p)
-    assert 0.0 <= lb <= weak_p_norm(Y, E, p).upper * (1.0 + 1e-12)
-
-
-def _mixed(c):
-    """c0|d0| + c1 (d1 v d2) - c2|d3| + c3 (d0 - d1)^+"""
-    return (
-        Abs(Gen(0)) * c[0]
-        + Join(Gen(1), Gen(2)) * c[1]
-        - Abs(Gen(3)) * c[2]
-        + PosPart(Gen(0) - Gen(1)) * c[3]
-    )
 
 
 def _alternating(c):
@@ -447,72 +406,22 @@ def _alternating(c):
     return e + Meet(Gen(0), Neg(Gen(len(c) - 2))) * c[-1]
 
 
-def _screen_case(kind, r, dim):
-    rng = np.random.default_rng(61)
-    if kind == "summing basis":
-        e = Abs(Gen(0))
-        for k in range(1, dim):
-            e = e + (Neg(Abs(Gen(k))) if k % 2 else Abs(Gen(k)))
-        return e, GeneratorBinding.from_matrix(SpaceSpec(r, dim), summing_basis_matrix(dim))
-    if kind == "mixed":
-        e, count = _mixed(rng.uniform(0.5, 1.5, 4)), 4
-    else:
-        e, count = _alternating(rng.uniform(0.5, 1.5, 7)), 6
-    return e, GeneratorBinding.from_matrix(SpaceSpec(r, dim), rng.standard_normal((count, dim)))
-
-
-@pytest.mark.parametrize(
-    "kind, r, dim, engaged",
-    [
-        ("alternating", math.inf, 10, False),  # the cube side is cheaper than a screen
-        ("mixed", 2.0, 8, True),
-        ("alternating", 2.0, 8, True),
-        ("summing basis", math.inf, 64, True),
-    ],
-)
-def test_screen_changes_no_result(monkeypatch, kind, r, dim, engaged):
-    """Skipping candidates whose lower bound already rules them out leaves
-    the value, the witness bytes and the tight flag as they were, and it
-    does skip exact evaluations where the sign enumeration is dear."""
-    e, b = _screen_case(kind, r, dim)
-    cfg = OptimizerConfig(restarts=24)
-    calls = []
-    exact = summing._weak_exact
-
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
-
-    monkeypatch.setattr(summing, "_weak_exact", counted)
-    screened = fbl_norm(e, b, 1.0, cfg)
-    with_screen = len(calls)
-    monkeypatch.setattr(summing, "_weak_lower", lambda Y, space, p: 0.0)
-    calls.clear()
-    plain = fbl_norm(e, b, 1.0, cfg)
-    assert screened.lower == plain.lower and screened.upper == plain.upper
-    assert screened.method == plain.method  # names the tight or crude normalization
-    assert screened.witness.matrix.tobytes() == plain.witness.matrix.tobytes()
-    assert (with_screen < len(calls)) if engaged else (with_screen == len(calls))
-
-
-def test_screen_keeps_each_narrow_improvement():
-    """Five screened candidates (20 parallel members over weighted ell_2^6,
-    where the screen's bound is exact) whose ratios climb by 1e-6 each:
-    every one beats the incumbent, so every one must pass the screen and
-    the last one wins."""
-    E = SpaceSpec(2.0, 6, (0.5, 1.0, 2.0, 1.0, 1.5, 0.7))
-    rng = np.random.default_rng(8)
-    a, v = rng.standard_normal(20), rng.standard_normal(6)
-    seeds = []
-    for j in range(5):
-        a[0] = j * a[1]
-        seeds.append(np.outer(a, v))
-
-    def obj(Y):  # weak-1 norm times a scale-free 1 + j * 1e-6
-        return weak_p_norm(Y, E, 1.0).upper * (1.0 + 1e-6 * Y[0, 0] / Y[1, 0])
-
-    assert _weak_lower(seeds[0], E, 1.0) == pytest.approx(weak_p_norm(seeds[0], E, 1.0).upper, rel=1e-12)
-    cfg = OptimizerConfig(restarts=1, polish=False)
-    val, witness, tight = witness_search(E, 1.0, obj, seeds, cfg)
-    assert tight and val == pytest.approx(1.000004, rel=1e-12)
-    assert witness.matrix[0, 0] == pytest.approx(4.0 * witness.matrix[1, 0], rel=1e-12)
+def test_witness_search_ignores_seed_and_restarts():
+    """The search is its seeds plus a polish of the best one, so the seed
+    and the restart count of the configuration change neither the value
+    nor the witness.  Over ell_2^8 at p = 1 a 16-member random family
+    that edged out the seeds would be too dear to polish and would leave
+    4.77 in place of 5.94."""
+    rng = np.random.default_rng(12)
+    e = _alternating(rng.uniform(0.5, 1.5, 7))
+    b = GeneratorBinding.from_matrix(SpaceSpec(2.0, 8), rng.standard_normal((6, 8)))
+    configs = [
+        OptimizerConfig(restarts=1),
+        OptimizerConfig(restarts=24),
+        OptimizerConfig(restarts=64, seed=7),
+    ]
+    ests = [fbl_norm(e, b, 1.0, cfg) for cfg in configs]
+    assert ests[0].lower == pytest.approx(5.938988605781749, rel=1e-9)
+    for est in ests[1:]:
+        assert est.lower == ests[0].lower
+        assert est.witness.matrix.tobytes() == ests[0].witness.matrix.tobytes()
