@@ -281,6 +281,30 @@ _VALUES = {
 }
 
 
+# whether a node is convex, from whether its children are all linear and all convex
+_CONVEX_IF = {
+    **dict.fromkeys((Add, Join, PosPart), lambda n, linear, convex: convex),
+    Scale: lambda n, linear, convex: convex and n.c >= 0,
+    **dict.fromkeys((Abs, PowerSum), lambda n, linear, convex: linear),
+    **dict.fromkeys((Neg, Meet), lambda n, linear, convex: False),
+}
+
+
+def _shape(n: LatticeExpr, v: list, k: tuple, P: np.ndarray) -> np.ndarray | bool | None:
+    linear = all(isinstance(v[j], np.ndarray) for j in k)
+    if linear and isinstance(n, (Gen, Scale, Add, Neg)):
+        return _VALUES[type(n)](n, v, k, P)
+    return _CONVEX_IF[type(n)](n, linear, all(v[j] is not None for j in k)) or None
+
+
+def _convex_shape(e: LatticeExpr, b: GeneratorBinding) -> np.ndarray | bool | None:
+    """The vector g in b.space with e(y) = <y, g> if e is linear (generators,
+    and sums, scales and negations of linear nodes); True if e is otherwise
+    convex by its form (moduli and power sums of linear nodes; sums, joins,
+    positive parts and nonnegative scales of convex nodes); None if neither."""
+    return _fold(e, dict.fromkeys(_CHILDREN, _shape), b.matrix.T)
+
+
 def eval_pairings(e: LatticeExpr, P: np.ndarray) -> np.ndarray:
     """Evaluate on precomputed pairings P[row, i] = <f_row, x_i>."""
     return _fold(e, _VALUES, P)

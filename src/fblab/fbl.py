@@ -9,7 +9,9 @@ the p-convex free-lattice norm is
 with families of arbitrary finite size; in finite dimension the
 constraint over B_E (rather than the bidual ball) is exact.  For
 p = infinity the norm degenerates to the sup of |f| over the dual unit
-sphere.
+sphere: exact, with a certified upper bound at any dual dimension, when
+f is convex and the sup can be enumerated; otherwise a multistart lower
+bound, with a certified upper bound only for dual dimension <= 3.
 
 Lower bounds come from explicit feasible witness families (see
 ``summing.witness_search``); upper bounds come from a structural chain:
@@ -35,6 +37,7 @@ from .exprs import (
     Neg,
     PosPart,
     Scale,
+    _convex_shape,
     eval_rows,
     lipschitz_bound,
     mass_bound,
@@ -44,7 +47,9 @@ from .operators import tuple_map
 from .optimize import OptimizerConfig, nelder_mead_rows, restart_rng
 from .spaces import (
     SpaceSpec,
+    _max_signed_sum,
     dual_space,
+    extreme_points_matrix,
     norm,
     norming_functional,
     norms_rows,
@@ -232,16 +237,36 @@ def fbl_infty_norm(
 ) -> NormEstimate:
     """sup of |eval(e, .)| over the dual unit sphere.
 
+    Exact for a convex e on the paths of ``_convex_sup``, at any dual
+    dimension: the upper bound is the enumerated maximum, the lower bound
+    |e(y)| / ||y||_* at the functional y found there, and where rounding
+    (up to 1e-12 of the mass bound) puts it above, the upper is the lower.
+    Any other e goes to ``_dual_multistart``.
+    """
+    cfg = cfg or OptimizerConfig()
+    found = _convex_sup(e, b, cfg.family_size)
+    if found is None:
+        return _dual_multistart(e, b, cfg)
+    upper, y, how = found
+    n = norm(dual_space(b.space), y)
+    lower = abs(float(eval_rows(e, b, y[None, :])[0])) / n
+    if lower > upper and lower - upper > 1e-12 * mass_bound(e, b):  # more than rounding
+        raise RuntimeError(f"witness value {lower} exceeds the enumerated maximum {upper}")
+    upper = max(upper, lower)
+    witness = WitnessFamily((y / n)[None, :], math.inf, 1.0, lower)
+    return NormEstimate(lower, upper, True, True, ("convex expression", how), witness)
+
+
+def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) -> NormEstimate:
+    """sup of |eval(e, .)| over the dual unit sphere for any e, from below.
+
     The lower bound is certified (attained at explicit functionals): the
     best candidate, or a better point of |eval| / dual norm found from the
     six best by one lockstep Nelder-Mead (``nelder_mead_rows``).  A
     certified upper bound is produced only for dual dimension <= 3, by a
-    Lipschitz-padded grid over the dual sphere; extreme points are
-    deliberately *not* used as an upper bound, since the sup of a
-    positively homogeneous function over the ball need not occur at an
-    extreme point.
+    Lipschitz-padded grid over the dual sphere; vertices of the dual ball
+    give none, since a non-convex e need not attain its sup at one.
     """
-    cfg = cfg or OptimizerConfig()
     E = b.space
     Ed = dual_space(E)
     dim = E.dim
@@ -271,26 +296,42 @@ def fbl_infty_norm(
             if v > best_val:
                 best_val, best_y = float(v), y
 
-    method = ["dual-sphere multistart"]
-    if dim <= 3:
-        upper = _grid_upper(e, b, cfg)
-        upper = max(upper, best_val)
-        method.append("Lipschitz grid upper")
-        upper_certified = True
-    else:
-        upper = best_val
-        method.append("upper not certified (dual dim > 3)")
-        upper_certified = False
-
+    grid = dim <= 3
+    upper = max(_grid_upper(e, b, cfg), best_val) if grid else best_val
+    how = "Lipschitz grid upper" if grid else "upper not certified (dual dim > 3)"
     witness = WitnessFamily(best_y[None, :], math.inf, 1.0, best_val)
-    return NormEstimate(
-        lower=best_val,
-        upper=upper,
-        lower_certified=True,
-        upper_certified=upper_certified,
-        method=tuple(method),
-        witness=witness,
-    )
+    return NormEstimate(best_val, upper, True, grid, ("dual-sphere multistart", how), witness)
+
+
+def _convex_sup(
+    e: LatticeExpr, b: GeneratorBinding, cap: int
+) -> tuple[float, np.ndarray, str] | None:
+    """For a convex e, its sup over the dual ball (the sup of |e|, since
+    e(y) + e(-y) >= 0), a functional attaining it and the path taken; None
+    off these paths.  A dual ball with at most 2^12 vertices (E = ell_inf^d,
+    or ell_1^d with d <= 12) attains it at a vertex.  Else a linear e = <., g>
+    has sup ||g||_E, and a moduli combination sum a_k |<., x_k>| of at most
+    ``cap`` terms has sup max_s ||sum_k s_k a_k x_k||_E, attained at the
+    norming functional of the winning signed sum."""
+    shape = _convex_shape(e, b)
+    if shape is None:
+        return None
+    E = b.space
+    vertices = 2 * E.dim if E.is_sup else 2**E.dim if E.r == 1 else math.inf
+    if vertices <= 1 << 12:
+        Y = extreme_points_matrix(E.dual)
+        vals = eval_rows(e, b, Y)
+        i = int(np.argmax(vals))
+        return float(vals[i]), Y[i], "dual-ball vertex enumeration"
+    if isinstance(shape, np.ndarray):
+        M = shape[None, :]
+    else:
+        moduli = recognize_moduli_combination(e)
+        if moduli is None or len(moduli) > cap:
+            return None
+        M = np.array(list(moduli.values()))[:, None] * b.matrix[list(moduli)]
+    top, z = _max_signed_sum(M, E)
+    return top, norming_functional(E, z), "signed-sum enumeration"
 
 
 def _grid_upper(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) -> float:

@@ -202,9 +202,9 @@ def _exact_norm(
     else:
         return None
     if on_cube:  # the cube vertex s maps to s @ (Y * w).T
-        val = _max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)
+        val = _max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)[0]
     else:  # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
-        val = _max_signed_sum(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)
+        val = _max_signed_sum(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)[0]
     return val, tag, cheap
 
 

@@ -121,10 +121,21 @@ def norm(space: SpaceSpec, x) -> float:
     v = space.check_point(x)
     if space.is_sup:
         return float(np.max(np.abs(v)))
+    n = _lr_norm(space, v)
+    if (n == 0.0 and np.any(v)) or (n == math.inf and np.all(np.isfinite(v))):
+        # the powers under- or overflowed: measure v scaled by an exact power of two
+        e = math.frexp(np.max(np.abs(v)))[1]
+        with np.errstate(over="ignore"):  # a norm above the float range is inf
+            n = float(np.ldexp(_lr_norm(space, np.ldexp(v, -e)), e))
+    return n
+
+
+def _lr_norm(space: SpaceSpec, v: np.ndarray) -> float:
     w = space.weight_array
-    if space.r == 1:
-        return float(np.sum(w * np.abs(v)))
-    return float(np.sum(w * np.abs(v) ** space.r) ** (1.0 / space.r))
+    with np.errstate(over="ignore"):  # an overflow is caught by norm
+        if space.r == 1:
+            return float(np.sum(w * np.abs(v)))
+        return float(np.sum(w * np.abs(v) ** space.r) ** (1.0 / space.r))
 
 
 def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
@@ -201,9 +212,9 @@ def _signs(k: int) -> np.ndarray:
 _SIGNED_SUM_BLOCK = 1 << 18
 
 
-def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> float:
+def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]:
     """max over s in {+-1}^n with s_0 = +1 (the norm is even) of
-    norm(space, s @ M), for the n rows of M.
+    norm(space, s @ M), for the n rows of M, and the winning signed sum s @ M.
 
     Every pattern is one L_i + H_j of the half tables of signed sums
     L = M[0] + _signs(b) @ M[1:1+b] and H = _signs(h) @ M[1+b:].  A Euclidean
@@ -234,8 +245,8 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> float:
         if vals.flat[k] > best:
             best = vals.flat[k]
             i, j = divmod(k + start * len(H), len(H))
-    s = np.concatenate(([1.0], sb[i], sh[j]))
-    return float(norms_rows(space, (s @ M)[None, :])[0])
+    z = np.concatenate(([1.0], sb[i], sh[j])) @ M
+    return float(norms_rows(space, z[None, :])[0]), z
 
 
 def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:

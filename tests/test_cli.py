@@ -78,6 +78,20 @@ def test_norm_input_errors(space_file, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_norm_p_inf_convex_is_exact_and_draws_nothing(tmp_path, capsys):
+    """abs(d0)+abs(d3) over ell_2^5 is convex: its p = inf norm is sqrt 2,
+    certified, and the seed changes no byte of the report."""
+    spath = tmp_path / "space.json"
+    spath.write_text(json.dumps(space_to_json(SpaceSpec(2.0, 5))))
+    argv = ["norm", "--space", str(spath), "--expr", "abs(d0)+abs(d3)", "--p", "inf"]
+    code, out = _run(capsys, argv + ["--seed", "0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["upper_certified"] is True
+    assert payload["lower"] == payload["upper"] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert _run(capsys, argv + ["--seed", "5"]) == (0, out)
+
+
 def test_norm_long_moduli_sum(tmp_path, capsys):
     """A 1500-term sum of moduli over L_1 goes through the CLI; its p = 1
     norm is the sum of the vector norms."""

@@ -1,16 +1,25 @@
 """Free-lattice norms: exact moduli identities, sup-norm case,
 sublattice generators, concavification duality."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fblab.fbl as fbl_module
 from fblab import (
     Abs,
+    Add,
     Gen,
     GeneratorBinding,
+    Join,
+    Meet,
+    Neg,
     OptimizerConfig,
+    PosPart,
+    PowerSum,
     SpaceSpec,
     disjointness_check,
     dual_space,
@@ -23,6 +32,10 @@ from fblab import (
     sample_sphere,
     sublattice_generators,
 )
+from fblab.experiments import _moduli_sum, summing_basis_matrix
+from fblab.exprs import _convex_shape, eval_rows
+from fblab.fbl import _dual_multistart
+from fblab.spaces import norms_rows
 
 CFG = OptimizerConfig(restarts=12)
 
@@ -95,8 +108,8 @@ def test_fbl_norm_rejects_bad_p():
 
 
 def test_fbl_infty_norm_small_dim_certified():
-    """For dual dimension <= 3 the grid upper bound is certified and
-    tight on |delta_x|, whose sup over the dual sphere is ||x||."""
+    """|delta_x| is convex: its sup over the dual sphere, ||x||, comes
+    with a certified upper bound."""
     rng = np.random.default_rng(4)
     for r in (1.0, 2.0, math.inf):
         E = SpaceSpec(r, 3)
@@ -106,7 +119,7 @@ def test_fbl_infty_norm_small_dim_certified():
         assert est.upper_certified
         assert est.lower == pytest.approx(norm(E, x), rel=1e-6)
         assert est.upper >= est.lower - 1e-12
-        assert est.upper <= norm(E, x) * 1.25  # grid padding stays modest
+        assert est.upper <= norm(E, x) * 1.25
 
 
 def test_fbl_infty_norm_join_of_atoms():
@@ -119,12 +132,141 @@ def test_fbl_infty_norm_join_of_atoms():
     assert est.upper_certified
 
 
+def test_fbl_infty_norm_grid_upper_off_the_convex_paths():
+    """|d0| - |d1| is not convex; for dual dimension <= 3 the Lipschitz
+    grid certifies an upper bound on its sup, 1."""
+    for r, dim in ((1.0, 2), (2.0, 3), (math.inf, 3)):
+        b = GeneratorBinding.from_matrix(SpaceSpec(r, dim), np.eye(dim))
+        est = fbl_infty_norm(Abs(Gen(0)) - Abs(Gen(1)), b, CFG)
+        assert est.method == ("dual-sphere multistart", "Lipschitz grid upper")
+        assert est.upper_certified
+        assert est.lower == pytest.approx(1.0, rel=1e-9)
+        assert 1.0 <= est.upper <= 1.25
+
+
 def test_fbl_infty_norm_large_dim_uncertified_upper():
+    """Off the convex paths and above dual dimension 3 no upper bound is
+    certified."""
+    E = SpaceSpec(2.0, 5)
+    b = GeneratorBinding.from_matrix(E, np.eye(5))
+    est = fbl_infty_norm(Abs(Gen(0)) - Abs(Gen(3)), b, CFG)
+    assert not est.upper_certified
+    assert est.lower_certified
+
+
+def test_fbl_infty_norm_convex_large_dim_exact():
+    """|d0| + |d3| over ell_2^5 is convex: its sup is the largest signed
+    sum, ||e_0 +- e_3||_2 = sqrt 2, at any dual dimension."""
     E = SpaceSpec(2.0, 5)
     b = GeneratorBinding.from_matrix(E, np.eye(5))
     est = fbl_infty_norm(Abs(Gen(0)) + Abs(Gen(3)), b, CFG)
-    assert not est.upper_certified
-    assert est.lower_certified
+    assert est.method == ("convex expression", "signed-sum enumeration")
+    assert est.lower_certified and est.upper_certified
+    assert est.lower == est.upper == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_fbl_infty_norm_convex_sum_is_not_polished(monkeypatch):
+    """The sum of the moduli of the summing basis of ell_inf^20 is convex:
+    its norm 20 is the largest value at the 40 vertices of the dual ball,
+    with no Nelder-Mead run (the binding fbl calls refuses to run)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the convex path runs no Nelder-Mead")
+
+    monkeypatch.setattr(fbl_module, "nelder_mead_rows", refuse)
+    m = 20
+    b = GeneratorBinding.from_matrix(SpaceSpec(math.inf, m), summing_basis_matrix(m))
+    est = fbl_infty_norm(_moduli_sum(m), b, CFG)
+    assert est.lower == est.upper == 20.0
+    assert est.upper_certified and est.lower_certified
+    assert est.method == ("convex expression", "dual-ball vertex enumeration")
+
+
+def test_fbl_infty_norm_linear_form_with_cancellation():
+    """d0 - d1 with x_1 close to x_0 is linear, sup ||x_0 - x_1||: the
+    rounding of the cancelling pairings raises no error."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(3)
+    for r in (1.0, 2.0, 3.0, math.inf):
+        for gap in (1e-9, 1e-14, 0.0):
+            X = np.array([x, x + gap * rng.standard_normal(3)])
+            b = GeneratorBinding.from_matrix(SpaceSpec(r, 3), X)
+            est = fbl_infty_norm(Gen(0) - Gen(1), b, CFG)
+            assert est.upper_certified and est.method[0] == "convex expression"
+            assert est.lower <= est.upper
+            assert est.upper == pytest.approx(norm(b.space, X[0] - X[1]), rel=1e-3, abs=1e-15)
+
+
+def _random_convex(draw, count: int, rng) -> tuple:
+    """A random convex expression over count generators, and whether it is a
+    moduli combination or a linear form, enumerated over every space."""
+    kind = draw(st.sampled_from(["moduli", "linear", "mixed"]))
+    if kind == "moduli":
+        idx = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True))
+        e = functools.reduce(Add, [Abs(Gen(i)) * float(rng.uniform(0.1, 2.0)) for i in idx])
+        return e, True
+
+    def linear():
+        return functools.reduce(Add, [Gen(i) * float(rng.normal()) for i in range(count)])
+
+    if kind == "linear":
+        return linear(), True
+    terms = []
+    for part in draw(st.lists(st.sampled_from(["abs", "join", "pos", "lin", "powersum"]), min_size=1, max_size=4)):
+        c = float(rng.uniform(0.1, 2.0))
+        i, j = rng.integers(count, size=2)
+        terms.append(
+            {
+                "abs": lambda: Abs(linear()) * c,
+                "join": lambda: Join(Gen(int(i)), Gen(int(j))) * c,
+                "pos": lambda: PosPart(linear()) * c,
+                "lin": linear,
+                "powersum": lambda: PowerSum(float(rng.choice([1.0, 2.0, 3.5])), (linear(), linear())) * c,
+            }[part]()
+        )
+    return functools.reduce(Add, terms), False
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fbl_infty_norm_convex_brute_force(data):
+    """On random convex expressions over weighted ell_r: the lower bound
+    replays at its witness, the exact value is at least what the
+    multistart finds, and no sampled point of the dual sphere exceeds the
+    certified upper bound."""
+    count = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    e, anywhere = _random_convex(data.draw, count, rng)
+    # other convex expressions are enumerated only over polytopal dual balls
+    r = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf] if anywhere else [1.0, math.inf]))
+    dim = data.draw(st.integers(1, 4))
+    E = SpaceSpec(r, dim, tuple(rng.uniform(0.25, 2.0, dim)))
+    b = GeneratorBinding.from_matrix(E, rng.standard_normal((count, dim)))
+    assert _convex_shape(e, b) is not None
+    est = fbl_infty_norm(e, b, CFG)
+    assert est.method[0] == "convex expression"
+    assert est.lower_certified and est.upper_certified
+
+    Ed = dual_space(E)
+    y = est.witness.matrix
+    assert norm(Ed, y[0]) == pytest.approx(1.0, rel=1e-12)
+    assert abs(eval_rows(e, b, y)[0]) / norm(Ed, y[0]) == pytest.approx(est.lower, rel=1e-12)
+    searched = _dual_multistart(e, b, OptimizerConfig(restarts=4))
+    assert est.lower >= searched.lower - 1e-12 * searched.lower
+    G = np.random.default_rng(11).standard_normal((10_000, dim))
+    G /= norms_rows(Ed, G)[:, None]
+    assert np.max(np.abs(eval_rows(e, b, G))) <= est.upper * (1.0 + 1e-12)
+
+
+def test_convex_shape_rejects_what_is_not_convex():
+    """A meet, a negated modulus and the modulus of a join are not convex
+    by their form; a linear form's shape is its vector."""
+    b = GeneratorBinding.from_matrix(SpaceSpec(2.0, 3), np.arange(9.0).reshape(3, 3))
+    for e in (Meet(Abs(Gen(0)), Abs(Gen(1))), Neg(Abs(Gen(0))), Abs(Join(Gen(0), Gen(1)))):
+        assert _convex_shape(e, b) is None
+    assert _convex_shape(Abs(Gen(0)) + Join(Gen(1), PosPart(Gen(2))), b) is True
+    g = _convex_shape(Gen(0) * 2.0 - Gen(2), b)
+    assert np.array_equal(g, 2.0 * b.matrix[0] - b.matrix[2])
 
 
 def test_sublattice_generators_structure():

@@ -98,6 +98,34 @@ def test_norming_vector_of_tiny_and_huge_forms(r, scale):
     assert x == pytest.approx(norming_vector(E, g), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_norm_of_tiny_and_huge_vectors(r):
+    """The norm and the functional norm do not under- or overflow where the
+    norm itself is a float: 1e-110 ** 3 is 0.0 and 1e110 ** 3 is inf."""
+    E = SpaceSpec(r, 2, (0.5, 2.0))
+    x = np.array([0.3, -1.0])
+    for scale in (1e-110, 1e-300, 1e110, 1e300):
+        # a direct power of a huge entry loses ~1e-14 in the exponent 1/r
+        assert norm(E, scale * x) == pytest.approx(scale * norm(E, x), rel=1e-12)
+        assert functional_norm(E, scale * x) == pytest.approx(scale * functional_norm(E, x), rel=1e-12)
+    assert norm(SpaceSpec(3.0, 1), [1e-110]) == pytest.approx(1e-110, rel=1e-15)
+    assert norm(SpaceSpec(3.0, 1), [1e110]) == pytest.approx(1e110, rel=1e-15)
+    top = norm(SpaceSpec(r, 2), [1e308, 1e308])  # inf only where the norm is above the floats
+    assert top == math.inf if r == 1 else top == pytest.approx(2.0 ** (1 / r) * 1e308, rel=1e-15)
+
+
+def test_norm_in_range_is_the_direct_formula():
+    """Only an under- or overflowed norm is measured again, so in-range
+    norms are bit for bit the direct formula."""
+    rng = np.random.default_rng(5)
+    for r in (1.0, 1.5, 3.0):
+        E = SpaceSpec(r, 4, tuple(rng.uniform(0.25, 2.0, 4)))
+        for x in rng.standard_normal((20, 4)) * 10.0 ** rng.integers(-30, 30, (20, 1)):
+            direct = float(np.sum(E.weight_array * np.abs(x) ** r) ** (1.0 / r))
+            assert norm(E, x) == direct
+    assert norm(SpaceSpec(3.0, 2), [0.0, -0.0]) == 0.0
+
+
 def test_norms_rows_matches_scalar():
     rng = np.random.default_rng(0)
     for space in SPACES:

@@ -292,7 +292,7 @@ def test_weak_1_member_side_vs_brute_force(r, dim):
             functional_norm(E, np.array(s) @ (Y * E.weight_array))
             for s in itertools.product((-1.0, 1.0), repeat=len(Y))
         )
-        assert _max_signed_sum(Y, dual_space(E)) == pytest.approx(brute, rel=1e-13)
+        assert _max_signed_sum(Y, dual_space(E))[0] == pytest.approx(brute, rel=1e-13)
         est = weak_p_norm(Y, E, 1.0)
         assert est.exact and est.method == ("sign enumeration",)
         assert est.lower == pytest.approx(brute, rel=1e-13)
@@ -311,7 +311,7 @@ def test_weak_p_cube_side_vs_brute_force(p, dim):
             lp_combine(W @ np.array(v), p)
             for v in itertools.product((-1.0, 1.0), repeat=dim)
         )
-        assert _max_signed_sum(W.T, SpaceSpec(p, len(Y))) == pytest.approx(brute, rel=1e-13)
+        assert _max_signed_sum(W.T, SpaceSpec(p, len(Y)))[0] == pytest.approx(brute, rel=1e-13)
         assert weak_p_norm(Y, E, p).lower == pytest.approx(brute, rel=1e-13)
 
 
@@ -323,8 +323,8 @@ def test_weak_1_both_sides_agree_over_small_cube():
     Y = rng.standard_normal((20, 4))
     Y[7] = -3.0 * Y[2]
     Y[11] = 0.0
-    members = _max_signed_sum(Y, dual_space(E))
-    cube = _max_signed_sum((Y * E.weight_array).T, SpaceSpec(1.0, 20))
+    members = _max_signed_sum(Y, dual_space(E))[0]
+    cube = _max_signed_sum((Y * E.weight_array).T, SpaceSpec(1.0, 20))[0]
     assert cube == pytest.approx(members, rel=1e-12)
     est = weak_p_norm(Y, E, 1.0)
     assert est.exact and est.method == ("sign enumeration",)
