@@ -125,6 +125,10 @@ class Scale(LatticeExpr):
     c: float
     e: LatticeExpr
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.c):
+            raise ValueError(f"scale factor must be finite, got {self.c!r}")
+
 
 @dataclass(frozen=True)
 class Add(LatticeExpr):

@@ -8,13 +8,13 @@ extension constant is
 
 where ||T|| is computed over B_F = B_E intersect F.  The infimum is over
 the values of T~ on the complement basis; the inner norm is exact on
-polytopal domains and a certified interval otherwise, so the reported
+polytopal domains and a certified upper bound otherwise, so the reported
 constant is a certified interval [1, best ratio found] — the true
 infimum is at least 1 because restricting any extension gives back T.
-
-For p = infinity the constant is exactly 1: each row functional of T
-extends from F to E preserving its norm, and the sup-norm of an operator
-into ell_inf^n is the largest row norm.
+Two cases are exact: p = infinity (each row functional of T extends
+from F to E preserving its norm, and the sup-norm of an operator into
+ell_inf^n is the largest row norm) and F = E (T is its own and only
+extension).
 
 The embedding gap compares the free-lattice norm of an expression over
 F (functionals on F are restrictions of E* functionals; the weak-p
@@ -22,19 +22,19 @@ constraint runs over B_F) with the norm of the same expression over E.
 Both sides run ``summing.witness_search``, the same engine over two
 kinds of constraint ball: B_E on the ambient side, B_F (through
 ``_weak_F``) on the F side, where the restricted ambient witness is one
-of the seeds.  Only an axis-aligned F has its own weighted-ell_r model
-(``_axis_aligned_model``); other F-side computations are constrained
-optimizations in basis coordinates.
+of the seeds.
 
-For ambient r in {1, inf}, B_F is a polytope.  Its vertices are
-enumerated once per subspace, on first use, and every F-side quantity
-(linear forms, dual norms, weak-p norms of families, operator norms over
-B_F) is exact by vertex enumeration: a matrix product and a maximum,
-one for the operator norms and the weak-p norms alike (that of a family
-G is the norm of c -> G c into ell_p^N).  Above a fixed cap on the size
-of the enumeration, linear forms fall back to one linear program each,
-operator norms over a coordinate section to its model space and the
-oracle ``operators._exact_norm``, other convex maxima to multistart ascent.
+Every F-side norm of a map c -> M c on basis coordinates (the weak-p
+norm of a family G is that of c -> G c into ell_p^N; the norm of T is
+that of its matrix) has one exact dispatcher, ``_exact_norm_F``, with
+two paths, each built once per subspace: an axis-aligned F is the ball
+of its own weighted ell_r model space, where the shared oracle
+``operators._exact_norm`` applies; for ambient r in {1, inf}, B_F is a
+polytope whose vertices are enumerated up to a fixed cap, and a convex
+norm peaks at one of them.  Off both paths each caller keeps its own
+fallback: the weak-p norm a triangle-inequality upper bound, the norm
+of T a multistart ascent lower bound (one linear program per step for
+ambient r in {1, inf}).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
 from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
-from .operators import LinearMap, _exact_norm, _multistart_ascent, _unit_space, operator_norm
+from .operators import LinearMap, _exact_norm, _multistart_ascent, _norm_upper, _unit_space
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
     SpaceSpec,
@@ -62,7 +62,7 @@ from .spaces import (
     space_from_json,
     space_to_json,
 )
-from .summing import _weak_E, hadamard, lp_combine, witness_search
+from .summing import _weak_crude_upper, _weak_E, hadamard, lp_combine, witness_search
 
 __all__ = [
     "SubspaceSpec",
@@ -149,6 +149,13 @@ class SubspaceSpec:
         return norm(self.ambient, self.embed(coords))
 
     @cached_property
+    def _model(self) -> tuple[SpaceSpec, np.ndarray] | None:
+        """The weighted ell_r space whose ball is B_F when F is axis-aligned,
+        with its divisors (see ``_axis_aligned_model``); None otherwise.
+        Computed on first use, then kept."""
+        return _axis_aligned_model(self.ambient, self.basis_matrix)
+
+    @cached_property
     def _vertices(self) -> np.ndarray | None:
         """Read-only vertices of B_F (rows, basis coordinates, ambient norm
         1) for ambient r in {1, inf}; None for other exponents or above
@@ -227,14 +234,14 @@ def _section_vertices(E: SpaceSpec, B: np.ndarray) -> np.ndarray | None:
     return _readonly(X[np.sort(first)])
 
 
-def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | None:
-    """If every basis vector is a (scaled) coordinate vector s_j e_ij on
-    distinct coordinates, B_F is itself the ball of a weighted ell_r space.
-    Returns that space and divisors d taking a plain form g on basis
-    coordinates to its model functional g / d (pairing coordinates), or
-    None.  For ambient r = inf the model point of c is c |s| and d = |s|;
-    otherwise it is c itself, with weights d = w_ij |s_j|^r."""
-    B = sub.basis_matrix
+def _axis_aligned_model(E: SpaceSpec, B: np.ndarray) -> tuple[SpaceSpec, np.ndarray] | None:
+    """If every basis vector (row of B) is a scaled coordinate vector
+    s_j e_ij on distinct coordinates, B_F is itself the ball of a weighted
+    ell_r space.  Returns that space and divisors d taking a plain form g
+    on basis coordinates to its model functional g / d (pairing
+    coordinates), or None.  For ambient r = inf the model point of c is
+    c |s| and d = |s|; otherwise it is c itself, with weights
+    d = w_ij |s_j|^r."""
     supports = [np.flatnonzero(np.abs(row) > 0) for row in B]
     if any(len(s) != 1 for s in supports):
         return None
@@ -242,7 +249,6 @@ def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | Non
     if len(set(idx.tolist())) != len(idx):
         return None
     scales = np.array([B[j, idx[j]] for j in range(len(idx))])
-    E = sub.ambient
     if E.is_sup:
         return SpaceSpec(math.inf, len(idx)), np.abs(scales)
     w = E.weight_array[idx] * np.abs(scales) ** E.r
@@ -251,18 +257,13 @@ def _axis_aligned_model(sub: SubspaceSpec) -> tuple[SpaceSpec, np.ndarray] | Non
 
 def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize the plain form v . c over B_F, with a maximizer of ambient
-    norm 1.  Exact by vertex enumeration for ambient r in {1, inf} (an LP
-    above the vertex cap) and in closed form for r = 2; otherwise the
-    better of two feasible points, the r = 2 maximizer and v itself, each
-    rescaled to ambient norm 1 (still a true value, attained at the
-    returned point)."""
+    norm 1, where B_F has no vertex set (``_exact_norm_F`` covers the
+    others).  Exact by one linear program for ambient r in {1, inf} and
+    in closed form for r = 2; otherwise the better of two feasible points,
+    the r = 2 maximizer and v itself, each rescaled to ambient norm 1
+    (still a true value, attained at the returned point)."""
     E = sub.ambient
     v = np.asarray(v, dtype=float)
-    V = sub._vertices
-    if V is not None:
-        vals = V @ v
-        j = int(np.argmax(vals))
-        return float(vals[j]), V[j]
     B = sub.basis_matrix
     k, n = B.shape
     if np.all(v == 0.0):
@@ -333,9 +334,9 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
 def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     """Certified upper bound for the norm of the form c -> g . c on F.
 
-    Exact for ambient exponent in {1, 2, inf}: by vertex enumeration for
-    r in {1, inf} (an LP above the vertex cap), in closed form for r = 2.
-    Otherwise the norm of the minimal-Euclidean lift of g to an E*
+    Exact for ambient exponent in {1, 2, inf}: by one linear program for
+    r in {1, inf} (B_F has no vertex set where this runs), in closed form
+    for r = 2.  Otherwise the norm of the minimal-Euclidean lift of g to an E*
     functional, which dominates the restriction's norm.
     """
     E = sub.ambient
@@ -349,6 +350,29 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     return norm(dual_space(E), phi)
 
 
+def _exact_norm_F(
+    sub: SubspaceSpec, M: np.ndarray, C: SpaceSpec, family_size: int
+) -> tuple[float, str, bool] | None:
+    """The exact norm of c -> M c from B_F into ``C``, for M acting on basis
+    coordinates, with the contract of ``operators._exact_norm``: (value,
+    path tag, cheap enough for a polish loop?), or None off the exact
+    paths.  This is the one place that orders them: first the model space
+    of an axis-aligned F, through ``_exact_norm`` (the rows of M / d are
+    model functionals); then, for ambient r in {1, inf}, the vertices of
+    B_F, where the convex norm peaks.  Where both apply they can differ in
+    the last bit; the model goes first."""
+    model = sub._model
+    if model is not None:
+        space_F, d = model
+        hit = _exact_norm(M / d, space_F, C, family_size)
+        if hit is not None:
+            return hit
+    V = sub._vertices
+    if V is None:
+        return None
+    return float(np.max(norms_rows(C, V @ M.T))), "B_F vertex enumeration", True
+
+
 def _weak_F(
     sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig
 ) -> tuple[float, bool, bool]:
@@ -356,21 +380,20 @@ def _weak_F(
     for the witness search: (certified upper bound, exact?, cheap enough
     to polish?).
 
-    Exact on an axis-aligned subspace (the weak-p norm over its model
-    space) and, by vertex enumeration, for ambient r in {1, inf}: the
-    weak-p norm is the norm of c -> G c from B_F into ell_p^N, which
-    ``_operator_norm_over_F`` takes at a vertex of B_F.  Above the vertex
-    cap and for other r: the lp-combination of upper bounds on the
-    members' norms, exact at p = inf when those are (r in {1, 2, inf});
-    one linear program per member above the cap is too dear for a polish
-    loop.
+    The weak-p norm is the norm of c -> G c from B_F into ell_p^N, exact
+    wherever ``_exact_norm_F`` is.  Off its paths the triangle inequality
+    bounds it: over the model space of an axis-aligned F by the members'
+    model dual norms; elsewhere by the lp-combination of upper bounds on
+    the members' norms, exact at p = inf when those are (r in {1, 2,
+    inf}), and not cheap for ambient r in {1, inf}, where each member
+    costs a linear program.
     """
-    model = _axis_aligned_model(sub)
-    if model is not None:
-        space_F, d = model
-        return _weak_E(space_F, G / d, p, cfg)
-    if sub._vertices is not None:
-        return _operator_norm_over_F(sub, G, _unit_space(p, len(G)), cfg)[0], True, True
+    hit = _exact_norm_F(sub, G, _unit_space(p, len(G)), cfg.family_size)
+    if hit is not None:
+        return hit[0], True, hit[2]
+    if sub._model is not None:
+        space_F, d = sub._model
+        return _weak_crude_upper(G / d, space_F, p), False, False
     E = sub.ambient
     upper = lp_combine(np.array([_fstar_norm_upper(sub, g) for g in G]), p)
     exact_members = E.is_sup or E.r in (1.0, 2.0)
@@ -384,33 +407,18 @@ def _weak_F(
 
 def _operator_norm_over_F(
     sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec, cfg: OptimizerConfig
-) -> tuple[float, np.ndarray | None]:
-    """sup of the codomain norm of M c over B_F, with a maximizer (None
-    when the value comes from the model space).
-
-    Exact by vertex enumeration for ambient r in {1, inf}: the norm is
-    convex, so it peaks at a vertex of B_F.  Otherwise, on an axis-aligned
-    subspace, B_F is the ball of its model space, and the shared oracle
-    ``operators._exact_norm`` is exact on its paths there (up to 2^22
-    vertices for a coordinate section of a cube).  Elsewhere, multistart
-    conditional-gradient ascent (a certified lower bound attained at the
-    returned point; above the vertex cap one linear program per step).
-    """
-    V = sub._vertices
-    if V is not None:
-        vals = norms_rows(codomain, V @ M.T)
-        j = int(np.argmax(vals))
-        return float(vals[j]), V[j]
-    model = _axis_aligned_model(sub)
-    if model is not None:
-        space_F, d = model
-        hit = _exact_norm(M / d, space_F, codomain, cfg.family_size)
-        if hit is not None:
-            return hit[0], None
+) -> float:
+    """sup of the codomain norm of M c over B_F: exact wherever
+    ``_exact_norm_F`` is, otherwise a certified lower bound, the best
+    multistart conditional-gradient ascent value (attained at a point of
+    B_F; one linear program per step for ambient r in {1, inf})."""
+    hit = _exact_norm_F(sub, M, codomain, cfg.family_size)
+    if hit is not None:
+        return hit[0]
     return _multistart_ascent(
         M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1],
         cfg, min(cfg.restarts, 24), salt=83,
-    )
+    )[0]
 
 
 def extension_constant(
@@ -426,11 +434,12 @@ def extension_constant(
     ``T.domain`` must have dimension ``sub.dim``; T acts on basis
     coordinates, and its norm is taken over B_F = B_E intersect F.  The
     lower bound 1 is structural (restricting an extension gives back T).
-    The upper bound is the best ratio over the extensions tried, so it
-    over-estimates the infimum whenever the outer search stalls; p = inf
-    short-circuits to the exact value 1 (row functionals extend from F to
-    E with no norm increase, and the sup-norm of a map into ell_inf is
-    its largest row norm).
+    The upper bound is the best ratio over the extensions tried, each
+    extension's norm a certified upper bound (``operators._norm_upper``),
+    so it over-estimates the infimum whenever the outer search stalls.
+    Two cases are exactly 1: p = inf (row functionals extend from F to E
+    with no norm increase, and the sup-norm of a map into ell_inf is its
+    largest row norm) and F = E (T is the only extension).
     """
     cfg = cfg or OptimizerConfig()
     if T.domain.dim != sub.dim:
@@ -447,35 +456,22 @@ def extension_constant(
 
     M = T.matrix
     cod = T.codomain
-    denom, c_star = _operator_norm_over_F(sub, M, cod, cfg)
+    denom = _operator_norm_over_F(sub, M, cod, cfg)
     if denom <= 1e-14:
         raise ValueError("operator vanishes on the subspace")
-    B = sub.basis_matrix
-    C = sub.complement_matrix
-    n = sub.ambient.dim
+    E = sub.ambient
+    n = E.dim
     k = sub.dim
-    S = np.vstack([B, C])  # coordinates kappa of x solve kappa @ S = x
+    if n == k:
+        return NormEstimate(1.0, 1.0, True, True, method=("trivial subspace",))
+    S = np.vstack([sub.basis_matrix, sub.complement_matrix])  # x = kappa @ S
     St_inv = np.linalg.inv(S.T)
 
-    def assembled(W: np.ndarray) -> LinearMap:
-        full = np.hstack([M, W.reshape(cod.dim, n - k)]) if n > k else M
-        return LinearMap.from_array(full @ St_inv, sub.ambient, cod)
+    def assembled(W: np.ndarray) -> np.ndarray:
+        return np.hstack([M, W.reshape(cod.dim, n - k)]) @ St_inv
 
     def objective(flat: np.ndarray) -> float:
-        return operator_norm(assembled(flat), cfg).upper
-
-    if n == k:
-        Te = assembled(np.zeros(0))
-        est = operator_norm(Te, cfg)
-        lo = est.lower  # c_star is None where denom is exact
-        if c_star is not None:
-            lo = max(lo, norm(cod, Te.matrix @ sub.embed(c_star)))
-        up = est.upper
-        upper = max(up / denom, 1.0)
-        return NormEstimate(
-            1.0, upper, True, True,
-            method=("trivial subspace", "exact inner norm" if up == lo else "interval inner norm"),
-        )
+        return _norm_upper(assembled(flat), E, cod, cfg.family_size)[0]
 
     nvars = cod.dim * (n - k)
     best_upper = math.inf
@@ -511,7 +507,7 @@ def extension_constant(
         True,
         method=("outer minimization over complement values",
                 "upper bound on the infimum"),
-        witness=WitnessFamily(assembled(best_W).matrix, p, denom, ratio_upper),
+        witness=WitnessFamily(assembled(best_W), p, denom, ratio_upper),
     )
 
 

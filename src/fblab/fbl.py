@@ -502,53 +502,38 @@ def pconcavification_witness(
 ) -> tuple[np.ndarray, float]:
     """Coefficients beta certifying ||alpha||_E from below through the
     p-concavification duality: beta is feasible for the region above and
-    (sum (alpha_i beta_i)^p)^(1/p) approaches ||alpha||_E.
+    (sum (alpha_i beta_i)^p)^(1/p) equals ||alpha||_E up to rounding.
 
-    The closed-form candidate is refined by seeded random perturbations;
-    every candidate is made feasible by dividing by its exact membership
-    value (the norm of the diagonal map E -> ell_p it induces), so the
-    returned objective is always a true lower bound.
+    beta is the closed-form maximizer made feasible by dividing by its
+    exact membership value (the norm of the diagonal map E -> ell_p it
+    induces), so the returned objective is always a true lower bound.
+    ``cfg`` is accepted for a uniform signature; nothing here is random.
     """
-    cfg = cfg or OptimizerConfig()
     alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (E.dim,):
+        raise ValueError(f"alpha must have shape ({E.dim},), got {alpha.shape}")
     if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
     if not math.isinf(E.r) and E.r < p - 1e-12:
         raise ValueError("requires p <= r (p-convexity with constant one)")
 
-    def membership(beta: np.ndarray) -> float:
-        # exact norm of diag(beta): E -> ell_p^n for p <= r, by Hoelder
-        # after substituting away the weights: with c_i = (beta_i
-        # w_i^{-1/r})^p the p-th power of the norm is ||c||_{(r/p)'}
-        r, w = E.r, E.weight_array
-        if math.isinf(r):
-            return lp_combine(beta, p)
+    beta = _pconcav_coefficients(E, alpha, p)
+    if beta is None:  # the coefficients underflowed
+        return np.zeros(E.dim), 0.0
+    # exact norm of diag(beta): E -> ell_p^n for p <= r, by Hoelder after
+    # substituting away the weights: with c_i = (beta_i w_i^{-1/r})^p the
+    # p-th power of the norm is ||c||_{(r/p)'}
+    r, w = E.r, E.weight_array
+    if math.isinf(r):
+        m = lp_combine(beta, p)
+    else:
         c = (beta * w ** (-1.0 / r)) ** p
         if abs(r - p) <= 1e-12:
-            return float(np.max(c)) ** (1.0 / p)
-        s = 1.0 / (1.0 - p / r)
-        return float(np.sum(c**s)) ** (1.0 / (s * p))
-
-    def objective(beta: np.ndarray) -> float:
-        return lp_combine(alpha * beta, p)
-
-    candidates: list[np.ndarray] = []
-    closed = _pconcav_coefficients(E, alpha, p)
-    if closed is not None:
-        candidates.append(closed)
-    base = closed if closed is not None else np.ones(E.dim)
-    for k in range(min(cfg.restarts, 16)):
-        rng = restart_rng(cfg, k, salt=59)
-        candidates.append(np.abs(base + 0.05 * rng.standard_normal(E.dim)))
-
-    best_beta = np.zeros(E.dim)
-    best_val = 0.0
-    for beta in candidates:
-        m = membership(np.abs(beta))
-        if m <= 1e-14:
-            continue
-        feasible = np.abs(beta) / m
-        val = objective(feasible)
-        if val > best_val:
-            best_val, best_beta = val, feasible
-    return best_beta, best_val
+            m = float(np.max(c)) ** (1.0 / p)
+        else:
+            s = 1.0 / (1.0 - p / r)
+            m = float(np.sum(c**s)) ** (1.0 / (s * p))
+    if m <= 1e-14:
+        return np.zeros(E.dim), 0.0
+    beta = beta / m
+    return beta, lp_combine(alpha * beta, p)

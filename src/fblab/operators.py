@@ -208,6 +208,20 @@ def _exact_norm(
     return val, tag, cheap
 
 
+def _norm_upper(
+    a: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int
+) -> tuple[float, bool]:
+    """Certified upper bound on the norm of x -> a @ x from the ball of
+    ``E`` into ``C``, and whether it is exact: the value on the paths of
+    ``_exact_norm``, otherwise the crude row-norm bound (each row
+    functional replaced by its norm)."""
+    Y = a if E.unweighted else a / E.weight_array  # <Y[c], x> = (a @ x)[c]
+    hit = _exact_norm(Y, E, C, family_size)
+    if hit is not None:
+        return hit[0], True
+    return norm(C, norms_rows(E.dual, Y)), False
+
+
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 
@@ -216,18 +230,14 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     ell_1 codomain of at most ``cfg.family_size`` rows, and a sup-norm
     domain within the enumeration cap.  Otherwise the lower bound is the
     best multistart ascent value (certified, it is attained at a feasible
-    point) and the upper bound is the crude row-norm bound.
+    point) and the upper bound is the crude row-norm bound; both upper
+    bounds come from ``_norm_upper``.
     """
     cfg = cfg or OptimizerConfig()
     a, E, cod = T.matrix, T.domain, T.codomain
-    Y = a if E.unweighted else a / E.weight_array  # <Y[c], x> = (a @ x)[c]
-    hit = _exact_norm(Y, E, cod, cfg.family_size)
-    if hit is not None:
-        val = hit[0]
-        return NormEstimate(val, val, True, True, method=("extreme-point enumeration",))
-
-    # crude but valid upper bound: replace each row functional by its norm
-    upper = norm(cod, norms_rows(E.dual, Y))
+    upper, exact = _norm_upper(a, E, cod, cfg.family_size)
+    if exact:
+        return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
     lower, _ = _multistart_ascent(
         a, cod, lambda x: norm(E, x), lambda g: norming_vector(E, g),
         cfg, cfg.restarts, salt=101,

@@ -25,16 +25,15 @@ class OptimizerConfig:
 
     seed fixes every random start; restarts is the number of random starts
     per search that draws them: the candidate functionals of the p =
-    infinity norm off its convex paths, the perturbed coefficients of the
-    p-concavification witness, the outer starts of the extension constant
-    and the multistart ascents of operator norms off their exact paths.
-    The witness search (finite-p norms, summing norms, embedding gaps)
-    draws none and reads neither.  family_size caps witness families, the
-    moduli combinations whose p = infinity norm is a largest signed sum,
-    and the row-sign side (2^(N-1) sign patterns) of exact norms into
-    ell_1^N, the weak-1 norm among them, not their cube side over a
-    sup-norm ball.  polish turns the local refinement of the best
-    candidates on or off.
+    infinity norm off its convex paths, the outer starts of the extension
+    constant and the multistart ascents of operator norms off their exact
+    paths.  The witness search (finite-p norms, summing norms, embedding
+    gaps) and the closed-form p-concavification witness draw none and
+    read neither.  family_size caps witness families, the moduli
+    combinations whose p = infinity norm is a largest signed sum, and the
+    row-sign side (2^(N-1) sign patterns) of exact norms into ell_1^N, the
+    weak-1 norm among them, not their cube side over a sup-norm ball.
+    polish turns the local refinement of the best candidates on or off.
     """
 
     seed: int = 0

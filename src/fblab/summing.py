@@ -19,11 +19,12 @@ the estimate is flagged accordingly in its method tags.
 the best of the structured seeds its caller supplies and polishes that
 family by Powell.  It runs over two kinds of constraint ball: the unit
 ball of a weighted ell_r space (``_weak_E``, the weak-p dispatch of this
-module) and the section B_F of a subspace (``extension._weak_F``).  Each
-kind answers one question per candidate family: a certified upper bound
-on its weak-p norm, whether that bound is exact, and whether it is cheap
-enough for the polish loop.  The search draws nothing at random, so its
-result depends only on its inputs, ``family_size`` and ``polish``.
+module) and the section B_F of a subspace (``extension._weak_F``, exact
+on the paths of ``extension._exact_norm_F``).  Each kind answers one
+question per candidate family: a certified upper bound on its weak-p
+norm, whether that bound is exact, and whether it is cheap enough for
+the polish loop.  The search draws nothing at random, so its result
+depends only on its inputs, ``family_size`` and ``polish``.
 """
 
 from __future__ import annotations
@@ -77,15 +78,6 @@ def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     return lp_combine(norms_rows(space.dual, Y), p)
 
 
-def _weak_exact(
-    Y: np.ndarray, space: SpaceSpec, p: float, cfg: OptimizerConfig
-) -> tuple[float, str, bool] | None:
-    """The exact weak-p norm of the family Y over the ball of ``space``, by
-    the shared oracle ``operators._exact_norm`` into ell_p^N: (value, path
-    tag, cheap enough for a polish loop?), or None off its paths."""
-    return _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
-
-
 def _weak_E(
     space: SpaceSpec, Y: np.ndarray, p: float, cfg: OptimizerConfig
 ) -> tuple[float, bool, bool]:
@@ -94,7 +86,7 @@ def _weak_E(
     the exact paths the triangle-inequality bound stands in; a
     multistart lower bound would dominate the cost and normalization only
     needs the upper one."""
-    hit = _weak_exact(Y, space, p, cfg)
+    hit = _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
     if hit is None:
         return _weak_crude_upper(Y, space, p), False, False
     return hit[0], True, hit[2]
@@ -132,7 +124,7 @@ def weak_p_norm(
     top = float(np.max(np.abs(Y)))
     e = math.frexp(top)[1] if 0.0 < top < math.inf else 0
     Y = np.ldexp(Y, -e)
-    hit = _weak_exact(Y, space, p, cfg)
+    hit = _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
     if hit is not None:
         val, how, _ = hit
         val = math.ldexp(val, e)
@@ -257,11 +249,6 @@ def _polish_family(
 # --------------------------------------------------------------------------
 
 
-def _constraint_space(T: LinearMap) -> SpaceSpec:
-    """The space E whose ball constrains families in the domain X = E*."""
-    return dual_space(T.domain)
-
-
 def _pi_objective(T: LinearMap, p: float) -> Callable[[np.ndarray], float]:
     A = T.matrix
 
@@ -306,9 +293,10 @@ def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
 def _pi_lower(
     T: LinearMap, p: float, q: float, cfg: OptimizerConfig, method: tuple[str, ...]
 ) -> NormEstimate:
-    """Strong q-sums over weakly-p bounded families, by witness search."""
+    """Strong q-sums over weakly-p bounded families, by witness search; the
+    families live in the domain X = E*, and the ball of E constrains them."""
     val, witness, tight = witness_search(
-        _constraint_space(T), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg
+        dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg
     )
     method += ("exact weak constraint" if tight else "crude-upper weak normalization",)
     return NormEstimate(val, math.inf, True, False, method=method, witness=witness)

@@ -149,6 +149,20 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan", "1e400", "1e200*1e200"])
+def test_non_finite_scale_exits_1(tmp_path, capsys, scale):
+    """A non-finite scale in the DSL is an input error: it once exited 0
+    with a certified infinite lower bound, printed as the non-JSON literal
+    Infinity."""
+    spath = tmp_path / "space.json"
+    spath.write_text(json.dumps(space_to_json(SpaceSpec(math.inf, 2))))
+    for p in ("1", "inf"):
+        argv = ["norm", "--space", str(spath), "--expr", f"{scale}*abs(d0)", "--p", p]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "scale factor must be finite" in captured.err
+
+
 _SPACE_JSON = {"r": 2, "dim": 2, "weights": [1.0, 0.5]}
 _MAP_JSON = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "domain": {"r": "inf", "dim": 2},
              "codomain": {"r": "inf", "dim": 2}}

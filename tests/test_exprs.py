@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,10 +204,27 @@ def test_dsl_roundtrip(text):
     assert np.max(np.abs(eval_rows(e, b, fs) - eval_rows(again, b, fs))) <= 1e-12
 
 
-@pytest.mark.parametrize("bad", ["d0 *", "abs(d0", "max(d0)", "3", "d0 d1", "foo(d0)"])
+@pytest.mark.parametrize(
+    "bad",
+    ["d0 *", "abs(d0", "max(d0)", "3", "d0 d1", "foo(d0)",
+     # non-finite scales, which once made a certified infinite norm
+     "inf*abs(d0)", "nan*d0", "1e400*abs(d0)", "1e200*1e200*abs(d0)", "-inf*d0"],
+)
 def test_dsl_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_expr(bad)
+
+
+def test_scale_rejects_non_finite_factor():
+    """A scale factor that is or multiplies out to inf or NaN is an input
+    error (the parser's cases are in test_dsl_rejects_malformed)."""
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale factor must be finite"):
+            Abs(Gen(0)) * c
+        with pytest.raises(ValueError, match="scale factor must be finite"):
+            Scale(c, Gen(0))
+    with pytest.raises(ValueError, match="scale factor must be finite"):
+        Abs(Gen(0)) * (1e200 * 1e200)
 
 
 @given(

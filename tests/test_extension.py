@@ -29,7 +29,7 @@ from fblab import (
     subspace_to_json,
 )
 from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
-from fblab.extension import _max_linear_over_BF
+from fblab.extension import _exact_norm_F, _max_linear_over_BF
 from fblab.exprs import max_generator_index
 
 CFG = OptimizerConfig(restarts=8)
@@ -196,6 +196,25 @@ def test_extension_constant_generic_exponent():
         assert val == pytest.approx(float(v @ c), rel=1e-12) and val > 0.0
 
 
+@pytest.mark.parametrize("r", [3.0, math.inf])
+def test_extension_constant_trivial_subspace_is_exactly_one(r):
+    """F = E: T is its own and only extension, so the constant is exactly
+    1 for any basis of E.  A generic basis of ell_3^3 read [1, 1.0247...]
+    when the ratio was two separately computed norms, and ell_inf^3 read
+    an upper bound one ulp above 1."""
+    rng = np.random.default_rng(0)
+    sub = SubspaceSpec.from_arrays(SpaceSpec(r, 3), rng.standard_normal((3, 3)), np.zeros((0, 3)))
+    for p in (1.0, 2.0):
+        T = LinearMap.from_array(rng.standard_normal((2, 3)), SpaceSpec(2.0, 3), SpaceSpec(p, 2))
+        est = extension_constant(sub, T, p, CFG)
+        assert (est.lower, est.upper) == (1.0, 1.0)
+        assert est.lower_certified and est.upper_certified
+        assert est.method == ("trivial subspace",)
+    T_zero = LinearMap.from_array(np.zeros((2, 3)), SpaceSpec(2.0, 3), SpaceSpec(1.0, 2))
+    with pytest.raises(ValueError):
+        extension_constant(sub, T_zero, 1.0, CFG)
+
+
 def test_embedding_gap_trivial_subspace():
     """F = E: the inherited and ambient norms coincide."""
     E = SpaceSpec(math.inf, 3)
@@ -281,9 +300,10 @@ def test_vertex_max_matches_linear_program():
                 assert np.allclose([sub.ambient_norm(c) for c in V], 1.0, rtol=1e-12)
                 for _ in range(4):
                     v = rng.standard_normal(k)
-                    val, c = _max_linear_over_BF(sub, v)
+                    # the norm of c -> v . c into a line is the largest v . c
+                    val, tag, cheap = _exact_norm_F(sub, v[None, :], SpaceSpec(1.0, 1), 20)
+                    assert tag == "B_F vertex enumeration" and cheap
                     assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
-                    assert float(v @ c) == pytest.approx(val, rel=1e-12)
 
 
 def test_vertices_of_coordinate_and_rademacher_sections():
@@ -331,10 +351,12 @@ def test_linear_program_above_the_vertex_cap(monkeypatch):
             assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
     # a form of tiny length is solved at unit length: HiGHS would read it
     # as zero and return an arbitrary feasible point
+    line = SpaceSpec(1.0, 1)
     for old, new in zip(cached, fresh):
+        assert _exact_norm_F(new, np.ones((1, new.dim)), line, 20) is None
         for _ in range(20):
             v = rng.standard_normal(old.dim)
-            exact, _ = _max_linear_over_BF(old, v)
+            exact = _exact_norm_F(old, v[None, :], line, 20)[0]
             tiny, _ = _max_linear_over_BF(new, 1e-9 * v)
             assert tiny == pytest.approx(1e-9 * exact, rel=1e-9)
 
@@ -444,7 +466,7 @@ def test_coordinate_section_above_the_vertex_cap_is_exact(monkeypatch, k):
     for basis, cube_map in ((np.eye(k + 1)[:k], M), (np.eye(k + 1)[:k] * s[:, None], M / s)):
         sub = SubspaceSpec.from_arrays(SpaceSpec(math.inf, k + 1), basis, np.eye(k + 1)[k:])
         assert sub._vertices is None
-        val, _ = extension._operator_norm_over_F(sub, M, cod, CFG)
+        val = extension._operator_norm_over_F(sub, M, cod, CFG)
         est = operator_norm(LinearMap.from_array(cube_map, SpaceSpec(math.inf, k), cod), CFG)
         assert est.exact and val == est.upper
 
@@ -470,5 +492,52 @@ def test_axis_aligned_section_norms_match_closed_forms(r):
     weak_1 = max(form_norm(np.array(t) @ G) for t in itertools.product((-1.0, 1.0), repeat=3))
     assert extension._weak_F(sub, G, 1.0, CFG)[0] == pytest.approx(weak_1, rel=1e-12)
     assert extension._weak_F(sub, G, math.inf, CFG)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
-    val, _ = extension._operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3), CFG)
+    val = extension._operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3), CFG)
     assert val == pytest.approx(max(map(form_norm, G)), rel=1e-12)
+
+
+def _polar_vertices(sub):
+    """Vertices of B_F (basis coordinates) from qhull, apart from fblab's
+    enumeration: B_F is the polar of conv(+-b^i) (the columns of the basis)
+    over ell_inf, and of the zonotope over ell_1."""
+    if not sub.ambient.is_sup:
+        return _zonotope_polar_vertices(sub)
+    Z = sub.basis_matrix.T
+    eq = ConvexHull(np.vstack([Z, -Z])).equations
+    return eq[:, :-1] / -eq[:, -1:]
+
+
+@pytest.mark.parametrize("r", [1.0, math.inf])
+@pytest.mark.parametrize("aligned", [True, False], ids=["axis-aligned", "generic"])
+def test_exact_norm_F_matches_qhull_vertices(r, aligned):
+    """Over sections of weighted ell_1^n and ell_inf^n, n <= 6, every norm
+    of c -> M c over B_F is exact and peaks at a vertex: the weak-p norms
+    of ``_weak_F`` (p in {1, 2, inf}) and the operator norms of
+    ``_operator_norm_over_F`` (weighted ell_s codomains) equal the largest
+    value over the vertices qhull finds, whichever path the dispatcher
+    takes (the model space when aligned, the vertices of B_F otherwise)."""
+    rng = np.random.default_rng(40 if aligned else 41)
+    for n in range(3, 7):
+        E = SpaceSpec(r, n, tuple(rng.uniform(0.3, 2.0, n)))
+        for k in range(2, n):
+            if aligned:
+                perm = rng.permutation(n)
+                s = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+                B = np.eye(n)[perm[:k]] * s[:, None]
+                C = np.eye(n)[perm[k:]]
+            else:
+                full = rng.standard_normal((n, n))
+                B, C = full[:k], full[k:]
+            sub = SubspaceSpec.from_arrays(E, B, C)
+            assert (sub._model is not None) == aligned
+            V = _polar_vertices(sub)
+            for _ in range(2):
+                G = rng.standard_normal((int(rng.integers(1, 5)), k))
+                for p in (1.0, 2.0, math.inf):
+                    upper, tight, _ = extension._weak_F(sub, G, p, CFG)
+                    assert tight
+                    assert upper == pytest.approx(np.max(_lp_rows(V @ G.T, p)), rel=1e-12)
+                for r_cod in (1.0, 1.5, 3.0, math.inf):
+                    cod = SpaceSpec(r_cod, len(G), tuple(rng.uniform(0.3, 2.0, len(G))))
+                    brute = max(norm(cod, G @ c) for c in V)
+                    assert extension._operator_norm_over_F(sub, G, cod, CFG) == pytest.approx(brute, rel=1e-12)

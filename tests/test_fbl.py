@@ -321,8 +321,7 @@ def test_pconcavification_is_lower_bound():
         E = SpaceSpec(r, 4, (0.5, 1.0, 1.5, 2.0))
         alpha = np.abs(rng.standard_normal(4))
         _, val = pconcavification_witness(E, alpha, 1.0, CFG)
-        assert val <= norm(E, alpha) + 1e-9
-        assert val >= norm(E, alpha) * 0.99  # the closed form is near-optimal
+        assert val == pytest.approx(norm(E, alpha), rel=1e-12)  # the closed form is optimal
 
 
 def test_pconcavification_validation():
@@ -330,3 +329,5 @@ def test_pconcavification_validation():
         pconcavification_witness(SpaceSpec(2.0, 2), [-1.0, 1.0], 1.0, CFG)
     with pytest.raises(ValueError):
         pconcavification_witness(SpaceSpec(1.0, 2), [1.0, 1.0], 2.0, CFG)
+    with pytest.raises(ValueError, match="shape"):
+        pconcavification_witness(SpaceSpec(2.0, 3), [1.0, 1.0], 1.0, CFG)
