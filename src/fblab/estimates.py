@@ -52,6 +52,8 @@ class NormEstimate:
     A certified flag means the corresponding bound is mathematically
     guaranteed (exact enumeration, exact constraint normalization, or a
     structural inequality), not merely the best value a heuristic found.
+    The lower bound must be finite; the upper bound may be infinite (none
+    known).
     """
 
     lower: float
@@ -64,6 +66,9 @@ class NormEstimate:
     def __post_init__(self) -> None:
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise ValueError(f"estimate bounds must not be NaN: [{self.lower}, {self.upper}]")
+        if math.isinf(self.lower):
+            # an overflowed evaluation, never a value
+            raise ValueError(f"estimate lower bound must be finite, got {self.lower}")
         if self.lower > self.upper:
             # rounding may put a lower bound a few ulp above its upper
             # bound; anything more means one of them is wrong

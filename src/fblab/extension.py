@@ -7,14 +7,18 @@ extension constant is
     inf { ||T~ : E -> ell_p^n|| : T~ restricted to F equals T } / ||T||,
 
 where ||T|| is computed over B_F = B_E intersect F.  The infimum is over
-the values of T~ on the complement basis; the inner norm is exact on
-polytopal domains and a certified upper bound otherwise, so the reported
-constant is a certified interval [1, best ratio found] — the true
-infimum is at least 1 because restricting any extension gives back T.
-Two cases are exact: p = infinity (each row functional of T extends
-from F to E preserving its norm, and the sup-norm of an operator into
-ell_inf^n is the largest row norm) and F = E (T is its own and only
-extension).
+the values W of T~ on the complement basis.  The reported constant is a
+certified interval [1, ratio of the extension found]: the true infimum
+is at least 1 because restricting any extension gives back T, and the
+upper end is the norm of one explicit extension, exact on polytopal
+domains and a certified upper bound otherwise.  Over a polytopal B_E
+(ambient r in {1, inf}, at most 2^12 vertices x_v) at finite p > 1 that
+norm is max_v ||T~ x_v||_p, convex in W, and W comes from one epigraph
+program (SLSQP, no random starts); at p = 1 and over other balls from a
+Powell multistart.  Two cases are exact: p = infinity (each row
+functional of T extends from F to E preserving its norm, and the
+sup-norm of an operator into ell_inf^n is the largest row norm) and
+F = E (T is its own and only extension).
 
 The embedding gap compares the free-lattice norm of an expression over
 F (functionals on F are restrictions of E* functionals; the weak-p
@@ -52,11 +56,14 @@ from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
 from .operators import LinearMap, _exact_norm, _multistart_ascent, _norm_upper, _unit_space
 from .optimize import OptimizerConfig, restart_rng
 from .spaces import (
+    _SMALL_POLYTOPE_CAP,
     SpaceSpec,
     _json_fields,
     _readonly,
     _signs,
+    _vertex_count,
     dual_space,
+    extreme_points_matrix,
     norm,
     norms_rows,
     space_from_json,
@@ -421,6 +428,110 @@ def _operator_norm_over_F(
     )[0]
 
 
+def _half_vertices(E: SpaceSpec) -> np.ndarray | None:
+    """One vertex of each +- pair of B_E (rows) for ambient r in {1, inf}
+    within ``spaces._SMALL_POLYTOPE_CAP`` vertices; None otherwise.  The
+    first half of ``extreme_points_matrix`` is such a choice: +e_i / w_i
+    for r = 1, the sign patterns with last sign +1 for r = inf."""
+    if _vertex_count(E) > _SMALL_POLYTOPE_CAP:
+        return None
+    V = extreme_points_matrix(E)
+    return V[: len(V) // 2]
+
+
+def _epigraph_complement(Z: np.ndarray, M: np.ndarray, C: SpaceSpec) -> np.ndarray:
+    """Complement values W (flat; ``C.dim`` rows, one column per
+    complement vector) of a near-minimal extension of c -> M c over a
+    polytopal ball, for finite C.r > 1.
+
+    Row v of Z is the vertex x_v in the coordinates (a_v, c_v) of the basis
+    and complement, so the extension [M W] takes it to M a_v + W c_v and
+    its norm is max_v ||M a_v + W c_v||_C, convex in W.  One SLSQP run
+    (Kraft 1988) on the epigraph form: min t subject to t - ||R0_v + W c_v||
+    >= 0 for every v and t >= 0, with analytic Jacobians, from W = 0.  The
+    rows R0_v = M a_v are divided by max |R0| and each coordinate of the
+    c_v by its largest modulus, so values and gradients are about 1.
+    The power form t^p - ||.||^p is worse conditioned and is not used.
+    SLSQP may stop with status 8 at the optimum; the caller certifies
+    whatever W comes back by its exact vertex norm.
+    """
+    from scipy.optimize import minimize
+
+    k = M.shape[1]
+    R0, Cv = Z[:, :k] @ M.T, Z[:, k:]
+    scale = float(np.max(np.abs(R0)))
+    R0 = R0 / scale
+    # the program's variables are W times the largest |c_v| of each column
+    col = np.max(np.abs(Cv), axis=0)
+    Cv = Cv / col
+    m, nW = C.dim, C.dim * Cv.shape[1]
+    w, p = C.weight_array, C.r
+
+    def norms_and_grads(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # each residual row divided by its largest entry: no overflow,
+        # and the gradient of the norm does not depend on that scale
+        Y = R0 + Cv @ x[:nW].reshape(m, -1).T
+        top = np.max(np.abs(Y), axis=1)
+        U = Y / np.where(top > 0.0, top, 1.0)[:, None]
+        P = np.abs(U) ** (p - 1.0)
+        s = (P * np.abs(U)) @ w
+        s = np.where(s > 0.0, s, 1.0)  # only zero rows, whose U is 0
+        return top * s ** (1.0 / p), (w * P * np.sign(U)) / (s ** (1.0 - 1.0 / p))[:, None]
+
+    def fun(x):
+        return np.append(x[-1] - norms_and_grads(x)[0], x[-1])
+
+    def jac(x):
+        G = norms_and_grads(x)[1]
+        J = np.zeros((len(Z) + 1, nW + 1))
+        J[:-1, :nW] = -(G[:, :, None] * Cv[:, None, :]).reshape(len(Z), nW)
+        J[:, -1] = 1.0
+        return J
+
+    e_t = np.zeros(nW + 1)
+    e_t[-1] = 1.0
+    x0 = float(np.max(norms_and_grads(e_t)[0])) * e_t  # W = 0, t feasible
+    res = minimize(
+        lambda x: x[-1], x0, jac=lambda x: e_t, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": fun, "jac": jac}],
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    return (scale * res.x[:nW].reshape(m, -1) / col).ravel()
+
+
+def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig) -> np.ndarray:
+    """Complement values (flat) of the best extension found by the
+    multistart outer search: W = 0 and ``cfg.restarts`` (at most 31)
+    random starts 0.5 ||T||_F N(0, 1), the first 8 polished by Powell when
+    ``cfg.polish`` is on.  ``objective`` is the norm upper bound of the
+    extension with the given complement values."""
+    best_upper = math.inf
+    best_W = np.zeros(nvars)
+
+    inits = [np.zeros(nvars)]
+    for t in range(min(cfg.restarts, 31)):
+        rng = restart_rng(cfg, t, salt=89)
+        inits.append(0.5 * denom * rng.standard_normal(nvars))
+
+    from scipy.optimize import minimize
+
+    polish_budget = 8
+    for i, W0 in enumerate(inits):
+        v0 = objective(W0)
+        if v0 < best_upper:
+            best_upper, best_W = v0, W0
+        if i < polish_budget and cfg.polish:
+            res = minimize(
+                objective, W0, method="Powell",
+                options={"maxfev": 40 * nvars, "xtol": 1e-8, "ftol": 1e-10},
+            )
+            if np.all(np.isfinite(res.x)):
+                v = objective(res.x)
+                if v < best_upper:
+                    best_upper, best_W = v, res.x
+    return best_W
+
+
 def extension_constant(
     sub: SubspaceSpec,
     T: LinearMap,
@@ -434,12 +545,17 @@ def extension_constant(
     ``T.domain`` must have dimension ``sub.dim``; T acts on basis
     coordinates, and its norm is taken over B_F = B_E intersect F.  The
     lower bound 1 is structural (restricting an extension gives back T).
-    The upper bound is the best ratio over the extensions tried, each
-    extension's norm a certified upper bound (``operators._norm_upper``),
-    so it over-estimates the infimum whenever the outer search stalls.
-    Two cases are exactly 1: p = inf (row functionals extend from F to E
-    with no norm increase, and the sup-norm of a map into ell_inf is its
-    largest row norm) and F = E (T is the only extension).
+    The upper bound is the ratio of one explicit extension, its norm a
+    certified upper bound (``operators._norm_upper``, exact over polytopal
+    B_E), so it over-estimates the infimum whenever the search for the
+    complement values stops short.  That search is, for finite p > 1 and
+    ambient r in {1, inf} within ``spaces._SMALL_POLYTOPE_CAP`` vertices, one
+    epigraph program (``_epigraph_complement``) that reads no seed, kept
+    only where it beats the zero complement; otherwise the Powell
+    multistart (``_powell_complement``).  Two cases are exactly 1: p = inf
+    (row functionals extend from F to E with no norm increase, and the
+    sup-norm of a map into ell_inf is its largest row norm) and F = E (T
+    is the only extension).
     """
     cfg = cfg or OptimizerConfig()
     if T.domain.dim != sub.dim:
@@ -474,30 +590,20 @@ def extension_constant(
         return _norm_upper(assembled(flat), E, cod, cfg.family_size)[0]
 
     nvars = cod.dim * (n - k)
-    best_upper = math.inf
-    best_W = np.zeros(nvars)
-
-    inits = [np.zeros(nvars)]
-    for t in range(min(cfg.restarts, 31)):
-        rng = restart_rng(cfg, t, salt=89)
-        inits.append(0.5 * denom * rng.standard_normal(nvars))
-
-    from scipy.optimize import minimize
-
-    polish_budget = 8
-    for i, W0 in enumerate(inits):
-        v0 = objective(W0)
-        if v0 < best_upper:
-            best_upper, best_W = v0, W0
-        if i < polish_budget and cfg.polish:
-            res = minimize(
-                objective, W0, method="Powell",
-                options={"maxfev": 40 * nvars, "xtol": 1e-8, "ftol": 1e-10},
-            )
-            if np.all(np.isfinite(res.x)):
-                v = objective(res.x)
-                if v < best_upper:
-                    best_upper, best_W = v, res.x
+    V = _half_vertices(E) if p > 1.0 else None
+    if V is None:
+        best_W = _powell_complement(objective, nvars, denom, cfg)
+        best_upper = objective(best_W)
+        how = "outer minimization over complement values"
+    else:
+        best_W = np.zeros(nvars)
+        best_upper = objective(best_W)
+        W = _epigraph_complement(V @ St_inv.T, M, cod)
+        if np.all(np.isfinite(W)):
+            v = objective(W)
+            if v < best_upper:
+                best_upper, best_W = v, W
+        how = "epigraph program over ambient vertices"
 
     ratio_upper = max(best_upper / denom, 1.0)
     return NormEstimate(
@@ -505,8 +611,7 @@ def extension_constant(
         ratio_upper,
         True,
         True,
-        method=("outer minimization over complement values",
-                "upper bound on the infimum"),
+        method=(how, "upper bound on the infimum"),
         witness=WitnessFamily(assembled(best_W), p, denom, ratio_upper),
     )
 

@@ -46,8 +46,10 @@ from .exprs import (
 from .operators import tuple_map
 from .optimize import OptimizerConfig, nelder_mead_rows, restart_rng
 from .spaces import (
+    _SMALL_POLYTOPE_CAP,
     SpaceSpec,
     _max_signed_sum,
+    _vertex_count,
     dual_space,
     extreme_points_matrix,
     norm,
@@ -317,8 +319,7 @@ def _convex_sup(
     if shape is None:
         return None
     E = b.space
-    vertices = 2 * E.dim if E.is_sup else 2**E.dim if E.r == 1 else math.inf
-    if vertices <= 1 << 12:
+    if _vertex_count(E.dual) <= _SMALL_POLYTOPE_CAP:
         Y = extreme_points_matrix(E.dual)
         vals = eval_rows(e, b, Y)
         i = int(np.argmax(vals))

@@ -26,14 +26,17 @@ class OptimizerConfig:
     seed fixes every random start; restarts is the number of random starts
     per search that draws them: the candidate functionals of the p =
     infinity norm off its convex paths, the outer starts of the extension
-    constant and the multistart ascents of operator norms off their exact
-    paths.  The witness search (finite-p norms, summing norms, embedding
-    gaps) and the closed-form p-concavification witness draw none and
-    read neither.  family_size caps witness families, the moduli
+    constant at p = 1 and over balls that are not small polytopes, and
+    the multistart ascents of operator norms off their exact paths.  The
+    witness search (finite-p norms, summing norms, embedding gaps), the
+    epigraph program of the extension constant (finite p > 1 over
+    polytopal balls) and the closed-form p-concavification witness draw
+    none and read neither.  family_size caps witness families, the moduli
     combinations whose p = infinity norm is a largest signed sum, and the
     row-sign side (2^(N-1) sign patterns) of exact norms into ell_1^N, the
     weak-1 norm among them, not their cube side over a sup-norm ball.
-    polish turns the local refinement of the best candidates on or off.
+    polish turns the local refinement of the best candidates on or off;
+    the epigraph program is a solve, not a refinement, and always runs.
     """
 
     seed: int = 0

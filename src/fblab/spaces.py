@@ -175,6 +175,16 @@ class EnumerationTooLarge(Exception):
 
 _EXTREME_ENUM_CAP = 22  # sup-norm balls are enumerated exactly up to 2^22 vertices
 
+# a ball with at most this many vertices is small enough for a caller to
+# take all of its vertex rows at once (``_vertex_count``)
+_SMALL_POLYTOPE_CAP = 1 << 12
+
+
+def _vertex_count(space: SpaceSpec) -> float:
+    """Vertices of the unit ball: 2 dim for r = 1, 2^dim for r = inf,
+    inf for a ball that is not a polytope."""
+    return 2 * space.dim if space.r == 1 else 2**space.dim if space.is_sup else math.inf
+
 
 def extreme_points_matrix(space: SpaceSpec) -> np.ndarray:
     """Extreme points of the unit ball as rows, for polytopal balls only.

@@ -163,6 +163,20 @@ def test_non_finite_scale_exits_1(tmp_path, capsys, scale):
         assert captured.out == "" and "scale factor must be finite" in captured.err
 
 
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_nested_scale_overflow_exits_1(tmp_path, capsys, p):
+    """Each factor of (1e200*abs(d0))*1e200 is finite, but their product
+    overflows while the expression is evaluated: an input error, where it
+    once exited 0 with a certified infinite lower bound."""
+    spath = tmp_path / "space.json"
+    spath.write_text(json.dumps(space_to_json(SpaceSpec(math.inf, 2))))
+    argv = ["norm", "--space", str(spath), "--expr", "(1e200*abs(d0))*1e200", "--p", p]
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lower bound must be finite" in captured.err
+
+
 _SPACE_JSON = {"r": 2, "dim": 2, "weights": [1.0, 0.5]}
 _MAP_JSON = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "domain": {"r": "inf", "dim": 2},
              "codomain": {"r": "inf", "dim": 2}}

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -541,3 +542,61 @@ def test_exact_norm_F_matches_qhull_vertices(r, aligned):
                     cod = SpaceSpec(r_cod, len(G), tuple(rng.uniform(0.3, 2.0, len(G))))
                     brute = max(norm(cod, G @ c) for c in V)
                     assert extension._operator_norm_over_F(sub, G, cod, CFG) == pytest.approx(brute, rel=1e-12)
+
+
+def _polytopal_extension_instances(count, seed):
+    """Random maps on random subspaces of ell_1^n (weighted or not) and
+    ell_inf^n, n <= 7, into weighted and unweighted ell_p^m with finite
+    p > 1."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(1, n))
+        if i % 3 == 0:
+            E = SpaceSpec(math.inf, n)
+        else:
+            E = SpaceSpec(1.0, n, tuple(rng.uniform(0.5, 2.0, n)) if i % 3 == 2 else None)
+        full = rng.standard_normal((n, n))
+        sub = SubspaceSpec.from_arrays(E, full[:k], full[k:])
+        p = (1.25, 1.5, 2.0, 3.0, 4.0)[i % 5]
+        m = int(rng.integers(1, 4))
+        cod = SpaceSpec(p, m, tuple(rng.uniform(0.5, 2.0, m)) if i % 2 else None)
+        yield sub, LinearMap.from_array(rng.standard_normal((m, k)), SpaceSpec(2.0, k), cod), p
+
+
+def test_epigraph_program_beats_the_multistart(monkeypatch):
+    """Over polytopal ambient balls at finite p > 1 the extension comes
+    from one epigraph program.  On random instances its upper bound is
+    never above the Powell multistart's (which runs when the vertex set is
+    withheld), its witness restricts to T on F, and the witness's exact
+    norm over B_E divided by ||T||_F replays the upper bound."""
+    cases = list(_polytopal_extension_instances(100, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        programs = [extension_constant(sub, T, p, CFG) for sub, T, p in cases]
+    monkeypatch.setattr(extension, "_half_vertices", lambda E: None)
+    for (sub, T, p), est in zip(cases, programs):
+        assert est.method[0] == "epigraph program over ambient vertices"
+        powell = extension_constant(sub, T, p, CFG)
+        assert powell.method[0] == "outer minimization over complement values"
+        assert est.lower == 1.0 and est.upper <= powell.upper * (1.0 + 1e-9)
+        A = est.witness.matrix
+        assert np.allclose(A @ sub.basis_matrix.T, T.matrix, atol=1e-9 * max(1.0, np.abs(A).max()))
+        ext = operator_norm(LinearMap.from_array(A, sub.ambient, T.codomain), CFG)
+        assert ext.exact
+        assert max(ext.upper / est.witness.constraint, 1.0) == pytest.approx(est.upper, rel=1e-12)
+
+
+def test_epigraph_program_reads_no_seed():
+    """The epigraph program starts from W = 0 and draws nothing, so its
+    result bytes do not depend on the seed or on the number of restarts
+    (the multistart's starts are scaled by ||T||_F, so its upper bound
+    moves with the last digits of that norm)."""
+    for sub, T, p in _polytopal_extension_instances(10, 404):
+        reports = {
+            json.dumps(extension_constant(sub, T, p, OptimizerConfig(seed=seed, restarts=restarts)).to_json())
+            for seed in (0, 404)
+            for restarts in (1, 24)
+        }
+        assert len(reports) == 1
+        assert json.loads(reports.pop())["method"][0] == "epigraph program over ambient vertices"

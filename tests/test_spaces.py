@@ -305,6 +305,16 @@ def test_non_finite_inputs_rejected(bad):
                 NormEstimate(lower, upper, True, True)
 
 
+@pytest.mark.parametrize("lower", [math.inf, -math.inf])
+def test_norm_estimate_refuses_an_infinite_lower_bound(lower):
+    """An infinite lower bound is an overflowed evaluation, not a value;
+    an infinite upper bound only says that none is known."""
+    with pytest.raises(ValueError, match="lower bound must be finite"):
+        NormEstimate(lower, math.inf, True, False)
+    est = NormEstimate(2.0, math.inf, True, False)
+    assert est.upper == math.inf and est.to_json()["upper"] is None
+
+
 def test_norm_estimate_meets_rounding_and_refuses_inverted_bounds():
     """A lower bound a rounding error above its upper bound is set to the
     upper bound; one further above is a bug and raises."""
