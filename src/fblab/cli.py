@@ -190,7 +190,7 @@ def _cmd_experiment(args) -> int:
         )
     except KeyError as ex:
         raise InputError(f"field name: {ex.args[0]}")
-    except ValueError as ex:
+    except (ValueError, OverflowError) as ex:  # OverflowError: int() of an infinity
         raise InputError(f"field params: {ex}")
     text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
     _emit(text, args.output)

@@ -15,7 +15,8 @@ domains and a certified upper bound otherwise.  Over a polytopal B_E
 (ambient r in {1, inf}, at most 2^12 vertices x_v) at finite p > 1 that
 norm is max_v ||T~ x_v||_p, convex in W, and W comes from one epigraph
 program (SLSQP, no random starts); at p = 1 and over other balls from a
-Powell multistart.  Two cases are exact: p = infinity (each row
+seeded Powell multistart, the one search in the package that draws
+random numbers.  Two cases are exact: p = infinity (each row
 functional of T extends from F to E preserving its norm, and the
 sup-norm of an operator into ell_inf^n is the largest row norm) and
 F = E (T is its own and only extension).
@@ -37,8 +38,8 @@ of its own weighted ell_r model space, where the shared oracle
 polytope whose vertices are enumerated up to a fixed cap, and a convex
 norm peaks at one of them.  Off both paths each caller keeps its own
 fallback: the weak-p norm a triangle-inequality upper bound, the norm
-of T a multistart ascent lower bound (one linear program per step for
-ambient r in {1, inf}).
+of T an ascent lower bound from structured starts (one linear program
+per step for ambient r in {1, inf}, one SLSQP program for other r but 2).
 """
 
 from __future__ import annotations
@@ -53,8 +54,15 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
 from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
-from .operators import LinearMap, _exact_norm, _multistart_ascent, _norm_upper, _unit_space
-from .optimize import OptimizerConfig, restart_rng
+from .operators import (
+    LinearMap,
+    _exact_norm,
+    _norm_gradient,
+    _norm_upper,
+    _structured_ascent,
+    _unit_space,
+)
+from .optimize import OptimizerConfig
 from .spaces import (
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
@@ -266,9 +274,9 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
     """Maximize the plain form v . c over B_F, with a maximizer of ambient
     norm 1, where B_F has no vertex set (``_exact_norm_F`` covers the
     others).  Exact by one linear program for ambient r in {1, inf} and
-    in closed form for r = 2; otherwise the better of two feasible points,
-    the r = 2 maximizer and v itself, each rescaled to ambient norm 1
-    (still a true value, attained at the returned point)."""
+    in closed form for r = 2; otherwise by one SLSQP program (Kraft 1988)
+    started from the r = 2 maximizer, kept only where it beats that start
+    (a true value either way, attained at the returned point)."""
     E = sub.ambient
     v = np.asarray(v, dtype=float)
     B = sub.basis_matrix
@@ -318,23 +326,27 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
         val = math.sqrt(float(v @ sol))
         return val, sol / val
 
-    # generic r: the better of the Euclidean maximizer and v itself, rescaled
-    best_val, best_c = 0.0, None
-    for c0 in (sol, v):
-        if not np.all(np.isfinite(c0)):
-            continue
-        nv = sub.ambient_norm(c0)
-        if nv <= 1e-14:
-            continue
-        c = c0 / nv
-        val = float(v @ c)
-        if abs(val) > best_val:
-            best_val, best_c = abs(val), math.copysign(1.0, val) * c
-    if best_c is None:
-        best_c = np.zeros(k)
-        best_c[0] = 1.0
-        best_c /= sub.ambient_norm(best_c)
-        best_val = abs(float(v @ best_c))
+    # generic r: one SLSQP program, max u . c subject to ||c @ B||_E <= 1,
+    # from the Euclidean maximizer; the better of its point and the start,
+    # rescaled to ambient norm 1, so the value is attained
+    from scipy.optimize import minimize
+
+    u = v / np.linalg.norm(v)
+    c0 = sol / sub.ambient_norm(sol)
+    res = minimize(
+        lambda c: -(u @ c), c0, jac=lambda c: -u, method="SLSQP",
+        constraints=[{
+            "type": "ineq",
+            "fun": lambda c: 1.0 - sub.ambient_norm(c),
+            "jac": lambda c: -(B @ _norm_gradient(E, c @ B)),
+        }],
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    best_val, best_c = float(v @ c0), c0
+    if np.all(np.isfinite(res.x)) and sub.ambient_norm(res.x) > 0.0:
+        c = res.x / sub.ambient_norm(res.x)
+        if float(v @ c) > best_val:
+            best_val, best_c = float(v @ c), c
     return best_val, best_c
 
 
@@ -417,14 +429,15 @@ def _operator_norm_over_F(
 ) -> float:
     """sup of the codomain norm of M c over B_F: exact wherever
     ``_exact_norm_F`` is, otherwise a certified lower bound, the best
-    multistart conditional-gradient ascent value (attained at a point of
-    B_F; one linear program per step for ambient r in {1, inf})."""
+    conditional-gradient ascent value from structured starts
+    (``operators._structured_ascent``; attained at a point of B_F; one
+    linear program per step for ambient r in {1, inf}, one SLSQP program
+    for other r but 2)."""
     hit = _exact_norm_F(sub, M, codomain, cfg.family_size)
     if hit is not None:
         return hit[0]
-    return _multistart_ascent(
-        M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1],
-        cfg, min(cfg.restarts, 24), salt=83,
+    return _structured_ascent(
+        M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1]
     )[0]
 
 
@@ -503,14 +516,16 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
     """Complement values (flat) of the best extension found by the
     multistart outer search: W = 0 and ``cfg.restarts`` (at most 31)
     random starts 0.5 ||T||_F N(0, 1), the first 8 polished by Powell when
-    ``cfg.polish`` is on.  ``objective`` is the norm upper bound of the
-    extension with the given complement values."""
+    ``cfg.polish`` is on; start t draws from the generator of (seed, 89,
+    t).  The one reader of ``cfg.seed`` and ``cfg.restarts``.
+    ``objective`` is the norm upper bound of the extension with the given
+    complement values."""
     best_upper = math.inf
     best_W = np.zeros(nvars)
 
     inits = [np.zeros(nvars)]
     for t in range(min(cfg.restarts, 31)):
-        rng = restart_rng(cfg, t, salt=89)
+        rng = np.random.default_rng((int(cfg.seed), 89, t))
         inits.append(0.5 * denom * rng.standard_normal(nvars))
 
     from scipy.optimize import minimize

@@ -10,8 +10,9 @@ with families of arbitrary finite size; in finite dimension the
 constraint over B_E (rather than the bidual ball) is exact.  For
 p = infinity the norm degenerates to the sup of |f| over the dual unit
 sphere: exact, with a certified upper bound at any dual dimension, when
-f is convex and the sup can be enumerated; otherwise a multistart lower
-bound, with a certified upper bound only for dual dimension <= 3.
+f is convex and the sup can be enumerated; otherwise a lower bound from
+structured candidate functionals and a Nelder-Mead polish, with a
+certified upper bound only for dual dimension <= 3.
 
 Lower bounds come from explicit feasible witness families (see
 ``summing.witness_search``); upper bounds come from a structural chain:
@@ -23,6 +24,7 @@ exactly (the p = 1 norm dominates every other p), and the exact
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -44,7 +46,7 @@ from .exprs import (
     recognize_moduli_combination,
 )
 from .operators import tuple_map
-from .optimize import OptimizerConfig, nelder_mead_rows, restart_rng
+from .optimize import OptimizerConfig, nelder_mead_rows
 from .spaces import (
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
@@ -262,24 +264,25 @@ def fbl_infty_norm(
 def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) -> NormEstimate:
     """sup of |eval(e, .)| over the dual unit sphere for any e, from below.
 
-    The lower bound is certified (attained at explicit functionals): the
-    best candidate, or a better point of |eval| / dual norm found from the
-    six best by one lockstep Nelder-Mead (``nelder_mead_rows``).  A
-    certified upper bound is produced only for dual dimension <= 3, by a
-    Lipschitz-padded grid over the dual sphere; vertices of the dual ball
-    give none, since a non-convex e need not attain its sup at one.
+    The candidates are structured, not drawn: the coordinate functionals,
+    the norming functionals of the bound vectors, and the sign rows of a
+    Hadamard matrix and their negations (e need not be odd), each on the
+    dual sphere.  The lower bound is certified (attained at explicit
+    functionals): the best candidate, or a better point of |eval| / dual
+    norm found from the six best by one lockstep Nelder-Mead
+    (``nelder_mead_rows``).  A certified upper bound is produced only for
+    dual dimension <= 3, by a Lipschitz-padded grid over the dual sphere;
+    vertices of the dual ball give none, since a non-convex e need not
+    attain its sup at one.
     """
     E = b.space
     Ed = dual_space(E)
     dim = E.dim
 
+    H = hadamard(1 << (dim - 1).bit_length())[:, :dim]  # its first column is all ones
     candidates = [y / norm(Ed, y) for y in np.eye(dim)]
     candidates += [norming_functional(E, x) for x in b.matrix]
-    for k in range(cfg.restarts):
-        y = restart_rng(cfg, k, salt=47).standard_normal(dim)
-        n = norm(Ed, y)
-        if n > 1e-14:
-            candidates.append(y / n)
+    candidates += [y / norm(Ed, y) for y in np.vstack([H, -H])]
 
     vals = np.abs(eval_rows(e, b, np.array(candidates)))
     order = np.argsort(-vals)
@@ -299,7 +302,7 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) 
                 best_val, best_y = float(v), y
 
     grid = dim <= 3
-    upper = max(_grid_upper(e, b, cfg), best_val) if grid else best_val
+    upper = max(_grid_upper(e, b), best_val) if grid else best_val
     how = "Lipschitz grid upper" if grid else "upper not certified (dual dim > 3)"
     witness = WitnessFamily(best_y[None, :], math.inf, 1.0, best_val)
     return NormEstimate(best_val, upper, True, grid, ("dual-sphere multistart", how), witness)
@@ -335,7 +338,7 @@ def _convex_sup(
     return top, norming_functional(E, z), "signed-sum enumeration"
 
 
-def _grid_upper(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) -> float:
+def _grid_upper(e: LatticeExpr, b: GeneratorBinding) -> float:
     """Certified upper bound for dual dimension <= 3: cover the dual sphere
     by radial projections of a cube-surface grid and pad by the Lipschitz
     certificate times the covering radius."""
@@ -346,25 +349,9 @@ def _grid_upper(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) -> fl
     steps = 121 if dim <= 2 else 61
     h = 2.0 / (steps - 1)
     axis = np.linspace(-1.0, 1.0, steps)
-
-    if dim == 1:
-        pts = np.array([[1.0], [-1.0]])
-    elif dim == 2:
-        faces = []
-        for s in (-1.0, 1.0):
-            faces.append(np.column_stack([np.full(steps, s), axis]))
-            faces.append(np.column_stack([axis, np.full(steps, s)]))
-        pts = np.vstack(faces)
-    else:
-        grid_a, grid_b = np.meshgrid(axis, axis)
-        flat_a, flat_b = grid_a.ravel(), grid_b.ravel()
-        faces = []
-        for s in (-1.0, 1.0):
-            const = np.full(flat_a.shape, s)
-            faces.append(np.column_stack([const, flat_a, flat_b]))
-            faces.append(np.column_stack([flat_a, const, flat_b]))
-            faces.append(np.column_stack([flat_a, flat_b, const]))
-        pts = np.vstack(faces)
+    # the faces x_i = +-1; at dim 1 the product is one empty row
+    rest = np.array(list(itertools.product(axis, repeat=dim - 1)))
+    pts = np.vstack([np.insert(rest, i, s, axis=1) for i in range(dim) for s in (-1.0, 1.0)])
 
     # any point of the cube surface is within ell_inf distance h/2 of the
     # grid; measure that displacement in the dual norm

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .estimates import NormEstimate
-from .optimize import OptimizerConfig, restart_rng
+from .optimize import OptimizerConfig
 from .spaces import (
     _EXTREME_ENUM_CAP,
     SpaceSpec,
@@ -108,10 +108,10 @@ def _norm_gradient(space: SpaceSpec, y: np.ndarray) -> np.ndarray:
     n = norm(space, y)
     if n <= 0:
         return w.copy()
-    return w * np.sign(y) * np.abs(y) ** (space.r - 1.0) / n ** (space.r - 1.0)
+    return w * np.sign(y) * (np.abs(y) / n) ** (space.r - 1.0)
 
 
-_ASCENT_MAX_ITER, _ASCENT_TOL = 200, 1e-10  # steps and relative stopping tolerance of one ascent
+_ASCENT_MAX_ITER, _ASCENT_TOL = 200, 1e-13  # steps and relative stopping tolerance of one ascent
 
 
 def _ascend(
@@ -135,23 +135,22 @@ def _ascend(
     return val, x
 
 
-def _multistart_ascent(
+def _structured_ascent(
     a: np.ndarray,
     codomain: SpaceSpec,
     body_norm: Callable[[np.ndarray], float],
     linear_max: Callable[[np.ndarray], np.ndarray],
-    cfg: OptimizerConfig,
-    restarts: int,
-    salt: int,
 ) -> tuple[float, np.ndarray]:
-    """Best ``_ascend`` value over seeded random starts scaled to the
-    boundary of the body, with its point; the first strict improvement
-    wins, so ties go to the lowest restart."""
+    """Best ``_ascend`` value over structured starts, with its point: the
+    body's coordinate vectors, the body points ``linear_max(row)`` that
+    norm the rows of ``a``, and the top right singular vector of ``a``,
+    each scaled to the boundary of the body.  For ell_r -> ell_s this is
+    Boyd's power method (Boyd 1974; Higham 1992).  The first strict
+    improvement wins, so ties go to the earliest start."""
     dim = a.shape[1]
+    starts = [*np.eye(dim), *(linear_max(row) for row in a), np.linalg.svd(a)[2][0]]
     best_val, best_x = 0.0, np.zeros(dim)
-    for k in range(restarts):
-        rng = restart_rng(cfg, k, salt=salt)
-        x0 = rng.standard_normal(dim)
+    for x0 in starts:
         n0 = body_norm(x0)
         if n0 <= 1e-14:
             continue
@@ -229,18 +228,17 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     oracle the weak-p norms share: a sup-norm codomain, an ell_1 domain, an
     ell_1 codomain of at most ``cfg.family_size`` rows, and a sup-norm
     domain within the enumeration cap.  Otherwise the lower bound is the
-    best multistart ascent value (certified, it is attained at a feasible
-    point) and the upper bound is the crude row-norm bound; both upper
-    bounds come from ``_norm_upper``.
+    best ``_structured_ascent`` value (certified, it is attained at a
+    feasible point) and the upper bound is the crude row-norm bound; both
+    upper bounds come from ``_norm_upper``.
     """
     cfg = cfg or OptimizerConfig()
     a, E, cod = T.matrix, T.domain, T.codomain
     upper, exact = _norm_upper(a, E, cod, cfg.family_size)
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
-    lower, _ = _multistart_ascent(
-        a, cod, lambda x: norm(E, x), lambda g: norming_vector(E, g),
-        cfg, cfg.restarts, salt=101,
+    lower, _ = _structured_ascent(
+        a, cod, lambda x: norm(E, x), lambda g: norming_vector(E, g)
     )
     return NormEstimate(
         lower=lower,

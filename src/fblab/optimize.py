@@ -1,10 +1,9 @@
-"""Deterministic multistart search utilities.
+"""Optimizer settings and a lockstep Nelder-Mead.
 
-All searches in the package are pure functions of their inputs and a
-master seed.  Per-restart generators are derived from the master seed
-and the restart index, and the reduction over restarts takes the first
-strict improvement, so a parallel execution with the same seeds would
-reproduce the sequential result bit for bit.
+Every search in the package is a pure function of its inputs and an
+``OptimizerConfig``.  All but one start from structured points and read
+no seed; the Powell multistart of the extension constant draws its
+starts from generators fixed by (seed, restart index).
 
 ``nelder_mead_rows`` is scipy's Nelder-Mead, bit for bit, run from many starts
 in lockstep with one call of a row-stacked objective per phase.
@@ -16,27 +15,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "nelder_mead_rows", "restart_rng"]
+__all__ = ["OptimizerConfig", "nelder_mead_rows"]
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs shared by every multistart search.
+    """Knobs shared by the searches.
 
-    seed fixes every random start; restarts is the number of random starts
-    per search that draws them: the candidate functionals of the p =
-    infinity norm off its convex paths, the outer starts of the extension
-    constant at p = 1 and over balls that are not small polytopes, and
-    the multistart ascents of operator norms off their exact paths.  The
-    witness search (finite-p norms, summing norms, embedding gaps), the
-    epigraph program of the extension constant (finite p > 1 over
-    polytopal balls) and the closed-form p-concavification witness draw
-    none and read neither.  family_size caps witness families, the moduli
-    combinations whose p = infinity norm is a largest signed sum, and the
-    row-sign side (2^(N-1) sign patterns) of exact norms into ell_1^N, the
-    weak-1 norm among them, not their cube side over a sup-norm ball.
-    polish turns the local refinement of the best candidates on or off;
-    the epigraph program is a solve, not a refinement, and always runs.
+    seed and restarts drive one search only: the Powell multistart of the
+    extension constant at p = 1 and over balls that are not small
+    polytopes (``restarts`` starts, at most 31, drawn from ``seed``).
+    Every other search starts from structured points and reads neither.
+    family_size caps witness families, the moduli combinations whose p =
+    infinity norm is a largest signed sum, and the row-sign side (2^(N-1)
+    sign patterns) of exact norms into ell_1^N, the weak-1 norm among
+    them, not their cube side over a sup-norm ball.  polish turns the
+    local refinement of the best candidates on or off; the epigraph
+    program is a solve, not a refinement, and always runs.
     """
 
     seed: int = 0
@@ -52,11 +47,6 @@ class OptimizerConfig:
             raise ValueError("restarts and family_size must be positive")
         if self.family_size > 20:
             raise ValueError("family_size above 20 breaks the sign-enumeration budget")
-
-
-def restart_rng(cfg: OptimizerConfig, restart: int, salt: int = 0) -> np.random.Generator:
-    """The generator owned by one restart; fixed by (seed, salt, restart)."""
-    return np.random.default_rng((int(cfg.seed), int(salt), int(restart)))
 
 
 # scipy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = 1/2): a trial point is

@@ -83,9 +83,9 @@ def _weak_E(
 ) -> tuple[float, bool, bool]:
     """Weak-p norm of a family over the ball of ``space`` for the witness
     search: (certified upper bound, exact?, cheap enough to polish?).  Off
-    the exact paths the triangle-inequality bound stands in; a
-    multistart lower bound would dominate the cost and normalization only
-    needs the upper one."""
+    the exact paths the triangle-inequality bound stands in; an ascent
+    lower bound would dominate the cost and normalization only needs the
+    upper one."""
     hit = _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
     if hit is None:
         return _weak_crude_upper(Y, space, p), False, False
@@ -111,9 +111,9 @@ def weak_p_norm(
       or, over a sup-norm ball, the 2^(dim-1) cube vertices;
     * sup-norm ball within the enumeration cap (any p): cube vertices.
 
-    Otherwise ``operator_norm`` of that map: multistart lower bound plus
-    its row-norm upper bound, which is the triangle inequality (both
-    certified; the gap is reported, not hidden).
+    Otherwise ``operator_norm`` of that map: the lower bound of its ascent
+    from structured starts plus its row-norm upper bound, which is the
+    triangle inequality (both certified; the gap is reported, not hidden).
     """
     cfg = cfg or OptimizerConfig()
     Y = np.atleast_2d(np.asarray(family, dtype=float))

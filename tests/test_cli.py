@@ -287,3 +287,14 @@ def test_seed_env_variable(space_file, capsys, monkeypatch):
         capsys, ["norm", "--space", space_file, "--expr", "max(d0,d1)", "--p", "1"]
     )
     assert out1 == out2  # identical invocations, identical bytes
+
+
+@pytest.mark.parametrize(
+    "name, param", [("haar-level", "n=inf"), ("summing-basis", "m=1e400"), ("poe-constants", "trials=inf")]
+)
+def test_infinite_integer_param_exits_1(capsys, name, param):
+    """An infinite value for an integer parameter is an input error: int()
+    of it raised OverflowError, which once exited 2 as an internal error."""
+    assert main(["experiment", "--name", name, "--params", param]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "field params" in captured.err
