@@ -265,9 +265,9 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) 
     """sup of |eval(e, .)| over the dual unit sphere for any e, from below.
 
     The candidates are structured, not drawn: the coordinate functionals,
-    the norming functionals of the bound vectors, and the sign rows of a
-    Hadamard matrix and their negations (e need not be odd), each on the
-    dual sphere.  The lower bound is certified (attained at explicit
+    the norming functionals of the bound vectors, and at most 32 sign rows
+    of a Hadamard matrix and their negations (e need not be odd), each on
+    the dual sphere.  The lower bound is certified (attained at explicit
     functionals): the best candidate, or a better point of |eval| / dual
     norm found from the six best by one lockstep Nelder-Mead
     (``nelder_mead_rows``).  A certified upper bound is produced only for
@@ -279,7 +279,8 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) 
     Ed = dual_space(E)
     dim = E.dim
 
-    H = hadamard(1 << (dim - 1).bit_length())[:, :dim]  # its first column is all ones
+    m = min(1 << (dim - 1).bit_length(), 32)  # rows < m of any larger Sylvester
+    H = np.tile(hadamard(m), -(-dim // m))[:, :dim]  # matrix repeat with period m
     candidates = [y / norm(Ed, y) for y in np.eye(dim)]
     candidates += [norming_functional(E, x) for x in b.matrix]
     candidates += [y / norm(Ed, y) for y in np.vstack([H, -H])]

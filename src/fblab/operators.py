@@ -144,11 +144,17 @@ def _structured_ascent(
     """Best ``_ascend`` value over structured starts, with its point: the
     body's coordinate vectors, the body points ``linear_max(row)`` that
     norm the rows of ``a``, and the top right singular vector of ``a``,
-    each scaled to the boundary of the body.  For ell_r -> ell_s this is
-    Boyd's power method (Boyd 1974; Higham 1992).  The first strict
-    improvement wins, so ties go to the earliest start."""
+    each scaled to the boundary of the body; of the first two kinds only
+    the 32 of largest ||a e_i|| / |e_i| and Euclidean row norm, so the work
+    stays bounded in the size of ``a``.  For ell_r -> ell_s this is Boyd's
+    power method (Boyd 1974; Higham 1992).  The first strict improvement
+    wins, so ties go to the earliest start."""
     dim = a.shape[1]
-    starts = [*np.eye(dim), *(linear_max(row) for row in a), np.linalg.svd(a)[2][0]]
+    top = lambda s: np.sort(np.argsort(-np.asarray(s), kind="stable")[:32])  # in index order
+    cols = [norm(codomain, a[:, i]) / body_norm(np.eye(1, dim, i)[0]) for i in range(dim)]
+    starts = [np.eye(1, dim, i)[0] for i in top(cols)]
+    starts += [linear_max(a[i]) for i in top(np.linalg.norm(a, axis=1))]
+    starts.append(np.linalg.svd(a, full_matrices=False)[2][0])
     best_val, best_x = 0.0, np.zeros(dim)
     for x0 in starts:
         n0 = body_norm(x0)

@@ -119,3 +119,49 @@ def test_linear_maximizer_over_a_generic_section(r, seed):
     g = sub.restrict(norming_functional(sub.ambient, c @ sub.basis_matrix))[0]
     assert g @ v / (np.linalg.norm(g) * np.linalg.norm(v)) == pytest.approx(1.0, abs=1e-9)
     assert math.isfinite(val) and val > 0.0
+
+
+def test_ascent_starts_stay_bounded_as_the_map_grows(monkeypatch):
+    """At most 32 coordinate starts, 32 row starts and the singular
+    vector, however tall or wide the map; a tall family map is never
+    factored with its square left factor (5,000^2 doubles = 200 MB)."""
+    import tracemalloc
+
+    from fblab import operators
+
+    calls = []
+    ascend = operators._ascend
+    monkeypatch.setattr(operators, "_ascend", lambda *a: calls.append(1) or ascend(*a))
+    rng = np.random.default_rng(11)
+    Y = rng.standard_normal((5_000, 4))
+    tracemalloc.start()
+    est = weak_p_norm(Y, SpaceSpec(3.0, 4), 2.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert est.method[0] == "multistart lower"
+    assert len(calls) <= 4 + 32 + 1 and peak < 20e6
+    assert 0.0 < est.lower <= est.upper
+    calls.clear()
+    A = rng.standard_normal((3, 100))
+    est = operator_norm(LinearMap.from_array(A, SpaceSpec(3.0, 100), SpaceSpec(1.5, 3)))
+    assert est.method[0] == "multistart ascent"
+    assert len(calls) <= 32 + 3 + 1 and 0.0 < est.lower <= est.upper
+
+
+def test_p_inf_candidates_stay_bounded_above_dual_dimension_32(monkeypatch):
+    """Past dual dimension 32 the Hadamard rows stop at 32, so the
+    candidates are the coordinate and norming functionals and 64 signed
+    rows."""
+    from fblab import fbl
+
+    seen = []
+    eval_rows = fbl.eval_rows
+    monkeypatch.setattr(fbl, "eval_rows", lambda e, b, Y: seen.append(len(Y)) or eval_rows(e, b, Y))
+    dim = 40
+    b = GeneratorBinding.from_matrix(
+        SpaceSpec(3.0, dim), np.random.default_rng(5).standard_normal((3, dim))
+    )
+    e = Abs(Gen(0)) - Abs(Gen(1)) + Meet(Gen(1), Gen(2))
+    est = fbl_infty_norm(e, b, OptimizerConfig(polish=False))
+    assert est.method[0] == "dual-sphere multistart"
+    assert seen[0] == dim + 3 + 64 and est.lower > 0.0
