@@ -496,6 +496,8 @@ def _exp_sublattice(params, seed, cfg):
     k_count = int(params.get("k", 4))
     trunc = int(params.get("trunc", 12))
     trials = int(params.get("trials", 5))
+    if not (2 <= k_count <= 8 and k_count <= trunc <= 24 and 1 <= trials <= 50):
+        raise ValueError("sublattice-isometry requires 2 <= k <= 8, k <= trunc <= 24 and 1 <= trials <= 50")
     E = SpaceSpec(2.0, k_count)
     exprs, binding, _ = sublattice_generators(E, k_count, trunc)
     rng = np.random.default_rng((seed, 13))
@@ -598,6 +600,8 @@ def _exp_ell1_moduli(params, seed, cfg):
 def _exp_lower2_ell1(params, seed, cfg):
     m = int(params.get("m", 6))
     n = int(params.get("atoms", 16))
+    if not (2 <= m <= 64 and 2 <= n <= 1024):
+        raise ValueError("lower2-ell1 requires 2 <= m <= 64 and 2 <= atoms <= 1024")
     rng = np.random.default_rng((seed, 19))
     # random unimodular step functions: normalized and satisfying a lower
     # 2-estimate, like any system of independent signs
@@ -711,6 +715,8 @@ def _exp_convexity_ceiling(params, seed, cfg):
 
 def _exp_poe_constants(params, seed, cfg):
     trials = int(params.get("trials", 5))
+    if not 1 <= trials <= 50:
+        raise ValueError("poe-constants requires 1 <= trials <= 50")
     rng = np.random.default_rng((seed, 29))
     recs = []
 

@@ -11,6 +11,11 @@ There are no constant nodes, so homogeneity holds by construction.
 Every walk over an expression is a loop over its program: the distinct
 nodes in post-order with the slots of their children, built once without
 recursion and kept on the root, so expressions of any depth work.
+Evaluation runs a kernel compiled from the program once per expression
+and kept on it: one straight-line function of the pairings, with
+structurally equal subexpressions computed once.  The analyses
+(``_convex_shape``, ``mass_bound``, ``lipschitz_bound``, the text output)
+stay folds over the program (``_fold``).
 
 A text DSL is provided: generators ``d0, d1, ...``; operators ``+ - *``
 (scalar multiplication), ``abs(e)``, ``max(e,f)``, ``min(e,f)``,
@@ -21,8 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -114,10 +121,25 @@ class LatticeExpr:
             for i, (node, kids) in enumerate(steps)
         )
 
+    @cached_property
+    def _kernel(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The compiled evaluation of this expression (``_compile``)."""
+        return _compile(self)
+
+    def __getstate__(self) -> dict:
+        # a generated function does not pickle; a copy compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "_kernel"}
+
 
 @dataclass(frozen=True)
 class Gen(LatticeExpr):
     index: int
+
+    def __post_init__(self) -> None:
+        i = self.index
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral) or i < 0:
+            raise ValueError(f"generator index must be a nonnegative integer, got {i!r}")
+        object.__setattr__(self, "index", int(i))
 
 
 @dataclass(frozen=True)
@@ -285,6 +307,79 @@ _VALUES = {
 }
 
 
+def _param_key(x: object) -> tuple:
+    """A node parameter as a dictionary key: floats by their exact bits,
+    so 0.0 and -0.0 stay apart."""
+    return type(x), float(x).hex()
+
+
+# the parameter that tells apart nodes of one kind over the same children
+_PARAM = {Gen: lambda n: n.index, Scale: lambda n: _param_key(n.c), PowerSum: lambda n: _param_key(n.q)}
+
+# each node kind's value as source text over its children's values a and b
+# and its constant c (a name bound in the kernel's namespace); PowerSum is
+# written out by _compile
+_SOURCE = {
+    Scale: "{c} * {a}",
+    Add: "{a} + {b}",
+    Neg: "-{a}",
+    Abs: "abs_({a})",
+    Join: "maximum({a}, {b})",
+    Meet: "minimum({a}, {b})",
+    PosPart: "maximum({a}, 0.0)",
+}
+
+
+def _unbound(indices: list[int], P: np.ndarray) -> None:
+    """Raise the fold's error for the first of ``indices`` that P lacks."""
+    k = next(i for i in indices if i >= P.shape[1])
+    raise IndexError(f"generator d{k} is not bound ({P.shape[1]} vectors available)")
+
+
+def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
+    """The function P -> the value of e on the pairings P, with the
+    numpy operations of ``_fold(e, _VALUES, P)`` and so the same bytes,
+    as one straight-line function.  Nodes of the same structure (kind,
+    parameter, children) become one step, a value is deleted after its
+    last reader, and a single check up front reports the first unbound
+    generator.  Constants enter through the namespace; only step numbers
+    and generator indices, which are nonnegative ints, are written into
+    the source."""
+    slot: list[int] = []  # program slot -> step
+    known: dict[tuple, int] = {}
+    steps: list[tuple[LatticeExpr, tuple[int, ...]]] = []
+    for node, kids, _ in e._program:
+        ks = tuple(slot[k] for k in kids)
+        key = (type(node), _PARAM[type(node)](node) if type(node) in _PARAM else None, ks)
+        slot.append(known.setdefault(key, len(steps)))
+        if slot[-1] == len(steps):
+            steps.append((node, ks))
+    last = {k: i for i, (_, ks) in enumerate(steps) for k in ks}
+    gens = [node.index for node, _ in steps if type(node) is Gen]
+    ns = {"abs_": np.abs, "maximum": np.maximum, "minimum": np.minimum, "zeros": np.zeros,
+          "unbound": lambda P: _unbound(gens, P)}
+    lines = ["def kernel(P):", f"    if P.shape[1] <= {max(gens)}: unbound(P)"]
+    for i, (node, ks) in enumerate(steps):
+        args = [f"v{k}" for k in ks]
+        if type(node) is Gen:
+            lines.append(f"    v{i} = P[:, {node.index}]")
+        elif type(node) is PowerSum:
+            ns[f"c{i}"] = node.q
+            lines.append("    acc = zeros(P.shape[0])")
+            lines += [f"    acc = acc + abs_({a}) ** c{i}" for a in args]
+            lines += [f"    v{i} = acc ** (1.0 / c{i})", "    del acc"]
+        else:
+            if type(node) is Scale:
+                ns[f"c{i}"] = node.c
+            lines.append(f"    v{i} = " + _SOURCE[type(node)].format(c=f"c{i}", a=args[0], b=args[-1]))
+        dead = sorted({k for k in ks if last[k] == i})
+        if dead:
+            lines.append("    del " + ", ".join(f"v{k}" for k in dead))
+    lines.append(f"    return v{len(steps) - 1}")
+    exec(compile("\n".join(lines), "<expression kernel>", "exec"), ns)
+    return ns["kernel"]
+
+
 # whether a node is convex, from whether its children are all linear and all convex
 _CONVEX_IF = {
     **dict.fromkeys((Add, Join, PosPart), lambda n, linear, convex: convex),
@@ -311,7 +406,7 @@ def _convex_shape(e: LatticeExpr, b: GeneratorBinding) -> np.ndarray | bool | No
 
 def eval_pairings(e: LatticeExpr, P: np.ndarray) -> np.ndarray:
     """Evaluate on precomputed pairings P[row, i] = <f_row, x_i>."""
-    return _fold(e, _VALUES, P)
+    return e._kernel(P)
 
 
 def eval_rows(e: LatticeExpr, b: GeneratorBinding, functionals: np.ndarray) -> np.ndarray:

@@ -180,22 +180,40 @@ def _exact_norm(
     ``C`` for the rows y_c of Y (pairing coordinates in the dual of E): the
     weak-p norm of a family into unweighted ell_p^N, an operator norm for
     the map's rows.  Returns (value, path tag, cheap enough for a polish
-    loop?), or None when no exact path applies.  The tags name the weak-p
-    paths (C = ell_p^N).  In order: a sup-norm codomain by the rows' dual
-    norms and an ell_1 domain by the best column (closed forms); an ell_1
-    codomain of at most ``family_size`` rows by its 2^(N-1) row signs or,
-    over a sup-norm ball, the 2^(dim-1) cube vertices, whichever
-    enumerates fewer signed-sum entries; a sup-norm domain within the
-    enumeration cap by its cube vertices."""
-    N, dim = C.dim, E.dim
+    loop?), or None when no exact path applies; the path is resolved once
+    per (E, C, family_size) by ``_exact_plan``."""
+    plan = _exact_plan(E, C, family_size)
+    if plan is None:
+        return None
+    value, tag, cheap = plan
+    return value(Y), tag, cheap
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_plan(
+    E: SpaceSpec, C: SpaceSpec, family_size: int
+) -> tuple[Callable[[np.ndarray], float], str, bool] | None:
+    """The path of ``_exact_norm``: (the value as a function of Y, path
+    tag, cheap?), or None.  The tags name the weak-p paths (C = ell_p^N).
+    In order: a sup-norm codomain by the rows' dual norms and an ell_1
+    domain by the best column (closed forms); an ell_1 codomain of at most
+    ``family_size`` rows by its 2^(N-1) row signs or, over a sup-norm ball,
+    the 2^(dim-1) cube vertices, whichever enumerates fewer signed-sum
+    entries; a sup-norm domain within the enumeration cap by its cube
+    vertices."""
+    N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
-        return float(np.max(norms_rows(E.dual, Y))), "weak-inf closed form", True
+        return (lambda Y: float(np.max(norms_rows(dual, Y)))), "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
-        V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r  # a power of 1 is a slow copy
-        if not C.unweighted:
-            V = V * C.weight_array[:, None]
-        val = float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
-        return val, "cross-polytope enumeration", True
+        r, wc = C.r, None if C.unweighted else C.weight_array[:, None]
+
+        def cross_polytope(Y: np.ndarray) -> float:
+            V = np.abs(Y) if r == 1 else np.abs(Y) ** r  # a power of 1 is a slow copy
+            if wc is not None:
+                V = V * wc
+            return float(np.max(np.sum(V, axis=0))) ** (1.0 / r)
+
+        return cross_polytope, "cross-polytope enumeration", True
     if C.r == 1 and N <= family_size:
         tag = "sign enumeration"
         cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
@@ -207,10 +225,11 @@ def _exact_norm(
     else:
         return None
     if on_cube:  # the cube vertex s maps to s @ (Y * w).T
-        val = _max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)[0]
-    else:  # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
-        val = _max_signed_sum(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)[0]
-    return val, tag, cheap
+        w = None if E.unweighted else E.weight_array
+        return (lambda Y: _max_signed_sum((Y if w is None else Y * w).T, C)[0]), tag, cheap
+    # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
+    w = None if C.unweighted else C.weight_array[:, None]
+    return (lambda Y: _max_signed_sum(Y if w is None else Y * w, dual)[0]), tag, cheap
 
 
 def _norm_upper(

@@ -91,6 +91,13 @@ class SpaceSpec:
         object.__setattr__(self, "weights", tuple(float(wi) for wi in w))
         object.__setattr__(self, "r", float(self.r))
 
+    def __hash__(self) -> int:  # the dataclass's hash, computed once: plans are looked up by spec per call
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.r, self.dim, self.weights))
+
     @functools.cached_property
     def weight_array(self) -> np.ndarray:  # read-only, built once per spec
         return _readonly(self.weights)
@@ -220,6 +227,20 @@ def _signs(k: int) -> np.ndarray:
 
 # entries in one block of candidates (or broadcast sums) of _max_signed_sum
 _SIGNED_SUM_BLOCK = 1 << 18
+_ONE = _readonly([1.0])  # the fixed sign s_0 of every pattern
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_sum_plan(n: int, space: SpaceSpec) -> tuple[int, np.ndarray, np.ndarray, int, str]:
+    """The set-up of ``_max_signed_sum`` for n rows measured in ``space``,
+    built once: the split b, the half sign tables, the rows of L per block
+    and the norm's branch."""
+    b = n // 2
+    sb, sh = _signs(b), _signs(n - 1 - b)
+    euclid = space.r == 2
+    rows = max(1, _SIGNED_SUM_BLOCK // (len(sh) * (1 if euclid else space.dim)))
+    branch = "euclid" if euclid else "sup" if space.is_sup else "l1" if space.r == 1 else "r"
+    return b, sb, sh, rows, branch
 
 
 def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]:
@@ -232,30 +253,30 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]
     any other norm broadcast adds; both run over blocks of rows of L, so
     memory stays bounded.  The winning signed sum's norm is recomputed.
     """
-    n, d = M.shape
-    b = n // 2
-    sb, sh = _signs(b), _signs(n - 1 - b)
+    b, sb, sh, rows, branch = _signed_sum_plan(len(M), space)
     L = M[0] + sb @ M[1 : 1 + b]
     H = sh @ M[1 + b :]
     w = space.weight_array
-    euclid, HH = space.r == 2, (H * H) @ w
-    rows = max(1, _SIGNED_SUM_BLOCK // (len(H) * (1 if euclid else d)))
+    if branch == "euclid":
+        HH = (H * H) @ w
     best, i, j = -math.inf, 0, 0
     for start in range(0, len(L), rows):
         Lb = L[start : start + rows]
-        if euclid:
+        if branch == "euclid":
             vals = 2.0 * (Lb * w) @ H.T + ((Lb * Lb) @ w)[:, None] + HH
         else:
+            # held until the next block is built: freeing each block before
+            # the next one is allocated costs fresh pages every block
             block = np.abs(Lb[:, None, :] + H)
-            if space.is_sup:
+            if branch == "sup":
                 vals = np.max(block, axis=2)
             else:
-                vals = (block if space.r == 1 else block ** space.r) @ w
-        k = int(np.argmax(vals))
+                vals = (block if branch == "l1" else block ** space.r) @ w
+        k = int(vals.argmax())
         if vals.flat[k] > best:
             best = vals.flat[k]
             i, j = divmod(k + start * len(H), len(H))
-    z = np.concatenate(([1.0], sb[i], sh[j])) @ M
+    z = np.concatenate((_ONE, sb[i], sh[j])) @ M
     return float(norms_rows(space, z[None, :])[0]), z
 
 

@@ -290,6 +290,17 @@ def test_seed_env_variable(space_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "name, param",
+    [("poe-constants", "trials=0"), ("sublattice-isometry", "trials=-2"), ("lower2-ell1", "atoms=0")],
+)
+def test_empty_or_negative_experiment_size_exits_1(capsys, name, param):
+    """These once exited 0 with records certified from zero trials."""
+    assert main(["experiment", "--name", name, "--params", param]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{name} requires" in captured.err
+
+
+@pytest.mark.parametrize(
     "name, param", [("haar-level", "n=inf"), ("summing-basis", "m=1e400"), ("poe-constants", "trials=inf")]
 )
 def test_infinite_integer_param_exits_1(capsys, name, param):

@@ -83,6 +83,30 @@ def test_haar_level_rejects_bad_params():
         run_experiment("haar-level", {"n": 2, "a": (1.0, 2.0)}, 0, CFG)
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("poe-constants", {"trials": 0}),
+        ("poe-constants", {"trials": 51}),
+        ("sublattice-isometry", {"trials": -2}),
+        ("sublattice-isometry", {"trials": 0}),
+        ("sublattice-isometry", {"k": 1}),
+        ("sublattice-isometry", {"k": 9, "trunc": 24}),
+        ("sublattice-isometry", {"trunc": 3}),
+        ("sublattice-isometry", {"trunc": 25}),
+        ("lower2-ell1", {"m": 0}),
+        ("lower2-ell1", {"m": 65}),
+        ("lower2-ell1", {"atoms": 1}),
+        ("lower2-ell1", {"atoms": 1025}),
+    ],
+)
+def test_experiment_sizes_are_range_checked(name, params):
+    """An empty run once passed its rules with certified numbers, and a
+    large size set the work without bound."""
+    with pytest.raises(ValueError, match=f"^{name} requires"):
+        run_experiment(name, params, 0, CFG)
+
+
 def test_report_serialization_is_reproducible():
     """Identical (name, params, seed) give identical bytes, regardless of
     the wall clock of the run."""

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from fblab import (
     pushforward,
     sample_sphere,
 )
-from fblab.exprs import _fold, max_generator_index, recognize_moduli_combination
+from fblab.exprs import _VALUES, _fold, max_generator_index, recognize_moduli_combination
 
 
 def _binding(dim=3, count=3, seed=0, r=2.0):
@@ -423,6 +424,119 @@ def test_program_matches_recursive_reference():
         assert np.array_equal(eval_pairings(e, P), _reference_eval(e, P))
 
 
+# --------------------------------------------------------------------------
+# the compiled kernel against the fold it replaces in evaluation
+# --------------------------------------------------------------------------
+
+_KINDS = {"neg": Neg, "abs": Abs, "pos": PosPart, "add": Add, "join": Join, "meet": Meet}
+
+
+def _node(kind, param, args):
+    if kind == "gen":
+        return Gen(param)
+    if kind == "scale":
+        return Scale(param, args[0])
+    if kind == "powersum":
+        return PowerSum(param, tuple(args))
+    return _KINDS[kind](*args)
+
+
+def _copy(recipes, k, memo):
+    """A structurally equal copy of node k, built anew with its children."""
+    if k not in memo:
+        kind, param, kids, _ = recipes[k]
+        memo[k] = _node(kind, param, [_copy(recipes, j, memo) for j in kids])
+    return memo[k]
+
+
+@st.composite
+def _dags(draw):
+    """Expressions whose nodes reuse earlier nodes, either as the same
+    object or as a structurally equal copy, with signed zero scales."""
+    recipes = [("gen", i, (), Gen(i)) for i in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["scale", "powersum", *_KINDS]))
+        arity = {"add": 2, "join": 2, "meet": 2, "powersum": draw(st.integers(1, 3))}.get(kind, 1)
+        kids = [draw(st.integers(0, len(recipes) - 1)) for _ in range(arity)]
+        param = None
+        if kind == "scale":
+            param = draw(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-3.0, 3.0))
+        elif kind == "powersum":
+            param = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+        args = [_copy(recipes, j, {}) if draw(st.booleans()) else recipes[j][3] for j in kids]
+        recipes.append((kind, param, kids, _node(kind, param, args)))
+    return recipes[-1][3]
+
+
+@given(e=_dags(), seed=st.integers(0, 2**16), rows=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_fold_bytes(e, seed, rows):
+    P = np.random.default_rng(seed).standard_normal((rows, 3))
+    P[0, :] = -np.abs(P[0, :])  # a row of negative pairings shows the sign of a zero scale
+    assert eval_pairings(e, P).tobytes() == _fold(e, _VALUES, P).tobytes()
+
+
+def _steps(e):
+    """The values the kernel of e names: one per distinct structure."""
+    return [v for v in e._kernel.__code__.co_varnames if v.startswith("v")]
+
+
+def test_kernel_merges_equal_structure_and_keeps_signed_zeros_apart():
+    assert len(_steps(Add(Abs(Gen(0)), Abs(Gen(0))))) == 3
+    assert len(_steps(Add(Scale(2.0, Gen(1)), Scale(2, Gen(1))))) == 4  # int and float scales
+    e = Add(Scale(0.0, Gen(0)), Scale(-0.0, Gen(0)))
+    assert len(_steps(e)) == 4
+    P = -np.ones((2, 1))
+    assert eval_pairings(e, P).tobytes() == _fold(e, _VALUES, P).tobytes()
+    assert not np.any(np.signbit(eval_pairings(e, P)))  # -0.0 + 0.0, not -0.0 + -0.0
+
+
+def test_kernel_matches_fold_on_a_deep_sum():
+    """2,000 distinct terms, then the same terms again built anew."""
+    rng = np.random.default_rng(24)
+    a = rng.uniform(-1.5, 1.5, 2000)
+
+    def term(k):
+        return Abs(Gen(k)) * a[k] if k % 3 else Meet(Gen(k), Neg(Gen(0))) * a[k]
+
+    e = functools.reduce(Add, [term(k) for k in range(2000)] + [term(k) for k in range(2000)])
+    P = rng.standard_normal((4, 2000))
+    assert eval_pairings(e, P).tobytes() == _fold(e, _VALUES, P).tobytes()
+    assert len(_steps(e)) < len(e._program)
+
+
+def test_evaluated_expression_pickles_without_its_kernel():
+    e = Join(Abs(Gen(0)) * 2.0, Gen(1) - Gen(2))
+    P = np.random.default_rng(25).standard_normal((3, 3))
+    value = eval_pairings(e, P)
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and "_kernel" not in again.__dict__
+    assert eval_pairings(again, P).tobytes() == value.tobytes()
+
+
+def test_unbound_generator_message_is_the_folds():
+    e = Add(Gen(0), Join(Gen(5), Abs(Gen(7))))
+    P = np.zeros((2, 3))
+    with pytest.raises(IndexError) as folded:
+        _fold(e, _VALUES, P)
+    with pytest.raises(IndexError, match=r"^generator d5 is not bound \(3 vectors available\)$") as kernel:
+        eval_pairings(e, P)
+    assert str(kernel.value) == str(folded.value)
+    assert eval_pairings(e, np.ones((2, 8))).shape == (2,)
+
+
+@pytest.mark.parametrize("index", [-1, 1.0, 2.5, True, "0", None])
+def test_generator_index_must_be_a_nonnegative_integer(index):
+    """A negative index once read the last bound vector, silently."""
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        Gen(index)
+
+
+def test_generator_index_accepts_numpy_integers():
+    g = Gen(np.int64(2))
+    assert type(g.index) is int and g == Gen(2)
+
+
 # the reference text: each node's string built from its children's strings
 # (quadratic in the length of a left-deep sum, but plainly right)
 _REFERENCE_TEXT = {
@@ -445,3 +559,4 @@ def test_text_matches_per_node_strings():
         assert expr_to_text(e) == _fold(e, _REFERENCE_TEXT, None)
     long_sum = functools.reduce(Add, [Abs(Gen(k)) for k in range(30_000)])
     assert expr_to_text(long_sum) == _fold(long_sum, _REFERENCE_TEXT, None)
+
