@@ -239,7 +239,9 @@ class GeneratorBinding:
     def pairings(self, functionals: np.ndarray) -> np.ndarray:
         """<f_row, x_i> for each functional row and each bound vector:
         shape (rows, count)."""
-        f = np.atleast_2d(np.asarray(functionals, dtype=float))
+        f = functionals  # the 2-d float64 rows of the polish objectives go in unconverted
+        if type(f) is not np.ndarray or f.ndim != 2 or f.dtype != np.float64:
+            f = np.atleast_2d(np.asarray(f, dtype=float))
         return f @ self._weighted_t
 
     def to_json(self) -> dict:

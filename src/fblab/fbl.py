@@ -289,14 +289,14 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) 
     order = np.argsort(-vals)
     best_val, best_y = float(vals[order[0]]), candidates[int(order[0])]
     if cfg.polish:
-        def ratio(Y: np.ndarray) -> np.ndarray:
+        def neg_ratio(Y: np.ndarray) -> np.ndarray:  # -|e(y)| / ||y||, and 0 at y ~ 0
             n = norms_rows(Ed, Y)
-            return np.divide(np.abs(eval_rows(e, b, Y)), n, out=np.zeros_like(n), where=n > 1e-14)
+            return np.divide(np.abs(eval_rows(e, b, Y)), -n, out=np.zeros(len(n)), where=n > 1e-14)
 
         Y0 = np.array([candidates[int(i)] for i in order[:6]])
-        Y, _, _ = nelder_mead_rows(lambda Y: -ratio(Y), Y0, 200 * dim, 1e-10, 1e-12)
+        Y, _, _ = nelder_mead_rows(neg_ratio, Y0, 200 * dim, 1e-10, 1e-12)
         Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
-        for v, v0, y, y0 in zip(*np.split(ratio(np.vstack([Y, Y0])), 2), Y, Y0):
+        for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):
             # a polished witness goes back on the dual sphere (constraint 1)
             v, y = (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
             if v > best_val:
@@ -335,7 +335,8 @@ def _convex_sup(
         if moduli is None or len(moduli) > cap:
             return None
         M = np.array(list(moduli.values()))[:, None] * b.matrix[list(moduli)]
-    top, z = _max_signed_sum(M, E)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed enumeration is redone scaled
+        top, z = _max_signed_sum(M, E)
     return top, norming_functional(E, z), "signed-sum enumeration"
 
 

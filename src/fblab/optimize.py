@@ -6,12 +6,14 @@ no seed; the Powell multistart of the extension constant draws its
 starts from generators fixed by (seed, restart index).
 
 ``nelder_mead_rows`` is scipy's Nelder-Mead, bit for bit, run from many starts
-in lockstep with one call of a row-stacked objective per phase.
+in lockstep with one call of a row-stacked objective per phase: each start's
+control in plain Python, the vertex arithmetic of all starts batched in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -54,11 +56,7 @@ class OptimizerConfig:
 # outside and an inside contraction (subtracting -psi * worst adds it exactly)
 _TRIALS = np.array([[3.0, 2.0], [2.0, 1.0], [1.5, 0.5], [0.5, -0.5]])
 _SIGMA, _NONZDELT, _ZDELT = 0.5, 0.05, 0.00025  # shrink; first steps from x != 0, x = 0
-
-
-def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows, ind = np.arange(len(fsim))[:, None], np.argsort(fsim, axis=1)
-    return sim[rows, ind], fsim[rows, ind]
+_ENDS = np.array([0, -2, -1])  # the best, second-worst and worst vertex of a sorted simplex
 
 
 def nelder_mead_rows(F, X0: np.ndarray, maxfev: int, xatol: float, fatol: float):
@@ -66,50 +64,75 @@ def nelder_mead_rows(F, X0: np.ndarray, maxfev: int, xatol: float, fatol: float)
     with options maxfev, xatol and fatol would, start by start.  F maps an
     (m, N) stack of points to their m values.  Each start has its own budget,
     maxfev > N, and stops where scipy's counter stops it, in the middle of a
-    shrink too.  Returns the best points, their values and the evaluation counts."""
+    shrink too.  Returns the best points, their values and the evaluation counts.
+
+    Each start's control (its step, whether its budget allows a trial point,
+    better or shrink, its counts) is plain Python on a few values; numpy
+    builds the points, the shrinks and the sort of the running starts at once.
+    A start leaves these arrays, its result written out, when it stops."""
     X0 = np.asarray(X0, dtype=float)
     K, N = X0.shape
     j = np.arange(1, N + 1)
-    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
-    sim[:, j, j - 1] = np.where(X0 != 0, (1 + _NONZDELT) * X0, _ZDELT)
-    fsim = F(sim.reshape(K * (N + 1), N)).reshape(K, N + 1)
-    sim, fsim = _sorted(*_sorted(sim, fsim))  # scipy sorts the first simplex twice
-    nfev, live = np.full(K, N + 1), np.full(K, N + 1 < maxfev)
-    while live.any():
-        k = np.flatnonzero(live)
-        s, f = sim[k], fsim[k]
-        done = np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol
-        done &= np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol
-        live[k[done]] = False
-        k, s, f = k[~done], s[~done], f[~done]
-        if not k.size:
-            break
+    s = np.repeat(X0[:, None, :], N + 1, axis=1)
+    s[:, j, j - 1] = np.where(X0 != 0, (1 + _NONZDELT) * X0, _ZDELT)
+    f = F(s.reshape(K * (N + 1), N)).reshape(K, N + 1)
+    X, fun, nfev = np.empty((K, N)), np.empty(K), np.empty(K, dtype=int)
+    live, used, rows = list(range(K)), [N + 1] * K, np.arange(K)[:, None]
+    ind = f.argsort(axis=1)  # scipy sorts the first simplex twice
+    s, f = s[rows, ind], f[rows, ind]
+    while live:
+        ind = f.argsort(axis=1)
+        s, f = s[rows, ind], f[rows, ind]
+        top = f[:, _ENDS].tolist()  # per start its best, second-worst and worst value
+        # scipy's stop test; on a sorted simplex the f part is its worst vertex's
+        done = [u >= maxfev for u in used]
+        flat = [abs(hi - lo) <= fatol for lo, _, hi in top]
+        if any(flat):
+            small = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol).tolist()
+            done = [d or a and b for d, a, b in zip(done, flat, small)]
+        if any(done):
+            gone = list(compress(live, done))
+            X[gone], fun[gone], nfev[gone] = s[done, 0], f[done].min(axis=1), list(compress(used, done))
+            keep = [not d for d in done]
+            live, used, top = (list(compress(v, keep)) for v in (live, used, top))
+            if not live:
+                break
+            s, f, rows = s[keep], f[keep], rows[: len(live)]
         xbar, worst = np.add.reduce(s[:, :-1], 1) / N, s[:, -1]
-        xr = _TRIALS[1, 0] * xbar - _TRIALS[1, 1] * worst
-        fxr = F(xr)
-        nfev[k] += 1
+        xr = 2.0 * xbar - worst  # _TRIALS[1]: times 1.0 is exact
+        fxr = F(xr).tolist()
+        used = [u + 1 for u in used]
         # 0: expand, 1: accept the reflection, 2, 3: contract outside, inside
-        case = np.where(fxr < f[:, 0], 0, np.where(fxr < f[:, -2], 1, 3 - (fxr < f[:, -1])))
-        xt, ft = _TRIALS[case, :1] * xbar - _TRIALS[case, 1:] * worst, np.full(k.size, np.nan)
-        more = (case != 1) & (nfev[k] < maxfev)
-        if more.any():
-            ft[more] = F(xt[more])
-            nfev[k[more]] += 1
-        better = more & np.choose(case, [ft < fxr, ft < fxr, ft <= fxr, ft < f[:, -1]])
-        take_r = (case == 1) | (more & (case == 0) & ~better)
-        s[take_r, -1], f[take_r, -1] = xr[take_r], fxr[take_r]
-        s[better, -1], f[better, -1] = xt[better], ft[better]
+        case = [0 if r < lo else 1 if r < mid else 2 if r < hi else 3 for r, (lo, mid, hi) in zip(fxr, top)]
+        trial = [i for i, c in enumerate(case) if c != 1 and used[i] < maxfev]
+        # the replaced worst vertices: (start, row of xr or of the trial points, value)
+        new = [(i, i, r) for i, (c, r) in enumerate(zip(case, fxr)) if c == 1]
+        shrink, pts = [], xr
+        if trial:
+            coef = _TRIALS[[case[i] for i in trial]]
+            xt = coef[:, :1] * xbar[trial] - coef[:, 1:] * worst[trial]
+            pts = np.concatenate((xr, xt))
+            for t, (i, ft) in enumerate(zip(trial, F(xt).tolist()), len(live)):
+                used[i] += 1
+                c, r = case[i], fxr[i]
+                if ft < r if c == 0 else ft <= r if c == 2 else ft < top[i][2]:
+                    new.append((i, t, ft))
+                elif c == 0:
+                    new.append((i, i, r))
+                else:
+                    shrink.append(i)
+        if new:
+            i, t, v = (list(c) for c in zip(*new))
+            s[i, -1], f[i, -1] = pts[t], v
         # a shrink cut short by the budget moves one vertex more than it evaluates
-        shrink = more & (case >= 2) & ~better
-        if shrink.any():
-            best, budget = s[shrink, :1], (maxfev - nfev[k[shrink]])[:, None]
+        if shrink:
+            best, budget = s[shrink, :1], np.array([maxfev - used[i] for i in shrink])[:, None]
             moved = best + _SIGMA * (s[shrink, 1:] - best)
             evaluated, fmoved = j <= budget, f[shrink, 1:]
             if evaluated.any():
                 fmoved[evaluated] = F(moved[evaluated])
             s[shrink, 1:] = np.where((j <= budget + 1)[:, :, None], moved, s[shrink, 1:])
             f[shrink, 1:] = fmoved
-            nfev[k[shrink]] += np.minimum(budget[:, 0], N)
-        sim[k], fsim[k] = _sorted(s, f)
-        live[k] = nfev[k] < maxfev
-    return sim[:, 0], fsim.min(axis=1), nfev
+            for i in shrink:
+                used[i] += min(maxfev - used[i], N)
+    return X, fun, nfev

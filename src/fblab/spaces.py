@@ -251,8 +251,20 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]
     L = M[0] + _signs(b) @ M[1:1+b] and H = _signs(h) @ M[1+b:].  A Euclidean
     norm takes ||L_i||^2 + ||H_j||^2 + 2 L_i . H_j from one matrix product,
     any other norm broadcast adds; both run over blocks of rows of L, so
-    memory stays bounded.  The winning signed sum's norm is recomputed.
+    memory stays bounded.  The winning signed sum's norm is recomputed.  A
+    maximum that under- or overflowed is enumerated again on M scaled by an
+    exact power of two, as ``norm`` measures again.
     """
+    top, z = _enumerate_signed_sums(M, space)
+    if top == math.inf or (top == 0.0 and M.any()):
+        e = math.frexp(float(np.max(np.abs(M))))[1]
+        top, z = _enumerate_signed_sums(np.ldexp(M, -e), space)
+        with np.errstate(over="ignore"):  # a maximum above the float range is inf
+            top, z = float(np.ldexp(top, e)), np.ldexp(z, e)
+    return top, z
+
+
+def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]:
     b, sb, sh, rows, branch = _signed_sum_plan(len(M), space)
     L = M[0] + sb @ M[1 : 1 + b]
     H = sh @ M[1 + b :]

@@ -66,11 +66,11 @@ def hadamard(m: int) -> np.ndarray:
 def lp_combine(values: np.ndarray, p: float) -> float:
     """(sum |v|^p)^(1/p), with the max convention at p = infinity."""
     values = np.abs(np.asarray(values, dtype=float))
-    if math.isinf(p):
-        return float(np.max(values)) if values.size else 0.0
+    if math.isinf(p):  # the methods, not np.max and np.sum: same reductions, less dispatch
+        return float(values.max()) if values.size else 0.0
     if p == 1:
-        return float(np.sum(values))
-    return float(np.sum(values ** p) ** (1.0 / p))
+        return float(values.sum())
+    return float((values ** p).sum() ** (1.0 / p))
 
 
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:

@@ -177,6 +177,22 @@ def test_nested_scale_overflow_exits_1(tmp_path, capsys, p):
     assert captured.out == "" and "lower bound must be finite" in captured.err
 
 
+@pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+def test_tiny_and_huge_moduli_at_p_inf(tmp_path, capsys, scale):
+    """An in-range norm under- or overflowed inside the signed-sum
+    enumeration: 1e-300 once exited 2 on a witness above the enumerated
+    0.0, and 1e300 reported an upper bound of inf with a warning."""
+    spath = tmp_path / "space.json"
+    spath.write_text(json.dumps(space_to_json(SpaceSpec(1.5, 3))))
+    argv = ["norm", "--space", str(spath), "--expr", f"{scale}*abs(d0)+{scale}*abs(d1)", "--p", "inf"]
+    code, text = _run(capsys, argv)
+    assert code == 0
+    out = json.loads(text)
+    assert out["upper_certified"] and out["method"] == ["convex expression", "signed-sum enumeration"]
+    assert out["lower"] == pytest.approx(2.0 ** (2 / 3) * float(scale), rel=1e-15)
+    assert out["upper"] == pytest.approx(out["lower"], rel=1e-15)
+
+
 _SPACE_JSON = {"r": 2, "dim": 2, "weights": [1.0, 0.5]}
 _MAP_JSON = {"matrix": [[1.0, 0.0], [0.0, 1.0]], "domain": {"r": "inf", "dim": 2},
              "codomain": {"r": "inf", "dim": 2}}

@@ -7,7 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fblab import (
     Abs,
@@ -560,3 +560,29 @@ def test_text_matches_per_node_strings():
     long_sum = functools.reduce(Add, [Abs(Gen(k)) for k in range(30_000)])
     assert expr_to_text(long_sum) == _fold(long_sum, _REFERENCE_TEXT, None)
 
+
+@given(
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.lists(st.floats(-1e30, 1e30), min_size=20, max_size=20),
+    st.sampled_from(["2-d", "1-d", "list", "float32", "int", "transposed"]),
+)
+@example(0, 3, [0.0] * 20, "2-d")
+@example(2, 2, [-0.0] * 20, "2-d")
+@example(1, 1, [-0.0] * 20, "1-d")
+def test_pairings_keeps_its_bytes(rows, dim, entries, kind):
+    """A 2-d float64 array goes to the product as it is; every other input
+    is converted as before, and the bytes are those of the conversion."""
+    b = GeneratorBinding.from_matrix(SpaceSpec(1.5, dim, (0.5, 2.0, 1.0, 0.25)[:dim]), np.eye(dim)[::-1] * 0.75)
+    F = np.array(entries[: rows * dim]).reshape(rows, dim)
+    f = {
+        "2-d": F,
+        "1-d": F[0] if rows else np.zeros(dim),
+        "list": F.tolist() or [[-0.0] * dim],
+        "float32": F.astype(np.float32),
+        "int": np.rint(np.clip(F, -1e6, 1e6)).astype(int),
+        "transposed": np.asfortranarray(F),
+    }[kind]
+    before = np.atleast_2d(np.asarray(f, dtype=float)) @ b._weighted_t
+    after = b.pairings(f)
+    assert after.shape == before.shape and after.tobytes() == before.tobytes()

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fblab.fbl as fbl_module
 from fblab import (
@@ -120,6 +120,19 @@ def test_fbl_infty_norm_small_dim_certified():
         assert est.lower == pytest.approx(norm(E, x), rel=1e-6)
         assert est.upper >= est.lower - 1e-12
         assert est.upper <= norm(E, x) * 1.25
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_fbl_infty_norm_of_tiny_and_huge_moduli(scale):
+    """|d0| + |d1| over ell_1.5^3 has sup ||e_0 + e_1||_1.5 = 2^(2/3) at any
+    scale: the signed-sum enumeration once read 0.0 under a witness of
+    1.59e-300 and raised, and inf with an overflow warning at 1e300."""
+    b = GeneratorBinding.from_matrix(SpaceSpec(1.5, 3), np.eye(3))
+    est = fbl_infty_norm(Abs(Gen(0)) * scale + Abs(Gen(1)) * scale, b, CFG)
+    assert est.method == ("convex expression", "signed-sum enumeration")
+    assert est.lower_certified and est.upper_certified
+    assert est.lower == pytest.approx(2.0 ** (2 / 3) * scale, rel=1e-15)
+    assert est.upper == pytest.approx(est.lower, rel=1e-15)
 
 
 def test_fbl_infty_norm_join_of_atoms():
@@ -256,6 +269,27 @@ def test_fbl_infty_norm_convex_brute_force(data):
     G = np.random.default_rng(11).standard_normal((10_000, dim))
     G /= norms_rows(Ed, G)[:, None]
     assert np.max(np.abs(eval_rows(e, b, G))) <= est.upper * (1.0 + 1e-12)
+
+
+@given(
+    st.lists(st.floats(0.0, 1e100), max_size=8),
+    st.lists(st.sampled_from([0.0, 1e-15, 1e-14, 2e-14, 0.5, 1.0, 3.0, 1e100]), max_size=8),
+)
+@example([], [])
+@example([0.0, 0.0], [0.0, 1.0])
+def test_negated_ratio_keeps_its_bytes(values, norms):
+    """The multistart's objective divides by the negated norm into fresh
+    zeros where it once negated the ratio: the same bytes wherever the norm
+    is above 1e-14, and a zero (of either sign) below, which the
+    Nelder-Mead only compares."""
+    k = min(len(values), len(norms))
+    a, n = np.array(values[:k]), np.array(norms[:k])
+    ratio = np.divide(a, n, out=np.zeros_like(n), where=n > 1e-14)
+    before, after = -ratio, np.divide(a, -n, out=np.zeros(len(n)), where=n > 1e-14)
+    big = n > 1e-14
+    assert after[big].tobytes() == before[big].tobytes()
+    assert np.all(after[~big] == 0.0) and np.all(before[~big] == 0.0)
+    assert (-after)[big].tobytes() == ratio[big].tobytes()
 
 
 def test_convex_shape_rejects_what_is_not_convex():

@@ -27,6 +27,7 @@ from fblab import (
 from fblab.spaces import (
     BallNotPolytopal,
     EnumerationTooLarge,
+    _max_signed_sum,
     extreme_points_matrix,
     norms_rows,
 )
@@ -112,6 +113,20 @@ def test_norm_of_tiny_and_huge_vectors(r):
     assert norm(SpaceSpec(3.0, 1), [1e110]) == pytest.approx(1e110, rel=1e-15)
     top = norm(SpaceSpec(r, 2), [1e308, 1e308])  # inf only where the norm is above the floats
     assert top == math.inf if r == 1 else top == pytest.approx(2.0 ** (1 / r) * 1e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_max_signed_sum_of_tiny_and_huge_rows(r, scale):
+    """The largest signed sum does not under- or overflow where its norm is
+    a float: it once read 0.0 for rows of size 1e-300 and inf for 1e300."""
+    space = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
+    M = np.array([[0.3, -1.0, 0.7], [1.0, 0.5, -0.2], [-0.4, 0.1, 0.9]])
+    top, z = _max_signed_sum(M, space)
+    with np.errstate(over="ignore", invalid="ignore"):  # the first pass over huge rows overflows
+        scaled_top, scaled_z = _max_signed_sum(scale * M, space)
+    assert scaled_top == pytest.approx(scale * top, rel=1e-12)
+    assert np.all(scaled_z == pytest.approx(scale * z, rel=1e-15))
 
 
 def test_norm_in_range_is_the_direct_formula():

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fblab import (
     Abs,
@@ -58,6 +59,31 @@ def test_lp_combine_limits():
     assert lp_combine(v, 2.0) == pytest.approx(5.0)
     assert lp_combine(v, 1.0) == pytest.approx(7.0)
     assert lp_combine(v, math.inf) == pytest.approx(4.0)
+
+
+def _lp_combine_by_functions(values, p):
+    """lp_combine as written with np.max and np.sum."""
+    values = np.abs(np.asarray(values, dtype=float))
+    if math.isinf(p):
+        return float(np.max(values)) if values.size else 0.0
+    if p == 1:
+        return float(np.sum(values))
+    return float(np.sum(values ** p) ** (1.0 / p))
+
+
+@given(
+    st.lists(st.floats(-1e100, 1e100), max_size=12),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+)
+@example([], 1.0)
+@example([], math.inf)
+@example([-0.0, 0.0], 1.0)
+@example([-0.0], 2.0)
+def test_lp_combine_keeps_its_bytes(values, p):
+    """The array methods return what the numpy functions did, bit for bit,
+    for lists and float arrays, signed zeros and empty inputs."""
+    for v in (values, np.array(values, dtype=float), np.array(values, dtype=float)[::-1]):
+        assert lp_combine(v, p).hex() == _lp_combine_by_functions(v, p).hex()
 
 
 def test_weak_inf_is_max_dual_norm():
