@@ -15,8 +15,9 @@ domains and a certified upper bound otherwise.  Over a polytopal B_E
 (ambient r in {1, inf}, at most 2^12 vertices x_v) at finite p > 1 that
 norm is max_v ||T~ x_v||_p, convex in W, and W comes from one epigraph
 program (SLSQP, no random starts); at p = 1 and over other balls from a
-seeded Powell multistart, the one search in the package that draws
-random numbers.  Two cases are exact: p = infinity (each row
+seeded multistart of ``optimize.powell`` (scipy's unbounded Powell method
+bit for bit, without bounds, callback, ``direc`` or ``maxiter``), the one
+search in the package that draws random numbers.  Two cases are exact: p = infinity (each row
 functional of T extends from F to E preserving its norm, and the
 sup-norm of an operator into ell_inf^n is the largest row norm) and
 F = E (T is its own and only extension).
@@ -62,7 +63,7 @@ from .operators import (
     _structured_ascent,
     _unit_space,
 )
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, powell
 from .spaces import (
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
@@ -528,22 +529,17 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
         rng = np.random.default_rng((int(cfg.seed), 89, t))
         inits.append(0.5 * denom * rng.standard_normal(nvars))
 
-    from scipy.optimize import minimize
-
     polish_budget = 8
     for i, W0 in enumerate(inits):
         v0 = objective(W0)
         if v0 < best_upper:
             best_upper, best_W = v0, W0
         if i < polish_budget and cfg.polish:
-            res = minimize(
-                objective, W0, method="Powell",
-                options={"maxfev": 40 * nvars, "xtol": 1e-8, "ftol": 1e-10},
-            )
-            if np.all(np.isfinite(res.x)):
-                v = objective(res.x)
+            W = powell(objective, W0, 40 * nvars, 1e-8, 1e-10)[0]
+            if np.all(np.isfinite(W)):
+                v = objective(W)
                 if v < best_upper:
-                    best_upper, best_W = v, res.x
+                    best_upper, best_W = v, W
     return best_W
 
 

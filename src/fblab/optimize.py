@@ -1,4 +1,4 @@
-"""Optimizer settings and a lockstep Nelder-Mead.
+"""Optimizer settings, a lockstep Nelder-Mead and Powell's method.
 
 Every search in the package is a pure function of its inputs and an
 ``OptimizerConfig``.  All but one start from structured points and read
@@ -8,16 +8,28 @@ starts from generators fixed by (seed, restart index).
 ``nelder_mead_rows`` is scipy's Nelder-Mead, bit for bit, run from many starts
 in lockstep with one call of a row-stacked objective per phase: each start's
 control in plain Python, the vertex arithmetic of all starts batched in numpy.
+
+``powell`` is scipy's ``minimize(method="Powell")`` without bounds, bit for bit
+in its point, value and evaluation count: the direction set of Powell (Comput.
+J. 7 (1964)) with its extrapolation step, each line search a bracket from
+(0, 1) and Brent's minimization (*Algorithms for Minimization without
+Derivatives*, 1973) at tolerance 100 xtol, the recovery from a bracket that
+fails, and the maxfev count, which can stop it inside a line search.  The
+step arithmetic is in Python floats, and the bracket's first point, the line
+search's start, is not evaluated again when its value is known (it still
+counts against maxfev, as in scipy).  It has no bounds, callback, initial
+directions (``direc``) or ``maxiter``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "nelder_mead_rows"]
+__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell"]
 
 
 @dataclass(frozen=True)
@@ -136,3 +148,187 @@ def nelder_mead_rows(F, X0: np.ndarray, maxfev: int, xatol: float, fatol: float)
             for i in shrink:
                 used[i] += min(maxfev - used[i], N)
     return X, fun, nfev
+
+
+# scipy's bracket and Brent constants: the golden ratio and its complement, the
+# bracket's growth limit and smallest denominator, Brent's absolute tolerance
+_GOLD, _CGOLD, _GROW, _TINY, _MINTOL = 1.618034, 0.3819660, 110.0, 1e-21, 1.0e-11
+
+
+class _Spent(Exception):
+    """The evaluation budget ran out."""
+
+
+def powell(fun, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, float, int]:
+    """Minimize fun from x0 as scipy's ``minimize(method="Powell")`` with
+    options maxfev, xtol and ftol would: returns its ``x``, ``fun`` and
+    ``nfev``.  fun takes a flat float array, which it must not write into,
+    and returns a number.  A budget spent inside a line search returns that
+    line search's start."""
+    x = np.asarray(x0, dtype=float).flatten()
+    nfev = 0
+
+    def f(y, known=None):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return float(fun(y)) if known is None else known
+
+    def line(p, fp, xi):
+        """scipy's unbounded ``_linesearch_powell`` from p, whose value is fp,
+        along xi: the value, the point and the step taken."""
+        if not xi.any():
+            return fp, p, xi
+
+        def g(a):
+            return f(p + a * xi)
+
+        # the bracket from (0, 1).  Its first point is the start, whose value
+        # fp is known, unless adding 0 * xi changes p's bytes (a -0.0 entry,
+        # an infinite step) or fp is a nan, which the recovery below reports
+        # for a point it did not evaluate
+        q = p + 0.0 * xi
+        known = fp == fp and q.tobytes() == p.tobytes()
+        xa, xb, fa = 0.0, 1.0, f(q, fp if known else None)
+        fb = g(xb)
+        if fa < fb:
+            xa, xb, fa, fb = xb, xa, fb, fa
+        xc = xb + _GOLD * (xb - xa)
+        fc = g(xc)
+        it = 0
+        while fc < fb:
+            tmp1 = (xb - xa) * (fb - fc)
+            tmp2 = (xb - xc) * (fb - fa)
+            val = tmp2 - tmp1
+            denom = 2.0 * _TINY if abs(val) < _TINY else 2.0 * val
+            w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+            wlim = xb + _GROW * (xc - xb)
+            if it > 1000:
+                raise RuntimeError("No valid bracket was found before the iteration limit was reached.")
+            it += 1
+            if (w - xc) * (xb - w) > 0.0:
+                fw = g(w)
+                if fw < fc:
+                    xa, xb, fa, fb = xb, w, fb, fw
+                    break
+                if fw > fb:
+                    xc, fc = w, fw
+                    break
+                w = xc + _GOLD * (xc - xb)
+                fw = g(w)
+            elif (w - wlim) * (wlim - xc) >= 0.0:
+                w = wlim
+                fw = g(w)
+            elif (w - wlim) * (xc - w) > 0.0:
+                fw = g(w)
+                if fw < fc:
+                    xb, xc, fb, fc = xc, w, fc, fw
+                    w = xc + _GOLD * (xc - xb)
+                    fw = g(w)
+            else:
+                w = xc + _GOLD * (xc - xb)
+                fw = g(w)
+            xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
+        if not (
+            ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+            and (xa < xb < xc or xc < xb < xa)
+            and math.isfinite(xa) and math.isfinite(xb) and math.isfinite(xc)
+        ):
+            # the recovery from an invalid bracket: its best point, or nan
+            xs, fs = (xa, xb, xc), (fa, fb, fc)
+            if any(v != v for v in xs + fs):
+                a, fx = math.nan, math.nan
+            else:
+                a, fx = min(zip(xs, fs), key=lambda t: t[1])
+        else:
+            a, fx = _brent(g, xa, xb, xc, fb, 100 * xtol)
+        xi = a * xi
+        return fx, p + xi, xi
+
+    fval = f(x)
+    x1, direc = x, list(np.eye(len(x)))
+    try:
+        while True:
+            fx, bigind, delta = fval, 0, 0.0
+            for i, d in enumerate(direc):
+                fx2 = fval
+                fval, x, _ = line(x, fval, d)
+                if fx2 - fval > delta:
+                    delta, bigind = fx2 - fval, i
+            if 2.0 * (fx - fval) <= ftol * (abs(fx) + abs(fval)) + 1e-20 or nfev >= maxfev:
+                break
+            if fx != fx and fval != fval:  # a nan region
+                break
+            # the extrapolated point; no array is written in place, so x1 may alias x
+            direc1, x1 = x - x1, x
+            fx2 = f(x + direc1)
+            if fx > fx2:
+                t = 2.0 * (fx + fx2 - 2.0 * fval)
+                temp = fx - fval - delta
+                t *= temp * temp
+                temp = fx - fx2
+                t -= delta * temp * temp
+                if t < 0.0:
+                    fval, x, direc1 = line(x, fval, direc1)
+                    if direc1.any():
+                        direc[bigind] = direc[-1]
+                        direc[-1] = direc1
+    except _Spent:
+        pass
+    return x, fval, nfev
+
+
+def _brent(g, xa: float, xb: float, xc: float, fb: float, tol: float) -> tuple[float, float]:
+    """scipy's ``Brent.optimize`` (at most 500 steps) over the bracket
+    xa, xb, xc with g(xb) = fb: the point and its value."""
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = rat = 0.0
+    for _ in range(500):
+        tol1 = tol * abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < tol2 - 0.5 * (b - a):
+            break
+        golden = abs(deltax) <= tol1
+        if not golden:  # a parabolic step, where it is useful
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp, deltax = deltax, rat
+            golden = not (p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp))
+            if not golden:
+                rat = p / tmp2
+                u = x + rat
+                if u - a < tol2 or b - u < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+        if golden:  # a golden-section step
+            deltax = a - x if x >= xmid else b - x
+            rat = _CGOLD * deltax
+        if abs(rat) < tol1:  # a step of at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = g(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+    return x, fx

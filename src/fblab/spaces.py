@@ -252,11 +252,12 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]
     norm takes ||L_i||^2 + ||H_j||^2 + 2 L_i . H_j from one matrix product,
     any other norm broadcast adds; both run over blocks of rows of L, so
     memory stays bounded.  The winning signed sum's norm is recomputed.  A
-    maximum that under- or overflowed is enumerated again on M scaled by an
-    exact power of two, as ``norm`` measures again.
+    maximum that under- or overflowed (inf, 0.0 on non-zero rows, or a nan
+    block) is enumerated again on M scaled by an exact power of two, as
+    ``norm`` measures again.
     """
     top, z = _enumerate_signed_sums(M, space)
-    if top == math.inf or (top == 0.0 and M.any()):
+    if not top < math.inf or (top == 0.0 and M.any()):
         e = math.frexp(float(np.max(np.abs(M))))[1]
         top, z = _enumerate_signed_sums(np.ldexp(M, -e), space)
         with np.errstate(over="ignore"):  # a maximum above the float range is inf
@@ -265,28 +266,36 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]
 
 
 def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]:
+    """The maximum and winning signed sum of ``_max_signed_sum`` at M's own
+    scale; (nan, nan) when a block's maximum is nan, which finite rows give
+    only by overflow (inf - inf)."""
     b, sb, sh, rows, branch = _signed_sum_plan(len(M), space)
     L = M[0] + sb @ M[1 : 1 + b]
     H = sh @ M[1 + b :]
     w = space.weight_array
     if branch == "euclid":
         HH = (H * H) @ w
+    else:
+        # one buffer for the broadcast sums of every block
+        buf = np.empty((min(rows, len(L)), len(H), M.shape[1]))
     best, i, j = -math.inf, 0, 0
     for start in range(0, len(L), rows):
         Lb = L[start : start + rows]
         if branch == "euclid":
             vals = 2.0 * (Lb * w) @ H.T + ((Lb * Lb) @ w)[:, None] + HH
         else:
-            # held until the next block is built: freeing each block before
-            # the next one is allocated costs fresh pages every block
-            block = np.abs(Lb[:, None, :] + H)
+            block = buf[: len(Lb)]
+            np.abs(np.add(Lb[:, None, :], H, out=block), out=block)
             if branch == "sup":
                 vals = np.max(block, axis=2)
             else:
-                vals = (block if branch == "l1" else block ** space.r) @ w
+                vals = (block if branch == "l1" else np.power(block, space.r, out=block)) @ w
         k = int(vals.argmax())
-        if vals.flat[k] > best:
-            best = vals.flat[k]
+        top = vals.flat[k]
+        if top != top:
+            return math.nan, np.full(M.shape[1], math.nan)
+        if top > best:
+            best = top
             i, j = divmod(k + start * len(H), len(H))
     z = np.concatenate((_ONE, sb[i], sh[j])) @ M
     return float(norms_rows(space, z[None, :])[0]), z

@@ -17,7 +17,8 @@ the estimate is flagged accordingly in its method tags.
 
 ``witness_search`` is the one search engine of the package: it takes
 the best of the structured seeds its caller supplies and polishes that
-family by Powell.  It runs over two kinds of constraint ball: the unit
+family by ``optimize.powell``, scipy's unbounded Powell method bit for bit
+(no bounds, callback, ``direc`` or ``maxiter``).  It runs over two kinds of constraint ball: the unit
 ball of a weighted ell_r space (``_weak_E``, the weak-p dispatch of this
 module) and the section B_F of a subspace (``extension._weak_F``, exact
 on the paths of ``extension._exact_norm_F``).  Each kind answers one
@@ -36,7 +37,7 @@ import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
 from .operators import LinearMap, _exact_norm, _unit_space, operator_norm
-from .optimize import OptimizerConfig
+from .optimize import OptimizerConfig, powell
 from .spaces import SpaceSpec, dual_space, norms_rows
 
 if TYPE_CHECKING:
@@ -218,8 +219,6 @@ def _polish_family(
     Y0: np.ndarray,
 ) -> np.ndarray | None:
     """Derivative-free local improvement of objective/weak ratio."""
-    from scipy.optimize import minimize
-
     N, dim = Y0.shape
 
     def neg_ratio(flat: np.ndarray) -> float:
@@ -229,19 +228,10 @@ def _polish_family(
             return 0.0
         return -objective(Y) / upper
 
-    res = minimize(
-        neg_ratio,
-        Y0.ravel(),
-        method="Powell",
-        options={
-            "maxfev": min(_POLISH_ITER * max(1, N * dim // 8), 3000),
-            "xtol": 1e-10,
-            "ftol": 1e-12,
-        },
-    )
-    if not np.all(np.isfinite(res.x)):
+    x = powell(neg_ratio, Y0.ravel(), min(_POLISH_ITER * max(1, N * dim // 8), 3000), 1e-10, 1e-12)[0]
+    if not np.all(np.isfinite(x)):
         return None
-    return res.x.reshape(N, dim)
+    return x.reshape(N, dim)
 
 
 # --------------------------------------------------------------------------

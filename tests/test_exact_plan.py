@@ -1,6 +1,7 @@
 """The exact-norm paths resolved once per ball (``operators._exact_plan``
 and ``spaces._signed_sum_plan``) against the per-call dispatch they
-replaced, bit for bit, and a polished witness search on fixed inputs."""
+replaced, bit for bit, and a polished witness search on fixed inputs, which
+runs, as the extension multistart does, without scipy's minimize."""
 
 import math
 
@@ -8,9 +9,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from fblab import Abs, Gen, GeneratorBinding, Join, OptimizerConfig, PosPart, SpaceSpec, witness_search
+import fblab.summing
+from fblab import (
+    Abs, Gen, GeneratorBinding, Join, LinearMap, OptimizerConfig, PosPart, SpaceSpec, SubspaceSpec,
+    extension_constant, witness_search,
+)
 from fblab.fbl import _fbl_objective
 from fblab.operators import _exact_norm, _unit_space
+from fblab.optimize import powell
 from fblab.spaces import _EXTREME_ENUM_CAP, _SIGNED_SUM_BLOCK, _max_signed_sum, _sign_table, norms_rows
 
 
@@ -146,22 +152,42 @@ _POLISHED = {
 }
 
 
-@pytest.mark.parametrize("r", sorted(_POLISHED))
-def test_polished_witness_search_keeps_its_bytes(r, monkeypatch):
-    nfev = []
-    minimize = scipy.optimize.minimize
-
-    def counted(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        nfev.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+def _polished_search(r):
     X = np.array([[1.0, -0.5, 0.25, 2.0], [0.5, 1.5, -1.0, 0.0], [-0.75, 0.25, 1.0, 1.0], [2.0, 1.0, 0.5, -1.5]])
     e = Abs(Gen(0)) * 1.25 + Join(Gen(1), Gen(2)) * 0.5 - Abs(Gen(3)) * 0.75 + PosPart(Gen(0) - Gen(1))
     E = SpaceSpec(r, 4, (0.7, 1.3, 0.9, 1.1) if r == 2 else ())
     b = GeneratorBinding.from_matrix(E, X)
     seeds = [np.eye(4), X[:3] * E.weight_array]
-    val, witness, tight = witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig())
+    return witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig())
+
+
+@pytest.mark.parametrize("r", sorted(_POLISHED))
+def test_polished_witness_search_keeps_its_bytes(r, monkeypatch):
+    nfev = []
+
+    def counted(*args):
+        x, fun, n = powell(*args)
+        nfev.append(n)
+        return x, fun, n
+
+    monkeypatch.setattr(fblab.summing, "powell", counted)
+    val, witness, tight = _polished_search(r)
     assert (val.hex(), nfev[0]) == _POLISHED[r] and len(nfev) == 1 and tight
     assert witness.objective == val
+
+
+def test_polish_and_extension_multistart_run_without_scipy_minimize(monkeypatch):
+    """The witness polish and the extension constant's Powell multistart
+    run on ``optimize.powell``, not on scipy's minimize."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize was called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    assert _polished_search(2.0)[0].hex() == _POLISHED[2.0][0]
+    E = SpaceSpec(math.inf, 4)
+    sub = SubspaceSpec.from_arrays(E, [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]],
+                                   [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    T = LinearMap.from_array([[1.0, 0.5], [-0.5, 1.0]], SpaceSpec(math.inf, 2), SpaceSpec(1.0, 2))
+    est = extension_constant(sub, T, 1.0, OptimizerConfig(restarts=2))
+    assert est.method[0] == "outer minimization over complement values" and est.upper >= 1.0

@@ -491,6 +491,20 @@ def test_kernel_merges_equal_structure_and_keeps_signed_zeros_apart():
     assert not np.any(np.signbit(eval_pairings(e, P)))  # -0.0 + 0.0, not -0.0 + -0.0
 
 
+def test_kernels_of_one_structure_share_their_code():
+    """The code of a kernel depends on the structure only; each expression
+    keeps its own constants."""
+    def build(a, b):
+        return Join(Abs(Gen(0)) * a, PowerSum(3.0, (Gen(1) * b, Gen(2)))) - PosPart(Gen(2)) * a
+
+    e, f = build(1.25, -0.5), build(-3.0, 2.0 ** -40)
+    P = np.random.default_rng(26).standard_normal((5, 3))
+    assert e._kernel is not f._kernel and e._kernel.__code__ is f._kernel.__code__
+    for g in (e, f):
+        assert eval_pairings(g, P).tobytes() == _fold(g, _VALUES, P).tobytes()
+    assert eval_pairings(e, P).tobytes() != eval_pairings(f, P).tobytes()
+
+
 def test_kernel_matches_fold_on_a_deep_sum():
     """2,000 distinct terms, then the same terms again built anew."""
     rng = np.random.default_rng(24)

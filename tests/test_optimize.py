@@ -1,4 +1,5 @@
-"""The lockstep Nelder-Mead against scipy's, run start by start.
+"""The lockstep Nelder-Mead against scipy's, run start by start, and
+Powell's method against scipy's.
 
 On objectives whose rows do not depend on each other, ``nelder_mead_rows``
 must return scipy's points, values and evaluation counts bit for bit.
@@ -8,14 +9,16 @@ the middle of a shrink, while others converge first.
 
 import functools
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from fblab import Abs, Gen, GeneratorBinding, Join, OptimizerConfig, PosPart, SpaceSpec
 from fblab.fbl import _dual_multistart
-from fblab.optimize import nelder_mead_rows
+from fblab.optimize import nelder_mead_rows, powell
 
 DIMS = (1, 2, 3, 6, 20)
 STARTS = 6
@@ -208,3 +211,62 @@ DUAL_DIMS = {
 @pytest.mark.parametrize("dim", list(DUAL_DIMS))
 def test_dual_multistart_bytes_are_pinned(dim):
     assert _dual_digest(dim) == DUAL_DIMS[dim]
+
+
+# --------------------------------------------------------------------------
+# Powell's method against scipy's
+# --------------------------------------------------------------------------
+
+
+def _powell_objectives(N):
+    """Scalar objectives: those above, one constant (every bracket fails),
+    one that reads y_0 only (zero steps along the other axes) and one with
+    flat steps."""
+    rows = {**_objectives(N), "holes": _holes(N)}
+    funs = {name: (lambda y, F=F: F(y[None, :])[0]) for name, F in rows.items()}
+    kinked = funs["kinked"]
+    funs["flat"] = lambda y: 1.5
+    funs["first"] = lambda y: abs(y[0] - 0.2) + 0.5 * y[0] * y[0]
+    funs["steps"] = lambda y: float(np.floor(4.0 * kinked(y)))
+    return funs
+
+
+_COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-3.0, 3.0))
+
+
+@given(
+    N=st.integers(1, 4),
+    name=st.sampled_from(["quadratic", "kinked", "ratio", "holes", "flat", "first", "steps"]),
+    data=st.data(),
+    maxfev=st.integers(1, 300),
+    xtol=st.sampled_from([1e-4, 1e-8, 1e-10]),
+    ftol=st.sampled_from([1e-4, 1e-10, 1e-12]),
+)
+@settings(max_examples=300, deadline=None)
+def test_powell_matches_scipy(N, name, data, maxfev, xtol, ftol):
+    fun = _powell_objectives(N)[name]
+    x0 = np.array(data.draw(st.lists(_COORDS, min_size=N, max_size=N)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's numpy scalars meet inf and nan
+        ref = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol})
+    x, value, nfev = powell(fun, x0, maxfev, xtol, ftol)
+    assert x.tobytes() == ref.x.tobytes()
+    assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
+    assert nfev == ref.nfev
+
+
+@pytest.mark.parametrize("N,name,start", [(1, "kinked", 2), (3, "ratio", 2), (2, "holes", 3)])
+def test_powell_stopped_at_every_evaluation_matches_scipy(N, name, start):
+    """A budget of every size up to the full run's count runs out at every
+    one of its evaluations: in a bracket, in Brent's search and at the
+    extrapolated point."""
+    fun = _powell_objectives(N)[name]
+    x0 = 1.5 * _starts(N)[start]
+    full = powell(fun, x0, 10**6, 1e-10, 1e-12)[2]
+    for maxfev in range(1, full + 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": 1e-10, "ftol": 1e-12})
+        x, value, nfev = powell(fun, x0, maxfev, 1e-10, 1e-12)
+        assert (x.tobytes(), np.float64(value).tobytes(), nfev) == (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev)
+    assert nfev == full < maxfev

@@ -129,6 +129,28 @@ def test_max_signed_sum_of_tiny_and_huge_rows(r, scale):
     assert np.all(scaled_z == pytest.approx(scale * z, rel=1e-15))
 
 
+# rows whose Euclidean tables overflow to inf - inf = nan in every block: the
+# first pattern's norm, 1.0, was once returned as the maximum
+_NAN_BLOCK_ROWS = [[1e200, 0.0], [-1e200, 0.0], [1e200, 0.0], [-1e200, 1.0]]
+
+
+def test_max_signed_sum_retries_a_nan_block():
+    M = np.array(_NAN_BLOCK_ROWS)
+    with np.errstate(over="ignore", invalid="ignore"):  # the first pass overflows
+        top, z = _max_signed_sum(M, SpaceSpec(2.0, 2))
+    scaled_top, scaled_z = _max_signed_sum(np.ldexp(M, -700), SpaceSpec(2.0, 2))
+    assert top == np.ldexp(scaled_top, 700) == 4e200
+    assert z.tobytes() == np.ldexp(scaled_z, 700).tobytes()
+    assert abs(z[1]) == 1.0
+
+
+def test_operator_norm_of_rows_that_overflow_the_tables():
+    T = LinearMap.from_array(np.array(_NAN_BLOCK_ROWS), SpaceSpec(2.0, 2), SpaceSpec(1.0, 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # the first pass overflows
+        est = operator_norm(T)
+    assert est.lower == est.upper == 4e200 and est.upper_certified
+
+
 def test_norm_in_range_is_the_direct_formula():
     """Only an under- or overflowed norm is measured again, so in-range
     norms are bit for bit the direct formula."""
