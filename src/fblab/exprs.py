@@ -238,9 +238,10 @@ class GeneratorBinding:
 
     def pairings(self, functionals: np.ndarray) -> np.ndarray:
         """<f_row, x_i> for each functional row and each bound vector:
-        shape (rows, count)."""
-        f = functionals  # the 2-d float64 rows of the polish objectives go in unconverted
-        if type(f) is not np.ndarray or f.ndim != 2 or f.dtype != np.float64:
+        shape (rows, count), or (K, rows, count) for a stack of K families
+        of rows, each product run family by family."""
+        f = functionals  # the float64 rows of the polish objectives go in unconverted
+        if type(f) is not np.ndarray or f.ndim < 2 or f.dtype != np.float64:
             f = np.atleast_2d(np.asarray(f, dtype=float))
         return f @ self._weighted_t
 
@@ -334,14 +335,15 @@ _SOURCE = {
 
 def _unbound(indices: list[int], P: np.ndarray) -> None:
     """Raise the fold's error for the first of ``indices`` that P lacks."""
-    k = next(i for i in indices if i >= P.shape[1])
-    raise IndexError(f"generator d{k} is not bound ({P.shape[1]} vectors available)")
+    k = next(i for i in indices if i >= P.shape[-1])
+    raise IndexError(f"generator d{k} is not bound ({P.shape[-1]} vectors available)")
 
 
 def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
     """The function P -> the value of e on the pairings P, with the
     numpy operations of ``_fold(e, _VALUES, P)`` and so the same bytes,
-    as one straight-line function.  Nodes of the same structure (kind,
+    as one straight-line function; it indexes P from its last axis, so a
+    stack of pairings goes through whole.  Nodes of the same structure (kind,
     parameter, children) become one step, a value is deleted after its
     last reader, and a single check up front reports the first unbound
     generator.  Constants enter through the namespace; only step numbers
@@ -360,14 +362,14 @@ def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
     gens = [node.index for node, _ in steps if type(node) is Gen]
     ns = {"abs_": np.abs, "maximum": np.maximum, "minimum": np.minimum, "zeros": np.zeros,
           "unbound": lambda P: _unbound(gens, P)}
-    lines = ["def kernel(P):", f"    if P.shape[1] <= {max(gens)}: unbound(P)"]
+    lines = ["def kernel(P):", f"    if P.shape[-1] <= {max(gens)}: unbound(P)"]
     for i, (node, ks) in enumerate(steps):
         args = [f"v{k}" for k in ks]
         if type(node) is Gen:
-            lines.append(f"    v{i} = P[:, {node.index}]")
+            lines.append(f"    v{i} = P[..., {node.index}]")
         elif type(node) is PowerSum:
             ns[f"c{i}"] = node.q
-            lines.append("    acc = zeros(P.shape[0])")
+            lines.append("    acc = zeros(P.shape[:-1])")
             lines += [f"    acc = acc + abs_({a}) ** c{i}" for a in args]
             lines += [f"    v{i} = acc ** (1.0 / c{i})", "    del acc"]
         else:
@@ -414,12 +416,15 @@ def _convex_shape(e: LatticeExpr, b: GeneratorBinding) -> np.ndarray | bool | No
 
 
 def eval_pairings(e: LatticeExpr, P: np.ndarray) -> np.ndarray:
-    """Evaluate on precomputed pairings P[row, i] = <f_row, x_i>."""
+    """Evaluate on precomputed pairings P[row, i] = <f_row, x_i>, or on a
+    stack P[k, row, i] of them; values are elementwise, so each family's
+    values have the bits they have alone."""
     return e._kernel(P)
 
 
 def eval_rows(e: LatticeExpr, b: GeneratorBinding, functionals: np.ndarray) -> np.ndarray:
-    """Evaluate at each functional given as a row; returns one value per row."""
+    """Evaluate at each functional given as a row; returns one value per
+    row, or (K, rows) values for a stack of K families of rows."""
     return eval_pairings(e, b.pairings(functionals))
 
 

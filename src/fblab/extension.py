@@ -513,14 +513,15 @@ def _epigraph_complement(Z: np.ndarray, M: np.ndarray, C: SpaceSpec) -> np.ndarr
     return (scale * res.x[:nW].reshape(m, -1) / col).ravel()
 
 
-def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig) -> np.ndarray:
+def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
     """Complement values (flat) of the best extension found by the
-    multistart outer search: W = 0 and ``cfg.restarts`` (at most 31)
-    random starts 0.5 ||T||_F N(0, 1), the first 8 polished by Powell when
-    ``cfg.polish`` is on; start t draws from the generator of (seed, 89,
-    t).  The one reader of ``cfg.seed`` and ``cfg.restarts``.
-    ``objective`` is the norm upper bound of the extension with the given
-    complement values."""
+    multistart outer search, and their objective value: W = 0 and
+    ``cfg.restarts`` (at most 31) random starts 0.5 ||T||_F N(0, 1), the
+    first 8 polished by Powell when ``cfg.polish`` is on; start t draws
+    from the generator of (seed, 89, t).  The one reader of ``cfg.seed``
+    and ``cfg.restarts``.  ``objective`` is the norm upper bound of the
+    extension with the given complement values; a polished point's value
+    is the one Powell returns, which it computed at that point."""
     best_upper = math.inf
     best_W = np.zeros(nvars)
 
@@ -535,12 +536,12 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
         if v0 < best_upper:
             best_upper, best_W = v0, W0
         if i < polish_budget and cfg.polish:
-            W = powell(objective, W0, 40 * nvars, 1e-8, 1e-10)[0]
-            if np.all(np.isfinite(W)):
-                v = objective(W)
-                if v < best_upper:
-                    best_upper, best_W = v, W
-    return best_W
+            W, v, _ = powell(objective, W0, 40 * nvars, 1e-8, 1e-10)
+            if np.all(np.isfinite(W)) and v < best_upper:
+                best_upper, best_W = v, W
+    if best_upper == math.inf:  # no value below inf: W = 0 reports its own
+        best_upper = objective(best_W)
+    return best_W, best_upper
 
 
 def extension_constant(
@@ -595,7 +596,7 @@ def extension_constant(
     St_inv = np.linalg.inv(S.T)
 
     def assembled(W: np.ndarray) -> np.ndarray:
-        return np.hstack([M, W.reshape(cod.dim, n - k)]) @ St_inv
+        return np.concatenate((M, W.reshape(cod.dim, n - k)), axis=1) @ St_inv
 
     def objective(flat: np.ndarray) -> float:
         return _norm_upper(assembled(flat), E, cod, cfg.family_size)[0]
@@ -603,8 +604,7 @@ def extension_constant(
     nvars = cod.dim * (n - k)
     V = _half_vertices(E) if p > 1.0 else None
     if V is None:
-        best_W = _powell_complement(objective, nvars, denom, cfg)
-        best_upper = objective(best_W)
+        best_W, best_upper = _powell_complement(objective, nvars, denom, cfg)
         how = "outer minimization over complement values"
     else:
         best_W = np.zeros(nvars)

@@ -161,6 +161,9 @@ def _fbl_seeds(
 
 
 def _fbl_objective(e: LatticeExpr, b: GeneratorBinding, p: float):
+    """Y -> the ell_p combination of e's values at the members, for a
+    family or, along the last axis, a stack of families."""
+
     def obj(Y: np.ndarray) -> float:
         return lp_combine(eval_rows(e, b, Y), p)
 
@@ -217,7 +220,7 @@ def fbl_norm(
         )
 
     val, witness, tight = witness_search(
-        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg
+        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg, stacked=True
     )
     method = ["witness search"]
     method.append("exact weak constraint" if tight else "crude-upper weak normalization")

@@ -24,6 +24,8 @@ from .spaces import (
     _json_fields,
     _max_signed_sum,
     _readonly,
+    _root,
+    _values,
     dual_space,
     norm,
     norming_vector,
@@ -200,18 +202,19 @@ def _exact_plan(
     ``family_size`` rows by its 2^(N-1) row signs or, over a sup-norm ball,
     the 2^(dim-1) cube vertices, whichever enumerates fewer signed-sum
     entries; a sup-norm domain within the enumeration cap by its cube
-    vertices."""
+    vertices.  The value function also takes a stack (K, N, dim) of Y and
+    returns their K values, each with the bits it has alone."""
     N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
-        return (lambda Y: float(np.max(norms_rows(dual, Y)))), "weak-inf closed form", True
+        return (lambda Y: _values(np.maximum.reduce(norms_rows(dual, Y), axis=-1))), "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
         r, wc = C.r, None if C.unweighted else C.weight_array[:, None]
 
-        def cross_polytope(Y: np.ndarray) -> float:
+        def cross_polytope(Y: np.ndarray) -> float | np.ndarray:
             V = np.abs(Y) if r == 1 else np.abs(Y) ** r  # a power of 1 is a slow copy
             if wc is not None:
                 V = V * wc
-            return float(np.max(np.sum(V, axis=0))) ** (1.0 / r)
+            return _root(np.maximum.reduce(np.add.reduce(V, axis=-2), axis=-1), r)
 
         return cross_polytope, "cross-polytope enumeration", True
     if C.r == 1 and N <= family_size:
@@ -226,7 +229,7 @@ def _exact_plan(
         return None
     if on_cube:  # the cube vertex s maps to s @ (Y * w).T
         w = None if E.unweighted else E.weight_array
-        return (lambda Y: _max_signed_sum((Y if w is None else Y * w).T, C)[0]), tag, cheap
+        return (lambda Y: _max_signed_sum(np.swapaxes(Y if w is None else Y * w, -1, -2), C)[0]), tag, cheap
     # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
     w = None if C.unweighted else C.weight_array[:, None]
     return (lambda Y: _max_signed_sum(Y if w is None else Y * w, dual)[0]), tag, cheap

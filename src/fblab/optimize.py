@@ -18,18 +18,29 @@ fails, and the maxfev count, which can stop it inside a line search.  The
 step arithmetic is in Python floats, and the bracket's first point, the line
 search's start, is not evaluated again when its value is known (it still
 counts against maxfev, as in scipy).  It has no bounds, callback, initial
-directions (``direc``) or ``maxiter``.
+directions (``direc``) or ``maxiter``.  The line search is written once, as
+a generator that yields each step and is sent the value there, so
+``powell`` runs it point by point and ``powell_rows`` runs many at once.
+
+``powell_rows`` is ``powell`` for a row-stacked objective, with the same
+point, value and count.  It runs the line searches of a sweep a window at
+a time in lockstep from one point, with one call of the objective per step
+for all of them.  Most line searches of a sweep end where they started, so
+each is the line search that would run one at a time; at the first that
+moves, the later ones are dropped and the next window starts from there.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
 from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell"]
+__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell", "powell_rows"]
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,13 @@ def nelder_mead_rows(F, X0: np.ndarray, maxfev: int, xatol: float, fatol: float)
 # bracket's growth limit and smallest denominator, Brent's absolute tolerance
 _GOLD, _CGOLD, _GROW, _TINY, _MINTOL = 1.618034, 0.3819660, 110.0, 1e-21, 1.0e-11
 
+# the lockstep windows of powell_rows: the first window of a run (in lines), the
+# divisor after a window whose last line moved the point, the factor after one
+# that did not, and the spare rows that lines may run ahead before any is counted
+_WINDOW = (16, 2, 2, 2048)
+
+_bits = struct.Struct("d").pack  # a float's bytes, to compare values bit for bit
+
 
 class _Spent(Exception):
     """The evaluation budget ran out."""
@@ -165,123 +183,90 @@ def powell(fun, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, 
     ``nfev``.  fun takes a flat float array, which it must not write into,
     and returns a number.  A budget spent inside a line search returns that
     line search's start."""
-    x = np.asarray(x0, dtype=float).flatten()
-    nfev = 0
+    return _Powell(lambda y: float(fun(y)), maxfev, xtol).run(x0, ftol)
 
-    def f(y, known=None):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _Spent
-        nfev += 1
-        return float(fun(y)) if known is None else known
 
-    def line(p, fp, xi):
-        """scipy's unbounded ``_linesearch_powell`` from p, whose value is fp,
-        along xi: the value, the point and the step taken."""
-        if not xi.any():
-            return fp, p, xi
+def powell_rows(F, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, float, int]:
+    """``powell`` for a row-stacked objective: F maps an (m, N) stack of
+    points, which it must not write into, to their m values, each as the
+    one-point objective would give it.  Returns ``powell``'s ``x``, ``fun``
+    and ``nfev``, bit for bit.
 
-        def g(a):
-            return f(p + a * xi)
+    The line searches of a sweep run a window at a time in lockstep from
+    the window's start, one call of F per step for all of them.  Lines are
+    accepted in order while each returns the start with its bytes and its
+    value's bits, which is where the next line would start one at a time;
+    at the first line that moves, the later ones are dropped and the next
+    window starts from the moved point.  Windows follow ``_WINDOW``, and a
+    run evaluates at most 2 nfev rows plus its spare rows."""
+    return _Lockstep(F, maxfev, xtol).run(x0, ftol)
 
-        # the bracket from (0, 1).  Its first point is the start, whose value
-        # fp is known, unless adding 0 * xi changes p's bytes (a -0.0 entry,
-        # an infinite step) or fp is a nan, which the recovery below reports
-        # for a point it did not evaluate
-        q = p + 0.0 * xi
-        known = fp == fp and q.tobytes() == p.tobytes()
-        xa, xb, fa = 0.0, 1.0, f(q, fp if known else None)
-        fb = g(xb)
-        if fa < fb:
-            xa, xb, fa, fb = xb, xa, fb, fa
-        xc = xb + _GOLD * (xb - xa)
-        fc = g(xc)
-        it = 0
-        while fc < fb:
-            tmp1 = (xb - xa) * (fb - fc)
-            tmp2 = (xb - xc) * (fb - fa)
-            val = tmp2 - tmp1
-            denom = 2.0 * _TINY if abs(val) < _TINY else 2.0 * val
-            w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
-            wlim = xb + _GROW * (xc - xb)
-            if it > 1000:
-                raise RuntimeError("No valid bracket was found before the iteration limit was reached.")
-            it += 1
-            if (w - xc) * (xb - w) > 0.0:
-                fw = g(w)
-                if fw < fc:
-                    xa, xb, fa, fb = xb, w, fb, fw
-                    break
-                if fw > fb:
-                    xc, fc = w, fw
-                    break
+
+def _line_search(xtol: float):
+    """scipy's unbounded ``_linesearch_powell`` as a generator over the step
+    a along the line: it yields each step, is sent the value there, and
+    returns the step taken and its value.  The bracket starts from (0, 1);
+    a bracket that fails is recovered by its best point, or by nan, and a
+    valid one is searched by Brent's method at tolerance 100 xtol.  The
+    first step is 0.0, the line's start."""
+    xa, xb = 0.0, 1.0
+    fa = yield xa
+    fb = yield xb
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = yield xc
+    it = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _TINY if abs(val) < _TINY else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + _GROW * (xc - xb)
+        if it > 1000:
+            raise RuntimeError("No valid bracket was found before the iteration limit was reached.")
+        it += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = yield w
+            if fw < fc:
+                xa, xb, fa, fb = xb, w, fb, fw
+                break
+            if fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = yield w
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = yield w
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = yield w
+            if fw < fc:
+                xb, xc, fb, fc = xc, w, fc, fw
                 w = xc + _GOLD * (xc - xb)
-                fw = g(w)
-            elif (w - wlim) * (wlim - xc) >= 0.0:
-                w = wlim
-                fw = g(w)
-            elif (w - wlim) * (xc - w) > 0.0:
-                fw = g(w)
-                if fw < fc:
-                    xb, xc, fb, fc = xc, w, fc, fw
-                    w = xc + _GOLD * (xc - xb)
-                    fw = g(w)
-            else:
-                w = xc + _GOLD * (xc - xb)
-                fw = g(w)
-            xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
-        if not (
-            ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
-            and (xa < xb < xc or xc < xb < xa)
-            and math.isfinite(xa) and math.isfinite(xb) and math.isfinite(xc)
-        ):
-            # the recovery from an invalid bracket: its best point, or nan
-            xs, fs = (xa, xb, xc), (fa, fb, fc)
-            if any(v != v for v in xs + fs):
-                a, fx = math.nan, math.nan
-            else:
-                a, fx = min(zip(xs, fs), key=lambda t: t[1])
+                fw = yield w
         else:
-            a, fx = _brent(g, xa, xb, xc, fb, 100 * xtol)
-        xi = a * xi
-        return fx, p + xi, xi
-
-    fval = f(x)
-    x1, direc = x, list(np.eye(len(x)))
-    try:
-        while True:
-            fx, bigind, delta = fval, 0, 0.0
-            for i, d in enumerate(direc):
-                fx2 = fval
-                fval, x, _ = line(x, fval, d)
-                if fx2 - fval > delta:
-                    delta, bigind = fx2 - fval, i
-            if 2.0 * (fx - fval) <= ftol * (abs(fx) + abs(fval)) + 1e-20 or nfev >= maxfev:
-                break
-            if fx != fx and fval != fval:  # a nan region
-                break
-            # the extrapolated point; no array is written in place, so x1 may alias x
-            direc1, x1 = x - x1, x
-            fx2 = f(x + direc1)
-            if fx > fx2:
-                t = 2.0 * (fx + fx2 - 2.0 * fval)
-                temp = fx - fval - delta
-                t *= temp * temp
-                temp = fx - fx2
-                t -= delta * temp * temp
-                if t < 0.0:
-                    fval, x, direc1 = line(x, fval, direc1)
-                    if direc1.any():
-                        direc[bigind] = direc[-1]
-                        direc[-1] = direc1
-    except _Spent:
-        pass
-    return x, fval, nfev
+            w = xc + _GOLD * (xc - xb)
+            fw = yield w
+        xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
+    if not (
+        ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+        and (xa < xb < xc or xc < xb < xa)
+        and math.isfinite(xa) and math.isfinite(xb) and math.isfinite(xc)
+    ):
+        # the recovery from an invalid bracket: its best point, or nan
+        xs, fs = (xa, xb, xc), (fa, fb, fc)
+        if any(v != v for v in xs + fs):
+            return math.nan, math.nan
+        return min(zip(xs, fs), key=lambda t: t[1])
+    return (yield from _brent(xa, xb, xc, fb, 100 * xtol))
 
 
-def _brent(g, xa: float, xb: float, xc: float, fb: float, tol: float) -> tuple[float, float]:
+def _brent(xa: float, xb: float, xc: float, fb: float, tol: float):
     """scipy's ``Brent.optimize`` (at most 500 steps) over the bracket
-    xa, xb, xc with g(xb) = fb: the point and its value."""
+    xa, xb, xc whose middle value is fb, a generator as ``_line_search``:
+    returns the point and its value."""
     x = w = v = xb
     fw = fv = fx = fb
     a, b = (xa, xc) if xa < xc else (xc, xa)
@@ -315,7 +300,7 @@ def _brent(g, xa: float, xb: float, xc: float, fb: float, tol: float) -> tuple[f
             u = x + tol1 if rat >= 0 else x - tol1
         else:
             u = x + rat
-        fu = g(u)
+        fu = yield u
         if fu > fx:
             if u < x:
                 a = u
@@ -332,3 +317,165 @@ def _brent(g, xa: float, xb: float, xc: float, fb: float, tol: float) -> tuple[f
                 b = x
             v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
     return x, fx
+
+
+class _Powell:
+    """Powell's direction set over a one-point evaluator, with scipy's
+    maxfev count; ``sweep`` runs the line searches one at a time."""
+
+    def __init__(self, evaluate, maxfev: int, xtol: float) -> None:
+        self.evaluate, self.maxfev, self.xtol, self.nfev = evaluate, maxfev, xtol, 0
+
+    def point(self, y: np.ndarray, known: float | None = None) -> float:
+        """The value at y, counted against maxfev; ``known`` answers it."""
+        if self.nfev >= self.maxfev:
+            raise _Spent
+        self.nfev += 1
+        return self.evaluate(y) if known is None else known
+
+    def line(self, p: np.ndarray, fp: float, xi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The line search from p, whose value is fp, along xi: the value,
+        the point and the step taken.  Its start p + 0 xi is answered from
+        fp unless that changes p's bytes (a -0.0 entry, an infinite step)
+        or fp is a nan, which the recovery reports for a point it did not
+        evaluate; it still counts against maxfev."""
+        if not xi.any():
+            return fp, p, xi
+        search = _line_search(self.xtol)
+        q = p + next(search) * xi
+        v = self.point(q, fp if fp == fp and q.tobytes() == p.tobytes() else None)
+        try:
+            while True:
+                v = self.point(p + search.send(v) * xi)
+        except StopIteration as stop:
+            a, fx = stop.value
+        xi = a * xi
+        return fx, p + xi, xi
+
+    def sweep(self, x: np.ndarray, fval: float, direc: list, i: int) -> list[tuple[float, np.ndarray]]:
+        """The results (value, point) of the line searches along direc[i],
+        direc[i + 1], ... as they run one after the other from x: here the
+        first only."""
+        return [self.line(x, fval, direc[i])[:2]]
+
+    def run(self, x0, ftol: float) -> tuple[np.ndarray, float, int]:
+        x = np.asarray(x0, dtype=float).flatten()
+        fval = self.point(x)
+        x1, direc = x, list(np.eye(len(x)))
+        try:
+            while True:
+                fx, bigind, delta = fval, 0, 0.0
+                i = 0
+                while i < len(direc):
+                    for fval_i, x_i in self.sweep(x, fval, direc, i):
+                        fx2, fval, x = fval, fval_i, x_i
+                        if fx2 - fval > delta:
+                            delta, bigind = fx2 - fval, i
+                        i += 1
+                if 2.0 * (fx - fval) <= ftol * (abs(fx) + abs(fval)) + 1e-20 or self.nfev >= self.maxfev:
+                    break
+                if fx != fx and fval != fval:  # a nan region
+                    break
+                # the extrapolated point; no array is written in place, so x1 may alias x
+                direc1, x1 = x - x1, x
+                fx2 = self.point(x + direc1)
+                if fx > fx2:
+                    t = 2.0 * (fx + fx2 - 2.0 * fval)
+                    temp = fx - fval - delta
+                    t *= temp * temp
+                    temp = fx - fx2
+                    t -= delta * temp * temp
+                    if t < 0.0:
+                        fval, x, direc1 = self.line(x, fval, direc1)
+                        if direc1.any():
+                            direc[bigind] = direc[-1]
+                            direc[-1] = direc1
+        except _Spent:
+            pass
+        return x, fval, self.nfev
+
+
+class _Lockstep(_Powell):
+    """``_Powell`` over a row-stacked objective F, its sweeps a window of
+    line searches at a time with one call of F per step."""
+
+    def __init__(self, F, maxfev: int, xtol: float) -> None:
+        super().__init__(lambda y: float(F(y[None, :])[0]), maxfev, xtol)
+        self.F, self.window, self.ahead = F, _WINDOW[0], 0
+
+    def sweep(self, x, fval, direc, i):
+        """The line searches along the window direc[i : i + window] in
+        lockstep from x.  Each is a generator that runs as it would alone
+        from x, so a line whose predecessors all return x with fval's bits
+        is the line that would run one at a time; the results are those of
+        the lines up to the first that moves, and later lines are dropped.
+
+        The first unfinished line, the head, runs until it ends or reaches
+        what is left of the budget.  The lines after it run ahead, in
+        order, while the rows of the run evaluated ahead of a head stay
+        within the spare rows of ``_WINDOW`` plus the evaluations counted
+        so far; the others wait.  So a run evaluates at most 2 nfev rows
+        plus the spare ones.  A line ahead that reaches the budget left at
+        the window's start ends the window there."""
+        XI = np.array(direc[i : i + self.window])
+        m = len(XI)
+        budget = self.maxfev - self.nfev
+        searches = [_line_search(self.xtol) for _ in range(m)]
+        steps = [next(s) for s in searches]
+        counts, done = [0] * m, [None] * m
+        last = m  # the first line that moves or spends the budget; later ones are dropped
+        live = []
+        for k in range(m):
+            if XI[k].any():
+                live.append(k)
+            else:  # no step along a zero direction
+                done[k] = (fval, x)
+        spare, begun = _WINDOW[3], 0  # the lines from begun on have taken no step
+        while live:
+            head = live[0]
+            # the budget used once the lines before the head are counted
+            used = min(self.maxfev, self.nfev + sum(counts[:head]))
+            # the lines run as a prefix of live, so their counts fall along it
+            if counts[head] >= self.maxfev - used:
+                last = min(last, head)
+                break
+            if len(live) > 1 and counts[live[1]] >= budget:
+                last = min(last, live[1])
+                live = live[:1]
+            run = live[: 1 + max(0, spare + used - self.ahead)]
+            Y = x + np.array([steps[k] for k in run])[:, None] * XI[run]
+            # a line's first step p + 0 xi takes fval where it keeps p's bytes
+            first = bisect.bisect_left(run, begun)
+            if first < len(run) and fval == fval:
+                known = np.zeros(len(run), dtype=bool)
+                known[first:] = (Y[first:].view(np.int64) == x.view(np.int64)).all(axis=1)
+                vals = np.full(len(run), fval)
+                if not known.all():
+                    vals[~known] = self.F(Y[~known])
+                self.ahead += len(run) - 1 - int(known[1:].sum())
+            else:
+                vals = self.F(Y)
+                self.ahead += len(run) - 1
+            begun = max(begun, run[-1] + 1)
+            ended = False
+            for k, v in zip(run, vals.tolist()):
+                counts[k] += 1
+                try:
+                    steps[k] = searches[k].send(v)
+                except StopIteration as stop:
+                    a, fx = stop.value
+                    point = x + a * XI[k]
+                    done[k], ended = (fx, point), True
+                    if point.tobytes() != x.tobytes() or _bits(fx) != _bits(fval):
+                        last = min(last, k)
+            if ended:
+                live = [k for k in live if done[k] is None and k < last]
+        out = done[: last + 1]
+        for k, c in enumerate(counts[: last + 1]):
+            if out[k] is None or self.nfev + c > self.maxfev:
+                self.nfev = self.maxfev
+                raise _Spent
+            self.nfev += c
+        _, shrink, growth, _ = _WINDOW
+        self.window = max(1, self.window // shrink) if last < m else self.window * growth
+        return out

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -156,6 +157,20 @@ def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     return (np.abs(rows) ** space.r @ w) ** (1.0 / space.r)
 
 
+def _values(v: np.ndarray) -> float | np.ndarray:
+    """A float for one value (a 0-d array or a numpy scalar), the array of
+    a stack's values as it is."""
+    return float(v) if v.ndim == 0 else v
+
+
+def _root(v: np.ndarray, r: float) -> float | np.ndarray:
+    """v ** (1 / r) as ``_values`` returns v, by C's pow value by value:
+    numpy's array power can differ from it in the last bit."""
+    if v.ndim == 0:
+        return float(v) ** (1.0 / r)
+    return np.array([x ** (1.0 / r) for x in v.tolist()])
+
+
 def dual_space(space: SpaceSpec) -> SpaceSpec:
     """The dual space: conjugate exponent, same weights, weighted pairing.
     Built once per spec and cached on it."""
@@ -225,27 +240,36 @@ def _signs(k: int) -> np.ndarray:
     return _readonly(_sign_table(k))
 
 
-# entries in one block of candidates (or broadcast sums) of _max_signed_sum
-_SIGNED_SUM_BLOCK = 1 << 18
-_ONE = _readonly([1.0])  # the fixed sign s_0 of every pattern
+# entries in one block of candidates (or broadcast sums) of _max_signed_sum, and
+# in the largest table of all its sign patterns that a plan keeps
+_SIGNED_SUM_BLOCK, _PATTERN_TABLE = 1 << 18, 1 << 15
 
 
 @functools.lru_cache(maxsize=256)
-def _signed_sum_plan(n: int, space: SpaceSpec) -> tuple[int, np.ndarray, np.ndarray, int, str]:
+def _signed_sum_plan(n: int, space: SpaceSpec) -> tuple[int, np.ndarray, np.ndarray, Callable, int, str]:
     """The set-up of ``_max_signed_sum`` for n rows measured in ``space``,
-    built once: the split b, the half sign tables, the rows of L per block
-    and the norm's branch."""
+    built once: the split b, the half sign tables, the map from indices
+    i len(H) + j of L_i + H_j to their patterns (1, sb[i], sh[j]), the rows
+    of L per block and the norm's branch."""
     b = n // 2
     sb, sh = _signs(b), _signs(n - 1 - b)
+    first = np.hstack((np.ones((len(sb), 1)), sb))
+    if n << (n - 1) <= _PATTERN_TABLE:
+        table = _readonly(np.hstack((np.repeat(first, len(sh), axis=0), np.tile(sh, (len(sb), 1)))))
+        pattern = functools.partial(table.take, axis=0)
+    else:
+        h = n - 1 - b
+        pattern = lambda at: np.concatenate((first[at >> h], sh[at & (len(sh) - 1)]), axis=1)
     euclid = space.r == 2
     rows = max(1, _SIGNED_SUM_BLOCK // (len(sh) * (1 if euclid else space.dim)))
     branch = "euclid" if euclid else "sup" if space.is_sup else "l1" if space.r == 1 else "r"
-    return b, sb, sh, rows, branch
+    return b, sb, sh, pattern, rows, branch
 
 
-def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]:
+def _max_signed_sum(M: np.ndarray, space: SpaceSpec):
     """max over s in {+-1}^n with s_0 = +1 (the norm is even) of
-    norm(space, s @ M), for the n rows of M, and the winning signed sum s @ M.
+    norm(space, s @ M), for the n rows of M, and the winning signed sum s @ M;
+    for a stack of K matrices, their K maxima and (K, dim) winning sums.
 
     Every pattern is one L_i + H_j of the half tables of signed sums
     L = M[0] + _signs(b) @ M[1:1+b] and H = _signs(h) @ M[1+b:].  A Euclidean
@@ -254,51 +278,75 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]
     memory stays bounded.  The winning signed sum's norm is recomputed.  A
     maximum that under- or overflowed (inf, 0.0 on non-zero rows, or a nan
     block) is enumerated again on M scaled by an exact power of two, as
-    ``norm`` measures again.
+    ``norm`` measures again.  A 2-d M is a stack of one, and each matrix of
+    a stack gets the products, blocks and retry it would get alone, so its
+    bits: every product runs matrix by matrix (``np.matmul`` over the stack).
     """
-    top, z = _enumerate_signed_sums(M, space)
-    if not top < math.inf or (top == 0.0 and M.any()):
-        e = math.frexp(float(np.max(np.abs(M))))[1]
-        top, z = _enumerate_signed_sums(np.ldexp(M, -e), space)
-        with np.errstate(over="ignore"):  # a maximum above the float range is inf
-            top, z = float(np.ldexp(top, e)), np.ldexp(z, e)
-    return top, z
+    stack = M if M.ndim == 3 else M[None]
+    top, z = _enumerate_signed_sums(stack, space)
+    for k, t in enumerate(top.tolist()):
+        if not t < math.inf or (t == 0.0 and stack[k].any()):
+            e = math.frexp(float(np.max(np.abs(stack[k]))))[1]
+            t, y = _enumerate_signed_sums(np.ldexp(stack[k : k + 1], -e), space)
+            with np.errstate(over="ignore"):  # a maximum above the float range is inf
+                top[k], z[k] = np.ldexp(t[0], e), np.ldexp(y[0], e)
+    return (top, z) if M.ndim == 3 else (float(top[0]), z[0])
 
 
-def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[float, np.ndarray]:
-    """The maximum and winning signed sum of ``_max_signed_sum`` at M's own
-    scale; (nan, nan) when a block's maximum is nan, which finite rows give
-    only by overflow (inf - inf)."""
-    b, sb, sh, rows, branch = _signed_sum_plan(len(M), space)
-    L = M[0] + sb @ M[1 : 1 + b]
-    H = sh @ M[1 + b :]
+def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The maxima and winning signed sums of ``_max_signed_sum`` for a stack
+    M of matrices at their own scale; nan for a matrix one of whose blocks
+    has a nan maximum, which finite rows give only by overflow (inf - inf).
+    A block holds the same rows of L of as many matrices as the entry bound
+    allows."""
+    K, n, dim = M.shape
+    b, sb, sh, pattern, rows, branch = _signed_sum_plan(n, space)
+    L = M[:, :1] + sb @ M[:, 1 : 1 + b]
+    H = sh @ M[:, 1 + b :]
     w = space.weight_array
+    nL, nH = L.shape[1], H.shape[1]
+    rows = min(rows, nL)
+    kb = max(1, _SIGNED_SUM_BLOCK // (rows * nH * (1 if branch == "euclid" else dim)))
     if branch == "euclid":
-        HH = (H * H) @ w
+        HH, Ht = (H * H) @ w, H.transpose(0, 2, 1)
     else:
         # one buffer for the broadcast sums of every block
-        buf = np.empty((min(rows, len(L)), len(H), M.shape[1]))
-    best, i, j = -math.inf, 0, 0
-    for start in range(0, len(L), rows):
-        Lb = L[start : start + rows]
+        buf = np.empty((min(kb, K), rows, nH, dim))
+
+    def values(Lb: np.ndarray, ks: slice) -> np.ndarray:
+        """The norms (or squared norms) of L_i + H_j for the rows Lb of L
+        of the matrices ks, a row of i-major values per matrix."""
         if branch == "euclid":
-            vals = 2.0 * (Lb * w) @ H.T + ((Lb * Lb) @ w)[:, None] + HH
+            vals = 2.0 * (Lb * w) @ Ht[ks] + ((Lb * Lb) @ w)[:, :, None] + HH[ks, None]
         else:
-            block = buf[: len(Lb)]
-            np.abs(np.add(Lb[:, None, :], H, out=block), out=block)
+            block = buf[: len(Lb), : Lb.shape[1]]
+            np.abs(np.add(Lb[:, :, None], H[ks, None], out=block), out=block)
             if branch == "sup":
-                vals = np.max(block, axis=2)
+                vals = np.maximum.reduce(block, axis=3)
             else:
                 vals = (block if branch == "l1" else np.power(block, space.r, out=block)) @ w
-        k = int(vals.argmax())
-        top = vals.flat[k]
-        if top != top:
-            return math.nan, np.full(M.shape[1], math.nan)
-        if top > best:
-            best = top
-            i, j = divmod(k + start * len(H), len(H))
-    z = np.concatenate((_ONE, sb[i], sh[j])) @ M
-    return float(norms_rows(space, z[None, :])[0]), z
+        return vals.reshape(len(vals), -1)
+
+    if K <= kb and nL == rows:  # one block
+        vals = values(L, slice(None))
+        at, best = vals.argmax(axis=1), np.maximum.reduce(vals, axis=1)  # a nan block's maximum is nan
+    else:
+        best, at = np.empty(K), np.empty(K, dtype=np.int64)
+        for k0 in range(0, K, kb):
+            ks = slice(k0, k0 + kb)
+            for start in range(0, nL, rows):
+                vals = values(L[ks, start : start + rows], ks)
+                k, top = vals.argmax(axis=1) + start * nH, np.maximum.reduce(vals, axis=1)
+                if start:  # a nan stays; a later block wins only by a larger maximum
+                    later = (top > best[ks]) | (top != top)
+                    top, k = np.where(later, top, best[ks]), np.where(later, k, at[ks])
+                best[ks], at[ks] = top, k
+    z = pattern(at)[:, None] @ M
+    top = norms_rows(space, z)[:, 0]
+    bad = [k for k, v in enumerate(best.tolist()) if v != v]
+    if bad:
+        top[bad], z[bad] = math.nan, math.nan
+    return top, z[:, 0]
 
 
 def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:

@@ -17,15 +17,24 @@ the estimate is flagged accordingly in its method tags.
 
 ``witness_search`` is the one search engine of the package: it takes
 the best of the structured seeds its caller supplies and polishes that
-family by ``optimize.powell``, scipy's unbounded Powell method bit for bit
-(no bounds, callback, ``direc`` or ``maxiter``).  It runs over two kinds of constraint ball: the unit
-ball of a weighted ell_r space (``_weak_E``, the weak-p dispatch of this
-module) and the section B_F of a subspace (``extension._weak_F``, exact
-on the paths of ``extension._exact_norm_F``).  Each kind answers one
-question per candidate family: a certified upper bound on its weak-p
-norm, whether that bound is exact, and whether it is cheap enough for
-the polish loop.  The search draws nothing at random, so its result
-depends only on its inputs, ``family_size`` and ``polish``.
+family by scipy's unbounded Powell method bit for bit (no bounds,
+callback, ``direc`` or ``maxiter``).  It runs over two kinds of
+constraint ball: the unit ball of a weighted ell_r space (``_weak_E``,
+the weak-p dispatch of this module) and the section B_F of a subspace
+(``extension._weak_F``, exact on the paths of
+``extension._exact_norm_F``).  Each kind answers one question per
+candidate family: a certified upper bound on its weak-p norm, whether
+that bound is exact, and whether it is cheap enough for the polish loop.
+Over a ``SpaceSpec`` ball with an objective that takes stacks (the
+free-lattice and summing-norm objectives), the polish runs
+``optimize.powell_rows``: the line searches of a Powell sweep step in
+lockstep, and each step evaluates the weak-p bounds (the exact-norm
+path's value, ``operators._exact_plan``) and the objective of all their
+families at once, a stack (K, N, dim) whose products run family by
+family, so every value keeps its bits.  Other balls and objectives take
+``optimize.powell``, one family at a time; both give the same point.
+The search draws nothing at random, so its result depends only on its
+inputs, ``family_size`` and ``polish``.
 """
 
 from __future__ import annotations
@@ -36,9 +45,9 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, _exact_norm, _unit_space, operator_norm
-from .optimize import OptimizerConfig, powell
-from .spaces import SpaceSpec, dual_space, norms_rows
+from .operators import LinearMap, _exact_norm, _exact_plan, _unit_space, operator_norm
+from .optimize import OptimizerConfig, powell, powell_rows
+from .spaces import SpaceSpec, _root, _values, dual_space, norms_rows
 
 if TYPE_CHECKING:
     from .extension import SubspaceSpec
@@ -64,14 +73,15 @@ def hadamard(m: int) -> np.ndarray:
     return H
 
 
-def lp_combine(values: np.ndarray, p: float) -> float:
-    """(sum |v|^p)^(1/p), with the max convention at p = infinity."""
+def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
+    """(sum |v|^p)^(1/p), with the max convention at p = infinity, along
+    the last axis: a float for one vector, an array for a stack of them."""
     values = np.abs(np.asarray(values, dtype=float))
-    if math.isinf(p):  # the methods, not np.max and np.sum: same reductions, less dispatch
-        return float(values.max()) if values.size else 0.0
+    if math.isinf(p):  # the ufunc reductions of np.max and np.sum, with less dispatch
+        return _values(np.maximum.reduce(values, axis=-1, initial=0.0))
     if p == 1:
-        return float(values.sum())
-    return float((values ** p).sum() ** (1.0 / p))
+        return _values(np.add.reduce(values, axis=-1))
+    return _root(np.add.reduce(values ** p, axis=-1), p)
 
 
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
@@ -154,6 +164,7 @@ def witness_search(
     objective: Callable[[np.ndarray], float],
     seeds: Iterable[np.ndarray],
     cfg: OptimizerConfig,
+    stacked: bool = False,
 ) -> tuple[float, WitnessFamily | None, bool]:
     """Maximize objective(Y) over families with weak-p norm at most 1.
 
@@ -164,7 +175,10 @@ def witness_search(
     normalized by a certified upper bound on its weak-p norm, and the best
     of them is polished by Powell when that bound is cheap (``cfg.polish``
     turns the polish off); so the best value is always a true lower bound
-    for sup { objective : weak-p <= 1 }.
+    for sup { objective : weak-p <= 1 }.  ``stacked`` says that objective
+    also maps a stack (K, N, dim) of families to their K values, each with
+    the bits it has alone; over a ``SpaceSpec`` ball the polish then
+    evaluates its line searches in lockstep.
 
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
@@ -200,7 +214,11 @@ def witness_search(
         consider(Y)
 
     if cfg.polish and best_cheap and best_fam.size <= 128:
-        polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam)
+        if stacked and weak is _weak_E:  # a cheap family is on an exact path, which takes stacks
+            upper = _exact_plan(ball, _unit_space(p, len(best_fam)), cfg.family_size)[0]
+            polished = _polish_family(upper, objective, best_fam, stacked)
+        else:
+            polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam)
         if polished is not None:
             consider(polished)
 
@@ -217,9 +235,14 @@ def _polish_family(
     weak_upper: Callable[[np.ndarray], float],
     objective: Callable[[np.ndarray], float],
     Y0: np.ndarray,
+    stacked: bool = False,
 ) -> np.ndarray | None:
-    """Derivative-free local improvement of objective/weak ratio."""
+    """Derivative-free local improvement of objective/weak ratio, by
+    ``powell`` one family at a time or, when weak_upper and objective take
+    stacks (``stacked``), by ``powell_rows`` on the stack (K, N, dim) of a
+    lockstep step's families; both return the same point."""
     N, dim = Y0.shape
+    maxfev = min(_POLISH_ITER * max(1, N * dim // 8), 3000)
 
     def neg_ratio(flat: np.ndarray) -> float:
         Y = flat.reshape(N, dim)
@@ -228,7 +251,22 @@ def _polish_family(
             return 0.0
         return -objective(Y) / upper
 
-    x = powell(neg_ratio, Y0.ravel(), min(_POLISH_ITER * max(1, N * dim // 8), 3000), 1e-10, 1e-12)[0]
+    def neg_ratios(X: np.ndarray) -> np.ndarray:
+        Ys = X.reshape(len(X), N, dim)
+        upper = weak_upper(Ys)
+        ok = (upper > 1e-14) & (upper < math.inf)
+        with np.errstate(over="ignore"):  # a float quotient above the range is inf
+            if ok.all():
+                return -objective(Ys) / upper
+            out = np.zeros(len(X))
+            if ok.any():
+                out[ok] = -objective(Ys[ok]) / upper[ok]
+        return out
+
+    if stacked:
+        x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
+    else:
+        x = powell(neg_ratio, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
     if not np.all(np.isfinite(x)):
         return None
     return x.reshape(N, dim)
@@ -240,6 +278,8 @@ def _polish_family(
 
 
 def _pi_objective(T: LinearMap, p: float) -> Callable[[np.ndarray], float]:
+    """Y -> the strong p-sum of T's images of the members, for a family
+    or, along the last axis, a stack of families."""
     A = T.matrix
 
     def obj(Y: np.ndarray) -> float:
@@ -286,7 +326,7 @@ def _pi_lower(
     """Strong q-sums over weakly-p bounded families, by witness search; the
     families live in the domain X = E*, and the ball of E constrains them."""
     val, witness, tight = witness_search(
-        dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg
+        dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg, stacked=True
     )
     method += ("exact weak constraint" if tight else "crude-upper weak normalization",)
     return NormEstimate(val, math.inf, True, False, method=method, witness=witness)

@@ -16,7 +16,7 @@ from fblab import (
 )
 from fblab.fbl import _fbl_objective
 from fblab.operators import _exact_norm, _unit_space
-from fblab.optimize import powell
+from fblab.optimize import powell_rows
 from fblab.spaces import _EXTREME_ENUM_CAP, _SIGNED_SUM_BLOCK, _max_signed_sum, _sign_table, norms_rows
 
 
@@ -144,7 +144,8 @@ def test_max_signed_sum_plan_over_several_blocks(r):
 
 
 # a polished search on fixed inputs: the bits of its value and its Powell
-# evaluations, recorded before the paths were planned
+# evaluations, recorded before the paths were planned and the polish ran in
+# lockstep
 _POLISHED = {
     2.0: ("0x1.54dcedc56390ep+2", 400),
     math.inf: ("0x1.ac00000000000p+2", 660),
@@ -158,7 +159,7 @@ def _polished_search(r):
     E = SpaceSpec(r, 4, (0.7, 1.3, 0.9, 1.1) if r == 2 else ())
     b = GeneratorBinding.from_matrix(E, X)
     seeds = [np.eye(4), X[:3] * E.weight_array]
-    return witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig())
+    return witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig(), stacked=True)
 
 
 @pytest.mark.parametrize("r", sorted(_POLISHED))
@@ -166,19 +167,20 @@ def test_polished_witness_search_keeps_its_bytes(r, monkeypatch):
     nfev = []
 
     def counted(*args):
-        x, fun, n = powell(*args)
+        x, fun, n = powell_rows(*args)
         nfev.append(n)
         return x, fun, n
 
-    monkeypatch.setattr(fblab.summing, "powell", counted)
+    monkeypatch.setattr(fblab.summing, "powell_rows", counted)
     val, witness, tight = _polished_search(r)
     assert (val.hex(), nfev[0]) == _POLISHED[r] and len(nfev) == 1 and tight
     assert witness.objective == val
 
 
 def test_polish_and_extension_multistart_run_without_scipy_minimize(monkeypatch):
-    """The witness polish and the extension constant's Powell multistart
-    run on ``optimize.powell``, not on scipy's minimize."""
+    """The witness polish (``optimize.powell_rows``) and the extension
+    constant's Powell multistart (``optimize.powell``) run without scipy's
+    minimize."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.optimize.minimize was called")

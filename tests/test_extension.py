@@ -1,5 +1,6 @@
 """Subspaces, minimal-extension constants, and embedding gaps."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -600,3 +601,30 @@ def test_epigraph_program_reads_no_seed():
         }
         assert len(reports) == 1
         assert json.loads(reports.pop())["method"][0] == "epigraph program over ambient vertices"
+
+
+def test_extension_multistart_takes_powell_values(monkeypatch):
+    """The Powell multistart of a p = 1 extension constant takes each
+    polished point's value from ``optimize.powell``, which computed it at
+    that point, and evaluates neither that point nor the best one again:
+    one objective call fewer per polish and one fewer at the end, and the
+    estimate keeps its bytes."""
+    rng = np.random.default_rng(2)
+    E = SpaceSpec(math.inf, 4)
+    sub = SubspaceSpec.from_arrays(E, rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
+    T = LinearMap.from_array(rng.standard_normal((2, 2)), SpaceSpec(math.inf, 2), SpaceSpec(1.0, 2))
+    calls = []
+    norm_upper = extension._norm_upper
+
+    def counted(*args):
+        calls.append(args)
+        return norm_upper(*args)
+
+    monkeypatch.setattr(extension, "_norm_upper", counted)
+    est = extension_constant(sub, T, 1.0, OptimizerConfig(restarts=4))
+    assert est.method[0] == "outer minimization over complement values"
+    # recorded when every polished point and the best one were evaluated
+    # again: 787 calls for 5 starts, each polished
+    assert len(calls) == 787 - 5 - 1
+    assert est.upper.hex() == "0x1.33fefb9bbd88ap+0"
+    assert hashlib.sha256(est.witness.matrix.tobytes()).hexdigest()[:16] == "2979ba2bfeafabe8"

@@ -1,10 +1,11 @@
 """The lockstep Nelder-Mead against scipy's, run start by start, and
-Powell's method against scipy's.
+Powell's method, one line search at a time and in lockstep, against scipy's.
 
 On objectives whose rows do not depend on each other, ``nelder_mead_rows``
 must return scipy's points, values and evaluation counts bit for bit.
 Half the budgets are small, so some starts stop on their budget, one in
-the middle of a shrink, while others converge first.
+the middle of a shrink, while others converge first.  ``powell`` and
+``powell_rows`` must return scipy's Powell point, value and count.
 """
 
 import functools
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+import fblab.optimize
 from fblab import Abs, Gen, GeneratorBinding, Join, OptimizerConfig, PosPart, SpaceSpec
 from fblab.fbl import _dual_multistart
-from fblab.optimize import nelder_mead_rows, powell
+from fblab.optimize import nelder_mead_rows, powell, powell_rows
 
 DIMS = (1, 2, 3, 6, 20)
 STARTS = 6
@@ -218,10 +220,22 @@ def test_dual_multistart_bytes_are_pinned(dim):
 # --------------------------------------------------------------------------
 
 
+def _powell_rows_objectives(N):
+    """Row-stacked objectives: those of ``_objectives`` and the holes, one
+    constant (every bracket fails), one that reads y_0 only (zero steps
+    along the other axes) and one with flat steps."""
+    rows = {**_objectives(N), "holes": _holes(N)}
+    kinked = rows["kinked"]
+    rows["flat"] = lambda X: np.full(len(X), 1.5)
+    rows["first"] = lambda X: np.abs(X[:, 0] - 0.2) + 0.5 * X[:, 0] * X[:, 0]
+    rows["steps"] = lambda X: np.floor(4.0 * kinked(X))
+    return rows
+
+
 def _powell_objectives(N):
     """Scalar objectives: those above, one constant (every bracket fails),
     one that reads y_0 only (zero steps along the other axes) and one with
-    flat steps."""
+    flat steps; ``_powell_rows_objectives`` holds their row-stacked forms."""
     rows = {**_objectives(N), "holes": _holes(N)}
     funs = {name: (lambda y, F=F: F(y[None, :])[0]) for name, F in rows.items()}
     kinked = funs["kinked"]
@@ -229,6 +243,41 @@ def _powell_objectives(N):
     funs["first"] = lambda y: abs(y[0] - 0.2) + 0.5 * y[0] * y[0]
     funs["steps"] = lambda y: float(np.floor(4.0 * kinked(y)))
     return funs
+
+
+# lockstep windows forced to one line (one at a time), to three lines and to
+# the whole sweep, with no bound on the rows that run ahead; the whole sweep
+# with no spare rows, so lines ahead wait for evaluations to be counted; and
+# the default
+_FORCED_WINDOWS = [
+    (1, 1, 1, 0),
+    (3, 1, 1, 10**18),
+    (10**9, 1, 1, 10**18),
+    (10**9, 1, 1, 0),
+    fblab.optimize._WINDOW,
+]
+
+
+def _lockstep_runs(F, x0, maxfev, xtol, ftol):
+    """powell_rows under each window of ``_FORCED_WINDOWS``: its result and
+    the rows it evaluated."""
+    runs = []
+    for window in _FORCED_WINDOWS:
+        rows = []
+
+        def counted(X):
+            rows.append(len(X))
+            return F(X)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fblab.optimize, "_WINDOW", window)
+            runs.append((powell_rows(counted, x0, maxfev, xtol, ftol), sum(rows)))
+    return runs
+
+
+def _same(result, ref):
+    x, value, nfev = result
+    return (x.tobytes(), np.float64(value).tobytes(), nfev) == (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev)
 
 
 _COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-3.0, 3.0))
@@ -244,22 +293,28 @@ _COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-3.0, 3.0))
 )
 @settings(max_examples=300, deadline=None)
 def test_powell_matches_scipy(N, name, data, maxfev, xtol, ftol):
+    """``powell`` and ``powell_rows`` under every forced window return
+    scipy's result; the lockstep runs evaluate at most 2 nfev rows plus
+    their spare rows."""
+    F = _powell_rows_objectives(N)[name]
     fun = _powell_objectives(N)[name]
     x0 = np.array(data.draw(st.lists(_COORDS, min_size=N, max_size=N)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # scipy's numpy scalars meet inf and nan
         ref = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol})
-    x, value, nfev = powell(fun, x0, maxfev, xtol, ftol)
-    assert x.tobytes() == ref.x.tobytes()
-    assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
-    assert nfev == ref.nfev
+    assert _same(powell(fun, x0, maxfev, xtol, ftol), ref)
+    runs = _lockstep_runs(F, x0, maxfev, xtol, ftol)
+    for window, (result, rows) in zip(_FORCED_WINDOWS, runs):
+        assert _same(result, ref), window
+        assert rows <= 2 * ref.nfev + window[3]
 
 
 @pytest.mark.parametrize("N,name,start", [(1, "kinked", 2), (3, "ratio", 2), (2, "holes", 3)])
 def test_powell_stopped_at_every_evaluation_matches_scipy(N, name, start):
     """A budget of every size up to the full run's count runs out at every
     one of its evaluations: in a bracket, in Brent's search and at the
-    extrapolated point."""
+    extrapolated point; in lockstep also in a line that runs ahead."""
+    F = _powell_rows_objectives(N)[name]
     fun = _powell_objectives(N)[name]
     x0 = 1.5 * _starts(N)[start]
     full = powell(fun, x0, 10**6, 1e-10, 1e-12)[2]
@@ -269,4 +324,34 @@ def test_powell_stopped_at_every_evaluation_matches_scipy(N, name, start):
             ref = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": 1e-10, "ftol": 1e-12})
         x, value, nfev = powell(fun, x0, maxfev, 1e-10, 1e-12)
         assert (x.tobytes(), np.float64(value).tobytes(), nfev) == (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev)
+        runs = _lockstep_runs(F, x0, maxfev, 1e-10, 1e-12)
+        for window, (result, rows) in zip(_FORCED_WINDOWS, runs):
+            assert _same(result, ref) and rows <= 2 * ref.nfev + window[3], window
     assert nfev == full < maxfev
+
+
+def _lockstep_counts(N, name, maxfev):
+    """How many objective calls powell_rows makes from 1.5 times the third
+    start, how many rows in all, and a digest of the rows per call."""
+    F = _powell_rows_objectives(N)[name]
+    counts = []
+
+    def counted(X):
+        counts.append(len(X))
+        return F(X)
+
+    powell_rows(counted, 1.5 * _starts(N)[2], maxfev, 1e-10, 1e-12)
+    digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
+    return len(counts), sum(counts), digest
+
+
+# recorded when the lockstep Powell was written: its calls and rows per call
+LOCKSTEP_COUNT_CASES = {
+    (6, "kinked", 3000): (2884, 3039, "84fee1770a7c1af3"),
+    (20, "ratio", 4000): (731, 3099, "d23ab25d08c0e9bf"),
+}
+
+
+@pytest.mark.parametrize("key", list(LOCKSTEP_COUNT_CASES))
+def test_lockstep_calls_and_rows_are_pinned(key):
+    assert _lockstep_counts(*key) == LOCKSTEP_COUNT_CASES[key]
