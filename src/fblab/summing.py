@@ -25,16 +25,16 @@ the weak-p dispatch of this module) and the section B_F of a subspace
 ``extension._exact_norm_F``).  Each kind answers one question per
 candidate family: a certified upper bound on its weak-p norm, whether
 that bound is exact, and whether it is cheap enough for the polish loop.
-Over a ``SpaceSpec`` ball with an objective that takes stacks (the
-free-lattice and summing-norm objectives), the polish runs
-``optimize.powell_rows``: the line searches of a Powell sweep step in
-lockstep, and each step evaluates the weak-p bounds (the exact-norm
-path's value, ``operators._exact_plan``) and the objective of all their
-families at once, a stack (K, N, dim) whose products run family by
-family, so every value keeps its bits.  Other balls and objectives take
-``optimize.powell``, one family at a time; both give the same point.
-The search draws nothing at random, so its result depends only on its
-inputs, ``family_size`` and ``polish``.
+Over a ``SpaceSpec`` ball the polish runs ``optimize.powell_rows``: the
+line searches of a Powell sweep step in lockstep, and each step
+evaluates the weak-p bounds (the exact-norm path's value,
+``operators._exact_plan``) and the objective of all their families at
+once, a stack (K, N, dim) whose products run family by family, so every
+value keeps its bits.  An objective over such a ball therefore takes
+stacks, as the free-lattice and summing-norm objectives do.  Over B_F
+the polish takes ``optimize.powell``, one family at a time; both give
+the same point.  The search draws nothing at random, so its result depends only
+on its inputs, ``family_size`` and ``polish``.
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ def witness_search(
     objective: Callable[[np.ndarray], float],
     seeds: Iterable[np.ndarray],
     cfg: OptimizerConfig,
-    stacked: bool = False,
 ) -> tuple[float, WitnessFamily | None, bool]:
     """Maximize objective(Y) over families with weak-p norm at most 1.
 
@@ -175,10 +174,10 @@ def witness_search(
     normalized by a certified upper bound on its weak-p norm, and the best
     of them is polished by Powell when that bound is cheap (``cfg.polish``
     turns the polish off); so the best value is always a true lower bound
-    for sup { objective : weak-p <= 1 }.  ``stacked`` says that objective
-    also maps a stack (K, N, dim) of families to their K values, each with
-    the bits it has alone; over a ``SpaceSpec`` ball the polish then
-    evaluates its line searches in lockstep.
+    for sup { objective : weak-p <= 1 }.  Over a ``SpaceSpec`` ball the
+    objective also maps a stack (K, N, dim) of families to their K values,
+    each with the bits it has alone, and the polish evaluates its line
+    searches in lockstep.
 
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
@@ -214,11 +213,7 @@ def witness_search(
         consider(Y)
 
     if cfg.polish and best_cheap and best_fam.size <= 128:
-        if stacked and weak is _weak_E:  # a cheap family is on an exact path, which takes stacks
-            upper = _exact_plan(ball, _unit_space(p, len(best_fam)), cfg.family_size)[0]
-            polished = _polish_family(upper, objective, best_fam, stacked)
-        else:
-            polished = _polish_family(lambda Y: weak(ball, Y, p, cfg)[0], objective, best_fam)
+        polished = _polish_family(ball, p, cfg, weak, objective, best_fam)
         if polished is not None:
             consider(polished)
 
@@ -232,41 +227,46 @@ _POLISH_ITER = 400  # Powell evaluations per 8 family entries (at most 3000 in a
 
 
 def _polish_family(
-    weak_upper: Callable[[np.ndarray], float],
+    ball: SpaceSpec | SubspaceSpec,
+    p: float,
+    cfg: OptimizerConfig,
+    weak: Callable,
     objective: Callable[[np.ndarray], float],
     Y0: np.ndarray,
-    stacked: bool = False,
 ) -> np.ndarray | None:
-    """Derivative-free local improvement of objective/weak ratio, by
-    ``powell`` one family at a time or, when weak_upper and objective take
-    stacks (``stacked``), by ``powell_rows`` on the stack (K, N, dim) of a
-    lockstep step's families; both return the same point."""
+    """Derivative-free local improvement of objective/weak ratio: over a
+    ``SpaceSpec`` ball by ``powell_rows`` on the stack (K, N, dim) of a
+    lockstep step's families, over B_F by ``powell`` one family at a time;
+    both return the same point."""
     N, dim = Y0.shape
     maxfev = min(_POLISH_ITER * max(1, N * dim // 8), 3000)
+    if weak is not _weak_E:
 
-    def neg_ratio(flat: np.ndarray) -> float:
-        Y = flat.reshape(N, dim)
-        upper = weak_upper(Y)
-        if not (upper > 1e-14) or math.isinf(upper):
-            return 0.0
-        return -objective(Y) / upper
+        def neg_ratio(flat: np.ndarray) -> float:
+            Y = flat.reshape(N, dim)
+            upper = weak(ball, Y, p, cfg)[0]
+            if not (upper > 1e-14) or math.isinf(upper):
+                return 0.0
+            return -objective(Y) / upper
 
-    def neg_ratios(X: np.ndarray) -> np.ndarray:
-        Ys = X.reshape(len(X), N, dim)
-        upper = weak_upper(Ys)
-        ok = (upper > 1e-14) & (upper < math.inf)
-        with np.errstate(over="ignore"):  # a float quotient above the range is inf
-            if ok.all():
-                return -objective(Ys) / upper
-            out = np.zeros(len(X))
-            if ok.any():
-                out[ok] = -objective(Ys[ok]) / upper[ok]
-        return out
-
-    if stacked:
-        x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
-    else:
         x = powell(neg_ratio, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
+    else:
+        # a cheap family is on an exact path, whose value takes stacks
+        weak_upper = _exact_plan(ball, _unit_space(p, N), cfg.family_size)[0]
+
+        def neg_ratios(X: np.ndarray) -> np.ndarray:
+            Ys = X.reshape(len(X), N, dim)
+            upper = weak_upper(Ys)
+            ok = (upper > 1e-14) & (upper < math.inf)
+            with np.errstate(over="ignore"):  # a float quotient above the range is inf
+                if ok.all():
+                    return -objective(Ys) / upper
+                out = np.zeros(len(X))
+                if ok.any():
+                    out[ok] = -objective(Ys[ok]) / upper[ok]
+            return out
+
+        x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
     if not np.all(np.isfinite(x)):
         return None
     return x.reshape(N, dim)
@@ -326,7 +326,7 @@ def _pi_lower(
     """Strong q-sums over weakly-p bounded families, by witness search; the
     families live in the domain X = E*, and the ball of E constrains them."""
     val, witness, tight = witness_search(
-        dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg, stacked=True
+        dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg
     )
     method += ("exact weak constraint" if tight else "crude-upper weak normalization",)
     return NormEstimate(val, math.inf, True, False, method=method, witness=witness)

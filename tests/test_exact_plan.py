@@ -159,7 +159,7 @@ def _polished_search(r):
     E = SpaceSpec(r, 4, (0.7, 1.3, 0.9, 1.1) if r == 2 else ())
     b = GeneratorBinding.from_matrix(E, X)
     seeds = [np.eye(4), X[:3] * E.weight_array]
-    return witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig(), stacked=True)
+    return witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig())
 
 
 @pytest.mark.parametrize("r", sorted(_POLISHED))

@@ -7,7 +7,11 @@ A stack (K, N, dim) holds K families of N members.  Each family's value
 from the stack must have the bits it has alone, whatever the other
 families hold: a zero member, a member equal to -3 times another, or rows
 near 1e200 or 1e-200, whose signed sums are enumerated again at a power of
-two.  Rows near 1e200 overflow on the way in both forms, so those draws run
+two.  "Alone" is checked twice: against the stacked code given one family
+(a 2-d array, which it treats as a stack of one), and against references
+in this module written family by family, as the evaluators were before
+they took stacks (``_one_family_*``): a winning sign pattern as one vector
+times M, row norms of a (1, dim) row, reductions of one array to a float.  Rows near 1e200 overflow on the way in both forms, so those draws run
 under the same ``np.errstate`` for both; every other draw runs under the
 test suite's warnings-as-errors filter.
 """
@@ -20,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 import fblab.spaces
 from fblab import Abs, Gen, GeneratorBinding, Join, LinearMap, Meet, PosPart, PowerSum, SpaceSpec
-from fblab.exprs import eval_rows
+from fblab.exprs import _VALUES, _fold, eval_rows
 from fblab.fbl import _fbl_objective
 from fblab.operators import _exact_plan
-from fblab.spaces import _max_signed_sum, _signed_sum_plan
+from fblab.spaces import _max_signed_sum, _signed_sum_plan, norms_rows
 from fblab.summing import _pi_objective, lp_combine
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -72,6 +76,78 @@ class _Errstate:
             self.state.__exit__(*exc)
 
 
+# --------------------------------------------------------------------------
+# one-family references
+# --------------------------------------------------------------------------
+
+
+def _one_family_enumeration(M, space):
+    """The maximum and winning signed sum of n rows M at their own scale:
+    blocks of rows of L, the first strict maximum over the blocks, and the
+    winning pattern (1, sb[i], sh[j]) as one vector times M."""
+    b, sb, sh, _, rows, branch = _signed_sum_plan(len(M), space)
+    L = M[0] + sb @ M[1 : 1 + b]
+    H = sh @ M[1 + b :]
+    w = space.weight_array
+    best, i, j = -math.inf, 0, 0
+    for start in range(0, len(L), rows):
+        Lb = L[start : start + rows]
+        if branch == "euclid":
+            vals = 2.0 * (Lb * w) @ H.T + ((Lb * Lb) @ w)[:, None] + (H * H) @ w
+        else:
+            block = np.abs(Lb[:, None, :] + H)
+            if branch == "sup":
+                vals = np.max(block, axis=2)
+            else:
+                vals = (block if branch == "l1" else block ** space.r) @ w
+        k = int(vals.argmax())
+        top = vals.flat[k]
+        if top != top:
+            return math.nan, np.full(M.shape[1], math.nan)
+        if top > best:
+            best = top
+            i, j = divmod(k + start * len(H), len(H))
+    z = np.concatenate(([1.0], sb[i], sh[j])) @ M
+    return float(norms_rows(space, z[None, :])[0]), z
+
+
+def _one_family_max_signed_sum(M, space):
+    """``_one_family_enumeration`` with the retry at a power of two."""
+    top, z = _one_family_enumeration(M, space)
+    if not top < math.inf or (top == 0.0 and M.any()):
+        e = math.frexp(float(np.max(np.abs(M))))[1]
+        top, z = _one_family_enumeration(np.ldexp(M, -e), space)
+        with np.errstate(over="ignore"):
+            top, z = float(np.ldexp(top, e)), np.ldexp(z, e)
+    return top, z
+
+
+def _one_family_plan_value(E, C, tag, Y):
+    """The value of ``_exact_plan(E, C, ...)`` with path ``tag`` at one
+    family Y."""
+    if tag == "weak-inf closed form":
+        return float(np.max(norms_rows(E.dual, Y)))
+    if tag == "cross-polytope enumeration":
+        V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r
+        if not C.unweighted:
+            V = V * C.weight_array[:, None]
+        return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
+    N, dim = Y.shape
+    on_cube = tag == "cube-vertex enumeration" or (E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim)
+    if on_cube:
+        return _one_family_max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)[0]
+    return _one_family_max_signed_sum(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)[0]
+
+
+def _one_family_lp_combine(values, p):
+    values = np.abs(np.asarray(values, dtype=float))
+    if math.isinf(p):
+        return float(values.max()) if values.size else 0.0
+    if p == 1:
+        return float(values.sum())
+    return float((values ** p).sum() ** (1.0 / p))
+
+
 _DRAW = dict(
     K=st.sampled_from([1, 2, 7, 33]),
     N=st.integers(1, 8),
@@ -91,19 +167,46 @@ def test_max_signed_sum_of_a_stack(r, small_blocks, K, N, dim, special, weighted
     rng = np.random.default_rng(seed)
     space = _space(r, dim, weighted, rng)
     M = _stack(K, N, dim, special, rng)
+    _check_max_signed_sum(M, space, special, 16 if small_blocks else None)
+
+
+def _check_max_signed_sum(M, space, special, block):
+    """The stack's values and winning sums against each matrix's, from
+    ``_max_signed_sum`` alone and from the one-family reference, with
+    ``block`` entries a block when it is given."""
+    K, dim = len(M), M.shape[2]
     with pytest.MonkeyPatch.context() as mp:
-        if small_blocks:
-            mp.setattr(fblab.spaces, "_SIGNED_SUM_BLOCK", 16)
+        if block is not None:
+            mp.setattr(fblab.spaces, "_SIGNED_SUM_BLOCK", block)
         _signed_sum_plan.cache_clear()  # the plan holds the rows per block
         try:
             with _Errstate(special):
                 top, z = _max_signed_sum(M, space)
                 alone = [_max_signed_sum(M[k], space) for k in range(K)]
+                ref = [_one_family_max_signed_sum(M[k], space) for k in range(K)]
         finally:
             _signed_sum_plan.cache_clear()
     assert top.shape == (K,) and z.shape == (K, dim)
-    for k, (t, y) in enumerate(alone):
-        assert _bits(top[k]) == _bits(t) and z[k].tobytes() == y.tobytes()
+    for k, ((t, y), (u, x)) in enumerate(zip(alone, ref)):
+        assert _bits(top[k]) == _bits(t) == _bits(u)
+        assert z[k].tobytes() == y.tobytes() == x.tobytes()
+
+
+@given(
+    r=st.sampled_from(EXPONENTS),
+    K=st.sampled_from([1, 2, 7]),
+    n=st.integers(13, 16),
+    dim=st.integers(1, 4),
+    special=st.sampled_from(SPECIALS),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_max_signed_sum_of_a_stack_of_many_rows(r, K, n, dim, special, weighted, seed):
+    """13 to 16 rows: up to 2^15 patterns a matrix, in several blocks of
+    rows of L at the default block size."""
+    rng = np.random.default_rng(seed)
+    _check_max_signed_sum(_stack(K, n, dim, special, rng), _space(r, dim, weighted, rng), special, None)
 
 
 def _plan_cases(E, N, rng):
@@ -125,8 +228,9 @@ def test_exact_plan_values_of_a_stack(r, family_size, K, N, dim, special, weight
         with _Errstate(special):
             values = plan[0](Y)
             alone = [plan[0](Y[k]) for k in range(K)]
+            ref = [_one_family_plan_value(E, C, plan[1], Y[k]) for k in range(K)]
         assert values.shape == (K,)
-        assert [_bits(v) for v in values] == [_bits(v) for v in alone], plan[1]
+        assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref], plan[1]
 
 
 def test_exact_plan_draws_reach_every_path():
@@ -180,9 +284,12 @@ def test_expression_objective_of_a_stack(r, p, expression, K, N, dim, special, w
     with _Errstate(special):
         values, objectives = eval_rows(e, b, Y), objective(Y)
         alone = [(eval_rows(e, b, Y[k]), objective(Y[k])) for k in range(K)]
+        folded = [_fold(e, _VALUES, Y[k] @ b._weighted_t) for k in range(K)]
+        ref = [(v, _one_family_lp_combine(v, p)) for v in folded]
     assert values.shape == (K, N) and objectives.shape == (K,)
-    for k, (v, o) in enumerate(alone):
-        assert values[k].tobytes() == v.tobytes() and _bits(objectives[k]) == _bits(o)
+    for k, ((v, o), (u, q)) in enumerate(zip(alone, ref)):
+        assert values[k].tobytes() == v.tobytes() == u.tobytes()
+        assert _bits(objectives[k]) == _bits(o) == _bits(q)
 
 
 @given(r=st.sampled_from(EXPONENTS), q=st.sampled_from(EXPONENTS), rows=st.integers(1, 6), **_DRAW)
@@ -197,7 +304,8 @@ def test_summing_norm_objective_of_a_stack(r, q, rows, K, N, dim, special, weigh
     with _Errstate(special):
         values = objective(Y)
         alone = [objective(Y[k]) for k in range(K)]
-    assert [_bits(v) for v in values] == [_bits(v) for v in alone]
+        ref = [_one_family_lp_combine(norms_rows(T.codomain, Y[k] @ T.matrix.T), q) for k in range(K)]
+    assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
 
 
 @given(
@@ -214,3 +322,4 @@ def test_lp_combine_of_a_stack(p, K, N, seed):
     combined = lp_combine(V, p)
     assert combined.shape == (K,)
     assert [_bits(v) for v in combined] == [_bits(lp_combine(V[k], p)) for k in range(K)]
+    assert [_bits(v) for v in combined] == [_bits(_one_family_lp_combine(V[k], p)) for k in range(K)]

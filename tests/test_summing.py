@@ -286,7 +286,7 @@ def test_witness_search_reports_true_lower_bound():
     E = SpaceSpec(math.inf, 3)
 
     def obj(Y):
-        return float(np.sum(np.abs(Y)))
+        return np.abs(Y).sum(axis=(-2, -1))
 
     cfg = OptimizerConfig(restarts=8)
     val, witness, tight = witness_search(E, 1.0, obj, [np.eye(3)], cfg)
