@@ -15,12 +15,14 @@ domains and a certified upper bound otherwise.  Over a polytopal B_E
 (ambient r in {1, inf}, at most 2^12 vertices x_v) at finite p > 1 that
 norm is max_v ||T~ x_v||_p, convex in W, and W comes from one epigraph
 program (SLSQP, no random starts); at p = 1 and over other balls from a
-seeded multistart of ``optimize.powell`` (scipy's unbounded Powell method
-bit for bit, without bounds, callback, ``direc`` or ``maxiter``), the one
-search in the package that draws random numbers.  Two cases are exact: p = infinity (each row
-functional of T extends from F to E preserving its norm, and the
-sup-norm of an operator into ell_inf^n is the largest row norm) and
-F = E (T is its own and only extension).
+seeded multistart whose polishes run in lockstep by
+``optimize.powell_starts`` (scipy's unbounded Powell method bit for bit
+from each start, without bounds, callback, ``direc`` or ``maxiter``), one
+call of a row-stacked objective per step for all of them; it is the one
+search in the package that draws random numbers.  Two cases are exact:
+p = infinity (each row functional of T extends from F to E preserving
+its norm, and the sup-norm of an operator into ell_inf^n is the largest
+row norm) and F = E (T is its own and only extension).
 
 The embedding gap compares the free-lattice norm of an expression over
 F (functionals on F are restrictions of E* functionals; the weak-p
@@ -58,12 +60,13 @@ from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
 from .operators import (
     LinearMap,
     _exact_norm,
+    _exact_plan,
     _norm_gradient,
     _norm_upper,
     _structured_ascent,
     _unit_space,
 )
-from .optimize import OptimizerConfig, powell
+from .optimize import OptimizerConfig, powell_starts
 from .spaces import (
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
@@ -513,34 +516,65 @@ def _epigraph_complement(Z: np.ndarray, M: np.ndarray, C: SpaceSpec) -> np.ndarr
     return (scale * res.x[:nW].reshape(m, -1) / col).ravel()
 
 
+def _complement_objective(M: np.ndarray, St_inv: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int):
+    """The extension and the outer search's objective as functions of the
+    complement values W (flat; ``C.dim`` rows, one column per complement
+    vector): ``assembled(W)`` is the extension [M W] St_inv on the
+    coordinates of the ambient space E, and ``objective`` takes a stack of
+    W (rows) to the certified norm upper bound ``operators._norm_upper`` of
+    each one's extension, with the bits of its own call.  On an exact-norm
+    path that is one call of the path's value function
+    (``operators._exact_plan``) on the stack of extensions, whose products
+    ``np.matmul`` takes one by one as for a single extension; otherwise
+    ``_norm_upper`` extension by extension."""
+    plan = _exact_plan(E, C, family_size)
+    k = M.shape[1]
+
+    def assembled(W: np.ndarray) -> np.ndarray:
+        return np.concatenate((M, W.reshape(C.dim, -1)), axis=1) @ St_inv
+
+    def objective(X: np.ndarray) -> np.ndarray:
+        if plan is None:
+            return np.array([_norm_upper(assembled(W), E, C, family_size)[0] for W in X])
+        A = np.empty((len(X), C.dim, E.dim))
+        A[:, :, :k] = M
+        A[:, :, k:] = X.reshape(len(X), C.dim, -1)
+        A = A @ St_inv
+        return plan[0](A if E.unweighted else A / E.weight_array)
+
+    return assembled, objective
+
+
 def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
     """Complement values (flat) of the best extension found by the
     multistart outer search, and their objective value: W = 0 and
     ``cfg.restarts`` (at most 31) random starts 0.5 ||T||_F N(0, 1), the
     first 8 polished by Powell when ``cfg.polish`` is on; start t draws
     from the generator of (seed, 89, t).  The one reader of ``cfg.seed``
-    and ``cfg.restarts``.  ``objective`` is the norm upper bound of the
-    extension with the given complement values; a polished point's value
-    is the one Powell returns, which it computed at that point."""
-    best_upper = math.inf
-    best_W = np.zeros(nvars)
-
-    inits = [np.zeros(nvars)]
-    for t in range(min(cfg.restarts, 31)):
+    and ``cfg.restarts``.  ``objective`` takes a stack of complement
+    values (rows) to the norm upper bounds of their extensions.  One call
+    evaluates every start, and the polishes run in lockstep by
+    ``optimize.powell_starts``, one call per step for all of them, each
+    taking its start's value; a polished point's value is the one Powell
+    computed there.  The best is taken over the starts in order, each
+    start's polished point right after it."""
+    inits = np.zeros((1 + min(cfg.restarts, 31), nvars))
+    for t in range(len(inits) - 1):
         rng = np.random.default_rng((int(cfg.seed), 89, t))
-        inits.append(0.5 * denom * rng.standard_normal(nvars))
+        inits[t + 1] = 0.5 * denom * rng.standard_normal(nvars)
+    values = objective(inits).tolist()
+    polished = powell_starts(objective, inits[:8], 40 * nvars, 1e-8, 1e-10, values[:8]) if cfg.polish else []
 
-    polish_budget = 8
-    for i, W0 in enumerate(inits):
-        v0 = objective(W0)
+    best_upper, best_W = math.inf, inits[0]
+    for i, v0 in enumerate(values):
         if v0 < best_upper:
-            best_upper, best_W = v0, W0
-        if i < polish_budget and cfg.polish:
-            W, v, _ = powell(objective, W0, 40 * nvars, 1e-8, 1e-10)
+            best_upper, best_W = v0, inits[i]
+        if i < len(polished):
+            W, v, _ = polished[i]
             if np.all(np.isfinite(W)) and v < best_upper:
                 best_upper, best_W = v, W
     if best_upper == math.inf:  # no value below inf: W = 0 reports its own
-        best_upper = objective(best_W)
+        best_upper = values[0]
     return best_W, best_upper
 
 
@@ -594,13 +628,7 @@ def extension_constant(
         return NormEstimate(1.0, 1.0, True, True, method=("trivial subspace",))
     S = np.vstack([sub.basis_matrix, sub.complement_matrix])  # x = kappa @ S
     St_inv = np.linalg.inv(S.T)
-
-    def assembled(W: np.ndarray) -> np.ndarray:
-        return np.concatenate((M, W.reshape(cod.dim, n - k)), axis=1) @ St_inv
-
-    def objective(flat: np.ndarray) -> float:
-        return _norm_upper(assembled(flat), E, cod, cfg.family_size)[0]
-
+    assembled, objective = _complement_objective(M, St_inv, E, cod, cfg.family_size)
     nvars = cod.dim * (n - k)
     V = _half_vertices(E) if p > 1.0 else None
     if V is None:
@@ -608,10 +636,10 @@ def extension_constant(
         how = "outer minimization over complement values"
     else:
         best_W = np.zeros(nvars)
-        best_upper = objective(best_W)
+        best_upper = objective(best_W[None]).item()
         W = _epigraph_complement(V @ St_inv.T, M, cod)
         if np.all(np.isfinite(W)):
-            v = objective(W)
+            v = objective(W[None]).item()
             if v < best_upper:
                 best_upper, best_W = v, W
         how = "epigraph program over ambient vertices"

@@ -18,16 +18,25 @@ fails, and the maxfev count, which can stop it inside a line search.  The
 step arithmetic is in Python floats, and the bracket's first point, the line
 search's start, is not evaluated again when its value is known (it still
 counts against maxfev, as in scipy).  It has no bounds, callback, initial
-directions (``direc``) or ``maxiter``.  The line search is written once, as
-a generator that yields each step and is sent the value there, so
-``powell`` runs it point by point and ``powell_rows`` runs many at once.
+directions (``direc``) or ``maxiter``.
 
-``powell_rows`` is ``powell`` for a row-stacked objective, with the same
-point, value and count.  It runs the line searches of a sweep a window at
-a time in lockstep from one point, with one call of the objective per step
-for all of them.  Most line searches of a sweep end where they started, so
-each is the line search that would run one at a time; at the first that
-moves, the later ones are dropped and the next window starts from there.
+Powell's run is written once, as a generator (``_Powell.run``) that yields
+the stacks of points it needs and is sent their values, and so is its line
+search (``_line_search``), which yields each step.  ``_drive`` runs any
+number of such runs in lockstep, with one call of a row-stacked objective
+per step for the points all of them ask for; the three entry points differ
+only in what they hand it:
+
+- ``powell``: one run, a one-point objective;
+- ``powell_rows``: one run whose sweeps step a window of line searches in
+  lockstep from one point (``_Lockstep``).  Most line searches of a sweep
+  end where they started, so each is the line search that would run one at
+  a time; at the first that moves, the later ones are dropped and the next
+  window starts from there;
+- ``powell_starts``: one run per start, each as ``powell`` would run it
+  alone, with the start's known value taken for its first point.
+
+Each returns ``powell``'s point, value and count, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from itertools import compress
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell", "powell_rows"]
+__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell", "powell_rows", "powell_starts"]
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,8 @@ def powell(fun, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, 
     ``nfev``.  fun takes a flat float array, which it must not write into,
     and returns a number.  A budget spent inside a line search returns that
     line search's start."""
-    return _Powell(lambda y: float(fun(y)), maxfev, xtol).run(x0, ftol)
+    # a run of _Powell asks for one point at a time
+    return _drive(lambda Y: [float(fun(Y[0]))], [_Powell(maxfev, xtol).run(x0, ftol)])[0]
 
 
 def powell_rows(F, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, float, int]:
@@ -202,7 +212,47 @@ def powell_rows(F, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarra
     at the first line that moves, the later ones are dropped and the next
     window starts from the moved point.  Windows follow ``_WINDOW``, and a
     run evaluates at most 2 nfev rows plus its spare rows."""
-    return _Lockstep(F, maxfev, xtol).run(x0, ftol)
+    return _drive(lambda Y: F(Y).tolist(), [_Lockstep(maxfev, xtol).run(x0, ftol)])[0]
+
+
+def powell_starts(F, X0, maxfev: int, xtol: float, ftol: float, f0) -> list[tuple[np.ndarray, float, int]]:
+    """``powell`` from each row of X0, whose values as F gives them are
+    f0, in lockstep: one call of the row-stacked objective F (as for
+    ``powell_rows``) per step, on the next point of every run still going.
+    Each run takes its start's value from f0, which still counts against
+    maxfev.  Returns, per start, ``powell``'s ``x``, ``fun`` and ``nfev``
+    from that start alone, bit for bit."""
+    return _drive(lambda Y: F(Y).tolist(), [_Powell(maxfev, xtol).run(x, ftol, f) for x, f in zip(X0, f0)])
+
+
+def _drive(F, runs: list) -> list:
+    """Run Powell generators (``_Powell.run``) to their ends in lockstep:
+    each yields a stack of points and is sent the list of their values; one
+    call of F, which maps a stack to that list, per step evaluates the
+    stacks of all runs still going.  Returns the runs' results in order."""
+    if len(runs) == 1:  # no stacks to join or split: about 1.5 us a step less
+        run, vals = runs[0], None
+        try:
+            while True:
+                vals = F(run.send(vals))
+        except StopIteration as stop:
+            return [stop.value]
+    out, sends = [None] * len(runs), [(i, None) for i in range(len(runs))]
+    while sends:
+        asks = []
+        for i, v in sends:
+            try:
+                asks.append((i, runs[i].send(v)))
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not asks:
+            break
+        vals = F(np.concatenate([Y for _, Y in asks]))
+        sends, j = [], 0
+        for i, Y in asks:
+            sends.append((i, vals[j : j + len(Y)]))
+            j += len(Y)
+    return out
 
 
 def _line_search(xtol: float):
@@ -323,54 +373,63 @@ def _brent(xa: float, xb: float, xc: float, fb: float, tol: float):
 
 
 class _Powell:
-    """Powell's direction set over a one-point evaluator, with scipy's
-    maxfev count; ``sweep`` runs the line searches one at a time."""
+    """Powell's direction set with scipy's maxfev count, written once as a
+    generator (``run``) that yields the stacks of points it needs and is
+    sent their values; ``sweep`` runs the line searches one at a time."""
 
-    def __init__(self, evaluate, maxfev: int, xtol: float) -> None:
-        self.evaluate, self.maxfev, self.xtol, self.nfev = evaluate, maxfev, xtol, 0
+    def __init__(self, maxfev: int, xtol: float) -> None:
+        self.maxfev, self.xtol, self.nfev = maxfev, xtol, 0
 
-    def point(self, y: np.ndarray, known: float | None = None) -> float:
-        """The value at y, counted against maxfev; ``known`` answers it."""
+    def count(self) -> None:
+        """Count one evaluation against maxfev."""
         if self.nfev >= self.maxfev:
             raise _Spent
         self.nfev += 1
-        return self.evaluate(y) if known is None else known
 
-    def line(self, p: np.ndarray, fp: float, xi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """The line search from p, whose value is fp, along xi: the value,
-        the point and the step taken.  Its start p + 0 xi is answered from
-        fp unless that changes p's bytes (a -0.0 entry, an infinite step)
-        or fp is a nan, which the recovery reports for a point it did not
-        evaluate; it still counts against maxfev."""
+    def line(self, p: np.ndarray, fp: float, xi: np.ndarray):
+        """The line search from p, whose value is fp, along xi, a generator
+        as ``run``: returns the value, the point and the step taken.  Its
+        start p + 0 xi is answered from fp unless that changes p's bytes (a
+        -0.0 entry, an infinite step) or fp is a nan, which the recovery
+        reports for a point it did not evaluate; it still counts against
+        maxfev."""
         if not xi.any():
             return fp, p, xi
         search = _line_search(self.xtol)
         q = p + next(search) * xi
-        v = self.point(q, fp if fp == fp and q.tobytes() == p.tobytes() else None)
+        self.count()
+        v = fp if fp == fp and q.tobytes() == p.tobytes() else (yield q[None])[0]
         try:
             while True:
-                v = self.point(p + search.send(v) * xi)
+                q = p + search.send(v) * xi
+                self.count()
+                v = (yield q[None])[0]
         except StopIteration as stop:
             a, fx = stop.value
         xi = a * xi
         return fx, p + xi, xi
 
-    def sweep(self, x: np.ndarray, fval: float, direc: list, i: int) -> list[tuple[float, np.ndarray]]:
+    def sweep(self, x: np.ndarray, fval: float, direc: list, i: int):
         """The results (value, point) of the line searches along direc[i],
         direc[i + 1], ... as they run one after the other from x: here the
         first only."""
-        return [self.line(x, fval, direc[i])[:2]]
+        fx, p, _ = yield from self.line(x, fval, direc[i])
+        return [(fx, p)]
 
-    def run(self, x0, ftol: float) -> tuple[np.ndarray, float, int]:
+    def run(self, x0, ftol: float, f0: float | None = None):
+        """The run from x0, a generator: it yields (m, N) stacks of points,
+        is sent the list of their m values, and returns ``powell``'s x, fun
+        and nfev.  f0, if given, is x0's value."""
         x = np.asarray(x0, dtype=float).flatten()
-        fval = self.point(x)
+        self.count()
+        fval = (yield x[None])[0] if f0 is None else f0
         x1, direc = x, list(np.eye(len(x)))
         try:
             while True:
                 fx, bigind, delta = fval, 0, 0.0
                 i = 0
                 while i < len(direc):
-                    for fval_i, x_i in self.sweep(x, fval, direc, i):
+                    for fval_i, x_i in (yield from self.sweep(x, fval, direc, i)):
                         fx2, fval, x = fval, fval_i, x_i
                         if fx2 - fval > delta:
                             delta, bigind = fx2 - fval, i
@@ -381,7 +440,8 @@ class _Powell:
                     break
                 # the extrapolated point; no array is written in place, so x1 may alias x
                 direc1, x1 = x - x1, x
-                fx2 = self.point(x + direc1)
+                self.count()
+                fx2 = (yield (x + direc1)[None])[0]
                 if fx > fx2:
                     t = 2.0 * (fx + fx2 - 2.0 * fval)
                     temp = fx - fval - delta
@@ -389,7 +449,7 @@ class _Powell:
                     temp = fx - fx2
                     t -= delta * temp * temp
                     if t < 0.0:
-                        fval, x, direc1 = self.line(x, fval, direc1)
+                        fval, x, direc1 = yield from self.line(x, fval, direc1)
                         if direc1.any():
                             direc[bigind] = direc[-1]
                             direc[-1] = direc1
@@ -399,12 +459,12 @@ class _Powell:
 
 
 class _Lockstep(_Powell):
-    """``_Powell`` over a row-stacked objective F, its sweeps a window of
-    line searches at a time with one call of F per step."""
+    """``_Powell`` whose sweeps run a window of line searches at a time,
+    one stack of points per step for all of them."""
 
-    def __init__(self, F, maxfev: int, xtol: float) -> None:
-        super().__init__(lambda y: float(F(y[None, :])[0]), maxfev, xtol)
-        self.F, self.window, self.ahead = F, _WINDOW[0], 0
+    def __init__(self, maxfev: int, xtol: float) -> None:
+        super().__init__(maxfev, xtol)
+        self.window, self.ahead = _WINDOW[0], 0
 
     def sweep(self, x, fval, direc, i):
         """The line searches along the window direc[i : i + window] in
@@ -454,14 +514,15 @@ class _Lockstep(_Powell):
                 known[first:] = (Y[first:].view(np.int64) == x.view(np.int64)).all(axis=1)
                 vals = np.full(len(run), fval)
                 if not known.all():
-                    vals[~known] = self.F(Y[~known])
+                    vals[~known] = yield Y[~known]
+                vals = vals.tolist()
                 self.ahead += len(run) - 1 - int(known[1:].sum())
             else:
-                vals = self.F(Y)
+                vals = yield Y
                 self.ahead += len(run) - 1
             begun = max(begun, run[-1] + 1)
             ended = False
-            for k, v in zip(run, vals.tolist()):
+            for k, v in zip(run, vals):
                 counts[k] += 1
                 try:
                     steps[k] = searches[k].send(v)

@@ -179,8 +179,8 @@ def test_polished_witness_search_keeps_its_bytes(r, monkeypatch):
 
 def test_polish_and_extension_multistart_run_without_scipy_minimize(monkeypatch):
     """The witness polish (``optimize.powell_rows``) and the extension
-    constant's Powell multistart (``optimize.powell``) run without scipy's
-    minimize."""
+    constant's Powell multistart, whose polishes run in lockstep
+    (``optimize.powell_starts``), run without scipy's minimize."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.optimize.minimize was called")

@@ -604,27 +604,83 @@ def test_epigraph_program_reads_no_seed():
 
 
 def test_extension_multistart_takes_powell_values(monkeypatch):
-    """The Powell multistart of a p = 1 extension constant takes each
-    polished point's value from ``optimize.powell``, which computed it at
-    that point, and evaluates neither that point nor the best one again:
-    one objective call fewer per polish and one fewer at the end, and the
+    """The Powell multistart of a p = 1 extension constant evaluates every
+    start in one call of its row-stacked objective, hands each polish its
+    start's value, and takes each polished point's value from Powell, which
+    computed it at that point: no point is evaluated twice, and the
     estimate keeps its bytes."""
     rng = np.random.default_rng(2)
     E = SpaceSpec(math.inf, 4)
     sub = SubspaceSpec.from_arrays(E, rng.standard_normal((2, 4)), rng.standard_normal((2, 4)))
     T = LinearMap.from_array(rng.standard_normal((2, 2)), SpaceSpec(math.inf, 2), SpaceSpec(1.0, 2))
-    calls = []
-    norm_upper = extension._norm_upper
+    rows = []
+    powell_complement = extension._powell_complement
 
-    def counted(*args):
-        calls.append(args)
-        return norm_upper(*args)
+    def counted(objective, *args):
+        def recorded(X):
+            rows.extend(x.tobytes() for x in X)
+            return objective(X)
 
-    monkeypatch.setattr(extension, "_norm_upper", counted)
+        return powell_complement(recorded, *args)
+
+    monkeypatch.setattr(extension, "_powell_complement", counted)
     est = extension_constant(sub, T, 1.0, OptimizerConfig(restarts=4))
     assert est.method[0] == "outer minimization over complement values"
-    # recorded when every polished point and the best one were evaluated
-    # again: 787 calls for 5 starts, each polished
-    assert len(calls) == 787 - 5 - 1
+    # recorded as one-point calls when every start was evaluated again as
+    # its polish's first point: 781 calls for 5 starts, each polished
+    assert len(rows) == len(set(rows)) == 781 - 5
     assert est.upper.hex() == "0x1.33fefb9bbd88ap+0"
     assert hashlib.sha256(est.witness.matrix.tobytes()).hexdigest()[:16] == "2979ba2bfeafabe8"
+
+
+@pytest.mark.parametrize("r", [math.inf, 1.0, 2.0])
+def test_stacked_extension_objective_keeps_each_rows_bits(r):
+    """Row k of the multistart's row-stacked objective is the one-point
+    objective, ``operators._norm_upper`` of the assembled extension, on
+    the k-th complement values, bit for bit: ``np.matmul`` over the stack
+    takes each product as the single product does, and the exact path's
+    value function keeps each map's bits.  Random stacks over weighted
+    ambients and ell_1, ell_2 and ell_inf codomains; the ell_2 codomain
+    over a Euclidean ambient has no exact path and goes map by map."""
+    from fblab.operators import _exact_plan, _norm_upper
+
+    rng = np.random.default_rng(7)
+    stacked = 0
+    for n, k, m, q in itertools.product((3, 5), (1, 2), (1, 3), (1.0, 2.0, math.inf)):
+        E = SpaceSpec(r, n, tuple(rng.uniform(0.5, 2.0, n)))
+        St_inv = np.linalg.inv(rng.standard_normal((n, n)).T)
+        C = SpaceSpec(q, m, tuple(rng.uniform(0.5, 2.0, m)))
+        M = rng.standard_normal((m, k))
+        assembled, objective = extension._complement_objective(M, St_inv, E, C, 20)
+        stacked += _exact_plan(E, C, 20) is not None
+        for K in (1, 4, 9):
+            X = rng.standard_normal((K, m * (n - k))) * 10.0 ** rng.integers(-3, 4, (K, 1))
+            values = objective(X)
+            assert values.shape == (K,)
+            for W, v in zip(X, values.tolist()):
+                A = np.concatenate((M, W.reshape(m, n - k)), axis=1) @ St_inv
+                assert assembled(W).tobytes() == A.tobytes()
+                assert np.float64(v).tobytes() == np.float64(_norm_upper(A, E, C, 20)[0]).tobytes()
+    assert stacked == (16 if r == 2.0 else 24)  # all but ell_2 into ell_2 take the stacked path
+
+
+# the report digests of a multistart over weighted ell_3 at p = 2, where no
+# exact path applies and the stacked objective goes map by map; recorded
+# when each start was polished by its own call of optimize.powell
+ELL3_MULTISTART = {
+    0: ("d27774c5dbe0c452", "0x1.224b07a352bfep+0"),
+    404: ("2aae89c245c01353", "0x1.1bc7a93e93aabp+0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ELL3_MULTISTART))
+def test_ell3_multistart_keeps_its_bytes(seed):
+    rng = np.random.default_rng(31)
+    E = SpaceSpec(3.0, 4, (0.8, 1.25, 1.5, 0.6))
+    full = rng.standard_normal((4, 4))
+    sub = SubspaceSpec.from_arrays(E, full[:2], full[2:])
+    T = LinearMap.from_array(rng.standard_normal((2, 2)), SpaceSpec(2.0, 2), SpaceSpec(2.0, 2))
+    est = extension_constant(sub, T, 2.0, OptimizerConfig(seed=seed, restarts=12))
+    assert est.method[0] == "outer minimization over complement values"
+    digest = hashlib.sha256(json.dumps(est.to_json()).encode()).hexdigest()[:16]
+    assert (digest, est.upper.hex()) == ELL3_MULTISTART[seed]

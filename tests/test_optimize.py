@@ -5,7 +5,8 @@ On objectives whose rows do not depend on each other, ``nelder_mead_rows``
 must return scipy's points, values and evaluation counts bit for bit.
 Half the budgets are small, so some starts stop on their budget, one in
 the middle of a shrink, while others converge first.  ``powell`` and
-``powell_rows`` must return scipy's Powell point, value and count.
+``powell_rows`` must return scipy's Powell point, value and count, and
+``powell_starts`` from each start what ``powell`` returns from it alone.
 """
 
 import functools
@@ -20,7 +21,7 @@ from scipy.optimize import minimize
 import fblab.optimize
 from fblab import Abs, Gen, GeneratorBinding, Join, OptimizerConfig, PosPart, SpaceSpec
 from fblab.fbl import _dual_multistart
-from fblab.optimize import nelder_mead_rows, powell, powell_rows
+from fblab.optimize import nelder_mead_rows, powell, powell_rows, powell_starts
 
 DIMS = (1, 2, 3, 6, 20)
 STARTS = 6
@@ -355,3 +356,73 @@ LOCKSTEP_COUNT_CASES = {
 @pytest.mark.parametrize("key", list(LOCKSTEP_COUNT_CASES))
 def test_lockstep_calls_and_rows_are_pinned(key):
     assert _lockstep_counts(*key) == LOCKSTEP_COUNT_CASES[key]
+
+
+# --------------------------------------------------------------------------
+# Powell from many starts in lockstep against powell from each alone
+# --------------------------------------------------------------------------
+
+
+def _many_starts(N):
+    """``_starts`` with the origin and a start in the nan region of
+    ``_holes`` (x_0 > 1) added."""
+    nan_start = np.full(N, 0.5)
+    nan_start[0] = 2.0
+    return np.vstack([_starts(N), np.zeros(N), nan_start])
+
+
+def _assert_starts_match_powell(F, fun, X0, maxfev, xtol=1e-10, ftol=1e-12):
+    """powell_starts returns what powell returns from each start alone, in
+    at most max nfev calls of F, and evaluates no start again: at most
+    sum nfev - len(X0) rows.  Returns the counts."""
+    alone = [powell(fun, x0, maxfev, xtol, ftol) for x0 in X0]
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return F(X)
+
+    runs = powell_starts(counted, X0, maxfev, xtol, ftol, F(X0).tolist())
+    assert len(runs) == len(X0)
+    for (x, value, nfev), (x1, value1, nfev1) in zip(runs, alone):
+        assert (x.tobytes(), np.float64(value).tobytes(), nfev) == (x1.tobytes(), np.float64(value1).tobytes(), nfev1)
+    counts = [n for _, _, n in alone]
+    assert len(rows) <= max(counts) and sum(rows) <= sum(counts) - len(X0)
+    return counts
+
+
+@pytest.mark.parametrize("N,name", [(1, "kinked"), (3, "ratio"), (2, "holes"), (6, "holes"), (3, "steps"), (2, "first")])
+def test_powell_starts_match_powell_alone(N, name):
+    """Each start of the lockstep run returns its own run's point, value and
+    count, at full budget and at budgets that stop some runs inside a line
+    search or at an extrapolated point while others have converged; the
+    starts take different numbers of rounds, one is the origin and one is in
+    a nan region."""
+    F = _powell_rows_objectives(N)[name]
+    fun = _powell_objectives(N)[name]
+    X0 = 1.5 * _many_starts(N)
+    full = _assert_starts_match_powell(F, fun, X0, 10**6)
+    assert len(set(full)) > 2  # the runs end on different steps
+    for maxfev in sorted({1, 2, min(full), *np.quantile(full, [0.25, 0.5, 0.75]).astype(int).tolist(), max(full)}):
+        counts = _assert_starts_match_powell(F, fun, X0, maxfev)
+        if min(full) < maxfev < max(full):
+            assert maxfev in counts and min(counts) < maxfev  # some stopped, some converged
+
+
+@given(
+    N=st.integers(1, 4),
+    name=st.sampled_from(["quadratic", "kinked", "ratio", "holes", "flat", "first", "steps"]),
+    data=st.data(),
+    maxfev=st.integers(1, 300),
+    xtol=st.sampled_from([1e-4, 1e-8, 1e-10]),
+    ftol=st.sampled_from([1e-4, 1e-10, 1e-12]),
+)
+@settings(max_examples=150, deadline=None)
+def test_powell_starts_match_powell_on_drawn_starts(N, name, data, maxfev, xtol, ftol):
+    """Drawn starts, budgets and tolerances: each start returns what powell
+    returns from it alone."""
+    K = data.draw(st.integers(1, 5))
+    X0 = np.array(data.draw(st.lists(st.lists(_COORDS, min_size=N, max_size=N), min_size=K, max_size=K)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_starts_match_powell(_powell_rows_objectives(N)[name], _powell_objectives(N)[name], X0, maxfev, xtol, ftol)
