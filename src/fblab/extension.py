@@ -60,9 +60,8 @@ from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
 from .operators import (
     LinearMap,
     _exact_norm,
-    _exact_plan,
     _norm_gradient,
-    _norm_upper,
+    _norm_upper_stack,
     _structured_ascent,
     _unit_space,
 )
@@ -516,33 +515,12 @@ def _epigraph_complement(Z: np.ndarray, M: np.ndarray, C: SpaceSpec) -> np.ndarr
     return (scale * res.x[:nW].reshape(m, -1) / col).ravel()
 
 
-def _complement_objective(M: np.ndarray, St_inv: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int):
-    """The extension and the outer search's objective as functions of the
-    complement values W (flat; ``C.dim`` rows, one column per complement
-    vector): ``assembled(W)`` is the extension [M W] St_inv on the
-    coordinates of the ambient space E, and ``objective`` takes a stack of
-    W (rows) to the certified norm upper bound ``operators._norm_upper`` of
-    each one's extension, with the bits of its own call.  On an exact-norm
-    path that is one call of the path's value function
-    (``operators._exact_plan``) on the stack of extensions, whose products
-    ``np.matmul`` takes one by one as for a single extension; otherwise
-    ``_norm_upper`` extension by extension."""
-    plan = _exact_plan(E, C, family_size)
-    k = M.shape[1]
-
-    def assembled(W: np.ndarray) -> np.ndarray:
-        return np.concatenate((M, W.reshape(C.dim, -1)), axis=1) @ St_inv
-
-    def objective(X: np.ndarray) -> np.ndarray:
-        if plan is None:
-            return np.array([_norm_upper(assembled(W), E, C, family_size)[0] for W in X])
-        A = np.empty((len(X), C.dim, E.dim))
-        A[:, :, :k] = M
-        A[:, :, k:] = X.reshape(len(X), C.dim, -1)
-        A = A @ St_inv
-        return plan[0](A if E.unweighted else A / E.weight_array)
-
-    return assembled, objective
+def _extensions(M: np.ndarray, X: np.ndarray, St_inv: np.ndarray) -> np.ndarray:
+    """The extensions [M W] St_inv, on the ambient coordinates, of a stack
+    of complement values W (rows X; each is ``len(M)`` rows of values, one
+    per complement vector, flattened)."""
+    K = len(X)
+    return np.concatenate((np.broadcast_to(M, (K, *M.shape)), X.reshape(K, len(M), -1)), axis=2) @ St_inv
 
 
 def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
@@ -628,7 +606,10 @@ def extension_constant(
         return NormEstimate(1.0, 1.0, True, True, method=("trivial subspace",))
     S = np.vstack([sub.basis_matrix, sub.complement_matrix])  # x = kappa @ S
     St_inv = np.linalg.inv(S.T)
-    assembled, objective = _complement_objective(M, St_inv, E, cod, cfg.family_size)
+
+    def objective(X: np.ndarray) -> np.ndarray:
+        return _norm_upper_stack(_extensions(M, X, St_inv), E, cod, cfg.family_size)
+
     nvars = cod.dim * (n - k)
     V = _half_vertices(E) if p > 1.0 else None
     if V is None:
@@ -651,7 +632,7 @@ def extension_constant(
         True,
         True,
         method=(how, "upper bound on the infimum"),
-        witness=WitnessFamily(assembled(best_W), p, denom, ratio_upper),
+        witness=WitnessFamily(_extensions(M, best_W[None], St_inv)[0], p, denom, ratio_upper),
     )
 
 

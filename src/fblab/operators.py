@@ -249,6 +249,16 @@ def _norm_upper(
     return norm(C, norms_rows(E.dual, Y)), False
 
 
+def _norm_upper_stack(A: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int) -> np.ndarray:
+    """``_norm_upper``'s bound for each map of a stack A (K, m, n), each
+    with the bits of its own call: one call of the exact path's value
+    function on the stack, otherwise ``_norm_upper`` map by map."""
+    plan = _exact_plan(E, C, family_size)
+    if plan is None:
+        return np.array([_norm_upper(a, E, C, family_size)[0] for a in A])
+    return plan[0](A if E.unweighted else A / E.weight_array)
+
+
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 

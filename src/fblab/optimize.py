@@ -230,13 +230,6 @@ def _drive(F, runs: list) -> list:
     each yields a stack of points and is sent the list of their values; one
     call of F, which maps a stack to that list, per step evaluates the
     stacks of all runs still going.  Returns the runs' results in order."""
-    if len(runs) == 1:  # no stacks to join or split: about 1.5 us a step less
-        run, vals = runs[0], None
-        try:
-            while True:
-                vals = F(run.send(vals))
-        except StopIteration as stop:
-            return [stop.value]
     out, sends = [None] * len(runs), [(i, None) for i in range(len(runs))]
     while sends:
         asks = []

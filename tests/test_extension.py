@@ -636,13 +636,14 @@ def test_extension_multistart_takes_powell_values(monkeypatch):
 @pytest.mark.parametrize("r", [math.inf, 1.0, 2.0])
 def test_stacked_extension_objective_keeps_each_rows_bits(r):
     """Row k of the multistart's row-stacked objective is the one-point
-    objective, ``operators._norm_upper`` of the assembled extension, on
-    the k-th complement values, bit for bit: ``np.matmul`` over the stack
-    takes each product as the single product does, and the exact path's
-    value function keeps each map's bits.  Random stacks over weighted
-    ambients and ell_1, ell_2 and ell_inf codomains; the ell_2 codomain
-    over a Euclidean ambient has no exact path and goes map by map."""
-    from fblab.operators import _exact_plan, _norm_upper
+    objective on the k-th complement values, bit for bit: the extension
+    [M W] St_inv built alone, and ``operators._norm_upper`` of it.
+    ``np.matmul`` over the stack takes each product as the single product
+    does, and ``operators._norm_upper_stack`` keeps each map's bits.
+    Random stacks over weighted ambients and ell_1, ell_2 and ell_inf
+    codomains; the ell_2 codomain over a Euclidean ambient has no exact
+    path and goes map by map."""
+    from fblab.operators import _exact_plan, _norm_upper, _norm_upper_stack
 
     rng = np.random.default_rng(7)
     stacked = 0
@@ -651,16 +652,16 @@ def test_stacked_extension_objective_keeps_each_rows_bits(r):
         St_inv = np.linalg.inv(rng.standard_normal((n, n)).T)
         C = SpaceSpec(q, m, tuple(rng.uniform(0.5, 2.0, m)))
         M = rng.standard_normal((m, k))
-        assembled, objective = extension._complement_objective(M, St_inv, E, C, 20)
         stacked += _exact_plan(E, C, 20) is not None
         for K in (1, 4, 9):
             X = rng.standard_normal((K, m * (n - k))) * 10.0 ** rng.integers(-3, 4, (K, 1))
-            values = objective(X)
-            assert values.shape == (K,)
-            for W, v in zip(X, values.tolist()):
-                A = np.concatenate((M, W.reshape(m, n - k)), axis=1) @ St_inv
-                assert assembled(W).tobytes() == A.tobytes()
-                assert np.float64(v).tobytes() == np.float64(_norm_upper(A, E, C, 20)[0]).tobytes()
+            A = extension._extensions(M, X, St_inv)
+            values = _norm_upper_stack(A, E, C, 20)
+            assert A.shape == (K, m, n) and values.shape == (K,)
+            for W, a, v in zip(X, A, values.tolist()):
+                alone = np.concatenate((M, W.reshape(m, n - k)), axis=1) @ St_inv
+                assert a.tobytes() == alone.tobytes()
+                assert np.float64(v).tobytes() == np.float64(_norm_upper(alone, E, C, 20)[0]).tobytes()
     assert stacked == (16 if r == 2.0 else 24)  # all but ell_2 into ell_2 take the stacked path
 
 
