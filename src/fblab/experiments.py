@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -853,7 +853,7 @@ def run_experiment(
     if name not in _CATALOG:
         raise KeyError(f"unknown experiment '{name}'; see experiment_names()")
     params = dict(params or {})
-    cfg = (cfg or OptimizerConfig(restarts=24)).with_seed(seed)
+    cfg = replace(cfg or OptimizerConfig(restarts=24), seed=seed)
     t0 = time.perf_counter()
     records = _CATALOG[name](params, seed, cfg)
     wall = time.perf_counter() - t0

@@ -34,15 +34,18 @@ of the seeds.
 
 Every F-side norm of a map c -> M c on basis coordinates (the weak-p
 norm of a family G is that of c -> G c into ell_p^N; the norm of T is
-that of its matrix) has one exact dispatcher, ``_exact_norm_F``, with
+that of its matrix) has one exact dispatcher, ``_exact_plan_F``, with
 two paths, each built once per subspace: an axis-aligned F is the ball
-of its own weighted ell_r model space, where the shared oracle
-``operators._exact_norm`` applies; for ambient r in {1, inf}, B_F is a
+of its own weighted ell_r model space, where the shared plan
+``operators._exact_plan`` applies; for ambient r in {1, inf}, B_F is a
 polytope whose vertices are enumerated up to a fixed cap, and a convex
-norm peaks at one of them.  Off both paths each caller keeps its own
-fallback: the weak-p norm a triangle-inequality upper bound, the norm
-of T an ascent lower bound from structured starts (one linear program
-per step for ambient r in {1, inf}, one SLSQP program for other r but 2).
+norm peaks at one of them.  Like ``_exact_plan`` it returns the value as
+a function that also takes a stack of maps, so the witness polish over
+B_F evaluates a lockstep step's families in one call.  Off both paths
+each caller keeps its own fallback: the weak-p norm a triangle-inequality
+upper bound, the norm of T an ascent lower bound from structured starts
+(one linear program per step for ambient r in {1, inf}, one SLSQP program
+for other r but 2).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
 from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
 from .operators import (
     LinearMap,
-    _exact_norm,
+    _exact_plan,
     _norm_gradient,
     _norm_upper_stack,
     _structured_ascent,
@@ -72,6 +76,7 @@ from .spaces import (
     _json_fields,
     _readonly,
     _signs,
+    _values,
     _vertex_count,
     dual_space,
     extreme_points_matrix,
@@ -275,7 +280,7 @@ def _axis_aligned_model(E: SpaceSpec, B: np.ndarray) -> tuple[SpaceSpec, np.ndar
 
 def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize the plain form v . c over B_F, with a maximizer of ambient
-    norm 1, where B_F has no vertex set (``_exact_norm_F`` covers the
+    norm 1, where B_F has no vertex set (``_exact_plan_F`` covers the
     others).  Exact by one linear program for ambient r in {1, inf} and
     in closed form for r = 2; otherwise by one SLSQP program (Kraft 1988)
     started from the r = 2 maximizer, kept only where it beats that start
@@ -323,11 +328,16 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
         return float(v @ c), c
 
     # at r = 2 the squared norm of c @ B is c . G c with G = (B * w) @ B.T,
-    # so v . c peaks along G^-1 v
-    sol = np.linalg.solve((B * w) @ B.T, v)
+    # so v . c peaks along G^-1 v; there v is scaled by a power of two
+    # (exact) near 1, so v . G^-1 v stays in range
+    G = (B * w) @ B.T
     if E.r == 2:
-        val = math.sqrt(float(v @ sol))
-        return val, sol / val
+        e = math.frexp(float(np.max(np.abs(v))))[1]
+        u = np.ldexp(v, -e)
+        sol = np.linalg.solve(G, u)
+        val = math.sqrt(float(u @ sol))
+        return math.ldexp(val, e), sol / val
+    sol = np.linalg.solve(G, v)
 
     # generic r: one SLSQP program, max u . c subject to ||c @ B||_E <= 1,
     # from the Euclidean maximizer; the better of its point and the start,
@@ -372,54 +382,61 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     return norm(dual_space(E), phi)
 
 
-def _exact_norm_F(
-    sub: SubspaceSpec, M: np.ndarray, C: SpaceSpec, family_size: int
-) -> tuple[float, str, bool] | None:
-    """The exact norm of c -> M c from B_F into ``C``, for M acting on basis
-    coordinates, with the contract of ``operators._exact_norm``: (value,
-    path tag, cheap enough for a polish loop?), or None off the exact
-    paths.  This is the one place that orders them: first the model space
-    of an axis-aligned F, through ``_exact_norm`` (the rows of M / d are
-    model functionals); then, for ambient r in {1, inf}, the vertices of
-    B_F, where the convex norm peaks.  Where both apply they can differ in
-    the last bit; the model goes first."""
-    model = sub._model
-    if model is not None:
-        space_F, d = model
-        hit = _exact_norm(M / d, space_F, C, family_size)
-        if hit is not None:
-            return hit
+def _exact_plan_F(
+    sub: SubspaceSpec, C: SpaceSpec, family_size: int
+) -> tuple[Callable[[np.ndarray], float | np.ndarray], str, bool] | None:
+    """``operators._exact_plan`` for the norm of c -> M c from B_F into
+    ``C``, M acting on basis coordinates: (the value as a function of M or
+    of a stack (K, N, k) of them, each with the bits it has alone; path
+    tag; cheap enough for a polish loop?), or None off the exact paths.
+    This is the one place that orders them: first the model space of an
+    axis-aligned F (the rows of M / d are model functionals); then, for
+    ambient r in {1, inf}, the vertices of B_F, where the convex norm
+    peaks.  Where both apply they can differ in the last bit; the model
+    goes first."""
+    if sub._model is not None:
+        space_F, d = sub._model
+        plan = _exact_plan(space_F, C, family_size)
+        if plan is not None:
+            value, tag, cheap = plan
+            return (lambda M: value(M / d)), tag, cheap
     V = sub._vertices
     if V is None:
         return None
-    return float(np.max(norms_rows(C, V @ M.T))), "B_F vertex enumeration", True
+    value = lambda M: _values(np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1))
+    return value, "B_F vertex enumeration", True
 
 
 def _weak_F(
     sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig
-) -> tuple[float, bool, bool]:
+) -> tuple[float, bool, Callable[[np.ndarray], np.ndarray] | None]:
     """Weak-p norm of a family of forms on F over B_F = B_E intersect F,
-    for the witness search: (certified upper bound, exact?, cheap enough
-    to polish?).
+    for the witness search: (certified upper bound, exact?, the bound as a
+    function of a stack of families for the polish, or None where it is
+    too dear to polish).
 
     The weak-p norm is the norm of c -> G c from B_F into ell_p^N, exact
-    wherever ``_exact_norm_F`` is.  Off its paths the triangle inequality
+    wherever ``_exact_plan_F`` is.  Off its paths the triangle inequality
     bounds it: over the model space of an axis-aligned F by the members'
-    model dual norms; elsewhere by the lp-combination of upper bounds on
-    the members' norms, exact at p = inf when those are (r in {1, 2,
-    inf}), and not cheap for ambient r in {1, inf}, where each member
-    costs a linear program.
+    model dual norms, not polished; elsewhere by the lp-combination of
+    upper bounds on the members' norms, exact at p = inf when those are (r
+    in {1, 2, inf}), and not polished for ambient r in {1, inf}, where each
+    member costs a linear program.
     """
-    hit = _exact_norm_F(sub, G, _unit_space(p, len(G)), cfg.family_size)
-    if hit is not None:
-        return hit[0], True, hit[2]
+    plan = _exact_plan_F(sub, _unit_space(p, len(G)), cfg.family_size)
+    if plan is not None:
+        value, _, cheap = plan
+        return value(G), True, value if cheap else None
     if sub._model is not None:
         space_F, d = sub._model
-        return _weak_crude_upper(G / d, space_F, p), False, False
+        return _weak_crude_upper(G / d, space_F, p), False, None
     E = sub.ambient
-    upper = lp_combine(np.array([_fstar_norm_upper(sub, g) for g in G]), p)
-    exact_members = E.is_sup or E.r in (1.0, 2.0)
-    return upper, math.isinf(p) and exact_members, not (E.is_sup or E.r == 1)
+
+    def upper(G: np.ndarray) -> float | np.ndarray:  # of a family or a stack of them
+        return lp_combine(np.apply_along_axis(lambda g: _fstar_norm_upper(sub, g), -1, G), p)
+
+    exact = math.isinf(p) and (E.is_sup or E.r in (1.0, 2.0))
+    return upper(G), exact, None if E.is_sup or E.r == 1 else upper
 
 
 # --------------------------------------------------------------------------
@@ -431,14 +448,14 @@ def _operator_norm_over_F(
     sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec, cfg: OptimizerConfig
 ) -> float:
     """sup of the codomain norm of M c over B_F: exact wherever
-    ``_exact_norm_F`` is, otherwise a certified lower bound, the best
+    ``_exact_plan_F`` is, otherwise a certified lower bound, the best
     conditional-gradient ascent value from structured starts
     (``operators._structured_ascent``; attained at a point of B_F; one
     linear program per step for ambient r in {1, inf}, one SLSQP program
     for other r but 2)."""
-    hit = _exact_norm_F(sub, M, codomain, cfg.family_size)
-    if hit is not None:
-        return hit[0]
+    plan = _exact_plan_F(sub, codomain, cfg.family_size)
+    if plan is not None:
+        return plan[0](M)
     return _structured_ascent(
         M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1]
     )[0]

@@ -9,34 +9,33 @@ starts from generators fixed by (seed, restart index).
 in lockstep with one call of a row-stacked objective per phase: each start's
 control in plain Python, the vertex arithmetic of all starts batched in numpy.
 
-``powell`` is scipy's ``minimize(method="Powell")`` without bounds, bit for bit
-in its point, value and evaluation count: the direction set of Powell (Comput.
-J. 7 (1964)) with its extrapolation step, each line search a bracket from
-(0, 1) and Brent's minimization (*Algorithms for Minimization without
-Derivatives*, 1973) at tolerance 100 xtol, the recovery from a bracket that
-fails, and the maxfev count, which can stop it inside a line search.  The
-step arithmetic is in Python floats, and the bracket's first point, the line
-search's start, is not evaluated again when its value is known (it still
-counts against maxfev, as in scipy).  It has no bounds, callback, initial
-directions (``direc``) or ``maxiter``.
+Powell's method here is scipy's ``minimize(method="Powell")`` without
+bounds, bit for bit in its point, value and evaluation count: the direction
+set of Powell (Comput. J. 7 (1964)) with its extrapolation step, each line
+search a bracket from (0, 1) and Brent's minimization (*Algorithms for
+Minimization without Derivatives*, 1973) at tolerance 100 xtol, the recovery
+from a bracket that fails, and the maxfev count, which can stop it inside a
+line search.  The step arithmetic is in Python floats, and the bracket's
+first point, the line search's start, is not evaluated again when its value
+is known (it still counts against maxfev, as in scipy).  It has no bounds,
+callback, initial directions (``direc``) or ``maxiter``.
 
 Powell's run is written once, as a generator (``_Powell.run``) that yields
 the stacks of points it needs and is sent their values, and so is its line
 search (``_line_search``), which yields each step.  ``_drive`` runs any
 number of such runs in lockstep, with one call of a row-stacked objective
-per step for the points all of them ask for; the three entry points differ
+per step for the points all of them ask for; the two entry points differ
 only in what they hand it:
 
-- ``powell``: one run, a one-point objective;
 - ``powell_rows``: one run whose sweeps step a window of line searches in
   lockstep from one point (``_Lockstep``).  Most line searches of a sweep
   end where they started, so each is the line search that would run one at
   a time; at the first that moves, the later ones are dropped and the next
   window starts from there;
-- ``powell_starts``: one run per start, each as ``powell`` would run it
-  alone, with the start's known value taken for its first point.
+- ``powell_starts``: one run per start, each as scipy would run it alone,
+  with the start's known value taken for its first point.
 
-Each returns ``powell``'s point, value and count, bit for bit.
+Each returns scipy's point, value and count, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,12 +43,12 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell", "powell_rows", "powell_starts"]
+__all__ = ["OptimizerConfig", "nelder_mead_rows", "powell_rows", "powell_starts"]
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,6 @@ class OptimizerConfig:
     restarts: int = 64
     family_size: int = 20
     polish: bool = True
-
-    def with_seed(self, seed: int) -> "OptimizerConfig":
-        return replace(self, seed=seed)
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.family_size < 1:
@@ -189,21 +185,13 @@ class _Spent(Exception):
     """The evaluation budget ran out."""
 
 
-def powell(fun, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, float, int]:
-    """Minimize fun from x0 as scipy's ``minimize(method="Powell")`` with
-    options maxfev, xtol and ftol would: returns its ``x``, ``fun`` and
-    ``nfev``.  fun takes a flat float array, which it must not write into,
-    and returns a number.  A budget spent inside a line search returns that
-    line search's start."""
-    # a run of _Powell asks for one point at a time
-    return _drive(lambda Y: [float(fun(Y[0]))], [_Powell(maxfev, xtol).run(x0, ftol)])[0]
-
-
 def powell_rows(F, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarray, float, int]:
-    """``powell`` for a row-stacked objective: F maps an (m, N) stack of
-    points, which it must not write into, to their m values, each as the
-    one-point objective would give it.  Returns ``powell``'s ``x``, ``fun``
-    and ``nfev``, bit for bit.
+    """Minimize from x0 as scipy's ``minimize(method="Powell")`` with
+    options maxfev, xtol and ftol would, for a row-stacked objective: F maps
+    an (m, N) stack of points, which it must not write into, to their m
+    values, each as the one-point objective would give it.  Returns scipy's
+    ``x``, ``fun`` and ``nfev``, bit for bit; a budget spent inside a line
+    search returns that line search's start.
 
     The line searches of a sweep run a window at a time in lockstep from
     the window's start, one call of F per step for all of them.  Lines are
@@ -216,12 +204,12 @@ def powell_rows(F, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarra
 
 
 def powell_starts(F, X0, maxfev: int, xtol: float, ftol: float, f0) -> list[tuple[np.ndarray, float, int]]:
-    """``powell`` from each row of X0, whose values as F gives them are
-    f0, in lockstep: one call of the row-stacked objective F (as for
+    """scipy's Powell from each row of X0, whose values as F gives them
+    are f0, in lockstep: one call of the row-stacked objective F (as for
     ``powell_rows``) per step, on the next point of every run still going.
     Each run takes its start's value from f0, which still counts against
-    maxfev.  Returns, per start, ``powell``'s ``x``, ``fun`` and ``nfev``
-    from that start alone, bit for bit."""
+    maxfev.  Returns, per start, scipy's ``x``, ``fun`` and ``nfev`` from
+    that start alone, bit for bit."""
     return _drive(lambda Y: F(Y).tolist(), [_Powell(maxfev, xtol).run(x, ftol, f) for x, f in zip(X0, f0)])
 
 
@@ -411,7 +399,7 @@ class _Powell:
 
     def run(self, x0, ftol: float, f0: float | None = None):
         """The run from x0, a generator: it yields (m, N) stacks of points,
-        is sent the list of their m values, and returns ``powell``'s x, fun
+        is sent the list of their m values, and returns scipy's x, fun
         and nfev.  f0, if given, is x0's value."""
         x = np.asarray(x0, dtype=float).flatten()
         self.count()

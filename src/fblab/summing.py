@@ -22,19 +22,18 @@ callback, ``direc`` or ``maxiter``).  It runs over two kinds of
 constraint ball: the unit ball of a weighted ell_r space (``_weak_E``,
 the weak-p dispatch of this module) and the section B_F of a subspace
 (``extension._weak_F``, exact on the paths of
-``extension._exact_norm_F``).  Each kind answers one question per
+``extension._exact_plan_F``).  Each kind answers one question per
 candidate family: a certified upper bound on its weak-p norm, whether
-that bound is exact, and whether it is cheap enough for the polish loop.
-Over a ``SpaceSpec`` ball the polish runs ``optimize.powell_rows``: the
-line searches of a Powell sweep step in lockstep, and each step
-evaluates the weak-p bounds (the exact-norm path's value,
-``operators._exact_plan``) and the objective of all their families at
-once, a stack (K, N, dim) whose products run family by family, so every
-value keeps its bits.  An objective over such a ball therefore takes
-stacks, as the free-lattice and summing-norm objectives do.  Over B_F
-the polish takes ``optimize.powell``, one family at a time; both give
-the same point.  The search draws nothing at random, so its result depends only
-on its inputs, ``family_size`` and ``polish``.
+that bound is exact, and the same bound as a function of a stack (K, N,
+dim) of families, each with the bits it has alone, or None where it is
+too dear to polish.  The search keeps that function with its best family,
+and the polish runs ``optimize.powell_rows`` on it over both kinds of
+ball: the line searches of a Powell sweep step in lockstep, and each step
+evaluates the bound and the objective of all their families at once.
+Every objective therefore takes stacks, as the free-lattice,
+summing-norm and embedding-gap objectives do.  The search draws nothing
+at random, so its result depends only on its inputs, ``family_size`` and
+``polish``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
 from .operators import LinearMap, _exact_norm, _exact_plan, _unit_space, operator_norm
-from .optimize import OptimizerConfig, powell, powell_rows
+from .optimize import OptimizerConfig, powell_rows
 from .spaces import SpaceSpec, _root, _values, dual_space, norms_rows
 
 if TYPE_CHECKING:
@@ -91,16 +90,18 @@ def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
 
 def _weak_E(
     space: SpaceSpec, Y: np.ndarray, p: float, cfg: OptimizerConfig
-) -> tuple[float, bool, bool]:
+) -> tuple[float, bool, Callable[[np.ndarray], np.ndarray] | None]:
     """Weak-p norm of a family over the ball of ``space`` for the witness
-    search: (certified upper bound, exact?, cheap enough to polish?).  Off
-    the exact paths the triangle-inequality bound stands in; an ascent
-    lower bound would dominate the cost and normalization only needs the
-    upper one."""
-    hit = _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
-    if hit is None:
-        return _weak_crude_upper(Y, space, p), False, False
-    return hit[0], True, hit[2]
+    search: (certified upper bound, exact?, the bound as a function of a
+    stack of families for the polish, or None where it is too dear to
+    polish).  Off the exact paths the triangle-inequality bound stands in,
+    not polished; an ascent lower bound would dominate the cost and
+    normalization only needs the upper one."""
+    plan = _exact_plan(space, _unit_space(p, len(Y)), cfg.family_size)
+    if plan is None:
+        return _weak_crude_upper(Y, space, p), False, None
+    value, _, cheap = plan
+    return value(Y), True, value if cheap else None
 
 
 def weak_p_norm(
@@ -170,14 +171,14 @@ def witness_search(
     The constraint ball is the unit ball of a ``SpaceSpec`` (family rows
     live in its dual) or the section B_F of a ``SubspaceSpec`` (rows are
     forms on F in basis coordinates).  ``objective`` must be positively
-    homogeneous of degree 1 in the family matrix.  Every seed is
-    normalized by a certified upper bound on its weak-p norm, and the best
-    of them is polished by Powell when that bound is cheap (``cfg.polish``
-    turns the polish off); so the best value is always a true lower bound
-    for sup { objective : weak-p <= 1 }.  Over a ``SpaceSpec`` ball the
-    objective also maps a stack (K, N, dim) of families to their K values,
-    each with the bits it has alone, and the polish evaluates its line
-    searches in lockstep.
+    homogeneous of degree 1 in the family matrix, and it also maps a stack
+    (K, N, dim) of families to their K values, each with the bits it has
+    alone.  Every seed is normalized by a certified upper bound on its
+    weak-p norm, and the best of them is polished by Powell when the ball's
+    oracle hands over that bound as a function of a stack (``cfg.polish``
+    turns the polish off); the polish evaluates its line searches in
+    lockstep.  So the best value is always a true lower bound for
+    sup { objective : weak-p <= 1 }.
 
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
@@ -190,14 +191,14 @@ def witness_search(
     best_val = 0.0
     best_fam: np.ndarray | None = None
     best_tight = True
-    best_cheap = False
+    best_bound = None
 
     def consider(Y: np.ndarray) -> None:
-        nonlocal best_val, best_fam, best_tight, best_cheap
+        nonlocal best_val, best_fam, best_tight, best_bound
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.size == 0 or not np.all(np.isfinite(Y)):
             return
-        upper, tight, cheap = weak(ball, Y, p, cfg)
+        upper, tight, bound = weak(ball, Y, p, cfg)
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale
         if upper <= 1e-14 * np.max(np.abs(Y)) or math.isinf(upper):
@@ -207,13 +208,13 @@ def witness_search(
             best_val = val
             best_fam = Y / upper
             best_tight = tight
-            best_cheap = cheap
+            best_bound = bound
 
     for Y in seeds:
         consider(Y)
 
-    if cfg.polish and best_cheap and best_fam.size <= 128:
-        polished = _polish_family(ball, p, cfg, weak, objective, best_fam)
+    if cfg.polish and best_bound is not None and best_fam.size <= 128:
+        polished = _polish_family(best_bound, objective, best_fam)
         if polished is not None:
             consider(polished)
 
@@ -227,46 +228,30 @@ _POLISH_ITER = 400  # Powell evaluations per 8 family entries (at most 3000 in a
 
 
 def _polish_family(
-    ball: SpaceSpec | SubspaceSpec,
-    p: float,
-    cfg: OptimizerConfig,
-    weak: Callable,
+    bound: Callable[[np.ndarray], np.ndarray],
     objective: Callable[[np.ndarray], float],
     Y0: np.ndarray,
 ) -> np.ndarray | None:
-    """Derivative-free local improvement of objective/weak ratio: over a
-    ``SpaceSpec`` ball by ``powell_rows`` on the stack (K, N, dim) of a
-    lockstep step's families, over B_F by ``powell`` one family at a time;
-    both return the same point."""
+    """Derivative-free local improvement of the ratio objective / bound by
+    ``powell_rows`` from Y0, on the stack (K, N, dim) of each lockstep
+    step's families; ``bound`` is the weak-p bound the oracle handed over
+    with Y0, which takes such stacks."""
     N, dim = Y0.shape
     maxfev = min(_POLISH_ITER * max(1, N * dim // 8), 3000)
-    if weak is not _weak_E:
 
-        def neg_ratio(flat: np.ndarray) -> float:
-            Y = flat.reshape(N, dim)
-            upper = weak(ball, Y, p, cfg)[0]
-            if not (upper > 1e-14) or math.isinf(upper):
-                return 0.0
-            return -objective(Y) / upper
+    def neg_ratios(X: np.ndarray) -> np.ndarray:
+        Ys = X.reshape(len(X), N, dim)
+        upper = bound(Ys)
+        ok = (upper > 1e-14) & (upper < math.inf)
+        with np.errstate(over="ignore"):  # a float quotient above the range is inf
+            if ok.all():
+                return -objective(Ys) / upper
+            out = np.zeros(len(X))
+            if ok.any():
+                out[ok] = -objective(Ys[ok]) / upper[ok]
+        return out
 
-        x = powell(neg_ratio, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
-    else:
-        # a cheap family is on an exact path, whose value takes stacks
-        weak_upper = _exact_plan(ball, _unit_space(p, N), cfg.family_size)[0]
-
-        def neg_ratios(X: np.ndarray) -> np.ndarray:
-            Ys = X.reshape(len(X), N, dim)
-            upper = weak_upper(Ys)
-            ok = (upper > 1e-14) & (upper < math.inf)
-            with np.errstate(over="ignore"):  # a float quotient above the range is inf
-                if ok.all():
-                    return -objective(Ys) / upper
-                out = np.zeros(len(X))
-                if ok.any():
-                    out[ok] = -objective(Ys[ok]) / upper[ok]
-            return out
-
-        x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
+    x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
     if not np.all(np.isfinite(x)):
         return None
     return x.reshape(N, dim)

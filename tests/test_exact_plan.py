@@ -1,7 +1,8 @@
 """The exact-norm paths resolved once per ball (``operators._exact_plan``
 and ``spaces._signed_sum_plan``) against the per-call dispatch they
-replaced, bit for bit, and a polished witness search on fixed inputs, which
-runs, as the extension multistart does, without scipy's minimize."""
+replaced, bit for bit, and polished witness searches on fixed inputs, over
+dual balls and over B_F on each path of its weak-p bound, which run, as the
+extension multistart does, without scipy's minimize."""
 
 import math
 
@@ -14,10 +15,13 @@ from fblab import (
     Abs, Gen, GeneratorBinding, Join, LinearMap, OptimizerConfig, PosPart, SpaceSpec, SubspaceSpec,
     extension_constant, witness_search,
 )
+from fblab.exprs import eval_pairings
+from fblab.extension import _exact_plan_F
 from fblab.fbl import _fbl_objective
 from fblab.operators import _exact_norm, _unit_space
 from fblab.optimize import powell_rows
 from fblab.spaces import _EXTREME_ENUM_CAP, _SIGNED_SUM_BLOCK, _max_signed_sum, _sign_table, norms_rows
+from fblab.summing import lp_combine
 
 
 def _reference_max_signed_sum(M, space):
@@ -145,25 +149,67 @@ def test_max_signed_sum_plan_over_several_blocks(r):
 
 # a polished search on fixed inputs: the bits of its value and its Powell
 # evaluations, recorded before the paths were planned and the polish ran in
-# lockstep
+# lockstep; over the B_F balls of _F_BALLS, recorded while the B_F polish
+# still evaluated one family at a time
 _POLISHED = {
     2.0: ("0x1.54dcedc56390ep+2", 400),
     math.inf: ("0x1.ac00000000000p+2", 660),
     3.0: ("0x1.a634f4a66689ep+2", 400),
+    "B_F-aligned-ell_inf-p=inf": ("0x1.97fffffffec68p+0", 400),
+    "B_F-aligned-ell_1-p=2": ("0x1.4c070abf30d35p+1", 400),
+    "B_F-aligned-ell_2-p=1": ("0x1.2d0d48acbc32ep+1", 400),
+    "B_F-aligned-ell_inf-p=2": ("0x1.97ffffffffff4p+0", 400),
+    "B_F-generic-ell_1-p=1": ("0x1.1c06665fc3be3p+3", 400),
+    "B_F-generic-ell_inf-p=2": ("0x1.9ac6718f3f212p+1", 400),
+    "B_F-generic-ell_2-p=1": ("0x1.4e1f7c6191382p+2", 400),
+    "B_F-generic-ell_3-p=2": ("0x1.16569ab28aacep+2", 400),
 }
 
+# the B_F balls: the ambient exponent, whether F is axis-aligned, p, and the
+# path of the weak-p bound the polish runs on (None: off the exact paths,
+# the triangle-inequality bound family by family)
+_F_BALLS = {
+    "B_F-aligned-ell_inf-p=inf": (math.inf, True, math.inf, "weak-inf closed form"),
+    "B_F-aligned-ell_1-p=2": (1.0, True, 2.0, "cross-polytope enumeration"),
+    "B_F-aligned-ell_2-p=1": (2.0, True, 1.0, "sign enumeration"),
+    "B_F-aligned-ell_inf-p=2": (math.inf, True, 2.0, "cube-vertex enumeration"),
+    "B_F-generic-ell_1-p=1": (1.0, False, 1.0, "B_F vertex enumeration"),
+    "B_F-generic-ell_inf-p=2": (math.inf, False, 2.0, "B_F vertex enumeration"),
+    "B_F-generic-ell_2-p=1": (2.0, False, 1.0, None),
+    "B_F-generic-ell_3-p=2": (3.0, False, 2.0, None),
+}
 
-def _polished_search(r):
-    X = np.array([[1.0, -0.5, 0.25, 2.0], [0.5, 1.5, -1.0, 0.0], [-0.75, 0.25, 1.0, 1.0], [2.0, 1.0, 0.5, -1.5]])
-    e = Abs(Gen(0)) * 1.25 + Join(Gen(1), Gen(2)) * 0.5 - Abs(Gen(3)) * 0.75 + PosPart(Gen(0) - Gen(1))
-    E = SpaceSpec(r, 4, (0.7, 1.3, 0.9, 1.1) if r == 2 else ())
-    b = GeneratorBinding.from_matrix(E, X)
-    seeds = [np.eye(4), X[:3] * E.weight_array]
-    return witness_search(E.dual, 1.0, _fbl_objective(e, b, 1.0), seeds, OptimizerConfig())
+_X = np.array([[1.0, -0.5, 0.25, 2.0], [0.5, 1.5, -1.0, 0.0], [-0.75, 0.25, 1.0, 1.0], [2.0, 1.0, 0.5, -1.5]])
+_EXPR = Abs(Gen(0)) * 1.25 + Join(Gen(1), Gen(2)) * 0.5 - Abs(Gen(3)) * 0.75 + PosPart(Gen(0) - Gen(1))
 
 
-@pytest.mark.parametrize("r", sorted(_POLISHED))
-def test_polished_witness_search_keeps_its_bytes(r, monkeypatch):
+def _subspace(r, aligned):
+    """A three-dimensional F in a weighted ell_r^4: scaled coordinate
+    vectors or the first three rows of _X."""
+    E = SpaceSpec(r, 4, (0.7, 1.3, 0.9, 1.1))
+    if aligned:
+        return SubspaceSpec.from_arrays(E, [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.5], [1.5, 0.0, 0.0, 0.0]],
+                                        [[0.0, 0.0, 1.0, 0.0]])
+    return SubspaceSpec.from_arrays(E, _X[:3], [[0.0, 0.0, 0.0, 1.0]])
+
+
+def _polished_search(case):
+    """Over the dual ball of ell_r^4 for a float case; over B_F for a case
+    of _F_BALLS, with the embedding gap's objective on four generators of
+    F (rows of coordinates) and three-member families of forms on F."""
+    if case in _F_BALLS:
+        r, aligned, p, _ = _F_BALLS[case]
+        coords = np.array([[1.0, 0.5, -0.25], [0.5, -1.0, 1.5], [-0.75, 1.0, 0.5], [2.0, 0.25, -1.0]])
+        objective = lambda G: lp_combine(eval_pairings(_EXPR, G @ coords.T), p)
+        return witness_search(_subspace(r, aligned), p, objective, [np.eye(3), coords[:3]], OptimizerConfig())
+    E = SpaceSpec(case, 4, (0.7, 1.3, 0.9, 1.1) if case == 2 else ())
+    b = GeneratorBinding.from_matrix(E, _X)
+    seeds = [np.eye(4), _X[:3] * E.weight_array]
+    return witness_search(E.dual, 1.0, _fbl_objective(_EXPR, b, 1.0), seeds, OptimizerConfig())
+
+
+@pytest.mark.parametrize("case", list(_POLISHED))
+def test_polished_witness_search_keeps_its_bytes(case, monkeypatch):
     nfev = []
 
     def counted(*args):
@@ -172,13 +218,25 @@ def test_polished_witness_search_keeps_its_bytes(r, monkeypatch):
         return x, fun, n
 
     monkeypatch.setattr(fblab.summing, "powell_rows", counted)
-    val, witness, tight = _polished_search(r)
-    assert (val.hex(), nfev[0]) == _POLISHED[r] and len(nfev) == 1 and tight
+    val, witness, tight = _polished_search(case)
+    assert (val.hex(), nfev[0]) == _POLISHED[case] and len(nfev) == 1
+    assert tight == (case not in _F_BALLS or _F_BALLS[case][3] is not None)
     assert witness.objective == val
 
 
+@pytest.mark.parametrize("case", list(_F_BALLS))
+def test_polished_B_F_balls_reach_each_path(case):
+    """The B_F cases above polish on each path of ``_exact_plan_F``: the
+    model space's closed form, cross-polytope, sign and cube-vertex
+    enumeration, the vertices of B_F, and off them the fallback bound."""
+    r, aligned, p, tag = _F_BALLS[case]
+    plan = _exact_plan_F(_subspace(r, aligned), _unit_space(p, 3), 20)
+    assert (None if plan is None else plan[1]) == tag
+
+
 def test_polish_and_extension_multistart_run_without_scipy_minimize(monkeypatch):
-    """The witness polish (``optimize.powell_rows``) and the extension
+    """The witness polish (``optimize.powell_rows``), over a ``SpaceSpec``
+    ball and over B_F with the fallback bound, and the extension
     constant's Powell multistart, whose polishes run in lockstep
     (``optimize.powell_starts``), run without scipy's minimize."""
 
@@ -187,6 +245,8 @@ def test_polish_and_extension_multistart_run_without_scipy_minimize(monkeypatch)
 
     monkeypatch.setattr(scipy.optimize, "minimize", refuse)
     assert _polished_search(2.0)[0].hex() == _POLISHED[2.0][0]
+    case = "B_F-generic-ell_3-p=2"
+    assert _polished_search(case)[0].hex() == _POLISHED[case][0]
     E = SpaceSpec(math.inf, 4)
     sub = SubspaceSpec.from_arrays(E, [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 1.0]],
                                    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])

@@ -31,7 +31,7 @@ from fblab import (
     subspace_to_json,
 )
 from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
-from fblab.extension import _exact_norm_F, _max_linear_over_BF
+from fblab.extension import _exact_plan_F, _max_linear_over_BF
 from fblab.exprs import max_generator_index
 
 CFG = OptimizerConfig(restarts=8)
@@ -303,7 +303,8 @@ def test_vertex_max_matches_linear_program():
                 for _ in range(4):
                     v = rng.standard_normal(k)
                     # the norm of c -> v . c into a line is the largest v . c
-                    val, tag, cheap = _exact_norm_F(sub, v[None, :], SpaceSpec(1.0, 1), 20)
+                    value, tag, cheap = _exact_plan_F(sub, SpaceSpec(1.0, 1), 20)
+                    val = value(v[None, :])
                     assert tag == "B_F vertex enumeration" and cheap
                     assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
 
@@ -355,12 +356,27 @@ def test_linear_program_above_the_vertex_cap(monkeypatch):
     # as zero and return an arbitrary feasible point
     line = SpaceSpec(1.0, 1)
     for old, new in zip(cached, fresh):
-        assert _exact_norm_F(new, np.ones((1, new.dim)), line, 20) is None
+        assert _exact_plan_F(new, line, 20) is None
         for _ in range(20):
             v = rng.standard_normal(old.dim)
-            exact = _exact_norm_F(old, v[None, :], line, 20)[0]
+            exact = _exact_plan_F(old, line, 20)[0](v[None, :])
             tiny, _ = _max_linear_over_BF(new, 1e-9 * v)
             assert tiny == pytest.approx(1e-9 * exact, rel=1e-9)
+
+
+def test_ell2_closed_form_at_extreme_scales():
+    """Over an ell_2 ambient, forms near 1e200 and 1e-200 get 2^k times the
+    value at unit scale and the same maximizer, bit for bit: v . G^-1 v
+    would overflow or underflow at their own scale."""
+    rng = np.random.default_rng(13)
+    for n, k in ((3, 2), (5, 3)):
+        full = rng.standard_normal((n, n))
+        sub = SubspaceSpec.from_arrays(SpaceSpec(2.0, n, tuple(rng.uniform(0.5, 2.0, n))), full[:k], full[k:])
+        v = rng.standard_normal(k)
+        val, c = _max_linear_over_BF(sub, v)
+        for e in (664, -664):
+            big_val, big_c = _max_linear_over_BF(sub, np.ldexp(v, e))
+            assert big_val == math.ldexp(val, e) and big_c.tobytes() == c.tobytes()
 
 
 def _zonotope_polar_vertices(sub):

@@ -1,12 +1,13 @@
 """The lockstep Nelder-Mead against scipy's, run start by start, and
-Powell's method, one line search at a time and in lockstep, against scipy's.
+Powell's method, in lockstep over the line searches of a sweep and over
+many starts, against scipy's.
 
 On objectives whose rows do not depend on each other, ``nelder_mead_rows``
 must return scipy's points, values and evaluation counts bit for bit.
 Half the budgets are small, so some starts stop on their budget, one in
-the middle of a shrink, while others converge first.  ``powell`` and
-``powell_rows`` must return scipy's Powell point, value and count, and
-``powell_starts`` from each start what ``powell`` returns from it alone.
+the middle of a shrink, while others converge first.  ``powell_rows`` must
+return scipy's Powell point, value and count, and ``powell_starts`` from
+each start what scipy's Powell returns from it alone.
 """
 
 import functools
@@ -21,7 +22,7 @@ from scipy.optimize import minimize
 import fblab.optimize
 from fblab import Abs, Gen, GeneratorBinding, Join, OptimizerConfig, PosPart, SpaceSpec
 from fblab.fbl import _dual_multistart
-from fblab.optimize import nelder_mead_rows, powell, powell_rows, powell_starts
+from fblab.optimize import nelder_mead_rows, powell_rows, powell_starts
 
 DIMS = (1, 2, 3, 6, 20)
 STARTS = 6
@@ -281,6 +282,14 @@ def _same(result, ref):
     return (x.tobytes(), np.float64(value).tobytes(), nfev) == (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev)
 
 
+def _scipy_powell(fun, x0, maxfev, xtol, ftol):
+    """scipy's unbounded Powell from x0; its numpy scalars meet inf and nan
+    on the objectives with holes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol})
+
+
 _COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-3.0, 3.0))
 
 
@@ -294,16 +303,12 @@ _COORDS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(-3.0, 3.0))
 )
 @settings(max_examples=300, deadline=None)
 def test_powell_matches_scipy(N, name, data, maxfev, xtol, ftol):
-    """``powell`` and ``powell_rows`` under every forced window return
-    scipy's result; the lockstep runs evaluate at most 2 nfev rows plus
-    their spare rows."""
+    """``powell_rows`` under every forced window returns scipy's result;
+    the lockstep runs evaluate at most 2 nfev rows plus their spare rows."""
     F = _powell_rows_objectives(N)[name]
     fun = _powell_objectives(N)[name]
     x0 = np.array(data.draw(st.lists(_COORDS, min_size=N, max_size=N)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's numpy scalars meet inf and nan
-        ref = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": xtol, "ftol": ftol})
-    assert _same(powell(fun, x0, maxfev, xtol, ftol), ref)
+    ref = _scipy_powell(fun, x0, maxfev, xtol, ftol)
     runs = _lockstep_runs(F, x0, maxfev, xtol, ftol)
     for window, (result, rows) in zip(_FORCED_WINDOWS, runs):
         assert _same(result, ref), window
@@ -318,17 +323,13 @@ def test_powell_stopped_at_every_evaluation_matches_scipy(N, name, start):
     F = _powell_rows_objectives(N)[name]
     fun = _powell_objectives(N)[name]
     x0 = 1.5 * _starts(N)[start]
-    full = powell(fun, x0, 10**6, 1e-10, 1e-12)[2]
+    full = _scipy_powell(fun, x0, 10**6, 1e-10, 1e-12).nfev
     for maxfev in range(1, full + 2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            ref = minimize(fun, x0, method="Powell", options={"maxfev": maxfev, "xtol": 1e-10, "ftol": 1e-12})
-        x, value, nfev = powell(fun, x0, maxfev, 1e-10, 1e-12)
-        assert (x.tobytes(), np.float64(value).tobytes(), nfev) == (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev)
+        ref = _scipy_powell(fun, x0, maxfev, 1e-10, 1e-12)
         runs = _lockstep_runs(F, x0, maxfev, 1e-10, 1e-12)
         for window, (result, rows) in zip(_FORCED_WINDOWS, runs):
             assert _same(result, ref) and rows <= 2 * ref.nfev + window[3], window
-    assert nfev == full < maxfev
+    assert ref.nfev == full < maxfev
 
 
 def _lockstep_counts(N, name, maxfev):
@@ -359,7 +360,7 @@ def test_lockstep_calls_and_rows_are_pinned(key):
 
 
 # --------------------------------------------------------------------------
-# Powell from many starts in lockstep against powell from each alone
+# Powell from many starts in lockstep against scipy's from each alone
 # --------------------------------------------------------------------------
 
 
@@ -372,10 +373,10 @@ def _many_starts(N):
 
 
 def _assert_starts_match_powell(F, fun, X0, maxfev, xtol=1e-10, ftol=1e-12):
-    """powell_starts returns what powell returns from each start alone, in
-    at most max nfev calls of F, and evaluates no start again: at most
-    sum nfev - len(X0) rows.  Returns the counts."""
-    alone = [powell(fun, x0, maxfev, xtol, ftol) for x0 in X0]
+    """powell_starts returns what scipy's Powell returns from each start
+    alone, in at most max nfev calls of F, and evaluates no start again: at
+    most sum nfev - len(X0) rows.  Returns the counts."""
+    alone = [(ref.x, ref.fun, ref.nfev) for ref in (_scipy_powell(fun, x0, maxfev, xtol, ftol) for x0 in X0)]
     rows = []
 
     def counted(X):
@@ -393,8 +394,8 @@ def _assert_starts_match_powell(F, fun, X0, maxfev, xtol=1e-10, ftol=1e-12):
 
 @pytest.mark.parametrize("N,name", [(1, "kinked"), (3, "ratio"), (2, "holes"), (6, "holes"), (3, "steps"), (2, "first")])
 def test_powell_starts_match_powell_alone(N, name):
-    """Each start of the lockstep run returns its own run's point, value and
-    count, at full budget and at budgets that stop some runs inside a line
+    """Each start of the lockstep run returns scipy's point, value and
+    count from that start alone, at full budget and at budgets that stop some runs inside a line
     search or at an extrapolated point while others have converged; the
     starts take different numbers of rounds, one is the origin and one is in
     a nan region."""
@@ -419,8 +420,8 @@ def test_powell_starts_match_powell_alone(N, name):
 )
 @settings(max_examples=150, deadline=None)
 def test_powell_starts_match_powell_on_drawn_starts(N, name, data, maxfev, xtol, ftol):
-    """Drawn starts, budgets and tolerances: each start returns what powell
-    returns from it alone."""
+    """Drawn starts, budgets and tolerances: each start returns what scipy's
+    Powell returns from it alone."""
     K = data.draw(st.integers(1, 5))
     X0 = np.array(data.draw(st.lists(st.lists(_COORDS, min_size=N, max_size=N), min_size=K, max_size=K)))
     with warnings.catch_warnings():

@@ -16,15 +16,21 @@ under the same ``np.errstate`` for both; every other draw runs under the
 test suite's warnings-as-errors filter.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fblab.extension
 import fblab.spaces
-from fblab import Abs, Gen, GeneratorBinding, Join, LinearMap, Meet, PosPart, PowerSum, SpaceSpec
+from fblab import (
+    Abs, Gen, GeneratorBinding, Join, LinearMap, Meet, OptimizerConfig, PosPart, PowerSum, SpaceSpec, SubspaceSpec,
+    embedding_gap,
+)
 from fblab.exprs import _VALUES, _fold, eval_rows
+from fblab.extension import _exact_plan_F, _fstar_norm_upper, _weak_F
 from fblab.fbl import _fbl_objective
 from fblab.operators import _exact_plan
 from fblab.spaces import _max_signed_sum, _signed_sum_plan, norms_rows
@@ -323,3 +329,153 @@ def test_lp_combine_of_a_stack(p, K, N, seed):
     assert combined.shape == (K,)
     assert [_bits(v) for v in combined] == [_bits(lp_combine(V[k], p)) for k in range(K)]
     assert [_bits(v) for v in combined] == [_bits(_one_family_lp_combine(V[k], p)) for k in range(K)]
+
+
+# --------------------------------------------------------------------------
+# the weak-p bounds over B_F and the embedding gap's objective on F
+# --------------------------------------------------------------------------
+
+
+def _section(r, aligned, k, n, rng):
+    """F of dimension k in a weighted ell_r^n: scaled coordinate vectors on
+    distinct coordinates, or k rows of a Gaussian matrix."""
+    E = _space(r, n, True, rng)
+    if aligned:
+        perm = rng.permutation(n)
+        s = rng.uniform(0.5, 2.0, k) * rng.choice([-1.0, 1.0], k)
+        return SubspaceSpec.from_arrays(E, np.eye(n)[perm[:k]] * s[:, None], np.eye(n)[perm[k:]])
+    full = rng.standard_normal((n, n))
+    return SubspaceSpec.from_arrays(E, full[:k], full[k:])
+
+
+def _one_family_plan_F_value(sub, C, tag, M):
+    """The value of ``_exact_plan_F(sub, C, ...)`` with path ``tag`` at one
+    map M, as the exact norm over B_F was written before it took stacks:
+    the model's plan at M / d, or the largest norm of the vertices' images
+    by M."""
+    if tag == "B_F vertex enumeration":
+        return float(np.max(norms_rows(C, sub._vertices @ M.T)))
+    space_F, d = sub._model
+    return _one_family_plan_value(space_F, C, tag, M / d)
+
+
+_SECTIONS = dict(
+    k=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    K=st.sampled_from([1, 2, 7, 33]),
+    N=st.integers(1, 8),
+    special=st.sampled_from(SPECIALS),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(
+    ball=st.sampled_from([(r, True) for r in EXPONENTS] + [(1.0, False), (math.inf, False)]),
+    family_size=st.sampled_from([1, 4, 20]),
+    **_SECTIONS,
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_plan_F_values_of_a_stack(ball, family_size, k, extra, K, N, special, seed):
+    """Every path of ``_exact_plan_F``: the model space of an axis-aligned F
+    through each path of ``_exact_plan``, and the vertices of B_F over
+    generic sections of ell_1 and ell_inf."""
+    rng = np.random.default_rng(seed)
+    sub = _section(*ball, k, k + extra, rng)
+    M = _stack(K, N, k, special, rng)
+    for C in _plan_cases(sub.ambient, N, rng):
+        plan = _exact_plan_F(sub, C, family_size)
+        if plan is None:
+            continue
+        with _Errstate(special):
+            values = plan[0](M)
+            alone = [plan[0](M[j]) for j in range(K)]
+            ref = [_one_family_plan_F_value(sub, C, plan[1], M[j]) for j in range(K)]
+        assert values.shape == (K,)
+        assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref], plan[1]
+
+
+def test_exact_plan_F_draws_reach_every_path():
+    """The draws above meet each path of ``_exact_plan_F``."""
+    seen = set()
+    rng = np.random.default_rng(0)
+    for r, aligned in [(r, True) for r in EXPONENTS] + [(1.0, False), (math.inf, False)]:
+        for k in (1, 3):
+            sub = _section(r, aligned, k, k + 1, rng)
+            for N in (1, 5):
+                for family_size in (1, 20):
+                    for C in _plan_cases(sub.ambient, N, rng):
+                        plan = _exact_plan_F(sub, C, family_size)
+                        if plan is not None:
+                            seen.add(plan[1])
+    assert seen == {
+        "weak-inf closed form",
+        "cross-polytope enumeration",
+        "sign enumeration",
+        "cube-vertex enumeration",
+        "B_F vertex enumeration",
+    }
+
+
+@given(r=st.sampled_from([2.0, 3.0]), p=st.sampled_from(EXPONENTS), **_SECTIONS)
+@settings(max_examples=100, deadline=None)
+def test_fallback_weak_F_bound_of_a_stack(r, p, k, extra, K, N, special, seed):
+    """Off the exact paths (generic F in ell_2 or ell_3), ``_weak_F`` hands
+    the polish the triangle-inequality bound of each family of a stack:
+    the lp-combination of the members' upper bounds, as ``_weak_F`` gives
+    it for that family alone."""
+    rng = np.random.default_rng(seed)
+    sub = _section(r, False, max(k, 2), max(k, 2) + 1 + extra, rng)
+    assert sub._model is None
+    G = _stack(K, N, sub.dim, special, rng)
+    cfg = OptimizerConfig()
+    with _Errstate(special):
+        bound = _weak_F(sub, G[0], p, cfg)[2]
+        values = bound(G)
+        alone = [_weak_F(sub, G[j], p, cfg)[0] for j in range(K)]
+        ref = [_one_family_lp_combine([_fstar_norm_upper(sub, g) for g in G[j]], p) for j in range(K)]
+    assert values.shape == (K,)
+    assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
+
+
+@functools.cache
+def _gap_objective(r, aligned, p, expression, seed):
+    """The F-side objective that ``embedding_gap`` hands to
+    ``witness_search``, and the F coordinates of its generators."""
+    rng = np.random.default_rng(seed)
+    sub = _section(r, aligned, 3, 4, rng)
+    b = GeneratorBinding.from_matrix(sub.ambient, rng.standard_normal((4, 3)) @ sub.basis_matrix)
+    handed = []
+
+    def recording(ball, p, objective, seeds, cfg):
+        handed.append(objective)
+        return 0.0, None, True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fblab.extension, "witness_search", recording)
+        embedding_gap(sub, _EXPRESSIONS[expression], b, p, OptimizerConfig(polish=False))
+    return handed[0], sub.coordinates(b.matrix)
+
+
+@given(
+    r=st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    aligned=st.booleans(),
+    p=st.sampled_from(EXPONENTS),
+    expression=st.integers(0, len(_EXPRESSIONS) - 1),
+    K=st.sampled_from([1, 2, 7, 33]),
+    N=st.integers(1, 8),
+    special=st.sampled_from(SPECIALS),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_embedding_gap_objective_of_a_stack(r, aligned, p, expression, K, N, special, seed):
+    """The lp-combination of the expression's values at a stack of
+    families of forms on F, paired with the generators' F coordinates."""
+    objective, coords = _gap_objective(r, aligned, p, expression, seed)
+    G = _stack(K, N, 3, special, np.random.default_rng((seed, K, N)))
+    e = _EXPRESSIONS[expression]
+    with _Errstate(special):
+        values = objective(G)
+        alone = [objective(G[j]) for j in range(K)]
+        ref = [_one_family_lp_combine(_fold(e, _VALUES, G[j] @ coords.T), p) for j in range(K)]
+    assert values.shape == (K,)
+    assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
