@@ -70,8 +70,6 @@ def _config(args) -> OptimizerConfig:
     kwargs = {"seed": args.seed}
     if getattr(args, "restarts", None) is not None:
         kwargs["restarts"] = args.restarts
-    if getattr(args, "family_size", None) is not None:
-        kwargs["family_size"] = args.family_size
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as ex:
@@ -220,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", required=True, help="exponent, a number or 'inf'")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--restarts", type=int, default=None)
-        sp.add_argument("--family-size", dest="family_size", type=int, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", default=None, help="write to file instead of stdout")
 

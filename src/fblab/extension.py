@@ -65,7 +65,7 @@ from .operators import (
     LinearMap,
     _exact_plan,
     _norm_gradient,
-    _norm_upper_stack,
+    _norm_upper,
     _structured_ascent,
     _unit_space,
 )
@@ -294,13 +294,17 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
         c[0] = 1.0
         return 0.0, c / max(sub.ambient_norm(c), 1e-300)
     w = E.weight_array
+    # v scaled by a power of two (exact) near 1, so that its length and
+    # v . G^-1 v below stay in range; s / |s| has the bits of v / |v|
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    s = np.ldexp(v, -e)
 
     if E.is_sup or E.r == 1:
         from scipy.optimize import linprog
 
         # HiGHS reads a cost vector of tiny length as zero and returns an
         # arbitrary feasible point, so the LP sees v at unit length
-        u = v / np.linalg.norm(v)
+        u = s / np.linalg.norm(s)
         Bt = B.T  # constraint rows act on c through (c @ B)_i = (Bt @ c)_i
         if E.is_sup:
             A_ub = np.vstack([Bt, -Bt])
@@ -328,14 +332,11 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
         return float(v @ c), c
 
     # at r = 2 the squared norm of c @ B is c . G c with G = (B * w) @ B.T,
-    # so v . c peaks along G^-1 v; there v is scaled by a power of two
-    # (exact) near 1, so v . G^-1 v stays in range
+    # so v . c peaks along G^-1 v
     G = (B * w) @ B.T
     if E.r == 2:
-        e = math.frexp(float(np.max(np.abs(v))))[1]
-        u = np.ldexp(v, -e)
-        sol = np.linalg.solve(G, u)
-        val = math.sqrt(float(u @ sol))
+        sol = np.linalg.solve(G, s)
+        val = math.sqrt(float(s @ sol))
         return math.ldexp(val, e), sol / val
     sol = np.linalg.solve(G, v)
 
@@ -344,7 +345,7 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
     # rescaled to ambient norm 1, so the value is attained
     from scipy.optimize import minimize
 
-    u = v / np.linalg.norm(v)
+    u = s / np.linalg.norm(s)
     c0 = sol / sub.ambient_norm(sol)
     res = minimize(
         lambda c: -(u @ c), c0, jac=lambda c: -u, method="SLSQP",
@@ -383,7 +384,7 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
 
 
 def _exact_plan_F(
-    sub: SubspaceSpec, C: SpaceSpec, family_size: int
+    sub: SubspaceSpec, C: SpaceSpec
 ) -> tuple[Callable[[np.ndarray], float | np.ndarray], str, bool] | None:
     """``operators._exact_plan`` for the norm of c -> M c from B_F into
     ``C``, M acting on basis coordinates: (the value as a function of M or
@@ -396,7 +397,7 @@ def _exact_plan_F(
     goes first."""
     if sub._model is not None:
         space_F, d = sub._model
-        plan = _exact_plan(space_F, C, family_size)
+        plan = _exact_plan(space_F, C)
         if plan is not None:
             value, tag, cheap = plan
             return (lambda M: value(M / d)), tag, cheap
@@ -408,7 +409,7 @@ def _exact_plan_F(
 
 
 def _weak_F(
-    sub: SubspaceSpec, G: np.ndarray, p: float, cfg: OptimizerConfig
+    sub: SubspaceSpec, G: np.ndarray, p: float
 ) -> tuple[float, bool, Callable[[np.ndarray], np.ndarray] | None]:
     """Weak-p norm of a family of forms on F over B_F = B_E intersect F,
     for the witness search: (certified upper bound, exact?, the bound as a
@@ -423,7 +424,7 @@ def _weak_F(
     in {1, 2, inf}), and not polished for ambient r in {1, inf}, where each
     member costs a linear program.
     """
-    plan = _exact_plan_F(sub, _unit_space(p, len(G)), cfg.family_size)
+    plan = _exact_plan_F(sub, _unit_space(p, len(G)))
     if plan is not None:
         value, _, cheap = plan
         return value(G), True, value if cheap else None
@@ -444,16 +445,14 @@ def _weak_F(
 # --------------------------------------------------------------------------
 
 
-def _operator_norm_over_F(
-    sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec, cfg: OptimizerConfig
-) -> float:
+def _operator_norm_over_F(sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec) -> float:
     """sup of the codomain norm of M c over B_F: exact wherever
     ``_exact_plan_F`` is, otherwise a certified lower bound, the best
     conditional-gradient ascent value from structured starts
     (``operators._structured_ascent``; attained at a point of B_F; one
     linear program per step for ambient r in {1, inf}, one SLSQP program
     for other r but 2)."""
-    plan = _exact_plan_F(sub, codomain, cfg.family_size)
+    plan = _exact_plan_F(sub, codomain)
     if plan is not None:
         return plan[0](M)
     return _structured_ascent(
@@ -544,21 +543,20 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
     """Complement values (flat) of the best extension found by the
     multistart outer search, and their objective value: W = 0 and
     ``cfg.restarts`` (at most 31) random starts 0.5 ||T||_F N(0, 1), the
-    first 8 polished by Powell when ``cfg.polish`` is on; start t draws
-    from the generator of (seed, 89, t).  The one reader of ``cfg.seed``
-    and ``cfg.restarts``.  ``objective`` takes a stack of complement
-    values (rows) to the norm upper bounds of their extensions.  One call
-    evaluates every start, and the polishes run in lockstep by
-    ``optimize.powell_starts``, one call per step for all of them, each
-    taking its start's value; a polished point's value is the one Powell
-    computed there.  The best is taken over the starts in order, each
+    first 8 polished by Powell; start t draws from the generator of (seed,
+    89, t).  The one reader of the ``OptimizerConfig``.  ``objective``
+    takes a stack of complement values (rows) to the norm upper bounds of
+    their extensions.  One call evaluates every start, and the polishes
+    run in lockstep by ``optimize.powell_starts``, one call per step for
+    all of them, each taking its start's value; a polished point's value
+    is the one Powell computed there.  The best is taken over the starts in order, each
     start's polished point right after it."""
     inits = np.zeros((1 + min(cfg.restarts, 31), nvars))
     for t in range(len(inits) - 1):
         rng = np.random.default_rng((int(cfg.seed), 89, t))
         inits[t + 1] = 0.5 * denom * rng.standard_normal(nvars)
     values = objective(inits).tolist()
-    polished = powell_starts(objective, inits[:8], 40 * nvars, 1e-8, 1e-10, values[:8]) if cfg.polish else []
+    polished = powell_starts(objective, inits[:8], 40 * nvars, 1e-8, 1e-10, values[:8])
 
     best_upper, best_W = math.inf, inits[0]
     for i, v0 in enumerate(values):
@@ -613,7 +611,7 @@ def extension_constant(
 
     M = T.matrix
     cod = T.codomain
-    denom = _operator_norm_over_F(sub, M, cod, cfg)
+    denom = _operator_norm_over_F(sub, M, cod)
     if denom <= 1e-14:
         raise ValueError("operator vanishes on the subspace")
     E = sub.ambient
@@ -625,7 +623,7 @@ def extension_constant(
     St_inv = np.linalg.inv(S.T)
 
     def objective(X: np.ndarray) -> np.ndarray:
-        return _norm_upper_stack(_extensions(M, X, St_inv), E, cod, cfg.family_size)
+        return _norm_upper(_extensions(M, X, St_inv), E, cod)[0]
 
     nvars = cod.dim * (n - k)
     V = _half_vertices(E) if p > 1.0 else None
@@ -691,14 +689,13 @@ def embedding_gap(
     its evaluations and can only shrink its weak-p constraint, so the
     ratio is at least 1 up to optimization slack.
     """
-    cfg = cfg or OptimizerConfig()
     if b.space != sub.ambient:
         raise ValueError("binding must live over the subspace's ambient space")
     coords = sub.coordinates(b.matrix)
 
-    ambient_est = fbl_norm(e, b, p, cfg)
+    ambient_est = fbl_norm(e, b, p)
 
-    seeds = [sub.restrict(Y) for Y in _fbl_seeds(e, b, cfg)]
+    seeds = [sub.restrict(Y) for Y in _fbl_seeds(e, b)]
     if ambient_est.witness is not None:
         seeds.append(sub.restrict(ambient_est.witness.matrix))
     k = sub.dim
@@ -710,7 +707,7 @@ def embedding_gap(
     def objective(G: np.ndarray) -> float:
         return lp_combine(eval_pairings(e, G @ coords.T), p)
 
-    f_lower, witness, _ = witness_search(sub, p, objective, seeds, cfg)
+    f_lower, witness, _ = witness_search(sub, p, objective, seeds)
 
     if witness is not None:
         # any F-side witness extends to an ambient family with the same
@@ -718,7 +715,7 @@ def embedding_gap(
         # more certified lower-bound candidate for the ambient norm
         lift = np.linalg.pinv((sub.basis_matrix * sub.ambient.weight_array).T)
         Y = witness.matrix @ lift
-        w_up, _, _ = _weak_E(sub.ambient, Y, p, cfg)
+        w_up, _, _ = _weak_E(sub.ambient, Y, p)
         if w_up > 1e-14 and math.isfinite(w_up):
             amb_val = _fbl_objective(e, b, p)(Y) / w_up
             if amb_val > ambient_est.lower:

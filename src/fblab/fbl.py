@@ -48,6 +48,7 @@ from .exprs import (
 from .operators import tuple_map
 from .optimize import OptimizerConfig, nelder_mead_rows
 from .spaces import (
+    _FAMILY_CAP,
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
     _max_signed_sum,
@@ -96,7 +97,7 @@ def _biorthogonal_family(b: GeneratorBinding) -> np.ndarray | None:
     return phi
 
 
-def _sign_selected_hadamard(base: np.ndarray, scores: np.ndarray, cap: int) -> list[np.ndarray]:
+def _sign_selected_hadamard(base: np.ndarray, scores: np.ndarray) -> list[np.ndarray]:
     """Hadamard sign mixes of the base rows that score highest.
 
     Selecting rows by the expression's own diagonal values steers the mix
@@ -106,19 +107,16 @@ def _sign_selected_hadamard(base: np.ndarray, scores: np.ndarray, cap: int) -> l
     out: list[np.ndarray] = []
     order = np.argsort(-scores)
     for m in (2, 4, 8, 16):
-        if m > min(cap, base.shape[0]):
+        if m > base.shape[0]:
             continue
         idx = np.sort(order[:m])
         out.append(hadamard(m) @ base[idx])
     return out
 
 
-def _fbl_seeds(
-    e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig
-) -> list[np.ndarray]:
+def _fbl_seeds(e: LatticeExpr, b: GeneratorBinding) -> list[np.ndarray]:
     E = b.space
     dim = E.dim
-    cap = cfg.family_size
     seeds: list[np.ndarray] = []
 
     # norming functionals of the bound vectors, individually and stacked
@@ -126,16 +124,16 @@ def _fbl_seeds(
     g_norming = eval_rows(e, b, phi_n)
     for i in np.argsort(-np.abs(g_norming))[: min(8, b.count)]:
         seeds.append(phi_n[i][None, :])
-    if b.count <= cap:
+    if b.count <= _FAMILY_CAP:
         seeds.append(phi_n)
 
     # coordinate functionals, all of them or the most relevant ones
     eye = np.eye(dim)
     g_coord = eval_rows(e, b, eye)
-    if dim <= cap:
+    if dim <= _FAMILY_CAP:
         seeds.append(eye)
     else:
-        top = np.sort(np.argsort(-np.abs(g_coord))[:cap])
+        top = np.sort(np.argsort(-np.abs(g_coord))[:_FAMILY_CAP])
         seeds.append(eye[top])
 
     # biorthogonal functionals and sign mixes steered by diagonal values
@@ -143,11 +141,11 @@ def _fbl_seeds(
     bases = [(phi_n, g_norming), (eye, g_coord)]
     if phi_bio is not None:
         g_bio = eval_rows(e, b, phi_bio)
-        if b.count <= cap:
+        if b.count <= _FAMILY_CAP:
             seeds.append(phi_bio)
         bases.append((phi_bio, g_bio))
     for base, g in bases:
-        seeds.extend(_sign_selected_hadamard(base, np.maximum(g, 0.0), cap))
+        seeds.extend(_sign_selected_hadamard(base, np.maximum(g, 0.0)))
 
     # diagonally weighted families: coefficients from the concavification
     # duality, evaluated at the expression's diagonal values
@@ -182,11 +180,10 @@ def fbl_norm(
     cfg: OptimizerConfig | None = None,
 ) -> NormEstimate:
     """Estimate the p-convex free-lattice norm of ``e`` over ``b.space``."""
-    cfg = cfg or OptimizerConfig()
     if not (p >= 1):
         raise ValueError("p must be in [1, infinity]")
     if math.isinf(p):
-        return fbl_infty_norm(e, b, cfg)
+        return fbl_infty_norm(e, b)
 
     upper = mass_bound(e, b)
     method_upper = ["mass bound"]
@@ -219,9 +216,7 @@ def fbl_norm(
             witness=witness,
         )
 
-    val, witness, tight = witness_search(
-        b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b, cfg), cfg
-    )
+    val, witness, tight = witness_search(b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b))
     method = ["witness search"]
     method.append("exact weak constraint" if tight else "crude-upper weak normalization")
     return NormEstimate(
@@ -250,10 +245,9 @@ def fbl_infty_norm(
     (up to 1e-12 of the mass bound) puts it above, the upper is the lower.
     Any other e goes to ``_dual_multistart``.
     """
-    cfg = cfg or OptimizerConfig()
-    found = _convex_sup(e, b, cfg.family_size)
+    found = _convex_sup(e, b)
     if found is None:
-        return _dual_multistart(e, b, cfg)
+        return _dual_multistart(e, b)
     upper, y, how = found
     n = norm(dual_space(b.space), y)
     lower = abs(float(eval_rows(e, b, y[None, :])[0])) / n
@@ -264,7 +258,7 @@ def fbl_infty_norm(
     return NormEstimate(lower, upper, True, True, ("convex expression", how), witness)
 
 
-def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) -> NormEstimate:
+def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
     """sup of |eval(e, .)| over the dual unit sphere for any e, from below.
 
     The candidates are structured, not drawn: the coordinate functionals,
@@ -291,19 +285,19 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) 
     vals = np.abs(eval_rows(e, b, np.array(candidates)))
     order = np.argsort(-vals)
     best_val, best_y = float(vals[order[0]]), candidates[int(order[0])]
-    if cfg.polish:
-        def neg_ratio(Y: np.ndarray) -> np.ndarray:  # -|e(y)| / ||y||, and 0 at y ~ 0
-            n = norms_rows(Ed, Y)
-            return np.divide(np.abs(eval_rows(e, b, Y)), -n, out=np.zeros(len(n)), where=n > 1e-14)
 
-        Y0 = np.array([candidates[int(i)] for i in order[:6]])
-        Y, _, _ = nelder_mead_rows(neg_ratio, Y0, 200 * dim, 1e-10, 1e-12)
-        Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
-        for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):
-            # a polished witness goes back on the dual sphere (constraint 1)
-            v, y = (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
-            if v > best_val:
-                best_val, best_y = float(v), y
+    def neg_ratio(Y: np.ndarray) -> np.ndarray:  # -|e(y)| / ||y||, and 0 at y ~ 0
+        n = norms_rows(Ed, Y)
+        return np.divide(np.abs(eval_rows(e, b, Y)), -n, out=np.zeros(len(n)), where=n > 1e-14)
+
+    Y0 = np.array([candidates[int(i)] for i in order[:6]])
+    Y, _, _ = nelder_mead_rows(neg_ratio, Y0, 200 * dim, 1e-10, 1e-12)
+    Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
+    for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):
+        # a polished witness goes back on the dual sphere (constraint 1)
+        v, y = (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
+        if v > best_val:
+            best_val, best_y = float(v), y
 
     grid = dim <= 3
     upper = max(_grid_upper(e, b), best_val) if grid else best_val
@@ -312,16 +306,14 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig) 
     return NormEstimate(best_val, upper, True, grid, ("dual-sphere multistart", how), witness)
 
 
-def _convex_sup(
-    e: LatticeExpr, b: GeneratorBinding, cap: int
-) -> tuple[float, np.ndarray, str] | None:
+def _convex_sup(e: LatticeExpr, b: GeneratorBinding) -> tuple[float, np.ndarray, str] | None:
     """For a convex e, its sup over the dual ball (the sup of |e|, since
     e(y) + e(-y) >= 0), a functional attaining it and the path taken; None
     off these paths.  A dual ball with at most 2^12 vertices (E = ell_inf^d,
     or ell_1^d with d <= 12) attains it at a vertex.  Else a linear e = <., g>
     has sup ||g||_E, and a moduli combination sum a_k |<., x_k>| of at most
-    ``cap`` terms has sup max_s ||sum_k s_k a_k x_k||_E, attained at the
-    norming functional of the winning signed sum."""
+    ``spaces._FAMILY_CAP`` terms has sup max_s ||sum_k s_k a_k x_k||_E,
+    attained at the norming functional of the winning signed sum."""
     shape = _convex_shape(e, b)
     if shape is None:
         return None
@@ -335,7 +327,7 @@ def _convex_sup(
         M = shape[None, :]
     else:
         moduli = recognize_moduli_combination(e)
-        if moduli is None or len(moduli) > cap:
+        if moduli is None or len(moduli) > _FAMILY_CAP:
             return None
         M = np.array(list(moduli.values()))[:, None] * b.matrix[list(moduli)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed enumeration is redone scaled
@@ -388,7 +380,6 @@ def moduli_norm(
     otherwise a certified witness lower bound plus the p-convexity upper
     bound (sum (a_k ||x_k||)^p)^(1/p).
     """
-    cfg = cfg or OptimizerConfig()
     X = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.asarray(coeffs, dtype=float)
     if np.any(a < 0):
@@ -406,7 +397,7 @@ def moduli_norm(
         )
 
     upper = lp_combine(np.array([ai * norm(E, xi) for ai, xi in zip(a, X)]), p)
-    est = pi_p_lower(T, p, cfg)
+    est = pi_p_lower(T, p)
     return NormEstimate(
         lower=est.lower,
         upper=upper,

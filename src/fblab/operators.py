@@ -20,6 +20,7 @@ from .estimates import NormEstimate
 from .optimize import OptimizerConfig
 from .spaces import (
     _EXTREME_ENUM_CAP,
+    _FAMILY_CAP,
     SpaceSpec,
     _json_fields,
     _max_signed_sum,
@@ -171,39 +172,27 @@ def _structured_ascent(
 @functools.cache
 def _unit_space(p: float, n: int) -> SpaceSpec:
     """Unweighted ell_p^n, built once per (p, n): the codomain in which
-    ``_exact_norm`` measures a family's values for its weak-p norm."""
+    ``_exact_plan`` measures a family's values for its weak-p norm."""
     return SpaceSpec(p, n)
-
-
-def _exact_norm(
-    Y: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int
-) -> tuple[float, str, bool] | None:
-    """The exact norm of x -> (<y_c, x>)_c from the ball of ``E`` into
-    ``C`` for the rows y_c of Y (pairing coordinates in the dual of E): the
-    weak-p norm of a family into unweighted ell_p^N, an operator norm for
-    the map's rows.  Returns (value, path tag, cheap enough for a polish
-    loop?), or None when no exact path applies; the path is resolved once
-    per (E, C, family_size) by ``_exact_plan``."""
-    plan = _exact_plan(E, C, family_size)
-    if plan is None:
-        return None
-    value, tag, cheap = plan
-    return value(Y), tag, cheap
 
 
 @functools.lru_cache(maxsize=256)
 def _exact_plan(
-    E: SpaceSpec, C: SpaceSpec, family_size: int
+    E: SpaceSpec, C: SpaceSpec
 ) -> tuple[Callable[[np.ndarray], float], str, bool] | None:
-    """The path of ``_exact_norm``: (the value as a function of Y, path
-    tag, cheap?), or None.  The tags name the weak-p paths (C = ell_p^N).
-    In order: a sup-norm codomain by the rows' dual norms and an ell_1
-    domain by the best column (closed forms); an ell_1 codomain of at most
-    ``family_size`` rows by its 2^(N-1) row signs or, over a sup-norm ball,
-    the 2^(dim-1) cube vertices, whichever enumerates fewer signed-sum
-    entries; a sup-norm domain within the enumeration cap by its cube
-    vertices.  The value function also takes a stack (K, N, dim) of Y and
-    returns their K values, each with the bits it has alone."""
+    """The exact norm of x -> (<y_c, x>)_c from the ball of ``E`` into
+    ``C`` for the rows y_c of Y (pairing coordinates in the dual of E): the
+    weak-p norm of a family into unweighted ell_p^N, an operator norm for
+    the map's rows.  Returns (the value as a function of Y, path tag, cheap
+    enough for a polish loop?), or None when no exact path applies; the
+    path is resolved once per (E, C).  The tags name the weak-p paths (C =
+    ell_p^N).  In order: a sup-norm codomain by the rows' dual norms and
+    an ell_1 domain by the best column (closed forms); an ell_1 codomain of
+    at most ``spaces._FAMILY_CAP`` rows by its 2^(N-1) row signs or, over a
+    sup-norm ball, the 2^(dim-1) cube vertices, whichever enumerates fewer
+    signed-sum entries; a sup-norm domain within the enumeration cap by its
+    cube vertices.  The value function also takes a stack (K, N, dim) of Y
+    and returns their K values, each with the bits it has alone."""
     N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
         return (lambda Y: _values(np.maximum.reduce(norms_rows(dual, Y), axis=-1))), "weak-inf closed form", True
@@ -217,7 +206,7 @@ def _exact_plan(
             return _root(np.maximum.reduce(np.add.reduce(V, axis=-2), axis=-1), r)
 
         return cross_polytope, "cross-polytope enumeration", True
-    if C.r == 1 and N <= family_size:
+    if C.r == 1 and N <= _FAMILY_CAP:
         tag = "sign enumeration"
         cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
         on_cube = E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim
@@ -235,44 +224,34 @@ def _exact_plan(
     return (lambda Y: _max_signed_sum(Y if w is None else Y * w, dual)[0]), tag, cheap
 
 
-def _norm_upper(
-    a: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int
-) -> tuple[float, bool]:
+def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.ndarray, bool]:
     """Certified upper bound on the norm of x -> a @ x from the ball of
-    ``E`` into ``C``, and whether it is exact: the value on the paths of
-    ``_exact_norm``, otherwise the crude row-norm bound (each row
-    functional replaced by its norm)."""
-    Y = a if E.unweighted else a / E.weight_array  # <Y[c], x> = (a @ x)[c]
-    hit = _exact_norm(Y, E, C, family_size)
-    if hit is not None:
-        return hit[0], True
-    return norm(C, norms_rows(E.dual, Y)), False
-
-
-def _norm_upper_stack(A: np.ndarray, E: SpaceSpec, C: SpaceSpec, family_size: int) -> np.ndarray:
-    """``_norm_upper``'s bound for each map of a stack A (K, m, n), each
-    with the bits of its own call: one call of the exact path's value
-    function on the stack, otherwise ``_norm_upper`` map by map."""
-    plan = _exact_plan(E, C, family_size)
-    if plan is None:
-        return np.array([_norm_upper(a, E, C, family_size)[0] for a in A])
-    return plan[0](A if E.unweighted else A / E.weight_array)
+    ``E`` into ``C`` for a map a, or the bounds of each map of a stack A
+    (K, m, n), and whether they are exact: the value of the path of
+    ``_exact_plan``, one call for a whole stack, otherwise the crude
+    row-norm bound (each row functional replaced by its norm) map by map;
+    each map keeps the bits it has alone."""
+    Y = A if E.unweighted else A / E.weight_array  # <Y[c], x> = (a @ x)[c]
+    plan = _exact_plan(E, C)
+    if plan is not None:
+        return plan[0](Y), True
+    crude = lambda y: norm(C, norms_rows(E.dual, y))
+    return (crude(Y) if Y.ndim == 2 else np.array([crude(y) for y in Y])), False
 
 
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 
-    Exact (certified on both sides) on every path of ``_exact_norm``, the
+    Exact (certified on both sides) on every path of ``_exact_plan``, the
     oracle the weak-p norms share: a sup-norm codomain, an ell_1 domain, an
-    ell_1 codomain of at most ``cfg.family_size`` rows, and a sup-norm
+    ell_1 codomain of at most ``spaces._FAMILY_CAP`` rows, and a sup-norm
     domain within the enumeration cap.  Otherwise the lower bound is the
     best ``_structured_ascent`` value (certified, it is attained at a
     feasible point) and the upper bound is the crude row-norm bound; both
     upper bounds come from ``_norm_upper``.
     """
-    cfg = cfg or OptimizerConfig()
     a, E, cod = T.matrix, T.domain, T.codomain
-    upper, exact = _norm_upper(a, E, cod, cfg.family_size)
+    upper, exact = _norm_upper(a, E, cod)
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
     lower, _ = _structured_ascent(

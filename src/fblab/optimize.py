@@ -1,9 +1,9 @@
 """Optimizer settings, a lockstep Nelder-Mead and Powell's method.
 
-Every search in the package is a pure function of its inputs and an
-``OptimizerConfig``.  All but one start from structured points and read
-no seed; the Powell multistart of the extension constant draws its
-starts from generators fixed by (seed, restart index).
+Every search in the package is a pure function of its inputs.  All but
+one start from structured points and read no seed; the Powell multistart
+of the extension constant draws its starts from generators fixed by the
+``OptimizerConfig``'s (seed, restart index).
 
 ``nelder_mead_rows`` is scipy's Nelder-Mead, bit for bit, run from many starts
 in lockstep with one call of a row-stacked objective per phase: each start's
@@ -53,30 +53,20 @@ __all__ = ["OptimizerConfig", "nelder_mead_rows", "powell_rows", "powell_starts"
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs shared by the searches.
-
-    seed and restarts drive one search only: the Powell multistart of the
-    extension constant at p = 1 and over balls that are not small
-    polytopes (``restarts`` starts, at most 31, drawn from ``seed``).
-    Every other search starts from structured points and reads neither.
-    family_size caps witness families, the moduli combinations whose p =
-    infinity norm is a largest signed sum, and the row-sign side (2^(N-1)
-    sign patterns) of exact norms into ell_1^N, the weak-1 norm among
-    them, not their cube side over a sup-norm ball.  polish turns the
-    local refinement of the best candidates on or off; the epigraph
-    program is a solve, not a refinement, and always runs.
+    """The settings of the one search that draws random numbers: the
+    Powell multistart of the extension constant at p = 1 and over balls
+    that are not small polytopes (``restarts`` starts, at most 31, drawn
+    from ``seed``).  Every public estimator takes a config for a uniform
+    signature; every other search starts from structured points and reads
+    neither field.
     """
 
     seed: int = 0
     restarts: int = 64
-    family_size: int = 20
-    polish: bool = True
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.family_size < 1:
-            raise ValueError("restarts and family_size must be positive")
-        if self.family_size > 20:
-            raise ValueError("family_size above 20 breaks the sign-enumeration budget")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 # scipy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = 1/2): a trial point is

@@ -197,6 +197,12 @@ class EnumerationTooLarge(Exception):
 
 _EXTREME_ENUM_CAP = 22  # sup-norm balls are enumerated exactly up to 2^22 vertices
 
+# the sign-enumeration budget: seed families of coordinate and norming
+# functionals, the moduli combinations whose p = infinity norm is a largest
+# signed sum, and the row-sign side (2^(N-1) patterns) of exact norms into
+# ell_1^N have at most this many members
+_FAMILY_CAP = 20
+
 # a ball with at most this many vertices is small enough for a caller to
 # take all of its vertex rows at once (``_vertex_count``)
 _SMALL_POLYTOPE_CAP = 1 << 12

@@ -9,7 +9,7 @@ a candidate family is divided by a *certified upper bound* on its weak-p
 norm, so the normalized family is genuinely feasible and the value it
 attains is a true lower bound.  The weak-p norm of a family is the norm
 of the map x -> (<y_k, x>)_k from E into ell_p^N, so the exact paths are
-those of the operator-norm oracle ``operators._exact_norm``: p = infinity
+those of the operator-norm oracle ``operators._exact_plan``: p = infinity
 and an ell_1 ball by closed forms, p = 1 by sign enumeration of the
 members or of the cube vertices, and a sup-norm ball within the
 enumeration cap by its vertices.  On them the normalization is tight and
@@ -32,8 +32,7 @@ ball: the line searches of a Powell sweep step in lockstep, and each step
 evaluates the bound and the objective of all their families at once.
 Every objective therefore takes stacks, as the free-lattice,
 summing-norm and embedding-gap objectives do.  The search draws nothing
-at random, so its result depends only on its inputs, ``family_size`` and
-``polish``.
+at random, so its result depends only on its inputs.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, _exact_norm, _exact_plan, _unit_space, operator_norm
+from .operators import LinearMap, _exact_plan, _unit_space, operator_norm
 from .optimize import OptimizerConfig, powell_rows
-from .spaces import SpaceSpec, _root, _values, dual_space, norms_rows
+from .spaces import _FAMILY_CAP, SpaceSpec, _root, _values, dual_space, norms_rows
 
 if TYPE_CHECKING:
     from .extension import SubspaceSpec
@@ -89,7 +88,7 @@ def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
 
 
 def _weak_E(
-    space: SpaceSpec, Y: np.ndarray, p: float, cfg: OptimizerConfig
+    space: SpaceSpec, Y: np.ndarray, p: float
 ) -> tuple[float, bool, Callable[[np.ndarray], np.ndarray] | None]:
     """Weak-p norm of a family over the ball of ``space`` for the witness
     search: (certified upper bound, exact?, the bound as a function of a
@@ -97,7 +96,7 @@ def _weak_E(
     polish).  Off the exact paths the triangle-inequality bound stands in,
     not polished; an ascent lower bound would dominate the cost and
     normalization only needs the upper one."""
-    plan = _exact_plan(space, _unit_space(p, len(Y)), cfg.family_size)
+    plan = _exact_plan(space, _unit_space(p, len(Y)))
     if plan is None:
         return _weak_crude_upper(Y, space, p), False, None
     value, _, cheap = plan
@@ -114,12 +113,12 @@ def weak_p_norm(
 
     The family rows live in the dual of ``space``.  This is the norm of the
     map x -> (<y_k, x>)_k from ``space`` into ell_p^N, and its exact paths
-    are those of ``operators._exact_norm`` with that codomain:
+    are those of ``operators._exact_plan`` with that codomain:
 
     * p = infinity: max of the members' dual norms;
     * r = 1 ball (any p): columnwise closed form over the cross-polytope;
     * p = 1 (any space): sign enumeration on the cheaper exact side, the
-      2^(N-1) member patterns (while N stays within the family-size cap)
+      2^(N-1) member patterns (while N stays within ``spaces._FAMILY_CAP``)
       or, over a sup-norm ball, the 2^(dim-1) cube vertices;
     * sup-norm ball within the enumeration cap (any p): cube vertices.
 
@@ -127,7 +126,6 @@ def weak_p_norm(
     from structured starts plus its row-norm upper bound, which is the
     triangle inequality (both certified; the gap is reported, not hidden).
     """
-    cfg = cfg or OptimizerConfig()
     Y = np.atleast_2d(np.asarray(family, dtype=float))
     if Y.shape[1] != space.dim:
         raise ValueError("family members must live in the dual of the given space")
@@ -136,15 +134,15 @@ def weak_p_norm(
     top = float(np.max(np.abs(Y)))
     e = math.frexp(top)[1] if 0.0 < top < math.inf else 0
     Y = np.ldexp(Y, -e)
-    hit = _exact_norm(Y, space, _unit_space(p, len(Y)), cfg.family_size)
-    if hit is not None:
-        val, how, _ = hit
-        val = math.ldexp(val, e)
+    plan = _exact_plan(space, _unit_space(p, len(Y)))
+    if plan is not None:
+        value, how, _ = plan
+        val = math.ldexp(value(Y), e)
         return NormEstimate(val, val, True, True, method=(how,))
 
     # heuristic regime: certified bounds from both sides, but not tight
     S = LinearMap.from_array(Y * space.weight_array, space, _unit_space(p, Y.shape[0]))
-    est = operator_norm(S, cfg)
+    est = operator_norm(S)
     return NormEstimate(
         math.ldexp(est.lower, e),
         math.ldexp(est.upper, e),
@@ -164,7 +162,7 @@ def witness_search(
     p: float,
     objective: Callable[[np.ndarray], float],
     seeds: Iterable[np.ndarray],
-    cfg: OptimizerConfig,
+    cfg: OptimizerConfig | None = None,
 ) -> tuple[float, WitnessFamily | None, bool]:
     """Maximize objective(Y) over families with weak-p norm at most 1.
 
@@ -174,11 +172,11 @@ def witness_search(
     homogeneous of degree 1 in the family matrix, and it also maps a stack
     (K, N, dim) of families to their K values, each with the bits it has
     alone.  Every seed is normalized by a certified upper bound on its
-    weak-p norm, and the best of them is polished by Powell when the ball's
-    oracle hands over that bound as a function of a stack (``cfg.polish``
-    turns the polish off); the polish evaluates its line searches in
-    lockstep.  So the best value is always a true lower bound for
-    sup { objective : weak-p <= 1 }.
+    weak-p norm, and the best of them, at most 128 entries, is polished by
+    Powell when the ball's oracle hands over that bound as a function of a
+    stack; the polish evaluates its line searches in lockstep.  So the best
+    value is always a true lower bound for sup { objective : weak-p <= 1 }.
+    ``cfg`` is accepted for a uniform signature; nothing here is random.
 
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
@@ -198,7 +196,7 @@ def witness_search(
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.size == 0 or not np.all(np.isfinite(Y)):
             return
-        upper, tight, bound = weak(ball, Y, p, cfg)
+        upper, tight, bound = weak(ball, Y, p)
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale
         if upper <= 1e-14 * np.max(np.abs(Y)) or math.isinf(upper):
@@ -213,7 +211,7 @@ def witness_search(
     for Y in seeds:
         consider(Y)
 
-    if cfg.polish and best_bound is not None and best_fam.size <= 128:
+    if best_bound is not None and best_fam.size <= 128:
         polished = _polish_family(best_bound, objective, best_fam)
         if polished is not None:
             consider(polished)
@@ -273,7 +271,7 @@ def _pi_objective(T: LinearMap, p: float) -> Callable[[np.ndarray], float]:
     return obj
 
 
-def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
+def _pi_seeds(T: LinearMap) -> list[np.ndarray]:
     """Structured candidate families for summing-norm lower bounds:
     domain atoms, the raw rows of the map, and Hadamard sign mixes of
     both (the mixes are what realize sqrt(n)-type values)."""
@@ -281,17 +279,15 @@ def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
     dim = T.domain.dim
     seeds: list[np.ndarray] = []
     eye = np.eye(dim)
-    if dim <= cfg.family_size:
+    if dim <= _FAMILY_CAP:
         seeds.append(eye)
     else:
         scores = np.linalg.norm(A, axis=0)  # how much each atom moves under T
-        top = np.argsort(-scores)[: cfg.family_size]
+        top = np.argsort(-scores)[:_FAMILY_CAP]
         seeds.append(eye[np.sort(top)])
     seeds.append(A.copy())
     seeds.append(A / T.domain.weight_array)
     for m in (2, 4, 8, 16):
-        if m > cfg.family_size:
-            continue
         H = hadamard(m)
         if m <= dim:
             fam = np.zeros((m, dim))
@@ -305,14 +301,10 @@ def _pi_seeds(T: LinearMap, cfg: OptimizerConfig) -> list[np.ndarray]:
     return seeds
 
 
-def _pi_lower(
-    T: LinearMap, p: float, q: float, cfg: OptimizerConfig, method: tuple[str, ...]
-) -> NormEstimate:
+def _pi_lower(T: LinearMap, p: float, q: float, method: tuple[str, ...]) -> NormEstimate:
     """Strong q-sums over weakly-p bounded families, by witness search; the
     families live in the domain X = E*, and the ball of E constrains them."""
-    val, witness, tight = witness_search(
-        dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T, cfg), cfg
-    )
+    val, witness, tight = witness_search(dual_space(T.domain), p, _pi_objective(T, q), _pi_seeds(T))
     method += ("exact weak constraint" if tight else "crude-upper weak normalization",)
     return NormEstimate(val, math.inf, True, False, method=method, witness=witness)
 
@@ -323,7 +315,7 @@ def pi_p_lower(T: LinearMap, p: float, cfg: OptimizerConfig | None = None) -> No
     ``T`` must be defined on a dual space: families live in T.domain and
     the weak-p constraint ranges over the ball of its predual.
     """
-    return _pi_lower(T, p, p, cfg or OptimizerConfig(), ("witness search",))
+    return _pi_lower(T, p, p, ("witness search",))
 
 
 def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
@@ -347,4 +339,4 @@ def pi_q1_lower(T: LinearMap, q: float, cfg: OptimizerConfig | None = None) -> N
     if not (q >= 1):
         raise ValueError("q must be >= 1 or infinity")
     method = ("witness search", "weak-1 constraint")
-    return _pi_lower(T, 1.0, q, cfg or OptimizerConfig(), method)
+    return _pi_lower(T, 1.0, q, method)

@@ -200,7 +200,7 @@ def test_criterion_05_hilbert_bibasis_ratio():
 def test_criterion_06_sublattice_isometry():
     E = SpaceSpec(2.0, 4)
     exprs, binding, _ = sublattice_generators(E, 4, 12)
-    cfg = OptimizerConfig(restarts=12, polish=False)
+    cfg = OptimizerConfig(restarts=12)
     rng = np.random.default_rng(600)
     for _ in range(20):
         alpha = np.abs(rng.standard_normal(4))
@@ -296,7 +296,7 @@ def test_criterion_09_c0_moduli_scale(n):
 
 def test_criterion_10_upper_root_inequality():
     rng = np.random.default_rng(1000)
-    cfg = OptimizerConfig(restarts=2, polish=False)
+    cfg = OptimizerConfig(restarts=2)
     for t in range(200):
         r = [1.0, 2.0, math.inf][t % 3]
         n = int(rng.integers(2, 5))
@@ -319,7 +319,7 @@ def test_criterion_10_upper_root_inequality():
 
 def test_criterion_10_fbl_infty_below_fbl1_on_L1_moduli():
     rng = np.random.default_rng(1001)
-    cfg = OptimizerConfig(restarts=4, polish=False)
+    cfg = OptimizerConfig(restarts=4)
     for _ in range(200):
         L1 = dyadic_L1(4)
         X = rng.standard_normal((2, 4))
@@ -333,7 +333,7 @@ def test_criterion_10_fbl_infty_below_fbl1_on_L1_moduli():
 
 def test_criterion_10_hom_extension_contractivity():
     rng = np.random.default_rng(1002)
-    cfg = OptimizerConfig(restarts=1, polish=False)
+    cfg = OptimizerConfig(restarts=1)
     for t in range(200):
         p = [1.0, 2.0][t % 2]
         E = SpaceSpec(math.inf, 3)

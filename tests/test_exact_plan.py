@@ -18,7 +18,7 @@ from fblab import (
 from fblab.exprs import eval_pairings
 from fblab.extension import _exact_plan_F
 from fblab.fbl import _fbl_objective
-from fblab.operators import _exact_norm, _unit_space
+from fblab.operators import _exact_plan, _unit_space
 from fblab.optimize import powell_rows
 from fblab.spaces import _EXTREME_ENUM_CAP, _SIGNED_SUM_BLOCK, _max_signed_sum, _sign_table, norms_rows
 from fblab.summing import lp_combine
@@ -54,9 +54,9 @@ def _reference_max_signed_sum(M, space):
     return float(norms_rows(space, z[None, :])[0]), z
 
 
-def _reference_exact_norm(Y, E, C, family_size):
+def _reference_exact_norm(Y, E, C):
     """The exact-norm dispatch decided on every call, as it was written
-    before the path was kept per (E, C, family_size)."""
+    before the path was kept per ball and codomain."""
     N, dim = C.dim, E.dim
     if C.is_sup:
         return float(np.max(norms_rows(E.dual, Y))), "weak-inf closed form", True
@@ -65,7 +65,7 @@ def _reference_exact_norm(Y, E, C, family_size):
         if not C.unweighted:
             V = V * C.weight_array[:, None]
         return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r), "cross-polytope enumeration", True
-    if C.r == 1 and N <= family_size:
+    if C.r == 1 and N <= 20:
         tag = "sign enumeration"
         cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
         on_cube = E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim
@@ -91,9 +91,10 @@ def _same(a, b):
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_exact_norm_plan_matches_per_call_dispatch(r, weighted):
-    """Every path of ``_exact_norm`` (closed forms, both sides of sign
+    """Every path of ``_exact_plan`` (closed forms, both sides of sign
     enumeration, cube vertices, no path) over unweighted and weighted balls
-    and codomains gives the bytes of the per-call dispatch."""
+    and codomains gives the bytes of the per-call dispatch, with the
+    family cap of 20 members."""
     rng = np.random.default_rng(70 + int(weighted))
     tags = set()
     for dim in (1, 2, 3, 5, 8, 23):
@@ -102,7 +103,9 @@ def test_exact_norm_plan_matches_per_call_dispatch(r, weighted):
             for p in (1.0, 2.0, 3.0, math.inf):
                 C = SpaceSpec(p, N, tuple(rng.uniform(0.5, 2.0, N))) if weighted else _unit_space(p, N)
                 Y = rng.standard_normal((N, dim))
-                got, want = _exact_norm(Y, E, C, 20), _reference_exact_norm(Y, E, C, 20)
+                plan = _exact_plan(E, C)
+                got = None if plan is None else (plan[0](Y), *plan[1:])
+                want = _reference_exact_norm(Y, E, C)
                 assert _same(got, want), (r, dim, N, p)
                 tags.add(None if got is None else got[1])
     if r == 1:
@@ -230,7 +233,7 @@ def test_polished_B_F_balls_reach_each_path(case):
     model space's closed form, cross-polytope, sign and cube-vertex
     enumeration, the vertices of B_F, and off them the fallback bound."""
     r, aligned, p, tag = _F_BALLS[case]
-    plan = _exact_plan_F(_subspace(r, aligned), _unit_space(p, 3), 20)
+    plan = _exact_plan_F(_subspace(r, aligned), _unit_space(p, 3))
     assert (None if plan is None else plan[1]) == tag
 
 

@@ -303,7 +303,7 @@ def test_vertex_max_matches_linear_program():
                 for _ in range(4):
                     v = rng.standard_normal(k)
                     # the norm of c -> v . c into a line is the largest v . c
-                    value, tag, cheap = _exact_plan_F(sub, SpaceSpec(1.0, 1), 20)
+                    value, tag, cheap = _exact_plan_F(sub, SpaceSpec(1.0, 1))
                     val = value(v[None, :])
                     assert tag == "B_F vertex enumeration" and cheap
                     assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
@@ -356,10 +356,10 @@ def test_linear_program_above_the_vertex_cap(monkeypatch):
     # as zero and return an arbitrary feasible point
     line = SpaceSpec(1.0, 1)
     for old, new in zip(cached, fresh):
-        assert _exact_plan_F(new, line, 20) is None
+        assert _exact_plan_F(new, line) is None
         for _ in range(20):
             v = rng.standard_normal(old.dim)
-            exact = _exact_plan_F(old, line, 20)[0](v[None, :])
+            exact = _exact_plan_F(old, line)[0](v[None, :])
             tiny, _ = _max_linear_over_BF(new, 1e-9 * v)
             assert tiny == pytest.approx(1e-9 * exact, rel=1e-9)
 
@@ -377,6 +377,29 @@ def test_ell2_closed_form_at_extreme_scales():
         for e in (664, -664):
             big_val, big_c = _max_linear_over_BF(sub, np.ldexp(v, e))
             assert big_val == math.ldexp(val, e) and big_c.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("r", [math.inf, 1.0])
+def test_linear_program_at_extreme_scales(r):
+    """Over ell_inf^40 and ell_1^40, where B_F of a generic 6-dimensional F
+    has no vertex set, the linear program sees the form at unit length
+    whatever its scale: at 2^600 and 2^-600 the value and the maximizer
+    of the unit form, bit for bit, and at 1e200, 1e160 and 1e-200 the
+    value scaled.  The length of such a form overflows or underflows."""
+    rng = np.random.default_rng(0)
+    full = rng.standard_normal((40, 40))
+    sub = SubspaceSpec.from_arrays(SpaceSpec(r, 40), full[:6], full[6:])
+    assert sub._vertices is None and sub._model is None
+    v = rng.standard_normal(6)
+    val, c = _max_linear_over_BF(sub, v)
+    assert val > 0.0 and val == pytest.approx(_linprog_max(sub, v), rel=1e-9)
+    for e in (600, -600):
+        big_val, big_c = _max_linear_over_BF(sub, np.ldexp(v, e))
+        assert big_val == math.ldexp(val, e) and big_c.tobytes() == c.tobytes()
+        assert extension._fstar_norm_upper(sub, np.ldexp(v, e)) == math.ldexp(val, e)
+    for scale in (1e200, 1e160, 1e-200):
+        assert _max_linear_over_BF(sub, scale * v)[0] == pytest.approx(scale * val, rel=1e-9)
+        assert extension._fstar_norm_upper(sub, scale * v) == pytest.approx(scale * val, rel=1e-9)
 
 
 def _zonotope_polar_vertices(sub):
@@ -484,7 +507,7 @@ def test_coordinate_section_above_the_vertex_cap_is_exact(monkeypatch, k):
     for basis, cube_map in ((np.eye(k + 1)[:k], M), (np.eye(k + 1)[:k] * s[:, None], M / s)):
         sub = SubspaceSpec.from_arrays(SpaceSpec(math.inf, k + 1), basis, np.eye(k + 1)[k:])
         assert sub._vertices is None
-        val = extension._operator_norm_over_F(sub, M, cod, CFG)
+        val = extension._operator_norm_over_F(sub, M, cod)
         est = operator_norm(LinearMap.from_array(cube_map, SpaceSpec(math.inf, k), cod), CFG)
         assert est.exact and val == est.upper
 
@@ -508,9 +531,9 @@ def test_axis_aligned_section_norms_match_closed_forms(r):
 
     G = rng.standard_normal((3, 3))
     weak_1 = max(form_norm(np.array(t) @ G) for t in itertools.product((-1.0, 1.0), repeat=3))
-    assert extension._weak_F(sub, G, 1.0, CFG)[0] == pytest.approx(weak_1, rel=1e-12)
-    assert extension._weak_F(sub, G, math.inf, CFG)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
-    val = extension._operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3), CFG)
+    assert extension._weak_F(sub, G, 1.0)[0] == pytest.approx(weak_1, rel=1e-12)
+    assert extension._weak_F(sub, G, math.inf)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
+    val = extension._operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3))
     assert val == pytest.approx(max(map(form_norm, G)), rel=1e-12)
 
 
@@ -552,13 +575,13 @@ def test_exact_norm_F_matches_qhull_vertices(r, aligned):
             for _ in range(2):
                 G = rng.standard_normal((int(rng.integers(1, 5)), k))
                 for p in (1.0, 2.0, math.inf):
-                    upper, tight, _ = extension._weak_F(sub, G, p, CFG)
+                    upper, tight, _ = extension._weak_F(sub, G, p)
                     assert tight
                     assert upper == pytest.approx(np.max(_lp_rows(V @ G.T, p)), rel=1e-12)
                 for r_cod in (1.0, 1.5, 3.0, math.inf):
                     cod = SpaceSpec(r_cod, len(G), tuple(rng.uniform(0.3, 2.0, len(G))))
                     brute = max(norm(cod, G @ c) for c in V)
-                    assert extension._operator_norm_over_F(sub, G, cod, CFG) == pytest.approx(brute, rel=1e-12)
+                    assert extension._operator_norm_over_F(sub, G, cod) == pytest.approx(brute, rel=1e-12)
 
 
 def _polytopal_extension_instances(count, seed):
@@ -655,11 +678,11 @@ def test_stacked_extension_objective_keeps_each_rows_bits(r):
     objective on the k-th complement values, bit for bit: the extension
     [M W] St_inv built alone, and ``operators._norm_upper`` of it.
     ``np.matmul`` over the stack takes each product as the single product
-    does, and ``operators._norm_upper_stack`` keeps each map's bits.
+    does, and ``operators._norm_upper`` of the stack keeps each map's bits.
     Random stacks over weighted ambients and ell_1, ell_2 and ell_inf
     codomains; the ell_2 codomain over a Euclidean ambient has no exact
     path and goes map by map."""
-    from fblab.operators import _exact_plan, _norm_upper, _norm_upper_stack
+    from fblab.operators import _exact_plan, _norm_upper
 
     rng = np.random.default_rng(7)
     stacked = 0
@@ -668,16 +691,17 @@ def test_stacked_extension_objective_keeps_each_rows_bits(r):
         St_inv = np.linalg.inv(rng.standard_normal((n, n)).T)
         C = SpaceSpec(q, m, tuple(rng.uniform(0.5, 2.0, m)))
         M = rng.standard_normal((m, k))
-        stacked += _exact_plan(E, C, 20) is not None
+        stacked += _exact_plan(E, C) is not None
         for K in (1, 4, 9):
             X = rng.standard_normal((K, m * (n - k))) * 10.0 ** rng.integers(-3, 4, (K, 1))
             A = extension._extensions(M, X, St_inv)
-            values = _norm_upper_stack(A, E, C, 20)
+            values, exact = _norm_upper(A, E, C)
             assert A.shape == (K, m, n) and values.shape == (K,)
             for W, a, v in zip(X, A, values.tolist()):
                 alone = np.concatenate((M, W.reshape(m, n - k)), axis=1) @ St_inv
                 assert a.tobytes() == alone.tobytes()
-                assert np.float64(v).tobytes() == np.float64(_norm_upper(alone, E, C, 20)[0]).tobytes()
+                assert np.float64(v).tobytes() == np.float64(_norm_upper(alone, E, C)[0]).tobytes()
+                assert exact == _norm_upper(alone, E, C)[1]
     assert stacked == (16 if r == 2.0 else 24)  # all but ell_2 into ell_2 take the stacked path
 
 

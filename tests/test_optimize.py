@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 import fblab.optimize
-from fblab import Abs, Gen, GeneratorBinding, Join, OptimizerConfig, PosPart, SpaceSpec
+from fblab import Abs, Gen, GeneratorBinding, Join, PosPart, SpaceSpec
 from fblab.fbl import _dual_multistart
 from fblab.optimize import nelder_mead_rows, powell_rows, powell_starts
 
@@ -198,7 +198,7 @@ def _dual_digest(dim):
         SpaceSpec(r, dim, tuple(rng.uniform(0.5, 2.0, dim))), rng.standard_normal((4, dim))
     )
     e = Abs(Gen(0)) * 0.9 + Join(Gen(1), Gen(2)) * 1.1 - Abs(Gen(3)) * 0.6 + PosPart(Gen(0) - Gen(1)) * 0.8
-    est = _dual_multistart(e, b, OptimizerConfig())
+    est = _dual_multistart(e, b)
     witness = hashlib.sha256(est.witness.matrix.tobytes()).hexdigest()[:16]
     return est.lower.hex(), est.upper.hex(), est.method[1], witness
 

@@ -129,7 +129,7 @@ def _one_family_max_signed_sum(M, space):
 
 
 def _one_family_plan_value(E, C, tag, Y):
-    """The value of ``_exact_plan(E, C, ...)`` with path ``tag`` at one
+    """The value of ``_exact_plan(E, C)`` with path ``tag`` at one
     family Y."""
     if tag == "weak-inf closed form":
         return float(np.max(norms_rows(E.dual, Y)))
@@ -221,14 +221,17 @@ def _plan_cases(E, N, rng):
     return [SpaceSpec(p, N) for p in (1.0, 2.0, math.inf)] + [_space(rng.choice([1.0, 1.5, 3.0]), N, True, rng)]
 
 
-@given(r=st.sampled_from(EXPONENTS), family_size=st.sampled_from([1, 4, 20]), **_DRAW)
+@given(r=st.sampled_from(EXPONENTS), wide=st.booleans(), **_DRAW)
 @settings(max_examples=200, deadline=None)
-def test_exact_plan_values_of_a_stack(r, family_size, K, N, dim, special, weighted, seed):
+def test_exact_plan_values_of_a_stack(r, wide, K, N, dim, special, weighted, seed):
+    """Families of 1 to 8 members, or of 21 to 28 (``wide``), past the
+    family cap of 20, where no row signs are enumerated."""
     rng = np.random.default_rng(seed)
+    N += 20 * wide
     E = _space(r, dim, weighted, rng)
     Y = _stack(K, N, dim, special, rng)
     for C in _plan_cases(E, N, rng):
-        plan = _exact_plan(E, C, family_size)
+        plan = _exact_plan(E, C)
         if plan is None:
             continue
         with _Errstate(special):
@@ -246,15 +249,14 @@ def test_exact_plan_draws_reach_every_path():
     seen = set()
     for r in EXPONENTS:
         for dim in (1, 3, 6):
-            for N in (1, 2, 5, 8):
-                for family_size in (1, 4, 20):
-                    for C in _plan_cases(SpaceSpec(r, dim), N, np.random.default_rng(N)):
-                        plan = _exact_plan(SpaceSpec(r, dim), C, family_size)
-                        if plan is not None:
-                            on_cube = r == math.inf and C.r == 1 and N <= family_size and (
-                                (1 << (dim - 1)) * N < (1 << (N - 1)) * dim
-                            )
-                            seen.add((plan[1], on_cube))
+            for N in (1, 2, 5, 8, 21, 28):
+                for C in _plan_cases(SpaceSpec(r, dim), N, np.random.default_rng(N)):
+                    plan = _exact_plan(SpaceSpec(r, dim), C)
+                    if plan is not None:
+                        on_cube = r == math.inf and C.r == 1 and N <= 20 and (
+                            (1 << (dim - 1)) * N < (1 << (N - 1)) * dim
+                        )
+                        seen.add((plan[1], on_cube))
     assert seen == {
         ("weak-inf closed form", False),
         ("cross-polytope enumeration", False),
@@ -349,7 +351,7 @@ def _section(r, aligned, k, n, rng):
 
 
 def _one_family_plan_F_value(sub, C, tag, M):
-    """The value of ``_exact_plan_F(sub, C, ...)`` with path ``tag`` at one
+    """The value of ``_exact_plan_F(sub, C)`` with path ``tag`` at one
     map M, as the exact norm over B_F was written before it took stacks:
     the model's plan at M / d, or the largest norm of the vertices' images
     by M."""
@@ -371,19 +373,21 @@ _SECTIONS = dict(
 
 @given(
     ball=st.sampled_from([(r, True) for r in EXPONENTS] + [(1.0, False), (math.inf, False)]),
-    family_size=st.sampled_from([1, 4, 20]),
+    wide=st.booleans(),
     **_SECTIONS,
 )
 @settings(max_examples=200, deadline=None)
-def test_exact_plan_F_values_of_a_stack(ball, family_size, k, extra, K, N, special, seed):
+def test_exact_plan_F_values_of_a_stack(ball, wide, k, extra, K, N, special, seed):
     """Every path of ``_exact_plan_F``: the model space of an axis-aligned F
     through each path of ``_exact_plan``, and the vertices of B_F over
-    generic sections of ell_1 and ell_inf."""
+    generic sections of ell_1 and ell_inf; families of 1 to 8 members, or
+    of 21 to 28 (``wide``), past the family cap."""
     rng = np.random.default_rng(seed)
+    N += 20 * wide
     sub = _section(*ball, k, k + extra, rng)
     M = _stack(K, N, k, special, rng)
     for C in _plan_cases(sub.ambient, N, rng):
-        plan = _exact_plan_F(sub, C, family_size)
+        plan = _exact_plan_F(sub, C)
         if plan is None:
             continue
         with _Errstate(special):
@@ -401,12 +405,11 @@ def test_exact_plan_F_draws_reach_every_path():
     for r, aligned in [(r, True) for r in EXPONENTS] + [(1.0, False), (math.inf, False)]:
         for k in (1, 3):
             sub = _section(r, aligned, k, k + 1, rng)
-            for N in (1, 5):
-                for family_size in (1, 20):
-                    for C in _plan_cases(sub.ambient, N, rng):
-                        plan = _exact_plan_F(sub, C, family_size)
-                        if plan is not None:
-                            seen.add(plan[1])
+            for N in (1, 5, 21):
+                for C in _plan_cases(sub.ambient, N, rng):
+                    plan = _exact_plan_F(sub, C)
+                    if plan is not None:
+                        seen.add(plan[1])
     assert seen == {
         "weak-inf closed form",
         "cross-polytope enumeration",
@@ -427,11 +430,10 @@ def test_fallback_weak_F_bound_of_a_stack(r, p, k, extra, K, N, special, seed):
     sub = _section(r, False, max(k, 2), max(k, 2) + 1 + extra, rng)
     assert sub._model is None
     G = _stack(K, N, sub.dim, special, rng)
-    cfg = OptimizerConfig()
     with _Errstate(special):
-        bound = _weak_F(sub, G[0], p, cfg)[2]
+        bound = _weak_F(sub, G[0], p)[2]
         values = bound(G)
-        alone = [_weak_F(sub, G[j], p, cfg)[0] for j in range(K)]
+        alone = [_weak_F(sub, G[j], p)[0] for j in range(K)]
         ref = [_one_family_lp_combine([_fstar_norm_upper(sub, g) for g in G[j]], p) for j in range(K)]
     assert values.shape == (K,)
     assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
@@ -446,13 +448,13 @@ def _gap_objective(r, aligned, p, expression, seed):
     b = GeneratorBinding.from_matrix(sub.ambient, rng.standard_normal((4, 3)) @ sub.basis_matrix)
     handed = []
 
-    def recording(ball, p, objective, seeds, cfg):
+    def recording(ball, p, objective, seeds, cfg=None):
         handed.append(objective)
         return 0.0, None, True
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fblab.extension, "witness_search", recording)
-        embedding_gap(sub, _EXPRESSIONS[expression], b, p, OptimizerConfig(polish=False))
+        embedding_gap(sub, _EXPRESSIONS[expression], b, p, OptimizerConfig())
     return handed[0], sub.coordinates(b.matrix)
 
 

@@ -72,7 +72,7 @@ def test_operator_norm_over_F_reads_no_seed():
     sub = _generic_sub(3.0, 5, 3, 1)
     M = np.random.default_rng(2).standard_normal((2, 3))
     C = SpaceSpec(2.0, 2)
-    assert _same_bytes(lambda cfg: repr(_operator_norm_over_F(sub, M, C, cfg)))
+    assert _same_bytes(lambda cfg: repr(_operator_norm_over_F(sub, M, C)))
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 5), (6, 4), (8, 8)])
@@ -97,7 +97,7 @@ def test_euclidean_norm_over_F_is_a_singular_value(seed):
     B = sub.basis_matrix
     L = np.linalg.cholesky((B * sub.ambient.weight_array) @ B.T)
     sigma = float(np.linalg.svd(M @ np.linalg.inv(L).T, compute_uv=False)[0])
-    val = _operator_norm_over_F(sub, M, SpaceSpec(2.0, M.shape[0]), OptimizerConfig())
+    val = _operator_norm_over_F(sub, M, SpaceSpec(2.0, M.shape[0]))
     assert val == pytest.approx(sigma, rel=1e-9)
 
 
@@ -162,6 +162,6 @@ def test_p_inf_candidates_stay_bounded_above_dual_dimension_32(monkeypatch):
         SpaceSpec(3.0, dim), np.random.default_rng(5).standard_normal((3, dim))
     )
     e = Abs(Gen(0)) - Abs(Gen(1)) + Meet(Gen(1), Gen(2))
-    est = fbl_infty_norm(e, b, OptimizerConfig(polish=False))
+    est = fbl_infty_norm(e, b, OptimizerConfig())
     assert est.method[0] == "dual-sphere multistart"
     assert seen[0] == dim + 3 + 64 and est.lower > 0.0

@@ -405,12 +405,13 @@ def test_witness_search_keeps_small_scale_seeds():
     """The objective ratio does not depend on the scale of a family, so
     neither may the search: the identity over ell_inf^3 wins at scale 1
     and at scales 1e-15 and 1e-200, whose weak-1 norms lie far below
-    1e-14; a lost seed would leave no witness at all."""
+    1e-14; a lost seed would leave no witness at all.  The objective takes
+    stacks, as the polish of the winner needs."""
     E = SpaceSpec(math.inf, 3)
-    cfg = OptimizerConfig(restarts=1, polish=False)
+    cfg = OptimizerConfig(restarts=1)
 
-    def diagonal(Y):
-        return float(np.sum(np.abs(np.diag(Y))))
+    def diagonal(Y):  # of a family, or along the last axes of a stack
+        return np.add.reduce(np.abs(np.diagonal(Y, axis1=-2, axis2=-1)), axis=-1)
 
     for scale in (1.0, 1e-15, 1e-200):
         val, witness, tight = witness_search(E, 1.0, diagonal, [scale * np.eye(3)], cfg)
