@@ -71,8 +71,11 @@ class NormEstimate:
             raise ValueError(f"estimate lower bound must be finite, got {self.lower}")
         if self.lower > self.upper:
             # rounding may put a lower bound a few ulp above its upper
-            # bound; anything more means one of them is wrong
-            if self.lower > self.upper + 1e-9:
+            # bound; anything more means one of them is wrong.  The slack is
+            # relative below magnitude 1, so a wrong tiny interval is not
+            # clipped to a false one
+            scale = min(1.0, max(abs(self.lower), abs(self.upper)))
+            if self.lower - self.upper > 1e-9 * scale:
                 raise ValueError(
                     f"inconsistent estimate: lower {self.lower} exceeds upper {self.upper}"
                 )

@@ -23,7 +23,8 @@ from .spaces import (
     _FAMILY_CAP,
     SpaceSpec,
     _json_fields,
-    _max_signed_sum,
+    _max_signed_norm,
+    _norms_rows_rescued,
     _readonly,
     _root,
     _values,
@@ -130,7 +131,7 @@ def _ascend(
     for _ in range(_ASCENT_MAX_ITER):
         x_new = linear_max(a.T @ _norm_gradient(codomain, a @ x))
         new_val = norm(codomain, a @ x_new)
-        if new_val <= val + _ASCENT_TOL * max(1.0, val):
+        if new_val <= val + _ASCENT_TOL * val:
             if new_val > val:
                 val, x = new_val, x_new
             break
@@ -156,7 +157,8 @@ def _structured_ascent(
     top = lambda s: np.sort(np.argsort(-np.asarray(s), kind="stable")[:32])  # in index order
     cols = [norm(codomain, a[:, i]) / body_norm(np.eye(1, dim, i)[0]) for i in range(dim)]
     starts = [np.eye(1, dim, i)[0] for i in top(cols)]
-    starts += [linear_max(a[i]) for i in top(np.linalg.norm(a, axis=1))]
+    e = math.frexp(float(np.max(np.abs(a))))[1]  # rows ranked where their squares neither under- nor overflow
+    starts += [linear_max(a[i]) for i in top(np.linalg.norm(np.ldexp(a, -e), axis=1))]
     starts.append(np.linalg.svd(a, full_matrices=False)[2][0])
     best_val, best_x = 0.0, np.zeros(dim)
     for x0 in starts:
@@ -191,8 +193,12 @@ def _exact_plan(
     at most ``spaces._FAMILY_CAP`` rows by its 2^(N-1) row signs or, over a
     sup-norm ball, the 2^(dim-1) cube vertices, whichever enumerates fewer
     signed-sum entries; a sup-norm domain within the enumeration cap by its
-    cube vertices.  The value function also takes a stack (K, N, dim) of Y
-    and returns their K values, each with the bits it has alone."""
+    cube vertices.  The enumerating paths read a stack whose signed sums
+    share their |entries| (disjoint members on the member side, members of
+    one nonzero on the cube side) off its all-plus sum, with the same bits
+    (``spaces._max_signed_norm``).  The value function also takes a stack
+    (K, N, dim) of Y and returns their K values, each with the bits it has
+    alone."""
     N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
         return (lambda Y: _values(np.maximum.reduce(norms_rows(dual, Y), axis=-1))), "weak-inf closed form", True
@@ -218,10 +224,10 @@ def _exact_plan(
         return None
     if on_cube:  # the cube vertex s maps to s @ (Y * w).T
         w = None if E.unweighted else E.weight_array
-        return (lambda Y: _max_signed_sum(np.swapaxes(Y if w is None else Y * w, -1, -2), C)[0]), tag, cheap
+        return (lambda Y: _max_signed_norm(np.swapaxes(Y if w is None else Y * w, -1, -2), C)), tag, cheap
     # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
     w = None if C.unweighted else C.weight_array[:, None]
-    return (lambda Y: _max_signed_sum(Y if w is None else Y * w, dual)[0]), tag, cheap
+    return (lambda Y: _max_signed_norm(Y if w is None else Y * w, dual)), tag, cheap
 
 
 def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.ndarray, bool]:
@@ -235,7 +241,7 @@ def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.n
     plan = _exact_plan(E, C)
     if plan is not None:
         return plan[0](Y), True
-    crude = lambda y: norm(C, norms_rows(E.dual, y))
+    crude = lambda y: norm(C, _norms_rows_rescued(E.dual, y))
     return (crude(Y) if Y.ndim == 2 else np.array([crude(y) for y in Y])), False
 
 

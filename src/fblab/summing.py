@@ -13,12 +13,13 @@ those of the operator-norm oracle ``operators._exact_plan``: p = infinity
 and an ell_1 ball by closed forms, p = 1 by sign enumeration of the
 members or of the cube vertices, and a sup-norm ball within the
 enumeration cap by its vertices.  On them the normalization is tight and
-the estimate is flagged accordingly in its method tags.
+the estimate is flagged accordingly in its method tags.  The seeds follow
+the paper's disjoint sequences: a coordinate family's p = 1 value is read
+off the sum of its members in closed form, not enumerated.
 
 ``witness_search`` is the one search engine of the package: it takes
-the best of the structured seeds its caller supplies and polishes that
-family by scipy's unbounded Powell method bit for bit (no bounds,
-callback, ``direc`` or ``maxiter``).  It runs over two kinds of
+the best of the distinct structured seeds its caller supplies and
+polishes that family by Powell's method.  It runs over two kinds of
 constraint ball: the unit ball of a weighted ell_r space (``_weak_E``,
 the weak-p dispatch of this module) and the section B_F of a subspace
 (``extension._weak_F``, exact on the paths of
@@ -37,6 +38,7 @@ at random, so its result depends only on its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -45,7 +47,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .operators import LinearMap, _exact_plan, _unit_space, operator_norm
 from .optimize import OptimizerConfig, powell_rows
-from .spaces import _FAMILY_CAP, SpaceSpec, _root, _values, dual_space, norms_rows
+from .spaces import _FAMILY_CAP, SpaceSpec, _norms_rows_rescued, _readonly, _root, _values, dual_space, norms_rows
 
 if TYPE_CHECKING:
     from .extension import SubspaceSpec
@@ -61,14 +63,16 @@ __all__ = [
 ]
 
 
+@functools.cache
 def hadamard(m: int) -> np.ndarray:
-    """Sylvester Hadamard matrix; m must be a power of two."""
+    """Sylvester Hadamard matrix, read-only and built once per m; m must be
+    a power of two."""
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError("Hadamard size must be a power of two")
     H = np.array([[1.0]])
     while H.shape[0] < m:
         H = np.block([[H, H], [H, -H]])
-    return H
+    return _readonly(H)
 
 
 def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
@@ -84,7 +88,7 @@ def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
 
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     """Triangle-inequality bound: combine the dual norms of the members."""
-    return lp_combine(norms_rows(space.dual, Y), p)
+    return lp_combine(_norms_rows_rescued(space.dual, Y), p)
 
 
 def _weak_E(
@@ -171,7 +175,8 @@ def witness_search(
     forms on F in basis coordinates).  ``objective`` must be positively
     homogeneous of degree 1 in the family matrix, and it also maps a stack
     (K, N, dim) of families to their K values, each with the bits it has
-    alone.  Every seed is normalized by a certified upper bound on its
+    alone.  Every distinct seed (by shape and float bytes; a repeat cannot
+    beat its first value) is normalized by a certified upper bound on its
     weak-p norm, and the best of them, at most 128 entries, is polished by
     Powell when the ball's oracle hands over that bound as a function of a
     stack; the polish evaluates its line searches in lockstep.  So the best
@@ -190,12 +195,15 @@ def witness_search(
     best_fam: np.ndarray | None = None
     best_tight = True
     best_bound = None
+    seen: set[tuple[tuple[int, ...], bytes]] = set()
 
     def consider(Y: np.ndarray) -> None:
         nonlocal best_val, best_fam, best_tight, best_bound
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.size == 0 or not np.all(np.isfinite(Y)):
+        key = (Y.shape, Y.tobytes())
+        if Y.size == 0 or key in seen or not np.all(np.isfinite(Y)):
             return
+        seen.add(key)
         upper, tight, bound = weak(ball, Y, p)
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale

@@ -31,6 +31,7 @@ from fblab.spaces import (
     extreme_points_matrix,
     norms_rows,
 )
+from fblab.summing import _weak_crude_upper
 
 SPACES = [
     SpaceSpec(1.0, 3),
@@ -149,6 +150,23 @@ def test_operator_norm_of_rows_that_overflow_the_tables():
     with np.errstate(over="ignore", invalid="ignore"):  # the first pass overflows
         est = operator_norm(T)
     assert est.lower == est.upper == 4e200 and est.upper_certified
+
+
+@pytest.mark.parametrize("e", [-830, 830])
+def test_crude_row_norm_bounds_of_tiny_and_huge_maps(e):
+    """The crude row-norm bounds do not under- or overflow where the norm is
+    a float: the ascent's 1.366e-250 was once snapped to a certified upper
+    bound 0.0 at 1e-250, and the upper bound read inf at 1e250."""
+    E = SpaceSpec(3.0, 2)
+    A = np.array([[1.0, 0.5], [0.2, 1.0]])
+    est = operator_norm(LinearMap(A, E, E))
+    scaled = operator_norm(LinearMap(np.ldexp(A, e), E, E))
+    assert 0.0 < scaled.lower <= scaled.upper < math.inf
+    assert np.ldexp(scaled.lower, -e) == pytest.approx(est.lower, rel=1e-12)
+    assert np.ldexp(scaled.upper, -e) == pytest.approx(est.upper, rel=1e-12)
+    for p in (1.0, math.inf):
+        crude = _weak_crude_upper(np.ldexp(A, e), E, p)
+        assert np.ldexp(crude, -e) == pytest.approx(_weak_crude_upper(A, E, p), rel=1e-12)
 
 
 def test_norm_in_range_is_the_direct_formula():
@@ -359,3 +377,9 @@ def test_norm_estimate_meets_rounding_and_refuses_inverted_bounds():
     assert NormEstimate(0.5, 1.0).lower == 0.5
     with pytest.raises(ValueError):
         NormEstimate(1.0 + 1e-6, 1.0)
+    # below magnitude 1 the slack is relative: a wrong tiny interval raises
+    assert NormEstimate(1e-250 * (1.0 + 2e-16), 1e-250).lower == 1e-250
+    with pytest.raises(ValueError):
+        NormEstimate(1.366e-250, 0.0)
+    with pytest.raises(ValueError):
+        NormEstimate(2e-9, 1e-9)

@@ -54,6 +54,11 @@ def test_hadamard_orthogonality():
         hadamard(3)
 
 
+def test_hadamard_is_built_once_and_read_only():
+    H = hadamard(16)
+    assert hadamard(16) is H and not H.flags.writeable
+
+
 def test_lp_combine_limits():
     v = np.array([3.0, -4.0])
     assert lp_combine(v, 2.0) == pytest.approx(5.0)
