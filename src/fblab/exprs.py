@@ -13,7 +13,10 @@ nodes in post-order with the slots of their children, built once without
 recursion and kept on the root, so expressions of any depth work.
 Evaluation runs a kernel compiled from the program once per expression
 and kept on it: one straight-line function of the pairings, with
-structurally equal subexpressions computed once.  The analyses
+structurally equal subexpressions computed once and each left-deep sum
+of generator columns (scaled, negated or taken modulus of) gathered and
+added up in a few numpy calls, bit for bit as one add per term
+(``_compile``).  The analyses
 (``_convex_shape``, ``mass_bound``, ``lipschitz_bound``, the text output)
 stay folds over the program (``_fold``).
 
@@ -37,9 +40,9 @@ from .operators import LinearMap
 from .spaces import (
     SpaceSpec,
     _json_fields,
+    _norm_each_row,
     _readonly,
     dual_space,
-    norm,
     sample_sphere,
     space_from_json,
     space_to_json,
@@ -236,6 +239,11 @@ class GeneratorBinding:
         # a transposed view, not a contiguous copy: pairings keeps its BLAS call
         return (self.matrix * self.space.weight_array).T
 
+    @cached_property
+    def _norms(self) -> list[float]:
+        # norm(space, x_i) of every bound vector, for the mass and Lipschitz folds
+        return _norm_each_row(self.space, self.matrix).tolist()
+
     def pairings(self, functionals: np.ndarray) -> np.ndarray:
         """<f_row, x_i> for each functional row and each bound vector:
         shape (rows, count), or (K, rows, count) for a stack of K families
@@ -339,16 +347,60 @@ def _unbound(indices: list[int], P: np.ndarray) -> None:
     raise IndexError(f"generator d{k} is not bound ({P.shape[-1]} vectors available)")
 
 
+# a run of at least this many column terms in a sum chain, or parts of a
+# power sum, is evaluated in one gather and one accumulate; shorter runs,
+# and every other term, keep one add per term.  Stacking the other terms
+# too (np.stack) made the p = inf tasks of dual-closed-form 8-15% slower
+# on a 2-core x86 host.
+_FUSE = 3
+
+
+def _columns(steps: list[tuple[LatticeExpr, tuple[int, ...]]]) -> list[tuple | None]:
+    """For each step of the form (Neg | Scale)* [Abs] Gen g with at most one
+    Scale, (g, whether the Abs is there, the scale or None, whether it is
+    negated an odd number of times); None for every other step.  Such a
+    step is a column of P, or its modulus, times one signed constant:
+    c x, -(c x), (-c) x and c (-x) have the same bits, and 1.0 x is x (a
+    NaN's sign aside)."""
+    col: list[tuple | None] = []
+    for node, ks in steps:
+        kind, below = type(node), col[ks[0]] if ks else None
+        if kind is Gen:
+            col.append((node.index, False, None, False))
+        elif kind is Abs and type(steps[ks[0]][0]) is Gen:
+            col.append((below[0], True, None, False))
+        elif kind is Neg and below:
+            col.append(below[:3] + (not below[3],))
+        elif kind is Scale and below and below[2] is None:
+            col.append((below[0], below[1], node.c, below[3]))
+        else:
+            col.append(None)
+    return col
+
+
 def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
-    """The function P -> the value of e on the pairings P, with the
-    numpy operations of ``_fold(e, _VALUES, P)`` and so the same bytes,
-    as one straight-line function; it indexes P from its last axis, so a
-    stack of pairings goes through whole.  Nodes of the same structure (kind,
-    parameter, children) become one step, a value is deleted after its
-    last reader, and a single check up front reports the first unbound
-    generator.  Constants enter through the namespace; only step numbers
-    and generator indices, which are nonnegative ints, are written into
-    the source, so equal sources share one code object (``_code``)."""
+    """The function P -> the value of e on the pairings P, with the bytes
+    of ``_fold(e, _VALUES, P)``, as one straight-line function; it indexes
+    P from its last axis, so a stack of pairings goes through whole.
+    Nodes of the same structure (kind, parameter, children) become one
+    step, a value is deleted after its last reader, and a single check up
+    front reports the first unbound generator.
+
+    A left-deep sum chain ((t0 + t1) + t2) + ... is gathered from its top
+    as the program is walked once, and held open until a node other than
+    the next add of the chain reads one of its sums.  A run of at least
+    ``_FUSE`` column terms (``_columns``) is then one gather P[..., idx],
+    one abs_ of the flagged columns, one product by the signed scales and
+    one ``np.add.accumulate`` along a new last axis, which adds one term at
+    a time from the left and so gives every partial sum the bits of the
+    chain of adds (a pairwise ``np.add.reduce`` would not); a sum that
+    another node reads is the slice at its place.  A power sum over at
+    least ``_FUSE`` unscaled columns is accumulated the same way; its first
+    add, 0.0 + |x|^q, is |x|^q.  A step whose value no kept statement
+    reads (a column inside a run) is dropped.  Constants and index arrays
+    enter through the namespace; only step numbers and generator indices,
+    which are nonnegative ints, are written into the source, so equal
+    sources share one code object (``_code``)."""
     slot: list[int] = []  # program slot -> step
     known: dict[tuple, int] = {}
     steps: list[tuple[LatticeExpr, tuple[int, ...]]] = []
@@ -358,28 +410,112 @@ def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
         slot.append(known.setdefault(key, len(steps)))
         if slot[-1] == len(steps):
             steps.append((node, ks))
-    last = {k: i for i, (_, ks) in enumerate(steps) for k in ks}
+    col = _columns(steps)
     gens = [node.index for node, _ in steps if type(node) is Gen]
     ns = {"abs_": np.abs, "maximum": np.maximum, "minimum": np.minimum, "zeros": np.zeros,
-          "unbound": lambda P: _unbound(gens, P)}
-    lines = ["def kernel(P):", f"    if P.shape[-1] <= {max(gens)}: unbound(P)"]
+          "acc_": np.add.accumulate, "concat": np.concatenate, "unbound": lambda P: _unbound(gens, P)}
+    # statements in order as (name written, names read, source lines)
+    ops: list[tuple[str, tuple[str, ...], list[str]]] = []
+    # each add of an open chain -> the chain's terms and its adds, the
+    # sum through terms[k] being the value of adds[k - 1]
+    chains: dict[int, tuple[list[int], list[int]]] = {}
+
+    def gather(name: str, terms: list[int]) -> list[str]:
+        """Source of the column terms, signed and scaled, as the last axis of g."""
+        cs = [col[t] for t in terms]
+        ns[f"i{name}"] = np.array([c[0] for c in cs], dtype=np.intp)
+        lines = [f"    g = P[..., i{name}]"]
+        flags = [c[1] for c in cs]
+        if all(flags):
+            lines.append("    abs_(g, out=g)")
+        elif any(flags):
+            ns[f"m{name}"] = np.array(flags)
+            lines.append(f"    abs_(g, out=g, where=m{name})")
+        if any(c[2] is not None or c[3] for c in cs):
+            ns[f"k{name}"] = np.array([(-1.0 if c[3] else 1.0) * (1.0 if c[2] is None else c[2]) for c in cs])
+            lines.append(f"    g *= k{name}")
+        return lines
+
+    def flush(terms: list[int], adds: list[int]) -> None:
+        """Emit an open chain: fused runs of columns, one add per other term."""
+        for i in adds:
+            del chains[i]
+        sums = [f"v{terms[0]}"] + [f"v{i}" for i in adds]
+        j = 0
+        while j < len(terms):
+            end = j
+            while end < len(terms) and col[terms[end]] is not None:
+                end += 1
+            if end - j < _FUSE:
+                if j:
+                    ops.append((sums[j], (sums[j - 1], f"v{terms[j]}"),
+                                [f"    {sums[j]} = {sums[j - 1]} + v{terms[j]}"]))
+                j += 1
+                continue
+            name = f"s{adds[end - 2]}"
+            lines = gather(name, terms[j:end])
+            if j:  # the run continues the sum before it
+                lines.append(f"    g = concat(({sums[j - 1]}[..., None], g), axis=-1)")
+            lines += [f"    {name} = acc_(g, axis=-1)", "    del g"]
+            ops.append((name, (sums[j - 1],) if j else (), lines))
+            for m in range(max(j, 1), end):
+                ops.append((sums[m], (name,), [f"    {sums[m]} = {name}[..., {m - j + (j > 0)}]"]))
+            j = end
+
+    def use(i: int) -> str:
+        """The name of step i's value, emitting the open chain that holds it."""
+        if i in chains:
+            flush(*chains[i])
+        return f"v{i}"
+
     for i, (node, ks) in enumerate(steps):
-        args = [f"v{k}" for k in ks]
-        if type(node) is Gen:
-            lines.append(f"    v{i} = P[..., {node.index}]")
-        elif type(node) is PowerSum:
+        kind = type(node)
+        if kind is Add:
+            left, right = ks
+            use(right)
+            chain = chains.get(left)
+            if chain is not None and chain[1][-1] == left:
+                chain[0].append(right)
+                chain[1].append(i)
+            else:
+                chain = ([left, right], [i])
+                use(left)
+            chains[i] = chain
+            continue
+        args = [use(k) for k in ks]
+        if kind is Gen:
+            ops.append((f"v{i}", (), [f"    v{i} = P[..., {node.index}]"]))
+        elif kind is PowerSum:
             ns[f"c{i}"] = node.q
-            lines.append("    acc = zeros(P.shape[:-1])")
-            lines += [f"    acc = acc + abs_({a}) ** c{i}" for a in args]
-            lines += [f"    v{i} = acc ** (1.0 / c{i})", "    del acc"]
+            if len(ks) >= _FUSE and all(col[k] is not None and col[k][2] is None for k in ks):
+                ns[f"i{i}"] = np.array([col[k][0] for k in ks], dtype=np.intp)
+                lines = [f"    acc = acc_(abs_(P[..., i{i}]) ** c{i}, axis=-1)[..., -1]"]
+                args = []
+            else:
+                lines = ["    acc = zeros(P.shape[:-1])"] + [f"    acc = acc + abs_({a}) ** c{i}" for a in args]
+            ops.append((f"v{i}", tuple(args), lines + [f"    v{i} = acc ** (1.0 / c{i})", "    del acc"]))
         else:
-            if type(node) is Scale:
+            if kind is Scale:
                 ns[f"c{i}"] = node.c
-            lines.append(f"    v{i} = " + _SOURCE[type(node)].format(c=f"c{i}", a=args[0], b=args[-1]))
-        dead = sorted({k for k in ks if last[k] == i})
+            source = _SOURCE[kind].format(c=f"c{i}", a=args[0], b=args[-1])
+            ops.append((f"v{i}", tuple(args), [f"    v{i} = {source}"]))
+    root = use(len(steps) - 1)
+
+    # keep the statements the root depends on; delete each value after its last reader
+    needed, kept = {root}, []
+    for op in reversed(ops):
+        if op[0] in needed:
+            kept.append(op)
+            needed.update(op[1])
+    kept.reverse()
+    last = {name: n for n, (_, reads, _) in enumerate(kept) for name in reads}
+    lines = ["def kernel(P):", f"    if P.shape[-1] <= {max(gens)}: unbound(P)"]
+    for n, (_, reads, source) in enumerate(kept):
+        lines += source
+        dead = sorted({name for name in reads if last[name] == n})
         if dead:
-            lines.append("    del " + ", ".join(f"v{k}" for k in dead))
-    lines.append(f"    return v{len(steps) - 1}")
+            lines.append("    del " + ", ".join(dead))
+    lines.append(f"    return {root}")
     exec(_code("\n".join(lines)), ns)
     return ns["kernel"]
 
@@ -520,7 +656,7 @@ _MASS = {
     **dict.fromkeys(
         (Add, Neg, Abs, Join, Meet, PosPart, PowerSum), lambda n, v, k, b: sum(v[j] for j in k)
     ),
-    Gen: lambda n, v, k, b: norm(b.space, b.matrix[n.index]),
+    Gen: lambda n, v, k, b: b._norms[n.index],
     Scale: lambda n, v, k, b: abs(n.c) * v[k[0]],
 }
 # the Lipschitz bound differs in taking the larger side of a join or meet

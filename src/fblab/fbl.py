@@ -52,6 +52,7 @@ from .spaces import (
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
     _max_signed_sum,
+    _norm_each_row,
     _vertex_count,
     dual_space,
     extreme_points_matrix,
@@ -278,11 +279,11 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
 
     m = min(1 << (dim - 1).bit_length(), 32)  # rows < m of any larger Sylvester
     H = np.tile(hadamard(m), -(-dim // m))[:, :dim]  # matrix repeat with period m
-    candidates = [y / norm(Ed, y) for y in np.eye(dim)]
-    candidates += [norming_functional(E, x) for x in b.matrix]
-    candidates += [y / norm(Ed, y) for y in np.vstack([H, -H])]
+    S = np.vstack([np.eye(dim), H, -H])
+    S = S / _norm_each_row(Ed, S)[:, None]
+    candidates = np.vstack([S[:dim], [norming_functional(E, x) for x in b.matrix], S[dim:]])
 
-    vals = np.abs(eval_rows(e, b, np.array(candidates)))
+    vals = np.abs(eval_rows(e, b, candidates))
     order = np.argsort(-vals)
     best_val, best_y = float(vals[order[0]]), candidates[int(order[0])]
 
@@ -290,7 +291,7 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
         n = norms_rows(Ed, Y)
         return np.divide(np.abs(eval_rows(e, b, Y)), -n, out=np.zeros(len(n)), where=n > 1e-14)
 
-    Y0 = np.array([candidates[int(i)] for i in order[:6]])
+    Y0 = candidates[order[:6]]
     Y, _, _ = nelder_mead_rows(neg_ratio, Y0, 200 * dim, 1e-10, 1e-12)
     Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
     for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):

@@ -159,11 +159,34 @@ def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 def _norms_rows_rescued(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     """``norms_rows`` of a 2-d array, with each row whose powers under- or
-    overflowed (0.0 on a non-zero row, inf on a finite one) measured again
-    by ``norm``, at an exact power-of-two scale; the other rows keep their
-    bits."""
+    overflowed measured again (``_measured_again``)."""
     with np.errstate(over="ignore"):  # an overflowed row is measured again
-        n = norms_rows(space, rows)
+        return _measured_again(space, rows, norms_rows(space, rows))
+
+
+def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
+    """``norm(space, row)`` for every row of a 2-d float array, with its
+    bits, in a few numpy calls.  The weighted powers of a row are summed
+    along the last axis by the pairwise reduction that ``np.sum`` runs on
+    the row alone (unlike the products of ``norms_rows``), and the roots
+    are taken value by value by ``_root``, as ``norm`` takes its one root:
+    numpy's array power can differ from that in the last bit.  A row whose
+    sum under- or overflowed goes through ``norm`` and its retry."""
+    a = np.abs(rows)
+    if space.is_sup:
+        return np.maximum.reduce(a, axis=-1)
+    w = space.weight_array
+    with np.errstate(over="ignore"):  # an overflowed row is measured again
+        if space.r == 1:
+            return _measured_again(space, rows, np.add.reduce(w * a, axis=-1))
+        return _measured_again(space, rows, _root(np.add.reduce(w * a**space.r, axis=-1), space.r))
+
+
+def _measured_again(space: SpaceSpec, rows: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The norms n of the rows of a 2-d array, with each that under- or
+    overflowed (0.0 on a non-zero row, inf on a finite one) replaced by
+    ``norm``, which measures the row at an exact power-of-two scale; the
+    other norms keep their bits."""
     lost = ((n == 0.0) & rows.any(axis=-1)) | ((n == math.inf) & np.isfinite(rows).all(axis=-1))
     for i in np.flatnonzero(lost):
         n[i] = norm(space, rows[i])
@@ -363,16 +386,39 @@ def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray,
     """The maxima and winning signed sums of ``_max_signed_sum`` for a stack
     M of matrices at their own scale; nan for a matrix one of whose blocks
     has a nan maximum, which finite rows give only by overflow (inf - inf).
-    A block holds the same rows of L of as many matrices as the entry bound
-    allows."""
+    A Euclidean stack that fits one block, as the polish's small stacks do,
+    is measured inline; L * w is L on an unweighted space, since 1.0 x is x."""
     K, n, dim = M.shape
     b, sb, sh, pattern, rows, branch = _signed_sum_plan(n, space)
     L = M[:, :1] + sb @ M[:, 1 : 1 + b]
     H = sh @ M[:, 1 + b :]
     w = space.weight_array
-    nL, nH = L.shape[1], H.shape[1]
-    rows = min(rows, nL)
-    kb = max(1, _SIGNED_SUM_BLOCK // (rows * nH * (1 if branch == "euclid" else dim)))
+    rows = min(rows, L.shape[1])
+    kb = max(1, _SIGNED_SUM_BLOCK // (rows * H.shape[1] * (1 if branch == "euclid" else dim)))
+    if branch == "euclid" and K <= kb and rows == L.shape[1]:
+        vals = 2.0 * (L if space.unweighted else L * w) @ H.transpose(0, 2, 1)
+        vals = (vals + ((L * L) @ w)[:, :, None] + ((H * H) @ w)[:, None]).reshape(K, -1)
+        at, best = vals.argmax(axis=1), np.maximum.reduce(vals, axis=1)  # a nan block's maximum is nan
+    else:
+        at, best = _block_maxima(L, H, space, branch, rows, kb)
+    z = pattern(at)[:, None] @ M
+    top = norms_rows(space, z)[:, 0]
+    bad = [k for k, v in enumerate(best.tolist()) if v != v]
+    if bad:
+        top[bad], z[bad] = math.nan, math.nan
+    return top, z[:, 0]
+
+
+def _block_maxima(
+    L: np.ndarray, H: np.ndarray, space: SpaceSpec, branch: str, rows: int, kb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The places and values of the largest norms (squared norms on the
+    Euclidean branch) of L_i + H_j for each matrix of the stacks L and H of
+    ``_enumerate_signed_sums``.  A block holds the same ``rows`` rows of L
+    of ``kb`` matrices."""
+    K, nL, dim = L.shape
+    nH = H.shape[1]
+    w = space.weight_array
     if branch == "euclid":
         HH, Ht = (H * H) @ w, H.transpose(0, 2, 1)
     else:
@@ -395,24 +441,18 @@ def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray,
 
     if K <= kb and nL == rows:  # one block
         vals = values(L, slice(None))
-        at, best = vals.argmax(axis=1), np.maximum.reduce(vals, axis=1)  # a nan block's maximum is nan
-    else:
-        best, at = np.empty(K), np.empty(K, dtype=np.int64)
-        for k0 in range(0, K, kb):
-            ks = slice(k0, k0 + kb)
-            for start in range(0, nL, rows):
-                vals = values(L[ks, start : start + rows], ks)
-                k, top = vals.argmax(axis=1) + start * nH, np.maximum.reduce(vals, axis=1)
-                if start:  # a nan stays; a later block wins only by a larger maximum
-                    later = (top > best[ks]) | (top != top)
-                    top, k = np.where(later, top, best[ks]), np.where(later, k, at[ks])
-                best[ks], at[ks] = top, k
-    z = pattern(at)[:, None] @ M
-    top = norms_rows(space, z)[:, 0]
-    bad = [k for k, v in enumerate(best.tolist()) if v != v]
-    if bad:
-        top[bad], z[bad] = math.nan, math.nan
-    return top, z[:, 0]
+        return vals.argmax(axis=1), np.maximum.reduce(vals, axis=1)  # a nan block's maximum is nan
+    best, at = np.empty(K), np.empty(K, dtype=np.int64)
+    for k0 in range(0, K, kb):
+        ks = slice(k0, k0 + kb)
+        for start in range(0, nL, rows):
+            vals = values(L[ks, start : start + rows], ks)
+            k, top = vals.argmax(axis=1) + start * nH, np.maximum.reduce(vals, axis=1)
+            if start:  # a nan stays; a later block wins only by a larger maximum
+                later = (top > best[ks]) | (top != top)
+                top, k = np.where(later, top, best[ks]), np.where(later, k, at[ks])
+            best[ks], at[ks] = top, k
+    return at, best
 
 
 def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:
@@ -421,11 +461,11 @@ def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     out: list[np.ndarray] = []
-    while len(out) < count:
-        g = rng.standard_normal(space.dim)
-        n = norm(space, g)
-        if n > 1e-12:
-            out.append(g / n)
+    while len(out) < count:  # a block of draws is the stream of single draws
+        g = rng.standard_normal((count - len(out), space.dim))
+        n = _norm_each_row(space, g)
+        keep = n > 1e-12
+        out += list(g[keep] / n[keep, None])
     return out
 
 

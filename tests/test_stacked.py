@@ -146,12 +146,19 @@ def _one_family_plan_value(E, C, tag, Y):
 
 
 def _one_family_lp_combine(values, p):
+    """A sum of powers that under- or overflowed is taken again on the
+    values scaled by 2^-e, e the exponent of the largest, as ``norm``
+    measures again."""
     values = np.abs(np.asarray(values, dtype=float))
     if math.isinf(p):
         return float(values.max()) if values.size else 0.0
     if p == 1:
         return float(values.sum())
-    return float((values ** p).sum() ** (1.0 / p))
+    total = (values ** p).sum()
+    if (total == 0.0 and values.any()) or (total == math.inf and np.isfinite(values).all()):
+        e = math.frexp(float(values.max()))[1]
+        return float(np.ldexp(float((np.ldexp(values, -e) ** p).sum() ** (1.0 / p)), e))
+    return float(total ** (1.0 / p))
 
 
 _DRAW = dict(

@@ -67,13 +67,21 @@ def test_lp_combine_limits():
 
 
 def _lp_combine_by_functions(values, p):
-    """lp_combine as written with np.max and np.sum."""
+    """lp_combine as written with np.max and np.sum; a sum of powers that
+    under- or overflowed is taken again on the values scaled by 2^-e, e the
+    exponent of the largest, as ``norm`` measures again."""
     values = np.abs(np.asarray(values, dtype=float))
     if math.isinf(p):
         return float(np.max(values)) if values.size else 0.0
     if p == 1:
         return float(np.sum(values))
-    return float(np.sum(values ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(values ** p)
+    if (total == 0.0 and np.any(values)) or (total == math.inf and np.all(np.isfinite(values))):
+        e = math.frexp(float(np.max(values)))[1]
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(float(np.sum(np.ldexp(values, -e) ** p) ** (1.0 / p)), e))
+    return float(total ** (1.0 / p))
 
 
 @given(
@@ -84,9 +92,12 @@ def _lp_combine_by_functions(values, p):
 @example([], math.inf)
 @example([-0.0, 0.0], 1.0)
 @example([-0.0], 2.0)
+@example([1e-200, -1e-200], 2.0)
+@example([1.5e-268], 1.5)
 def test_lp_combine_keeps_its_bytes(values, p):
     """The array methods return what the numpy functions did, bit for bit,
-    for lists and float arrays, signed zeros and empty inputs."""
+    for lists and float arrays, signed zeros and empty inputs; a sum that
+    under- or overflowed is taken again at a power-of-two scale."""
     for v in (values, np.array(values, dtype=float), np.array(values, dtype=float)[::-1]):
         assert lp_combine(v, p).hex() == _lp_combine_by_functions(v, p).hex()
 
