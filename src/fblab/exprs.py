@@ -380,11 +380,12 @@ def _columns(steps: list[tuple[LatticeExpr, tuple[int, ...]]]) -> list[tuple | N
 
 def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
     """The function P -> the value of e on the pairings P, with the bytes
-    of ``_fold(e, _VALUES, P)``, as one straight-line function; it indexes
-    P from its last axis, so a stack of pairings goes through whole.
-    Nodes of the same structure (kind, parameter, children) become one
-    step, a value is deleted after its last reader, and a single check up
-    front reports the first unbound generator.
+    of ``_fold(e, _VALUES, P)`` on float64 (or integer) pairings, as one
+    straight-line function; it indexes P from its last axis, so a stack
+    of pairings goes through whole.  Nodes of the same structure (kind,
+    parameter, children) become one step, a value is deleted after its
+    last reader, and a single check up front reports the first unbound
+    generator.
 
     A left-deep sum chain ((t0 + t1) + t2) + ... is gathered from its top
     as the program is walked once, and held open until a node other than
@@ -433,7 +434,7 @@ def _compile(e: LatticeExpr) -> Callable[[np.ndarray], np.ndarray]:
             lines.append(f"    abs_(g, out=g, where=m{name})")
         if any(c[2] is not None or c[3] for c in cs):
             ns[f"k{name}"] = np.array([(-1.0 if c[3] else 1.0) * (1.0 if c[2] is None else c[2]) for c in cs])
-            lines.append(f"    g *= k{name}")
+            lines.append(f"    g = g * k{name}")  # not in place: integer pairings become floats, as c * x does
         return lines
 
     def flush(terms: list[int], adds: list[int]) -> None:
