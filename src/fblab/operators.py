@@ -26,8 +26,7 @@ from .spaces import (
     _max_signed_norm,
     _norms_rows_rescued,
     _readonly,
-    _root,
-    _values,
+    _roots,
     dual_space,
     norm,
     norming_vector,
@@ -198,20 +197,23 @@ def _exact_plan(
     one nonzero on the cube side) off its all-plus sum, with the same bits
     (``spaces._max_signed_norm``).  The value function also takes a stack
     (K, N, dim) of Y and returns their K values, each with the bits it has
-    alone."""
+    alone.  A value that under- or overflowed is taken again at a
+    power-of-two scale: a closed form's by ``spaces._roots``, an
+    enumeration's by ``spaces._rescaled``."""
     N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
-        return (lambda Y: _values(np.maximum.reduce(norms_rows(dual, Y), axis=-1))), "weak-inf closed form", True
+        sup = lambda Y: np.maximum.reduce(norms_rows(dual, Y), axis=-1)
+        return (lambda Y: _roots(sup(Y), 1.0, Y, sup)), "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
         r, wc = C.r, None if C.unweighted else C.weight_array[:, None]
 
-        def cross_polytope(Y: np.ndarray) -> float | np.ndarray:
+        def cross_polytope(Y: np.ndarray) -> np.ndarray:  # the largest column sum of powers
             V = np.abs(Y) if r == 1 else np.abs(Y) ** r  # a power of 1 is a slow copy
             if wc is not None:
                 V = V * wc
-            return _root(np.maximum.reduce(np.add.reduce(V, axis=-2), axis=-1), r)
+            return np.maximum.reduce(np.add.reduce(V, axis=-2), axis=-1)
 
-        return cross_polytope, "cross-polytope enumeration", True
+        return (lambda Y: _roots(cross_polytope(Y), 1.0 / r, Y, cross_polytope)), "cross-polytope enumeration", True
     if C.r == 1 and N <= _FAMILY_CAP:
         tag = "sign enumeration"
         cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)

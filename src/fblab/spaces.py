@@ -16,6 +16,11 @@ depend on the atom masses), which is exactly what makes Hoelder
 saturation and the involution dual(dual(E)) = E hold simultaneously.
 
 r = infinity is represented by ``math.inf``, never by a large float.
+
+One kernel, ``_norm_each_row``, computes the finite-r norms of ``norm``,
+of the row norms and of ``summing.lp_combine``; a power sum that under- or
+overflowed is taken again once at an exact power-of-two scale (``_roots``).
+The hot matrix-product form ``norms_rows`` has no retry.
 """
 
 from __future__ import annotations
@@ -125,25 +130,8 @@ class SpaceSpec:
 
 
 def norm(space: SpaceSpec, x) -> float:
-    """Weighted ell_r norm of ``x`` in ``space``."""
-    v = space.check_point(x)
-    if space.is_sup:
-        return float(np.max(np.abs(v)))
-    n = _lr_norm(space, v)
-    if (n == 0.0 and np.any(v)) or (n == math.inf and np.all(np.isfinite(v))):
-        # the powers under- or overflowed: measure v scaled by an exact power of two
-        e = math.frexp(np.max(np.abs(v)))[1]
-        with np.errstate(over="ignore"):  # a norm above the float range is inf
-            n = float(np.ldexp(_lr_norm(space, np.ldexp(v, -e)), e))
-    return n
-
-
-def _lr_norm(space: SpaceSpec, v: np.ndarray) -> float:
-    w = space.weight_array
-    with np.errstate(over="ignore"):  # an overflow is caught by norm
-        if space.r == 1:
-            return float(np.sum(w * np.abs(v)))
-        return float(np.sum(w * np.abs(v) ** space.r) ** (1.0 / space.r))
+    """Weighted ell_r norm of ``x`` in ``space``, by ``_norm_each_row``."""
+    return _norm_each_row(space, space.check_point(x))
 
 
 def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
@@ -158,39 +146,33 @@ def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def _norms_rows_rescued(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """``norms_rows`` of a 2-d array, with each row whose powers under- or
-    overflowed measured again (``_measured_again``)."""
+    """``norms_rows`` of a 2-d array, whose matrix-product sums its callers'
+    bits depend on, with each norm that under- or overflowed (0.0 on a
+    non-zero row, inf on a finite one) measured again by ``norm``."""
     with np.errstate(over="ignore"):  # an overflowed row is measured again
-        return _measured_again(space, rows, norms_rows(space, rows))
+        n = norms_rows(space, rows)
+    for i, t in enumerate(n.tolist()):
+        if (t == 0.0 and rows[i].any()) or (t == math.inf and np.isfinite(rows[i]).all()):
+            n[i] = norm(space, rows[i])
+    return n
 
 
-def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """``norm(space, row)`` for every row of a 2-d float array, with its
-    bits, in a few numpy calls.  The weighted powers of a row are summed
-    along the last axis by the pairwise reduction that ``np.sum`` runs on
-    the row alone (unlike the products of ``norms_rows``), and the roots
-    are taken value by value by ``_root``, as ``norm`` takes its one root:
-    numpy's array power can differ from that in the last bit.  A row whose
-    sum under- or overflowed goes through ``norm`` and its retry."""
+def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> float | np.ndarray:
+    """The norm of one row (a float) or of each row of a 2-d array: the
+    weighted powers summed along the last axis as ``np.sum`` sums one row
+    (unlike ``norms_rows``' products), and their roots by ``_roots``."""
     a = np.abs(rows)
     if space.is_sup:
-        return np.maximum.reduce(a, axis=-1)
-    w = space.weight_array
-    with np.errstate(over="ignore"):  # an overflowed row is measured again
-        if space.r == 1:
-            return _measured_again(space, rows, np.add.reduce(w * a, axis=-1))
-        return _measured_again(space, rows, _root(np.add.reduce(w * a**space.r, axis=-1), space.r))
+        return _values(np.maximum.reduce(a, axis=-1))
+    with np.errstate(over="ignore"):  # an overflowed sum is taken again; a norm above the floats is inf
+        return _roots(_power_sums(space, a), 1.0 / space.r, a, lambda v: _power_sums(space, v))
 
 
-def _measured_again(space: SpaceSpec, rows: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The norms n of the rows of a 2-d array, with each that under- or
-    overflowed (0.0 on a non-zero row, inf on a finite one) replaced by
-    ``norm``, which measures the row at an exact power-of-two scale; the
-    other norms keep their bits."""
-    lost = ((n == 0.0) & rows.any(axis=-1)) | ((n == math.inf) & np.isfinite(rows).all(axis=-1))
-    for i in np.flatnonzero(lost):
-        n[i] = norm(space, rows[i])
-    return n
+def _power_sums(space: SpaceSpec, a: np.ndarray) -> np.ndarray:
+    """sum_i w_i a_i^r along the last axis of the |entries| a; 1.0 x is x,
+    so an unweighted space skips the weights."""
+    v = a if space.r == 1 else a**space.r
+    return np.add.reduce(v if space.unweighted else space.weight_array * v, axis=-1)
 
 
 def _values(v: np.ndarray) -> float | np.ndarray:
@@ -199,12 +181,26 @@ def _values(v: np.ndarray) -> float | np.ndarray:
     return float(v) if v.ndim == 0 else v
 
 
-def _root(v: np.ndarray, r: float) -> float | np.ndarray:
-    """v ** (1 / r) as ``_values`` returns v, by C's pow value by value:
-    numpy's array power can differ from it in the last bit."""
-    if v.ndim == 0:
-        return float(v) ** (1.0 / r)
-    return np.array([x ** (1.0 / r) for x in v.tolist()])
+def _roots(t: np.ndarray, q: float, items: np.ndarray, total: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+    """t ** q as ``_values`` returns t, for the sums t of one item or of each
+    item of a stack (rows, matrices), total(item) being one item's sum.  The
+    roots are taken by C's pow value by value: numpy's array power can
+    differ in the last bit.  A sum that under- or overflowed (0.0 on a
+    non-zero item, inf or nan on a finite one) is taken again on its item
+    scaled by 2^-e, e the exponent of its largest |entry|, and the root is
+    scaled back by 2^e; every other root keeps its bits, at no numpy call."""
+
+    def again(y: np.ndarray, s: float) -> float:
+        if not (y.any() if s == 0.0 else np.isfinite(y).all()):
+            return s**q
+        e = math.frexp(float(np.max(np.abs(y))))[1]
+        with np.errstate(over="ignore"):  # a root above the float range is inf
+            return float(np.ldexp(float(total(np.ldexp(y, -e))) ** q, e))
+
+    if t.ndim == 0:
+        s = float(t)
+        return s**q if 0.0 < s < math.inf else again(items, s)
+    return np.array([s**q if 0.0 < s < math.inf else again(items[k], s) for k, s in enumerate(t.tolist())])
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:

@@ -47,7 +47,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .operators import LinearMap, _exact_plan, _unit_space, operator_norm
 from .optimize import OptimizerConfig, powell_rows
-from .spaces import _FAMILY_CAP, SpaceSpec, _norms_rows_rescued, _readonly, _values, dual_space, norm, norms_rows
+from .spaces import _FAMILY_CAP, SpaceSpec, _norm_each_row, _norms_rows_rescued, _readonly, _values, dual_space, norms_rows
 
 if TYPE_CHECKING:
     from .extension import SubspaceSpec
@@ -78,30 +78,14 @@ def hadamard(m: int) -> np.ndarray:
 def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
     """(sum |v|^p)^(1/p), with the max convention at p = infinity, along
     the last axis: a float for one vector, an array for a stack of them.
-    Roots are taken value by value, as ``spaces._root`` takes them; a sum
-    that is not a positive finite float goes through ``_lp_again``."""
-    values = np.abs(np.asarray(values, dtype=float))
+    At finite p > 1 it is the norm of ell_p^N by ``spaces._norm_each_row``,
+    retry included.  An empty vector combines to 0.0."""
+    values = np.asarray(values, dtype=float)
     if math.isinf(p):  # the ufunc reductions of np.max and np.sum, with less dispatch
-        return _values(np.maximum.reduce(values, axis=-1, initial=0.0))
-    if p == 1:
-        return _values(np.add.reduce(values, axis=-1))
-    with np.errstate(over="ignore"):  # an overflowed sum is taken again
-        sums = np.add.reduce(values ** p, axis=-1)
-    if sums.ndim == 0:
-        t = float(sums)
-        return t ** (1.0 / p) if 0.0 < t < math.inf else _lp_again(values, t, p)
-    return np.array([t ** (1.0 / p) if 0.0 < t < math.inf else _lp_again(values[k], t, p)
-                     for k, t in enumerate(sums.tolist())])
-
-
-def _lp_again(v: np.ndarray, t: float, p: float) -> float:
-    """The root of t, the sum of the p-th powers of one vector v of
-    |entries|; when t under- or overflowed (0.0 on a non-zero v, inf on a
-    finite one), v is combined by ``spaces.norm``, which measures it again
-    at an exact power-of-two scale."""
-    if (t == 0.0 and v.any()) or (t == math.inf and np.isfinite(v).all()):
-        return norm(SpaceSpec(p, len(v)), v)
-    return t ** (1.0 / p)
+        return _values(np.maximum.reduce(np.abs(values), axis=-1, initial=0.0))
+    if p == 1 or not values.shape[-1]:
+        return _values(np.add.reduce(np.abs(values), axis=-1))
+    return _norm_each_row(_unit_space(p, values.shape[-1]), values)
 
 
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
@@ -267,15 +251,15 @@ def _polish_family(
         Ys = X.reshape(len(X), N, dim)
         upper = bound(Ys)
         ok = (upper > 1e-14) & (upper < math.inf)
-        with np.errstate(over="ignore"):  # a float quotient above the range is inf
-            if ok.all():
-                return -objective(Ys) / upper
-            out = np.zeros(len(X))
-            if ok.any():
-                out[ok] = -objective(Ys[ok]) / upper[ok]
+        if ok.all():
+            return -objective(Ys) / upper
+        out = np.zeros(len(X))
+        if ok.any():
+            out[ok] = -objective(Ys[ok]) / upper[ok]
         return out
 
-    x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
+    with np.errstate(over="ignore"):  # entered once: a float quotient above the range is inf
+        x = powell_rows(neg_ratios, Y0.ravel(), maxfev, 1e-10, 1e-12)[0]
     if not np.all(np.isfinite(x)):
         return None
     return x.reshape(N, dim)

@@ -197,6 +197,24 @@ def test_short_runs_keep_one_add_per_term():
 EXPONENTS = [1.0, 1.25, 1.5, 2.0, 3.0, math.inf]
 
 
+def _written_out_norm(space, row):
+    """(sum_i w_i |x_i|^r)^(1/r) of one row as written out: np.sum of the
+    weighted powers and C's pow for the root; a sum that under- or
+    overflowed (0.0 on a non-zero row, inf on a finite one) is taken again
+    on the row times 2^-e, e the exponent of its largest |entry|, and its
+    root is multiplied by 2^e."""
+    a = np.abs(np.asarray(row, dtype=float))
+    if math.isinf(space.r):
+        return float(np.max(a))
+    w, r = space.weight_array, space.r
+    with np.errstate(over="ignore"):  # an overflowed sum is taken again
+        total = float(np.sum(w * a**r))
+    if (total == 0.0 and np.any(a)) or (total == math.inf and np.all(np.isfinite(a))):
+        e = math.frexp(float(np.max(a)))[1]
+        return math.ldexp(float(np.sum(w * np.ldexp(a, -e) ** r)) ** (1.0 / r), e)
+    return total ** (1.0 / r)
+
+
 @given(
     r=st.sampled_from(EXPONENTS),
     dim=st.integers(1, 12),
@@ -206,14 +224,42 @@ EXPONENTS = [1.0, 1.25, 1.5, 2.0, 3.0, math.inf]
 )
 @settings(max_examples=200, deadline=None)
 def test_row_norms_have_the_bits_of_norm(r, dim, weighted, scale, seed):
+    """The row-norm kernel on a stack, ``norm`` row by row and, unweighted,
+    ``lp_combine`` of the stack and of each row all have the bits of the
+    written-out formula, retry included."""
     rng = np.random.default_rng(seed)
     weights = tuple(rng.uniform(0.25, 4.0, dim)) if weighted else ()
     space = SpaceSpec(r, dim, weights)
     R = rng.standard_normal((40, dim)) * scale
     R[3] = 0.0
+    R[4] = -0.0
     R[5, : dim // 2] = -0.0
-    got = _norm_each_row(space, R)
-    assert got.tobytes() == np.array([norm(space, row) for row in R]).tobytes()
+    want = np.array([_written_out_norm(space, row) for row in R])
+    assert _norm_each_row(space, R).tobytes() == want.tobytes()
+    assert np.array([norm(space, row) for row in R]).tobytes() == want.tobytes()
+    assert [type(norm(space, row)) for row in R[:2]] == [float, float]
+    if not weighted:
+        assert lp_combine(R, r).tobytes() == want.tobytes()
+        assert np.array([lp_combine(row, r) for row in R]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1.25, 1.5, 2.0, 3.0])
+def test_row_norms_near_the_float_limits_are_the_written_out_retry(r):
+    """Rows whose powers under- or overflow are measured at 2^-e and scaled
+    back by 2^e, bit for bit, beside in-range rows that keep theirs."""
+    space = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
+    x = np.array([0.3, -1.0, 0.7])
+    R = np.array([x, x * 1e-200, x * 1e200, x * 1e-320, [1e-320, 0.0, -0.0], x * 1e-150])
+    want = np.array([_written_out_norm(space, row) for row in R])
+    assert np.all((0.0 < want) & (want < math.inf))
+    assert _norm_each_row(space, R).tobytes() == want.tobytes()
+    assert [norm(space, row).hex() for row in R] == [v.hex() for v in want.tolist()]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 2.0, 3.0, math.inf])
+def test_lp_combine_of_empty_vectors_is_zero(p):
+    assert lp_combine([], p) == 0.0 and type(lp_combine([], p)) is float
+    assert lp_combine(np.zeros((3, 0)), p).tolist() == [0.0, 0.0, 0.0]
 
 
 def _sample_sphere_one_by_one(space, count, seed):

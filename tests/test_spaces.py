@@ -1,5 +1,6 @@
 """Weighted ell_r spaces: norms, duality, and exact enumerations."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -31,6 +32,7 @@ from fblab.spaces import (
     extreme_points_matrix,
     norms_rows,
 )
+from fblab.operators import _exact_plan
 from fblab.summing import _weak_crude_upper
 
 SPACES = [
@@ -167,6 +169,40 @@ def test_crude_row_norm_bounds_of_tiny_and_huge_maps(e):
     for p in (1.0, math.inf):
         crude = _weak_crude_upper(np.ldexp(A, e), E, p)
         assert np.ldexp(crude, -e) == pytest.approx(_weak_crude_upper(A, E, p), rel=1e-12)
+
+
+# a (domain, codomain) pair per path of operators._exact_plan, with the map
+# [[1, .5], [.2, 1]] or, where 3 rows are needed to reach the path, [[1, .5],
+# [.2, 1], [-.3, .4]]
+_EXACT_PATH_MAPS = [
+    (SpaceSpec(1.0, 2), SpaceSpec(3.0, 2), "cross-polytope enumeration"),
+    (SpaceSpec(1.0, 2), SpaceSpec(2.0, 2), "cross-polytope enumeration"),
+    (SpaceSpec(1.0, 2, (0.5, 2.0)), SpaceSpec(1.5, 3, (1.0, 0.25, 3.0)), "cross-polytope enumeration"),
+    (SpaceSpec(3.0, 2), SpaceSpec(math.inf, 2), "weak-inf closed form"),
+    (SpaceSpec(1.5, 2, (0.5, 2.0)), SpaceSpec(math.inf, 3), "weak-inf closed form"),
+    (SpaceSpec(3.0, 2), SpaceSpec(1.0, 3), "sign enumeration"),
+    (SpaceSpec(math.inf, 2), SpaceSpec(1.0, 3), "sign enumeration"),
+    (SpaceSpec(math.inf, 2), SpaceSpec(3.0, 3), "cube-vertex enumeration"),
+]
+
+
+@pytest.mark.parametrize("e", [-830, 830])
+@pytest.mark.parametrize("E, C, tag", _EXACT_PATH_MAPS)
+def test_exact_plan_of_tiny_and_huge_maps(E, C, tag, e):
+    """Every exact path of the operator norm, and so of the weak-p norms of
+    ``summing._weak_E``, reads the scaled interval, for one map and for a
+    stack: the closed forms once read [0.0, 0.0], certified, at 2^-830 and
+    overflowed to inf (a ValueError) at 2^830."""
+    A = np.array([[1.0, 0.5], [0.2, 1.0], [-0.3, 0.4]])[: C.dim]
+    assert _exact_plan(E, C)[1] == tag
+    est = operator_norm(LinearMap(A, E, C))
+    with np.errstate(over="ignore", invalid="ignore") if e > 0 else contextlib.nullcontext():  # a first pass overflows
+        scaled = operator_norm(LinearMap(np.ldexp(A, e), E, C))
+        stack = _exact_plan(E, C)[0](np.ldexp(np.stack([A, -A, 0 * A]) / E.weight_array, e))  # pairing coordinates
+    assert scaled.lower_certified and scaled.upper_certified
+    assert 0.0 < scaled.lower == scaled.upper < math.inf
+    assert np.ldexp(scaled.upper, -e) == pytest.approx(est.upper, rel=1e-12)
+    assert np.ldexp(stack, -e).tolist() == pytest.approx([est.upper, est.upper, 0.0], rel=1e-12)
 
 
 def test_norm_in_range_is_the_direct_formula():

@@ -128,16 +128,29 @@ def _one_family_max_signed_sum(M, space):
     return top, z
 
 
-def _one_family_plan_value(E, C, tag, Y):
-    """The value of ``_exact_plan(E, C)`` with path ``tag`` at one
-    family Y."""
+def _one_family_closed_form(E, C, tag, Y):
+    """A closed form of ``_exact_plan(E, C)`` at one family Y, at its own
+    scale."""
     if tag == "weak-inf closed form":
         return float(np.max(norms_rows(E.dual, Y)))
-    if tag == "cross-polytope enumeration":
-        V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r
-        if not C.unweighted:
-            V = V * C.weight_array[:, None]
-        return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
+    V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r
+    if not C.unweighted:
+        V = V * C.weight_array[:, None]
+    return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
+
+
+def _one_family_plan_value(E, C, tag, Y):
+    """The value of ``_exact_plan(E, C)`` with path ``tag`` at one
+    family Y; a closed form that under- or overflowed (0.0 on a non-zero
+    Y, inf or nan on a finite one) is taken again on Y scaled by 2^-e, e
+    the exponent of its largest |entry|, and scaled back by 2^e."""
+    if tag in ("weak-inf closed form", "cross-polytope enumeration"):
+        value = _one_family_closed_form(E, C, tag, Y)
+        if (value == 0.0 and Y.any()) or (not value < math.inf and np.isfinite(Y).all()):
+            e = math.frexp(float(np.max(np.abs(Y))))[1]
+            with np.errstate(over="ignore"):
+                value = float(np.ldexp(_one_family_closed_form(E, C, tag, np.ldexp(Y, -e)), e))
+        return value
     N, dim = Y.shape
     on_cube = tag == "cube-vertex enumeration" or (E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim)
     if on_cube:
