@@ -75,8 +75,8 @@ from .spaces import (
     SpaceSpec,
     _json_fields,
     _readonly,
+    _roots,
     _signs,
-    _values,
     _vertex_count,
     dual_space,
     extreme_points_matrix,
@@ -152,13 +152,13 @@ class SubspaceSpec:
 
     def coordinates(self, points: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Basis coordinates of ambient points (rows); errors if a point
-        does not lie in the subspace to within ``tol``."""
+        is off the subspace by more than ``tol`` times the largest |entry|."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
         B = self.basis_matrix
         C, *_ = np.linalg.lstsq(B.T, X.T, rcond=None)
         C = C.T
         resid = np.max(np.abs(C @ B - X)) if X.size else 0.0
-        if resid > tol * max(1.0, float(np.max(np.abs(X)))):
+        if resid > tol * float(np.max(np.abs(X))):
             raise ValueError("points do not lie in the subspace")
         return C
 
@@ -394,7 +394,8 @@ def _exact_plan_F(
     axis-aligned F (the rows of M / d are model functionals); then, for
     ambient r in {1, inf}, the vertices of B_F, where the convex norm
     peaks.  Where both apply they can differ in the last bit; the model
-    goes first."""
+    goes first.  A vertex value that under- or overflowed is taken again by
+    ``spaces._roots`` on M scaled by 2^-e (its products may be exact zeros)."""
     if sub._model is not None:
         space_F, d = sub._model
         plan = _exact_plan(space_F, C)
@@ -404,8 +405,8 @@ def _exact_plan_F(
     V = sub._vertices
     if V is None:
         return None
-    value = lambda M: _values(np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1))
-    return value, "B_F vertex enumeration", True
+    top = lambda M: np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1)
+    return (lambda M: _roots(top(M), 1.0, M, top)), "B_F vertex enumeration", True
 
 
 def _weak_F(
@@ -571,6 +572,7 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
     return best_W, best_upper
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def extension_constant(
     sub: SubspaceSpec,
     T: LinearMap,
@@ -612,7 +614,7 @@ def extension_constant(
     M = T.matrix
     cod = T.codomain
     denom = _operator_norm_over_F(sub, M, cod)
-    if denom <= 1e-14:
+    if denom <= 1e-14 * float(np.max(np.abs(M))):  # B_F spans the coordinates
         raise ValueError("operator vanishes on the subspace")
     E = sub.ambient
     n = E.dim

@@ -479,6 +479,7 @@ def _pconcav_coefficients(E: SpaceSpec, alpha: np.ndarray, p: float) -> np.ndarr
     return w ** (1.0 / r) * b / nb
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def pconcavification_witness(
     E: SpaceSpec,
     alpha,
@@ -503,7 +504,10 @@ def pconcavification_witness(
         raise ValueError("requires p <= r (p-convexity with constant one)")
 
     beta = _pconcav_coefficients(E, alpha, p)
-    if beta is None:  # the coefficients underflowed
+    if alpha.any() and (beta is None or not (np.isfinite(beta).all() and beta.any())):
+        # the powers under- or overflowed; beta is of degree 0 in alpha
+        beta = _pconcav_coefficients(E, np.ldexp(alpha, -math.frexp(float(np.max(alpha)))[1]), p)
+    if beta is None:
         return np.zeros(E.dim), 0.0
     # exact norm of diag(beta): E -> ell_p^n for p <= r, by Hoelder after
     # substituting away the weights: with c_i = (beta_i w_i^{-1/r})^p the

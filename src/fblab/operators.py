@@ -247,6 +247,7 @@ def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.n
     return (crude(Y) if Y.ndim == 2 else np.array([crude(y) for y in Y])), False
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 

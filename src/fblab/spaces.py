@@ -18,8 +18,11 @@ saturation and the involution dual(dual(E)) = E hold simultaneously.
 r = infinity is represented by ``math.inf``, never by a large float.
 
 One kernel, ``_norm_each_row``, computes the finite-r norms of ``norm``,
-of the row norms and of ``summing.lp_combine``; a power sum that under- or
-overflowed is taken again once at an exact power-of-two scale (``_roots``).
+of the row norms and of ``summing.lp_combine``.  A norm is homogeneous, so
+a value that under- or overflowed is taken again once on its item scaled by
+an exact power of two: by ``_roots`` for a value (the kernel, the rescued
+row norms and the closed forms of both exact plans, over B_E and over B_F),
+by ``_rescaled`` for an enumeration's maximum and its winning signed sum.
 The hot matrix-product form ``norms_rows`` has no retry.
 """
 
@@ -147,14 +150,11 @@ def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 def _norms_rows_rescued(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     """``norms_rows`` of a 2-d array, whose matrix-product sums its callers'
-    bits depend on, with each norm that under- or overflowed (0.0 on a
-    non-zero row, inf on a finite one) measured again by ``norm``."""
+    bits depend on, with each norm that under- or overflowed measured again
+    by ``_roots`` at a power-of-two scale; x ** 1.0 is x, so the others keep
+    their bits."""
     with np.errstate(over="ignore"):  # an overflowed row is measured again
-        n = norms_rows(space, rows)
-    for i, t in enumerate(n.tolist()):
-        if (t == 0.0 and rows[i].any()) or (t == math.inf and np.isfinite(rows[i]).all()):
-            n[i] = norm(space, rows[i])
-    return n
+        return _roots(norms_rows(space, rows), 1.0, rows, lambda y: norms_rows(space, y))
 
 
 def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> float | np.ndarray:

@@ -29,6 +29,7 @@ from fblab import (
     run_experiment,
     subspace_from_json,
     subspace_to_json,
+    weak_p_norm,
 )
 from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
 from fblab.extension import _exact_plan_F, _max_linear_over_BF
@@ -86,6 +87,18 @@ def test_embed_coordinates_roundtrip():
     assert np.max(np.abs(back - coords)) <= 1e-8
     with pytest.raises(ValueError):
         sub.coordinates(C[0][None, :])  # complement vector is not in F
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-9, 2.0**-830, 2.0**830])
+def test_coordinates_tolerance_scales_with_the_points(s):
+    """Points off F are rejected at every scale (below magnitude 1 the
+    tolerance was once absolute, and s (1, .5, .7) passed at s = 1e-9),
+    points of F accepted with their coordinates, and a zero point passes."""
+    sub = _coordinate_sub(SpaceSpec(2.0, 3), 2)
+    with pytest.raises(ValueError):
+        sub.coordinates(np.array([[1.0, 0.5, 0.7]]) * s)
+    assert sub.coordinates(np.array([[1.0, 0.5, 0.0]]) * s).tolist() == [[s, s / 2]]
+    assert sub.coordinates(np.zeros((1, 3))).tolist() == [[0.0, 0.0]]
 
 
 def test_restrict_preserves_pairings():
@@ -725,3 +738,99 @@ def test_ell3_multistart_keeps_its_bytes(seed):
     assert est.method[0] == "outer minimization over complement values"
     digest = hashlib.sha256(json.dumps(est.to_json()).encode()).hexdigest()[:16]
     assert (digest, est.upper.hex()) == ELL3_MULTISTART[seed]
+
+
+# --------------------------------------------------------------------------
+# homogeneity of the norm oracles under powers of two
+# --------------------------------------------------------------------------
+
+# a generic section of weighted ell_1^4 and one of ell_inf^4 (both on the
+# B_F vertex path), and an axis-aligned section of weighted ell_3^3 (the
+# model space's plan; its p = 2 weak norm is the crude bound)
+_SCALE_SECTIONS = {
+    "ell_1^4": SubspaceSpec.from_arrays(
+        SpaceSpec(1.0, 4, (0.5, 1.0, 1.5, 2.0)),
+        [[1.0, 0.5, -0.2, 0.3], [0.3, 1.0, 0.4, -0.1], [0.2, -0.3, 1.0, 0.5]],
+        [[0.1, 0.2, 0.3, 1.0]],
+    ),
+    "ell_inf^4": SubspaceSpec.from_arrays(SpaceSpec(math.inf, 4), *np.random.default_rng(5).standard_normal((2, 2, 4))),
+    "axis ell_3^3": SubspaceSpec.from_arrays(
+        SpaceSpec(3.0, 3, (0.5, 1.0, 2.0)), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]]
+    ),
+}
+_SCALE_Y = np.array([[1.0, 0.5, -0.2], [0.3, 1.0, 0.4], [-0.3, 0.4, 0.8]])
+
+
+def _weak_F_reading(sub, p, k):
+    with np.errstate(over="ignore", invalid="ignore"):  # an internal oracle: its first pass may overflow
+        value, exact, _ = extension._weak_F(sub, np.ldexp(_SCALE_Y[:, : sub.dim], k), p)
+    return 1, [value, value], exact
+
+
+def _weak_p_reading(E, p, k):
+    est = weak_p_norm(np.ldexp(_SCALE_Y[:, : E.dim], k), E, p)
+    return 1, [est.lower, est.upper], est.method
+
+
+def _operator_reading(E, C, k):
+    est = operator_norm(LinearMap(np.ldexp(_SCALE_Y[: C.dim, : E.dim], k), E, C))
+    return 1, [est.lower, est.upper], est.method
+
+
+def _extension_reading(sub, p, k):
+    A = np.ldexp(_SCALE_Y[:2, : sub.dim], k)
+    est = extension_constant(sub, LinearMap(A, SpaceSpec(2.0, sub.dim), SpaceSpec(p, 2)), p, CFG)
+    return 0, [est.lower, est.upper], est.method
+
+
+_SCALE_CASES = (
+    [
+        (f"weak_F {name} p={p}", _weak_F_reading, (sub, p))
+        for name, sub in _SCALE_SECTIONS.items()
+        for p in (1.0, 2.0, math.inf)
+    ]
+    + [
+        (f"weak_p_norm ell_{E.r}^{E.dim} p={p}", _weak_p_reading, (E, p))
+        for E, p in [
+            (SpaceSpec(3.0, 2), math.inf),  # weak-inf closed form
+            (SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), 2.0),  # cross-polytope
+            (SpaceSpec(3.0, 3), 1.0),  # member signs
+            (SpaceSpec(math.inf, 2), 1.0),  # cube signs
+            (SpaceSpec(math.inf, 3), 3.0),  # cube vertices
+            (SpaceSpec(3.0, 3), 2.0),  # heuristic
+            (SpaceSpec(1.5, 2, (0.5, 2.0)), 2.0),  # heuristic
+        ]
+    ]
+    + [
+        (f"operator_norm ell_{E.r}^{E.dim} -> ell_{C.r}^{C.dim}", _operator_reading, (E, C))
+        for E, C in [
+            (SpaceSpec(3.0, 3), SpaceSpec(math.inf, 2)),  # sup-norm codomain
+            (SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), SpaceSpec(1.5, 2, (1.0, 3.0))),  # ell_1 domain
+            (SpaceSpec(3.0, 3), SpaceSpec(1.0, 2)),  # ell_1 codomain
+            (SpaceSpec(math.inf, 2), SpaceSpec(3.0, 2)),  # cube vertices
+            (SpaceSpec(3.0, 3), SpaceSpec(2.0, 2)),  # heuristic
+            (SpaceSpec(1.5, 2, (0.5, 2.0)), SpaceSpec(3.0, 2)),  # heuristic
+        ]
+    ]
+    + [
+        (f"extension_constant {name} p={p}", _extension_reading, (_SCALE_SECTIONS[name], p))
+        for name in ("ell_1^4", "ell_inf^4")
+        for p in (2.0, math.inf)
+    ]
+)
+
+
+@pytest.mark.parametrize("k", [-830, 830])
+@pytest.mark.parametrize("reading, args", [c[1:] for c in _SCALE_CASES], ids=[c[0] for c in _SCALE_CASES])
+def test_norm_oracles_are_homogeneous_under_powers_of_two(reading, args, k):
+    """Every norm oracle over B_E and B_F reads 2^k times its unit value
+    (an extension constant the same value) with the same exact flag or
+    method, finite and nonzero, and the public entry points warn of no
+    first pass that overflowed.  The B_F vertex path once certified (0.0,
+    exact) at 2^-830 and (inf, exact) at 2^830, and extension_constant
+    raised "operator vanishes" at 2^-830."""
+    degree, unit, how = reading(*args, 0)
+    _, scaled, scaled_how = reading(*args, k)
+    assert scaled_how == how
+    assert all(0.0 < v < math.inf for v in scaled)
+    assert np.ldexp(scaled, -degree * k).tolist() == pytest.approx(unit, rel=1e-12, abs=0.0)

@@ -374,9 +374,17 @@ def _one_family_plan_F_value(sub, C, tag, M):
     """The value of ``_exact_plan_F(sub, C)`` with path ``tag`` at one
     map M, as the exact norm over B_F was written before it took stacks:
     the model's plan at M / d, or the largest norm of the vertices' images
-    by M."""
+    by M, taken again on M scaled by 2^-e where it read 0.0 on a non-zero
+    M or inf or nan on a finite one, as ``_one_family_plan_value`` takes a
+    closed form again."""
     if tag == "B_F vertex enumeration":
-        return float(np.max(norms_rows(C, sub._vertices @ M.T)))
+        top = lambda M: float(np.max(norms_rows(C, sub._vertices @ M.T)))
+        value = top(M)
+        if (value == 0.0 and M.any()) or (not value < math.inf and np.isfinite(M).all()):
+            e = math.frexp(float(np.max(np.abs(M))))[1]
+            with np.errstate(over="ignore"):
+                value = float(np.ldexp(top(np.ldexp(M, -e)), e))
+        return value
     space_F, d = sub._model
     return _one_family_plan_value(space_F, C, tag, M / d)
 

@@ -9,8 +9,10 @@ task list and runs every task once, importing fblab from the checkout's
 ``src/``.  It prints one line per task, ``workload seed task sha256``: the
 SHA-256 of the task's result as JSON (its ``to_json()``, which leaves an
 experiment report's wall clock out), or of the error the task raised.
-Two checkouts that print the same lines give every task the same lower
-and upper bounds, flags, methods and witness bytes.
+Then it prints one line ``catalog seed name sha256`` per experiment of
+``experiment_names()`` and seed, of ``run_experiment(name, seed=seed)``.
+Two checkouts that print the same lines give every task and experiment
+the same lower and upper bounds, flags, methods and witness bytes.
 """
 
 import os
@@ -26,9 +28,9 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 
-def digest(task) -> str:
+def digest(run) -> str:
     try:
-        result = task.run()
+        result = run()
     except Exception as ex:  # a failing task is part of the output
         data = {"error": f"{type(ex).__name__}: {ex}"}
     else:
@@ -44,11 +46,15 @@ def main(argv=None) -> int:
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
+    from fblab import experiment_names, run_experiment
 
     for name in workloads.WORKLOADS:
         for seed in args.seeds:
             for task in workloads.WORKLOADS[name](seed):
-                print(name, seed, task.name, digest(task), flush=True)
+                print(name, seed, task.name, digest(task.run), flush=True)
+    for name in experiment_names():
+        for seed in args.seeds:
+            print("catalog", seed, name, digest(lambda: run_experiment(name, seed=seed)), flush=True)
     return 0
 
 
