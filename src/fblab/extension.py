@@ -73,7 +73,9 @@ from .optimize import OptimizerConfig, powell_starts
 from .spaces import (
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
+    _floor,
     _json_fields,
+    _pow2_scaled,
     _readonly,
     _roots,
     _signs,
@@ -152,13 +154,13 @@ class SubspaceSpec:
 
     def coordinates(self, points: np.ndarray, tol: float = 1e-8) -> np.ndarray:
         """Basis coordinates of ambient points (rows); errors if a point
-        is off the subspace by more than ``tol`` times the largest |entry|."""
+        is off the subspace by more than ``tol`` times its largest |entry|."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
         B = self.basis_matrix
         C, *_ = np.linalg.lstsq(B.T, X.T, rcond=None)
         C = C.T
-        resid = np.max(np.abs(C @ B - X)) if X.size else 0.0
-        if resid > tol * float(np.max(np.abs(X))):
+        resid = np.max(np.abs(C @ B - X), axis=1, initial=0.0)
+        if (resid > tol * np.max(np.abs(X), axis=1, initial=0.0)).any():
             raise ValueError("points do not lie in the subspace")
         return C
 
@@ -296,8 +298,7 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
     w = E.weight_array
     # v scaled by a power of two (exact) near 1, so that its length and
     # v . G^-1 v below stay in range; s / |s| has the bits of v / |v|
-    e = math.frexp(float(np.max(np.abs(v))))[1]
-    s = np.ldexp(v, -e)
+    s, e = _pow2_scaled(v)
 
     if E.is_sup or E.r == 1:
         from scipy.optimize import linprog
@@ -394,8 +395,10 @@ def _exact_plan_F(
     axis-aligned F (the rows of M / d are model functionals); then, for
     ambient r in {1, inf}, the vertices of B_F, where the convex norm
     peaks.  Where both apply they can differ in the last bit; the model
-    goes first.  A vertex value that under- or overflowed is taken again by
-    ``spaces._roots`` on M scaled by 2^-e (its products may be exact zeros)."""
+    goes first.  A vertex value that under- or overflowed (below
+    ``spaces._floor`` of C, inf or nan) is taken again by ``spaces._roots``
+    on M scaled by a power of two, not on its products (exact zeros there
+    stay zeros)."""
     if sub._model is not None:
         space_F, d = sub._model
         plan = _exact_plan(space_F, C)
@@ -406,7 +409,8 @@ def _exact_plan_F(
     if V is None:
         return None
     top = lambda M: np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1)
-    return (lambda M: _roots(top(M), 1.0, M, top)), "B_F vertex enumeration", True
+    floor = _floor(C.r)
+    return (lambda M: _roots(top(M), 1.0, M, top, floor)), "B_F vertex enumeration", True
 
 
 def _weak_F(
@@ -572,7 +576,6 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
     return best_W, best_upper
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def extension_constant(
     sub: SubspaceSpec,
     T: LinearMap,
@@ -613,7 +616,8 @@ def extension_constant(
 
     M = T.matrix
     cod = T.codomain
-    denom = _operator_norm_over_F(sub, M, cod)
+    with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
+        denom = _operator_norm_over_F(sub, M, cod)
     if denom <= 1e-14 * float(np.max(np.abs(M))):  # B_F spans the coordinates
         raise ValueError("operator vanishes on the subspace")
     E = sub.ambient
@@ -633,13 +637,12 @@ def extension_constant(
         best_W, best_upper = _powell_complement(objective, nvars, denom, cfg)
         how = "outer minimization over complement values"
     else:
-        best_W = np.zeros(nvars)
-        best_upper = objective(best_W[None]).item()
         W = _epigraph_complement(V @ St_inv.T, M, cod)
-        if np.all(np.isfinite(W)):
-            v = objective(W[None]).item()
-            if v < best_upper:
-                best_upper, best_W = v, W
+        Ws = np.array([np.zeros(nvars), W] if np.all(np.isfinite(W)) else [np.zeros(nvars)])
+        with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
+            uppers = objective(Ws).tolist()
+        at = 1 if uppers[1:] and uppers[1] < uppers[0] else 0
+        best_W, best_upper = Ws[at], uppers[at]
         how = "epigraph program over ambient vertices"
 
     ratio_upper = max(best_upper / denom, 1.0)

@@ -53,6 +53,7 @@ from .spaces import (
     SpaceSpec,
     _max_signed_sum,
     _norm_each_row,
+    _pow2_scaled,
     _vertex_count,
     dual_space,
     extreme_points_matrix,
@@ -479,7 +480,6 @@ def _pconcav_coefficients(E: SpaceSpec, alpha: np.ndarray, p: float) -> np.ndarr
     return w ** (1.0 / r) * b / nb
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def pconcavification_witness(
     E: SpaceSpec,
     alpha,
@@ -503,11 +503,10 @@ def pconcavification_witness(
     if not math.isinf(E.r) and E.r < p - 1e-12:
         raise ValueError("requires p <= r (p-convexity with constant one)")
 
-    beta = _pconcav_coefficients(E, alpha, p)
-    if alpha.any() and (beta is None or not (np.isfinite(beta).all() and beta.any())):
-        # the powers under- or overflowed; beta is of degree 0 in alpha
-        beta = _pconcav_coefficients(E, np.ldexp(alpha, -math.frexp(float(np.max(alpha)))[1]), p)
-    if beta is None:
+    # beta is of degree 0 in alpha: at alpha's scale its powers could under-
+    # or overflow
+    beta = _pconcav_coefficients(E, _pow2_scaled(alpha)[0], p)
+    if beta is None:  # the coefficients underflowed
         return np.zeros(E.dim), 0.0
     # exact norm of diag(beta): E -> ell_p^n for p <= r, by Hoelder after
     # substituting away the weights: with c_i = (beta_i w_i^{-1/r})^p the

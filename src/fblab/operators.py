@@ -22,9 +22,11 @@ from .spaces import (
     _EXTREME_ENUM_CAP,
     _FAMILY_CAP,
     SpaceSpec,
+    _floor,
     _json_fields,
     _max_signed_norm,
     _norms_rows_rescued,
+    _pow2_scaled,
     _readonly,
     _roots,
     dual_space,
@@ -156,8 +158,8 @@ def _structured_ascent(
     top = lambda s: np.sort(np.argsort(-np.asarray(s), kind="stable")[:32])  # in index order
     cols = [norm(codomain, a[:, i]) / body_norm(np.eye(1, dim, i)[0]) for i in range(dim)]
     starts = [np.eye(1, dim, i)[0] for i in top(cols)]
-    e = math.frexp(float(np.max(np.abs(a))))[1]  # rows ranked where their squares neither under- nor overflow
-    starts += [linear_max(a[i]) for i in top(np.linalg.norm(np.ldexp(a, -e), axis=1))]
+    # rows ranked where their squares neither under- nor overflow
+    starts += [linear_max(a[i]) for i in top(np.linalg.norm(_pow2_scaled(a)[0], axis=1))]
     starts.append(np.linalg.svd(a, full_matrices=False)[2][0])
     best_val, best_x = 0.0, np.zeros(dim)
     for x0 in starts:
@@ -203,7 +205,8 @@ def _exact_plan(
     N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
         sup = lambda Y: np.maximum.reduce(norms_rows(dual, Y), axis=-1)
-        return (lambda Y: _roots(sup(Y), 1.0, Y, sup)), "weak-inf closed form", True
+        floor = _floor(dual.r)
+        return (lambda Y: _roots(sup(Y), 1.0, Y, sup, floor)), "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
         r, wc = C.r, None if C.unweighted else C.weight_array[:, None]
 
@@ -247,7 +250,6 @@ def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.n
     return (crude(Y) if Y.ndim == 2 else np.array([crude(y) for y in Y])), False
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 
@@ -260,7 +262,8 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     upper bounds come from ``_norm_upper``.
     """
     a, E, cod = T.matrix, T.domain, T.codomain
-    upper, exact = _norm_upper(a, E, cod)
+    with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
+        upper, exact = _norm_upper(a, E, cod)
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
     lower, _ = _structured_ascent(

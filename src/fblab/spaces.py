@@ -19,17 +19,21 @@ r = infinity is represented by ``math.inf``, never by a large float.
 
 One kernel, ``_norm_each_row``, computes the finite-r norms of ``norm``,
 of the row norms and of ``summing.lp_combine``.  A norm is homogeneous, so
-a value that under- or overflowed is taken again once on its item scaled by
-an exact power of two: by ``_roots`` for a value (the kernel, the rescued
-row norms and the closed forms of both exact plans, over B_E and over B_F),
-by ``_rescaled`` for an enumeration's maximum and its winning signed sum.
-The hot matrix-product form ``norms_rows`` has no retry.
+a value whose sum of powers under- or overflowed (``_lost``) is taken again
+once on its item scaled by a power of two (``_pow2_scaled``), by one of two
+retries: ``_roots`` for a value (the kernel, the rescued row norms, the
+closed forms of the exact plans over B_E and B_F), ``_rescaled`` for an
+enumeration's maximum and winner.  ``norming_vector`` retries its powers
+so; ``_structured_ascent``, ``_max_linear_over_BF`` and
+``pconcavification_witness`` work at that scale from the start.  The hot
+matrix-product form ``norms_rows`` has no retry.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -154,7 +158,7 @@ def _norms_rows_rescued(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     by ``_roots`` at a power-of-two scale; x ** 1.0 is x, so the others keep
     their bits."""
     with np.errstate(over="ignore"):  # an overflowed row is measured again
-        return _roots(norms_rows(space, rows), 1.0, rows, lambda y: norms_rows(space, y))
+        return _roots(norms_rows(space, rows), 1.0, rows, lambda y: norms_rows(space, y), _floor(space.r))
 
 
 def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> float | np.ndarray:
@@ -181,26 +185,48 @@ def _values(v: np.ndarray) -> float | np.ndarray:
     return float(v) if v.ndim == 0 else v
 
 
-def _roots(t: np.ndarray, q: float, items: np.ndarray, total: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+def _pow2_scaled(y: np.ndarray) -> tuple[np.ndarray, int]:
+    """y times 2^-e (exact), e the exponent of its largest |entry|, and e."""
+    e = math.frexp(float(np.max(np.abs(y))))[1]
+    return np.ldexp(y, -e), e
+
+
+@functools.cache
+def _floor(r: float) -> float:
+    """The least ell_r norm whose sum of powers is a normal float."""
+    return sys.float_info.min if math.isinf(r) else sys.float_info.min ** (1.0 / r)
+
+
+def _lost(t: float, item: np.ndarray) -> bool:
+    """Whether a value t below its ``_floor`` (its sum of powers 0.0 or
+    subnormal), inf or nan was lost: t is 0.0 on a non-zero item, or any
+    such value on a finite one."""
+    return item.any() if t == 0.0 else bool(np.isfinite(item).all())
+
+
+def _roots(
+    t: np.ndarray, q: float, items: np.ndarray, total: Callable[[np.ndarray], np.ndarray], floor: float = sys.float_info.min
+) -> float | np.ndarray:
     """t ** q as ``_values`` returns t, for the sums t of one item or of each
     item of a stack (rows, matrices), total(item) being one item's sum.  The
     roots are taken by C's pow value by value: numpy's array power can
-    differ in the last bit.  A sum that under- or overflowed (0.0 on a
-    non-zero item, inf or nan on a finite one) is taken again on its item
-    scaled by 2^-e, e the exponent of its largest |entry|, and the root is
-    scaled back by 2^e; every other root keeps its bits, at no numpy call."""
+    differ in the last bit.  A sum that under- or overflowed (below
+    ``floor``, inf or nan, and ``_lost``) is taken again on its item scaled
+    by ``_pow2_scaled``, and the root is scaled back by 2^e; every other
+    root keeps its bits, at no numpy call.  ``floor`` is the least normal
+    float for sums of powers, ``_floor(r)`` for ell_r norms (q = 1.0)."""
 
-    def again(y: np.ndarray, s: float) -> float:
-        if not (y.any() if s == 0.0 else np.isfinite(y).all()):
+    def again(s: float, y: np.ndarray) -> float:
+        if not _lost(s, y):
             return s**q
-        e = math.frexp(float(np.max(np.abs(y))))[1]
+        y, e = _pow2_scaled(y)
         with np.errstate(over="ignore"):  # a root above the float range is inf
-            return float(np.ldexp(float(total(np.ldexp(y, -e))) ** q, e))
+            return float(np.ldexp(float(total(y)) ** q, e))
 
     if t.ndim == 0:
         s = float(t)
-        return s**q if 0.0 < s < math.inf else again(items, s)
-    return np.array([s**q if 0.0 < s < math.inf else again(items[k], s) for k, s in enumerate(t.tolist())])
+        return s**q if floor <= s < math.inf else again(s, items)
+    return np.array([s**q if floor <= s < math.inf else again(s, items[k]) for k, s in enumerate(t.tolist())])
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:
@@ -317,8 +343,8 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec):
     norm takes ||L_i||^2 + ||H_j||^2 + 2 L_i . H_j from one matrix product,
     any other norm broadcast adds; both run over blocks of rows of L, so
     memory stays bounded.  The winning signed sum's norm is recomputed.  A
-    maximum that under- or overflowed (inf, 0.0 on non-zero rows, or a nan
-    block) is enumerated again on M scaled by an exact power of two, as
+    maximum that under- or overflowed (``_lost``, or a nan block) is
+    enumerated again on M scaled by an exact power of two, as
     ``norm`` measures again.  A 2-d M is a stack of one, and each matrix of
     a stack gets the products, blocks and retry it would get alone, so its
     bits: every product runs matrix by matrix (``np.matmul`` over the stack).
@@ -366,13 +392,14 @@ def _all_plus_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndar
 
 def _rescaled(run: Callable, stack: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """run(stack, space), the maxima and sums of a stack of matrices, with
-    each maximum that under- or overflowed (inf, nan, or 0.0 on a non-zero
-    matrix) taken again on its matrix scaled by an exact power of two."""
+    each maximum that under- or overflowed (below ``_floor``, or inf or
+    nan, and ``_lost``) taken again on its matrix scaled by ``_pow2_scaled``."""
     top, z = run(stack, space)
+    floor = _floor(space.r)
     for k, t in enumerate(top.tolist()):
-        if not t < math.inf or (t == 0.0 and stack[k].any()):
-            e = math.frexp(float(np.max(np.abs(stack[k]))))[1]
-            t, y = run(np.ldexp(stack[k : k + 1], -e), space)
+        if not floor <= t < math.inf and _lost(t, stack[k]):
+            y, e = _pow2_scaled(stack[k : k + 1])
+            t, y = run(y, space)
             with np.errstate(over="ignore"):  # a maximum above the float range is inf
                 top[k], z[k] = np.ldexp(t[0], e), np.ldexp(y[0], e)
     return top, z
@@ -511,8 +538,8 @@ def norming_vector(space: SpaceSpec, g) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow is caught below
         x = np.sign(g) * a ** rp
         n = norm(space, x)
-    if not 0.0 < n < math.inf:  # the powers under- or overflowed; x is scale-free
-        x = np.sign(g) * (a / np.max(a)) ** rp
+    if not _floor(space.r) <= n < math.inf:  # the powers under- or overflowed; x is scale-free
+        x = np.sign(g) * _pow2_scaled(a)[0] ** rp
         n = norm(space, x)
     return x / n
 

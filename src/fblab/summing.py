@@ -109,7 +109,6 @@ def _weak_E(
     return value(Y), True, value if cheap else None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a first pass that overflowed is taken again
 def weak_p_norm(
     family,
     space: SpaceSpec,
@@ -132,15 +131,17 @@ def weak_p_norm(
     Otherwise ``operator_norm`` of that map: the lower bound of its ascent
     from structured starts plus its row-norm upper bound, which is the
     triangle inequality (both certified; the gap is reported, not hidden).
-    Both take a value that under- or overflowed again at a power-of-two
-    scale, so tiny and huge families need no scaling here.
+    Both take a value whose sum of powers under- or overflowed (0.0 or
+    subnormal, inf or nan) again at a power-of-two scale, so tiny and huge
+    families need no scaling here.
     """
     Y = np.atleast_2d(np.asarray(family, dtype=float))
     if Y.shape[1] != space.dim:
         raise ValueError("family members must live in the dual of the given space")
     plan = _exact_plan(space, _unit_space(p, len(Y)))
     if plan is not None:
-        val = plan[0](Y)
+        with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
+            val = plan[0](Y)
         return NormEstimate(val, val, True, True, method=(plan[1],))
 
     # heuristic regime: certified bounds from both sides, but not tight

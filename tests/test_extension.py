@@ -93,10 +93,13 @@ def test_embed_coordinates_roundtrip():
 def test_coordinates_tolerance_scales_with_the_points(s):
     """Points off F are rejected at every scale (below magnitude 1 the
     tolerance was once absolute, and s (1, .5, .7) passed at s = 1e-9),
+    also beside a unit point of F (the tolerance is each point's own),
     points of F accepted with their coordinates, and a zero point passes."""
     sub = _coordinate_sub(SpaceSpec(2.0, 3), 2)
     with pytest.raises(ValueError):
         sub.coordinates(np.array([[1.0, 0.5, 0.7]]) * s)
+    with pytest.raises(ValueError):
+        sub.coordinates(np.array([[1.0, 0.0, 0.0], [s, s / 2, 0.7 * s]]))
     assert sub.coordinates(np.array([[1.0, 0.5, 0.0]]) * s).tolist() == [[s, s / 2]]
     assert sub.coordinates(np.zeros((1, 3))).tolist() == [[0.0, 0.0]]
 
@@ -795,6 +798,7 @@ _SCALE_CASES = (
             (SpaceSpec(3.0, 2), math.inf),  # weak-inf closed form
             (SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), 2.0),  # cross-polytope
             (SpaceSpec(3.0, 3), 1.0),  # member signs
+            (SpaceSpec(2.0, 3), 1.0),  # member signs, Euclidean enumeration
             (SpaceSpec(math.inf, 2), 1.0),  # cube signs
             (SpaceSpec(math.inf, 3), 3.0),  # cube vertices
             (SpaceSpec(3.0, 3), 2.0),  # heuristic
@@ -807,6 +811,7 @@ _SCALE_CASES = (
             (SpaceSpec(3.0, 3), SpaceSpec(math.inf, 2)),  # sup-norm codomain
             (SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), SpaceSpec(1.5, 2, (1.0, 3.0))),  # ell_1 domain
             (SpaceSpec(3.0, 3), SpaceSpec(1.0, 2)),  # ell_1 codomain
+            (SpaceSpec(2.0, 3), SpaceSpec(1.0, 3)),  # ell_1 codomain, Euclidean enumeration
             (SpaceSpec(math.inf, 2), SpaceSpec(3.0, 2)),  # cube vertices
             (SpaceSpec(3.0, 3), SpaceSpec(2.0, 2)),  # heuristic
             (SpaceSpec(1.5, 2, (0.5, 2.0)), SpaceSpec(3.0, 2)),  # heuristic
@@ -820,15 +825,18 @@ _SCALE_CASES = (
 )
 
 
-@pytest.mark.parametrize("k", [-830, 830])
+# 2^-350, 2^-537 and 2^-700 put the power sums of ell_3, ell_2 and ell_1.5
+# norms among the subnormals, where they keep a few bits but are not zero
+@pytest.mark.parametrize("k", [-830, -700, -537, -350, 830])
 @pytest.mark.parametrize("reading, args", [c[1:] for c in _SCALE_CASES], ids=[c[0] for c in _SCALE_CASES])
 def test_norm_oracles_are_homogeneous_under_powers_of_two(reading, args, k):
     """Every norm oracle over B_E and B_F reads 2^k times its unit value
     (an extension constant the same value) with the same exact flag or
     method, finite and nonzero, and the public entry points warn of no
     first pass that overflowed.  The B_F vertex path once certified (0.0,
-    exact) at 2^-830 and (inf, exact) at 2^830, and extension_constant
-    raised "operator vanishes" at 2^-830."""
+    exact) at 2^-830 and (inf, exact) at 2^830, extension_constant raised
+    "operator vanishes" at 2^-830, and the cross-polytope weak-2 norm over
+    ell_1 read 2^-537 (an 11% low value, certified exact) at 2^-537."""
     degree, unit, how = reading(*args, 0)
     _, scaled, scaled_how = reading(*args, k)
     assert scaled_how == how

@@ -358,16 +358,17 @@ def test_pconcavification_is_lower_bound():
         assert val == pytest.approx(norm(E, alpha), rel=1e-12)  # the closed form is optimal
 
 
-@pytest.mark.parametrize("s", [1e200, 1e-200, 2.0**830, 2.0**-830])
+@pytest.mark.parametrize("s", [1e200, 1e-200, 2.0**830, 2.0**-830, 1e-105, 1e-210])
 @pytest.mark.parametrize(
     "E, alpha, p",
     [(SpaceSpec(3.0, 3, (0.5, 1.0, 2.0)), [1.0, 0.5, 0.25], 1.0), (SpaceSpec(1.5, 2), [1.0, 0.5], 1.2)],
 )
 def test_pconcavification_of_tiny_and_huge_alpha(E, alpha, p, s):
-    """The coefficients are of degree 0 in alpha, so their powers that
-    under- or overflowed are taken again at a power-of-two scale: the
+    """The coefficients are of degree 0 in alpha, so they are computed at a
+    power-of-two scale where their powers neither under- nor overflow: the
     value is ||alpha||_E with a finite beta (it read nan at s = 1e200 and
-    0.0 at 1e-200 over weighted ell_3^3)."""
+    0.0 at 1e-200 over weighted ell_3^3; at 1e-105 and 1e-210 the sums of
+    powers are subnormal, not zero, and kept only a few bits)."""
     alpha = s * np.array(alpha)
     beta, val = pconcavification_witness(E, alpha, p, CFG)
     assert np.isfinite(beta).all()

@@ -5,6 +5,7 @@ replaces."""
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -200,7 +201,8 @@ EXPONENTS = [1.0, 1.25, 1.5, 2.0, 3.0, math.inf]
 def _written_out_norm(space, row):
     """(sum_i w_i |x_i|^r)^(1/r) of one row as written out: np.sum of the
     weighted powers and C's pow for the root; a sum that under- or
-    overflowed (0.0 on a non-zero row, inf on a finite one) is taken again
+    overflowed (below the least normal float, 0.0 or subnormal, on a
+    non-zero row, inf on a finite one) is taken again
     on the row times 2^-e, e the exponent of its largest |entry|, and its
     root is multiplied by 2^e."""
     a = np.abs(np.asarray(row, dtype=float))
@@ -209,7 +211,7 @@ def _written_out_norm(space, row):
     w, r = space.weight_array, space.r
     with np.errstate(over="ignore"):  # an overflowed sum is taken again
         total = float(np.sum(w * a**r))
-    if (total == 0.0 and np.any(a)) or (total == math.inf and np.all(np.isfinite(a))):
+    if (total < sys.float_info.min and np.any(a)) or (total == math.inf and np.all(np.isfinite(a))):
         e = math.frexp(float(np.max(a)))[1]
         return math.ldexp(float(np.sum(w * np.ldexp(a, -e) ** r)) ** (1.0 / r), e)
     return total ** (1.0 / r)
@@ -246,14 +248,18 @@ def test_row_norms_have_the_bits_of_norm(r, dim, weighted, scale, seed):
 @pytest.mark.parametrize("r", [1.25, 1.5, 2.0, 3.0])
 def test_row_norms_near_the_float_limits_are_the_written_out_retry(r):
     """Rows whose powers under- or overflow are measured at 2^-e and scaled
-    back by 2^e, bit for bit, beside in-range rows that keep theirs."""
+    back by 2^e, bit for bit, beside in-range rows that keep theirs; so is
+    a row whose sum of powers is subnormal (about 2^-1060), which is not
+    zero but kept only a few bits."""
     space = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
     x = np.array([0.3, -1.0, 0.7])
-    R = np.array([x, x * 1e-200, x * 1e200, x * 1e-320, [1e-320, 0.0, -0.0], x * 1e-150])
+    sub = x * 2.0 ** (-1060 // r)
+    R = np.array([x, x * 1e-200, x * 1e200, x * 1e-320, [1e-320, 0.0, -0.0], x * 1e-150, sub])
     want = np.array([_written_out_norm(space, row) for row in R])
     assert np.all((0.0 < want) & (want < math.inf))
     assert _norm_each_row(space, R).tobytes() == want.tobytes()
     assert [norm(space, row).hex() for row in R] == [v.hex() for v in want.tolist()]
+    assert norm(space, sub) / 2.0 ** (-1060 // r) == pytest.approx(norm(space, x), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.25, 2.0, 3.0, math.inf])

@@ -18,6 +18,7 @@ test suite's warnings-as-errors filter.
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -117,10 +118,16 @@ def _one_family_enumeration(M, space):
     return float(norms_rows(space, z[None, :])[0]), z
 
 
+def _least(r):
+    """The least ell_r norm whose sum of powers is a normal float; below it
+    a norm has lost bits to underflow."""
+    return sys.float_info.min if math.isinf(r) else sys.float_info.min ** (1.0 / r)
+
+
 def _one_family_max_signed_sum(M, space):
     """``_one_family_enumeration`` with the retry at a power of two."""
     top, z = _one_family_enumeration(M, space)
-    if not top < math.inf or (top == 0.0 and M.any()):
+    if not top < math.inf or (top < _least(space.r) and M.any()):
         e = math.frexp(float(np.max(np.abs(M))))[1]
         top, z = _one_family_enumeration(np.ldexp(M, -e), space)
         with np.errstate(over="ignore"):
@@ -130,27 +137,29 @@ def _one_family_max_signed_sum(M, space):
 
 def _one_family_closed_form(E, C, tag, Y):
     """A closed form of ``_exact_plan(E, C)`` at one family Y, at its own
-    scale."""
+    scale: the largest dual norm of a member, or the largest column sum of
+    powers; the power that roots it; the least value that kept its bits."""
     if tag == "weak-inf closed form":
-        return float(np.max(norms_rows(E.dual, Y)))
+        return float(np.max(norms_rows(E.dual, Y))), 1.0, _least(E.dual.r)
     V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r
     if not C.unweighted:
         V = V * C.weight_array[:, None]
-    return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
+    return float(np.max(np.sum(V, axis=0))), 1.0 / C.r, sys.float_info.min
 
 
 def _one_family_plan_value(E, C, tag, Y):
     """The value of ``_exact_plan(E, C)`` with path ``tag`` at one
-    family Y; a closed form that under- or overflowed (0.0 on a non-zero
-    Y, inf or nan on a finite one) is taken again on Y scaled by 2^-e, e
-    the exponent of its largest |entry|, and scaled back by 2^e."""
+    family Y; a closed form that under- or overflowed (below its least
+    value on a non-zero Y, inf or nan on a finite one) is taken again on Y
+    scaled by 2^-e, e the exponent of its largest |entry|, and scaled back
+    by 2^e."""
     if tag in ("weak-inf closed form", "cross-polytope enumeration"):
-        value = _one_family_closed_form(E, C, tag, Y)
-        if (value == 0.0 and Y.any()) or (not value < math.inf and np.isfinite(Y).all()):
+        s, q, least = _one_family_closed_form(E, C, tag, Y)
+        if (s < least and Y.any()) or (not s < math.inf and np.isfinite(Y).all()):
             e = math.frexp(float(np.max(np.abs(Y))))[1]
             with np.errstate(over="ignore"):
-                value = float(np.ldexp(_one_family_closed_form(E, C, tag, np.ldexp(Y, -e)), e))
-        return value
+                return float(np.ldexp(_one_family_closed_form(E, C, tag, np.ldexp(Y, -e))[0] ** q, e))
+        return s**q
     N, dim = Y.shape
     on_cube = tag == "cube-vertex enumeration" or (E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim)
     if on_cube:
@@ -159,7 +168,8 @@ def _one_family_plan_value(E, C, tag, Y):
 
 
 def _one_family_lp_combine(values, p):
-    """A sum of powers that under- or overflowed is taken again on the
+    """A sum of powers that under- or overflowed (below the least normal
+    float on non-zero values, inf on finite ones) is taken again on the
     values scaled by 2^-e, e the exponent of the largest, as ``norm``
     measures again."""
     values = np.abs(np.asarray(values, dtype=float))
@@ -168,7 +178,7 @@ def _one_family_lp_combine(values, p):
     if p == 1:
         return float(values.sum())
     total = (values ** p).sum()
-    if (total == 0.0 and values.any()) or (total == math.inf and np.isfinite(values).all()):
+    if (total < sys.float_info.min and values.any()) or (total == math.inf and np.isfinite(values).all()):
         e = math.frexp(float(values.max()))[1]
         return float(np.ldexp(float((np.ldexp(values, -e) ** p).sum() ** (1.0 / p)), e))
     return float(total ** (1.0 / p))
@@ -374,13 +384,13 @@ def _one_family_plan_F_value(sub, C, tag, M):
     """The value of ``_exact_plan_F(sub, C)`` with path ``tag`` at one
     map M, as the exact norm over B_F was written before it took stacks:
     the model's plan at M / d, or the largest norm of the vertices' images
-    by M, taken again on M scaled by 2^-e where it read 0.0 on a non-zero
-    M or inf or nan on a finite one, as ``_one_family_plan_value`` takes a
-    closed form again."""
+    by M, taken again on M scaled by 2^-e where it read less than
+    ``_least(C.r)`` on a non-zero M or inf or nan on a finite one, as
+    ``_one_family_plan_value`` takes a closed form again."""
     if tag == "B_F vertex enumeration":
         top = lambda M: float(np.max(norms_rows(C, sub._vertices @ M.T)))
         value = top(M)
-        if (value == 0.0 and M.any()) or (not value < math.inf and np.isfinite(M).all()):
+        if (value < _least(C.r) and M.any()) or (not value < math.inf and np.isfinite(M).all()):
             e = math.frexp(float(np.max(np.abs(M))))[1]
             with np.errstate(over="ignore"):
                 value = float(np.ldexp(top(np.ldexp(M, -e)), e))

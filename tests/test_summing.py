@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_lp_combine_limits():
 
 def _lp_combine_by_functions(values, p):
     """lp_combine as written with np.max and np.sum; a sum of powers that
-    under- or overflowed is taken again on the values scaled by 2^-e, e the
+    under- or overflowed (below the least normal float) is taken again on the values scaled by 2^-e, e the
     exponent of the largest, as ``norm`` measures again."""
     values = np.abs(np.asarray(values, dtype=float))
     if math.isinf(p):
@@ -77,7 +78,7 @@ def _lp_combine_by_functions(values, p):
         return float(np.sum(values))
     with np.errstate(over="ignore"):
         total = np.sum(values ** p)
-    if (total == 0.0 and np.any(values)) or (total == math.inf and np.all(np.isfinite(values))):
+    if (total < sys.float_info.min and np.any(values)) or (total == math.inf and np.all(np.isfinite(values))):
         e = math.frexp(float(np.max(values)))[1]
         with np.errstate(over="ignore"):
             return float(np.ldexp(float(np.sum(np.ldexp(values, -e) ** p) ** (1.0 / p)), e))
