@@ -152,15 +152,15 @@ class SubspaceSpec:
         """The ambient point with the given basis coordinates."""
         return np.asarray(coords, dtype=float) @ self.basis_matrix
 
-    def coordinates(self, points: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    def coordinates(self, points: np.ndarray) -> np.ndarray:
         """Basis coordinates of ambient points (rows); errors if a point
-        is off the subspace by more than ``tol`` times its largest |entry|."""
+        is off the subspace by more than 1e-8 times its largest |entry|."""
         X = np.atleast_2d(np.asarray(points, dtype=float))
         B = self.basis_matrix
         C, *_ = np.linalg.lstsq(B.T, X.T, rcond=None)
         C = C.T
         resid = np.max(np.abs(C @ B - X), axis=1, initial=0.0)
-        if (resid > tol * np.max(np.abs(X), axis=1, initial=0.0)).any():
+        if (resid > 1e-8 * np.max(np.abs(X), axis=1, initial=0.0)).any():
             raise ValueError("points do not lie in the subspace")
         return C
 
@@ -410,7 +410,7 @@ def _exact_plan_F(
         return None
     top = lambda M: np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1)
     floor = _floor(C.r)
-    return (lambda M: _roots(top(M), 1.0, M, top, floor)), "B_F vertex enumeration", True
+    return (lambda M: _roots(top, M, 1.0, floor)), "B_F vertex enumeration", True
 
 
 def _weak_F(
@@ -616,8 +616,7 @@ def extension_constant(
 
     M = T.matrix
     cod = T.codomain
-    with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
-        denom = _operator_norm_over_F(sub, M, cod)
+    denom = _operator_norm_over_F(sub, M, cod)
     if denom <= 1e-14 * float(np.max(np.abs(M))):  # B_F spans the coordinates
         raise ValueError("operator vanishes on the subspace")
     E = sub.ambient
@@ -639,8 +638,7 @@ def extension_constant(
     else:
         W = _epigraph_complement(V @ St_inv.T, M, cod)
         Ws = np.array([np.zeros(nvars), W] if np.all(np.isfinite(W)) else [np.zeros(nvars)])
-        with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
-            uppers = objective(Ws).tolist()
+        uppers = objective(Ws).tolist()
         at = 1 if uppers[1:] and uppers[1] < uppers[0] else 0
         best_W, best_upper = Ws[at], uppers[at]
         how = "epigraph program over ambient vertices"

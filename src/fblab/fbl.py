@@ -332,8 +332,7 @@ def _convex_sup(e: LatticeExpr, b: GeneratorBinding) -> tuple[float, np.ndarray,
         if moduli is None or len(moduli) > _FAMILY_CAP:
             return None
         M = np.array(list(moduli.values()))[:, None] * b.matrix[list(moduli)]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed enumeration is redone scaled
-        top, z = _max_signed_sum(M, E)
+    top, z = _max_signed_sum(M, E)
     return top, norming_functional(E, z), "signed-sum enumeration"
 
 
@@ -471,7 +470,9 @@ def _pconcav_coefficients(E: SpaceSpec, alpha: np.ndarray, p: float) -> np.ndarr
         return beta
     if abs(r - p) <= 1e-12:
         return w ** (1.0 / r)  # the all-ones vector after unweighting
-    aw = alpha * w ** (1.0 / r)
+    # beta is of degree 0 in alpha: at alpha's scale its powers could under-
+    # or overflow
+    aw = _pow2_scaled(alpha)[0] * w ** (1.0 / r)
     t = 1.0 / (1.0 / p - 1.0 / r)
     b = aw ** (r / t)
     nb = np.sum(b ** t) ** (1.0 / t)
@@ -503,9 +504,7 @@ def pconcavification_witness(
     if not math.isinf(E.r) and E.r < p - 1e-12:
         raise ValueError("requires p <= r (p-convexity with constant one)")
 
-    # beta is of degree 0 in alpha: at alpha's scale its powers could under-
-    # or overflow
-    beta = _pconcav_coefficients(E, _pow2_scaled(alpha)[0], p)
+    beta = _pconcav_coefficients(E, alpha, p)
     if beta is None:  # the coefficients underflowed
         return np.zeros(E.dim), 0.0
     # exact norm of diag(beta): E -> ell_p^n for p <= r, by Hoelder after

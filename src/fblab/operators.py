@@ -206,7 +206,7 @@ def _exact_plan(
     if C.is_sup:
         sup = lambda Y: np.maximum.reduce(norms_rows(dual, Y), axis=-1)
         floor = _floor(dual.r)
-        return (lambda Y: _roots(sup(Y), 1.0, Y, sup, floor)), "weak-inf closed form", True
+        return (lambda Y: _roots(sup, Y, 1.0, floor)), "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
         r, wc = C.r, None if C.unweighted else C.weight_array[:, None]
 
@@ -216,7 +216,7 @@ def _exact_plan(
                 V = V * wc
             return np.maximum.reduce(np.add.reduce(V, axis=-2), axis=-1)
 
-        return (lambda Y: _roots(cross_polytope(Y), 1.0 / r, Y, cross_polytope)), "cross-polytope enumeration", True
+        return (lambda Y: _roots(cross_polytope, Y, 1.0 / r)), "cross-polytope enumeration", True
     if C.r == 1 and N <= _FAMILY_CAP:
         tag = "sign enumeration"
         cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
@@ -262,8 +262,7 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     upper bounds come from ``_norm_upper``.
     """
     a, E, cod = T.matrix, T.domain, T.codomain
-    with np.errstate(over="ignore", invalid="ignore"):  # a first pass that overflowed is taken again
-        upper, exact = _norm_upper(a, E, cod)
+    upper, exact = _norm_upper(a, E, cod)
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
     lower, _ = _structured_ascent(

@@ -23,9 +23,12 @@ a value whose sum of powers under- or overflowed (``_lost``) is taken again
 once on its item scaled by a power of two (``_pow2_scaled``), by one of two
 retries: ``_roots`` for a value (the kernel, the rescued row norms, the
 closed forms of the exact plans over B_E and B_F), ``_rescaled`` for an
-enumeration's maximum and winner.  ``norming_vector`` retries its powers
-so; ``_structured_ascent``, ``_max_linear_over_BF`` and
-``pconcavification_witness`` work at that scale from the start.  The hot
+enumeration's maximum and winner.  Each retry runs its first pass itself,
+and both passes under the one ``np.errstate`` it owns, so no caller knows
+that a pass can be lost.  There is one norming map: ``norming_vector`` is
+``norming_functional`` on the dual, whose powers are taken again so;
+``_structured_ascent``, ``_max_linear_over_BF`` and
+``fbl._pconcav_coefficients`` work at that scale from the start.  The hot
 matrix-product form ``norms_rows`` has no retry.
 """
 
@@ -157,8 +160,7 @@ def _norms_rows_rescued(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     bits depend on, with each norm that under- or overflowed measured again
     by ``_roots`` at a power-of-two scale; x ** 1.0 is x, so the others keep
     their bits."""
-    with np.errstate(over="ignore"):  # an overflowed row is measured again
-        return _roots(norms_rows(space, rows), 1.0, rows, lambda y: norms_rows(space, y), _floor(space.r))
+    return _roots(lambda y: norms_rows(space, y), rows, 1.0, _floor(space.r))
 
 
 def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> float | np.ndarray:
@@ -168,8 +170,7 @@ def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> float | np.ndarray:
     a = np.abs(rows)
     if space.is_sup:
         return _values(np.maximum.reduce(a, axis=-1))
-    with np.errstate(over="ignore"):  # an overflowed sum is taken again; a norm above the floats is inf
-        return _roots(_power_sums(space, a), 1.0 / space.r, a, lambda v: _power_sums(space, v))
+    return _roots(lambda v: _power_sums(space, v), a, 1.0 / space.r)
 
 
 def _power_sums(space: SpaceSpec, a: np.ndarray) -> np.ndarray:
@@ -205,28 +206,31 @@ def _lost(t: float, item: np.ndarray) -> bool:
 
 
 def _roots(
-    t: np.ndarray, q: float, items: np.ndarray, total: Callable[[np.ndarray], np.ndarray], floor: float = sys.float_info.min
+    total: Callable[[np.ndarray], np.ndarray], items: np.ndarray, q: float, floor: float = sys.float_info.min
 ) -> float | np.ndarray:
-    """t ** q as ``_values`` returns t, for the sums t of one item or of each
-    item of a stack (rows, matrices), total(item) being one item's sum.  The
-    roots are taken by C's pow value by value: numpy's array power can
+    """total(items) ** q as ``_values`` returns it, total(items) being the
+    sum of one item or the sums of each item of a stack (rows, matrices).
+    The roots are taken by C's pow value by value: numpy's array power can
     differ in the last bit.  A sum that under- or overflowed (below
     ``floor``, inf or nan, and ``_lost``) is taken again on its item scaled
     by ``_pow2_scaled``, and the root is scaled back by 2^e; every other
-    root keeps its bits, at no numpy call.  ``floor`` is the least normal
-    float for sums of powers, ``_floor(r)`` for ell_r norms (q = 1.0)."""
+    root keeps its bits, at no numpy call.  Both passes run under one
+    errstate: a lost first pass is taken again, and a root above the float
+    range is inf.  ``floor`` is the least normal float for sums of powers,
+    ``_floor(r)`` for ell_r norms (q = 1.0)."""
 
     def again(s: float, y: np.ndarray) -> float:
         if not _lost(s, y):
             return s**q
         y, e = _pow2_scaled(y)
-        with np.errstate(over="ignore"):  # a root above the float range is inf
-            return float(np.ldexp(float(total(y)) ** q, e))
+        return float(np.ldexp(float(total(y)) ** q, e))
 
-    if t.ndim == 0:
-        s = float(t)
-        return s**q if floor <= s < math.inf else again(s, items)
-    return np.array([s**q if floor <= s < math.inf else again(s, items[k]) for k, s in enumerate(t.tolist())])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = total(items)
+        if t.ndim == 0:
+            s = float(t)
+            return s**q if floor <= s < math.inf else again(s, items)
+        return np.array([s**q if floor <= s < math.inf else again(s, items[k]) for k, s in enumerate(t.tolist())])
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:
@@ -393,14 +397,16 @@ def _all_plus_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndar
 def _rescaled(run: Callable, stack: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """run(stack, space), the maxima and sums of a stack of matrices, with
     each maximum that under- or overflowed (below ``_floor``, or inf or
-    nan, and ``_lost``) taken again on its matrix scaled by ``_pow2_scaled``."""
-    top, z = run(stack, space)
+    nan, and ``_lost``) taken again on its matrix scaled by ``_pow2_scaled``.
+    Both passes run under one errstate: a lost first pass is taken again,
+    and a maximum above the float range is inf."""
     floor = _floor(space.r)
-    for k, t in enumerate(top.tolist()):
-        if not floor <= t < math.inf and _lost(t, stack[k]):
-            y, e = _pow2_scaled(stack[k : k + 1])
-            t, y = run(y, space)
-            with np.errstate(over="ignore"):  # a maximum above the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, z = run(stack, space)
+        for k, t in enumerate(top.tolist()):
+            if not floor <= t < math.inf and _lost(t, stack[k]):
+                y, e = _pow2_scaled(stack[k : k + 1])
+                t, y = run(y, space)
                 top[k], z[k] = np.ldexp(t[0], e), np.ldexp(y[0], e)
     return top, z
 
@@ -496,7 +502,9 @@ def norming_functional(space: SpaceSpec, x) -> np.ndarray:
     """A functional f in the dual unit sphere with <f, x> = ||x||.
 
     Closed form for every weighted ell_r space.  For x = 0 returns an
-    arbitrary unit functional.
+    arbitrary unit functional.  f does not depend on the scale of x, so
+    where a power of ||x|| leaves the normal floats, or one of an entry
+    overflows, the powers are taken again on x scaled by ``_pow2_scaled``.
     """
     v = space.check_point(x)
     n = norm(space, v)
@@ -512,36 +520,21 @@ def norming_functional(space: SpaceSpec, x) -> np.ndarray:
         f = np.zeros(space.dim)
         f[i] = math.copysign(1.0, v[i]) / space.weights[i]
         return f
-    return np.sign(v) * np.abs(v) ** (space.r - 1.0) / n ** (space.r - 1.0)
+    q = space.r - 1.0
+    with np.errstate(over="ignore"):  # a power above the float range is inf, and taken again
+        d, a = np.float64(n) ** q, np.abs(v) ** q
+        if not (sys.float_info.min <= d < math.inf and np.isfinite(a).all()):
+            v = _pow2_scaled(v)[0]
+            d, a = np.float64(norm(space, v)) ** q, np.abs(v) ** q
+    return np.sign(v) * a / d
 
 
 def norming_vector(space: SpaceSpec, g) -> np.ndarray:
     """A vector x in the unit sphere of ``space`` maximizing the plain
     linear form sum_i g_i x_i (no weights on g; use this to maximize a raw
-    row functional over the ball)."""
-    g = np.asarray(g, dtype=float)
-    w = space.weight_array
-    if np.all(g == 0.0):
-        x = np.zeros(space.dim)
-        x[0] = 1.0
-        return x / norm(space, x)
-    if space.is_sup:
-        return np.sign(g) + (g == 0.0)
-    if space.r == 1:
-        # mass goes on the best cost/weight ratio
-        i = int(np.argmax(np.abs(g) / w))
-        x = np.zeros(space.dim)
-        x[i] = math.copysign(1.0, g[i]) / w[i]
-        return x
-    rp = 1.0 / (space.r - 1.0)
-    a = np.abs(g) / w
-    with np.errstate(over="ignore"):  # an overflow is caught below
-        x = np.sign(g) * a ** rp
-        n = norm(space, x)
-    if not _floor(space.r) <= n < math.inf:  # the powers under- or overflowed; x is scale-free
-        x = np.sign(g) * _pow2_scaled(a)[0] ** rp
-        n = norm(space, x)
-    return x / n
+    row functional over the ball): the norming functional of g / w, the
+    form in pairing coordinates, on the dual space."""
+    return norming_functional(space.dual, np.asarray(g, dtype=float) / space.weight_array)
 
 
 def functional_norm(space: SpaceSpec, row) -> float:

@@ -23,6 +23,7 @@ from fblab import (
     embedding_gap,
     extension,
     extension_constant,
+    fbl_norm,
     norm,
     operator_norm,
     pairing,
@@ -765,8 +766,7 @@ _SCALE_Y = np.array([[1.0, 0.5, -0.2], [0.3, 1.0, 0.4], [-0.3, 0.4, 0.8]])
 
 
 def _weak_F_reading(sub, p, k):
-    with np.errstate(over="ignore", invalid="ignore"):  # an internal oracle: its first pass may overflow
-        value, exact, _ = extension._weak_F(sub, np.ldexp(_SCALE_Y[:, : sub.dim], k), p)
+    value, exact, _ = extension._weak_F(sub, np.ldexp(_SCALE_Y[:, : sub.dim], k), p)
     return 1, [value, value], exact
 
 
@@ -786,14 +786,22 @@ def _extension_reading(sub, p, k):
     return 0, [est.lower, est.upper], est.method
 
 
+def _fbl_reading(E, X, e, k):
+    est = fbl_norm(e, GeneratorBinding(E, np.ldexp(X, k)), 1.0, CFG)
+    return 1, [est.lower, est.upper], est.method
+
+
+# (id, reading, its arguments, relative tolerance of the scaled reading):
+# the free-lattice norm's seeds and search work at a power-of-two scale
+# throughout, so its bounds scale bit for bit
 _SCALE_CASES = (
     [
-        (f"weak_F {name} p={p}", _weak_F_reading, (sub, p))
+        (f"weak_F {name} p={p}", _weak_F_reading, (sub, p), 1e-12)
         for name, sub in _SCALE_SECTIONS.items()
         for p in (1.0, 2.0, math.inf)
     ]
     + [
-        (f"weak_p_norm ell_{E.r}^{E.dim} p={p}", _weak_p_reading, (E, p))
+        (f"weak_p_norm ell_{E.r}^{E.dim} p={p}", _weak_p_reading, (E, p), 1e-12)
         for E, p in [
             (SpaceSpec(3.0, 2), math.inf),  # weak-inf closed form
             (SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), 2.0),  # cross-polytope
@@ -806,7 +814,7 @@ _SCALE_CASES = (
         ]
     ]
     + [
-        (f"operator_norm ell_{E.r}^{E.dim} -> ell_{C.r}^{C.dim}", _operator_reading, (E, C))
+        (f"operator_norm ell_{E.r}^{E.dim} -> ell_{C.r}^{C.dim}", _operator_reading, (E, C), 1e-12)
         for E, C in [
             (SpaceSpec(3.0, 3), SpaceSpec(math.inf, 2)),  # sup-norm codomain
             (SpaceSpec(1.0, 3, (0.5, 1.0, 2.0)), SpaceSpec(1.5, 2, (1.0, 3.0))),  # ell_1 domain
@@ -818,27 +826,42 @@ _SCALE_CASES = (
         ]
     ]
     + [
-        (f"extension_constant {name} p={p}", _extension_reading, (_SCALE_SECTIONS[name], p))
+        (f"extension_constant {name} p={p}", _extension_reading, (_SCALE_SECTIONS[name], p), 1e-12)
         for name in ("ell_1^4", "ell_inf^4")
         for p in (2.0, math.inf)
+    ]
+    + [
+        (f"fbl_norm {name} p=1", _fbl_reading, (E, np.array(X), e), 0.0)
+        for name, E, X, e in [
+            # its concavification seed was lost at 2^+-600, where beta's powers left the floats
+            ("ell_2^3", SpaceSpec(2.0, 3), [[1.0, 0.5, -0.2], [0.3, 1.0, 0.4]], Abs(Gen(0)) + Join(Gen(0), Gen(1))),
+            (
+                "ell_inf^4",
+                SpaceSpec(math.inf, 4),
+                [[1.0, -0.5, 0.25, 0.7], [0.3, 1.0, -0.6, 0.2], [-0.4, 0.1, 0.9, -1.0]],
+                Abs(Gen(0)) + Join(Gen(1), Gen(2)),
+            ),
+        ]
     ]
 )
 
 
 # 2^-350, 2^-537 and 2^-700 put the power sums of ell_3, ell_2 and ell_1.5
 # norms among the subnormals, where they keep a few bits but are not zero
-@pytest.mark.parametrize("k", [-830, -700, -537, -350, 830])
-@pytest.mark.parametrize("reading, args", [c[1:] for c in _SCALE_CASES], ids=[c[0] for c in _SCALE_CASES])
-def test_norm_oracles_are_homogeneous_under_powers_of_two(reading, args, k):
+@pytest.mark.parametrize("k", [-830, -700, -600, -537, -350, 600, 830])
+@pytest.mark.parametrize("reading, args, rel", [c[1:] for c in _SCALE_CASES], ids=[c[0] for c in _SCALE_CASES])
+def test_norm_oracles_are_homogeneous_under_powers_of_two(reading, args, rel, k):
     """Every norm oracle over B_E and B_F reads 2^k times its unit value
-    (an extension constant the same value) with the same exact flag or
-    method, finite and nonzero, and the public entry points warn of no
-    first pass that overflowed.  The B_F vertex path once certified (0.0,
-    exact) at 2^-830 and (inf, exact) at 2^830, extension_constant raised
-    "operator vanishes" at 2^-830, and the cross-polytope weak-2 norm over
-    ell_1 read 2^-537 (an 11% low value, certified exact) at 2^-537."""
+    (an extension constant the same value, a free-lattice norm exactly
+    2^k times its bounds) with the same exact flag or method, finite and
+    nonzero, and none warns of a first pass that overflowed.  The B_F
+    vertex path once certified (0.0, exact) at 2^-830 and (inf, exact) at
+    2^830, extension_constant raised "operator vanishes" at 2^-830, the
+    cross-polytope weak-2 norm over ell_1 read 2^-537 (an 11% low value,
+    certified exact) at 2^-537, and the ell_2^3 free-lattice lower bound
+    read 2.56828 2^-600 and 2.57079 2^600 for 2.57099."""
     degree, unit, how = reading(*args, 0)
     _, scaled, scaled_how = reading(*args, k)
     assert scaled_how == how
     assert all(0.0 < v < math.inf for v in scaled)
-    assert np.ldexp(scaled, -degree * k).tolist() == pytest.approx(unit, rel=1e-12, abs=0.0)
+    assert np.ldexp(scaled, -degree * k).tolist() == pytest.approx(unit, rel=rel, abs=0.0)

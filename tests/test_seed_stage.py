@@ -12,8 +12,9 @@ the check switched on for every stack (``_DISJOINT_CHECK`` = 0) against
 the check switched off.  Stacks mix plain matrices with ones holding
 +-0.0 entries, zero rows, a second nonzero in one column, or entries
 near 1e200 or 1e-200, whose maxima under- or overflow and are taken again
-at a power of two.  Both forms run with overflow warnings off, since the
-enumeration overflows on its way near 1e200.
+at a power of two.  Both forms run under the suite's warnings-as-errors
+filter: the enumeration's overflow near 1e200 stays inside the error state
+of the retry that takes it again.
 """
 
 import hashlib
@@ -65,9 +66,8 @@ def _space(r, dim, weighted, rng):
 
 
 def _with_check(gate, fn, *args):
-    """fn(*args) with ``_DISJOINT_CHECK`` at ``gate`` and overflow warnings
-    off."""
-    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+    """fn(*args) with ``_DISJOINT_CHECK`` at ``gate``."""
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fblab.spaces, "_DISJOINT_CHECK", gate)
         return fn(*args)
 

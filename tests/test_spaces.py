@@ -1,6 +1,5 @@
 """Weighted ell_r spaces: norms, duality, and exact enumerations."""
 
-import contextlib
 import math
 import tracemalloc
 
@@ -102,6 +101,28 @@ def test_norming_vector_of_tiny_and_huge_forms(r, scale):
     assert x == pytest.approx(norming_vector(E, g), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-537, 600])
+def test_norming_functional_of_tiny_and_huge_points(k):
+    """The norming functional does not depend on the scale of the point:
+    over ell_3^3 it read (0, -1, 0) at 2^-537, where the squares are
+    subnormal, and raised OverflowError at 2^600."""
+    E = SpaceSpec(3.0, 3)
+    x = np.array([0.3, -1.0, 0.7])
+    assert norming_functional(E, np.ldexp(x, k)) == pytest.approx(norming_functional(E, x), rel=1e-12)
+
+
+def test_norming_functional_where_an_entry_power_overflows():
+    """With a tiny weight an entry's square overflows while the norm's
+    does not (1e320 against 1e120); f still pairs to the norm and has dual
+    norm 1."""
+    E = SpaceSpec(3.0, 2, (1e-300, 1.0))
+    x = np.array([1e160, 1.0])
+    f = norming_functional(E, x)
+    assert np.all(np.isfinite(f))
+    assert pairing(E, f, x) == pytest.approx(norm(E, x), rel=1e-12)
+    assert norm(dual_space(E), f) == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
 def test_norm_of_tiny_and_huge_vectors(r):
     """The norm and the functional norm do not under- or overflow where the
@@ -126,8 +147,7 @@ def test_max_signed_sum_of_tiny_and_huge_rows(r, scale):
     space = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
     M = np.array([[0.3, -1.0, 0.7], [1.0, 0.5, -0.2], [-0.4, 0.1, 0.9]])
     top, z = _max_signed_sum(M, space)
-    with np.errstate(over="ignore", invalid="ignore"):  # the first pass over huge rows overflows
-        scaled_top, scaled_z = _max_signed_sum(scale * M, space)
+    scaled_top, scaled_z = _max_signed_sum(scale * M, space)
     assert scaled_top == pytest.approx(scale * top, rel=1e-12)
     assert np.all(scaled_z == pytest.approx(scale * z, rel=1e-15))
 
@@ -139,8 +159,7 @@ _NAN_BLOCK_ROWS = [[1e200, 0.0], [-1e200, 0.0], [1e200, 0.0], [-1e200, 1.0]]
 
 def test_max_signed_sum_retries_a_nan_block():
     M = np.array(_NAN_BLOCK_ROWS)
-    with np.errstate(over="ignore", invalid="ignore"):  # the first pass overflows
-        top, z = _max_signed_sum(M, SpaceSpec(2.0, 2))
+    top, z = _max_signed_sum(M, SpaceSpec(2.0, 2))
     scaled_top, scaled_z = _max_signed_sum(np.ldexp(M, -700), SpaceSpec(2.0, 2))
     assert top == np.ldexp(scaled_top, 700) == 4e200
     assert z.tobytes() == np.ldexp(scaled_z, 700).tobytes()
@@ -149,8 +168,7 @@ def test_max_signed_sum_retries_a_nan_block():
 
 def test_operator_norm_of_rows_that_overflow_the_tables():
     T = LinearMap.from_array(np.array(_NAN_BLOCK_ROWS), SpaceSpec(2.0, 2), SpaceSpec(1.0, 4))
-    with np.errstate(over="ignore", invalid="ignore"):  # the first pass overflows
-        est = operator_norm(T)
+    est = operator_norm(T)
     assert est.lower == est.upper == 4e200 and est.upper_certified
 
 
@@ -196,9 +214,8 @@ def test_exact_plan_of_tiny_and_huge_maps(E, C, tag, e):
     A = np.array([[1.0, 0.5], [0.2, 1.0], [-0.3, 0.4]])[: C.dim]
     assert _exact_plan(E, C)[1] == tag
     est = operator_norm(LinearMap(A, E, C))
-    with np.errstate(over="ignore", invalid="ignore") if e > 0 else contextlib.nullcontext():  # a first pass overflows
-        scaled = operator_norm(LinearMap(np.ldexp(A, e), E, C))
-        stack = _exact_plan(E, C)[0](np.ldexp(np.stack([A, -A, 0 * A]) / E.weight_array, e))  # pairing coordinates
+    scaled = operator_norm(LinearMap(np.ldexp(A, e), E, C))
+    stack = _exact_plan(E, C)[0](np.ldexp(np.stack([A, -A, 0 * A]) / E.weight_array, e))  # pairing coordinates
     assert scaled.lower_certified and scaled.upper_certified
     assert 0.0 < scaled.lower == scaled.upper < math.inf
     assert np.ldexp(scaled.upper, -e) == pytest.approx(est.upper, rel=1e-12)
