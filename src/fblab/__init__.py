@@ -45,14 +45,7 @@ from .experiments import (
     report_to_json,
     run_experiment,
 )
-from .extension import (
-    EmbeddingGap,
-    SubspaceSpec,
-    embedding_gap,
-    extension_constant,
-    subspace_from_json,
-    subspace_to_json,
-)
+from .extension import EmbeddingGap, embedding_gap, extension_constant
 from .fbl import (
     fbl_infty_norm,
     fbl_norm,
@@ -71,6 +64,7 @@ from .operators import (
 from .optimize import OptimizerConfig
 from .spaces import (
     SpaceSpec,
+    SubspaceSpec,
     dual_space,
     functional_norm,
     norm,
@@ -80,6 +74,8 @@ from .spaces import (
     sample_sphere,
     space_from_json,
     space_to_json,
+    subspace_from_json,
+    subspace_to_json,
 )
 from .summing import (
     pi_1_exact_Linfty_domain,

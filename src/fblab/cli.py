@@ -21,13 +21,17 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .estimates import NormEstimate
+from .experiments import experiment_names, growth_data, report_to_csv, report_to_json, run_experiment
 from .exprs import GeneratorBinding, max_generator_index, parse_expr
-from .extension import extension_constant, subspace_from_json
+from .extension import extension_constant
 from .fbl import fbl_norm
 from .operators import map_from_json
 from .optimize import OptimizerConfig
-from .spaces import space_from_json
+from .spaces import space_from_json, subspace_from_json
+from .summing import pi_1_exact_Linfty_domain, pi_p_lower, pi_q1_lower
 
 __all__ = ["main"]
 
@@ -109,8 +113,6 @@ def _cmd_norm(args) -> int:
         if binding.space != space:
             raise InputError("field binding: binding space differs from --space")
     else:
-        import numpy as np
-
         binding = GeneratorBinding.from_matrix(space, np.eye(space.dim))
     if max_generator_index(expr) >= binding.count:
         raise InputError(
@@ -126,8 +128,6 @@ def _cmd_summing(args) -> int:
     T = map_from_json(_load_json(args.map, "map"))
     p = _parse_p(args.p)
     cfg = _config(args)
-    from .summing import pi_1_exact_Linfty_domain, pi_p_lower, pi_q1_lower
-
     if args.q1:
         est = pi_q1_lower(T, p, cfg)
     elif p != 1:
@@ -175,13 +175,6 @@ def _parse_scalar(raw: str):
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import (
-        growth_data,
-        report_to_csv,
-        report_to_json,
-        run_experiment,
-    )
-
     try:
         report = run_experiment(
             args.name, _parse_params(args.params), args.seed, _config(args)
@@ -199,8 +192,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    from .experiments import experiment_names
-
     for name in experiment_names():
         sys.stdout.write(name + "\n")
     return 0

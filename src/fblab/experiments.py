@@ -27,11 +27,11 @@ from .exprs import (
     PowerSum,
     disjointness_check,
 )
-from .extension import SubspaceSpec, embedding_gap, extension_constant
+from .extension import embedding_gap, extension_constant
 from .fbl import fbl_infty_norm, fbl_norm, moduli_norm, sublattice_generators
 from .operators import LinearMap, operator_norm
 from .optimize import OptimizerConfig
-from .spaces import SpaceSpec, norm
+from .spaces import SpaceSpec, SubspaceSpec, norm
 from .summing import pi_q1_lower
 
 __all__ = [

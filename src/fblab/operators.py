@@ -5,6 +5,14 @@ Whenever a map is built out of vectors that are meant to be *paired*
 against the argument (a tuple map f -> (<f, x_k>)_k on a dual space),
 the constructor bakes the pairing weights into the matrix rows, so the
 action stays a plain product everywhere downstream.
+
+Norms of maps from a constraint ball (``spaces``) have one exact-path
+dispatcher, ``_exact_plan``, for the unit ball B_E of a space and for a
+section B_F of a subspace alike; the weak-p norms of ``summing`` are such
+norms into ell_p^N.  Off its paths, ``operator_norm`` bounds a map from
+B_E between an ascent and the row-norm bound, and ``_operator_norm_over_F``
+bounds one from B_F below by the same ascent over the linear maximizers
+of ``_max_linear_over_BF``.
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ from .spaces import (
     _EXTREME_ENUM_CAP,
     _FAMILY_CAP,
     SpaceSpec,
+    SubspaceSpec,
     _floor,
     _json_fields,
-    _max_signed_norm,
+    _max_signed_sum,
     _norms_rows_rescued,
     _pow2_scaled,
     _readonly,
@@ -179,27 +188,68 @@ def _unit_space(p: float, n: int) -> SpaceSpec:
     return SpaceSpec(p, n)
 
 
-@functools.lru_cache(maxsize=256)
 def _exact_plan(
+    ball: SpaceSpec | SubspaceSpec, C: SpaceSpec
+) -> tuple[Callable[[np.ndarray], float | np.ndarray], str, bool] | None:
+    """The exact norm of x -> (<y_c, x>)_c from a constraint ball into
+    ``C`` for the rows y_c of Y: the weak-p norm of a family into
+    unweighted ell_p^N, an operator norm for the map's rows.  This is the
+    one place that chooses an exact path for either kind of ball.  Returns
+    (the value as a function of Y, path tag, cheap enough for a polish
+    loop?), or None when no exact path applies.  The value function also
+    takes a stack (K, N, dim) of Y and returns their K values, each with
+    the bits it has alone.
+
+    Over the unit ball of a ``SpaceSpec`` E the rows are in pairing
+    coordinates of the dual of E, and the plan is ``_space_plan(E, C)``,
+    resolved once per (E, C).
+
+    Over the section B_F = B_E intersect F of a ``SubspaceSpec`` the rows
+    are forms on F in basis coordinates, and there are two paths, each
+    built once per subspace.  An axis-aligned F is the ball of its own
+    weighted ell_r model space (``spaces._axis_aligned_model``), where the
+    space's plan applies to the model functionals Y / d.  For ambient r in
+    {1, inf}, B_F is a polytope whose vertices are enumerated up to a
+    fixed cap (``spaces._section_vertices``), and the convex norm peaks at
+    one of them.  Where both apply they can differ in the last bit; the
+    model goes first.  A vertex value that under- or overflowed (below
+    ``spaces._floor`` of C, inf or nan) is taken again by
+    ``spaces._roots`` on Y scaled by a power of two, not on its products
+    (exact zeros there stay zeros).  Section plans are not cached by
+    value: equal sections built under different vertex caps have
+    different vertex sets, and each vertex set can hold 16 MB."""
+    if isinstance(ball, SpaceSpec):
+        return _space_plan(ball, C)
+    if ball._model is not None:
+        space_F, d = ball._model
+        plan = _space_plan(space_F, C)
+        if plan is not None:
+            value, tag, cheap = plan
+            return (lambda M: value(M / d)), tag, cheap
+    V = ball._vertices
+    if V is None:
+        return None
+    top = lambda M: np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1)
+    floor = _floor(C.r)
+    return (lambda M: _roots(top, M, 1.0, floor)), "B_F vertex enumeration", True
+
+
+@functools.lru_cache(maxsize=256)
+def _space_plan(
     E: SpaceSpec, C: SpaceSpec
-) -> tuple[Callable[[np.ndarray], float], str, bool] | None:
-    """The exact norm of x -> (<y_c, x>)_c from the ball of ``E`` into
-    ``C`` for the rows y_c of Y (pairing coordinates in the dual of E): the
-    weak-p norm of a family into unweighted ell_p^N, an operator norm for
-    the map's rows.  Returns (the value as a function of Y, path tag, cheap
-    enough for a polish loop?), or None when no exact path applies; the
-    path is resolved once per (E, C).  The tags name the weak-p paths (C =
+) -> tuple[Callable[[np.ndarray], float | np.ndarray], str, bool] | None:
+    """``_exact_plan`` over the unit ball of ``E``, for Y in pairing
+    coordinates of the dual of E.  The tags name the weak-p paths (C =
     ell_p^N).  In order: a sup-norm codomain by the rows' dual norms and
     an ell_1 domain by the best column (closed forms); an ell_1 codomain of
     at most ``spaces._FAMILY_CAP`` rows by its 2^(N-1) row signs or, over a
     sup-norm ball, the 2^(dim-1) cube vertices, whichever enumerates fewer
     signed-sum entries; a sup-norm domain within the enumeration cap by its
-    cube vertices.  The enumerating paths read a stack whose signed sums
+    cube vertices.  The enumerating paths are maxima of
+    ``spaces._max_signed_sum``, which reads a stack whose signed sums
     share their |entries| (disjoint members on the member side, members of
-    one nonzero on the cube side) off its all-plus sum, with the same bits
-    (``spaces._max_signed_norm``).  The value function also takes a stack
-    (K, N, dim) of Y and returns their K values, each with the bits it has
-    alone.  A value that under- or overflowed is taken again at a
+    one nonzero on the cube side) off its all-plus sum, with the same
+    bits.  A value that under- or overflowed is taken again at a
     power-of-two scale: a closed form's by ``spaces._roots``, an
     enumeration's by ``spaces._rescaled``."""
     N, dim, dual = C.dim, E.dim, E.dual
@@ -229,10 +279,10 @@ def _exact_plan(
         return None
     if on_cube:  # the cube vertex s maps to s @ (Y * w).T
         w = None if E.unweighted else E.weight_array
-        return (lambda Y: _max_signed_norm(np.swapaxes(Y if w is None else Y * w, -1, -2), C)), tag, cheap
+        return (lambda Y: _max_signed_sum(np.swapaxes(Y if w is None else Y * w, -1, -2), C)[0]), tag, cheap
     # sum_c w_c |<y_c, x>| is the largest <sum_c s_c w_c y_c, x>
     w = None if C.unweighted else C.weight_array[:, None]
-    return (lambda Y: _max_signed_norm(Y if w is None else Y * w, dual)), tag, cheap
+    return (lambda Y: _max_signed_sum(Y if w is None else Y * w, dual)[0]), tag, cheap
 
 
 def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.ndarray, bool]:
@@ -275,6 +325,125 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
         upper_certified=True,
         method=("multistart ascent", "row-norm upper bound"),
     )
+
+
+def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Maximize the plain form v . c over B_F, with a maximizer of ambient
+    norm 1, where B_F has no vertex set (``_exact_plan`` covers the
+    others).  Exact by one linear program for ambient r in {1, inf} and
+    in closed form for r = 2; otherwise by one SLSQP program (Kraft 1988)
+    started from the r = 2 maximizer, kept only where it beats that start
+    (a true value either way, attained at the returned point)."""
+    E = sub.ambient
+    v = np.asarray(v, dtype=float)
+    B = sub.basis_matrix
+    k, n = B.shape
+    if np.all(v == 0.0):
+        c = np.zeros(k)
+        c[0] = 1.0
+        return 0.0, c / max(sub.ambient_norm(c), 1e-300)
+    w = E.weight_array
+    # v scaled by a power of two (exact) near 1, so that its length and
+    # v . G^-1 v below stay in range; s / |s| has the bits of v / |v|
+    s, e = _pow2_scaled(v)
+
+    if E.is_sup or E.r == 1:
+        from scipy.optimize import linprog
+
+        # HiGHS reads a cost vector of tiny length as zero and returns an
+        # arbitrary feasible point, so the LP sees v at unit length
+        u = s / np.linalg.norm(s)
+        Bt = B.T  # constraint rows act on c through (c @ B)_i = (Bt @ c)_i
+        if E.is_sup:
+            A_ub = np.vstack([Bt, -Bt])
+            b_ub = np.ones(2 * n)
+            res = linprog(-u, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * k, method="highs")
+            if not res.success:
+                raise RuntimeError(f"linear program failed: {res.message}")
+            c = res.x
+        else:
+            # variables (c, t): t_i >= |(c @ B)_i|, sum w_i t_i <= 1
+            A1 = np.hstack([Bt, -np.eye(n)])
+            A2 = np.hstack([-Bt, -np.eye(n)])
+            A3 = np.hstack([np.zeros((1, k)), w[None, :]])
+            A_ub = np.vstack([A1, A2, A3])
+            b_ub = np.concatenate([np.zeros(2 * n), [1.0]])
+            cost = np.concatenate([-u, np.zeros(n)])
+            bounds = [(None, None)] * k + [(0, None)] * n
+            res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+            if not res.success:
+                raise RuntimeError(f"linear program failed: {res.message}")
+            c = res.x[:k]
+        nv = sub.ambient_norm(c)
+        if nv > 0:
+            c = c / nv
+        return float(v @ c), c
+
+    # at r = 2 the squared norm of c @ B is c . G c with G = (B * w) @ B.T,
+    # so v . c peaks along G^-1 v
+    G = (B * w) @ B.T
+    if E.r == 2:
+        sol = np.linalg.solve(G, s)
+        val = math.sqrt(float(s @ sol))
+        return math.ldexp(val, e), sol / val
+    sol = np.linalg.solve(G, v)
+
+    # generic r: one SLSQP program, max u . c subject to ||c @ B||_E <= 1,
+    # from the Euclidean maximizer; the better of its point and the start,
+    # rescaled to ambient norm 1, so the value is attained
+    from scipy.optimize import minimize
+
+    u = s / np.linalg.norm(s)
+    c0 = sol / sub.ambient_norm(sol)
+    res = minimize(
+        lambda c: -(u @ c), c0, jac=lambda c: -u, method="SLSQP",
+        constraints=[{
+            "type": "ineq",
+            "fun": lambda c: 1.0 - sub.ambient_norm(c),
+            "jac": lambda c: -(B @ _norm_gradient(E, c @ B)),
+        }],
+        options={"maxiter": 200, "ftol": 1e-12},
+    )
+    best_val, best_c = float(v @ c0), c0
+    if np.all(np.isfinite(res.x)) and sub.ambient_norm(res.x) > 0.0:
+        c = res.x / sub.ambient_norm(res.x)
+        if float(v @ c) > best_val:
+            best_val, best_c = float(v @ c), c
+    return best_val, best_c
+
+
+def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
+    """Certified upper bound for the norm of the form c -> g . c on F.
+
+    Exact for ambient exponent in {1, 2, inf}: by one linear program for
+    r in {1, inf} (B_F has no vertex set where this runs), in closed form
+    for r = 2.  Otherwise the norm of the minimal-Euclidean lift of g to an E*
+    functional, which dominates the restriction's norm.
+    """
+    E = sub.ambient
+    if E.is_sup or E.r in (1.0, 2.0):
+        val, _ = _max_linear_over_BF(sub, g)
+        return val
+    B = sub.basis_matrix
+    w = E.weight_array
+    # lift: phi in E* with restriction g, i.e. (B * w) @ phi = g
+    phi, *_ = np.linalg.lstsq(B * w, np.asarray(g, dtype=float), rcond=None)
+    return norm(dual_space(E), phi)
+
+
+def _operator_norm_over_F(sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec) -> float:
+    """sup of the codomain norm of M c over B_F: exact wherever
+    ``_exact_plan`` is, otherwise a certified lower bound, the best
+    conditional-gradient ascent value from structured starts
+    (``_structured_ascent``; attained at a point of B_F; one
+    linear program per step for ambient r in {1, inf}, one SLSQP program
+    for other r but 2)."""
+    plan = _exact_plan(sub, codomain)
+    if plan is not None:
+        return plan[0](M)
+    return _structured_ascent(
+        M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1]
+    )[0]
 
 
 def map_to_json(T: LinearMap) -> dict:

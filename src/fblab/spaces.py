@@ -17,6 +17,13 @@ saturation and the involution dual(dual(E)) = E hold simultaneously.
 
 r = infinity is represented by ``math.inf``, never by a large float.
 
+This module owns the two kinds of constraint ball: the unit ball B_E of a
+``SpaceSpec`` and the section B_F = B_E intersect F of a ``SubspaceSpec``,
+with the geometry of B_F (the model space of an axis-aligned F, the
+vertices of a polytopal section).  The exact paths over either ball are
+chosen in ``operators._exact_plan``, the weak-p bound of a family over
+either is ``summing._weak``, and ``summing.witness_search`` runs over both.
+
 One kernel, ``_norm_each_row``, computes the finite-r norms of ``norm``,
 of the row norms and of ``summing.lp_combine``.  A norm is homogeneous, so
 a value whose sum of powers under- or overflowed (``_lost``) is taken again
@@ -27,7 +34,7 @@ enumeration's maximum and winner.  Each retry runs its first pass itself,
 and both passes under the one ``np.errstate`` it owns, so no caller knows
 that a pass can be lost.  There is one norming map: ``norming_vector`` is
 ``norming_functional`` on the dual, whose powers are taken again so;
-``_structured_ascent``, ``_max_linear_over_BF`` and
+``operators._structured_ascent``, ``operators._max_linear_over_BF`` and
 ``fbl._pconcav_coefficients`` work at that scale from the start.  The hot
 matrix-product form ``norms_rows`` has no retry.
 """
@@ -35,6 +42,7 @@ matrix-product form ``norms_rows`` has no retry.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -53,6 +61,9 @@ __all__ = [
     "functional_norm",
     "space_to_json",
     "space_from_json",
+    "SubspaceSpec",
+    "subspace_to_json",
+    "subspace_from_json",
 ]
 
 
@@ -337,6 +348,14 @@ def _signed_sum_plan(n: int, space: SpaceSpec) -> tuple[int, np.ndarray, np.ndar
     return b, sb, sh, pattern, rows, branch
 
 
+# the signed-sum entries (2^(n-1) dim) of one matrix from which
+# _max_signed_sum checks for disjoint rows.  Below it the polish's many small
+# stacks would pay the check for nothing: checking every stack made the median
+# run_s 4.8% higher on fbl-witness and on subspace-extension (6 and 3
+# alternating pairs, 2-core x86 host)
+_DISJOINT_CHECK = 1 << 12
+
+
 def _max_signed_sum(M: np.ndarray, space: SpaceSpec):
     """max over s in {+-1}^n with s_0 = +1 (the norm is even) of
     norm(space, s @ M), for the n rows of M, and the winning signed sum s @ M;
@@ -352,40 +371,24 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec):
     ``norm`` measures again.  A 2-d M is a stack of one, and each matrix of
     a stack gets the products, blocks and retry it would get alone, so its
     bits: every product runs matrix by matrix (``np.matmul`` over the stack).
-    ``_max_signed_norm`` gives the maxima alone, faster on disjoint rows.
-    """
-    stack = M if M.ndim == 3 else M[None]
-    top, z = _rescaled(_enumerate_signed_sums, stack, space)
-    return (top, z) if M.ndim == 3 else (float(top[0]), z[0])
-
-
-# the signed-sum entries (2^(n-1) dim) of one matrix from which
-# _max_signed_norm checks for disjoint rows.  Below it the polish's many small
-# stacks would pay the check for nothing: checking every stack made the median
-# run_s 4.8% higher on fbl-witness and on subspace-extension (6 and 3
-# alternating pairs, 2-core x86 host)
-_DISJOINT_CHECK = 1 << 12
-
-
-def _max_signed_norm(M: np.ndarray, space: SpaceSpec) -> float | np.ndarray:
-    """The maxima of ``_max_signed_sum`` alone, with their bits.
 
     When every matrix of the stack has at most one nonzero per column
     (rows of disjoint supports, as in coordinate families), each entry of
-    a signed sum is one product with an exact +-1, so every signed sum has
-    the |entries| of the all-plus sum, whose norm is then the maximum.  It
-    is measured on a (K, 1, dim) stack by the same ``norms_rows`` call that
-    measures the enumeration's winners (a 2-d call can differ from it in
-    the last bit, by row position), with the same retry.  Rows are checked
-    only where a matrix's enumeration reaches ``_DISJOINT_CHECK`` entries.
+    a signed sum is one product with an exact +-1, so every pattern ties
+    and the enumeration's winner is pattern 0, the all-plus sum.  That sum
+    is then taken directly, and measured on a (K, 1, dim) stack by the
+    same ``norms_rows`` call as the enumeration's winners (a 2-d call can
+    differ from it in the last bit, by row position), with the same
+    retry.  Rows are checked only where a matrix's enumeration reaches
+    ``_DISJOINT_CHECK`` entries.
     """
     stack = M if M.ndim == 3 else M[None]
     n, dim = stack.shape[1:]
     run = _enumerate_signed_sums
     if dim << (n - 1) >= _DISJOINT_CHECK and np.count_nonzero(stack, axis=1).max() <= 1:
         run = _all_plus_sums
-    top = _rescaled(run, stack, space)[0]
-    return top if M.ndim == 3 else float(top[0])
+    top, z = _rescaled(run, stack, space)
+    return (top, z) if M.ndim == 3 else (float(top[0]), z[0])
 
 
 def _all_plus_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -564,3 +567,185 @@ def space_from_json(obj: dict) -> SpaceSpec:
     if not (isinstance(r, (int, float, str)) and type(dim) is int and numbers):
         raise ValueError("space JSON needs a number r, an integer dim and a list of numbers as weights")
     return SpaceSpec(float(r), dim, tuple(weights))
+
+
+# --------------------------------------------------------------------------
+# subspaces F and their sections B_F = B_E intersect F
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubspaceSpec:
+    """A subspace F of an ambient space, with a complement completing a
+    basis of the ambient space (combined rank checked at 1e-10)."""
+
+    ambient: SpaceSpec
+    basis: tuple[tuple[float, ...], ...]
+    complement_basis: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self) -> None:
+        B = self.basis_matrix
+        C = self.complement_matrix
+        n = self.ambient.dim
+        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
+            raise ValueError("basis and complement entries must be finite")
+        if B.shape[1] != n or (C.size and C.shape[1] != n):
+            raise ValueError("basis vectors must live in the ambient space")
+        if B.shape[0] + C.shape[0] != n:
+            raise ValueError(
+                "basis and complement basis together must have exactly "
+                f"{n} vectors, got {B.shape[0]} + {C.shape[0]}"
+            )
+        full = np.vstack([B, C]) if C.size else B
+        sv = np.linalg.svd(full, compute_uv=False)
+        if sv[-1] <= 1e-10 * max(1.0, sv[0]):
+            raise ValueError("combined basis is rank deficient (tolerance 1e-10)")
+
+    @staticmethod
+    def from_arrays(ambient: SpaceSpec, basis, complement_basis) -> "SubspaceSpec":
+        B = np.atleast_2d(_readonly(basis))
+        C = _readonly(complement_basis)
+        C = C.reshape(0, ambient.dim) if C.size == 0 else np.atleast_2d(C)
+        if B.ndim != 2 or C.ndim != 2:
+            raise ValueError("basis and complement basis must be 2-d arrays of vectors")
+        return SubspaceSpec(ambient, tuple(map(tuple, B.tolist())), tuple(map(tuple, C.tolist())))
+
+    @functools.cached_property
+    def basis_matrix(self) -> np.ndarray:  # read-only, built once per subspace
+        return _readonly(self.basis)
+
+    @functools.cached_property
+    def complement_matrix(self) -> np.ndarray:  # read-only, (0, n) for F = E
+        a = _readonly(self.complement_basis)
+        return a.reshape(0, self.ambient.dim) if a.size == 0 else a
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def embed(self, coords: np.ndarray) -> np.ndarray:
+        """The ambient point with the given basis coordinates."""
+        return np.asarray(coords, dtype=float) @ self.basis_matrix
+
+    def coordinates(self, points: np.ndarray) -> np.ndarray:
+        """Basis coordinates of ambient points (rows); errors if a point
+        is off the subspace by more than 1e-8 times its largest |entry|."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        B = self.basis_matrix
+        C, *_ = np.linalg.lstsq(B.T, X.T, rcond=None)
+        C = C.T
+        resid = np.max(np.abs(C @ B - X), axis=1, initial=0.0)
+        if (resid > 1e-8 * np.max(np.abs(X), axis=1, initial=0.0)).any():
+            raise ValueError("points do not lie in the subspace")
+        return C
+
+    def restrict(self, functionals: np.ndarray) -> np.ndarray:
+        """Restrictions of ambient dual functionals to F, in the basis-
+        coordinate representation g with <g, c> = sum_j g_j c_j."""
+        Y = np.atleast_2d(np.asarray(functionals, dtype=float))
+        return Y @ (self.basis_matrix * self.ambient.weight_array).T
+
+    def ambient_norm(self, coords: np.ndarray) -> float:
+        return norm(self.ambient, self.embed(coords))
+
+    @functools.cached_property
+    def _model(self) -> tuple[SpaceSpec, np.ndarray] | None:
+        """The weighted ell_r space whose ball is B_F when F is axis-aligned,
+        with its divisors (see ``_axis_aligned_model``); None otherwise.
+        Computed on first use, then kept."""
+        return _axis_aligned_model(self.ambient, self.basis_matrix)
+
+    @functools.cached_property
+    def _vertices(self) -> np.ndarray | None:
+        """Read-only vertices of B_F (rows, basis coordinates, ambient norm
+        1) for ambient r in {1, inf}; None for other exponents or above
+        the candidate cap.  Computed on first use, then kept."""
+        return _section_vertices(self.ambient, self.basis_matrix)
+
+
+def subspace_to_json(sub: SubspaceSpec) -> dict:
+    return {
+        "ambient": space_to_json(sub.ambient),
+        "basis": [list(row) for row in sub.basis],
+        "complement_basis": [list(row) for row in sub.complement_basis],
+    }
+
+
+def subspace_from_json(obj: dict) -> SubspaceSpec:
+    _json_fields(obj, "subspace", "ambient", "basis", "complement_basis")
+    return SubspaceSpec.from_arrays(
+        space_from_json(obj["ambient"]), obj["basis"], obj["complement_basis"]
+    )
+
+
+# Vertex enumeration of B_F gives up when the candidate points (k-subsets
+# of constraints times sign patterns for r = inf, (k-1)-subsets of
+# zonotope generators for r = 1) times n * k exceed this; that product
+# bounds every array it builds (2M floats, 16 MB).  Every linear form is
+# then one LP.
+_VERTEX_CANDIDATE_CAP = 1 << 21
+
+
+def _section_vertices(E: SpaceSpec, B: np.ndarray) -> np.ndarray | None:
+    """Vertices of B_F = {c : ||c @ B||_E <= 1}, scaled to ambient norm 1,
+    for ambient r in {1, inf}; None otherwise or above the candidate cap.
+
+    r = inf: B_F = {c : |z_i . c| <= 1} over the columns z_i of B; a vertex
+    solves k linearly independent tight rows z_i . c = s_i and satisfies
+    the others.  r = 1: B_F is the polar of the zonotope sum_i [-z_i, z_i]
+    with z_i = w_i b_i; its vertices are +-a / sum_i |z_i . a| over the
+    normals a of the hyperplanes spanned by k - 1 generators.  Zero
+    columns constrain nothing and are dropped first.
+    """
+    if not (E.is_sup or E.r == 1):
+        return None
+    k, n = B.shape
+    Z = B.T if E.is_sup else (B * E.weight_array).T
+    Z = Z[np.any(Z != 0.0, axis=1)]
+    m = Z.shape[0]
+    count = math.comb(m, k) << (k - 1) if E.is_sup else math.comb(m, k - 1)
+    if count * n * k > _VERTEX_CANDIDATE_CAP:
+        return None
+    if E.is_sup:
+        A = Z[np.array(list(itertools.combinations(range(m), k)))]
+        sv = np.linalg.svd(A, compute_uv=False)
+        A = A[sv[:, -1] > 1e-10 * sv[:, 0]]
+        # sign patterns with s_0 = +1 (the even rows); those with s_0 = -1
+        # give -c
+        X = np.linalg.solve(A, _signs(k)[::2].T[None]).transpose(0, 2, 1).reshape(-1, k)
+        # a slightly infeasible candidate is harmless: scaling below puts
+        # it inside B_F
+        X = X[np.max(np.abs(X @ Z.T), axis=1) <= 1.0 + 1e-6]
+    elif k == 1:
+        X = np.ones((1, 1))
+    else:
+        A = Z[np.array(list(itertools.combinations(range(m), k - 1)))]
+        _, sv, vh = np.linalg.svd(A)
+        X = vh[sv[:, -1] > 1e-10 * sv[:, 0], -1, :]
+    if len(X) == 0:  # every candidate ill-conditioned: leave it to the LP
+        return None
+    X = np.vstack([X, -X])
+    X = X / norms_rows(E, X @ B)[:, None]
+    _, first = np.unique(np.round(X / np.max(np.abs(X)), 12), axis=0, return_index=True)
+    return _readonly(X[np.sort(first)])
+
+
+def _axis_aligned_model(E: SpaceSpec, B: np.ndarray) -> tuple[SpaceSpec, np.ndarray] | None:
+    """If every basis vector (row of B) is a scaled coordinate vector
+    s_j e_ij on distinct coordinates, B_F is itself the ball of a weighted
+    ell_r space.  Returns that space and divisors d taking a plain form g
+    on basis coordinates to its model functional g / d (pairing
+    coordinates), or None.  For ambient r = inf the model point of c is
+    c |s| and d = |s|; otherwise it is c itself, with weights
+    d = w_ij |s_j|^r."""
+    supports = [np.flatnonzero(np.abs(row) > 0) for row in B]
+    if any(len(s) != 1 for s in supports):
+        return None
+    idx = np.array([s[0] for s in supports])
+    if len(set(idx.tolist())) != len(idx):
+        return None
+    scales = np.array([B[j, idx[j]] for j in range(len(idx))])
+    if E.is_sup:
+        return SpaceSpec(math.inf, len(idx)), np.abs(scales)
+    w = E.weight_array[idx] * np.abs(scales) ** E.r
+    return SpaceSpec(E.r, len(idx), tuple(w)), w

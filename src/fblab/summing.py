@@ -17,17 +17,16 @@ the estimate is flagged accordingly in its method tags.  The seeds follow
 the paper's disjoint sequences: a coordinate family's p = 1 value is read
 off the sum of its members in closed form, not enumerated.
 
-``witness_search`` is the one search engine of the package: it takes
-the best of the distinct structured seeds its caller supplies and
-polishes that family by Powell's method.  It runs over two kinds of
-constraint ball: the unit ball of a weighted ell_r space (``_weak_E``,
-the weak-p dispatch of this module) and the section B_F of a subspace
-(``extension._weak_F``, exact on the paths of
-``extension._exact_plan_F``).  Each kind answers one question per
-candidate family: a certified upper bound on its weak-p norm, whether
-that bound is exact, and the same bound as a function of a stack (K, N,
-dim) of families, each with the bits it has alone, or None where it is
-too dear to polish.  The search keeps that function with its best family,
+This module owns the weak-p bound and the witness search over both kinds
+of constraint ball of ``spaces``: the unit ball of a weighted ell_r space
+and the section B_F of a subspace.  ``witness_search`` is the one search
+engine of the package: it takes the best of the distinct structured seeds
+its caller supplies and polishes that family by Powell's method.  Its one
+oracle, ``_weak``, answers one question per candidate family over either
+ball: a certified upper bound on its weak-p norm, whether that bound is
+exact, and the same bound as a function of a stack (K, N, dim) of
+families, each with the bits it has alone, or None where it is too dear
+to polish.  The search keeps that function with its best family,
 and the polish runs ``optimize.powell_rows`` on it over both kinds of
 ball: the line searches of a Powell sweep step in lockstep, and each step
 evaluates the bound and the objective of all their families at once.
@@ -40,17 +39,24 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, _exact_plan, _unit_space, operator_norm
+from .operators import LinearMap, _exact_plan, _fstar_norm_upper, _unit_space, operator_norm
 from .optimize import OptimizerConfig, powell_rows
-from .spaces import _FAMILY_CAP, SpaceSpec, _norm_each_row, _norms_rows_rescued, _readonly, _values, dual_space, norms_rows
-
-if TYPE_CHECKING:
-    from .extension import SubspaceSpec
+from .spaces import (
+    _FAMILY_CAP,
+    SpaceSpec,
+    SubspaceSpec,
+    _norm_each_row,
+    _norms_rows_rescued,
+    _readonly,
+    _values,
+    dual_space,
+    norms_rows,
+)
 
 __all__ = [
     "weak_p_norm",
@@ -93,20 +99,39 @@ def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     return lp_combine(_norms_rows_rescued(space.dual, Y), p)
 
 
-def _weak_E(
-    space: SpaceSpec, Y: np.ndarray, p: float
+def _weak(
+    ball: SpaceSpec | SubspaceSpec, Y: np.ndarray, p: float
 ) -> tuple[float, bool, Callable[[np.ndarray], np.ndarray] | None]:
-    """Weak-p norm of a family over the ball of ``space`` for the witness
+    """Weak-p norm of a family over a constraint ball for the witness
     search: (certified upper bound, exact?, the bound as a function of a
     stack of families for the polish, or None where it is too dear to
-    polish).  Off the exact paths the triangle-inequality bound stands in,
-    not polished; an ascent lower bound would dominate the cost and
-    normalization only needs the upper one."""
-    plan = _exact_plan(space, _unit_space(p, len(Y)))
-    if plan is None:
-        return _weak_crude_upper(Y, space, p), False, None
-    value, _, cheap = plan
-    return value(Y), True, value if cheap else None
+    polish).  The weak-p norm is the norm of x -> (<y_k, x>)_k from the
+    ball into ell_p^N, exact wherever ``operators._exact_plan`` is.  Off
+    its paths the triangle inequality bounds it, not polished: over the
+    unit ball of a ``SpaceSpec`` (and over the model space of an
+    axis-aligned F) by the members' dual norms, ``_weak_crude_upper``; an
+    ascent lower bound would dominate the cost and normalization only
+    needs the upper one.  Over other sections B_F by the lp-combination of
+    upper bounds on the members' norms on F (``operators._fstar_norm_upper``),
+    exact at p = inf when those are (ambient r in {1, 2, inf}), and not
+    polished for ambient r in {1, inf}, where each member costs a linear
+    program."""
+    plan = _exact_plan(ball, _unit_space(p, len(Y)))
+    if plan is not None:
+        value, _, cheap = plan
+        return value(Y), True, value if cheap else None
+    if isinstance(ball, SpaceSpec):
+        return _weak_crude_upper(Y, ball, p), False, None
+    if ball._model is not None:
+        space_F, d = ball._model
+        return _weak_crude_upper(Y / d, space_F, p), False, None
+    E = ball.ambient
+
+    def upper(G: np.ndarray) -> float | np.ndarray:  # of a family or a stack of them
+        return lp_combine(np.apply_along_axis(lambda g: _fstar_norm_upper(ball, g), -1, G), p)
+
+    exact = math.isinf(p) and (E.is_sup or E.r in (1.0, 2.0))
+    return upper(Y), exact, None if E.is_sup or E.r == 1 else upper
 
 
 def weak_p_norm(
@@ -171,7 +196,7 @@ def witness_search(
     alone.  Every distinct seed (by shape and float bytes; a repeat cannot
     beat its first value) is normalized by a certified upper bound on its
     weak-p norm, and the best of them, at most 128 entries, is polished by
-    Powell when the ball's oracle hands over that bound as a function of a
+    Powell when ``_weak`` hands over that bound as a function of a
     stack; the polish evaluates its line searches in lockstep.  So the best
     value is always a true lower bound for sup { objective : weak-p <= 1 }.
     ``cfg`` is accepted for a uniform signature; nothing here is random.
@@ -179,11 +204,6 @@ def witness_search(
     Returns (value, witness, tight) where ``tight`` records whether the
     winning candidate was normalized by an *exact* weak-p value.
     """
-    if isinstance(ball, SpaceSpec):
-        weak = _weak_E
-    else:
-        from .extension import _weak_F as weak
-
     best_val = 0.0
     best_fam: np.ndarray | None = None
     best_tight = True
@@ -197,7 +217,7 @@ def witness_search(
         if Y.size == 0 or key in seen or not np.all(np.isfinite(Y)):
             return
         seen.add(key)
-        upper, tight, bound = weak(ball, Y, p)
+        upper, tight, bound = _weak(ball, Y, p)
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale
         if upper <= 1e-14 * np.max(np.abs(Y)) or math.isinf(upper):

@@ -16,7 +16,6 @@ from fblab import (
     extension_constant, witness_search,
 )
 from fblab.exprs import eval_pairings
-from fblab.extension import _exact_plan_F
 from fblab.fbl import _fbl_objective
 from fblab.operators import _exact_plan, _unit_space
 from fblab.optimize import powell_rows
@@ -229,11 +228,11 @@ def test_polished_witness_search_keeps_its_bytes(case, monkeypatch):
 
 @pytest.mark.parametrize("case", list(_F_BALLS))
 def test_polished_B_F_balls_reach_each_path(case):
-    """The B_F cases above polish on each path of ``_exact_plan_F``: the
+    """The B_F cases above polish on each path of ``_exact_plan``: the
     model space's closed form, cross-polytope, sign and cube-vertex
     enumeration, the vertices of B_F, and off them the fallback bound."""
     r, aligned, p, tag = _F_BALLS[case]
-    plan = _exact_plan_F(_subspace(r, aligned), _unit_space(p, 3))
+    plan = _exact_plan(_subspace(r, aligned), _unit_space(p, 3))
     assert (None if plan is None else plan[1]) == tag
 
 

@@ -28,13 +28,15 @@ from fblab import (
     operator_norm,
     pairing,
     run_experiment,
+    spaces,
     subspace_from_json,
     subspace_to_json,
     weak_p_norm,
 )
 from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
-from fblab.extension import _exact_plan_F, _max_linear_over_BF
 from fblab.exprs import max_generator_index
+from fblab.operators import _exact_plan, _fstar_norm_upper, _max_linear_over_BF, _norm_upper, _operator_norm_over_F
+from fblab.summing import _weak, lp_combine
 
 CFG = OptimizerConfig(restarts=8)
 
@@ -320,7 +322,7 @@ def test_vertex_max_matches_linear_program():
                 for _ in range(4):
                     v = rng.standard_normal(k)
                     # the norm of c -> v . c into a line is the largest v . c
-                    value, tag, cheap = _exact_plan_F(sub, SpaceSpec(1.0, 1))
+                    value, tag, cheap = _exact_plan(sub, SpaceSpec(1.0, 1))
                     val = value(v[None, :])
                     assert tag == "B_F vertex enumeration" and cheap
                     assert abs(val - _linprog_max(sub, v)) <= 1e-9 * abs(val)
@@ -357,7 +359,7 @@ def test_linear_program_above_the_vertex_cap(monkeypatch):
     for sub in cached:
         assert sub._vertices is not None
     # the same sections built again, with the cap below their candidate counts
-    monkeypatch.setattr(extension, "_VERTEX_CANDIDATE_CAP", 0)
+    monkeypatch.setattr(spaces, "_VERTEX_CANDIDATE_CAP", 0)
     fresh = [_rademacher_sub(2), _rademacher_sub(3)]
     for sub in big + fresh:
         assert sub._vertices is None
@@ -373,10 +375,10 @@ def test_linear_program_above_the_vertex_cap(monkeypatch):
     # as zero and return an arbitrary feasible point
     line = SpaceSpec(1.0, 1)
     for old, new in zip(cached, fresh):
-        assert _exact_plan_F(new, line) is None
+        assert _exact_plan(new, line) is None
         for _ in range(20):
             v = rng.standard_normal(old.dim)
-            exact = _exact_plan_F(old, line)[0](v[None, :])
+            exact = _exact_plan(old, line)[0](v[None, :])
             tiny, _ = _max_linear_over_BF(new, 1e-9 * v)
             assert tiny == pytest.approx(1e-9 * exact, rel=1e-9)
 
@@ -413,10 +415,29 @@ def test_linear_program_at_extreme_scales(r):
     for e in (600, -600):
         big_val, big_c = _max_linear_over_BF(sub, np.ldexp(v, e))
         assert big_val == math.ldexp(val, e) and big_c.tobytes() == c.tobytes()
-        assert extension._fstar_norm_upper(sub, np.ldexp(v, e)) == math.ldexp(val, e)
+        assert _fstar_norm_upper(sub, np.ldexp(v, e)) == math.ldexp(val, e)
     for scale in (1e200, 1e160, 1e-200):
         assert _max_linear_over_BF(sub, scale * v)[0] == pytest.approx(scale * val, rel=1e-9)
-        assert extension._fstar_norm_upper(sub, scale * v) == pytest.approx(scale * val, rel=1e-9)
+        assert _fstar_norm_upper(sub, scale * v) == pytest.approx(scale * val, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [math.inf, 1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_weak_p_over_a_section_above_the_vertex_cap(r, p):
+    """Over a generic 6-dimensional F of ell_inf^40 or ell_1^40, B_F has no
+    vertex set and no model space, so the weak-p bound of a family is the
+    lp-combination of its members' norms on F, one linear program each,
+    with the bits of that combination; exact only at p = inf, and handed
+    over with no stacked bound, so the witness search does not polish it."""
+    rng = np.random.default_rng(0)
+    full = rng.standard_normal((40, 40))
+    sub = SubspaceSpec.from_arrays(SpaceSpec(r, 40), full[:6], full[6:])
+    assert sub._vertices is None and sub._model is None
+    G = rng.standard_normal((2, 6))
+    upper, exact, bound = _weak(sub, G, p)
+    members = np.array([_fstar_norm_upper(sub, g) for g in G])
+    assert np.float64(upper).tobytes() == np.float64(lp_combine(members, p)).tobytes()
+    assert exact == math.isinf(p) and bound is None
 
 
 def _zonotope_polar_vertices(sub):
@@ -524,7 +545,7 @@ def test_coordinate_section_above_the_vertex_cap_is_exact(monkeypatch, k):
     for basis, cube_map in ((np.eye(k + 1)[:k], M), (np.eye(k + 1)[:k] * s[:, None], M / s)):
         sub = SubspaceSpec.from_arrays(SpaceSpec(math.inf, k + 1), basis, np.eye(k + 1)[k:])
         assert sub._vertices is None
-        val = extension._operator_norm_over_F(sub, M, cod)
+        val = _operator_norm_over_F(sub, M, cod)
         est = operator_norm(LinearMap.from_array(cube_map, SpaceSpec(math.inf, k), cod), CFG)
         assert est.exact and val == est.upper
 
@@ -548,9 +569,9 @@ def test_axis_aligned_section_norms_match_closed_forms(r):
 
     G = rng.standard_normal((3, 3))
     weak_1 = max(form_norm(np.array(t) @ G) for t in itertools.product((-1.0, 1.0), repeat=3))
-    assert extension._weak_F(sub, G, 1.0)[0] == pytest.approx(weak_1, rel=1e-12)
-    assert extension._weak_F(sub, G, math.inf)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
-    val = extension._operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3))
+    assert _weak(sub, G, 1.0)[0] == pytest.approx(weak_1, rel=1e-12)
+    assert _weak(sub, G, math.inf)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
+    val = _operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3))
     assert val == pytest.approx(max(map(form_norm, G)), rel=1e-12)
 
 
@@ -570,7 +591,7 @@ def _polar_vertices(sub):
 def test_exact_norm_F_matches_qhull_vertices(r, aligned):
     """Over sections of weighted ell_1^n and ell_inf^n, n <= 6, every norm
     of c -> M c over B_F is exact and peaks at a vertex: the weak-p norms
-    of ``_weak_F`` (p in {1, 2, inf}) and the operator norms of
+    of ``summing._weak`` (p in {1, 2, inf}) and the operator norms of
     ``_operator_norm_over_F`` (weighted ell_s codomains) equal the largest
     value over the vertices qhull finds, whichever path the dispatcher
     takes (the model space when aligned, the vertices of B_F otherwise)."""
@@ -592,13 +613,13 @@ def test_exact_norm_F_matches_qhull_vertices(r, aligned):
             for _ in range(2):
                 G = rng.standard_normal((int(rng.integers(1, 5)), k))
                 for p in (1.0, 2.0, math.inf):
-                    upper, tight, _ = extension._weak_F(sub, G, p)
+                    upper, tight, _ = _weak(sub, G, p)
                     assert tight
                     assert upper == pytest.approx(np.max(_lp_rows(V @ G.T, p)), rel=1e-12)
                 for r_cod in (1.0, 1.5, 3.0, math.inf):
                     cod = SpaceSpec(r_cod, len(G), tuple(rng.uniform(0.3, 2.0, len(G))))
                     brute = max(norm(cod, G @ c) for c in V)
-                    assert extension._operator_norm_over_F(sub, G, cod) == pytest.approx(brute, rel=1e-12)
+                    assert _operator_norm_over_F(sub, G, cod) == pytest.approx(brute, rel=1e-12)
 
 
 def _polytopal_extension_instances(count, seed):
@@ -699,8 +720,6 @@ def test_stacked_extension_objective_keeps_each_rows_bits(r):
     Random stacks over weighted ambients and ell_1, ell_2 and ell_inf
     codomains; the ell_2 codomain over a Euclidean ambient has no exact
     path and goes map by map."""
-    from fblab.operators import _exact_plan, _norm_upper
-
     rng = np.random.default_rng(7)
     stacked = 0
     for n, k, m, q in itertools.product((3, 5), (1, 2), (1, 3), (1.0, 2.0, math.inf)):
@@ -765,8 +784,8 @@ _SCALE_SECTIONS = {
 _SCALE_Y = np.array([[1.0, 0.5, -0.2], [0.3, 1.0, 0.4], [-0.3, 0.4, 0.8]])
 
 
-def _weak_F_reading(sub, p, k):
-    value, exact, _ = extension._weak_F(sub, np.ldexp(_SCALE_Y[:, : sub.dim], k), p)
+def _weak_over_F_reading(sub, p, k):
+    value, exact, _ = _weak(sub, np.ldexp(_SCALE_Y[:, : sub.dim], k), p)
     return 1, [value, value], exact
 
 
@@ -796,7 +815,7 @@ def _fbl_reading(E, X, e, k):
 # throughout, so its bounds scale bit for bit
 _SCALE_CASES = (
     [
-        (f"weak_F {name} p={p}", _weak_F_reading, (sub, p), 1e-12)
+        (f"weak_F {name} p={p}", _weak_over_F_reading, (sub, p), 1e-12)
         for name, sub in _SCALE_SECTIONS.items()
         for p in (1.0, 2.0, math.inf)
     ]

@@ -1,7 +1,7 @@
 """The seed stage of the witness search, bit for bit against the work it
 skips: the signed-sum maxima of matrices with at most one nonzero per
 column (families of disjoint members, such as coordinate families), which
-``spaces._max_signed_norm`` reads off the all-plus sum instead of
+``spaces._max_signed_sum`` reads off the all-plus sum instead of
 enumerating, and ``summing.witness_search``, which considers each distinct
 seed once.
 
@@ -29,7 +29,7 @@ import fblab.summing
 from fblab import Abs, Gen, GeneratorBinding, LinearMap, SpaceSpec, witness_search
 from fblab.fbl import _convex_sup
 from fblab.operators import _exact_plan, _unit_space
-from fblab.spaces import _max_signed_norm, _max_signed_sum
+from fblab.spaces import _max_signed_sum
 from fblab.summing import _pi_objective, _pi_seeds
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -85,17 +85,17 @@ _DRAW = dict(
 @given(r=st.sampled_from(EXPONENTS), **_DRAW)
 @settings(max_examples=300, deadline=None)
 def test_disjoint_maxima_are_the_enumerations(r, K, n, dim, special, weighted, seed):
-    """The maxima of a stack, and of each of its matrices alone, with the
-    bits of the enumeration's."""
+    """The maxima and winning sums of a stack, and of each of its matrices
+    alone, with the bits of the enumeration's."""
     rng = np.random.default_rng(seed)
     space = _space(r, dim, weighted, rng)
     M = _disjoint_stack(K, n, dim, special, rng)
-    top = _with_check(0, _max_signed_norm, M, space)
-    enumerated = _with_check(0, lambda: _max_signed_sum(M, space)[0])
-    assert top.tobytes() == enumerated.tobytes()
+    top, z = _with_check(0, _max_signed_sum, M, space)
+    enumerated, z_enumerated = _with_check(math.inf, _max_signed_sum, M, space)
+    assert top.tobytes() == enumerated.tobytes() and z.tobytes() == z_enumerated.tobytes()
     for k in range(K):
-        alone = _with_check(0, _max_signed_norm, M[k], space)
-        assert np.float64(alone).tobytes() == top[k].tobytes()
+        alone, z_alone = _with_check(0, _max_signed_sum, M[k], space)
+        assert np.float64(alone).tobytes() == top[k].tobytes() and z_alone.tobytes() == z[k].tobytes()
 
 
 @given(
@@ -157,9 +157,9 @@ def test_small_stacks_are_not_checked(monkeypatch):
     enumerated: the check would cost more than it saves."""
     runs = _spy_shortcut(monkeypatch)
     M = np.eye(8)[:4][None].repeat(3, axis=0)  # 2^3 patterns of 8 entries
-    _max_signed_norm(M, SpaceSpec(2.0, 8))
+    _max_signed_sum(M, SpaceSpec(2.0, 8))
     assert runs == []
-    _max_signed_norm(np.eye(13), SpaceSpec(2.0, 13))  # 2^12 patterns of 13 entries
+    _max_signed_sum(np.eye(13), SpaceSpec(2.0, 13))  # 2^12 patterns of 13 entries
     assert runs == [(1, 13, 13)]
 
 
@@ -209,11 +209,11 @@ def test_witness_search_considers_each_distinct_seed_once(r, p, monkeypatch):
     ball, objective = T.domain.dual, _pi_objective(T, 2.0)
     seeds = _pi_seeds(T)
     repeated = seeds + [s.copy() for s in seeds[::2]] + [np.eye(4, dtype=int), seeds[0].tolist()]
-    oracle = fblab.summing._weak_E
+    oracle = fblab.summing._weak
     results = []
     for family in (seeds, repeated):
         calls = []
-        monkeypatch.setattr(fblab.summing, "_weak_E", lambda E, Y, q: calls.append((Y.shape, Y.tobytes())) or oracle(E, Y, q))
+        monkeypatch.setattr(fblab.summing, "_weak", lambda E, Y, q: calls.append((Y.shape, Y.tobytes())) or oracle(E, Y, q))
         val, witness, tight = witness_search(ball, p, objective, family)
         results.append((np.float64(val).tobytes(), witness.functionals.tobytes(), tight, calls))
     assert results[0] == results[1]

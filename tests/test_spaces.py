@@ -208,7 +208,7 @@ _EXACT_PATH_MAPS = [
 @pytest.mark.parametrize("E, C, tag", _EXACT_PATH_MAPS)
 def test_exact_plan_of_tiny_and_huge_maps(E, C, tag, e):
     """Every exact path of the operator norm, and so of the weak-p norms of
-    ``summing._weak_E``, reads the scaled interval, for one map and for a
+    ``summing._weak``, reads the scaled interval, for one map and for a
     stack: the closed forms once read [0.0, 0.0], certified, at 2^-830 and
     overflowed to inf (a ValueError) at 2^830."""
     A = np.array([[1.0, 0.5], [0.2, 1.0], [-0.3, 0.4]])[: C.dim]

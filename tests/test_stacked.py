@@ -31,11 +31,10 @@ from fblab import (
     embedding_gap,
 )
 from fblab.exprs import _VALUES, _fold, eval_rows
-from fblab.extension import _exact_plan_F, _fstar_norm_upper, _weak_F
 from fblab.fbl import _fbl_objective
-from fblab.operators import _exact_plan
+from fblab.operators import _exact_plan, _fstar_norm_upper
 from fblab.spaces import _max_signed_sum, _signed_sum_plan, norms_rows
-from fblab.summing import _pi_objective, lp_combine
+from fblab.summing import _pi_objective, _weak, lp_combine
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
 SPECIALS = ["plain", "zero member", "minus three times", "huge", "tiny"]
@@ -381,7 +380,7 @@ def _section(r, aligned, k, n, rng):
 
 
 def _one_family_plan_F_value(sub, C, tag, M):
-    """The value of ``_exact_plan_F(sub, C)`` with path ``tag`` at one
+    """The value of ``_exact_plan(sub, C)`` with path ``tag`` at one
     map M, as the exact norm over B_F was written before it took stacks:
     the model's plan at M / d, or the largest norm of the vertices' images
     by M, taken again on M scaled by 2^-e where it read less than
@@ -416,8 +415,8 @@ _SECTIONS = dict(
 )
 @settings(max_examples=200, deadline=None)
 def test_exact_plan_F_values_of_a_stack(ball, wide, k, extra, K, N, special, seed):
-    """Every path of ``_exact_plan_F``: the model space of an axis-aligned F
-    through each path of ``_exact_plan``, and the vertices of B_F over
+    """Every path of ``_exact_plan`` over B_F: the model space of an
+    axis-aligned F through each path over B_E, and the vertices of B_F over
     generic sections of ell_1 and ell_inf; families of 1 to 8 members, or
     of 21 to 28 (``wide``), past the family cap."""
     rng = np.random.default_rng(seed)
@@ -425,7 +424,7 @@ def test_exact_plan_F_values_of_a_stack(ball, wide, k, extra, K, N, special, see
     sub = _section(*ball, k, k + extra, rng)
     M = _stack(K, N, k, special, rng)
     for C in _plan_cases(sub.ambient, N, rng):
-        plan = _exact_plan_F(sub, C)
+        plan = _exact_plan(sub, C)
         if plan is None:
             continue
         with _Errstate(special):
@@ -437,7 +436,7 @@ def test_exact_plan_F_values_of_a_stack(ball, wide, k, extra, K, N, special, see
 
 
 def test_exact_plan_F_draws_reach_every_path():
-    """The draws above meet each path of ``_exact_plan_F``."""
+    """The draws above meet each path of ``_exact_plan`` over B_F."""
     seen = set()
     rng = np.random.default_rng(0)
     for r, aligned in [(r, True) for r in EXPONENTS] + [(1.0, False), (math.inf, False)]:
@@ -445,7 +444,7 @@ def test_exact_plan_F_draws_reach_every_path():
             sub = _section(r, aligned, k, k + 1, rng)
             for N in (1, 5, 21):
                 for C in _plan_cases(sub.ambient, N, rng):
-                    plan = _exact_plan_F(sub, C)
+                    plan = _exact_plan(sub, C)
                     if plan is not None:
                         seen.add(plan[1])
     assert seen == {
@@ -460,18 +459,18 @@ def test_exact_plan_F_draws_reach_every_path():
 @given(r=st.sampled_from([2.0, 3.0]), p=st.sampled_from(EXPONENTS), **_SECTIONS)
 @settings(max_examples=100, deadline=None)
 def test_fallback_weak_F_bound_of_a_stack(r, p, k, extra, K, N, special, seed):
-    """Off the exact paths (generic F in ell_2 or ell_3), ``_weak_F`` hands
-    the polish the triangle-inequality bound of each family of a stack:
-    the lp-combination of the members' upper bounds, as ``_weak_F`` gives
-    it for that family alone."""
+    """Off the exact paths (generic F in ell_2 or ell_3), ``summing._weak``
+    hands the polish the triangle-inequality bound of each family of a
+    stack: the lp-combination of the members' upper bounds, as it gives it
+    for that family alone."""
     rng = np.random.default_rng(seed)
     sub = _section(r, False, max(k, 2), max(k, 2) + 1 + extra, rng)
     assert sub._model is None
     G = _stack(K, N, sub.dim, special, rng)
     with _Errstate(special):
-        bound = _weak_F(sub, G[0], p)[2]
+        bound = _weak(sub, G[0], p)[2]
         values = bound(G)
-        alone = [_weak_F(sub, G[j], p)[0] for j in range(K)]
+        alone = [_weak(sub, G[j], p)[0] for j in range(K)]
         ref = [_one_family_lp_combine([_fstar_norm_upper(sub, g) for g in G[j]], p) for j in range(K)]
     assert values.shape == (K,)
     assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]

@@ -26,7 +26,7 @@ from fblab import (
     operator_norm,
     weak_p_norm,
 )
-from fblab.extension import _max_linear_over_BF, _operator_norm_over_F
+from fblab.operators import _max_linear_over_BF, _operator_norm_over_F
 from fblab.spaces import norming_functional, norms_rows
 
 CONFIGS = (OptimizerConfig(seed=0, restarts=1), OptimizerConfig(seed=404, restarts=64))
