@@ -30,7 +30,6 @@ from .exprs import (
     eval_rows,
     expr_to_text,
     hom_image,
-    homogeneity_check,
     lipschitz_bound,
     mass_bound,
     parse_expr,
@@ -50,7 +49,6 @@ from .fbl import (
     fbl_infty_norm,
     fbl_norm,
     moduli_norm,
-    pconcavification_witness,
     sublattice_generators,
 )
 from .operators import (
@@ -66,7 +64,6 @@ from .spaces import (
     SpaceSpec,
     SubspaceSpec,
     dual_space,
-    functional_norm,
     norm,
     norming_functional,
     norming_vector,
@@ -119,10 +116,8 @@ __all__ = [
     "extension_constant",
     "fbl_infty_norm",
     "fbl_norm",
-    "functional_norm",
     "growth_data",
     "hom_image",
-    "homogeneity_check",
     "lipschitz_bound",
     "map_from_json",
     "map_to_json",
@@ -134,7 +129,6 @@ __all__ = [
     "operator_norm",
     "pairing",
     "parse_expr",
-    "pconcavification_witness",
     "pi_1_exact_Linfty_domain",
     "pi_p_lower",
     "pi_q1_lower",

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spaces import _readonly
+from .spaces import _ldexp, _readonly
 
 __all__ = ["NormEstimate", "WitnessFamily"]
 
@@ -35,6 +35,14 @@ class WitnessFamily:
     @property
     def matrix(self) -> np.ndarray:
         return self.functionals
+
+    def _scaled(self, e: int, degree: int) -> WitnessFamily:
+        """This witness of an estimate of ``degree`` (0 or 1) in data scaled
+        by 2^-e, for the data itself: the objective is of that degree, the
+        functionals and their constraint of the other one."""
+        k = (1 - degree) * e
+        Y, c, v = np.ldexp(self.functionals, k), _ldexp(self.constraint, k), _ldexp(self.objective, e - k)
+        return WitnessFamily(Y, self.p, c, v)
 
     def to_json(self) -> dict:
         return {
@@ -80,6 +88,13 @@ class NormEstimate:
                     f"inconsistent estimate: lower {self.lower} exceeds upper {self.upper}"
                 )
             object.__setattr__(self, "lower", self.upper)
+
+    def _scaled(self, e: int, degree: int) -> NormEstimate:
+        """This estimate of a quantity of ``degree`` in data scaled by 2^-e,
+        for the data itself."""
+        w, k = self.witness, degree * e
+        w = w and w._scaled(e, degree)
+        return replace(self, lower=_ldexp(self.lower, k), upper=_ldexp(self.upper, k), witness=w)
 
     @property
     def exact(self) -> bool:

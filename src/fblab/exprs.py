@@ -40,9 +40,9 @@ from .operators import LinearMap
 from .spaces import (
     SpaceSpec,
     _json_fields,
-    _norm_each_row,
     _readonly,
     dual_space,
+    norm,
     sample_sphere,
     space_from_json,
     space_to_json,
@@ -65,7 +65,6 @@ __all__ = [
     "eval_pairings",
     "pushforward",
     "hom_image",
-    "homogeneity_check",
     "disjointness_check",
     "DisjointnessReport",
     "lipschitz_bound",
@@ -128,6 +127,15 @@ class LatticeExpr:
     def _kernel(self) -> Callable[[np.ndarray], np.ndarray]:
         """The compiled evaluation of this expression (``_compile``)."""
         return _compile(self)
+
+    @cached_property
+    def _range(self) -> tuple[float, tuple[float, ...]]:
+        """(g, qs), computed once for the float window of the estimators:
+        |e(y)| <= g max_k ||x_k|| at every functional y of dual norm at
+        most 1 (the mass bound with generators of norm 1), and the
+        exponents q of the ``PowerSum`` nodes."""
+        qs = tuple(node.q for node, _, _ in self._program if isinstance(node, PowerSum))
+        return _fold(self, {**_MASS, Gen: lambda n, v, k, b: 1.0}, None), qs
 
     def __getstate__(self) -> dict:
         # a generated function does not pickle; a copy compiles its own
@@ -241,8 +249,9 @@ class GeneratorBinding:
 
     @cached_property
     def _norms(self) -> list[float]:
-        # norm(space, x_i) of every bound vector, for the mass and Lipschitz folds
-        return _norm_each_row(self.space, self.matrix).tolist()
+        # norm(space, x_i) of every bound vector, for the mass and Lipschitz
+        # folds: one by one, so each is taken at its own scale
+        return [norm(self.space, x) for x in self.matrix]
 
     def pairings(self, functionals: np.ndarray) -> np.ndarray:
         """<f_row, x_i> for each functional row and each bound vector:
@@ -596,22 +605,6 @@ def hom_image(e: LatticeExpr, b: GeneratorBinding, T: LinearMap) -> np.ndarray:
         raise ValueError("hom_image requires an unweighted ell_p codomain")
     _, images = pushforward(e, b, T)        # row i = T x_i
     return eval_pairings(e, images.matrix.T)  # P[j, i] = (T x_i)_j
-
-
-def homogeneity_check(
-    e: LatticeExpr, b: GeneratorBinding, samples: int, seed: int
-) -> float:
-    """Max relative violation of eval(lam*f) = lam*eval(f) over samples."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    fs = np.array(sample_sphere(dual_space(b.space), samples, seed))
-    lams = 10.0 ** rng.uniform(-3, 6, size=samples)
-    base = eval_rows(e, b, fs)
-    scaled = eval_rows(e, b, fs * lams[:, None])
-    viol = np.abs(scaled - lams * base) / np.maximum(1.0, np.abs(lams * base))
-    zero = abs(eval_expr(e, b, np.zeros(b.space.dim)))
-    return float(max(np.max(viol), zero))
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,18 @@ import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
-from .fbl import _fbl_objective, _fbl_seeds, fbl_norm
+from .fbl import _expression_data, _fbl_objective, _fbl_seeds, fbl_norm
 from .operators import LinearMap, _norm_upper, _operator_norm_over_F
 from .optimize import OptimizerConfig, powell_starts
-from .spaces import _SMALL_POLYTOPE_CAP, SpaceSpec, SubspaceSpec, _vertex_count, extreme_points_matrix
+from .spaces import (
+    _SMALL_POLYTOPE_CAP,
+    SpaceSpec,
+    SubspaceSpec,
+    _homogeneous,
+    _ldexp,
+    _vertex_count,
+    extreme_points_matrix,
+)
 from .summing import _weak, hadamard, lp_combine, witness_search
 
 __all__ = [
@@ -176,6 +184,9 @@ def _powell_complement(objective, nvars: int, denom: float, cfg: OptimizerConfig
     return best_W, best_upper
 
 
+@_homogeneous(
+    0, lambda sub, T, p, cfg=None: (T.matrix, (sub, p), lambda e: (sub, T._ldexp(-e), p, cfg))
+)
 def extension_constant(
     sub: SubspaceSpec,
     T: LinearMap,
@@ -196,10 +207,12 @@ def extension_constant(
     ambient r in {1, inf} within ``spaces._SMALL_POLYTOPE_CAP`` vertices, one
     epigraph program (``_epigraph_complement``) that reads no seed, kept
     only where it beats the zero complement; otherwise the Powell
-    multistart (``_powell_complement``).  Two cases are exactly 1: p = inf
-    (row functionals extend from F to E with no norm increase, and the
-    sup-norm of a map into ell_inf is its largest row norm) and F = E (T
-    is the only extension).
+    multistart (``_powell_complement``).  A subspace whose basis is outside
+    the float window is measured on its basis scaled into it
+    (``SubspaceSpec._unit``); the extension is the same map.  Two cases are
+    exactly 1: p = inf (row functionals extend from F to E with no norm
+    increase, and the sup-norm of a map into ell_inf is its largest row
+    norm) and F = E (T is the only extension).
     """
     cfg = cfg or OptimizerConfig()
     if T.domain.dim != sub.dim:
@@ -214,7 +227,8 @@ def extension_constant(
     if not (abs(T.codomain.r - p) <= 1e-12):
         raise ValueError("codomain exponent must equal p")
 
-    M = T.matrix
+    sub, s = sub._unit  # T on the scaled basis's coordinates is 2^-s T
+    M = np.ldexp(T.matrix, -s) if s else T.matrix
     cod = T.codomain
     denom = _operator_norm_over_F(sub, M, cod)
     if denom <= 1e-14 * float(np.max(np.abs(M))):  # B_F spans the coordinates
@@ -268,6 +282,12 @@ class EmbeddingGap:
     ratio: float
     subspace_witness: WitnessFamily | None = None
 
+    def _scaled(self, e: int, degree: int) -> EmbeddingGap:
+        """This gap of a binding scaled by 2^-e, for the binding itself:
+        its two norms are of ``degree``, its ratio of degree 0."""
+        lower, w = _ldexp(self.subspace_lower, degree * e), self.subspace_witness
+        return EmbeddingGap(lower, self.ambient._scaled(e, degree), self.ratio, w and w._scaled(e, degree))
+
     def to_json(self) -> dict:
         return {
             "subspace_lower": self.subspace_lower,
@@ -279,6 +299,7 @@ class EmbeddingGap:
         }
 
 
+@_homogeneous(1, lambda sub, e, b, p, cfg=None: _expression_data(e, b, (p,), lambda b: (sub, e, b, p, cfg)))
 def embedding_gap(
     sub: SubspaceSpec,
     e: LatticeExpr,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .spaces import (
     _FAMILY_CAP,
     _SMALL_POLYTOPE_CAP,
     SpaceSpec,
+    _homogeneous,
     _max_signed_sum,
     _norm_each_row,
     _pow2_scaled,
@@ -74,7 +76,6 @@ __all__ = [
     "fbl_infty_norm",
     "moduli_norm",
     "sublattice_generators",
-    "pconcavification_witness",
 ]
 
 
@@ -170,11 +171,28 @@ def _fbl_objective(e: LatticeExpr, b: GeneratorBinding, p: float):
     return obj
 
 
+def _expression_data(e: LatticeExpr, b: GeneratorBinding, exponents: tuple, args: Callable):
+    """The data of a free-lattice quantity of e over b for
+    ``spaces._homogeneous``: the scale of e's values, the largest |entry|
+    of b times the gain of e's constants (``LatticeExpr._range``); the
+    exponents b.space, ``exponents`` and the q of e's ``PowerSum`` nodes;
+    and args(b scaled by 2^-s) as a function of s.  The norms of the bound
+    vectors are taken one by one by ``norm``, so a binding of any scale has
+    its true mass bound."""
+    gain, qs = e._range
+    return (
+        [gain * float(np.max(np.abs(b.vectors)))],
+        (b.space, *exponents, *qs),
+        lambda s: args(GeneratorBinding(b.space, np.ldexp(b.vectors, -s))),
+    )
+
+
 # --------------------------------------------------------------------------
 # the norm itself
 # --------------------------------------------------------------------------
 
 
+@_homogeneous(1, lambda e, b, p, cfg=None: _expression_data(e, b, (p,), lambda b: (e, b, p, cfg)))
 def fbl_norm(
     e: LatticeExpr,
     b: GeneratorBinding,
@@ -236,6 +254,7 @@ def fbl_norm(
 # --------------------------------------------------------------------------
 
 
+@_homogeneous(1, lambda e, b, cfg=None: _expression_data(e, b, (), lambda b: (e, b, cfg)))
 def fbl_infty_norm(
     e: LatticeExpr, b: GeneratorBinding, cfg: OptimizerConfig | None = None
 ) -> NormEstimate:
@@ -251,7 +270,7 @@ def fbl_infty_norm(
     if found is None:
         return _dual_multistart(e, b)
     upper, y, how = found
-    n = norm(dual_space(b.space), y)
+    n = _norm_each_row(dual_space(b.space), y)
     lower = abs(float(eval_rows(e, b, y[None, :])[0])) / n
     if lower > upper and lower - upper > 1e-12 * mass_bound(e, b):  # more than rounding
         raise RuntimeError(f"witness value {lower} exceeds the enumerated maximum {upper}")
@@ -297,7 +316,7 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
     Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
     for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):
         # a polished witness goes back on the dual sphere (constraint 1)
-        v, y = (v, y / norm(Ed, y)) if v > v0 else (v0, y0)
+        v, y = (v, y / _norm_each_row(Ed, y)) if v > v0 else (v0, y0)
         if v > best_val:
             best_val, best_y = float(v), y
 
@@ -353,9 +372,9 @@ def _grid_upper(e: LatticeExpr, b: GeneratorBinding) -> float:
 
     # any point of the cube surface is within ell_inf distance h/2 of the
     # grid; measure that displacement in the dual norm
-    rho = norm(Ed, np.full(dim, h / 2.0))
+    rho = _norm_each_row(Ed, np.full(dim, h / 2.0))
     dual_norms = norms_rows(Ed, pts)
-    floor = min(norm(Ed, row) for row in np.eye(dim))
+    floor = min(_norm_each_row(Ed, np.eye(dim)))
     vals = np.abs(eval_rows(e, b, pts))
     denom = np.maximum(dual_norms - rho, max(floor - rho, 1e-9))
     return float(np.max((vals + lam * rho) / denom))
@@ -379,7 +398,9 @@ def moduli_norm(
 
     Exact for p = 1 over an L_1(mu)-type space (sup-norm dual domain);
     otherwise a certified witness lower bound plus the p-convexity upper
-    bound (sum (a_k ||x_k||)^p)^(1/p).
+    bound (sum (a_k ||x_k||)^p)^(1/p).  Its data reaches only public entry
+    points (``norm``, ``pi_p_lower``) and a sum of moduli, so it takes the
+    float range from them.
     """
     X = np.atleast_2d(np.asarray(vectors, dtype=float))
     a = np.asarray(coeffs, dtype=float)
@@ -397,7 +418,7 @@ def moduli_norm(
             val, val, True, True, method=("1-summing closed form over L_1(mu)",)
         )
 
-    upper = lp_combine(np.array([ai * norm(E, xi) for ai, xi in zip(a, X)]), p)
+    upper = norm(T.codomain, [ai * norm(E, xi) for ai, xi in zip(a, X)])
     est = pi_p_lower(T, p)
     return NormEstimate(
         lower=est.lower,
@@ -479,48 +500,3 @@ def _pconcav_coefficients(E: SpaceSpec, alpha: np.ndarray, p: float) -> np.ndarr
     if nb <= 0:
         return None
     return w ** (1.0 / r) * b / nb
-
-
-def pconcavification_witness(
-    E: SpaceSpec,
-    alpha,
-    p: float = 1.0,
-    cfg: OptimizerConfig | None = None,
-) -> tuple[np.ndarray, float]:
-    """Coefficients beta certifying ||alpha||_E from below through the
-    p-concavification duality: beta is feasible for the region above and
-    (sum (alpha_i beta_i)^p)^(1/p) equals ||alpha||_E up to rounding.
-
-    beta is the closed-form maximizer made feasible by dividing by its
-    exact membership value (the norm of the diagonal map E -> ell_p it
-    induces), so the returned objective is always a true lower bound.
-    ``cfg`` is accepted for a uniform signature; nothing here is random.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (E.dim,):
-        raise ValueError(f"alpha must have shape ({E.dim},), got {alpha.shape}")
-    if np.any(alpha < 0):
-        raise ValueError("alpha must be nonnegative")
-    if not math.isinf(E.r) and E.r < p - 1e-12:
-        raise ValueError("requires p <= r (p-convexity with constant one)")
-
-    beta = _pconcav_coefficients(E, alpha, p)
-    if beta is None:  # the coefficients underflowed
-        return np.zeros(E.dim), 0.0
-    # exact norm of diag(beta): E -> ell_p^n for p <= r, by Hoelder after
-    # substituting away the weights: with c_i = (beta_i w_i^{-1/r})^p the
-    # p-th power of the norm is ||c||_{(r/p)'}
-    r, w = E.r, E.weight_array
-    if math.isinf(r):
-        m = lp_combine(beta, p)
-    else:
-        c = (beta * w ** (-1.0 / r)) ** p
-        if abs(r - p) <= 1e-12:
-            m = float(np.max(c)) ** (1.0 / p)
-        else:
-            s = 1.0 / (1.0 - p / r)
-            m = float(np.sum(c**s)) ** (1.0 / (s * p))
-    if m <= 1e-14:
-        return np.zeros(E.dim), 0.0
-    beta = beta / m
-    return beta, lp_combine(alpha * beta, p)

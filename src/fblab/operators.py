@@ -31,15 +31,14 @@ from .spaces import (
     _FAMILY_CAP,
     SpaceSpec,
     SubspaceSpec,
-    _floor,
+    _homogeneous,
     _json_fields,
     _max_signed_sum,
-    _norms_rows_rescued,
-    _pow2_scaled,
+    _norm_each_row,
     _readonly,
     _roots,
+    _values,
     dual_space,
-    norm,
     norming_vector,
     norms_rows,
     space_from_json,
@@ -83,6 +82,9 @@ class LinearMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ self.domain.check_point(x)
 
+    def _ldexp(self, k: int) -> "LinearMap":  # 2^k times the map, exact
+        return LinearMap(np.ldexp(self.matrix, k), self.domain, self.codomain)
+
 
 def tuple_map(vectors: np.ndarray, space: SpaceSpec, codomain: SpaceSpec) -> LinearMap:
     """The map f -> (<f, x_k>)_k on the dual of ``space``.
@@ -119,7 +121,7 @@ def _norm_gradient(space: SpaceSpec, y: np.ndarray) -> np.ndarray:
     w = space.weight_array
     if space.r == 1:
         return w * (np.sign(y) + (y == 0.0))
-    n = norm(space, y)
+    n = _norm_each_row(space, y)
     if n <= 0:
         return w.copy()
     return w * np.sign(y) * (np.abs(y) / n) ** (space.r - 1.0)
@@ -137,10 +139,10 @@ def _ascend(
     """Conditional-gradient ascent for the convex objective ||a x|| on a
     convex body: linearize at x, move to the body point ``linear_max(g)``
     maximizing the linearization g . x.  Monotone."""
-    val = norm(codomain, a @ x)
+    val = _norm_each_row(codomain, a @ x)
     for _ in range(_ASCENT_MAX_ITER):
         x_new = linear_max(a.T @ _norm_gradient(codomain, a @ x))
-        new_val = norm(codomain, a @ x_new)
+        new_val = _norm_each_row(codomain, a @ x_new)
         if new_val <= val + _ASCENT_TOL * val:
             if new_val > val:
                 val, x = new_val, x_new
@@ -165,10 +167,9 @@ def _structured_ascent(
     wins, so ties go to the earliest start."""
     dim = a.shape[1]
     top = lambda s: np.sort(np.argsort(-np.asarray(s), kind="stable")[:32])  # in index order
-    cols = [norm(codomain, a[:, i]) / body_norm(np.eye(1, dim, i)[0]) for i in range(dim)]
+    cols = [_norm_each_row(codomain, a[:, i]) / body_norm(np.eye(1, dim, i)[0]) for i in range(dim)]
     starts = [np.eye(1, dim, i)[0] for i in top(cols)]
-    # rows ranked where their squares neither under- nor overflow
-    starts += [linear_max(a[i]) for i in top(np.linalg.norm(_pow2_scaled(a)[0], axis=1))]
+    starts += [linear_max(a[i]) for i in top(np.linalg.norm(a, axis=1))]
     starts.append(np.linalg.svd(a, full_matrices=False)[2][0])
     best_val, best_x = 0.0, np.zeros(dim)
     for x0 in starts:
@@ -212,12 +213,9 @@ def _exact_plan(
     {1, inf}, B_F is a polytope whose vertices are enumerated up to a
     fixed cap (``spaces._section_vertices``), and the convex norm peaks at
     one of them.  Where both apply they can differ in the last bit; the
-    model goes first.  A vertex value that under- or overflowed (below
-    ``spaces._floor`` of C, inf or nan) is taken again by
-    ``spaces._roots`` on Y scaled by a power of two, not on its products
-    (exact zeros there stay zeros).  Section plans are not cached by
-    value: equal sections built under different vertex caps have
-    different vertex sets, and each vertex set can hold 16 MB."""
+    model goes first.  Section plans are not cached by value: equal
+    sections built under different vertex caps have different vertex
+    sets, and each vertex set can hold 16 MB."""
     if isinstance(ball, SpaceSpec):
         return _space_plan(ball, C)
     if ball._model is not None:
@@ -229,9 +227,8 @@ def _exact_plan(
     V = ball._vertices
     if V is None:
         return None
-    top = lambda M: np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1)
-    floor = _floor(C.r)
-    return (lambda M: _roots(top, M, 1.0, floor)), "B_F vertex enumeration", True
+    top = lambda M: _values(np.maximum.reduce(norms_rows(C, V @ np.swapaxes(M, -1, -2)), axis=-1))
+    return top, "B_F vertex enumeration", True
 
 
 @functools.lru_cache(maxsize=256)
@@ -249,14 +246,11 @@ def _space_plan(
     ``spaces._max_signed_sum``, which reads a stack whose signed sums
     share their |entries| (disjoint members on the member side, members of
     one nonzero on the cube side) off its all-plus sum, with the same
-    bits.  A value that under- or overflowed is taken again at a
-    power-of-two scale: a closed form's by ``spaces._roots``, an
-    enumeration's by ``spaces._rescaled``."""
+    bits."""
     N, dim, dual = C.dim, E.dim, E.dual
     if C.is_sup:
-        sup = lambda Y: np.maximum.reduce(norms_rows(dual, Y), axis=-1)
-        floor = _floor(dual.r)
-        return (lambda Y: _roots(sup, Y, 1.0, floor)), "weak-inf closed form", True
+        sup = lambda Y: _values(np.maximum.reduce(norms_rows(dual, Y), axis=-1))
+        return sup, "weak-inf closed form", True
     if E.r == 1:  # the vertices +-e_i / w_i pair to +-Y[:, i]
         r, wc = C.r, None if C.unweighted else C.weight_array[:, None]
 
@@ -266,7 +260,7 @@ def _space_plan(
                 V = V * wc
             return np.maximum.reduce(np.add.reduce(V, axis=-2), axis=-1)
 
-        return (lambda Y: _roots(cross_polytope, Y, 1.0 / r)), "cross-polytope enumeration", True
+        return (lambda Y: _roots(cross_polytope(Y), 1.0 / r)), "cross-polytope enumeration", True
     if C.r == 1 and N <= _FAMILY_CAP:
         tag = "sign enumeration"
         cheap = (1 << (N - 1)) * min(dim, N) <= (1 << 17)
@@ -296,10 +290,11 @@ def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.n
     plan = _exact_plan(E, C)
     if plan is not None:
         return plan[0](Y), True
-    crude = lambda y: norm(C, _norms_rows_rescued(E.dual, y))
+    crude = lambda y: _norm_each_row(C, norms_rows(E.dual, y))
     return (crude(Y) if Y.ndim == 2 else np.array([crude(y) for y in Y])), False
 
 
+@_homogeneous(1, lambda T, cfg=None: (T.matrix, (T.domain, T.codomain), lambda e: (T._ldexp(-e), cfg)))
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 
@@ -316,7 +311,7 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
     lower, _ = _structured_ascent(
-        a, cod, lambda x: norm(E, x), lambda g: norming_vector(E, g)
+        a, cod, lambda x: _norm_each_row(E, x), lambda g: norming_vector(E, g)
     )
     return NormEstimate(
         lower=lower,
@@ -343,16 +338,13 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
         c[0] = 1.0
         return 0.0, c / max(sub.ambient_norm(c), 1e-300)
     w = E.weight_array
-    # v scaled by a power of two (exact) near 1, so that its length and
-    # v . G^-1 v below stay in range; s / |s| has the bits of v / |v|
-    s, e = _pow2_scaled(v)
 
     if E.is_sup or E.r == 1:
         from scipy.optimize import linprog
 
         # HiGHS reads a cost vector of tiny length as zero and returns an
         # arbitrary feasible point, so the LP sees v at unit length
-        u = s / np.linalg.norm(s)
+        u = v / np.linalg.norm(v)
         Bt = B.T  # constraint rows act on c through (c @ B)_i = (Bt @ c)_i
         if E.is_sup:
             A_ub = np.vstack([Bt, -Bt])
@@ -382,18 +374,17 @@ def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.nda
     # at r = 2 the squared norm of c @ B is c . G c with G = (B * w) @ B.T,
     # so v . c peaks along G^-1 v
     G = (B * w) @ B.T
-    if E.r == 2:
-        sol = np.linalg.solve(G, s)
-        val = math.sqrt(float(s @ sol))
-        return math.ldexp(val, e), sol / val
     sol = np.linalg.solve(G, v)
+    if E.r == 2:
+        val = math.sqrt(float(v @ sol))
+        return val, sol / val
 
     # generic r: one SLSQP program, max u . c subject to ||c @ B||_E <= 1,
     # from the Euclidean maximizer; the better of its point and the start,
     # rescaled to ambient norm 1, so the value is attained
     from scipy.optimize import minimize
 
-    u = s / np.linalg.norm(s)
+    u = v / np.linalg.norm(v)
     c0 = sol / sub.ambient_norm(sol)
     res = minimize(
         lambda c: -(u @ c), c0, jac=lambda c: -u, method="SLSQP",
@@ -428,7 +419,7 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
     w = E.weight_array
     # lift: phi in E* with restriction g, i.e. (B * w) @ phi = g
     phi, *_ = np.linalg.lstsq(B * w, np.asarray(g, dtype=float), rcond=None)
-    return norm(dual_space(E), phi)
+    return _norm_each_row(dual_space(E), phi)
 
 
 def _operator_norm_over_F(sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec) -> float:

@@ -25,18 +25,14 @@ chosen in ``operators._exact_plan``, the weak-p bound of a family over
 either is ``summing._weak``, and ``summing.witness_search`` runs over both.
 
 One kernel, ``_norm_each_row``, computes the finite-r norms of ``norm``,
-of the row norms and of ``summing.lp_combine``.  A norm is homogeneous, so
-a value whose sum of powers under- or overflowed (``_lost``) is taken again
-once on its item scaled by a power of two (``_pow2_scaled``), by one of two
-retries: ``_roots`` for a value (the kernel, the rescued row norms, the
-closed forms of the exact plans over B_E and B_F), ``_rescaled`` for an
-enumeration's maximum and winner.  Each retry runs its first pass itself,
-and both passes under the one ``np.errstate`` it owns, so no caller knows
-that a pass can be lost.  There is one norming map: ``norming_vector`` is
-``norming_functional`` on the dual, whose powers are taken again so;
-``operators._structured_ascent``, ``operators._max_linear_over_BF`` and
-``fbl._pconcav_coefficients`` work at that scale from the start.  The hot
-matrix-product form ``norms_rows`` has no retry.
+of the row norms and of ``summing.lp_combine``; the hot matrix-product form
+is ``norms_rows``.  No kernel handles the float range.  Every public
+estimator is positively homogeneous in its data under power-of-two
+scaling, and ``_homogeneous`` makes it an entry point that applies one
+rule: data whose largest |entry| lies outside the window of
+``_window_exponent`` (where every power the call takes stays a normal
+float) is scaled once into it, and the result is scaled back.  Data inside
+the window runs as it is, so its bytes stay.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,7 +53,6 @@ __all__ = [
     "sample_sphere",
     "norming_functional",
     "norming_vector",
-    "functional_norm",
     "space_to_json",
     "space_from_json",
     "SubspaceSpec",
@@ -85,14 +79,6 @@ def _json_fields(obj, what: str, *keys: str) -> None:
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} JSON requires field '{key}'")
-
-
-def _conjugate_exponent(r: float) -> float:
-    if r == 1:
-        return math.inf
-    if math.isinf(r):
-        return 1.0
-    return r / (r - 1.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +117,18 @@ class SpaceSpec:
 
     @functools.cached_property
     def dual(self) -> SpaceSpec:  # built once per spec; see dual_space
-        return SpaceSpec(_conjugate_exponent(self.r), self.dim, self.weights)
+        r = math.inf if self.r == 1 else 1.0 if self.is_sup else self.r / (self.r - 1.0)
+        return SpaceSpec(r, self.dim, self.weights)
 
     @functools.cached_property
     def unweighted(self) -> bool:  # every weight 1; decided once per spec
         return all(w == 1.0 for w in self.weights)
+
+    @functools.cached_property
+    def _weight_exponent(self) -> float:  # the largest |log2 w_i|, for the float window
+        return max(abs(math.log2(w)) for w in self.weights)
+
+    _unit = property(lambda self: (self, 0))  # the ball its plans take; see SubspaceSpec._unit
 
     @functools.cached_property
     def is_sup(self) -> bool:  # decided once per spec: read on every oracle call
@@ -150,6 +143,76 @@ class SpaceSpec:
         return x
 
 
+# every weighted power w x^q (q up to m) that a call takes of data whose
+# largest |entry| x lies in the window of ``_window`` is a normal float
+# at least 2^62 inside either end of the float range: room for the capped
+# sums of the kernels (at most 2^22 cube vertices, 20 members)
+_WINDOW = 960
+
+
+def _window(*exponents: float | SpaceSpec | SubspaceSpec) -> tuple[int, float]:
+    """The log2 centre and half-width (_WINDOW - W) / m of the float window:
+    m is the largest finite exponent (a space stands for its r and r*, a
+    section for its ambient's), at least 2, since a call may take Euclidean
+    lengths of its data; W is the largest |log2| of the weights, m |s| more
+    for a section's model weights w |basis|^r.  The centre is a section's
+    ``SubspaceSpec._scale`` s (forms in its basis coordinates are about 2^s
+    times the functionals they restrict), else 0."""
+    balls = (SpaceSpec, SubspaceSpec)
+    spaces = [getattr(s, "ambient", s) for s in exponents if isinstance(s, balls)]
+    qs = [q for s in spaces for q in (s.r, s.dual.r)] + [q for q in exponents if not isinstance(q, balls)]
+    m = max([2.0, *(q for q in qs if q < math.inf)])
+    s = next((b._scale for b in exponents if isinstance(b, SubspaceSpec)), 0)
+    return s, (_WINDOW - max([0.0, *(e._weight_exponent for e in spaces)])) / m - abs(s)
+
+
+def _window_exponent(y, *exponents: float | SpaceSpec | SubspaceSpec) -> int:
+    """0 where the largest |entry| of y is 0, not finite (left to the
+    caller) or inside the float window (``_window``), else the e that puts
+    y 2^-e at its centre.  Parts of y more than the window below its
+    largest entry count as rounding."""
+    s, width = _window(*exponents)
+    top = float(np.max(np.abs(np.asarray(y, dtype=float)), initial=0.0))
+    if not 0.0 < top < math.inf or abs(math.log2(top) - s) <= width:
+        return 0
+    return math.frexp(top)[1] - s
+
+
+def _homogeneous(degree: int, data: Callable) -> Callable:
+    """Make ``body``, positively homogeneous of ``degree`` in its data, a
+    public entry point with the package's float-range rule.  data(*args,
+    **kwargs) gives the data's entries, the exponents the call raises them
+    to, and the arguments with the data scaled by 2^-e as a function of e.
+    Data inside the window goes to the body as it is, data outside it once
+    scaled, with the result taken back: a float times 2^(degree e), a
+    norming functional (degree 0) as it is, an estimate by its ``_scaled``."""
+
+    def entry_point(body: Callable) -> Callable:
+        @functools.wraps(body)
+        def entry(*args, **kwargs):
+            y, exponents, scaled = data(*args, **kwargs)
+            e = _window_exponent(y, *exponents)
+            if not e:
+                return body(*args, **kwargs)
+            r = body(*scaled(e))
+            if isinstance(r, float):
+                return _ldexp(r, degree * e)
+            return r if isinstance(r, np.ndarray) else r._scaled(e, degree)
+
+        return entry
+
+    return entry_point
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x 2^k, exact, or +-inf above the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+@_homogeneous(1, lambda space, x: (x, (space,), lambda e: (space, np.ldexp(x, -e))))
 def norm(space: SpaceSpec, x) -> float:
     """Weighted ell_r norm of ``x`` in ``space``, by ``_norm_each_row``."""
     return _norm_each_row(space, space.check_point(x))
@@ -166,29 +229,16 @@ def norms_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     return (np.abs(rows) ** space.r @ w) ** (1.0 / space.r)
 
 
-def _norms_rows_rescued(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """``norms_rows`` of a 2-d array, whose matrix-product sums its callers'
-    bits depend on, with each norm that under- or overflowed measured again
-    by ``_roots`` at a power-of-two scale; x ** 1.0 is x, so the others keep
-    their bits."""
-    return _roots(lambda y: norms_rows(space, y), rows, 1.0, _floor(space.r))
-
-
 def _norm_each_row(space: SpaceSpec, rows: np.ndarray) -> float | np.ndarray:
     """The norm of one row (a float) or of each row of a 2-d array: the
     weighted powers summed along the last axis as ``np.sum`` sums one row
-    (unlike ``norms_rows``' products), and their roots by ``_roots``."""
+    (unlike ``norms_rows``' products), and their roots by ``_roots``; 1.0 x
+    is x, so an unweighted space skips the weights."""
     a = np.abs(rows)
     if space.is_sup:
         return _values(np.maximum.reduce(a, axis=-1))
-    return _roots(lambda v: _power_sums(space, v), a, 1.0 / space.r)
-
-
-def _power_sums(space: SpaceSpec, a: np.ndarray) -> np.ndarray:
-    """sum_i w_i a_i^r along the last axis of the |entries| a; 1.0 x is x,
-    so an unweighted space skips the weights."""
     v = a if space.r == 1 else a**space.r
-    return np.add.reduce(v if space.unweighted else space.weight_array * v, axis=-1)
+    return _roots(np.add.reduce(v if space.unweighted else space.weight_array * v, axis=-1), 1.0 / space.r)
 
 
 def _values(v: np.ndarray) -> float | np.ndarray:
@@ -203,45 +253,12 @@ def _pow2_scaled(y: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(y, -e), e
 
 
-@functools.cache
-def _floor(r: float) -> float:
-    """The least ell_r norm whose sum of powers is a normal float."""
-    return sys.float_info.min if math.isinf(r) else sys.float_info.min ** (1.0 / r)
-
-
-def _lost(t: float, item: np.ndarray) -> bool:
-    """Whether a value t below its ``_floor`` (its sum of powers 0.0 or
-    subnormal), inf or nan was lost: t is 0.0 on a non-zero item, or any
-    such value on a finite one."""
-    return item.any() if t == 0.0 else bool(np.isfinite(item).all())
-
-
-def _roots(
-    total: Callable[[np.ndarray], np.ndarray], items: np.ndarray, q: float, floor: float = sys.float_info.min
-) -> float | np.ndarray:
-    """total(items) ** q as ``_values`` returns it, total(items) being the
-    sum of one item or the sums of each item of a stack (rows, matrices).
-    The roots are taken by C's pow value by value: numpy's array power can
-    differ in the last bit.  A sum that under- or overflowed (below
-    ``floor``, inf or nan, and ``_lost``) is taken again on its item scaled
-    by ``_pow2_scaled``, and the root is scaled back by 2^e; every other
-    root keeps its bits, at no numpy call.  Both passes run under one
-    errstate: a lost first pass is taken again, and a root above the float
-    range is inf.  ``floor`` is the least normal float for sums of powers,
-    ``_floor(r)`` for ell_r norms (q = 1.0)."""
-
-    def again(s: float, y: np.ndarray) -> float:
-        if not _lost(s, y):
-            return s**q
-        y, e = _pow2_scaled(y)
-        return float(np.ldexp(float(total(y)) ** q, e))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = total(items)
-        if t.ndim == 0:
-            s = float(t)
-            return s**q if floor <= s < math.inf else again(s, items)
-        return np.array([s**q if floor <= s < math.inf else again(s, items[k]) for k, s in enumerate(t.tolist())])
+def _roots(t: np.ndarray, q: float) -> float | np.ndarray:
+    """t ** q for one sum (a float) or for each sum of a stack, by C's pow
+    value by value: numpy's array power can differ in the last bit."""
+    if t.ndim == 0:
+        return float(t) ** q
+    return np.array([s**q for s in t.tolist()])
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:
@@ -366,11 +383,9 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec):
     norm takes ||L_i||^2 + ||H_j||^2 + 2 L_i . H_j from one matrix product,
     any other norm broadcast adds; both run over blocks of rows of L, so
     memory stays bounded.  The winning signed sum's norm is recomputed.  A
-    maximum that under- or overflowed (``_lost``, or a nan block) is
-    enumerated again on M scaled by an exact power of two, as
-    ``norm`` measures again.  A 2-d M is a stack of one, and each matrix of
-    a stack gets the products, blocks and retry it would get alone, so its
-    bits: every product runs matrix by matrix (``np.matmul`` over the stack).
+    2-d M is a stack of one, and each matrix of a stack gets the products
+    and blocks it would get alone, so its bits: every product runs matrix
+    by matrix (``np.matmul`` over the stack).
 
     When every matrix of the stack has at most one nonzero per column
     (rows of disjoint supports, as in coordinate families), each entry of
@@ -378,16 +393,15 @@ def _max_signed_sum(M: np.ndarray, space: SpaceSpec):
     and the enumeration's winner is pattern 0, the all-plus sum.  That sum
     is then taken directly, and measured on a (K, 1, dim) stack by the
     same ``norms_rows`` call as the enumeration's winners (a 2-d call can
-    differ from it in the last bit, by row position), with the same
-    retry.  Rows are checked only where a matrix's enumeration reaches
-    ``_DISJOINT_CHECK`` entries.
+    differ from it in the last bit, by row position).  Rows are checked
+    only where a matrix's enumeration reaches ``_DISJOINT_CHECK`` entries.
     """
     stack = M if M.ndim == 3 else M[None]
     n, dim = stack.shape[1:]
     run = _enumerate_signed_sums
     if dim << (n - 1) >= _DISJOINT_CHECK and np.count_nonzero(stack, axis=1).max() <= 1:
         run = _all_plus_sums
-    top, z = _rescaled(run, stack, space)
+    top, z = run(stack, space)
     return (top, z) if M.ndim == 3 else (float(top[0]), z[0])
 
 
@@ -397,29 +411,11 @@ def _all_plus_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndar
     return norms_rows(space, z)[:, 0], z[:, 0]
 
 
-def _rescaled(run: Callable, stack: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
-    """run(stack, space), the maxima and sums of a stack of matrices, with
-    each maximum that under- or overflowed (below ``_floor``, or inf or
-    nan, and ``_lost``) taken again on its matrix scaled by ``_pow2_scaled``.
-    Both passes run under one errstate: a lost first pass is taken again,
-    and a maximum above the float range is inf."""
-    floor = _floor(space.r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        top, z = run(stack, space)
-        for k, t in enumerate(top.tolist()):
-            if not floor <= t < math.inf and _lost(t, stack[k]):
-                y, e = _pow2_scaled(stack[k : k + 1])
-                t, y = run(y, space)
-                top[k], z[k] = np.ldexp(t[0], e), np.ldexp(y[0], e)
-    return top, z
-
-
 def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """The maxima and winning signed sums of ``_max_signed_sum`` for a stack
-    M of matrices at their own scale; nan for a matrix one of whose blocks
-    has a nan maximum, which finite rows give only by overflow (inf - inf).
-    A Euclidean stack that fits one block, as the polish's small stacks do,
-    is measured inline; L * w is L on an unweighted space, since 1.0 x is x."""
+    M of matrices.  A Euclidean stack that fits one block, as the polish's
+    small stacks do, is measured inline; L * w is L on an unweighted space,
+    since 1.0 x is x."""
     K, n, dim = M.shape
     b, sb, sh, pattern, rows, branch = _signed_sum_plan(n, space)
     L = M[:, :1] + sb @ M[:, 1 : 1 + b]
@@ -430,24 +426,20 @@ def _enumerate_signed_sums(M: np.ndarray, space: SpaceSpec) -> tuple[np.ndarray,
     if branch == "euclid" and K <= kb and rows == L.shape[1]:
         vals = 2.0 * (L if space.unweighted else L * w) @ H.transpose(0, 2, 1)
         vals = (vals + ((L * L) @ w)[:, :, None] + ((H * H) @ w)[:, None]).reshape(K, -1)
-        at, best = vals.argmax(axis=1), np.maximum.reduce(vals, axis=1)  # a nan block's maximum is nan
+        at = vals.argmax(axis=1)
     else:
-        at, best = _block_maxima(L, H, space, branch, rows, kb)
+        at = _block_maxima(L, H, space, branch, rows, kb)
     z = pattern(at)[:, None] @ M
-    top = norms_rows(space, z)[:, 0]
-    bad = [k for k, v in enumerate(best.tolist()) if v != v]
-    if bad:
-        top[bad], z[bad] = math.nan, math.nan
-    return top, z[:, 0]
+    return norms_rows(space, z)[:, 0], z[:, 0]
 
 
 def _block_maxima(
     L: np.ndarray, H: np.ndarray, space: SpaceSpec, branch: str, rows: int, kb: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The places and values of the largest norms (squared norms on the
-    Euclidean branch) of L_i + H_j for each matrix of the stacks L and H of
-    ``_enumerate_signed_sums``.  A block holds the same ``rows`` rows of L
-    of ``kb`` matrices."""
+) -> np.ndarray:
+    """The places of the largest norms (squared norms on the Euclidean
+    branch) of L_i + H_j for each matrix of the stacks L and H of
+    ``_enumerate_signed_sums``; the first of equal maxima wins.  A block
+    holds the same ``rows`` rows of L of ``kb`` matrices."""
     K, nL, dim = L.shape
     nH = H.shape[1]
     w = space.weight_array
@@ -472,19 +464,18 @@ def _block_maxima(
         return vals.reshape(len(vals), -1)
 
     if K <= kb and nL == rows:  # one block
-        vals = values(L, slice(None))
-        return vals.argmax(axis=1), np.maximum.reduce(vals, axis=1)  # a nan block's maximum is nan
+        return values(L, slice(None)).argmax(axis=1)
     best, at = np.empty(K), np.empty(K, dtype=np.int64)
     for k0 in range(0, K, kb):
         ks = slice(k0, k0 + kb)
         for start in range(0, nL, rows):
             vals = values(L[ks, start : start + rows], ks)
             k, top = vals.argmax(axis=1) + start * nH, np.maximum.reduce(vals, axis=1)
-            if start:  # a nan stays; a later block wins only by a larger maximum
-                later = (top > best[ks]) | (top != top)
+            if start:  # a later block wins only by a larger maximum
+                later = top > best[ks]
                 top, k = np.where(later, top, best[ks]), np.where(later, k, at[ks])
             best[ks], at[ks] = top, k
-    return at, best
+    return at
 
 
 def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:
@@ -501,20 +492,19 @@ def sample_sphere(space: SpaceSpec, count: int, seed: int) -> list[np.ndarray]:
     return out
 
 
+@_homogeneous(0, lambda space, x: (x, (space,), lambda e: (space, np.ldexp(x, -e))))
 def norming_functional(space: SpaceSpec, x) -> np.ndarray:
     """A functional f in the dual unit sphere with <f, x> = ||x||.
 
     Closed form for every weighted ell_r space.  For x = 0 returns an
-    arbitrary unit functional.  f does not depend on the scale of x, so
-    where a power of ||x|| leaves the normal floats, or one of an entry
-    overflows, the powers are taken again on x scaled by ``_pow2_scaled``.
+    arbitrary unit functional.  f does not depend on the scale of x.
     """
     v = space.check_point(x)
-    n = norm(space, v)
+    n = _norm_each_row(space, v)
     if n <= 0.0:
         f = np.zeros(space.dim)
         f[0] = 1.0
-        return f / norm(dual_space(space), f)
+        return f / _norm_each_row(space.dual, f)
     if space.r == 1:
         # subgradient of the weighted ell_1 norm; sup-norm 1 in the dual
         return np.sign(v) + (v == 0.0)
@@ -524,12 +514,7 @@ def norming_functional(space: SpaceSpec, x) -> np.ndarray:
         f[i] = math.copysign(1.0, v[i]) / space.weights[i]
         return f
     q = space.r - 1.0
-    with np.errstate(over="ignore"):  # a power above the float range is inf, and taken again
-        d, a = np.float64(n) ** q, np.abs(v) ** q
-        if not (sys.float_info.min <= d < math.inf and np.isfinite(a).all()):
-            v = _pow2_scaled(v)[0]
-            d, a = np.float64(norm(space, v)) ** q, np.abs(v) ** q
-    return np.sign(v) * a / d
+    return np.sign(v) * np.abs(v) ** q / np.float64(n) ** q
 
 
 def norming_vector(space: SpaceSpec, g) -> np.ndarray:
@@ -538,16 +523,6 @@ def norming_vector(space: SpaceSpec, g) -> np.ndarray:
     row functional over the ball): the norming functional of g / w, the
     form in pairing coordinates, on the dual space."""
     return norming_functional(space.dual, np.asarray(g, dtype=float) / space.weight_array)
-
-
-def functional_norm(space: SpaceSpec, row) -> float:
-    """Norm of the *plain* linear form x -> sum_i row_i x_i on ``space``.
-
-    The raw coefficients are converted to pairing coordinates (divide by
-    the weights) and measured in the dual space.
-    """
-    row = np.asarray(row, dtype=float)
-    return norm(dual_space(space), row / space.weight_array)
 
 
 def space_to_json(space: SpaceSpec) -> dict:
@@ -577,7 +552,8 @@ def space_from_json(obj: dict) -> SpaceSpec:
 @dataclass(frozen=True)
 class SubspaceSpec:
     """A subspace F of an ambient space, with a complement completing a
-    basis of the ambient space (combined rank checked at 1e-10)."""
+    basis of the ambient space (combined rank checked at 1e-10 of the
+    largest singular value, so at any scale)."""
 
     ambient: SpaceSpec
     basis: tuple[tuple[float, ...], ...]
@@ -598,8 +574,23 @@ class SubspaceSpec:
             )
         full = np.vstack([B, C]) if C.size else B
         sv = np.linalg.svd(full, compute_uv=False)
-        if sv[-1] <= 1e-10 * max(1.0, sv[0]):
+        if sv[-1] <= 1e-10 * sv[0]:
             raise ValueError("combined basis is rank deficient (tolerance 1e-10)")
+
+    @functools.cached_property
+    def _scale(self) -> int:  # the exponent of the largest |entry| of basis and complement
+        return math.frexp(float(np.max(np.abs(np.vstack([self.basis_matrix, self.complement_matrix])))))[1]
+
+    @functools.cached_property
+    def _unit(self) -> tuple[SubspaceSpec, int]:
+        """(this subspace, 0) where its ``_scale`` s is in the float window of
+        its ambient, else (the one spanned by its basis and complement times
+        2^-s, s), whose forms are 2^-s times those on this one."""
+        s = self._scale
+        if abs(s) <= _window(self.ambient)[1]:
+            return self, 0
+        B, C = np.ldexp(self.basis_matrix, -s), np.ldexp(self.complement_matrix, -s)
+        return SubspaceSpec.from_arrays(self.ambient, B, C), s
 
     @staticmethod
     def from_arrays(ambient: SpaceSpec, basis, complement_basis) -> "SubspaceSpec":
@@ -646,7 +637,7 @@ class SubspaceSpec:
         return Y @ (self.basis_matrix * self.ambient.weight_array).T
 
     def ambient_norm(self, coords: np.ndarray) -> float:
-        return norm(self.ambient, self.embed(coords))
+        return _norm_each_row(self.ambient, self.embed(coords))
 
     @functools.cached_property
     def _model(self) -> tuple[SpaceSpec, np.ndarray] | None:

@@ -50,10 +50,12 @@ from .spaces import (
     _FAMILY_CAP,
     SpaceSpec,
     SubspaceSpec,
+    _homogeneous,
+    _ldexp,
     _norm_each_row,
-    _norms_rows_rescued,
     _readonly,
     _values,
+    _window_exponent,
     dual_space,
     norms_rows,
 )
@@ -84,8 +86,8 @@ def hadamard(m: int) -> np.ndarray:
 def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
     """(sum |v|^p)^(1/p), with the max convention at p = infinity, along
     the last axis: a float for one vector, an array for a stack of them.
-    At finite p > 1 it is the norm of ell_p^N by ``spaces._norm_each_row``,
-    retry included.  An empty vector combines to 0.0."""
+    At finite p > 1 it is the norm of ell_p^N by ``spaces._norm_each_row``.
+    An empty vector combines to 0.0."""
     values = np.asarray(values, dtype=float)
     if math.isinf(p):  # the ufunc reductions of np.max and np.sum, with less dispatch
         return _values(np.maximum.reduce(np.abs(values), axis=-1, initial=0.0))
@@ -96,7 +98,7 @@ def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
 
 def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
     """Triangle-inequality bound: combine the dual norms of the members."""
-    return lp_combine(_norms_rows_rescued(space.dual, Y), p)
+    return lp_combine(norms_rows(space.dual, Y), p)
 
 
 def _weak(
@@ -134,6 +136,9 @@ def _weak(
     return upper(Y), exact, None if E.is_sup or E.r == 1 else upper
 
 
+@_homogeneous(
+    1, lambda family, space, p, cfg=None: (family, (space, p), lambda e: (np.ldexp(family, -e), space, p, cfg))
+)
 def weak_p_norm(
     family,
     space: SpaceSpec,
@@ -156,9 +161,6 @@ def weak_p_norm(
     Otherwise ``operator_norm`` of that map: the lower bound of its ascent
     from structured starts plus its row-norm upper bound, which is the
     triangle inequality (both certified; the gap is reported, not hidden).
-    Both take a value whose sum of powers under- or overflowed (0.0 or
-    subnormal, inf or nan) again at a power-of-two scale, so tiny and huge
-    families need no scaling here.
     """
     Y = np.atleast_2d(np.asarray(family, dtype=float))
     if Y.shape[1] != space.dim:
@@ -195,10 +197,13 @@ def witness_search(
     (K, N, dim) of families to their K values, each with the bits it has
     alone.  Every distinct seed (by shape and float bytes; a repeat cannot
     beat its first value) is normalized by a certified upper bound on its
-    weak-p norm, and the best of them, at most 128 entries, is polished by
-    Powell when ``_weak`` hands over that bound as a function of a
-    stack; the polish evaluates its line searches in lockstep.  So the best
-    value is always a true lower bound for sup { objective : weak-p <= 1 }.
+    weak-p norm; since the ratio of the two is of degree 0, a seed outside
+    the float window of ``spaces._window_exponent`` is first scaled into
+    it, and a section on a basis outside it is taken by
+    ``SubspaceSpec._unit``.  The best of them, at most 128 entries, is
+    polished by Powell when ``_weak`` hands over that bound as a function
+    of a stack; the polish evaluates its line searches in lockstep.  So the
+    best value is always a true lower bound for sup { objective : weak-p <= 1 }.
     ``cfg`` is accepted for a uniform signature; nothing here is random.
 
     Returns (value, witness, tight) where ``tight`` records whether the
@@ -209,6 +214,7 @@ def witness_search(
     best_tight = True
     best_bound = None
     seen: set[tuple[tuple[int, ...], bytes]] = set()
+    ball, s = ball._unit
 
     def consider(Y: np.ndarray) -> None:
         nonlocal best_val, best_fam, best_tight, best_bound
@@ -217,6 +223,7 @@ def witness_search(
         if Y.size == 0 or key in seen or not np.all(np.isfinite(Y)):
             return
         seen.add(key)
+        Y = np.ldexp(Y, -_window_exponent(Y, ball, p))  # the same bytes inside the window
         upper, tight, bound = _weak(ball, Y, p)
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale
@@ -230,17 +237,17 @@ def witness_search(
             best_bound = bound
 
     for Y in seeds:
-        consider(Y)
+        consider(np.ldexp(Y, -s) if s else Y)
 
     if best_bound is not None and best_fam.size <= 128:
-        polished = _polish_family(best_bound, objective, best_fam)
+        polished = _polish_family(best_bound, objective, best_fam, best_val)
         if polished is not None:
             consider(polished)
 
     witness = None
     if best_fam is not None:
-        witness = WitnessFamily(best_fam, p, 1.0, best_val)
-    return best_val, witness, best_tight
+        witness = WitnessFamily(np.ldexp(best_fam, s), p, 1.0, _ldexp(best_val, s))
+    return _ldexp(best_val, s), witness, best_tight
 
 
 _POLISH_ITER = 400  # Powell evaluations per 8 family entries (at most 3000 in all)
@@ -250,23 +257,28 @@ def _polish_family(
     bound: Callable[[np.ndarray], np.ndarray],
     objective: Callable[[np.ndarray], float],
     Y0: np.ndarray,
+    value: float,
 ) -> np.ndarray | None:
     """Derivative-free local improvement of the ratio objective / bound by
     ``powell_rows`` from Y0, on the stack (K, N, dim) of each lockstep
     step's families; ``bound`` is the weak-p bound the oracle handed over
-    with Y0, which takes such stacks."""
+    with Y0, which takes such stacks.  The ratio is taken at the power of
+    two of its value at Y0 (exact), so Powell's absolute floors on value
+    differences (1e-20, 1e-21) do not depend on the scale of the
+    objective's data."""
     N, dim = Y0.shape
     maxfev = min(_POLISH_ITER * max(1, N * dim // 8), 3000)
+    s = math.ldexp(-1.0, -math.frexp(value)[1])
 
     def neg_ratios(X: np.ndarray) -> np.ndarray:
         Ys = X.reshape(len(X), N, dim)
         upper = bound(Ys)
         ok = (upper > 1e-14) & (upper < math.inf)
         if ok.all():
-            return -objective(Ys) / upper
+            return objective(Ys) / upper * s
         out = np.zeros(len(X))
         if ok.any():
-            out[ok] = -objective(Ys[ok]) / upper[ok]
+            out[ok] = objective(Ys[ok]) / upper[ok] * s
         return out
 
     with np.errstate(over="ignore"):  # entered once: a float quotient above the range is inf
@@ -298,28 +310,17 @@ def _pi_seeds(T: LinearMap) -> list[np.ndarray]:
     both (the mixes are what realize sqrt(n)-type values)."""
     A = T.matrix
     dim = T.domain.dim
-    seeds: list[np.ndarray] = []
     eye = np.eye(dim)
-    if dim <= _FAMILY_CAP:
-        seeds.append(eye)
-    else:
-        scores = np.linalg.norm(A, axis=0)  # how much each atom moves under T
-        top = np.argsort(-scores)[:_FAMILY_CAP]
-        seeds.append(eye[np.sort(top)])
-    seeds.append(A.copy())
-    seeds.append(A / T.domain.weight_array)
+    if dim > _FAMILY_CAP:  # the atoms T moves most
+        eye = eye[np.sort(np.argsort(-np.linalg.norm(A, axis=0))[:_FAMILY_CAP])]
+    seeds = [eye, A.copy(), A / T.domain.weight_array]
     for m in (2, 4, 8, 16):
         H = hadamard(m)
         if m <= dim:
-            fam = np.zeros((m, dim))
-            fam[:, :m] = H
-            seeds.append(fam)
+            seeds.append(np.hstack([H, np.zeros((m, dim - m))]))
         if m <= A.shape[0]:
-            seeds.append(H @ A[:m])
-            seeds.append(H @ (A[:m] / T.domain.weight_array))
-    for row in A[: min(8, A.shape[0])]:
-        seeds.append(row[None, :])
-    return seeds
+            seeds += [H @ A[:m], H @ (A[:m] / T.domain.weight_array)]
+    return seeds + [row[None, :] for row in A[:8]]
 
 
 def _pi_lower(T: LinearMap, p: float, q: float, method: tuple[str, ...]) -> NormEstimate:
@@ -330,6 +331,16 @@ def _pi_lower(T: LinearMap, p: float, q: float, method: tuple[str, ...]) -> Norm
     return NormEstimate(val, math.inf, True, False, method=method, witness=witness)
 
 
+def _summing_data(T: LinearMap, exponent: float, cfg: OptimizerConfig | None):
+    """The data of a summing norm of T at exponent p or q for
+    ``spaces._homogeneous``: T's matrix, its domain and codomain, and
+    twice the r of its codomain and the exponent, since seeds built from T
+    (``_pi_seeds``) make the strong sums of degree 2 in it."""
+    exponents = (T.domain, T.codomain, 2.0 * T.codomain.r, 2.0 * exponent)
+    return T.matrix, exponents, lambda e: (T._ldexp(-e), exponent, cfg)
+
+
+@_homogeneous(1, lambda T, p, cfg=None: _summing_data(T, p, cfg))
 def pi_p_lower(T: LinearMap, p: float, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """Certified lower bound on the p-summing norm of ``T``.
 
@@ -354,6 +365,7 @@ def pi_1_exact_Linfty_domain(T: LinearMap) -> float:
     return float(np.sum(np.abs(T.matrix)))
 
 
+@_homogeneous(1, lambda T, q, cfg=None: _summing_data(T, q, cfg))
 def pi_q1_lower(T: LinearMap, q: float, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """Certified lower bound on the (q,1)-summing norm: strong q-sums over
     weakly-1 bounded families."""

@@ -195,19 +195,21 @@ def _subspace(r, aligned):
     return SubspaceSpec.from_arrays(E, _X[:3], [[0.0, 0.0, 0.0, 1.0]])
 
 
-def _polished_search(case):
+def _polished_search(case, k=0):
     """Over the dual ball of ell_r^4 for a float case; over B_F for a case
     of _F_BALLS, with the embedding gap's objective on four generators of
-    F (rows of coordinates) and three-member families of forms on F."""
+    F (rows of coordinates) and three-member families of forms on F; the
+    objective times 2^k."""
+    scaled = lambda objective: objective if k == 0 else (lambda G: np.ldexp(objective(G), k))
     if case in _F_BALLS:
         r, aligned, p, _ = _F_BALLS[case]
         coords = np.array([[1.0, 0.5, -0.25], [0.5, -1.0, 1.5], [-0.75, 1.0, 0.5], [2.0, 0.25, -1.0]])
         objective = lambda G: lp_combine(eval_pairings(_EXPR, G @ coords.T), p)
-        return witness_search(_subspace(r, aligned), p, objective, [np.eye(3), coords[:3]], OptimizerConfig())
+        return witness_search(_subspace(r, aligned), p, scaled(objective), [np.eye(3), coords[:3]], OptimizerConfig())
     E = SpaceSpec(case, 4, (0.7, 1.3, 0.9, 1.1) if case == 2 else ())
     b = GeneratorBinding.from_matrix(E, _X)
     seeds = [np.eye(4), _X[:3] * E.weight_array]
-    return witness_search(E.dual, 1.0, _fbl_objective(_EXPR, b, 1.0), seeds, OptimizerConfig())
+    return witness_search(E.dual, 1.0, scaled(_fbl_objective(_EXPR, b, 1.0)), seeds, OptimizerConfig())
 
 
 @pytest.mark.parametrize("case", list(_POLISHED))
@@ -224,6 +226,29 @@ def test_polished_witness_search_keeps_its_bytes(case, monkeypatch):
     assert (val.hex(), nfev[0]) == _POLISHED[case] and len(nfev) == 1
     assert tight == (case not in _F_BALLS or _F_BALLS[case][3] is not None)
     assert witness.objective == val
+
+
+@pytest.mark.parametrize("k", [-80, 80])
+@pytest.mark.parametrize("case", [2.0, "B_F-generic-ell_2-p=1"])
+def test_polish_works_at_the_power_of_two_of_its_value(case, k):
+    """The polish takes the ratio at the power of two of its starting
+    value, so Powell's absolute floors on value differences (1e-20, 1e-21)
+    act the same on a small-valued objective (2^-80 times, values near
+    1e-23) as on a unit one: the value and evaluation count keep the bits
+    pinned above, 2^k times, and the witness family is the same."""
+    nfev = []
+
+    def counted(*args):
+        x, fun, n = powell_rows(*args)
+        nfev.append(n)
+        return x, fun, n
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fblab.summing, "powell_rows", counted)
+        val, witness, _ = _polished_search(case, k)
+    unit_hex, unit_nfev = _POLISHED[case]
+    assert (val, nfev) == (math.ldexp(float.fromhex(unit_hex), k), [unit_nfev])
+    assert np.array_equal(witness.matrix, _polished_search(case)[1].matrix)
 
 
 @pytest.mark.parametrize("case", list(_F_BALLS))

@@ -31,7 +31,6 @@ from fblab import (
     expr_to_text,
     fbl_norm,
     hom_image,
-    homogeneity_check,
     lipschitz_bound,
     mass_bound,
     norm,
@@ -76,9 +75,15 @@ def test_operator_overloads_match_nodes():
 
 
 def test_homogeneity():
+    """eval(lam f) = lam eval(f) up to rounding for lam in [1e-3, 1e6] at
+    200 functionals of the dual sphere, and e(0) = 0."""
     b = _binding(seed=5)
     e = Join(Abs(Gen(0)), Gen(1) + Gen(2)) + PowerSum(3.0, (Gen(0), Gen(1)))
-    assert homogeneity_check(e, b, samples=200, seed=9) <= 1e-9
+    fs = np.array(sample_sphere(dual_space(b.space), 200, 9))
+    lams = 10.0 ** np.random.default_rng(9).uniform(-3, 6, 200)
+    base, scaled = eval_rows(e, b, fs), eval_rows(e, b, fs * lams[:, None])
+    assert np.all(np.abs(scaled - lams * base) <= 1e-9 * np.maximum(1.0, np.abs(lams * base)))
+    assert eval_expr(e, b, np.zeros(b.space.dim)) == 0.0
 
 
 def test_pushforward_adjoint_contract():

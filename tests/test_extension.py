@@ -23,22 +23,40 @@ from fblab import (
     embedding_gap,
     extension,
     extension_constant,
+    fbl_infty_norm,
     fbl_norm,
+    moduli_norm,
     norm,
+    norming_functional,
     operator_norm,
     pairing,
+    pi_p_lower,
+    pi_q1_lower,
     run_experiment,
     spaces,
     subspace_from_json,
     subspace_to_json,
     weak_p_norm,
+    witness_search,
 )
 from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
 from fblab.exprs import max_generator_index
 from fblab.operators import _exact_plan, _fstar_norm_upper, _max_linear_over_BF, _norm_upper, _operator_norm_over_F
+from fblab import summing
 from fblab.summing import _weak, lp_combine
 
 CFG = OptimizerConfig(restarts=8)
+
+
+@pytest.mark.parametrize("k", [-40, -300])
+def test_subspace_rank_check_is_relative(k):
+    """The orthonormal basis of ell_2^3 scaled by 2^-40 was once "rank
+    deficient", while the same basis at 2^-20 passed: the tolerance was
+    absolute below 1.  A nearly dependent basis is refused at any scale."""
+    E, eye = SpaceSpec(2.0, 3), np.eye(3)
+    assert SubspaceSpec.from_arrays(E, np.ldexp(eye[:2], k), np.ldexp(eye[2:], k)).dim == 2
+    with pytest.raises(ValueError, match="rank deficient"):
+        SubspaceSpec.from_arrays(E, np.ldexp([[1.0, 0.0, 0.0], [1.0, 1e-12, 0.0]], k), np.ldexp(eye[2:], k))
 
 
 def _coordinate_sub(ambient, k):
@@ -383,28 +401,40 @@ def test_linear_program_above_the_vertex_cap(monkeypatch):
             assert tiny == pytest.approx(1e-9 * exact, rel=1e-9)
 
 
+def _sum_objective(G):
+    """A degree-1 objective of a family of forms (or of each of a stack):
+    the largest absolute row sum."""
+    return lp_combine(lp_combine(G, 1.0), math.inf)
+
+
 def test_ell2_closed_form_at_extreme_scales():
-    """Over an ell_2 ambient, forms near 1e200 and 1e-200 get 2^k times the
-    value at unit scale and the same maximizer, bit for bit: v . G^-1 v
-    would overflow or underflow at their own scale."""
+    """Over an ell_2 ambient, the weak-inf bound of forms on a generic F is
+    the closed form sqrt(v . G^-1 v), which would overflow or underflow at
+    1e200 and 1e-200; the witness search scales such a seed into the float
+    window first, and reads the unit value and witness bit for bit."""
     rng = np.random.default_rng(13)
     for n, k in ((3, 2), (5, 3)):
         full = rng.standard_normal((n, n))
         sub = SubspaceSpec.from_arrays(SpaceSpec(2.0, n, tuple(rng.uniform(0.5, 2.0, n))), full[:k], full[k:])
         v = rng.standard_normal(k)
         val, c = _max_linear_over_BF(sub, v)
+        unit, witness, tight = witness_search(sub, math.inf, _sum_objective, [v])
+        assert tight and unit > 0.0
         for e in (664, -664):
-            big_val, big_c = _max_linear_over_BF(sub, np.ldexp(v, e))
-            assert big_val == math.ldexp(val, e) and big_c.tobytes() == c.tobytes()
+            big, big_witness, big_tight = witness_search(sub, math.inf, _sum_objective, [np.ldexp(v, e)])
+            assert (big, big_tight) == (unit, tight)
+            assert big_witness.matrix.tobytes() == witness.matrix.tobytes()
 
 
 @pytest.mark.parametrize("r", [math.inf, 1.0])
 def test_linear_program_at_extreme_scales(r):
     """Over ell_inf^40 and ell_1^40, where B_F of a generic 6-dimensional F
-    has no vertex set, the linear program sees the form at unit length
-    whatever its scale: at 2^600 and 2^-600 the value and the maximizer
-    of the unit form, bit for bit, and at 1e200, 1e160 and 1e-200 the
-    value scaled.  The length of such a form overflows or underflows."""
+    has no vertex set, the weak-inf bound of a form is one linear program,
+    which sees the form at unit length.  The witness search scales a seed
+    outside the float window into it first: at 2^600 and 2^-600 times the
+    form it reads the unit value and witness bit for bit, and at 1e200,
+    1e160 and 1e-200 the unit value.  The length of such a form overflows
+    or underflows."""
     rng = np.random.default_rng(0)
     full = rng.standard_normal((40, 40))
     sub = SubspaceSpec.from_arrays(SpaceSpec(r, 40), full[:6], full[6:])
@@ -412,13 +442,13 @@ def test_linear_program_at_extreme_scales(r):
     v = rng.standard_normal(6)
     val, c = _max_linear_over_BF(sub, v)
     assert val > 0.0 and val == pytest.approx(_linprog_max(sub, v), rel=1e-9)
+    unit, witness, tight = witness_search(sub, math.inf, _sum_objective, [v])
+    assert tight and unit == _sum_objective(v[None]) / val
     for e in (600, -600):
-        big_val, big_c = _max_linear_over_BF(sub, np.ldexp(v, e))
-        assert big_val == math.ldexp(val, e) and big_c.tobytes() == c.tobytes()
-        assert _fstar_norm_upper(sub, np.ldexp(v, e)) == math.ldexp(val, e)
+        big, big_witness, _ = witness_search(sub, math.inf, _sum_objective, [np.ldexp(v, e)])
+        assert big == unit and big_witness.matrix.tobytes() == witness.matrix.tobytes()
     for scale in (1e200, 1e160, 1e-200):
-        assert _max_linear_over_BF(sub, scale * v)[0] == pytest.approx(scale * val, rel=1e-9)
-        assert _fstar_norm_upper(sub, scale * v) == pytest.approx(scale * val, rel=1e-9)
+        assert witness_search(sub, math.inf, _sum_objective, [scale * v])[0] == pytest.approx(unit, rel=1e-9)
 
 
 @pytest.mark.parametrize("r", [math.inf, 1.0])
@@ -781,12 +811,27 @@ _SCALE_SECTIONS = {
         SpaceSpec(3.0, 3, (0.5, 1.0, 2.0)), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]]
     ),
 }
+
+
+def _scaled_section(sub, t):
+    """The same section spanned by its basis and complement times 2^t."""
+    return SubspaceSpec.from_arrays(sub.ambient, np.ldexp(sub.basis_matrix, t), np.ldexp(sub.complement_matrix, t))
+
+
+# two of them on bases at 2^-300, still inside the float window of their
+# ambients: forms on them are about 2^-300 times the functionals they
+# restrict, and the model weights of the axis-aligned one about 2^-900; its
+# weak-p bound once read unit forms as 2^600 and overflowed
+_SCALE_SECTIONS.update(
+    {f"{name} at 2^-300": _scaled_section(_SCALE_SECTIONS[name], -300) for name in ("ell_1^4", "axis ell_3^3")}
+)
 _SCALE_Y = np.array([[1.0, 0.5, -0.2], [0.3, 1.0, 0.4], [-0.3, 0.4, 0.8]])
 
 
-def _weak_over_F_reading(sub, p, k):
-    value, exact, _ = _weak(sub, np.ldexp(_SCALE_Y[:, : sub.dim], k), p)
-    return 1, [value, value], exact
+def _witness_over_F_reading(sub, p, k):
+    # the value of a seed is of degree 0 in its scale
+    value, _, tight = witness_search(sub, p, _sum_objective, [np.ldexp(_SCALE_Y[:, : sub.dim], k)])
+    return 0, [value], tight
 
 
 def _weak_p_reading(E, p, k):
@@ -799,10 +844,25 @@ def _operator_reading(E, C, k):
     return 1, [est.lower, est.upper], est.method
 
 
+# the map of the summing-norm cases, from ell_2^3 into ell_2^2
+_SUMMING_MAP = np.array([[1.0, -2.0, 0.5], [0.5, 1.0, 0.3]])
+
+
+def _summing_reading(pi, k):
+    est = pi(LinearMap(np.ldexp(_SUMMING_MAP, k), SpaceSpec(2.0, 3), SpaceSpec(2.0, 2)), 2.0)
+    assert est.witness.objective == est.lower
+    return 1, [est.lower], est.method
+
+
 def _extension_reading(sub, p, k):
     A = np.ldexp(_SCALE_Y[:2, : sub.dim], k)
     est = extension_constant(sub, LinearMap(A, SpaceSpec(2.0, sub.dim), SpaceSpec(p, 2)), p, CFG)
-    return 0, [est.lower, est.upper], est.method
+    w = est.witness
+    if w is None:  # p = inf: exactly 1, no extension built
+        return 0, [est.lower, est.upper], est.method
+    # the extension and the norm of T on F it is divided by are of degree 1
+    values = [est.lower, est.upper, w.objective, w.constraint, *np.abs(w.matrix.ravel())]
+    return [0, 0, 0, *[1] * (len(values) - 3)], values, est.method
 
 
 def _fbl_reading(E, X, e, k):
@@ -810,12 +870,36 @@ def _fbl_reading(E, X, e, k):
     return 1, [est.lower, est.upper], est.method
 
 
+def _fbl_infty_reading(E, X, e, k):
+    est = fbl_infty_norm(e, GeneratorBinding(E, np.ldexp(X, k)), CFG)
+    assert est.witness.objective == est.lower
+    return 1, [est.lower, est.upper], est.method
+
+
+def _moduli_reading(E, X, p, k):
+    est = moduli_norm(E, np.ldexp(X, k), [1.0, 0.5], p, CFG)
+    return 1, [est.lower, est.upper], est.method
+
+
+def _gap_reading(name, k):
+    sub = _SCALE_SECTIONS[name]
+    b = GeneratorBinding(sub.ambient, np.ldexp(_SCALE_Y[:2, : sub.dim] @ sub.basis_matrix, k))
+    gap = embedding_gap(sub, Abs(Gen(0)) + Join(Gen(0), Gen(1)), b, 1.0, CFG)
+    values = [gap.subspace_lower, gap.ambient.lower, gap.ambient.upper, gap.ratio]
+    return [1, 1, 1, 0], values, gap.ambient.method
+
+
+def _norming_reading(E, k):
+    return 0, np.abs(norming_functional(E, np.ldexp(_SCALE_Y[0, : E.dim], k))).tolist(), None
+
+
 # (id, reading, its arguments, relative tolerance of the scaled reading):
 # the free-lattice norm's seeds and search work at a power-of-two scale
-# throughout, so its bounds scale bit for bit
+# throughout, so its bounds scale bit for bit.  The weak_F cases read the
+# weak-p bound over B_F as the witness search's value of one seed.
 _SCALE_CASES = (
     [
-        (f"weak_F {name} p={p}", _weak_over_F_reading, (sub, p), 1e-12)
+        (f"weak_F {name} p={p}", _witness_over_F_reading, (sub, p), 1e-12)
         for name, sub in _SCALE_SECTIONS.items()
         for p in (1.0, 2.0, math.inf)
     ]
@@ -844,6 +928,7 @@ _SCALE_CASES = (
             (SpaceSpec(1.5, 2, (0.5, 2.0)), SpaceSpec(3.0, 2)),  # heuristic
         ]
     ]
+    + [(f"{pi.__name__} ell_2^3 -> ell_2^2", _summing_reading, (pi,), 1e-12) for pi in (pi_p_lower, pi_q1_lower)]
     + [
         (f"extension_constant {name} p={p}", _extension_reading, (_SCALE_SECTIONS[name], p), 1e-12)
         for name in ("ell_1^4", "ell_inf^4")
@@ -862,25 +947,123 @@ _SCALE_CASES = (
             ),
         ]
     ]
+    + [
+        (f"fbl_infty_norm {name}", _fbl_infty_reading, (E, np.array(X), e), 1e-12)
+        for name, E, X, e in [
+            # a moduli combination: the signed-sum enumeration and its norming functional
+            ("ell_1.5^3 moduli", SpaceSpec(1.5, 3), [[1.0, 0.5, -0.2], [0.3, 1.0, 0.4]], Abs(Gen(0)) + Abs(Gen(1))),
+            # not convex: the dual-sphere multistart and the Lipschitz grid
+            ("ell_3^2 join", SpaceSpec(3.0, 2), [[1.0, 0.5], [0.3, -1.0]], Join(Gen(0), Abs(Gen(1)) * -0.5)),
+        ]
+    ]
+    + [
+        (f"moduli_norm ell_3^3 p={p}", _moduli_reading, (SpaceSpec(3.0, 3), _SCALE_Y[:2], p), 1e-12)
+        for p in (1.0, 2.0)
+    ]
+    + [(f"embedding_gap {name}", _gap_reading, (name,), 1e-12) for name in ("ell_1^4", "ell_inf^4")]
+    + [
+        (f"norming_functional ell_{E.r}^{E.dim}", _norming_reading, (E,), 1e-12)
+        for E in (SpaceSpec(3.0, 3), SpaceSpec(1.5, 3, (0.5, 1.0, 2.0)))
+    ]
 )
+_SCALE_IDS = [c[0] for c in _SCALE_CASES]
+_SCALE_ARGS = [c[1:] for c in _SCALE_CASES]
+
+
+def _check_reading(reading, args, rel, k):
+    """The reading at 2^k times the data against the unit reading."""
+    degree, unit, how = reading(*args, 0)
+    _, scaled, scaled_how = reading(*args, k)
+    assert scaled_how == how
+    assert all(0.0 < v < math.inf for v in scaled)
+    assert np.ldexp(scaled, -np.multiply(degree, k)).tolist() == pytest.approx(unit, rel=rel, abs=0.0)
 
 
 # 2^-350, 2^-537 and 2^-700 put the power sums of ell_3, ell_2 and ell_1.5
 # norms among the subnormals, where they keep a few bits but are not zero
 @pytest.mark.parametrize("k", [-830, -700, -600, -537, -350, 600, 830])
-@pytest.mark.parametrize("reading, args, rel", [c[1:] for c in _SCALE_CASES], ids=[c[0] for c in _SCALE_CASES])
+@pytest.mark.parametrize("reading, args, rel", _SCALE_ARGS, ids=_SCALE_IDS)
 def test_norm_oracles_are_homogeneous_under_powers_of_two(reading, args, rel, k):
-    """Every norm oracle over B_E and B_F reads 2^k times its unit value
-    (an extension constant the same value, a free-lattice norm exactly
-    2^k times its bounds) with the same exact flag or method, finite and
-    nonzero, and none warns of a first pass that overflowed.  The B_F
-    vertex path once certified (0.0, exact) at 2^-830 and (inf, exact) at
-    2^830, extension_constant raised "operator vanishes" at 2^-830, the
-    cross-polytope weak-2 norm over ell_1 read 2^-537 (an 11% low value,
-    certified exact) at 2^-537, and the ell_2^3 free-lattice lower bound
-    read 2.56828 2^-600 and 2.57079 2^600 for 2.57099."""
-    degree, unit, how = reading(*args, 0)
-    _, scaled, scaled_how = reading(*args, k)
-    assert scaled_how == how
-    assert all(0.0 < v < math.inf for v in scaled)
-    assert np.ldexp(scaled, -degree * k).tolist() == pytest.approx(unit, rel=rel, abs=0.0)
+    """Every public estimator reads 2^(degree k) times its unit value (a
+    norm 2^k times, an extension constant, a ratio, a seed's value or a
+    norming functional the same, a free-lattice norm exactly 2^k times
+    its bounds) with the same exact flag or method, finite and nonzero,
+    and none warns of an overflow.  The B_F vertex path once certified
+    (0.0, exact) at 2^-830 and (inf, exact) at 2^830, extension_constant
+    raised "operator vanishes" at 2^-830, the cross-polytope weak-2 norm
+    over ell_1 read 2^-537 (an 11% low value, certified exact) at 2^-537,
+    the ell_2^3 free-lattice lower bound read 2.56828 2^-600 and 2.57079
+    2^600 for 2.57099, and the summing norms read 0.0 at 2^-600 and
+    raised ValueError at 2^600."""
+    _check_reading(reading, args, rel, k)
+
+
+def _window_checks(reading, args, k):
+    """(largest |entry|, exponents, exponent returned) of every float-window
+    check the reading makes at 2^k times its data, in order."""
+    checks = []
+    check = spaces._window_exponent
+
+    def recorded(y, *exponents):
+        e = check(y, *exponents)
+        checks.append((float(np.max(np.abs(y))), exponents, e))
+        return e
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "_window_exponent", recorded)
+        mp.setattr(summing, "_window_exponent", recorded)
+        reading(*args, k)
+    return checks
+
+
+@pytest.mark.parametrize("end", ["top", "bottom"])
+@pytest.mark.parametrize("reading, args, rel", _SCALE_ARGS, ids=_SCALE_IDS)
+def test_norm_oracles_just_inside_the_float_window(reading, args, rel, end):
+    """At the scale 2^k just inside either end of the float window of its
+    data (its largest |entry| within 2^(+-(960 - W)/m), m the largest
+    exponent, at least 2, W the weights' largest |log2|; forms on a section
+    about 2^s, s its basis's scale, with W counting s m), an estimator takes
+    the data as it is, and the kernels below it, which take no float range
+    of their own, still read 2^k times the unit value."""
+    top, exponents, _ = _window_checks(reading, args, 0)[0]
+    s, width = spaces._window(*exponents)
+    k = math.floor(s + width - math.log2(top)) if end == "top" else math.ceil(s - width - math.log2(top))
+    assert _window_checks(reading, args, k)[0][2] == 0
+    assert _window_checks(reading, args, k + (1 if end == "top" else -1))[0][2] != 0
+    _check_reading(reading, args, rel, k)
+
+
+@pytest.mark.parametrize("t", [-900, -600, 600, 900])
+@pytest.mark.parametrize("name", ["ell_1^4", "ell_inf^4", "axis ell_3^3"])
+def test_section_on_a_basis_outside_the_float_window(name, t):
+    """A section on a basis 2^t times one of the float window's is measured
+    on that basis scaled to a largest |entry| in [1/2, 1): the witness
+    search reads forms 2^t times as large at 2^t times the value and
+    witness, the extension constant of the same map (T 2^t on its
+    coordinates) reads the same, and so does the embedding gap of the same
+    binding, its F-side witness 2^t times as large.  The relative rank test
+    accepts such bases, whose model weights (w |basis|^r, 2^-1800 at
+    2^-600 over ell_3) and vertex sections once left the floats."""
+    sub = _SCALE_SECTIONS[name]
+    big = _scaled_section(sub, t)
+    s = math.frexp(float(np.max(np.abs(big.complement_matrix), initial=np.max(np.abs(big.basis_matrix)))))[1]
+    unit = _scaled_section(big, -s)  # the same floats as the basis the search takes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Y = _SCALE_Y[:, : sub.dim]
+        for p in (1.0, 2.0, math.inf):
+            value, witness, tight = witness_search(big, p, _sum_objective, [np.ldexp(Y, t)])
+            ref, ref_witness, ref_tight = witness_search(unit, p, _sum_objective, [np.ldexp(Y, t - s)])
+            assert (value, tight) == (math.ldexp(ref, s), ref_tight) and 0.0 < ref < math.inf
+            assert np.array_equal(witness.matrix, np.ldexp(ref_witness.matrix, s))
+        A = _SCALE_Y[:2, : sub.dim]
+        for p in (2.0, math.inf):
+            T = lambda k: LinearMap(np.ldexp(A, k), SpaceSpec(2.0, sub.dim), SpaceSpec(p, 2))
+            est, ref = extension_constant(big, T(t), p, CFG), extension_constant(unit, T(t - s), p, CFG)
+            assert est.to_json() == ref.to_json()
+        b = GeneratorBinding(sub.ambient, A @ sub.basis_matrix)
+        gap = embedding_gap(big, Abs(Gen(0)) + Join(Gen(0), Gen(1)), b, 1.0, CFG)
+        ref = embedding_gap(unit, Abs(Gen(0)) + Join(Gen(0), Gen(1)), b, 1.0, CFG)
+        assert (gap.subspace_lower, gap.ratio) == (ref.subspace_lower, ref.ratio)
+        assert gap.ambient.to_json() == ref.ambient.to_json()
+        assert np.array_equal(gap.subspace_witness.matrix, np.ldexp(ref.subspace_witness.matrix, s))

@@ -28,7 +28,6 @@ from fblab import (
     fbl_norm,
     moduli_norm,
     norm,
-    pconcavification_witness,
     sample_sphere,
     sublattice_generators,
 )
@@ -335,50 +334,3 @@ def test_sublattice_combination_recovers_coefficient_norm():
     expected = norm(E, np.array(alpha))
     assert est.lower >= expected - 1e-9
     assert est.lower <= est.upper + 1e-12
-
-
-def test_pconcavification_euclidean_oracle():
-    """E = ell_2^n, p = 1: the duality value is exactly ||alpha||_2 and
-    the optimal coefficients are alpha normalized."""
-    rng = np.random.default_rng(7)
-    E = SpaceSpec(2.0, 5)
-    alpha = np.abs(rng.standard_normal(5)) + 0.1
-    beta, val = pconcavification_witness(E, alpha, 1.0, CFG)
-    target = float(np.linalg.norm(alpha))
-    assert val == pytest.approx(target, rel=1e-9)
-    assert np.max(np.abs(beta - alpha / target)) <= 1e-6
-
-
-def test_pconcavification_is_lower_bound():
-    rng = np.random.default_rng(8)
-    for r in (1.5, 2.0, 4.0, math.inf):
-        E = SpaceSpec(r, 4, (0.5, 1.0, 1.5, 2.0))
-        alpha = np.abs(rng.standard_normal(4))
-        _, val = pconcavification_witness(E, alpha, 1.0, CFG)
-        assert val == pytest.approx(norm(E, alpha), rel=1e-12)  # the closed form is optimal
-
-
-@pytest.mark.parametrize("s", [1e200, 1e-200, 2.0**830, 2.0**-830, 1e-105, 1e-210])
-@pytest.mark.parametrize(
-    "E, alpha, p",
-    [(SpaceSpec(3.0, 3, (0.5, 1.0, 2.0)), [1.0, 0.5, 0.25], 1.0), (SpaceSpec(1.5, 2), [1.0, 0.5], 1.2)],
-)
-def test_pconcavification_of_tiny_and_huge_alpha(E, alpha, p, s):
-    """The coefficients are of degree 0 in alpha, so they are computed at a
-    power-of-two scale where their powers neither under- nor overflow: the
-    value is ||alpha||_E with a finite beta (it read nan at s = 1e200 and
-    0.0 at 1e-200 over weighted ell_3^3; at 1e-105 and 1e-210 the sums of
-    powers are subnormal, not zero, and kept only a few bits)."""
-    alpha = s * np.array(alpha)
-    beta, val = pconcavification_witness(E, alpha, p, CFG)
-    assert np.isfinite(beta).all()
-    assert val == pytest.approx(norm(E, alpha), rel=1e-12, abs=0.0)
-
-
-def test_pconcavification_validation():
-    with pytest.raises(ValueError):
-        pconcavification_witness(SpaceSpec(2.0, 2), [-1.0, 1.0], 1.0, CFG)
-    with pytest.raises(ValueError):
-        pconcavification_witness(SpaceSpec(1.0, 2), [1.0, 1.0], 2.0, CFG)
-    with pytest.raises(ValueError, match="shape"):
-        pconcavification_witness(SpaceSpec(2.0, 3), [1.0, 1.0], 1.0, CFG)

@@ -5,7 +5,6 @@ replaces."""
 import functools
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -30,11 +29,12 @@ from fblab import (
     run_experiment,
     sample_sphere,
     sublattice_generators,
+    weak_p_norm,
 )
 from fblab import exprs
 from fblab.exprs import _LIPSCHITZ, _MASS, _VALUES, _fold
-from fblab.spaces import _norm_each_row
-from fblab.summing import _weak_crude_upper, lp_combine
+from fblab.spaces import _WINDOW, _norm_each_row
+from fblab.summing import lp_combine
 
 GENS = 6
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
@@ -198,23 +198,30 @@ def test_short_runs_keep_one_add_per_term():
 EXPONENTS = [1.0, 1.25, 1.5, 2.0, 3.0, math.inf]
 
 
-def _written_out_norm(space, row):
-    """(sum_i w_i |x_i|^r)^(1/r) of one row as written out: np.sum of the
-    weighted powers and C's pow for the root; a sum that under- or
-    overflowed (below the least normal float, 0.0 or subnormal, on a
-    non-zero row, inf on a finite one) is taken again
-    on the row times 2^-e, e the exponent of its largest |entry|, and its
-    root is multiplied by 2^e."""
-    a = np.abs(np.asarray(row, dtype=float))
+def _formula(space, a):
+    """(sum_i w_i a_i^r)^(1/r) of the |entries| a of one row as written
+    out: np.sum of the weighted powers and C's pow for the root."""
     if math.isinf(space.r):
         return float(np.max(a))
-    w, r = space.weight_array, space.r
-    with np.errstate(over="ignore"):  # an overflowed sum is taken again
-        total = float(np.sum(w * a**r))
-    if (total < sys.float_info.min and np.any(a)) or (total == math.inf and np.all(np.isfinite(a))):
-        e = math.frexp(float(np.max(a)))[1]
-        return math.ldexp(float(np.sum(w * np.ldexp(a, -e) ** r)) ** (1.0 / r), e)
-    return total ** (1.0 / r)
+    return float(np.sum(space.weight_array * a**space.r)) ** (1.0 / space.r)
+
+
+def _in_window(a, r):
+    """Whether the largest |entry| of a lies in [2^(-L/m), 2^(L/m)] (or is
+    0), L the float window of ``spaces`` and m the larger of r and 2."""
+    top = float(np.max(a))
+    return top == 0.0 or abs(math.log2(top)) * max(2.0, r if r < math.inf else 2.0) <= _WINDOW
+
+
+def _written_out_norm(space, row):
+    """``norm`` of one row as written out: the formula on the row inside
+    the float window of r; outside it, on the row times 2^-e, e the
+    exponent of its largest |entry|, with the root multiplied by 2^e."""
+    a = np.abs(np.asarray(row, dtype=float))
+    if _in_window(a, space.r):
+        return _formula(space, a)
+    e = math.frexp(float(np.max(a)))[1]
+    return math.ldexp(_formula(space, np.ldexp(a, -e)), e)
 
 
 @given(
@@ -226,9 +233,10 @@ def _written_out_norm(space, row):
 )
 @settings(max_examples=200, deadline=None)
 def test_row_norms_have_the_bits_of_norm(r, dim, weighted, scale, seed):
-    """The row-norm kernel on a stack, ``norm`` row by row and, unweighted,
-    ``lp_combine`` of the stack and of each row all have the bits of the
-    written-out formula, retry included."""
+    """``norm`` row by row has the bits of the written-out formula with the
+    float window; on a stack inside the window the row-norm kernel and,
+    unweighted, ``lp_combine`` of the stack and of each row have them too
+    (the kernels take the float range from the entry points)."""
     rng = np.random.default_rng(seed)
     weights = tuple(rng.uniform(0.25, 4.0, dim)) if weighted else ()
     space = SpaceSpec(r, dim, weights)
@@ -237,27 +245,26 @@ def test_row_norms_have_the_bits_of_norm(r, dim, weighted, scale, seed):
     R[4] = -0.0
     R[5, : dim // 2] = -0.0
     want = np.array([_written_out_norm(space, row) for row in R])
-    assert _norm_each_row(space, R).tobytes() == want.tobytes()
     assert np.array([norm(space, row) for row in R]).tobytes() == want.tobytes()
     assert [type(norm(space, row)) for row in R[:2]] == [float, float]
-    if not weighted:
-        assert lp_combine(R, r).tobytes() == want.tobytes()
-        assert np.array([lp_combine(row, r) for row in R]).tobytes() == want.tobytes()
+    if _in_window(np.abs(R), r):
+        assert _norm_each_row(space, R).tobytes() == want.tobytes()
+        if not weighted:
+            assert lp_combine(R, r).tobytes() == want.tobytes()
+            assert np.array([lp_combine(row, r) for row in R]).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("r", [1.25, 1.5, 2.0, 3.0])
-def test_row_norms_near_the_float_limits_are_the_written_out_retry(r):
-    """Rows whose powers under- or overflow are measured at 2^-e and scaled
-    back by 2^e, bit for bit, beside in-range rows that keep theirs; so is
-    a row whose sum of powers is subnormal (about 2^-1060), which is not
-    zero but kept only a few bits."""
+def test_row_norms_near_the_float_limits_are_the_written_out_scaling(r):
+    """Rows outside the float window of r are measured at 2^-e and scaled
+    back by 2^e, bit for bit, and rows inside it keep the formula's bits;
+    so is a row whose sum of powers would be subnormal (about 2^-1060)."""
     space = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
     x = np.array([0.3, -1.0, 0.7])
     sub = x * 2.0 ** (-1060 // r)
     R = np.array([x, x * 1e-200, x * 1e200, x * 1e-320, [1e-320, 0.0, -0.0], x * 1e-150, sub])
     want = np.array([_written_out_norm(space, row) for row in R])
     assert np.all((0.0 < want) & (want < math.inf))
-    assert _norm_each_row(space, R).tobytes() == want.tobytes()
     assert [norm(space, row).hex() for row in R] == [v.hex() for v in want.tolist()]
     assert norm(space, sub) / 2.0 ** (-1060 // r) == pytest.approx(norm(space, x), rel=1e-15, abs=0.0)
 
@@ -330,16 +337,19 @@ def test_bounds_keep_their_bytes_on_the_catalog(monkeypatch):
         ([1e300, 1e300], 1.5, 2.0 ** (2 / 3) * 1e300),
     ],
 )
-def test_lp_combine_measures_under_and_overflowed_sums_again(values, p, true):
-    """The scaled true value, finite and non-zero, with no warning, for one
-    vector and in a stack beside an in-range vector that keeps its bits."""
-    assert lp_combine(values, p) == pytest.approx(true, rel=1e-14)
-    stack = lp_combine(np.array([values, [3.0, 4.0] + [0.0] * (len(values) - 2)]), p)
-    assert stack[0] == pytest.approx(true, rel=1e-14)
-    assert stack[1] == lp_combine([3.0, 4.0], p)
+def test_lp_norm_of_values_whose_sums_under_or_overflow(values, p, true):
+    """The ell_p norm of values outside the float window is the scaled true
+    value, finite and non-zero, with no warning; ``lp_combine`` has the
+    norm's bits on a vector inside the window."""
+    assert norm(SpaceSpec(p, len(values)), values) == pytest.approx(true, rel=1e-14)
+    inside = [3.0, 4.0] + [0.0] * (len(values) - 2)
+    assert lp_combine(inside, p) == norm(SpaceSpec(p, len(values)), inside)
 
 
 def test_crude_weak_bound_of_huge_members_is_finite():
+    """ell_2 into ell_2^2 has no exact path: the upper bound is the crude
+    one, the ell_2 combination of the members' dual norms."""
     Y = np.array([[1e200, 1.0], [2.0, 1e200]])
-    bound = _weak_crude_upper(Y, SpaceSpec(2.0, 2), 2.0)
-    assert bound == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-14)
+    est = weak_p_norm(Y, SpaceSpec(2.0, 2), 2.0)
+    assert est.method == ("multistart lower", "triangle upper")
+    assert est.upper == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-14)

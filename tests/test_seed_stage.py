@@ -10,11 +10,11 @@ on weighted and unweighted ell_r, and through the value functions of
 ``operators._exact_plan`` on the member side and on the cube side, with
 the check switched on for every stack (``_DISJOINT_CHECK`` = 0) against
 the check switched off.  Stacks mix plain matrices with ones holding
-+-0.0 entries, zero rows, a second nonzero in one column, or entries
-near 1e200 or 1e-200, whose maxima under- or overflow and are taken again
-at a power of two.  Both forms run under the suite's warnings-as-errors
-filter: the enumeration's overflow near 1e200 stays inside the error state
-of the retry that takes it again.
++-0.0 entries, zero rows, a second nonzero in one column, or entries near
+2^300 or 2^-300, the ends of the float window (``spaces._window_exponent``)
+of the exponents drawn here (at most 3): the public entry points scale
+data outside it before it reaches these kernels.  Both forms run under
+the suite's warnings-as-errors filter.
 """
 
 import hashlib
@@ -55,9 +55,9 @@ def _disjoint_stack(K, n, dim, special, rng):
             rows = rng.choice(n, size=2, replace=False)
             M[k, rows, c] = rng.standard_normal(2)
         elif special == "huge":
-            M[k] *= 1e200
+            M[k] *= 2.0**300
         elif special == "tiny":
-            M[k] *= 1e-200
+            M[k] *= 2.0**-300
     return M
 
 

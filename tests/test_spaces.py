@@ -14,7 +14,6 @@ from fblab import (
     LinearMap,
     SpaceSpec,
     dual_space,
-    functional_norm,
     norm,
     norming_functional,
     norming_vector,
@@ -23,6 +22,8 @@ from fblab import (
     sample_sphere,
     space_from_json,
     space_to_json,
+    weak_p_norm,
+    witness_search,
 )
 from fblab.spaces import (
     BallNotPolytopal,
@@ -32,7 +33,7 @@ from fblab.spaces import (
     norms_rows,
 )
 from fblab.operators import _exact_plan
-from fblab.summing import _weak_crude_upper
+from fblab.summing import lp_combine
 
 SPACES = [
     SpaceSpec(1.0, 3),
@@ -86,7 +87,7 @@ def test_norming_vector_maximizes_plain_form(space):
         # compare against random competitors on the sphere
         for y in sample_sphere(space, 30, seed=3):
             assert float(g @ y) <= attained + 1e-9
-        assert abs(attained - functional_norm(space, g)) <= 1e-10
+        assert abs(attained - norm(space.dual, g / space.weight_array)) <= 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e-250, 1e250])
@@ -125,31 +126,55 @@ def test_norming_functional_where_an_entry_power_overflows():
 
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
 def test_norm_of_tiny_and_huge_vectors(r):
-    """The norm and the functional norm do not under- or overflow where the
-    norm itself is a float: 1e-110 ** 3 is 0.0 and 1e110 ** 3 is inf."""
+    """The norm and the dual norm of a plain form do not under- or
+    overflow where the norm itself is a float: 1e-110 ** 3 is 0.0 and
+    1e110 ** 3 is inf."""
     E = SpaceSpec(r, 2, (0.5, 2.0))
     x = np.array([0.3, -1.0])
+    form_norm = lambda g: norm(E.dual, g / E.weight_array)
     for scale in (1e-110, 1e-300, 1e110, 1e300):
         # a direct power of a huge entry loses ~1e-14 in the exponent 1/r
-        assert norm(E, scale * x) == pytest.approx(scale * norm(E, x), rel=1e-12)
-        assert functional_norm(E, scale * x) == pytest.approx(scale * functional_norm(E, x), rel=1e-12)
-    assert norm(SpaceSpec(3.0, 1), [1e-110]) == pytest.approx(1e-110, rel=1e-15)
+        assert norm(E, scale * x) == pytest.approx(scale * norm(E, x), rel=1e-12, abs=0.0)
+        assert form_norm(scale * x) == pytest.approx(scale * form_norm(x), rel=1e-12, abs=0.0)
+    assert norm(SpaceSpec(3.0, 1), [1e-110]) == pytest.approx(1e-110, rel=1e-15, abs=0.0)
     assert norm(SpaceSpec(3.0, 1), [1e110]) == pytest.approx(1e110, rel=1e-15)
     top = norm(SpaceSpec(r, 2), [1e308, 1e308])  # inf only where the norm is above the floats
     assert top == math.inf if r == 1 else top == pytest.approx(2.0 ** (1 / r) * 1e308, rel=1e-15)
 
 
+@pytest.mark.parametrize("w", [1e-300, 1e-30, 1e30, 1e300])
+@pytest.mark.parametrize("scale", [1e-100, 1e-143, 1e100])
+def test_float_window_counts_the_weights(w, scale):
+    """The window narrows by the weights' largest |log2|: norm(SpaceSpec(2,
+    1, (1e-300,)), [1e-100]) read 0.0, w x^2 = 1e-500, and the weak-inf and
+    weak-1 norms of that member read exactly 0.0; weights near 1e-30 left
+    sums of 1e-143 squares, inside the unweighted window, among the
+    subnormals.  Each reads sqrt(w) times its unweighted value, exact
+    where that is."""
+    x = scale * np.array([0.3, -1.0])
+    E, unit = SpaceSpec(2.0, 2, (w, 2.0 * w)), SpaceSpec(2.0, 2, (1.0, 2.0))
+    assert norm(E, x) == pytest.approx(math.sqrt(w) * norm(unit, x), rel=1e-12, abs=0.0)
+    for p in (math.inf, 1.0):
+        est, ref = weak_p_norm(x[None], E.dual, p), weak_p_norm(x[None], unit.dual, p)
+        assert est.exact and est.lower == pytest.approx(math.sqrt(w) * ref.lower, rel=1e-12, abs=0.0)
+    f = norming_functional(E, x)
+    assert pairing(E, f, x) == pytest.approx(norm(E, x), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("scale", [1e-300, 1e300])
 def test_max_signed_sum_of_tiny_and_huge_rows(r, scale):
-    """The largest signed sum does not under- or overflow where its norm is
-    a float: it once read 0.0 for rows of size 1e-300 and inf for 1e300."""
+    """The largest signed sum of the rows of M is the weak-1 norm of M over
+    the dual ball (the member side of the sign enumeration), and it does not
+    under- or overflow where it is a float: it once read 0.0 for rows of
+    size 1e-300 and inf for 1e300."""
     space = SpaceSpec(r, 3, (0.5, 1.0, 2.0))
     M = np.array([[0.3, -1.0, 0.7], [1.0, 0.5, -0.2], [-0.4, 0.1, 0.9]])
-    top, z = _max_signed_sum(M, space)
-    scaled_top, scaled_z = _max_signed_sum(scale * M, space)
-    assert scaled_top == pytest.approx(scale * top, rel=1e-12)
-    assert np.all(scaled_z == pytest.approx(scale * z, rel=1e-15))
+    top = weak_p_norm(M, space.dual, 1.0)
+    assert top.method == ("sign enumeration",) and top.lower == _max_signed_sum(M, space)[0]
+    scaled = weak_p_norm(scale * M, space.dual, 1.0)
+    assert scaled.method == top.method
+    assert scaled.lower == scaled.upper == pytest.approx(scale * top.lower, rel=1e-12, abs=0.0)
 
 
 # rows whose Euclidean tables overflow to inf - inf = nan in every block: the
@@ -157,13 +182,11 @@ def test_max_signed_sum_of_tiny_and_huge_rows(r, scale):
 _NAN_BLOCK_ROWS = [[1e200, 0.0], [-1e200, 0.0], [1e200, 0.0], [-1e200, 1.0]]
 
 
-def test_max_signed_sum_retries_a_nan_block():
-    M = np.array(_NAN_BLOCK_ROWS)
-    top, z = _max_signed_sum(M, SpaceSpec(2.0, 2))
-    scaled_top, scaled_z = _max_signed_sum(np.ldexp(M, -700), SpaceSpec(2.0, 2))
-    assert top == np.ldexp(scaled_top, 700) == 4e200
-    assert z.tobytes() == np.ldexp(scaled_z, 700).tobytes()
-    assert abs(z[1]) == 1.0
+def test_weak_1_norm_of_rows_that_overflow_the_tables():
+    """Rows near 1e200 are outside the float window of ell_2, so the weak-1
+    norm enumerates their signed sums once at a power-of-two scale."""
+    est = weak_p_norm(np.array(_NAN_BLOCK_ROWS), SpaceSpec(2.0, 2), 1.0)
+    assert est.exact and est.lower == 4e200
 
 
 def test_operator_norm_of_rows_that_overflow_the_tables():
@@ -176,7 +199,10 @@ def test_operator_norm_of_rows_that_overflow_the_tables():
 def test_crude_row_norm_bounds_of_tiny_and_huge_maps(e):
     """The crude row-norm bounds do not under- or overflow where the norm is
     a float: the ascent's 1.366e-250 was once snapped to a certified upper
-    bound 0.0 at 1e-250, and the upper bound read inf at 1e250."""
+    bound 0.0 at 1e-250, and the upper bound read inf at 1e250.  The
+    witness search normalizes a seed by the crude weak-p bound where no
+    exact path applies (p = 1.5 and 2 over ell_3), and reads the same value
+    at any scale of the seed."""
     E = SpaceSpec(3.0, 2)
     A = np.array([[1.0, 0.5], [0.2, 1.0]])
     est = operator_norm(LinearMap(A, E, E))
@@ -184,9 +210,11 @@ def test_crude_row_norm_bounds_of_tiny_and_huge_maps(e):
     assert 0.0 < scaled.lower <= scaled.upper < math.inf
     assert np.ldexp(scaled.lower, -e) == pytest.approx(est.lower, rel=1e-12)
     assert np.ldexp(scaled.upper, -e) == pytest.approx(est.upper, rel=1e-12)
-    for p in (1.0, math.inf):
-        crude = _weak_crude_upper(np.ldexp(A, e), E, p)
-        assert np.ldexp(crude, -e) == pytest.approx(_weak_crude_upper(A, E, p), rel=1e-12)
+    objective = lambda Y: lp_combine(lp_combine(Y, 2.0), 1.0)
+    for p in (1.5, 2.0):
+        unit, _, tight = witness_search(E, p, objective, [A])
+        assert not tight
+        assert witness_search(E, p, objective, [np.ldexp(A, e)])[::2] == (pytest.approx(unit, rel=1e-12), False)
 
 
 # a (domain, codomain) pair per path of operators._exact_plan, with the map
@@ -208,23 +236,24 @@ _EXACT_PATH_MAPS = [
 @pytest.mark.parametrize("E, C, tag", _EXACT_PATH_MAPS)
 def test_exact_plan_of_tiny_and_huge_maps(E, C, tag, e):
     """Every exact path of the operator norm, and so of the weak-p norms of
-    ``summing._weak``, reads the scaled interval, for one map and for a
-    stack: the closed forms once read [0.0, 0.0], certified, at 2^-830 and
-    overflowed to inf (a ValueError) at 2^830."""
+    ``summing._weak``, reads the scaled interval: the closed forms once
+    read [0.0, 0.0], certified, at 2^-830 and overflowed to inf (a
+    ValueError) at 2^830.  The value function of a stack has the unit
+    map's value for A and -A."""
     A = np.array([[1.0, 0.5], [0.2, 1.0], [-0.3, 0.4]])[: C.dim]
     assert _exact_plan(E, C)[1] == tag
     est = operator_norm(LinearMap(A, E, C))
     scaled = operator_norm(LinearMap(np.ldexp(A, e), E, C))
-    stack = _exact_plan(E, C)[0](np.ldexp(np.stack([A, -A, 0 * A]) / E.weight_array, e))  # pairing coordinates
+    stack = _exact_plan(E, C)[0](np.stack([A, -A, 0 * A]) / E.weight_array)  # pairing coordinates
     assert scaled.lower_certified and scaled.upper_certified
     assert 0.0 < scaled.lower == scaled.upper < math.inf
     assert np.ldexp(scaled.upper, -e) == pytest.approx(est.upper, rel=1e-12)
-    assert np.ldexp(stack, -e).tolist() == pytest.approx([est.upper, est.upper, 0.0], rel=1e-12)
+    assert stack.tolist() == pytest.approx([est.upper, est.upper, 0.0], rel=1e-12)
 
 
 def test_norm_in_range_is_the_direct_formula():
-    """Only an under- or overflowed norm is measured again, so in-range
-    norms are bit for bit the direct formula."""
+    """Only data outside the float window is scaled, so norms of vectors
+    inside it are bit for bit the direct formula."""
     rng = np.random.default_rng(5)
     for r in (1.0, 1.5, 3.0):
         E = SpaceSpec(r, 4, tuple(rng.uniform(0.25, 2.0, 4)))
@@ -382,7 +411,7 @@ def test_operator_norm_into_sup_codomain_is_the_largest_row(r):
     E = SpaceSpec(r, 5, (0.5, 1.0, 2.0, 1.5, 0.25))
     A = rng.standard_normal((3, 5))
     est = operator_norm(LinearMap.from_array(A, E, SpaceSpec(math.inf, 3)))
-    rows = [functional_norm(E, row) for row in A]
+    rows = [norm(E.dual, row / E.weight_array) for row in A]
     assert est.exact and est.method == ("extreme-point enumeration",)
     assert est.lower == pytest.approx(max(rows), rel=1e-13)
     x = norming_vector(E, A[int(np.argmax(rows))])

@@ -6,19 +6,20 @@ every path of ``operators._exact_plan``, ``exprs.eval_rows``,
 A stack (K, N, dim) holds K families of N members.  Each family's value
 from the stack must have the bits it has alone, whatever the other
 families hold: a zero member, a member equal to -3 times another, or rows
-near 1e200 or 1e-200, whose signed sums are enumerated again at a power of
-two.  "Alone" is checked twice: against the stacked code given one family
-(a 2-d array, which it treats as a stack of one), and against references
-in this module written family by family, as the evaluators were before
-they took stacks (``_one_family_*``): a winning sign pattern as one vector
-times M, row norms of a (1, dim) row, reductions of one array to a float.  Rows near 1e200 overflow on the way in both forms, so those draws run
-under the same ``np.errstate`` for both; every other draw runs under the
-test suite's warnings-as-errors filter.
+near 2^300 or 2^-300, the ends of the float window
+(``spaces._window_exponent``) of the exponents drawn here (at most 3); the
+public entry points scale data outside it before it reaches these
+evaluators.  "Alone" is checked twice: against the stacked code given one
+family (a 2-d array, which it treats as a stack of one), and against
+references in this module written family by family, as the evaluators
+were before they took stacks (``_one_family_*``): a winning sign pattern
+as one vector times M, row norms of a (1, dim) row, reductions of one
+array to a float.  Every draw runs under the test suite's
+warnings-as-errors filter.
 """
 
 import functools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -56,30 +57,14 @@ def _stack(K, N, dim, special, rng):
         elif special == "minus three times" and N > 1:
             Y[k, N - 1] = -3.0 * Y[k, 0]
         elif special == "huge":
-            Y[k] *= 1e200
+            Y[k] *= 2.0**300
         elif special == "tiny":
-            Y[k] *= 1e-200
+            Y[k] *= 2.0**-300
     return Y
 
 
 def _bits(v):
     return np.float64(v).tobytes()
-
-
-class _Errstate:
-    """The same error state for both forms: overflow and inf - inf are
-    expected only on rows near 1e200."""
-
-    def __init__(self, special):
-        self.state = np.errstate(over="ignore", invalid="ignore") if special == "huge" else None
-
-    def __enter__(self):
-        if self.state is not None:
-            self.state.__enter__()
-
-    def __exit__(self, *exc):
-        if self.state is not None:
-            self.state.__exit__(*exc)
 
 
 # --------------------------------------------------------------------------
@@ -88,9 +73,9 @@ class _Errstate:
 
 
 def _one_family_enumeration(M, space):
-    """The maximum and winning signed sum of n rows M at their own scale:
-    blocks of rows of L, the first strict maximum over the blocks, and the
-    winning pattern (1, sb[i], sh[j]) as one vector times M."""
+    """The maximum and winning signed sum of n rows M: blocks of rows of L,
+    the first strict maximum over the blocks, and the winning pattern
+    (1, sb[i], sh[j]) as one vector times M."""
     b, sb, sh, _, rows, branch = _signed_sum_plan(len(M), space)
     L = M[0] + sb @ M[1 : 1 + b]
     H = sh @ M[1 + b :]
@@ -108,8 +93,6 @@ def _one_family_enumeration(M, space):
                 vals = (block if branch == "l1" else block ** space.r) @ w
         k = int(vals.argmax())
         top = vals.flat[k]
-        if top != top:
-            return math.nan, np.full(M.shape[1], math.nan)
         if top > best:
             best = top
             i, j = divmod(k + start * len(H), len(H))
@@ -117,70 +100,32 @@ def _one_family_enumeration(M, space):
     return float(norms_rows(space, z[None, :])[0]), z
 
 
-def _least(r):
-    """The least ell_r norm whose sum of powers is a normal float; below it
-    a norm has lost bits to underflow."""
-    return sys.float_info.min if math.isinf(r) else sys.float_info.min ** (1.0 / r)
-
-
-def _one_family_max_signed_sum(M, space):
-    """``_one_family_enumeration`` with the retry at a power of two."""
-    top, z = _one_family_enumeration(M, space)
-    if not top < math.inf or (top < _least(space.r) and M.any()):
-        e = math.frexp(float(np.max(np.abs(M))))[1]
-        top, z = _one_family_enumeration(np.ldexp(M, -e), space)
-        with np.errstate(over="ignore"):
-            top, z = float(np.ldexp(top, e)), np.ldexp(z, e)
-    return top, z
-
-
-def _one_family_closed_form(E, C, tag, Y):
-    """A closed form of ``_exact_plan(E, C)`` at one family Y, at its own
-    scale: the largest dual norm of a member, or the largest column sum of
-    powers; the power that roots it; the least value that kept its bits."""
-    if tag == "weak-inf closed form":
-        return float(np.max(norms_rows(E.dual, Y))), 1.0, _least(E.dual.r)
-    V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r
-    if not C.unweighted:
-        V = V * C.weight_array[:, None]
-    return float(np.max(np.sum(V, axis=0))), 1.0 / C.r, sys.float_info.min
-
-
 def _one_family_plan_value(E, C, tag, Y):
-    """The value of ``_exact_plan(E, C)`` with path ``tag`` at one
-    family Y; a closed form that under- or overflowed (below its least
-    value on a non-zero Y, inf or nan on a finite one) is taken again on Y
-    scaled by 2^-e, e the exponent of its largest |entry|, and scaled back
-    by 2^e."""
-    if tag in ("weak-inf closed form", "cross-polytope enumeration"):
-        s, q, least = _one_family_closed_form(E, C, tag, Y)
-        if (s < least and Y.any()) or (not s < math.inf and np.isfinite(Y).all()):
-            e = math.frexp(float(np.max(np.abs(Y))))[1]
-            with np.errstate(over="ignore"):
-                return float(np.ldexp(_one_family_closed_form(E, C, tag, np.ldexp(Y, -e))[0] ** q, e))
-        return s**q
+    """The value of ``_exact_plan(E, C)`` with path ``tag`` at one family
+    Y: the largest dual norm of a member, the root of the largest column
+    sum of powers, or the largest signed sum on the cheaper side."""
+    if tag == "weak-inf closed form":
+        return float(np.max(norms_rows(E.dual, Y)))
+    if tag == "cross-polytope enumeration":
+        V = np.abs(Y) if C.r == 1 else np.abs(Y) ** C.r
+        if not C.unweighted:
+            V = V * C.weight_array[:, None]
+        return float(np.max(np.sum(V, axis=0))) ** (1.0 / C.r)
     N, dim = Y.shape
     on_cube = tag == "cube-vertex enumeration" or (E.is_sup and (1 << (dim - 1)) * N < (1 << (N - 1)) * dim)
     if on_cube:
-        return _one_family_max_signed_sum((Y if E.unweighted else Y * E.weight_array).T, C)[0]
-    return _one_family_max_signed_sum(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)[0]
+        return _one_family_enumeration((Y if E.unweighted else Y * E.weight_array).T, C)[0]
+    return _one_family_enumeration(Y if C.unweighted else Y * C.weight_array[:, None], E.dual)[0]
 
 
 def _one_family_lp_combine(values, p):
-    """A sum of powers that under- or overflowed (below the least normal
-    float on non-zero values, inf on finite ones) is taken again on the
-    values scaled by 2^-e, e the exponent of the largest, as ``norm``
-    measures again."""
+    """(sum |v|^p)^(1/p) of one vector, the max at p = inf."""
     values = np.abs(np.asarray(values, dtype=float))
     if math.isinf(p):
         return float(values.max()) if values.size else 0.0
     if p == 1:
         return float(values.sum())
-    total = (values ** p).sum()
-    if (total < sys.float_info.min and values.any()) or (total == math.inf and np.isfinite(values).all()):
-        e = math.frexp(float(values.max()))[1]
-        return float(np.ldexp(float((np.ldexp(values, -e) ** p).sum() ** (1.0 / p)), e))
-    return float(total ** (1.0 / p))
+    return float((values**p).sum()) ** (1.0 / p)
 
 
 _DRAW = dict(
@@ -202,10 +147,10 @@ def test_max_signed_sum_of_a_stack(r, small_blocks, K, N, dim, special, weighted
     rng = np.random.default_rng(seed)
     space = _space(r, dim, weighted, rng)
     M = _stack(K, N, dim, special, rng)
-    _check_max_signed_sum(M, space, special, 16 if small_blocks else None)
+    _check_max_signed_sum(M, space, 16 if small_blocks else None)
 
 
-def _check_max_signed_sum(M, space, special, block):
+def _check_max_signed_sum(M, space, block):
     """The stack's values and winning sums against each matrix's, from
     ``_max_signed_sum`` alone and from the one-family reference, with
     ``block`` entries a block when it is given."""
@@ -215,10 +160,9 @@ def _check_max_signed_sum(M, space, special, block):
             mp.setattr(fblab.spaces, "_SIGNED_SUM_BLOCK", block)
         _signed_sum_plan.cache_clear()  # the plan holds the rows per block
         try:
-            with _Errstate(special):
-                top, z = _max_signed_sum(M, space)
-                alone = [_max_signed_sum(M[k], space) for k in range(K)]
-                ref = [_one_family_max_signed_sum(M[k], space) for k in range(K)]
+            top, z = _max_signed_sum(M, space)
+            alone = [_max_signed_sum(M[k], space) for k in range(K)]
+            ref = [_one_family_enumeration(M[k], space) for k in range(K)]
         finally:
             _signed_sum_plan.cache_clear()
     assert top.shape == (K,) and z.shape == (K, dim)
@@ -241,7 +185,7 @@ def test_max_signed_sum_of_a_stack_of_many_rows(r, K, n, dim, special, weighted,
     """13 to 16 rows: up to 2^15 patterns a matrix, in several blocks of
     rows of L at the default block size."""
     rng = np.random.default_rng(seed)
-    _check_max_signed_sum(_stack(K, n, dim, special, rng), _space(r, dim, weighted, rng), special, None)
+    _check_max_signed_sum(_stack(K, n, dim, special, rng), _space(r, dim, weighted, rng), None)
 
 
 def _plan_cases(E, N, rng):
@@ -263,10 +207,9 @@ def test_exact_plan_values_of_a_stack(r, wide, K, N, dim, special, weighted, see
         plan = _exact_plan(E, C)
         if plan is None:
             continue
-        with _Errstate(special):
-            values = plan[0](Y)
-            alone = [plan[0](Y[k]) for k in range(K)]
-            ref = [_one_family_plan_value(E, C, plan[1], Y[k]) for k in range(K)]
+        values = plan[0](Y)
+        alone = [plan[0](Y[k]) for k in range(K)]
+        ref = [_one_family_plan_value(E, C, plan[1], Y[k]) for k in range(K)]
         assert values.shape == (K,)
         assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref], plan[1]
 
@@ -318,11 +261,10 @@ def test_expression_objective_of_a_stack(r, p, expression, K, N, dim, special, w
     e = _EXPRESSIONS[expression]
     Y = _stack(K, N, dim, special, rng)
     objective = _fbl_objective(e, b, p)
-    with _Errstate(special):
-        values, objectives = eval_rows(e, b, Y), objective(Y)
-        alone = [(eval_rows(e, b, Y[k]), objective(Y[k])) for k in range(K)]
-        folded = [_fold(e, _VALUES, Y[k] @ b._weighted_t) for k in range(K)]
-        ref = [(v, _one_family_lp_combine(v, p)) for v in folded]
+    values, objectives = eval_rows(e, b, Y), objective(Y)
+    alone = [(eval_rows(e, b, Y[k]), objective(Y[k])) for k in range(K)]
+    folded = [_fold(e, _VALUES, Y[k] @ b._weighted_t) for k in range(K)]
+    ref = [(v, _one_family_lp_combine(v, p)) for v in folded]
     assert values.shape == (K, N) and objectives.shape == (K,)
     for k, ((v, o), (u, q)) in enumerate(zip(alone, ref)):
         assert values[k].tobytes() == v.tobytes() == u.tobytes()
@@ -338,10 +280,9 @@ def test_summing_norm_objective_of_a_stack(r, q, rows, K, N, dim, special, weigh
                              _space(rng.choice(EXPONENTS), rows, weighted, rng))
     Y = _stack(K, N, dim, special, rng)
     objective = _pi_objective(T, q)
-    with _Errstate(special):
-        values = objective(Y)
-        alone = [objective(Y[k]) for k in range(K)]
-        ref = [_one_family_lp_combine(norms_rows(T.codomain, Y[k] @ T.matrix.T), q) for k in range(K)]
+    values = objective(Y)
+    alone = [objective(Y[k]) for k in range(K)]
+    ref = [_one_family_lp_combine(norms_rows(T.codomain, Y[k] @ T.matrix.T), q) for k in range(K)]
     assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
 
 
@@ -383,17 +324,9 @@ def _one_family_plan_F_value(sub, C, tag, M):
     """The value of ``_exact_plan(sub, C)`` with path ``tag`` at one
     map M, as the exact norm over B_F was written before it took stacks:
     the model's plan at M / d, or the largest norm of the vertices' images
-    by M, taken again on M scaled by 2^-e where it read less than
-    ``_least(C.r)`` on a non-zero M or inf or nan on a finite one, as
-    ``_one_family_plan_value`` takes a closed form again."""
+    by M."""
     if tag == "B_F vertex enumeration":
-        top = lambda M: float(np.max(norms_rows(C, sub._vertices @ M.T)))
-        value = top(M)
-        if (value < _least(C.r) and M.any()) or (not value < math.inf and np.isfinite(M).all()):
-            e = math.frexp(float(np.max(np.abs(M))))[1]
-            with np.errstate(over="ignore"):
-                value = float(np.ldexp(top(np.ldexp(M, -e)), e))
-        return value
+        return float(np.max(norms_rows(C, sub._vertices @ M.T)))
     space_F, d = sub._model
     return _one_family_plan_value(space_F, C, tag, M / d)
 
@@ -427,10 +360,9 @@ def test_exact_plan_F_values_of_a_stack(ball, wide, k, extra, K, N, special, see
         plan = _exact_plan(sub, C)
         if plan is None:
             continue
-        with _Errstate(special):
-            values = plan[0](M)
-            alone = [plan[0](M[j]) for j in range(K)]
-            ref = [_one_family_plan_F_value(sub, C, plan[1], M[j]) for j in range(K)]
+        values = plan[0](M)
+        alone = [plan[0](M[j]) for j in range(K)]
+        ref = [_one_family_plan_F_value(sub, C, plan[1], M[j]) for j in range(K)]
         assert values.shape == (K,)
         assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref], plan[1]
 
@@ -467,11 +399,10 @@ def test_fallback_weak_F_bound_of_a_stack(r, p, k, extra, K, N, special, seed):
     sub = _section(r, False, max(k, 2), max(k, 2) + 1 + extra, rng)
     assert sub._model is None
     G = _stack(K, N, sub.dim, special, rng)
-    with _Errstate(special):
-        bound = _weak(sub, G[0], p)[2]
-        values = bound(G)
-        alone = [_weak(sub, G[j], p)[0] for j in range(K)]
-        ref = [_one_family_lp_combine([_fstar_norm_upper(sub, g) for g in G[j]], p) for j in range(K)]
+    bound = _weak(sub, G[0], p)[2]
+    values = bound(G)
+    alone = [_weak(sub, G[j], p)[0] for j in range(K)]
+    ref = [_one_family_lp_combine([_fstar_norm_upper(sub, g) for g in G[j]], p) for j in range(K)]
     assert values.shape == (K,)
     assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
 
@@ -512,9 +443,8 @@ def test_embedding_gap_objective_of_a_stack(r, aligned, p, expression, K, N, spe
     objective, coords = _gap_objective(r, aligned, p, expression, seed)
     G = _stack(K, N, 3, special, np.random.default_rng((seed, K, N)))
     e = _EXPRESSIONS[expression]
-    with _Errstate(special):
-        values = objective(G)
-        alone = [objective(G[j]) for j in range(K)]
-        ref = [_one_family_lp_combine(_fold(e, _VALUES, G[j] @ coords.T), p) for j in range(K)]
+    values = objective(G)
+    alone = [objective(G[j]) for j in range(K)]
+    ref = [_one_family_lp_combine(_fold(e, _VALUES, G[j] @ coords.T), p) for j in range(K)]
     assert values.shape == (K,)
     assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]
