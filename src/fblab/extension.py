@@ -28,14 +28,15 @@ The embedding gap compares the free-lattice norm of an expression over
 F (functionals on F are restrictions of E* functionals; the weak-p
 constraint runs over B_F) with the norm of the same expression over E.
 Both sides run ``summing.witness_search``, the same engine over the one
-weak-p bound ``summing._weak`` of either constraint ball: B_E on the
+weak-p bound ``operators._bound`` of either constraint ball: B_E on the
 ambient side, B_F on the F side, where the restricted ambient witness is
 one of the seeds.
 
-This module owns no geometry of its own: ``SubspaceSpec`` and the
-sections B_F live in ``spaces``, the exact paths over B_E and B_F in
-``operators._exact_plan``, the norm of T over B_F in
-``operators._operator_norm_over_F``.
+This module owns no geometry and no norm oracle of its own:
+``SubspaceSpec`` and the sections B_F live in ``spaces``; the norm of an
+extension over B_E, the lifted witness's weak-p bound and the norm of T
+over B_F (``operators._operator_norm_over_F``) come from the bounds of
+``operators``, ``_bound`` and ``_ascent_lower``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .estimates import NormEstimate, WitnessFamily
 from .exprs import GeneratorBinding, LatticeExpr, eval_pairings
 from .fbl import _expression_data, _fbl_objective, _fbl_seeds, fbl_norm
-from .operators import LinearMap, _norm_upper, _operator_norm_over_F
+from .operators import LinearMap, _bound, _operator_norm_over_F, _unit_space
 from .optimize import OptimizerConfig, powell_starts
 from .spaces import (
     _SMALL_POLYTOPE_CAP,
@@ -59,7 +60,7 @@ from .spaces import (
     _vertex_count,
     extreme_points_matrix,
 )
-from .summing import _weak, hadamard, lp_combine, witness_search
+from .summing import hadamard, lp_combine, witness_search
 
 __all__ = [
     "extension_constant",
@@ -201,7 +202,7 @@ def extension_constant(
     coordinates, and its norm is taken over B_F = B_E intersect F.  The
     lower bound 1 is structural (restricting an extension gives back T).
     The upper bound is the ratio of one explicit extension, its norm a
-    certified upper bound (``operators._norm_upper``, exact over polytopal
+    certified upper bound (``operators._bound``, exact over polytopal
     B_E), so it over-estimates the infimum whenever the search for the
     complement values stops short.  That search is, for finite p > 1 and
     ambient r in {1, inf} within ``spaces._SMALL_POLYTOPE_CAP`` vertices, one
@@ -242,7 +243,7 @@ def extension_constant(
     St_inv = np.linalg.inv(S.T)
 
     def objective(X: np.ndarray) -> np.ndarray:
-        return _norm_upper(_extensions(M, X, St_inv), E, cod)[0]
+        return _bound(E, _extensions(M, X, St_inv) / E.weight_array, cod)[0]  # rows in pairing coordinates
 
     nvars = cod.dim * (n - k)
     V = _half_vertices(E) if p > 1.0 else None
@@ -339,7 +340,7 @@ def embedding_gap(
         # more certified lower-bound candidate for the ambient norm
         lift = np.linalg.pinv((sub.basis_matrix * sub.ambient.weight_array).T)
         Y = witness.matrix @ lift
-        w_up, _, _ = _weak(sub.ambient, Y, p)
+        w_up = _bound(sub.ambient, Y, _unit_space(p, len(Y)))[0]
         if w_up > 1e-14 and math.isfinite(w_up):
             amb_val = _fbl_objective(e, b, p)(Y) / w_up
             if amb_val > ambient_est.lower:

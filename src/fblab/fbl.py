@@ -15,10 +15,9 @@ structured candidate functionals and a Nelder-Mead polish, with a
 certified upper bound only for dual dimension <= 3.
 
 Lower bounds come from explicit feasible witness families (see
-``summing.witness_search``); upper bounds come from a structural chain:
-the triangle-inequality mass bound, the p = 1 value when available
-exactly (the p = 1 norm dominates every other p), and the exact
-1-summing closed form for positive moduli combinations over L_1(mu).
+``summing.witness_search``); the upper bound is the triangle-inequality
+mass bound.  At p = 1 a positive moduli combination over L_1(mu) has the
+exact 1-summing closed form, which equals its mass bound.
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ def _fbl_seeds(e: LatticeExpr, b: GeneratorBinding) -> list[np.ndarray]:
     for base, g in bases:
         gp = np.maximum(g, 0.0)
         if np.any(gp > 0):
-            beta = _pconcav_coefficients(E, gp[: dim] if base is eye else gp, p=1.0)
+            beta = _pconcav_coefficients(E, gp[: dim] if base is eye else gp)
             if beta is not None and beta.shape[0] == base.shape[0]:
                 seeds.append(beta[:, None] * base)
     return seeds
@@ -206,47 +205,24 @@ def fbl_norm(
         return fbl_infty_norm(e, b)
 
     upper = mass_bound(e, b)
-    method_upper = ["mass bound"]
     if upper <= 0.0:
         return NormEstimate(0.0, 0.0, True, True, method=("zero expression",))
 
-    moduli = recognize_moduli_combination(e)
-    exact_value: float | None = None
-    if moduli is not None and b.space.r == 1:
+    moduli = recognize_moduli_combination(e) if p == 1 and b.space.r == 1 else None
+    if moduli is not None:
         coeffs = np.zeros(b.count)
         for idx, c in moduli.items():
             coeffs[idx] = c
         T = tuple_map(coeffs[:, None] * b.matrix, b.space, SpaceSpec(1.0, b.count))
-        p1_value = pi_1_exact_Linfty_domain(T)
-        if p == 1:
-            exact_value = p1_value
-        elif p1_value < upper:
-            # the p = 1 norm dominates the norm for every larger p
-            upper = p1_value
-            method_upper = ["exact p=1 moduli value"]
-
-    if exact_value is not None:
-        witness = WitnessFamily(np.eye(b.space.dim), p, 1.0, exact_value)
+        value = pi_1_exact_Linfty_domain(T)
+        witness = WitnessFamily(np.eye(b.space.dim), p, 1.0, value)
         return NormEstimate(
-            exact_value,
-            exact_value,
-            True,
-            True,
-            method=("1-summing closed form over L_1(mu)",),
-            witness=witness,
+            value, value, True, True, method=("1-summing closed form over L_1(mu)",), witness=witness
         )
 
     val, witness, tight = witness_search(b.space, p, _fbl_objective(e, b, p), _fbl_seeds(e, b))
-    method = ["witness search"]
-    method.append("exact weak constraint" if tight else "crude-upper weak normalization")
-    return NormEstimate(
-        lower=val,
-        upper=upper,
-        lower_certified=True,
-        upper_certified=True,
-        method=tuple(method + method_upper),
-        witness=witness,
-    )
+    weak = "exact weak constraint" if tight else "crude-upper weak normalization"
+    return NormEstimate(val, upper, True, True, method=("witness search", weak, "mass bound"), witness=witness)
 
 
 # --------------------------------------------------------------------------
@@ -467,34 +443,32 @@ def sublattice_generators(
 # --------------------------------------------------------------------------
 
 
-def _pconcav_coefficients(E: SpaceSpec, alpha: np.ndarray, p: float) -> np.ndarray | None:
-    """Closed-form maximizer of (sum (alpha_i beta_i)^p)^(1/p) over the
-    coefficient region { beta >= 0 : sum |beta_i gamma_i|^p <= 1 whenever
-    ||gamma||_E <= 1 }, for a weighted ell_r space with r >= p.
+def _pconcav_coefficients(E: SpaceSpec, alpha: np.ndarray) -> np.ndarray | None:
+    """Closed-form maximizer of sum alpha_i beta_i over the coefficient
+    region { beta >= 0 : sum |beta_i gamma_i| <= 1 whenever ||gamma||_E <= 1 }
+    of a weighted ell_r space.
 
     Substituting away the weights turns the region into an ell_t ball
-    with 1/t = 1/p - 1/r, and the maximizer is the Hoelder equality case.
+    with 1/t = 1 - 1/r, and the maximizer is the Hoelder equality case.
     """
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < 0) or alpha.shape[0] != E.dim:
         return None
     r = E.r
     w = E.weight_array
-    if not math.isinf(r) and r < p - 1e-12:
-        return None
     if np.all(alpha == 0.0):
         return np.zeros(E.dim)
     if math.isinf(r):
-        # region is the ell_p ball; optimum concentrates on the largest alpha
+        # region is the ell_1 ball; optimum concentrates on the largest alpha
         beta = np.zeros(E.dim)
         beta[int(np.argmax(alpha))] = 1.0
         return beta
-    if abs(r - p) <= 1e-12:
+    if abs(r - 1.0) <= 1e-12:
         return w ** (1.0 / r)  # the all-ones vector after unweighting
     # beta is of degree 0 in alpha: at alpha's scale its powers could under-
     # or overflow
     aw = _pow2_scaled(alpha)[0] * w ** (1.0 / r)
-    t = 1.0 / (1.0 / p - 1.0 / r)
+    t = 1.0 / (1.0 - 1.0 / r)
     b = aw ** (r / t)
     nb = np.sum(b ** t) ** (1.0 / t)
     if nb <= 0:

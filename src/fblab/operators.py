@@ -6,13 +6,14 @@ against the argument (a tuple map f -> (<f, x_k>)_k on a dual space),
 the constructor bakes the pairing weights into the matrix rows, so the
 action stays a plain product everywhere downstream.
 
-Norms of maps from a constraint ball (``spaces``) have one exact-path
-dispatcher, ``_exact_plan``, for the unit ball B_E of a space and for a
-section B_F of a subspace alike; the weak-p norms of ``summing`` are such
-norms into ell_p^N.  Off its paths, ``operator_norm`` bounds a map from
-B_E between an ascent and the row-norm bound, and ``_operator_norm_over_F``
-bounds one from B_F below by the same ascent over the linear maximizers
-of ``_max_linear_over_BF``.
+Norms of maps from a constraint ball (``spaces``), the unit ball B_E of
+a space or a section B_F of a subspace, have one oracle here, whatever
+reports them: the weak-p norm of a family is such a norm into ell_p^N,
+the operator norm of a map one into its codomain.  ``_bound`` gives the
+certified upper bound, exact on the paths of the one dispatcher
+``_exact_plan`` and the triangle inequality off them; ``_ascent_lower``
+gives the certified lower bound of a conditional-gradient ascent that
+steps by the ball's own linear maximizer.
 """
 
 from __future__ import annotations
@@ -135,20 +136,18 @@ def _ascend(
     codomain: SpaceSpec,
     x: np.ndarray,
     linear_max: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, np.ndarray]:
+) -> float:
     """Conditional-gradient ascent for the convex objective ||a x|| on a
     convex body: linearize at x, move to the body point ``linear_max(g)``
-    maximizing the linearization g . x.  Monotone."""
+    maximizing the linearization g . x.  Monotone; returns the value."""
     val = _norm_each_row(codomain, a @ x)
     for _ in range(_ASCENT_MAX_ITER):
-        x_new = linear_max(a.T @ _norm_gradient(codomain, a @ x))
-        new_val = _norm_each_row(codomain, a @ x_new)
+        x = linear_max(a.T @ _norm_gradient(codomain, a @ x))
+        new_val = _norm_each_row(codomain, a @ x)
         if new_val <= val + _ASCENT_TOL * val:
-            if new_val > val:
-                val, x = new_val, x_new
-            break
-        val, x = new_val, x_new
-    return val, x
+            return max(val, new_val)
+        val = new_val
+    return val
 
 
 def _structured_ascent(
@@ -156,30 +155,38 @@ def _structured_ascent(
     codomain: SpaceSpec,
     body_norm: Callable[[np.ndarray], float],
     linear_max: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, np.ndarray]:
-    """Best ``_ascend`` value over structured starts, with its point: the
-    body's coordinate vectors, the body points ``linear_max(row)`` that
-    norm the rows of ``a``, and the top right singular vector of ``a``,
-    each scaled to the boundary of the body; of the first two kinds only
-    the 32 of largest ||a e_i|| / |e_i| and Euclidean row norm, so the work
-    stays bounded in the size of ``a``.  For ell_r -> ell_s this is Boyd's
-    power method (Boyd 1974; Higham 1992).  The first strict improvement
-    wins, so ties go to the earliest start."""
+) -> float:
+    """Best ``_ascend`` value over structured starts: the body's coordinate
+    vectors, the body points ``linear_max(row)`` that norm the rows of
+    ``a``, and the top right singular vector of ``a``, each scaled to the
+    boundary of the body; of the first two kinds only the 32 of largest
+    ||a e_i|| / |e_i| and Euclidean row norm, so the work stays bounded in
+    the size of ``a``.  For ell_r -> ell_s this is Boyd's power method
+    (Boyd 1974; Higham 1992)."""
     dim = a.shape[1]
     top = lambda s: np.sort(np.argsort(-np.asarray(s), kind="stable")[:32])  # in index order
     cols = [_norm_each_row(codomain, a[:, i]) / body_norm(np.eye(1, dim, i)[0]) for i in range(dim)]
     starts = [np.eye(1, dim, i)[0] for i in top(cols)]
     starts += [linear_max(a[i]) for i in top(np.linalg.norm(a, axis=1))]
     starts.append(np.linalg.svd(a, full_matrices=False)[2][0])
-    best_val, best_x = 0.0, np.zeros(dim)
+    best = 0.0
     for x0 in starts:
         n0 = body_norm(x0)
-        if n0 <= 1e-14:
-            continue
-        val, x = _ascend(a, codomain, x0 / n0, linear_max)
-        if val > best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
+        if n0 > 1e-14:
+            best = max(best, _ascend(a, codomain, x0 / n0, linear_max))
+    return best
+
+
+def _ascent_lower(ball: SpaceSpec | SubspaceSpec, a: np.ndarray, C: SpaceSpec) -> float:
+    """The one lower-bound oracle: a certified lower bound on the norm of
+    x -> a x from a constraint ball into ``C``, for a plain matrix a on the
+    coordinates of E or on the basis coordinates of F.  It is the
+    ``_structured_ascent`` value, attained at a point of the ball, and the
+    ascent steps by the ball's own linear maximizer: ``norming_vector``
+    over B_E, ``_max_linear_over_BF`` over B_F."""
+    if isinstance(ball, SpaceSpec):
+        return _structured_ascent(a, C, lambda x: _norm_each_row(ball, x), lambda g: norming_vector(ball, g))
+    return _structured_ascent(a, C, ball.ambient_norm, lambda g: _max_linear_over_BF(ball, g)[1])
 
 
 @functools.cache
@@ -279,19 +286,49 @@ def _space_plan(
     return (lambda Y: _max_signed_sum(Y if w is None else Y * w, dual)[0]), tag, cheap
 
 
-def _norm_upper(A: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> tuple[float | np.ndarray, bool]:
-    """Certified upper bound on the norm of x -> a @ x from the ball of
-    ``E`` into ``C`` for a map a, or the bounds of each map of a stack A
-    (K, m, n), and whether they are exact: the value of the path of
-    ``_exact_plan``, one call for a whole stack, otherwise the crude
-    row-norm bound (each row functional replaced by its norm) map by map;
-    each map keeps the bits it has alone."""
-    Y = A if E.unweighted else A / E.weight_array  # <Y[c], x> = (a @ x)[c]
-    plan = _exact_plan(E, C)
+def _weak_crude_upper(Y: np.ndarray, E: SpaceSpec, C: SpaceSpec) -> float:
+    """Triangle-inequality bound on the norm of x -> (<y_c, x>)_c from the
+    ball of ``E`` into ``C``: the C-norm of the rows' dual norms."""
+    return _norm_each_row(C, norms_rows(E.dual, Y))
+
+
+def _bound(
+    ball: SpaceSpec | SubspaceSpec, Y: np.ndarray, C: SpaceSpec
+) -> tuple[float | np.ndarray, bool, Callable[[np.ndarray], np.ndarray] | None, str]:
+    """The one upper-bound oracle: a certified upper bound on the norm of
+    x -> (<y_c, x>)_c from a constraint ball into ``C``, for the rows y_c
+    of Y in the coordinates of ``_exact_plan``, or the bound of each map
+    of a stack (K, N, dim), each with the bits it has alone.  The weak-p
+    norm of a family is this norm into unweighted ell_p^N.  Returns (the
+    bound, whether it is exact, the bound as a function of a stack for the
+    polish or None where it is too dear to polish, the path tag).
+
+    On a path of ``_exact_plan`` the bound is its value, handed to the
+    polish where the plan is cheap.  Off them it is the triangle
+    inequality, tagged "row-norm upper bound".  Over the unit ball of a
+    ``SpaceSpec`` (and over the model space of an axis-aligned F) that is
+    ``_weak_crude_upper``, map by map and not polished.  Over other
+    sections B_F it is the C-norm of upper bounds on the rows' norms on F
+    (``_fstar_norm_upper``): exact into a sup-norm C where those are
+    (ambient r in {1, 2, inf}), and not polished for ambient r in {1, inf},
+    where each row costs a linear program."""
+    plan = _exact_plan(ball, C)
     if plan is not None:
-        return plan[0](Y), True
-    crude = lambda y: _norm_each_row(C, norms_rows(E.dual, y))
-    return (crude(Y) if Y.ndim == 2 else np.array([crude(y) for y in Y])), False
+        value, tag, cheap = plan
+        return value(Y), True, value if cheap else None, tag
+    tag = "row-norm upper bound"
+    if isinstance(ball, SubspaceSpec) and ball._model is None:
+        E = ball.ambient
+
+        def upper(G: np.ndarray) -> float | np.ndarray:  # of a map or a stack of them
+            return _norm_each_row(C, np.apply_along_axis(lambda g: _fstar_norm_upper(ball, g), -1, G))
+
+        exact = C.is_sup and (E.is_sup or E.r in (1.0, 2.0))
+        return upper(Y), exact, None if E.is_sup or E.r == 1 else upper, tag
+    E, Z = (ball, Y) if isinstance(ball, SpaceSpec) else (ball._model[0], Y / ball._model[1])
+    if Z.ndim == 2:
+        return _weak_crude_upper(Z, E, C), False, None, tag
+    return np.array([_weak_crude_upper(z, E, C) for z in Z]), False, None, tag
 
 
 @_homogeneous(1, lambda T, cfg=None: (T.matrix, (T.domain, T.codomain), lambda e: (T._ldexp(-e), cfg)))
@@ -301,25 +338,15 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     Exact (certified on both sides) on every path of ``_exact_plan``, the
     oracle the weak-p norms share: a sup-norm codomain, an ell_1 domain, an
     ell_1 codomain of at most ``spaces._FAMILY_CAP`` rows, and a sup-norm
-    domain within the enumeration cap.  Otherwise the lower bound is the
-    best ``_structured_ascent`` value (certified, it is attained at a
-    feasible point) and the upper bound is the crude row-norm bound; both
-    upper bounds come from ``_norm_upper``.
+    domain within the enumeration cap.  Otherwise the lower bound is
+    ``_ascent_lower`` (certified, it is attained at a feasible point) and
+    the upper bound the row-norm bound of ``_bound``.
     """
     a, E, cod = T.matrix, T.domain, T.codomain
-    upper, exact = _norm_upper(a, E, cod)
+    upper, exact, _, tag = _bound(E, a / E.weight_array, cod)  # <Y[c], x> = (a @ x)[c]
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
-    lower, _ = _structured_ascent(
-        a, cod, lambda x: _norm_each_row(E, x), lambda g: norming_vector(E, g)
-    )
-    return NormEstimate(
-        lower=lower,
-        upper=upper,
-        lower_certified=True,
-        upper_certified=True,
-        method=("multistart ascent", "row-norm upper bound"),
-    )
+    return NormEstimate(_ascent_lower(E, a, cod), upper, True, True, method=("multistart ascent", tag))
 
 
 def _max_linear_over_BF(sub: SubspaceSpec, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -423,18 +450,11 @@ def _fstar_norm_upper(sub: SubspaceSpec, g: np.ndarray) -> float:
 
 
 def _operator_norm_over_F(sub: SubspaceSpec, M: np.ndarray, codomain: SpaceSpec) -> float:
-    """sup of the codomain norm of M c over B_F: exact wherever
-    ``_exact_plan`` is, otherwise a certified lower bound, the best
-    conditional-gradient ascent value from structured starts
-    (``_structured_ascent``; attained at a point of B_F; one
-    linear program per step for ambient r in {1, inf}, one SLSQP program
-    for other r but 2)."""
-    plan = _exact_plan(sub, codomain)
-    if plan is not None:
-        return plan[0](M)
-    return _structured_ascent(
-        M, codomain, sub.ambient_norm, lambda g: _max_linear_over_BF(sub, g)[1]
-    )[0]
+    """sup of the codomain norm of M c over B_F: the bound of ``_bound``
+    where it is exact, otherwise the certified lower bound of
+    ``_ascent_lower``."""
+    upper, exact, _, _ = _bound(sub, M, codomain)
+    return upper if exact else _ascent_lower(sub, M, codomain)
 
 
 def map_to_json(T: LinearMap) -> dict:

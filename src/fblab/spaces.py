@@ -20,9 +20,10 @@ r = infinity is represented by ``math.inf``, never by a large float.
 This module owns the two kinds of constraint ball: the unit ball B_E of a
 ``SpaceSpec`` and the section B_F = B_E intersect F of a ``SubspaceSpec``,
 with the geometry of B_F (the model space of an axis-aligned F, the
-vertices of a polytopal section).  The exact paths over either ball are
-chosen in ``operators._exact_plan``, the weak-p bound of a family over
-either is ``summing._weak``, and ``summing.witness_search`` runs over both.
+vertices of a polytopal section).  The norm of a map from either ball,
+and so the weak-p norm of a family, is bounded from above by
+``operators._bound`` and from below by ``operators._ascent_lower``, and
+``summing.witness_search`` runs over both kinds of ball.
 
 One kernel, ``_norm_each_row``, computes the finite-r norms of ``norm``,
 of the row norms and of ``summing.lp_combine``; the hot matrix-product form

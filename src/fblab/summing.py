@@ -8,27 +8,27 @@ Every reported lower bound is produced by an explicit feasible family:
 a candidate family is divided by a *certified upper bound* on its weak-p
 norm, so the normalized family is genuinely feasible and the value it
 attains is a true lower bound.  The weak-p norm of a family is the norm
-of the map x -> (<y_k, x>)_k from E into ell_p^N, so the exact paths are
-those of the operator-norm oracle ``operators._exact_plan``: p = infinity
-and an ell_1 ball by closed forms, p = 1 by sign enumeration of the
-members or of the cube vertices, and a sup-norm ball within the
-enumeration cap by its vertices.  On them the normalization is tight and
-the estimate is flagged accordingly in its method tags.  The seeds follow
-the paper's disjoint sequences: a coordinate family's p = 1 value is read
-off the sum of its members in closed form, not enumerated.
+of the map x -> (<y_k, x>)_k from E into ell_p^N, so this module keeps no
+norm oracle of its own: both bounds come from ``operators._bound`` and
+``operators._ascent_lower``.  On the exact paths (p = infinity and an
+ell_1 ball by closed forms, p = 1 by sign enumeration of the members or
+of the cube vertices, a sup-norm ball within the enumeration cap by its
+vertices) the normalization is tight and the estimate is flagged
+accordingly in its method tags.  The seeds follow the paper's disjoint
+sequences: a coordinate family's p = 1 value is read off the sum of its
+members in closed form, not enumerated.
 
-This module owns the weak-p bound and the witness search over both kinds
-of constraint ball of ``spaces``: the unit ball of a weighted ell_r space
-and the section B_F of a subspace.  ``witness_search`` is the one search
-engine of the package: it takes the best of the distinct structured seeds
-its caller supplies and polishes that family by Powell's method.  Its one
-oracle, ``_weak``, answers one question per candidate family over either
-ball: a certified upper bound on its weak-p norm, whether that bound is
-exact, and the same bound as a function of a stack (K, N, dim) of
+``witness_search`` is the one search engine of the package, over both
+kinds of constraint ball of ``spaces``: the unit ball of a weighted ell_r
+space and the section B_F of a subspace.  It takes the best of the
+distinct structured seeds its caller supplies and polishes that family
+by Powell's method.  ``_bound`` answers one question per candidate
+family: a certified upper bound on its weak-p norm, whether that bound
+is exact, and the same bound as a function of a stack (K, N, dim) of
 families, each with the bits it has alone, or None where it is too dear
-to polish.  The search keeps that function with its best family,
-and the polish runs ``optimize.powell_rows`` on it over both kinds of
-ball: the line searches of a Powell sweep step in lockstep, and each step
+to polish.  The search keeps that function with its best family, and the
+polish runs ``optimize.powell_rows`` on it over both kinds of ball: the
+line searches of a Powell sweep step in lockstep, and each step
 evaluates the bound and the objective of all their families at once.
 Every objective therefore takes stacks, as the free-lattice,
 summing-norm and embedding-gap objectives do.  The search draws nothing
@@ -44,7 +44,10 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .estimates import NormEstimate, WitnessFamily
-from .operators import LinearMap, _exact_plan, _fstar_norm_upper, _unit_space, operator_norm
+from .operators import LinearMap, _ascent_lower, _bound, _unit_space
+# the triangle-inequality fallback of ``_bound``, bound here too: the
+# benchmark's trace (bench/layers.py) counts its calls under this name
+from .operators import _weak_crude_upper  # noqa: F401
 from .optimize import OptimizerConfig, powell_rows
 from .spaces import (
     _FAMILY_CAP,
@@ -96,46 +99,6 @@ def lp_combine(values: np.ndarray, p: float) -> float | np.ndarray:
     return _norm_each_row(_unit_space(p, values.shape[-1]), values)
 
 
-def _weak_crude_upper(Y: np.ndarray, space: SpaceSpec, p: float) -> float:
-    """Triangle-inequality bound: combine the dual norms of the members."""
-    return lp_combine(norms_rows(space.dual, Y), p)
-
-
-def _weak(
-    ball: SpaceSpec | SubspaceSpec, Y: np.ndarray, p: float
-) -> tuple[float, bool, Callable[[np.ndarray], np.ndarray] | None]:
-    """Weak-p norm of a family over a constraint ball for the witness
-    search: (certified upper bound, exact?, the bound as a function of a
-    stack of families for the polish, or None where it is too dear to
-    polish).  The weak-p norm is the norm of x -> (<y_k, x>)_k from the
-    ball into ell_p^N, exact wherever ``operators._exact_plan`` is.  Off
-    its paths the triangle inequality bounds it, not polished: over the
-    unit ball of a ``SpaceSpec`` (and over the model space of an
-    axis-aligned F) by the members' dual norms, ``_weak_crude_upper``; an
-    ascent lower bound would dominate the cost and normalization only
-    needs the upper one.  Over other sections B_F by the lp-combination of
-    upper bounds on the members' norms on F (``operators._fstar_norm_upper``),
-    exact at p = inf when those are (ambient r in {1, 2, inf}), and not
-    polished for ambient r in {1, inf}, where each member costs a linear
-    program."""
-    plan = _exact_plan(ball, _unit_space(p, len(Y)))
-    if plan is not None:
-        value, _, cheap = plan
-        return value(Y), True, value if cheap else None
-    if isinstance(ball, SpaceSpec):
-        return _weak_crude_upper(Y, ball, p), False, None
-    if ball._model is not None:
-        space_F, d = ball._model
-        return _weak_crude_upper(Y / d, space_F, p), False, None
-    E = ball.ambient
-
-    def upper(G: np.ndarray) -> float | np.ndarray:  # of a family or a stack of them
-        return lp_combine(np.apply_along_axis(lambda g: _fstar_norm_upper(ball, g), -1, G), p)
-
-    exact = math.isinf(p) and (E.is_sup or E.r in (1.0, 2.0))
-    return upper(Y), exact, None if E.is_sup or E.r == 1 else upper
-
-
 @_homogeneous(
     1, lambda family, space, p, cfg=None: (family, (space, p), lambda e: (np.ldexp(family, -e), space, p, cfg))
 )
@@ -148,8 +111,8 @@ def weak_p_norm(
     """sup over the unit ball of ``space`` of (sum_k |<y_k, x>|^p)^(1/p).
 
     The family rows live in the dual of ``space``.  This is the norm of the
-    map x -> (<y_k, x>)_k from ``space`` into ell_p^N, and its exact paths
-    are those of ``operators._exact_plan`` with that codomain:
+    map x -> (<y_k, x>)_k from ``space`` into ell_p^N, bounded by
+    ``operators._bound``, and its exact paths are those of that oracle:
 
     * p = infinity: max of the members' dual norms;
     * r = 1 ball (any p): columnwise closed form over the cross-polytope;
@@ -158,22 +121,19 @@ def weak_p_norm(
       or, over a sup-norm ball, the 2^(dim-1) cube vertices;
     * sup-norm ball within the enumeration cap (any p): cube vertices.
 
-    Otherwise ``operator_norm`` of that map: the lower bound of its ascent
-    from structured starts plus its row-norm upper bound, which is the
-    triangle inequality (both certified; the gap is reported, not hidden).
+    Otherwise the upper bound is the triangle inequality and the lower
+    bound ``operators._ascent_lower`` of the map (both certified; the gap
+    is reported, not hidden).
     """
     Y = np.atleast_2d(np.asarray(family, dtype=float))
     if Y.shape[1] != space.dim:
         raise ValueError("family members must live in the dual of the given space")
-    plan = _exact_plan(space, _unit_space(p, len(Y)))
-    if plan is not None:
-        val = plan[0](Y)
-        return NormEstimate(val, val, True, True, method=(plan[1],))
-
-    # heuristic regime: certified bounds from both sides, but not tight
-    S = LinearMap.from_array(Y * space.weight_array, space, _unit_space(p, Y.shape[0]))
-    est = operator_norm(S)
-    return NormEstimate(est.lower, est.upper, True, True, method=("multistart lower", "triangle upper"))
+    C = _unit_space(p, len(Y))
+    upper, exact, _, tag = _bound(space, Y, C)
+    if exact:
+        return NormEstimate(upper, upper, True, True, method=(tag,))
+    lower = _ascent_lower(space, Y * space.weight_array, C)  # the plain matrix of the map
+    return NormEstimate(lower, upper, True, True, method=("multistart lower", "triangle upper"))
 
 
 # --------------------------------------------------------------------------
@@ -201,9 +161,10 @@ def witness_search(
     the float window of ``spaces._window_exponent`` is first scaled into
     it, and a section on a basis outside it is taken by
     ``SubspaceSpec._unit``.  The best of them, at most 128 entries, is
-    polished by Powell when ``_weak`` hands over that bound as a function
-    of a stack; the polish evaluates its line searches in lockstep.  So the
-    best value is always a true lower bound for sup { objective : weak-p <= 1 }.
+    polished by Powell when ``operators._bound`` hands over that bound as
+    a function of a stack; the polish evaluates its line searches in
+    lockstep.  So the best value is always a true lower bound for
+    sup { objective : weak-p <= 1 }.
     ``cfg`` is accepted for a uniform signature; nothing here is random.
 
     Returns (value, witness, tight) where ``tight`` records whether the
@@ -224,7 +185,7 @@ def witness_search(
             return
         seen.add(key)
         Y = np.ldexp(Y, -_window_exponent(Y, ball, p))  # the same bytes inside the window
-        upper, tight, bound = _weak(ball, Y, p)
+        upper, tight, bound, _ = _bound(ball, Y, _unit_space(p, len(Y)))
         # weak-p is homogeneous, so a family is degenerate when its bound
         # is tiny next to its own entries, whatever their scale
         if upper <= 1e-14 * np.max(np.abs(Y)) or math.isinf(upper):

@@ -41,9 +41,11 @@ from fblab import (
 )
 from fblab.experiments import _l1_complement, dyadic_L1, rademacher_matrix
 from fblab.exprs import max_generator_index
-from fblab.operators import _exact_plan, _fstar_norm_upper, _max_linear_over_BF, _norm_upper, _operator_norm_over_F
+from fblab.operators import (
+    _bound, _exact_plan, _fstar_norm_upper, _max_linear_over_BF, _operator_norm_over_F, _unit_space,
+)
 from fblab import summing
-from fblab.summing import _weak, lp_combine
+from fblab.summing import lp_combine
 
 CFG = OptimizerConfig(restarts=8)
 
@@ -464,7 +466,7 @@ def test_weak_p_over_a_section_above_the_vertex_cap(r, p):
     sub = SubspaceSpec.from_arrays(SpaceSpec(r, 40), full[:6], full[6:])
     assert sub._vertices is None and sub._model is None
     G = rng.standard_normal((2, 6))
-    upper, exact, bound = _weak(sub, G, p)
+    upper, exact, bound, _ = _bound(sub, G, _unit_space(p, len(G)))
     members = np.array([_fstar_norm_upper(sub, g) for g in G])
     assert np.float64(upper).tobytes() == np.float64(lp_combine(members, p)).tobytes()
     assert exact == math.isinf(p) and bound is None
@@ -599,8 +601,8 @@ def test_axis_aligned_section_norms_match_closed_forms(r):
 
     G = rng.standard_normal((3, 3))
     weak_1 = max(form_norm(np.array(t) @ G) for t in itertools.product((-1.0, 1.0), repeat=3))
-    assert _weak(sub, G, 1.0)[0] == pytest.approx(weak_1, rel=1e-12)
-    assert _weak(sub, G, math.inf)[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
+    assert _bound(sub, G, _unit_space(1.0, 3))[0] == pytest.approx(weak_1, rel=1e-12)
+    assert _bound(sub, G, _unit_space(math.inf, 3))[0] == pytest.approx(max(map(form_norm, G)), rel=1e-12)
     val = _operator_norm_over_F(sub, G, SpaceSpec(math.inf, 3))
     assert val == pytest.approx(max(map(form_norm, G)), rel=1e-12)
 
@@ -621,7 +623,7 @@ def _polar_vertices(sub):
 def test_exact_norm_F_matches_qhull_vertices(r, aligned):
     """Over sections of weighted ell_1^n and ell_inf^n, n <= 6, every norm
     of c -> M c over B_F is exact and peaks at a vertex: the weak-p norms
-    of ``summing._weak`` (p in {1, 2, inf}) and the operator norms of
+    of ``operators._bound`` into ell_p^N (p in {1, 2, inf}) and the operator norms of
     ``_operator_norm_over_F`` (weighted ell_s codomains) equal the largest
     value over the vertices qhull finds, whichever path the dispatcher
     takes (the model space when aligned, the vertices of B_F otherwise)."""
@@ -643,7 +645,7 @@ def test_exact_norm_F_matches_qhull_vertices(r, aligned):
             for _ in range(2):
                 G = rng.standard_normal((int(rng.integers(1, 5)), k))
                 for p in (1.0, 2.0, math.inf):
-                    upper, tight, _ = _weak(sub, G, p)
+                    upper, tight, _, _ = _bound(sub, G, _unit_space(p, len(G)))
                     assert tight
                     assert upper == pytest.approx(np.max(_lp_rows(V @ G.T, p)), rel=1e-12)
                 for r_cod in (1.0, 1.5, 3.0, math.inf):
@@ -744,9 +746,10 @@ def test_extension_multistart_takes_powell_values(monkeypatch):
 def test_stacked_extension_objective_keeps_each_rows_bits(r):
     """Row k of the multistart's row-stacked objective is the one-point
     objective on the k-th complement values, bit for bit: the extension
-    [M W] St_inv built alone, and ``operators._norm_upper`` of it.
-    ``np.matmul`` over the stack takes each product as the single product
-    does, and ``operators._norm_upper`` of the stack keeps each map's bits.
+    [M W] St_inv built alone, and ``operators._bound`` of its rows in
+    pairing coordinates.  ``np.matmul`` over the stack takes each product
+    as the single product does, and ``operators._bound`` of the stack keeps
+    each map's bits.
     Random stacks over weighted ambients and ell_1, ell_2 and ell_inf
     codomains; the ell_2 codomain over a Euclidean ambient has no exact
     path and goes map by map."""
@@ -761,13 +764,14 @@ def test_stacked_extension_objective_keeps_each_rows_bits(r):
         for K in (1, 4, 9):
             X = rng.standard_normal((K, m * (n - k))) * 10.0 ** rng.integers(-3, 4, (K, 1))
             A = extension._extensions(M, X, St_inv)
-            values, exact = _norm_upper(A, E, C)
+            values, exact, _, _ = _bound(E, A / E.weight_array, C)
             assert A.shape == (K, m, n) and values.shape == (K,)
             for W, a, v in zip(X, A, values.tolist()):
                 alone = np.concatenate((M, W.reshape(m, n - k)), axis=1) @ St_inv
                 assert a.tobytes() == alone.tobytes()
-                assert np.float64(v).tobytes() == np.float64(_norm_upper(alone, E, C)[0]).tobytes()
-                assert exact == _norm_upper(alone, E, C)[1]
+                upper, exact_alone, _, _ = _bound(E, alone / E.weight_array, C)
+                assert np.float64(v).tobytes() == np.float64(upper).tobytes()
+                assert exact == exact_alone
     assert stacked == (16 if r == 2.0 else 24)  # all but ell_2 into ell_2 take the stacked path
 
 

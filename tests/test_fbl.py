@@ -32,7 +32,7 @@ from fblab import (
     sublattice_generators,
 )
 from fblab.experiments import _moduli_sum, summing_basis_matrix
-from fblab.exprs import _convex_shape, eval_rows
+from fblab.exprs import _convex_shape, eval_rows, mass_bound
 from fblab.fbl import _dual_multistart
 from fblab.spaces import norms_rows
 
@@ -87,6 +87,21 @@ def test_fbl_norm_moduli_recognition_L1():
     assert est.exact
     expected = 2.0 * norm(E, b.matrix[0]) + norm(E, b.matrix[1])
     assert est.lower == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_L1_moduli_closed_form_is_the_mass_bound(seed):
+    """Over a weighted L_1 the 1-summing closed form of a positive moduli
+    combination is sum_k a_k ||x_k||, its mass bound, so the closed form
+    bounds no other p more tightly than the mass bound does."""
+    rng = np.random.default_rng(seed)
+    n, count = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    E = SpaceSpec(1.0, n, tuple(rng.uniform(0.1, 3.0, n)))
+    b = GeneratorBinding.from_matrix(E, rng.standard_normal((count, n)))
+    e = functools.reduce(Add, [float(a) * Abs(Gen(k)) for k, a in enumerate(rng.uniform(0.1, 4.0, count))])
+    est = fbl_norm(e, b, 1.0)
+    assert est.exact and est.method == ("1-summing closed form over L_1(mu)",)
+    assert est.upper == pytest.approx(mass_bound(e, b), rel=1e-12)
 
 
 def test_fbl_norm_single_generator_is_vector_norm():

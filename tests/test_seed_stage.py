@@ -209,11 +209,11 @@ def test_witness_search_considers_each_distinct_seed_once(r, p, monkeypatch):
     ball, objective = T.domain.dual, _pi_objective(T, 2.0)
     seeds = _pi_seeds(T)
     repeated = seeds + [s.copy() for s in seeds[::2]] + [np.eye(4, dtype=int), seeds[0].tolist()]
-    oracle = fblab.summing._weak
+    oracle = fblab.summing._bound
     results = []
     for family in (seeds, repeated):
         calls = []
-        monkeypatch.setattr(fblab.summing, "_weak", lambda E, Y, q: calls.append((Y.shape, Y.tobytes())) or oracle(E, Y, q))
+        monkeypatch.setattr(fblab.summing, "_bound", lambda E, Y, C: calls.append((Y.shape, Y.tobytes())) or oracle(E, Y, C))
         val, witness, tight = witness_search(ball, p, objective, family)
         results.append((np.float64(val).tobytes(), witness.functionals.tobytes(), tight, calls))
     assert results[0] == results[1]

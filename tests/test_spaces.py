@@ -236,7 +236,7 @@ _EXACT_PATH_MAPS = [
 @pytest.mark.parametrize("E, C, tag", _EXACT_PATH_MAPS)
 def test_exact_plan_of_tiny_and_huge_maps(E, C, tag, e):
     """Every exact path of the operator norm, and so of the weak-p norms of
-    ``summing._weak``, reads the scaled interval: the closed forms once
+    ``operators._bound``, reads the scaled interval: the closed forms once
     read [0.0, 0.0], certified, at 2^-830 and overflowed to inf (a
     ValueError) at 2^830.  The value function of a stack has the unit
     map's value for A and -A."""

@@ -33,9 +33,9 @@ from fblab import (
 )
 from fblab.exprs import _VALUES, _fold, eval_rows
 from fblab.fbl import _fbl_objective
-from fblab.operators import _exact_plan, _fstar_norm_upper
+from fblab.operators import _bound, _exact_plan, _fstar_norm_upper, _unit_space
 from fblab.spaces import _max_signed_sum, _signed_sum_plan, norms_rows
-from fblab.summing import _pi_objective, _weak, lp_combine
+from fblab.summing import _pi_objective, lp_combine
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
 SPECIALS = ["plain", "zero member", "minus three times", "huge", "tiny"]
@@ -391,17 +391,18 @@ def test_exact_plan_F_draws_reach_every_path():
 @given(r=st.sampled_from([2.0, 3.0]), p=st.sampled_from(EXPONENTS), **_SECTIONS)
 @settings(max_examples=100, deadline=None)
 def test_fallback_weak_F_bound_of_a_stack(r, p, k, extra, K, N, special, seed):
-    """Off the exact paths (generic F in ell_2 or ell_3), ``summing._weak``
-    hands the polish the triangle-inequality bound of each family of a
-    stack: the lp-combination of the members' upper bounds, as it gives it
-    for that family alone."""
+    """Off the exact paths (generic F in ell_2 or ell_3), ``operators._bound``
+    into ell_p^N hands the polish the triangle-inequality bound of each
+    family of a stack: the lp-combination of the members' upper bounds, as
+    it gives it for that family alone."""
     rng = np.random.default_rng(seed)
     sub = _section(r, False, max(k, 2), max(k, 2) + 1 + extra, rng)
     assert sub._model is None
     G = _stack(K, N, sub.dim, special, rng)
-    bound = _weak(sub, G[0], p)[2]
+    C = _unit_space(p, N)
+    bound = _bound(sub, G[0], C)[2]
     values = bound(G)
-    alone = [_weak(sub, G[j], p)[0] for j in range(K)]
+    alone = [_bound(sub, G[j], C)[0] for j in range(K)]
     ref = [_one_family_lp_combine([_fstar_norm_upper(sub, g) for g in G[j]], p) for j in range(K)]
     assert values.shape == (K,)
     assert [_bits(v) for v in values] == [_bits(v) for v in alone] == [_bits(v) for v in ref]

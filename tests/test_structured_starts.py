@@ -26,7 +26,7 @@ from fblab import (
     operator_norm,
     weak_p_norm,
 )
-from fblab.operators import _max_linear_over_BF, _operator_norm_over_F
+from fblab.operators import _ascent_lower, _max_linear_over_BF
 from fblab.spaces import norming_functional, norms_rows
 
 CONFIGS = (OptimizerConfig(seed=0, restarts=1), OptimizerConfig(seed=404, restarts=64))
@@ -68,11 +68,11 @@ def test_weak_p_heuristic_regime_reads_no_seed():
     assert _same_bytes(lambda cfg: json.dumps(weak_p_norm(Y, E, 2.0, cfg).to_json()))
 
 
-def test_operator_norm_over_F_reads_no_seed():
+def test_ascent_over_F_reads_no_seed():
     sub = _generic_sub(3.0, 5, 3, 1)
     M = np.random.default_rng(2).standard_normal((2, 3))
     C = SpaceSpec(2.0, 2)
-    assert _same_bytes(lambda cfg: repr(_operator_norm_over_F(sub, M, C)))
+    assert _same_bytes(lambda cfg: repr(_ascent_lower(sub, M, C)))
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 5), (6, 4), (8, 8)])
@@ -97,7 +97,7 @@ def test_euclidean_norm_over_F_is_a_singular_value(seed):
     B = sub.basis_matrix
     L = np.linalg.cholesky((B * sub.ambient.weight_array) @ B.T)
     sigma = float(np.linalg.svd(M @ np.linalg.inv(L).T, compute_uv=False)[0])
-    val = _operator_norm_over_F(sub, M, SpaceSpec(2.0, M.shape[0]))
+    val = _ascent_lower(sub, M, SpaceSpec(2.0, M.shape[0]))
     assert val == pytest.approx(sigma, rel=1e-9)
 
 
