@@ -263,11 +263,11 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
     of a Hadamard matrix and their negations (e need not be odd), each on
     the dual sphere.  The lower bound is certified (attained at explicit
     functionals): the best candidate, or a better point of |eval| / dual
-    norm found from the six best by one lockstep Nelder-Mead
-    (``nelder_mead_rows``).  A certified upper bound is produced only for
-    dual dimension <= 3, by a Lipschitz-padded grid over the dual sphere;
-    vertices of the dual ball give none, since a non-convex e need not
-    attain its sup at one.
+    norm found from the distinct ones of the six best by one lockstep
+    Nelder-Mead (``nelder_mead_rows``).  A certified upper bound is
+    produced only for dual dimension <= 3, by a Lipschitz-padded grid over
+    the dual sphere; vertices of the dual ball give none, since a
+    non-convex e need not attain its sup at one.
     """
     E = b.space
     Ed = dual_space(E)
@@ -287,7 +287,12 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
         n = norms_rows(Ed, Y)
         return np.divide(np.abs(eval_rows(e, b, Y)), -n, out=np.zeros(len(n)), where=n > 1e-14)
 
-    Y0 = candidates[order[:6]]
+    # a repeated start (the sign rows of a small dual can coincide) runs once:
+    # it would return the same bytes, which the strict v > best_val below skips
+    first = {}
+    for k, y in enumerate(candidates[order[:6]]):
+        first.setdefault(y.tobytes(), k)
+    Y0 = candidates[order[list(first.values())]]
     Y, _, _ = nelder_mead_rows(neg_ratio, Y0, 200 * dim, 1e-10, 1e-12)
     Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
     for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):

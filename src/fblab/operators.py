@@ -86,6 +86,17 @@ class LinearMap:
     def _ldexp(self, k: int) -> "LinearMap":  # 2^k times the map, exact
         return LinearMap(np.ldexp(self.matrix, k), self.domain, self.codomain)
 
+    @functools.cached_property
+    def _unweighted(self) -> "LinearMap":
+        """The map a / w^(1/r) from the unweighted ell_r, onto which x ->
+        w^(1/r) x maps a weighted domain ell_r(w) isometrically: the same
+        norm.  Its rows' dual norms take no power of a / w, which leaves
+        the floats for weights beyond about 2^+-480 whatever the scale of a."""
+        E = self.domain
+        if E.unweighted:
+            return self
+        return LinearMap(self.matrix / E.weight_array ** (1.0 / E.r), SpaceSpec(E.r, E.dim), self.codomain)
+
 
 def tuple_map(vectors: np.ndarray, space: SpaceSpec, codomain: SpaceSpec) -> LinearMap:
     """The map f -> (<f, x_k>)_k on the dual of ``space``.
@@ -331,7 +342,9 @@ def _bound(
     return np.array([_weak_crude_upper(z, E, C) for z in Z]), False, None, tag
 
 
-@_homogeneous(1, lambda T, cfg=None: (T.matrix, (T.domain, T.codomain), lambda e: (T._ldexp(-e), cfg)))
+@_homogeneous(
+    1, lambda T, cfg=None: (T._unweighted.matrix, (T._unweighted.domain, T.codomain), lambda e: (T._ldexp(-e), cfg))
+)
 def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstimate:
     """sup of ||Tx|| over the unit ball of the domain.
 
@@ -340,10 +353,12 @@ def operator_norm(T: LinearMap, cfg: OptimizerConfig | None = None) -> NormEstim
     ell_1 codomain of at most ``spaces._FAMILY_CAP`` rows, and a sup-norm
     domain within the enumeration cap.  Otherwise the lower bound is
     ``_ascent_lower`` (certified, it is attained at a feasible point) and
-    the upper bound the row-norm bound of ``_bound``.
+    the upper bound the row-norm bound of ``_bound``.  A map from a
+    weighted domain is measured as ``LinearMap._unweighted``.
     """
+    T = T._unweighted
     a, E, cod = T.matrix, T.domain, T.codomain
-    upper, exact, _, tag = _bound(E, a / E.weight_array, cod)  # <Y[c], x> = (a @ x)[c]
+    upper, exact, _, tag = _bound(E, a, cod)  # <a[c], x> = (a @ x)[c] over the unweighted domain
     if exact:
         return NormEstimate(upper, upper, True, True, method=("extreme-point enumeration",))
     return NormEstimate(_ascent_lower(E, a, cod), upper, True, True, method=("multistart ascent", tag))

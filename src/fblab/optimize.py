@@ -5,9 +5,17 @@ one start from structured points and read no seed; the Powell multistart
 of the extension constant draws its starts from generators fixed by the
 ``OptimizerConfig``'s (seed, restart index).
 
-``nelder_mead_rows`` is scipy's Nelder-Mead, bit for bit, run from many starts
-in lockstep with one call of a row-stacked objective per phase: each start's
-control in plain Python, the vertex arithmetic of all starts batched in numpy.
+``nelder_mead_rows`` is scipy's Nelder-Mead run from many starts in lockstep,
+with one call of a row-stacked objective per step (and one per shrink): each
+start's control in plain Python, the vertex arithmetic of all starts batched
+in numpy.  The call evaluates all four trial points of every running start,
+of which scipy evaluates one or two.  It is scipy's, start by start and bit
+for bit, for an objective whose value at a row does not depend on the other
+rows of the stack.  fblab's objectives pair their rows by one matrix product,
+which gives other bits for a single row (a BLAS matrix-vector kernel) than for
+a stack; no call of the lockstep has a single row but the shrink of one start
+that its budget cuts to one evaluation (or of a one-dimensional start), so
+a start's result does not depend on which other starts are still running.
 
 Powell's method here is scipy's ``minimize(method="Powell")`` without
 bounds, bit for bit in its point, value and evaluation count: the direction
@@ -71,7 +79,7 @@ class OptimizerConfig:
 
 # scipy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = 1/2): a trial point is
 # a * centroid - c * worst vertex, rows (a, c) for an expansion, a reflection, an
-# outside and an inside contraction (subtracting -psi * worst adds it exactly)
+# outside and an inside contraction (times 1.0 and subtracting -psi * worst are exact)
 _TRIALS = np.array([[3.0, 2.0], [2.0, 1.0], [1.5, 0.5], [0.5, -0.5]])
 _SIGMA, _NONZDELT, _ZDELT = 0.5, 0.05, 0.00025  # shrink; first steps from x != 0, x = 0
 _ENDS = np.array([0, -2, -1])  # the best, second-worst and worst vertex of a sorted simplex
@@ -84,10 +92,16 @@ def nelder_mead_rows(F, X0: np.ndarray, maxfev: int, xatol: float, fatol: float)
     maxfev > N, and stops where scipy's counter stops it, in the middle of a
     shrink too.  Returns the best points, their values and the evaluation counts.
 
-    Each start's control (its step, whether its budget allows a trial point,
-    better or shrink, its counts) is plain Python on a few values; numpy
-    builds the points, the shrinks and the sort of the running starts at once.
-    A start leaves these arrays, its result written out, when it stops."""
+    Each step makes one call of F, on the (4, m, N) stack of the expansion,
+    reflection and two contraction points of the m running starts; a shrink
+    makes one more.  Each start's control (its step, whether its budget
+    allows a trial point, better or shrink, its counts) is plain Python on a
+    few values read from that call; numpy builds the points, the shrinks and
+    the sort of the running starts at once.  The counts are scipy's: a point
+    scipy would not evaluate is not counted.  The results are scipy's, bit
+    for bit, where F's value at a row does not depend on the other rows of
+    the stack.  A start leaves these arrays, its result written out, when it
+    stops."""
     X0 = np.asarray(X0, dtype=float)
     K, N = X0.shape
     j = np.arange(1, N + 1)
@@ -116,32 +130,32 @@ def nelder_mead_rows(F, X0: np.ndarray, maxfev: int, xatol: float, fatol: float)
             if not live:
                 break
             s, f, rows = s[keep], f[keep], rows[: len(live)]
+        # every live start's four trial points in one stack, one call of F for all
         xbar, worst = np.add.reduce(s[:, :-1], 1) / N, s[:, -1]
-        xr = 2.0 * xbar - worst  # _TRIALS[1]: times 1.0 is exact
-        fxr = F(xr).tolist()
-        used = [u + 1 for u in used]
-        # 0: expand, 1: accept the reflection, 2, 3: contract outside, inside
-        case = [0 if r < lo else 1 if r < mid else 2 if r < hi else 3 for r, (lo, mid, hi) in zip(fxr, top)]
-        trial = [i for i, c in enumerate(case) if c != 1 and used[i] < maxfev]
-        # the replaced worst vertices: (start, row of xr or of the trial points, value)
-        new = [(i, i, r) for i, (c, r) in enumerate(zip(case, fxr)) if c == 1]
-        shrink, pts = [], xr
-        if trial:
-            coef = _TRIALS[[case[i] for i in trial]]
-            xt = coef[:, :1] * xbar[trial] - coef[:, 1:] * worst[trial]
-            pts = np.concatenate((xr, xt))
-            for t, (i, ft) in enumerate(zip(trial, F(xt).tolist()), len(live)):
+        allp = _TRIALS[:, :1, None] * xbar - _TRIALS[:, 1:, None] * worst
+        vals = F(allp.reshape(4 * len(live), N)).reshape(4, -1).tolist()
+        # the replaced worst vertices: start, row of allp and value
+        new_i, new_k, new_v, shrink = [], [], [], []
+        for i, (r, (lo, mid, hi)) in enumerate(zip(vals[1], top)):
+            used[i] += 1
+            # 0: expand, 1: accept the reflection, 2, 3: contract outside, inside
+            c = 0 if r < lo else 1 if r < mid else 2 if r < hi else 3
+            k, v = 1, r
+            if c != 1:
+                if used[i] >= maxfev:  # scipy evaluates no trial point
+                    continue
                 used[i] += 1
-                c, r = case[i], fxr[i]
-                if ft < r if c == 0 else ft <= r if c == 2 else ft < top[i][2]:
-                    new.append((i, t, ft))
-                elif c == 0:
-                    new.append((i, i, r))
-                else:
+                ft = vals[c][i]
+                if ft < r if c == 0 else ft <= r if c == 2 else ft < hi:
+                    k, v = c, ft
+                elif c:
                     shrink.append(i)
-        if new:
-            i, t, v = (list(c) for c in zip(*new))
-            s[i, -1], f[i, -1] = pts[t], v
+                    continue
+            new_i.append(i)
+            new_k.append(k)
+            new_v.append(v)
+        if new_i:
+            s[new_i, -1], f[new_i, -1] = allp[new_k, new_i], new_v
         # a shrink cut short by the budget moves one vertex more than it evaluates
         if shrink:
             best, budget = s[shrink, :1], np.array([maxfev - used[i] for i in shrink])[:, None]

@@ -188,3 +188,19 @@ def test_weak_p_norm_under_tiny_weights_is_finite():
     assert math.isfinite(est.upper)
     assert est.lower == pytest.approx(1e-250, rel=1e-12)
     assert est.upper == pytest.approx(1e-250, rel=1e-12)
+
+
+@pytest.mark.parametrize("r, s", [(2.0, 2.0), (3.0, 2.0), (1.5, 3.0), (2.0, 1.0), (1.0, 2.0), (math.inf, 2.0)])
+@pytest.mark.parametrize("w", [1e-300, 1e300])
+def test_operator_norm_under_extreme_weights_is_finite(r, s, w):
+    """The map 1 from the line with weight w in ell_r into ell_s has norm
+    w^(-1/r) (1 over a sup-norm line).  Under w = 1e-300 in ell_2 it once
+    read [1e150, inf] with an overflow warning: the crude row-norm upper
+    measured the row 1 / w = 1e300 in the weighted dual, and squared it."""
+    E = SpaceSpec(r, 1, (w,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = fblab.operator_norm(fblab.LinearMap([[1.0]], E, SpaceSpec(s, 1)))
+    assert est.lower_certified and est.upper_certified
+    true = w ** (-1.0 / r)
+    assert est.lower == pytest.approx(true, rel=1e-12) and est.upper == pytest.approx(true, rel=1e-12)

@@ -12,6 +12,7 @@ each start what scipy's Powell returns from it alone.
 
 import functools
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -173,14 +174,15 @@ def _row_counts(N, name, maxfev):
     return len(counts), sum(counts), digest
 
 
-# recorded before the per-start control moved to Python: the lockstep must
-# keep the number of objective calls and the rows of each
+# recorded with one call of the objective per step for the four trial points
+# of every running start (plus one per shrink): the lockstep must keep the
+# number of objective calls and the rows of each
 ROW_COUNT_CASES = {
-    (2, "kinked", 400): (286, 1508, "064a1b8424c540f0"),
-    (2, "holes", 400): (300, 1486, "9a20d20e10d82e6c"),
-    (6, "quadratic", 2400): (1592, 6498, "f45c0e1ec1e1c463"),
-    (6, "ratio", 300): (374, 1800, "d7a42d1599754c14"),
-    (20, "quadratic", 4000): (5816, 24000, "239ae99d0dbf3924"),
+    (2, "kinked", 400): (144, 3214, "ea852b0f41dab93e"),
+    (2, "holes", 400): (200, 2638, "208c57d0afc983d9"),
+    (6, "quadratic", 2400): (812, 16354, "6be1e5b13ca0b82c"),
+    (6, "ratio", 300): (190, 4474, "6ff4944cb1cd5b6b"),
+    (20, "quadratic", 4000): (3238, 77018, "b8e4917c60a72fa8"),
 }
 
 
@@ -189,13 +191,16 @@ def test_objective_calls_and_rows_are_pinned(key):
     assert _row_counts(*key) == ROW_COUNT_CASES[key]
 
 
-def _dual_digest(dim):
+_DUAL_R = {2: 1.5, 6: 2.0, 12: 1.25, 20: 3.0}
+
+
+def _dual_digest(dim, r=None):
     """The bytes of ``_dual_multistart`` on a fixed non-convex expression
-    over a weighted ell_r^dim."""
+    over a weighted ell_r^dim, r by ``_DUAL_R`` unless given."""
     rng = np.random.default_rng(dim)
-    r = {2: 1.5, 6: 2.0, 12: 1.25, 20: 3.0}[dim]
     b = GeneratorBinding.from_matrix(
-        SpaceSpec(r, dim, tuple(rng.uniform(0.5, 2.0, dim))), rng.standard_normal((4, dim))
+        SpaceSpec(_DUAL_R[dim] if r is None else r, dim, tuple(rng.uniform(0.5, 2.0, dim))),
+        rng.standard_normal((4, dim)),
     )
     e = Abs(Gen(0)) * 0.9 + Join(Gen(1), Gen(2)) * 1.1 - Abs(Gen(3)) * 0.6 + PosPart(Gen(0) - Gen(1)) * 0.8
     est = _dual_multistart(e, b)
@@ -215,6 +220,50 @@ DUAL_DIMS = {
 @pytest.mark.parametrize("dim", list(DUAL_DIMS))
 def test_dual_multistart_bytes_are_pinned(dim):
     assert _dual_digest(dim) == DUAL_DIMS[dim]
+
+
+def _recorded_nelder_mead(monkeypatch):
+    """Make ``_dual_multistart`` record the arguments of its Nelder-Mead
+    call in the returned list."""
+    calls = []
+
+    def recording(F, X0, *args):
+        calls.append((F, X0, args))
+        return nelder_mead_rows(F, X0, *args)
+
+    monkeypatch.setattr(fblab.fbl, "nelder_mead_rows", recording)
+    return calls
+
+
+@pytest.mark.parametrize("dim", list(DUAL_DIMS))
+def test_each_dual_start_alone_matches_the_lockstep(dim, monkeypatch):
+    """A start's point, value and count do not depend on which other starts
+    are still running.  The dual objective pairs its rows by one matrix
+    product, which takes a different BLAS kernel, and other bits, for a
+    single row than for a stack; no call of the lockstep has one row."""
+    calls = _recorded_nelder_mead(monkeypatch)
+    _dual_digest(dim)
+    [(F, X0, args)] = calls
+    X, fun, nfev = nelder_mead_rows(F, X0, *args)
+    for k, x0 in enumerate(X0):
+        x, f, n = nelder_mead_rows(F, x0[None], *args)
+        assert (x[0].tobytes(), f[0].hex(), n[0]) == (X[k].tobytes(), fun[k].hex(), nfev[k])
+
+
+# recorded while every repeated start still ran: over ell_1^2 and ell_inf^3
+# the six best candidates hold three and four distinct rows
+REPEATED_STARTS = {
+    (2, 1.0): ("0x1.83e78d1038b48p+2", "0x1.8c9dc9c55c499p+2", "Lipschitz grid upper", "e077172409ed971e"),
+    (3, math.inf): ("0x1.4a31dac4f855cp+2", "0x1.913b9020e5e9dp+2", "Lipschitz grid upper", "f2fd7285104cfb21"),
+}
+
+
+@pytest.mark.parametrize("dim, r", list(REPEATED_STARTS))
+def test_repeated_dual_starts_run_once_with_the_same_bytes(dim, r, monkeypatch):
+    calls = _recorded_nelder_mead(monkeypatch)
+    assert _dual_digest(dim, r) == REPEATED_STARTS[dim, r]
+    [(_, X0, _)] = calls
+    assert len(X0) < 6 and len({x.tobytes() for x in X0}) == len(X0)
 
 
 # --------------------------------------------------------------------------
