@@ -17,8 +17,8 @@ structurally equal subexpressions computed once and each left-deep sum
 of generator columns (scaled, negated or taken modulus of) gathered and
 added up in a few numpy calls, bit for bit as one add per term
 (``_compile``).  The analyses
-(``_convex_shape``, ``mass_bound``, ``lipschitz_bound``, the text output)
-stay folds over the program (``_fold``).
+(``_convex_shape``, ``mass_bound``, ``lipschitz_bound``, the DC split
+``_dc_split``, the text output) stay folds over the program (``_fold``).
 
 A text DSL is provided: generators ``d0, d1, ...``; operators ``+ - *``
 (scalar multiplication), ``abs(e)``, ``max(e,f)``, ``min(e,f)``,
@@ -655,6 +655,81 @@ _MASS = {
 }
 # the Lipschitz bound differs in taking the larger side of a join or meet
 _LIPSCHITZ = {**_MASS, **dict.fromkeys((Join, Meet), lambda n, v, k, b: max(v[k[0]], v[k[1]]))}
+
+
+# a difference of convex functions e = g - h of the functional y: each side
+# is a tuple of vertex arrays (rows in b.space) whose support functions
+# y -> max_v <y, v> add up to it, the first array being one row, the side's
+# linear part.  A maximum of two sides is one term, the hull of the points
+# of both Minkowski sums; _DC_PIECES caps its rows and those of each side.
+_DC_PIECES = 64
+
+
+def _side_sum(X: tuple, Y: tuple) -> tuple:
+    return (X[0] + Y[0],) + X[1:] + Y[1:]
+
+
+def _dc_add(n: Add, a: tuple, c: tuple) -> tuple | None:
+    # a side never loses points further up, so one above the cap ends the split here
+    g, h = _side_sum(a[0], c[0]), _side_sum(a[1], c[1])
+    return None if max(math.prod(map(len, g)), math.prod(map(len, h))) > _DC_PIECES else (g, h)
+
+
+def _side_points(X: tuple) -> np.ndarray | None:
+    """The Minkowski sum of X's terms as rows, or None above ``_DC_PIECES``."""
+    if math.prod(map(len, X)) > _DC_PIECES:
+        return None
+    V = X[0]
+    for T in X[1:]:
+        V = (V[:, None, :] + T[None, :, :]).reshape(-1, V.shape[1])
+    return V
+
+
+def _dc_max(a: tuple, b: tuple) -> tuple | None:
+    """max(g_a - h_a, g_b - h_b) = max(g_a + h_b, g_b + h_a) - (h_a + h_b)."""
+    V, W = _side_points(_side_sum(a[0], b[1])), _side_points(_side_sum(b[0], a[1]))
+    if V is None or W is None or len(V) + len(W) > _DC_PIECES:
+        return None
+    return (np.zeros_like(V[:1]), np.vstack([V, W])), _side_sum(a[1], b[1])
+
+
+def _dc_rule(rule: Callable) -> Callable:
+    """A rule over the children's (g, h) pairs; a child without one has none."""
+    return lambda n, v, k, b: None if any(v[j] is None for j in k) else rule(n, *(v[j] for j in k))
+
+
+def _dc_scale(n: Scale, a: tuple) -> tuple:
+    g, h = a if n.c >= 0 else a[::-1]
+    return tuple(abs(n.c) * T for T in g), tuple(abs(n.c) * T for T in h)
+
+
+def _dc_meet(a: tuple, b: tuple) -> tuple | None:
+    m = _dc_max(a[::-1], b[::-1])  # a ^ b = -((-a) v (-b))
+    return None if m is None else m[::-1]
+
+
+_DC = {
+    Gen: lambda n, v, k, b: ((b.matrix[n.index][None, :],), (np.zeros((1, b.space.dim)),)),
+    Scale: _dc_rule(_dc_scale),
+    Add: _dc_rule(_dc_add),
+    Neg: _dc_rule(lambda n, a: a[::-1]),
+    Abs: _dc_rule(lambda n, a: _dc_max(a, a[::-1])),
+    Join: _dc_rule(lambda n, a, c: _dc_max(a, c)),
+    Meet: _dc_rule(lambda n, a, c: _dc_meet(a, c)),
+    PosPart: _dc_rule(lambda n, a: _dc_max(a, ((np.zeros_like(a[0][0]),),) * 2)),
+    PowerSum: lambda n, v, k, b: None,
+}
+
+
+def _dc_split(e: LatticeExpr, b: GeneratorBinding) -> tuple[tuple, tuple] | None:
+    """e = g - h with g and h sums of support functions of vertex sets in
+    b.space: (g, h) as tuples of vertex arrays, the first of each one row
+    (its linear part).  None for an expression with a ``PowerSum`` node or
+    whose sides have more than ``_DC_PIECES`` points."""
+    split = _fold(e, _DC, b)
+    if split is None or any(_side_points(X) is None for X in split):
+        return None
+    return split
 
 
 def lipschitz_bound(e: LatticeExpr, b: GeneratorBinding) -> float:

@@ -524,8 +524,8 @@ _GENERIC_GAPS = [
     # 0.93 and 0.88 when F-side families were normalized by the sum of
     # member norms; the first two p = inf cases read 0.848 and 0.9992
     # before the restricted ambient witness seeded the F-side search; in
-    # the third the lifted F-side witness beats the ambient search, whose
-    # upper bound (dual dim > 3) is not certified
+    # the third the lifted F-side witness beats the ambient lower bound of
+    # the DC certificate by an ulp, within the rounding of its upper bound
     pytest.param(math.inf, 4, 2, 1, 1.0, _JOIN2, id="4-2-1"),
     pytest.param(math.inf, 6, 3, 5, 1.0, _JOIN2, id="6-3-5"),
     pytest.param(2.0, 5, 3, 4, math.inf, _JOIN3, id="l2-5-3-4-inf"),

@@ -171,12 +171,24 @@ def test_fbl_infty_norm_grid_upper_off_the_convex_paths():
         assert 1.0 <= est.upper <= 1.25
 
 
-def test_fbl_infty_norm_large_dim_uncertified_upper():
-    """Off the convex paths and above dual dimension 3 no upper bound is
-    certified."""
+def test_fbl_infty_norm_large_dim_difference_is_certified():
+    """Above dual dimension 3 the DC certificate closes |d0| - |d3| over
+    ell_2^5 at its sup, 1."""
     E = SpaceSpec(2.0, 5)
     b = GeneratorBinding.from_matrix(E, np.eye(5))
     est = fbl_infty_norm(Abs(Gen(0)) - Abs(Gen(3)), b, CFG)
+    assert est.method == ("DC split", "nearest-point certificate per piece")
+    assert est.lower_certified and est.upper_certified
+    assert est.lower == est.upper == 1.0
+
+
+def test_fbl_infty_norm_large_dim_uncertified_upper():
+    """Off the convex paths and the DC split (a power sum) and above dual
+    dimension 3 no upper bound is certified."""
+    E = SpaceSpec(2.0, 5)
+    b = GeneratorBinding.from_matrix(E, np.eye(5))
+    est = fbl_infty_norm(PowerSum(2.0, (Gen(0), Gen(1))) - Abs(Gen(3)), b, CFG)
+    assert est.method == ("dual-sphere multistart", "upper not certified (dual dim > 3)")
     assert not est.upper_certified
     assert est.lower_certified
 

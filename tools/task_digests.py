@@ -8,7 +8,9 @@ For each workload of ``bench/workloads.py`` and each seed it builds the
 task list and runs every task once, importing fblab from the checkout's
 ``src/``.  It prints one line per task, ``workload seed task sha256``: the
 SHA-256 of the task's result as JSON (its ``to_json()``, which leaves an
-experiment report's wall clock out), or of the error the task raised.
+experiment report's wall clock out), or of the error the task raised,
+followed by the result's ``lower`` and ``upper`` where its JSON has them, so
+a diff shows which bounds moved and which way.
 Then it prints one line ``catalog seed name sha256`` per experiment of
 ``experiment_names()`` and seed, of ``run_experiment(name, seed=seed)``.
 Two checkouts that print the same lines give every task and experiment
@@ -29,13 +31,18 @@ from pathlib import Path  # noqa: E402
 
 
 def digest(run) -> str:
+    """The sha256 of the result's JSON, then its lower and upper bounds
+    where it has them (an upper of None is infinite)."""
     try:
         result = run()
     except Exception as ex:  # a failing task is part of the output
         data = {"error": f"{type(ex).__name__}: {ex}"}
     else:
         data = result.to_json()
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    line = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    if "lower" in data and "upper" in data:
+        line += f" {data['lower']!r} {data['upper']!r}"
+    return line
 
 
 def main(argv=None) -> int:
