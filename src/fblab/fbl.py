@@ -10,10 +10,10 @@ with families of arbitrary finite size; in finite dimension the
 constraint over B_E (rather than the bidual ball) is exact.  For
 p = infinity the norm degenerates to the sup of |f| over the dual unit
 sphere: exact, with a certified upper bound at any dual dimension, when
-f is convex and the sup can be enumerated; above dual dimension 3, exact
-for any f without power sums whose difference-of-convex split stays
-under a piece cap, by one nearest-point problem per piece (Sion's
-minimax theorem); otherwise a lower bound from structured candidate
+f is convex and the sup can be enumerated; above dual dimension 3 and
+for 1 < r < infinity, exact for any f without power sums whose
+difference-of-convex split stays under a piece cap, by one
+nearest-point problem per piece (Sion's minimax theorem); otherwise a lower bound from structured candidate
 functionals and a Nelder-Mead polish, with a certified upper bound only
 for dual dimension <= 3.
 
@@ -245,17 +245,20 @@ def fbl_infty_norm(
     dimension: the upper bound is the enumerated maximum, the lower bound
     |e(y)| / ||y||_* at the functional y found there, and where rounding
     (up to 1e-12 of the mass bound) puts it above, the upper is the lower.
-    Above dual dimension 3 an e with a DC split (``exprs._dc_split``: no
-    ``PowerSum`` node, at most ``exprs._DC_PIECES`` points a side) is
-    certified from both ends by ``_dc_sup``, with the same rule.  Any
-    other e goes to ``_dual_multistart``; up to dual dimension 3 its grid
-    certifies the upper bound, and the DC path is not taken there while a
-    fixture of the benchmark's dual-sphere check relies on that bound
-    being loose (ROADMAP item 6).
+    Above dual dimension 3 and for 1 < r < inf, an e with a DC split
+    (``exprs._dc_split``: no ``PowerSum`` node, at most
+    ``exprs._DC_PIECES`` points a side) is certified from both ends by
+    ``_dc_sup``, with the same rule.  Any other e goes to
+    ``_dual_multistart``; up to dual dimension 3 its grid certifies the
+    upper bound, and the DC path is not taken there while a fixture of the
+    benchmark's dual-sphere check relies on that bound being loose
+    (ROADMAP item 6).  Over r in {1, inf} no benchmark workload reaches
+    the DC path, and a nearest-point solver for those polyhedral norms
+    waits for one that does.
     """
     found = _convex_sup(e, b)
     if found is None:
-        split = _dc_split(e, b) if b.space.dim > 3 else None
+        split = _dc_split(e, b) if b.space.dim > 3 and 1.0 < b.space.r < math.inf else None
         return _dual_multistart(e, b) if split is None else _dc_sup(e, b, split)
     upper, y, how = found
     n = _norm_each_row(dual_space(b.space), y)
@@ -331,17 +334,13 @@ def _dc_piece(c: np.ndarray, M: np.ndarray, starts: np.ndarray, E: SpaceSpec, fl
     b' of K that y pairs most with).  The first is an upper and the last a
     lower bound on the distance, by minimax.
 
-    Over r in {1, inf} one HiGHS linear program in y gives y, and its
-    multipliers give b.  Otherwise b = lam M, with lam in a product of
-    simplices, is found by active-set Newton steps, from the row of each
-    block that pairs most with the residual at the barycenter, each step
-    with a line search on the sign of the derivative (a value comparison
-    stalls at the square root of the rounding unit), until the two bounds
-    meet in the last bits, the upper falls to ``floor``, or after
-    ``_DC_STEPS`` steps."""
+    For 1 < r < inf, b = lam M, with lam in a product of simplices, is
+    found by active-set Newton steps, from the row of each block that
+    pairs most with the residual at the barycenter, each step with a line
+    search on the sign of the derivative (a value comparison stalls at the
+    square root of the rounding unit), until the two bounds meet in the
+    last bits, the upper falls to ``floor``, or after ``_DC_STEPS`` steps."""
     sizes = np.diff(starts)
-    if E.r == 1 or E.is_sup:
-        return _dc_piece_lp(c, M, starts, E)
     r, w = E.r, E.weight_array
     blocks = [np.arange(s, t) for s, t in zip(starts[:-1], starts[1:])]
     # start at the rows that pair most with the residual from the barycenter
@@ -371,7 +370,7 @@ def _dc_piece(c: np.ndarray, M: np.ndarray, starts: np.ndarray, E: SpaceSpec, fl
         free = lam > 0.0
         for k, j in zip(blocks, tops):
             free[j] |= s[j] > np.max(s[k][free[k]])
-        for _ in range(len(blocks) + 1):
+        while True:  # each pass that finds a stuck row drops it: at most len(M) passes
             J, J0 = [], []
             for k in blocks:
                 f = k[free[k]]
@@ -425,40 +424,6 @@ def _dc_piece(c: np.ndarray, M: np.ndarray, starts: np.ndarray, E: SpaceSpec, fl
         lam /= np.repeat(np.add.reduceat(lam, starts[:-1]), sizes)
 
 
-def _dc_piece_lp(c: np.ndarray, M: np.ndarray, starts: np.ndarray, E: SpaceSpec):
-    """``_dc_piece`` over r in {1, inf}: maximize <c, y> - sum_k s_k over
-    the dual ball, s_k >= <v, y> for the rows v of block k; the multipliers
-    of those rows are the lam of b = lam M."""
-    from scipy.optimize import linprog
-
-    sizes = np.diff(starts)
-    m, dim, w = len(M), E.dim, E.weight_array
-    if m == 0:
-        n = _norm_each_row(E, c)
-        return n, norming_functional(E, c), n
-    V = M * w
-    S = -np.repeat(np.eye(len(sizes)), sizes, axis=0)
-    if E.is_sup:  # y = y+ - y-, sum_i w_i (y+_i + y-_i) <= 1
-        A = np.vstack([np.hstack([V, -V, S]), np.concatenate([w, w, np.zeros(len(sizes))])])
-        cost = np.concatenate([-c * w, c * w, np.ones(len(sizes))])
-        bounds = [(0, None)] * (2 * dim) + [(None, None)] * len(sizes)
-    else:  # |y_i| <= 1
-        A = np.hstack([V, S])
-        cost = np.concatenate([-c * w, np.ones(len(sizes))])
-        bounds = [(-1, 1)] * dim + [(None, None)] * len(sizes)
-    rhs = np.zeros(len(A))
-    rhs[m:] = 1.0
-    res = linprog(cost, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"linear program failed: {res.message}")
-    y = res.x[:dim] - res.x[dim : 2 * dim] if E.is_sup else res.x[:dim]
-    lam = np.maximum(-res.ineqlin.marginals[:m], 0.0)
-    sums = np.add.reduceat(lam, starts[:-1])
-    lam = np.where(np.repeat(sums, sizes) > 0.0, lam / np.repeat(sums, sizes), np.repeat(1.0 / sizes, sizes))
-    n = _norm_each_row(E, c - lam @ M)
-    return n, y, -float(res.fun)
-
-
 def _dual_candidates(b: GeneratorBinding) -> np.ndarray:
     """The structured functionals on the dual sphere from which the p = inf
     searches start: the coordinate functionals, the norming functionals of
@@ -484,7 +449,7 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
     the dual sphere; vertices of the dual ball give none, since a
     non-convex e need not attain its sup at one.  ``fbl_infty_norm`` sends
     here what the DC certificate (``_dc_sup``) does not take: dual
-    dimension <= 3, ``PowerSum`` nodes, and sides above
+    dimension <= 3, r in {1, inf}, ``PowerSum`` nodes, and sides above
     ``exprs._DC_PIECES`` points.
     """
     E = b.space

@@ -30,18 +30,18 @@ callback, initial directions (``direc``) or ``maxiter``.
 
 Powell's run is written once, as a generator (``_Powell.run``) that yields
 the stacks of points it needs and is sent their values, and so is its line
-search (``_line_search``), which yields each step.  The two entry points
-drive such runs with one call of a row-stacked objective per step:
+search (``_line_search``), which yields each step.  ``_drive`` runs any
+number of such runs in lockstep, with one call of a row-stacked objective
+per step for the points all of them ask for; the two entry points differ
+only in what they hand it:
 
-- ``powell_rows``: one run, each of its stacks sent to the objective as
-  it is; its sweeps step a window of line searches in lockstep from one
-  point (``_Lockstep``).  Most line searches of a sweep
+- ``powell_rows``: one run whose sweeps step a window of line searches in
+  lockstep from one point (``_Lockstep``).  Most line searches of a sweep
   end where they started, so each is the line search that would run one at
   a time; at the first that moves, the later ones are dropped and the next
   window starts from there;
 - ``powell_starts``: one run per start, each as scipy would run it alone,
-  with the start's known value taken for its first point, in lockstep
-  through ``_drive``, which joins the stacks of all runs still going.
+  with the start's known value taken for its first point.
 
 Each returns scipy's point, value and count, bit for bit.
 """
@@ -204,13 +204,7 @@ def powell_rows(F, x0, maxfev: int, xtol: float, ftol: float) -> tuple[np.ndarra
     at the first line that moves, the later ones are dropped and the next
     window starts from the moved point.  Windows follow ``_WINDOW``, and a
     run evaluates at most 2 nfev rows plus its spare rows."""
-    run = _Lockstep(maxfev, xtol).run(x0, ftol)
-    try:
-        Y = run.send(None)
-        while True:  # one run: its stacks go to F as they are, with no join or split
-            Y = run.send(F(Y).tolist())
-    except StopIteration as stop:
-        return stop.value
+    return _drive(lambda Y: F(Y).tolist(), [_Lockstep(maxfev, xtol).run(x0, ftol)])[0]
 
 
 def powell_starts(F, X0, maxfev: int, xtol: float, ftol: float, f0) -> list[tuple[np.ndarray, float, int]]:

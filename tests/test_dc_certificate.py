@@ -24,12 +24,14 @@ from fblab import (
     SpaceSpec,
     fbl_infty_norm,
 )
+from fblab import fbl
 from fblab.experiments import _moduli_sum, summing_basis_matrix
 from fblab.exprs import _DC_PIECES, _dc_split, _side_points, eval_rows
-from fblab.fbl import _dual_multistart
+from fblab.fbl import _convex_sup, _dual_multistart
 from fblab.spaces import norms_rows
 
 RS = (1.0, 1.25, 2.0, 3.0, 4.0, math.inf)
+DC_RS = (1.25, 2.0, 3.0, 4.0)  # the r for which fbl_infty_norm takes the DC path
 
 
 def _random_expr(rng, count: int, depth: int):
@@ -46,17 +48,17 @@ def _random_expr(rng, count: int, depth: int):
     return {"pos": PosPart, "abs": Abs, "neg": Neg}[kind](a)
 
 
-def _case(seed: int):
+def _case(seed: int, rs: tuple = DC_RS):
     """A random expression off the convex paths whose split is under the
-    piece cap, over a weighted ell_r of dimension 4-8."""
+    piece cap, over a weighted ell_r of dimension 4-8, r from rs."""
     rng = np.random.default_rng(seed)
-    r = RS[seed % len(RS)]
+    r = rs[seed % len(rs)]
     while True:
         dim, count = int(rng.integers(4, 9)), int(rng.integers(1, 5))
         E = SpaceSpec(r, dim, tuple(rng.uniform(0.5, 2.0, dim)))
         b = GeneratorBinding.from_matrix(E, rng.standard_normal((count, dim)))
         e = _random_expr(rng, count, 4)
-        if _dc_split(e, b) is not None and fbl_infty_norm(e, b).method[0] == "DC split":
+        if _dc_split(e, b) is not None and _convex_sup(e, b) is None:
             return e, b
 
 
@@ -74,7 +76,7 @@ def _support(side: tuple, Y: np.ndarray) -> np.ndarray:
 def test_dc_split_is_the_expression(seed):
     """g - h, each a sum of support functions, is e at sampled functionals
     (the pairing carries the weights)."""
-    e, b = _case(seed)
+    e, b = _case(seed, RS)
     g, h = _dc_split(e, b)
     Y = _dual_sphere(b.space, 2000, seed)
     Yw = Y * b.space.weight_array
@@ -90,6 +92,7 @@ def test_dc_certificate_holds_and_replays(seed):
     nothing above the upper bound, and the interval is closed."""
     e, b = _case(seed)
     est = fbl_infty_norm(e, b, OptimizerConfig())
+    assert est.method == ("DC split", "nearest-point certificate per piece")
     assert est.lower_certified and est.upper_certified
     G = _dual_sphere(b.space, 10_000, seed + 1000)
     assert np.max(np.abs(eval_rows(e, b, G))) <= est.upper * (1.0 + 1e-12)
@@ -99,6 +102,50 @@ def test_dc_certificate_holds_and_replays(seed):
     assert est.witness.objective == est.lower
     assert _dual_multistart(e, b).lower <= est.upper * (1.0 + 1e-12)
     assert est.upper <= est.lower * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polyhedral_norms_keep_the_multistart(seed):
+    """Over ell_1 and ell_inf the DC path is not taken: the bytes are the
+    multistart's."""
+    e, b = _case(seed, (1.0, math.inf))
+    assert json.dumps(fbl_infty_norm(e, b).to_json()) == json.dumps(_dual_multistart(e, b).to_json())
+
+
+@pytest.mark.parametrize("seed", [73, 107, 251])
+def test_multistart_lower_where_newton_leaves_a_gap(seed, monkeypatch):
+    """At r = 1.01 the Newton steps can stop short of the nearest point;
+    the multistart then runs, and its lower bound is kept where higher.
+    The upper bound still holds at sampled points, the lower bound is at
+    least the multistart's, and the witness replays it."""
+    e, b = _case(seed, (1.01,))
+    calls = []
+    monkeypatch.setattr(fbl, "_dual_multistart", lambda e, b: calls.append(1) or _dual_multistart(e, b))
+    est = fbl_infty_norm(e, b)
+    assert calls == [1]
+    assert est.method == ("DC split", "nearest-point certificate per piece", "dual-sphere multistart lower")
+    assert est.lower_certified and est.upper_certified
+    G = _dual_sphere(b.space, 10_000, seed + 1000)
+    assert np.max(np.abs(eval_rows(e, b, G))) <= est.upper * (1.0 + 1e-12)
+    assert est.lower >= _dual_multistart(e, b).lower
+    y = est.witness.matrix
+    assert norms_rows(b.space.dual, y)[0] == pytest.approx(1.0, rel=1e-12)
+    assert abs(eval_rows(e, b, y)[0]) == pytest.approx(est.lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1e-140, 1e-100, 1e100, 1e140])
+def test_dc_certificate_at_tiny_and_huge_scales(seed, scale):
+    """The DC certificate of data scaled by 1e+-100 and 1e+-140 closes at
+    the scaled value: inside the float window at r = 2, and scaled into it
+    by the entry point at r = 1.25, 3 and 4."""
+    e, b = _case(seed)
+    est = fbl_infty_norm(e, b)
+    big = fbl_infty_norm(e, GeneratorBinding.from_matrix(b.space, b.matrix * scale))
+    assert big.method[0] == "DC split"
+    assert big.lower_certified and big.upper_certified
+    assert big.lower == pytest.approx(est.lower * scale, rel=1e-12)
+    assert big.upper <= big.lower * (1.0 + 1e-12)
 
 
 def test_power_sum_keeps_the_multistart():
