@@ -732,9 +732,64 @@ def _dc_split(e: LatticeExpr, b: GeneratorBinding) -> tuple[tuple, tuple] | None
     return split
 
 
+def _dc_exact_scale(n: Scale, a: tuple) -> tuple:
+    m, q = abs(float(n.c)).as_integer_ratio()  # q is a power of two dividing every entry
+    g, h = a if n.c >= 0 else a[::-1]
+    return tuple(T * m // q for T in g), tuple(T * m // q for T in h)
+
+
+def _exact_dc_split(e: LatticeExpr, b: GeneratorBinding) -> tuple[tuple, tuple] | None:
+    """``_dc_split`` in exact arithmetic: the same arrays, each point times
+    2^D as Python integers (object arrays).  D is the binary places of b's
+    entries plus those of every ``Scale`` constant, so every point of every
+    side is an integer and g - h is e itself, not its rounding."""
+    ratios = [x.as_integer_ratio() for x in b.matrix.ravel().tolist()]
+    scales = [abs(float(n.c)).as_integer_ratio()[1] for n, _, _ in e._program if isinstance(n, Scale)]
+    D = max(q for _, q in ratios).bit_length() - 1 + sum(q.bit_length() - 1 for q in scales)
+    X = np.array([p << (D + 1 - q.bit_length()) for p, q in ratios], dtype=object).reshape(b.matrix.shape)
+    zero = np.zeros((1, b.space.dim), dtype=object)
+    rules = {**_DC, Gen: lambda n, v, k, X: ((X[n.index][None, :],), (zero,)), Scale: _dc_rule(_dc_exact_scale)}
+    split = _fold(e, rules, X)
+    if split is None or any(math.prod(map(len, S)) > _DC_PIECES for S in split):
+        return None
+    return split
+
+
 def lipschitz_bound(e: LatticeExpr, b: GeneratorBinding) -> float:
     """A constant L with |eval(e,f) - eval(e,g)| <= L * dual-norm(f - g)."""
     return _fold(e, _LIPSCHITZ, b)
+
+
+# (Lipschitz bound, rounding bound) of each node kind: evaluated in floats at
+# a functional of dual norm 1, a pairing <y, x_i> errs by at most
+# (d + 2) 2^-53 ||x_i|| (the products with the weights and the d-term
+# sum), each Scale and Add node by 2^-53 of its computed value (at most
+# its Lipschitz bound plus its error) more, a scale multiplies the error
+# by |c|, and the other nodes are exact and do not enlarge it
+def _rounding_scale(n: Scale, v: list, k: tuple, b: GeneratorBinding) -> tuple[float, float]:
+    lip, err = v[k[0]]
+    return abs(n.c) * lip, abs(n.c) * (err + 2.0**-53 * (lip + err))
+
+
+def _rounding_add(n: Add, v: list, k: tuple, b: GeneratorBinding) -> tuple[float, float]:
+    (lip_a, err_a), (lip_b, err_b) = v[k[0]], v[k[1]]
+    return lip_a + lip_b, err_a + err_b + 2.0**-53 * (lip_a + lip_b + err_a + err_b)
+
+
+_ROUNDING = {
+    Gen: lambda n, v, k, b: (b._norms[n.index], (b.space.dim + 2) * 2.0**-53 * b._norms[n.index]),
+    Scale: _rounding_scale,
+    Add: _rounding_add,
+    **dict.fromkeys((Neg, Abs, PosPart), lambda n, v, k, b: v[k[0]]),
+    **dict.fromkeys((Join, Meet), lambda n, v, k, b: tuple(map(max, v[k[0]], v[k[1]]))),
+}
+
+
+def _rounding_bound(e: LatticeExpr, b: GeneratorBinding) -> float:
+    """A bound R with |fl(eval(e, y)) - eval(e, y)| <= R * dual-norm(y) for
+    the float evaluation of ``eval_rows`` at any y, for e without
+    ``PowerSum`` nodes (a fused chain of terms rounds as one add per term)."""
+    return _fold(e, _ROUNDING, b)[1]
 
 
 def mass_bound(e: LatticeExpr, b: GeneratorBinding) -> float:

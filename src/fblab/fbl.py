@@ -10,10 +10,12 @@ with families of arbitrary finite size; in finite dimension the
 constraint over B_E (rather than the bidual ball) is exact.  For
 p = infinity the norm degenerates to the sup of |f| over the dual unit
 sphere: exact, with a certified upper bound at any dual dimension, when
-f is convex and the sup can be enumerated; above dual dimension 3 and
-for 1 < r < infinity, exact for any f without power sums whose
-difference-of-convex split stays under a piece cap, by one
-nearest-point problem per piece (Sion's minimax theorem); otherwise a lower bound from structured candidate
+f is convex and the sup can be enumerated.  For any f without power sums
+whose difference-of-convex split stays under a piece cap it is exact
+over weighted ell_1 and ell_inf, by enumerating the extreme rays of the
+cones on which f is linear while they are few, and above dual dimension
+3 for 1 < r < infinity, by one nearest-point problem per piece (Sion's
+minimax theorem).  Otherwise a lower bound from structured candidate
 functionals and a Nelder-Mead polish, with a certified upper bound only
 for dual dimension <= 3.
 
@@ -44,6 +46,8 @@ from .exprs import (
     Scale,
     _convex_shape,
     _dc_split,
+    _exact_dc_split,
+    _rounding_bound,
     _side_points,
     eval_rows,
     lipschitz_bound,
@@ -61,6 +65,7 @@ from .spaces import (
     _norm_each_row,
     _pow2_scaled,
     _vertex_count,
+    _window,
     dual_space,
     extreme_points_matrix,
     norm,
@@ -245,20 +250,26 @@ def fbl_infty_norm(
     dimension: the upper bound is the enumerated maximum, the lower bound
     |e(y)| / ||y||_* at the functional y found there, and where rounding
     (up to 1e-12 of the mass bound) puts it above, the upper is the lower.
-    Above dual dimension 3 and for 1 < r < inf, an e with a DC split
-    (``exprs._dc_split``: no ``PowerSum`` node, at most
-    ``exprs._DC_PIECES`` points a side) is certified from both ends by
-    ``_dc_sup``, with the same rule.  Any other e goes to
+    Off those paths, an e with a DC split (no ``PowerSum`` node, at most
+    ``exprs._DC_PIECES`` points a side) is certified from both ends: over
+    E = weighted ell_1 or ell_inf, at any dual dimension, by enumerating the
+    extreme rays of the cones on which e and the dual norm are linear
+    (``_arrangement_sup``), while that takes at most ``_ARRANGEMENT_CAP``
+    integer products; above dual dimension 3 and for 1 < r < inf by
+    ``_dc_sup``, with the rule above.  Any other e goes to
     ``_dual_multistart``; up to dual dimension 3 its grid certifies the
-    upper bound, and the DC path is not taken there while a fixture of the
-    benchmark's dual-sphere check relies on that bound being loose
-    (ROADMAP item 6).  Over r in {1, inf} no benchmark workload reaches
-    the DC path, and a nearest-point solver for those polyhedral norms
-    waits for one that does.
+    upper bound, and the DC path is not taken there for 1 < r < inf while
+    a fixture of the benchmark's dual-sphere check relies on that bound
+    being loose (ROADMAP item 6).
     """
     found = _convex_sup(e, b)
     if found is None:
-        split = _dc_split(e, b) if b.space.dim > 3 and 1.0 < b.space.r < math.inf else None
+        E = b.space
+        if E.r == 1 or E.is_sup:
+            split = _exact_dc_split(e, b)
+            est = None if split is None else _arrangement_sup(e, b, split)
+            return _dual_multistart(e, b) if est is None else est
+        split = _dc_split(e, b) if E.dim > 3 else None
         return _dual_multistart(e, b) if split is None else _dc_sup(e, b, split)
     upper, y, how = found
     n = _norm_each_row(dual_space(b.space), y)
@@ -268,6 +279,126 @@ def fbl_infty_norm(
     upper = max(upper, lower)
     witness = WitnessFamily((y / n)[None, :], math.inf, 1.0, lower)
     return NormEstimate(lower, upper, True, True, ("convex expression", how), witness)
+
+
+# the most integer products (``_arrangement_work``) _arrangement_sup takes;
+# on random split-able expressions over ell_1^d and ell_inf^d, d = 3-6, up
+# to 2^15 the enumeration took 2-12 ms where the multistart took 18-60 ms
+# (5 ms once; a shared 2-core host)
+_ARRANGEMENT_CAP = 1 << 15
+
+
+def _arrangement_work(n: int, d: int) -> int:
+    """The integer products ``_extreme_rays`` takes for n normals in
+    dimension d, counting k for each of the C(n, k) C(d, k) minors of k of
+    the normals, k < d: its time and memory, where the count of (d - 1)-
+    subsets alone misses the middle stages (C(20, 10)^2 minors for 20
+    normals in dimension 20)."""
+    return sum(k * math.comb(n, k) * math.comb(d, k) for k in range(1, d))
+
+
+def _arrangement_sup(e: LatticeExpr, b: GeneratorBinding, split: tuple[tuple, tuple]) -> NormEstimate | None:
+    """sup of |e| over the dual ball of E = weighted ell_1 or ell_inf from the
+    exact DC split of ``exprs._exact_dc_split``, certified from both ends;
+    None where enumerating the rays of its planes takes more than
+    ``_ARRANGEMENT_CAP`` integer products (``_arrangement_work``).
+
+    e is linear on each cell of the arrangement of the planes of
+    ``_arrangement_normals``, and so is the dual norm, which is positive
+    there: each closed cell is a pointed cone, and |e| / ||.||_* takes its
+    largest value on it at an extreme ray, a line where d - 1 independent
+    planes meet (``_extreme_rays``, exact, then rounded once to floats).
+    Each ray y is taken with both signs.  Its rounding moves it by at most
+    D = ||2^-52 |y| + 2^-1074||_*, so e by at most L D (L the Lipschitz
+    bound); evaluating e errs by at most R ||y||_* (``exprs._rounding_bound``);
+    tol = (d + 8) 2^-52 covers the dual norm and the arithmetic below.  The
+    upper bound is the largest (|e(y)| + 2 R ||y||_* + L D) /
+    ((1 - tol) ||y||_* - D) (1 + tol) over the rays: the sup, plus R, so
+    that no float evaluation of the ratio at any functional reads above it.
+    The lower bound, attained at its witness, is the largest
+    (|e(y)| - R ||y||_* - L D) / ((1 + tol) ||y||_* + D) (1 - tol) over the
+    rays and the ``_dual_candidates``."""
+    E = b.space
+    normals = _arrangement_normals(E, split)
+    if _arrangement_work(len(normals), E.dim) > _ARRANGEMENT_CAP:
+        return None
+    rays = _extreme_rays(normals, E.dim)
+    C = _dual_candidates(b)
+    Y = np.vstack([C, rays, -rays])
+    Ed = dual_space(E)
+    n = norms_rows(Ed, Y)
+    tol = (E.dim + 8) * 2.0**-52
+    err = _rounding_bound(e, b) * n
+    D = norms_rows(Ed, 2.0**-52 * np.abs(Y) + 2.0**-1074) * (1.0 + tol)
+    LD = lipschitz_bound(e, b) * D
+    vals = np.abs(eval_rows(e, b, Y))
+    lo = np.maximum((vals - err - LD) / ((1.0 + tol) * n + D) * (1.0 - tol), 0.0)
+    hi = (vals + 2.0 * err + LD) / ((1.0 - tol) * n - D) * (1.0 + tol)
+    i = int(np.argmax(lo))
+    lower, upper = float(lo[i]), float(np.max(hi[len(C):]))
+    witness = WitnessFamily((Y[i] / n[i])[None, :], math.inf, 1.0, lower)
+    return NormEstimate(lower, upper, True, True, ("polyhedral arrangement", "extreme-ray enumeration"), witness)
+
+
+def _arrangement_normals(E: SpaceSpec, split: tuple[tuple, tuple]) -> np.ndarray:
+    """The distinct planes through 0 on whose cells e and the dual norm are
+    linear, as rows of Python integers, each divided by its gcd and with
+    its first nonzero entry positive: (a - a') o w for the points a, a' of
+    each array of the exact split (where its support function switches
+    from one to the other; the pairing carries the weights w), and the
+    kinks of the dual norm, y_i = +-y_j for ell_inf (E = ell_1) and y_j = 0
+    for weighted ell_1 (E = ell_inf)."""
+    d = E.dim
+    ratios = [w.as_integer_ratio() for w in E.weights]
+    top = max(q for _, q in ratios)
+    W = np.array([p * (top // q) for p, q in ratios], dtype=object)  # w times top, exact
+    eye = np.eye(d, dtype=int).astype(object)
+    i, j = np.triu_indices(d, 1)
+    rows = [eye[i] - eye[j], eye[i] + eye[j]] if E.r == 1 else [eye]
+    for X in split:
+        for T in X[1:]:
+            i, j = np.triu_indices(len(T), 1)
+            rows.append((T[i] - T[j]) * W)
+    A = np.vstack(rows)
+    g = np.gcd.reduce(A, axis=1)
+    A = A[g != 0] // g[g != 0, None]
+    A *= np.where(A[np.arange(len(A)), np.argmax(A != 0, axis=1)] > 0, 1, -1)[:, None]
+    return np.array(list(dict.fromkeys(map(tuple, A))), dtype=object).reshape(-1, d)
+
+
+def _extreme_rays(normals: np.ndarray, d: int) -> np.ndarray:
+    """The nonzero generalized cross products of every d - 1 of the integer
+    normals, exactly, then rounded once to floats and scaled by a power of
+    two to a largest |entry| in [1/2, 1): the lines where d - 1
+    independent planes meet.  The cross products come from the wedge
+    products of the subsets, one normal added at a time (each minor
+    expanded along its new row), so subsets share their prefixes."""
+    if d == 1:
+        return np.ones((1, 1))
+    N = len(normals)
+    S, W, faces = np.arange(N), normals, [(c,) for c in range(d)]
+    for k in range(2, d):  # W[:, f]: the minors of subsets of k - 1 rows on the columns faces[f]
+        reps = N - 1 - S
+        rows = np.repeat(np.arange(len(S)), reps)
+        S = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps) + S[rows] + 1
+        at = {f: c for c, f in enumerate(faces)}
+        faces = list(itertools.combinations(range(d), k))
+        Wk = np.zeros((len(S), len(faces)), dtype=object)
+        for c, f in enumerate(faces):
+            for p, col in enumerate(f):
+                term = W[rows, at[f[:p] + f[p + 1:]]] * normals[S, col]
+                Wk[:, c] += term if (k + p) % 2 else -term
+        W = Wk
+    # faces are the (d - 1)-subsets of columns in lexicographic order: the one
+    # without column j is faces[d - 1 - j], and the cross product's entry j
+    # is (-1)^j times that minor
+    Y = W[:, ::-1] * np.array([(-1) ** j for j in range(d)], dtype=object)
+    try:
+        F = Y.astype(float)  # one correct rounding per entry; a nonzero integer stays nonzero
+    except OverflowError:  # an entry above the float range: scale each ray by a power of two first
+        F = (Y / np.array([1 << max(int(t).bit_length() - 64, 0) for t in np.max(np.abs(Y), axis=1)], dtype=object)[:, None]).astype(float)
+    F = F[np.any(F != 0.0, axis=1)]
+    return np.ldexp(F, -np.frexp(np.max(np.abs(F), axis=1))[1][:, None])
 
 
 # the most Newton steps of one DC piece's nearest-point problem; pieces of
@@ -448,9 +579,11 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
     produced only for dual dimension <= 3, by a Lipschitz-padded grid over
     the dual sphere; vertices of the dual ball give none, since a
     non-convex e need not attain its sup at one.  ``fbl_infty_norm`` sends
-    here what the DC certificate (``_dc_sup``) does not take: dual
-    dimension <= 3, r in {1, inf}, ``PowerSum`` nodes, and sides above
-    ``exprs._DC_PIECES`` points.
+    here what neither certificate takes: ``PowerSum`` nodes, sides above
+    ``exprs._DC_PIECES`` points, r in {1, inf} where the extreme rays
+    take more than ``_ARRANGEMENT_CAP`` integer products
+    (``_arrangement_sup``), and 1 < r < inf at dual dimension <= 3
+    (``_dc_sup``).
     """
     E = b.space
     Ed = dual_space(E)
@@ -461,7 +594,27 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
     order = np.argsort(-vals)
     best_val, best_y = float(vals[order[0]]), candidates[int(order[0])]
 
+    # the polish can walk far from the sphere (entries near 600 at r = 1.01,
+    # whose dual powers |y|^101 overflow): where the dual norm takes powers
+    # (1 < r* < inf), a row whose largest |entry| is outside the float window
+    # is measured at its power-of-two scale, the ratio being of degree 0;
+    # rows inside it keep their bits.  A dual ell_1 or ell_inf norm takes no
+    # powers, and its rows are measured as they are.
+    powers = 1.0 < Ed.r < math.inf
+    width = _window(Ed, *e._range[1])[1]
+    lo, hi = 2.0**-width, 2.0**width
+
+    def in_window(Y: np.ndarray) -> np.ndarray:  # Y: a 2-d array of rows
+        if not powers:
+            return Y
+        t = np.maximum.reduce(np.abs(Y), axis=1)
+        top = t.tolist()  # min and max of a few floats: faster in Python
+        if lo <= min(top) and max(top) <= hi:
+            return Y
+        return np.ldexp(Y, np.where((t < lo) | (t > hi), -np.frexp(t)[1], 0)[:, None])
+
     def neg_ratio(Y: np.ndarray) -> np.ndarray:  # -|e(y)| / ||y||, and 0 at y ~ 0
+        Y = in_window(Y)
         n = norms_rows(Ed, Y)
         return np.divide(np.abs(eval_rows(e, b, Y)), -n, out=np.zeros(len(n)), where=n > 1e-14)
 
@@ -472,7 +625,7 @@ def _dual_multistart(e: LatticeExpr, b: GeneratorBinding) -> NormEstimate:
         first.setdefault(y.tobytes(), k)
     Y0 = candidates[order[list(first.values())]]
     Y, _, _ = nelder_mead_rows(neg_ratio, Y0, 200 * dim, 1e-10, 1e-12)
-    Y = np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0)
+    Y = in_window(np.where(np.all(np.isfinite(Y), axis=1, keepdims=True), Y, Y0))
     for v, v0, y, y0 in zip(*np.split(-neg_ratio(np.vstack([Y, Y0])), 2), Y, Y0):
         # a polished witness goes back on the dual sphere (constraint 1)
         v, y = (v, y / _norm_each_row(Ed, y)) if v > v0 else (v0, y0)
@@ -517,7 +670,9 @@ def _convex_sup(e: LatticeExpr, b: GeneratorBinding) -> tuple[float, np.ndarray,
 def _grid_upper(e: LatticeExpr, b: GeneratorBinding) -> float:
     """Certified upper bound for dual dimension <= 3: cover the dual sphere
     by radial projections of a cube-surface grid and pad by the Lipschitz
-    certificate times the covering radius."""
+    certificate times the covering radius.  It serves what
+    ``_arrangement_sup`` does not close: 1 < r < inf, power sums, and
+    splits above either cap."""
     E = b.space
     Ed = dual_space(E)
     dim = E.dim

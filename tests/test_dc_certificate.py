@@ -26,7 +26,7 @@ from fblab import (
 )
 from fblab import fbl
 from fblab.experiments import _moduli_sum, summing_basis_matrix
-from fblab.exprs import _DC_PIECES, _dc_split, _side_points, eval_rows
+from fblab.exprs import _DC_PIECES, _dc_split, _exact_dc_split, _side_points, eval_rows
 from fblab.fbl import _convex_sup, _dual_multistart
 from fblab.spaces import norms_rows
 
@@ -105,11 +105,17 @@ def test_dc_certificate_holds_and_replays(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_polyhedral_norms_keep_the_multistart(seed):
-    """Over ell_1 and ell_inf the DC path is not taken: the bytes are the
-    multistart's."""
+def test_polyhedral_norms_skip_the_nearest_point_path(seed):
+    """Over ell_1 and ell_inf the nearest-point certificate is not taken:
+    an input takes the extreme rays of its arrangement, or, above their
+    cap, the multistart, with the multistart's bytes."""
     e, b = _case(seed, (1.0, math.inf))
-    assert json.dumps(fbl_infty_norm(e, b).to_json()) == json.dumps(_dual_multistart(e, b).to_json())
+    normals = fbl._arrangement_normals(b.space, _exact_dc_split(e, b))
+    est = fbl_infty_norm(e, b)
+    if fbl._arrangement_work(len(normals), b.space.dim) <= fbl._ARRANGEMENT_CAP:
+        assert est.method == ("polyhedral arrangement", "extreme-ray enumeration")
+    else:
+        assert json.dumps(est.to_json()) == json.dumps(_dual_multistart(e, b).to_json())
 
 
 @pytest.mark.parametrize("seed", [73, 107, 251])
@@ -128,6 +134,23 @@ def test_multistart_lower_where_newton_leaves_a_gap(seed, monkeypatch):
     G = _dual_sphere(b.space, 10_000, seed + 1000)
     assert np.max(np.abs(eval_rows(e, b, G))) <= est.upper * (1.0 + 1e-12)
     assert est.lower >= _dual_multistart(e, b).lower
+    y = est.witness.matrix
+    assert norms_rows(b.space.dual, y)[0] == pytest.approx(1.0, rel=1e-12)
+    assert abs(eval_rows(e, b, y)[0]) == pytest.approx(est.lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [49, 52, 99, 116])
+def test_multistart_measures_far_points_at_their_scale(seed):
+    """At r = 1.01 the Nelder-Mead points of the multistart drift to
+    entries near 600, whose dual powers |y|^101 are above the float range;
+    they are measured at their power-of-two scale, so no overflow warning
+    is raised (the suite turns one into a failure) and the interval holds
+    at sampled points with a witness that replays."""
+    e, b = _case(seed, (1.01,))
+    est = fbl_infty_norm(e, b)
+    assert est.method[-1] == "dual-sphere multistart lower"
+    G = _dual_sphere(b.space, 10_000, seed + 1000)
+    assert np.max(np.abs(eval_rows(e, b, G))) <= est.upper * (1.0 + 1e-12)
     y = est.witness.matrix
     assert norms_rows(b.space.dual, y)[0] == pytest.approx(1.0, rel=1e-12)
     assert abs(eval_rows(e, b, y)[0]) == pytest.approx(est.lower, rel=1e-12)

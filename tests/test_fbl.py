@@ -160,15 +160,25 @@ def test_fbl_infty_norm_join_of_atoms():
 
 
 def test_fbl_infty_norm_grid_upper_off_the_convex_paths():
-    """|d0| - |d1| is not convex; for dual dimension <= 3 the Lipschitz
-    grid certifies an upper bound on its sup, 1."""
-    for r, dim in ((1.0, 2), (2.0, 3), (math.inf, 3)):
-        b = GeneratorBinding.from_matrix(SpaceSpec(r, dim), np.eye(dim))
-        est = fbl_infty_norm(Abs(Gen(0)) - Abs(Gen(1)), b, CFG)
-        assert est.method == ("dual-sphere multistart", "Lipschitz grid upper")
-        assert est.upper_certified
-        assert est.lower == pytest.approx(1.0, rel=1e-9)
-        assert 1.0 <= est.upper <= 1.25
+    """|d0| - |d1| is not convex; for dual dimension <= 3 and 1 < r < inf
+    the Lipschitz grid certifies an upper bound on its sup, 1."""
+    b = GeneratorBinding.from_matrix(SpaceSpec(2.0, 3), np.eye(3))
+    est = fbl_infty_norm(Abs(Gen(0)) - Abs(Gen(1)), b, CFG)
+    assert est.method == ("dual-sphere multistart", "Lipschitz grid upper")
+    assert est.upper_certified
+    assert est.lower == pytest.approx(1.0, rel=1e-9)
+    assert 1.0 <= est.upper <= 1.25
+
+
+@pytest.mark.parametrize("r, dim", [(1.0, 2), (math.inf, 3)])
+def test_fbl_infty_norm_polyhedral_off_the_convex_paths(r, dim):
+    """Over ell_1 and ell_inf the extreme rays of the arrangement close the
+    sup of |d0| - |d1|, 1, up to the rounding the bounds are widened by."""
+    b = GeneratorBinding.from_matrix(SpaceSpec(r, dim), np.eye(dim))
+    est = fbl_infty_norm(Abs(Gen(0)) - Abs(Gen(1)), b, CFG)
+    assert est.method == ("polyhedral arrangement", "extreme-ray enumeration")
+    assert est.lower_certified and est.upper_certified
+    assert 1.0 - 1e-14 <= est.lower <= 1.0 <= est.upper <= 1.0 + 1e-14
 
 
 def test_fbl_infty_norm_large_dim_difference_is_certified():

@@ -51,8 +51,9 @@ def _references(*names):
 
 
 def test_only_the_entry_points_check_the_float_window():
-    """The window is checked by the entry-point decorator and, seed by
-    seed, by the witness search; a section's basis is checked once, and
+    """The window is checked by the entry-point decorator, seed by seed
+    by the witness search, and row by row by the p = inf multistart, whose
+    polish can leave it; a section's basis is checked once, and
     scaled for the two entry points that take a section as their ball; the
     one scaling left below an entry point is the p-concavification's,
     which always scales."""
@@ -63,6 +64,7 @@ def test_only_the_entry_points_check_the_float_window():
         ("spaces", "SubspaceSpec", "_window"),
         ("summing", "witness_search", "_window_exponent"),
         ("summing", "witness_search", "_unit"),
+        ("fbl", "_dual_multistart", "_window"),
         ("extension", "extension_constant", "_unit"),
         ("fbl", "_pconcav_coefficients", "_pow2_scaled"),
     }
